@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint speclint synth fuzz smoke-faults smoke-cluster smoke-overload smoke-speed smoke-replay ci bench bench-check bench-trace
+.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test ci bench bench-check bench-trace
 
 all: build
 
@@ -45,32 +45,29 @@ synth:
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=10s -run '^$$' ./internal/core
 
-# smoke runs the fault-injection degradation sweep at test scale.
-smoke-faults:
-	$(GO) run ./cmd/tipbench -exp faults -scale test -json BENCH_faults_test.json
+# smoke-F runs sweep family F (any tipbench experiment with a -json report)
+# at test scale at -parallel 1 and 4, demands byte-identical JSON at both
+# widths (speed's JSON is wall-clock, so it is exempt), then checks the
+# family's invariants — conservation, bucket sums, arm and round-trip checks —
+# from bench/smoke/F.jq. CI calls these targets: there is one copy of each
+# smoke. Scratch output stays out of git (BENCH_*.json is ignored).
+SMOKES = smoke-multi smoke-faults smoke-cluster smoke-overload smoke-speed smoke-replay
 
-# smoke-cluster runs the sharded-service sweep at test scale.
-smoke-cluster:
-	$(GO) run ./cmd/tipbench -cluster -cluster-shards 1,2 -scale test -json BENCH_cluster_test.json
+smoke: $(SMOKES)
 
-# smoke-overload runs the admission-control/failover sweep at test scale.
-smoke-overload:
-	$(GO) run ./cmd/tipbench -overload -scale test -json BENCH_overload_test.json
+smoke-%:
+	$(GO) run ./cmd/tipbench -exp $* -scale test -parallel 1 -json BENCH_$*_test.json
+	$(GO) run ./cmd/tipbench -exp $* -scale test -parallel 4 -json BENCH_$*_test.p4.json
+	[ $* = speed ] || diff -u BENCH_$*_test.json BENCH_$*_test.p4.json
+	jq -e -f bench/smoke/$*.jq BENCH_$*_test.json
 
-# smoke-replay runs the trace-replay grid (modern apps in all modes plus the
-# capture→replay round trip) at test scale; the run itself fails on a
-# non-exact round trip.
-smoke-replay:
-	$(GO) run ./cmd/tipbench -replay -scale test -json BENCH_replay_test.json
+# perf-test builds and tests the nested benchmark module (bench/perf imports
+# internal/bench but `go build ./...` does not descend into it), so a change
+# that breaks the frozen benchmark fails here, not in the next bench run.
+perf-test:
+	cd bench/perf && $(GO) build -o /dev/null . && $(GO) test .
 
-# smoke-speed measures event-loop/VM/end-to-end throughput at test scale.
-# Wall numbers are machine-dependent; the committed trajectory lives in
-# bench/results/BENCH_speed.json (regenerate at full scale when the fast
-# paths change).
-smoke-speed:
-	$(GO) run ./cmd/tipbench -speed -scale test -json BENCH_speed_test.json
-
-ci: lint fmt build race speclint synth smoke-faults smoke-cluster smoke-overload smoke-speed smoke-replay fuzz
+ci: lint fmt build race speclint synth smoke perf-test fuzz
 
 # bench regenerates the canonical full-scale multiprogramming sweep into the
 # committed baseline under bench/results/ (expect minutes). Scratch runs that
@@ -91,5 +88,4 @@ bench-check:
 # next to the baseline; open it in chrome://tracing or ui.perfetto.dev.
 bench-trace:
 	@mkdir -p bench/results
-	$(GO) run ./cmd/tipbench -exp multi -scale test -multimax 3 \
-		-trace-json bench/results/TRACE_multi.json
+	$(GO) run ./cmd/tipbench -exp multi -scale test -trace-json bench/results/TRACE_multi.json

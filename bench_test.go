@@ -6,7 +6,6 @@
 package spechint_bench
 
 import (
-	"io"
 	"runtime"
 	"strconv"
 	"testing"
@@ -270,7 +269,7 @@ func benchmarkSweepWidth(b *testing.B, workers int) {
 	defer func() { bench.Parallelism = old }()
 	scale := apps.SweepScale()
 	for i := 0; i < b.N; i++ {
-		if err := bench.RunByName("fig3", scale, io.Discard); err != nil {
+		if _, err := bench.RunByName("fig3", scale); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,16 +11,17 @@
 //	tipbench -exp table4,table5 -scale sweep
 //	tipbench -exp all          # everything, including the heavy sweeps
 //	tipbench -exp quick        # everything except the heavy sweeps
-//	tipbench -exp multi -multimax 4 -json BENCH_multi.json
+//	tipbench -exp multi -json BENCH_multi.json   # one sweep: table + JSON
+//	tipbench -exp replay -scale test -json BENCH_replay.json
 //	tipbench -exp table4 -trace-json trace.json -trace-app gnuld
 //	tipbench -exp multi -trace-json trace.json   # trace a speculating group
 //	tipbench -exp fig5 -parallel 4               # bound the worker pool
-//	tipbench -replay -scale test -json BENCH_replay.json  # trace-replay grid + round trip
 //	tipbench -check bench/results/BENCH_multi.json
+//
+// Exit codes: 0 ok, 1 an experiment or check failed, 2 usage.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,46 +35,33 @@ import (
 	"spechint/internal/obs"
 )
 
+// Exit codes.
+const (
+	exitFailed = 1 // an experiment, check or write failed
+	exitUsage  = 2 // bad command line, reported before any simulation
+)
+
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tipbench: "+format+"\n", args...)
+	os.Exit(code)
+}
+
 func main() {
 	var (
 		expFlag   = flag.String("exp", "quick", "experiment id(s), comma separated; or 'all' / 'quick'")
 		scaleFlag = flag.String("scale", "full", "workload scale: full, sweep, or test")
 		listFlag  = flag.Bool("list", false, "list available experiments")
-		multiMax  = flag.Int("multimax", 0, "largest group size for the multi experiment (0 keeps the default)")
-		jsonFlag  = flag.String("json", "", "also write the multi or faults sweep as JSON to this file")
+		jsonFlag  = flag.String("json", "", "also write the experiment's machine-readable report to this file "+
+			"(-exp must name exactly one of the sweep families: "+strings.Join(jsonFamilies, ", ")+")")
 		traceJSON = flag.String("trace-json", "", "write a cross-layer Chrome trace_event JSON to this file "+
 			"(a speculating group when -exp includes multi, else a solo speculating run of -trace-app)")
 		traceApp = flag.String("trace-app", "gnuld", "application for the solo -trace-json run: agrep, gnuld, xds, postgres")
 		parallel = flag.Int("parallel", runtime.NumCPU(),
 			"simulation cells run concurrently (1 = serial; output is byte-identical at any width)")
-		clusterFlag = flag.Bool("cluster", false,
-			"run the sharded-service sweep and print its JSON to stdout (or to -json's file)")
-		clusterShards = flag.String("cluster-shards", "",
-			"comma-separated shard counts for -cluster (default 1,2,4,8,16)")
-		speedFlag = flag.Bool("speed", false,
-			"measure event-loop/VM/end-to-end wall-clock throughput and print its JSON to stdout (or to -json's file)")
-		replayFlag = flag.Bool("replay", false,
-			"run the trace-replay grid (modern apps, all modes, capture→replay round trip) and print its JSON to stdout (or to -json's file)")
-		overloadFlag = flag.Bool("overload", false,
-			"run the overload sweep (admission control, shedding, failover) and print its JSON to stdout (or to -json's file)")
-		shedFlag = flag.String("shed", "both",
-			"admission arms for -overload: both, on, or off (off skips the failover cell)")
-		killShard = flag.Int("kill-shard", 1,
-			"shard the -overload failover cell kills mid-run (negative skips the failover cell)")
 		checkFlag = flag.String("check", "",
 			"run a fresh multi sweep and fail if it regresses from this baseline JSON")
-		checkTol = flag.Float64("check-tol", 10, "makespan drift tolerance for -check, in percent")
 	)
 	flag.Parse()
-
-	if *multiMax > 0 {
-		bench.MultiMaxN = *multiMax
-	}
-	if *parallel < 1 {
-		fmt.Fprintf(os.Stderr, "tipbench: -parallel must be >= 1, got %d\n", *parallel)
-		os.Exit(2)
-	}
-	bench.Parallelism = *parallel
 
 	if *listFlag {
 		fmt.Println("available experiments:")
@@ -88,6 +76,13 @@ func main() {
 		return
 	}
 
+	// Everything on the command line is resolved before the first cell
+	// runs, so a typo costs nothing.
+	if *parallel < 1 {
+		die(exitUsage, "-parallel must be >= 1, got %d", *parallel)
+	}
+	bench.Parallelism = *parallel
+
 	var scale apps.Scale
 	switch *scaleFlag {
 	case "full":
@@ -97,206 +92,120 @@ func main() {
 	case "test":
 		scale = apps.TestScale()
 	default:
-		fmt.Fprintf(os.Stderr, "tipbench: unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
+		die(exitUsage, "unknown scale %q (want full, sweep or test)", *scaleFlag)
 	}
 
-	if *clusterFlag {
-		shards := bench.ClusterShards
-		if *clusterShards != "" {
-			shards = shards[:0:0]
-			for _, f := range strings.Split(*clusterShards, ",") {
-				var n int
-				if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 1 {
-					fmt.Fprintf(os.Stderr, "tipbench: bad -cluster-shards entry %q\n", f)
-					os.Exit(2)
-				}
-				shards = append(shards, n)
-			}
+	var exps []bench.Experiment
+	for _, name := range expNames(*expFlag) {
+		e, ok := bench.Registry[name]
+		if !ok {
+			die(exitUsage, "unknown experiment %q (have %s)", name, strings.Join(bench.Names(), ", "))
 		}
-		out, err := bench.ClusterJSON(scale, shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *jsonFlag != "" {
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonFlag)
-			return
-		}
-		os.Stdout.Write(out)
-		return
+		exps = append(exps, e)
 	}
-
-	if *speedFlag {
-		out, err := bench.SpeedJSONBytes(scale, *scaleFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: speed: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *jsonFlag != "" {
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonFlag)
-			return
-		}
-		os.Stdout.Write(out)
-		return
-	}
-
-	if *replayFlag {
-		out, err := bench.ReplayJSON(scale, *scaleFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: replay: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *jsonFlag != "" {
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonFlag)
-			return
-		}
-		os.Stdout.Write(out)
-		return
-	}
-
-	if *overloadFlag {
-		bench.OverloadArm = *shedFlag
-		bench.OverloadKillShard = *killShard
-		out, err := bench.OverloadJSON(scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: overload: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if *jsonFlag != "" {
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonFlag)
-			return
-		}
-		os.Stdout.Write(out)
-		return
+	if *jsonFlag != "" && (len(exps) != 1 || !exps[0].JSON) {
+		die(exitUsage, "-json needs -exp to name exactly one of %s, got %q",
+			strings.Join(jsonFamilies, ", "), *expFlag)
 	}
 
 	if *checkFlag != "" {
-		if err := runCheck(*checkFlag, scale, *checkTol); err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-			os.Exit(1)
+		if err := runCheck(*checkFlag, scale); err != nil {
+			die(exitFailed, "%v", err)
 		}
-		fmt.Printf("check passed: multi sweep matches %s (tolerance %g%%)\n", *checkFlag, *checkTol)
+		fmt.Printf("check passed: multi sweep matches %s (tolerance %d%%)\n", *checkFlag, bench.CheckTolPct)
 		return
 	}
 
-	var names []string
-	switch *expFlag {
-	case "all":
-		names = bench.Names()
-	case "quick":
-		for _, n := range bench.Names() {
-			if !bench.Registry[n].Heavy {
-				names = append(names, n)
-			}
-		}
-	default:
-		names = strings.Split(*expFlag, ",")
-	}
-
-	for _, name := range names {
-		name = strings.TrimSpace(name)
+	forMulti := false
+	for _, e := range exps {
+		forMulti = forMulti || e.Name == "multi"
 		start := time.Now()
-		fmt.Printf("==== %s ====\n", name)
-		if err := bench.RunByName(name, scale, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
-	}
-
-	if *jsonFlag != "" {
-		// The JSON form follows the requested experiment: faults if the list
-		// names it, otherwise the multi sweep (the original behavior).
-		which, gen := "multi", func() ([]byte, error) { return bench.MultiJSON(scale, bench.MultiMaxN) }
-		for _, n := range names {
-			if strings.TrimSpace(n) == "faults" {
-				which, gen = "faults", func() ([]byte, error) { return bench.FaultsJSON(scale) }
-			}
-		}
-		out, err := gen()
+		fmt.Printf("==== %s ====\n", e.Name)
+		rep, err := e.Run(scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: %s json: %v\n", which, err)
-			os.Exit(1)
+			die(exitFailed, "%s: %v", e.Name, err)
 		}
-		if err := os.WriteFile(*jsonFlag, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: %v\n", err)
-			os.Exit(1)
+		os.Stdout.WriteString(rep.Text())
+		fmt.Printf("(%s in %.1fs)\n\n", e.Name, time.Since(start).Seconds())
+
+		if *jsonFlag != "" {
+			out, err := bench.Encode(rep)
+			if err != nil {
+				die(exitFailed, "%s json: %v", e.Name, err)
+			}
+			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
+				die(exitFailed, "%v", err)
+			}
+			fmt.Printf("wrote %s\n", *jsonFlag)
 		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
 	}
 
 	if *traceJSON != "" {
-		if err := writeTrace(*traceJSON, *traceApp, names, scale); err != nil {
-			fmt.Fprintf(os.Stderr, "tipbench: trace: %v\n", err)
-			os.Exit(1)
+		if err := writeTrace(*traceJSON, *traceApp, forMulti, scale); err != nil {
+			die(exitFailed, "trace: %v", err)
 		}
 		fmt.Printf("wrote %s\n", *traceJSON)
 	}
 }
 
-// runCheck reruns the multi sweep at the baseline's own size and fails if
-// the result drifted outside tolerance or flipped a who-wins ordering
+// namesWhere lists, in stable order, the experiments keep accepts.
+func namesWhere(keep func(bench.Experiment) bool) []string {
+	var names []string
+	for _, n := range bench.Names() {
+		if keep(bench.Registry[n]) {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+// jsonFamilies are the experiments -json accepts.
+var jsonFamilies = namesWhere(func(e bench.Experiment) bool { return e.JSON })
+
+// expNames expands -exp into experiment ids: 'all', 'quick' (everything but
+// the heavy sweeps), or a comma-separated list.
+func expNames(exp string) []string {
+	switch exp {
+	case "all":
+		return bench.Names()
+	case "quick":
+		return namesWhere(func(e bench.Experiment) bool { return !e.Heavy })
+	}
+	names := strings.Split(exp, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	return names
+}
+
+// runCheck reruns the multi sweep and fails if the result drifted outside
+// tolerance or flipped a who-wins ordering against the baseline at path
 // (see bench.CheckMulti). Used by make bench-check.
-func runCheck(path string, scale apps.Scale, tolPct float64) error {
+func runCheck(path string, scale apps.Scale) error {
 	baseline, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var shape struct {
-		MaxN int `json:"max_n"`
-	}
-	if err := json.Unmarshal(baseline, &shape); err != nil {
-		return fmt.Errorf("baseline %s: %v", path, err)
-	}
-	if shape.MaxN < 1 {
-		return fmt.Errorf("baseline %s: missing max_n", path)
-	}
-	fresh, err := bench.MultiJSON(scale, shape.MaxN)
+	rep, err := bench.RunByName("multi", scale)
 	if err != nil {
 		return err
 	}
-	return bench.CheckMulti(fresh, baseline, tolPct)
+	fresh, err := bench.Encode(rep)
+	if err != nil {
+		return err
+	}
+	return bench.CheckMulti(fresh, baseline, bench.CheckTolPct)
 }
 
 // writeTrace records one traced run and writes its Chrome trace_event JSON:
 // a speculating multi group when the experiment list names multi, otherwise a
 // solo speculating run of the requested application.
-func writeTrace(path, appName string, names []string, scale apps.Scale) error {
+func writeTrace(path, appName string, forMulti bool, scale apps.Scale) error {
 	var tr *obs.Trace
-	forMulti := false
-	for _, n := range names {
-		if strings.TrimSpace(n) == "multi" {
-			forMulti = true
-		}
-	}
 	if forMulti {
-		n := bench.MultiMaxN
-		if n > 4 {
-			n = 4 // a readable trace, not the full sweep
-		}
 		var err error
-		if tr, _, err = bench.TraceMulti(scale, n); err != nil {
+		// Four processes: a readable trace, not the full sweep.
+		if tr, _, err = bench.TraceMulti(scale, 4); err != nil {
 			return err
 		}
 	} else {

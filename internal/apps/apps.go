@@ -191,6 +191,7 @@ func assembleAndTransform(app App, origSrc, manSrc string) (*cachedProgs, error)
 // Scale bundles the three workload specs so experiments can run at full
 // benchmark scale or at a small test scale.
 type Scale struct {
+	Name     string // "full", "sweep" or "test": which constructor built it
 	Agrep    workload.AgrepSpec
 	Gnuld    workload.GnuldSpec
 	XDS      workload.XDSSpec
@@ -202,6 +203,7 @@ type Scale struct {
 // FullScale is the benchmark scale used for the paper's tables and figures.
 func FullScale() Scale {
 	return Scale{
+		Name:     "full",
 		Agrep:    workload.DefaultAgrep(),
 		Gnuld:    workload.DefaultGnuld(),
 		XDS:      workload.DefaultXDS(),
@@ -217,6 +219,7 @@ func FullScale() Scale {
 // record per access, so sweep cells stay cheap to assemble and run.
 func SweepScale() Scale {
 	s := FullScale()
+	s.Name = "sweep"
 	s.XDS.NumSlices = 12
 	s.Gnuld.NumFiles = 120
 	s.LSM.TableSize = 1 << 20
@@ -254,6 +257,7 @@ func (s Scale) WithProcess(i int, seedStep int64) Scale {
 // TestScale is a small, fast scale for unit tests.
 func TestScale() Scale {
 	return Scale{
+		Name:     "test",
 		Agrep:    workload.AgrepSpec{NumFiles: 24, MeanSize: 7000, Pattern: "ENOTREACHED", Plants: 2, Seed: 1},
 		Gnuld:    workload.GnuldSpec{NumFiles: 12, NumSections: 3, SectionSize: 4000, SymtabSize: 512, StrtabSize: 256, Seed: 2},
 		XDS:      workload.XDSSpec{N: 64, NumSlices: 6, Seed: 3},

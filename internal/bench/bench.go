@@ -26,8 +26,8 @@ var Apps = []apps.App{apps.Agrep, apps.Gnuld, apps.XDataSlice}
 // Parallelism is the worker-pool width the sweep experiments hand to the
 // fan-out engine (internal/par). The default is one worker per CPU;
 // tipbench's -parallel flag overrides it, and -parallel 1 reproduces
-// strictly serial execution. Like MultiMaxN it is set once before
-// experiments run, not mutated mid-sweep.
+// strictly serial execution. It is set once before experiments run, not
+// mutated mid-sweep.
 //
 // The determinism contract: every experiment's output is byte-identical
 // at any width, because cells share nothing mutable (fresh workloads and

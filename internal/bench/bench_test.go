@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -67,11 +66,11 @@ func TestAllExperimentsRunAtTestScale(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := RunByName(name, apps.TestScale(), &buf); err != nil {
+			rep, err := RunByName(name, apps.TestScale())
+			if err != nil {
 				t.Fatal(err)
 			}
-			out := buf.String()
+			out := rep.Text()
 			if len(out) < 40 {
 				t.Fatalf("suspiciously short output:\n%s", out)
 			}
@@ -106,7 +105,7 @@ func TestAllExperimentsRunAtTestScale(t *testing.T) {
 }
 
 func TestRunByNameUnknown(t *testing.T) {
-	if err := RunByName("nope", apps.TestScale(), &bytes.Buffer{}); err == nil {
+	if _, err := RunByName("nope", apps.TestScale()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -7,13 +7,8 @@ import (
 	"strings"
 )
 
-// multiDoc mirrors the JSON MultiJSON writes (and make bench commits to
-// bench/results/BENCH_multi.json).
-type multiDoc struct {
-	Experiment string       `json:"experiment"`
-	MaxN       int          `json:"max_n"`
-	Points     []MultiPoint `json:"points"`
-}
+// CheckTolPct is the makespan drift tipbench -check tolerates, in percent.
+const CheckTolPct = 10
 
 // winMarginPct is the dead band for who-wins checks: a baseline
 // improvement smaller than this is treated as a tie, so a borderline cell
@@ -37,7 +32,7 @@ const winMarginPct = 2.0
 // changes with small numeric drift do not trip the guard, while shape
 // regressions always do.
 func CheckMulti(fresh, baseline []byte, tolPct float64) error {
-	var f, b multiDoc
+	var f, b MultiReport
 	if err := json.Unmarshal(fresh, &f); err != nil {
 		return fmt.Errorf("bench: check: fresh sweep: %v", err)
 	}

@@ -8,11 +8,7 @@ import (
 
 func multiJSONFor(t *testing.T, points []MultiPoint) []byte {
 	t.Helper()
-	out, err := json.Marshal(struct {
-		Experiment string       `json:"experiment"`
-		MaxN       int          `json:"max_n"`
-		Points     []MultiPoint `json:"points"`
-	}{"multi", len(points), points})
+	out, err := json.Marshal(MultiReport{"multi", len(points), points})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ package bench
 // the worker pool and stays byte-identical at any -parallel width.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -18,9 +17,8 @@ import (
 	"spechint/internal/multi"
 )
 
-// ClusterShards is the shard-count axis of the sweep; tipbench's
-// -cluster-shards flag overrides it.
-var ClusterShards = []int{1, 2, 4, 8, 16}
+// clusterShards is the shard-count axis of the sweep.
+var clusterShards = []int{1, 2, 4, 8, 16}
 
 // clusterLoad is one offered-load column: a label and the per-client mean
 // session inter-arrival time.
@@ -37,9 +35,7 @@ var clusterLoads = []clusterLoad{
 	{"heavy", 80_000_000},     // ~0.34 s: 5x the session pressure
 }
 
-// clusterPopulation sizes the population to the benchmark scale, keyed off
-// the same scale struct the other experiments use (TestScale's Agrep corpus
-// is the marker for CI-sized runs, SweepScale's XDS slice count for sweeps).
+// clusterPopulation sizes the population to the benchmark scale.
 func clusterPopulation(scale apps.Scale, arrivalMean int64) clients.Config {
 	cfg := clients.Config{
 		N: 48, Sessions: 4,
@@ -48,12 +44,12 @@ func clusterPopulation(scale apps.Scale, arrivalMean int64) clients.Config {
 		ArrivalMean: arrivalMean, ThinkMean: 500_000,
 		ZipfS: 1.2, ZipfV: 1, Seed: 42,
 	}
-	switch {
-	case scale.Agrep.NumFiles <= 24: // test scale
+	switch scale.Name {
+	case "test":
 		cfg.N, cfg.Sessions = 8, 2
 		cfg.Files, cfg.FileBlocks = 24, 64
 		cfg.SessionBlocks = 16
-	case scale.XDS.NumSlices <= 12: // sweep scale
+	case "sweep":
 		cfg.N, cfg.Sessions = 24, 3
 		cfg.Files = 64
 		cfg.SessionBlocks = 32
@@ -170,17 +166,33 @@ func clusterSweep(scale apps.Scale, shardCounts []int) ([]ClusterPoint, error) {
 	})
 }
 
+// ClusterReport is the cluster family's report; the smoke job jq-validates
+// its shape and the bucket-sum invariant.
+type ClusterReport struct {
+	Experiment string         `json:"experiment"`
+	Shards     []int          `json:"shard_counts"`
+	Points     []ClusterPoint `json:"points"`
+}
+
 // Cluster is the sharded-service experiment: the synthetic population
 // against 1..16 shards at two offered loads, reporting throughput, latency
 // tails and Jain fairness across clients.
-func Cluster(scale apps.Scale) (string, error) {
-	points, err := clusterSweep(scale, ClusterShards)
+func Cluster(scale apps.Scale) (Report, error) {
+	return clusterReport(scale, clusterShards)
+}
+
+func clusterReport(scale apps.Scale, shardCounts []int) (*ClusterReport, error) {
+	points, err := clusterSweep(scale, shardCounts)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
+	return &ClusterReport{"cluster", shardCounts, points}, nil
+}
+
+func (r *ClusterReport) Text() string {
 	t := newTable("Sharded TIP service: synthetic population vs shard count (2 disks + 4 MB cache per shard)")
 	t.row("load", "shards", "offered (sess/s)", "reads/s", "mean (ms)", "p50 (ms)", "p99 (ms)", "p999 (ms)", "hinted", "Jain")
-	for _, pt := range points {
+	for _, pt := range r.Points {
 		t.row(pt.Load, fmt.Sprintf("%d", pt.Shards),
 			fmt.Sprintf("%.2f", pt.OfferedPerSec),
 			fmt.Sprintf("%.1f", pt.Throughput),
@@ -191,19 +203,5 @@ func Cluster(scale apps.Scale) (string, error) {
 			pct(pt.HintedPartPct),
 			fmt.Sprintf("%.3f", pt.Jain))
 	}
-	return t.String(), nil
-}
-
-// ClusterJSON runs the sweep and returns it machine-readable; the CI smoke
-// job jq-validates the shape and the bucket-sum invariant.
-func ClusterJSON(scale apps.Scale, shardCounts []int) ([]byte, error) {
-	points, err := clusterSweep(scale, shardCounts)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(struct {
-		Experiment string         `json:"experiment"`
-		Shards     []int          `json:"shard_counts"`
-		Points     []ClusterPoint `json:"points"`
-	}{"cluster", shardCounts, points}, "", "  ")
+	return t.Text()
 }

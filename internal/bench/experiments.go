@@ -10,7 +10,8 @@ import (
 	"spechint/internal/spechint"
 )
 
-// table collects rows and renders an aligned text table.
+// table collects rows and renders an aligned text table. It is itself the
+// Report of a plain paper table.
 type table struct {
 	b strings.Builder
 	w *tabwriter.Writer
@@ -28,9 +29,18 @@ func (t *table) row(cells ...string) {
 	fmt.Fprintln(t.w, strings.Join(cells, "\t"))
 }
 
-func (t *table) String() string {
+func (t *table) Text() string {
 	t.w.Flush()
 	return t.b.String()
+}
+
+// suiteTriples runs every benchmark app's three variants under the default
+// (4-disk, 12 MB cache) configuration as one flat app-by-mode fan-out; the
+// tables that share that configuration format from the result.
+func suiteTriples(scale apps.Scale) ([]*Triple, error) {
+	return runTripleGrid(len(Apps), func(i int) (apps.App, apps.Scale, Mutator) {
+		return Apps[i], scale, nil
+	})
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
@@ -42,7 +52,7 @@ func secs(s *core.RunStats) string {
 // execution time from manually-inserted hints (the motivating result).
 // The paper's other four applications (Davidson, Postgres, Sphinx) were
 // closed to us; the three TIP-suite apps are reproduced.
-func Table1(s *Suite) (string, error) {
+func Table1(scale apps.Scale) (Report, error) {
 	t := newTable("Table 1: execution-time reduction from manual hints (4 disks)")
 	t.row("Benchmark", "Improvement", "Description")
 	desc := map[apps.App]string{
@@ -50,34 +60,34 @@ func Table1(s *Suite) (string, error) {
 		apps.Gnuld:      "object code linker",
 		apps.XDataSlice: "scientific visualization",
 	}
-	for _, app := range Apps {
-		tr, err := s.Triple(app)
-		if err != nil {
-			return "", err
-		}
-		t.row(app.String(), pct(Improvement(tr.Orig, tr.Manual)), desc[app])
+	triples, err := suiteTriples(scale)
+	if err != nil {
+		return nil, err
+	}
+	for _, tr := range triples {
+		t.row(tr.App.String(), pct(Improvement(tr.Orig, tr.Manual)), desc[tr.App])
 	}
 	// The paper's Table 1 also lists Patterson's Postgres join at two
 	// selectivities; reproduce those rows too.
 	sels := []int{20, 80}
-	triples, err := runTripleGrid(len(sels), func(i int) (apps.App, apps.Scale, Mutator) {
-		scale := s.Scale
-		scale.Postgres.Selectivity = sels[i]
-		return apps.Postgres, scale, s.Mutate
+	joins, err := runTripleGrid(len(sels), func(i int) (apps.App, apps.Scale, Mutator) {
+		sc := scale
+		sc.Postgres.Selectivity = sels[i]
+		return apps.Postgres, sc, nil
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for i, sel := range sels {
-		t.row(fmt.Sprintf("Postgres, %d%%", sel), pct(Improvement(triples[i].Orig, triples[i].Manual)),
+		t.row(fmt.Sprintf("Postgres, %d%%", sel), pct(Improvement(joins[i].Orig, joins[i].Manual)),
 			"database join, % tuples resulting")
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // JoinSelectivity sweeps the Postgres join's selectivity, extending the
 // paper's two Table 1 points into a curve for all three builds.
-func JoinSelectivity(scale apps.Scale) (string, error) {
+func JoinSelectivity(scale apps.Scale) (Report, error) {
 	t := newTable("Postgres join: % improvement vs selectivity")
 	sels := []int{10, 20, 40, 80}
 	header := []string{"Series"}
@@ -91,7 +101,7 @@ func JoinSelectivity(scale apps.Scale) (string, error) {
 		return apps.Postgres, sc, nil
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	spec := []string{"speculating"}
 	man := []string{"manual"}
@@ -101,12 +111,12 @@ func JoinSelectivity(scale apps.Scale) (string, error) {
 	}
 	t.row(spec...)
 	t.row(man...)
-	return t.String(), nil
+	return t, nil
 }
 
 // Table3 reproduces the transformed-application statistics: modification
 // time and executable size growth.
-func Table3(scale apps.Scale) (string, error) {
+func Table3(scale apps.Scale) (Report, error) {
 	t := newTable("Table 3: transformed application statistics")
 	t.row("Benchmark", "Modification time", "Executable size", "% increase",
 		"COW checks", "static jumps", "handler jumps", "jump tables")
@@ -114,7 +124,7 @@ func Table3(scale apps.Scale) (string, error) {
 		return apps.Build(Apps[i], scale)
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for i, app := range Apps {
 		ts := bundles[i].Transform
@@ -128,62 +138,62 @@ func Table3(scale apps.Scale) (string, error) {
 			fmt.Sprint(ts.TablesStatic),
 		)
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Figure3 reproduces the headline performance chart: elapsed time of the
 // original, speculating and manually-hinted builds on four disks.
-func Figure3(s *Suite) (string, error) {
+func Figure3(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 3: elapsed time (seconds), 4 disks, 12 MB cache")
 	t.row("Benchmark", "Original", "Speculating", "Manual", "Spec improv.", "Manual improv.")
-	for _, app := range Apps {
-		tr, err := s.Triple(app)
-		if err != nil {
-			return "", err
-		}
-		t.row(app.String(), secs(tr.Orig), secs(tr.Spec), secs(tr.Manual),
+	triples, err := suiteTriples(scale)
+	if err != nil {
+		return nil, err
+	}
+	for _, tr := range triples {
+		t.row(tr.App.String(), secs(tr.Orig), secs(tr.Spec), secs(tr.Manual),
 			pct(Improvement(tr.Orig, tr.Spec)), pct(Improvement(tr.Orig, tr.Manual)))
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Figure4 reproduces the worst-case overhead measurement: the speculating
 // binary with TIP configured to ignore hints, versus the original.
-func Figure4(s *Suite) (string, error) {
+func Figure4(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 4: runtime overhead with TIP ignoring hints")
 	t.row("Benchmark", "Original (s)", "Speculating, hints ignored (s)", "Overhead")
 	ignored, err := parMap(len(Apps), func(i int) (*core.RunStats, error) {
-		ig, _, err := Run(Apps[i], core.ModeSpeculating, s.Scale, func(c *core.Config) {
+		ig, _, err := Run(Apps[i], core.ModeSpeculating, scale, func(c *core.Config) {
 			c.TIP.IgnoreHints = true
 		})
 		return ig, err
 	})
 	if err != nil {
-		return "", err
+		return nil, err
+	}
+	triples, err := suiteTriples(scale)
+	if err != nil {
+		return nil, err
 	}
 	for i, app := range Apps {
-		tr, err := s.Triple(app)
-		if err != nil {
-			return "", err
-		}
-		ig := ignored[i]
+		tr, ig := triples[i], ignored[i]
 		over := 100 * (float64(ig.Elapsed)/float64(tr.Orig.Elapsed) - 1)
 		t.row(app.String(), secs(tr.Orig), secs(ig), pct(over))
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Table4 reproduces the hinting statistics.
-func Table4(s *Suite) (string, error) {
+func Table4(scale apps.Scale) (Report, error) {
 	t := newTable("Table 4: hinting statistics")
 	t.row("Benchmark", "", "Read calls", "Read blocks", "Read bytes", "Write calls", "Write bytes")
-	for _, app := range Apps {
-		tr, err := s.Triple(app)
-		if err != nil {
-			return "", err
-		}
+	triples, err := suiteTriples(scale)
+	if err != nil {
+		return nil, err
+	}
+	for _, tr := range triples {
 		o, sp, mn := tr.Orig.Tip, tr.Spec.Tip, tr.Manual.Tip
-		t.row(app.String(), "total",
+		t.row(tr.App.String(), "total",
 			fmt.Sprint(o.ReadCalls), fmt.Sprint(o.ReadBlocks), fmt.Sprint(o.ReadBytes),
 			fmt.Sprint(tr.Orig.WriteCalls), fmt.Sprint(tr.Orig.WriteBytes))
 		t.row("", "% hinted",
@@ -199,7 +209,7 @@ func Table4(s *Suite) (string, error) {
 			pct(100*float64(mn.HintedReadBlocks)/f(mn.ReadBlocks)),
 			pct(100*float64(mn.HintedReadBytes)/f(mn.ReadBytes)), "-", "-")
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 func f(v int64) float64 {
@@ -210,14 +220,14 @@ func f(v int64) float64 {
 }
 
 // Table5 reproduces the prefetching and caching statistics.
-func Table5(s *Suite) (string, error) {
+func Table5(scale apps.Scale) (Report, error) {
 	t := newTable("Table 5: prefetching and caching statistics")
 	t.row("Benchmark", "", "Cache block reads", "Prefetched", "Fully", "%", "Partially", "%", "Unused", "%", "Reuses")
-	for _, app := range Apps {
-		tr, err := s.Triple(app)
-		if err != nil {
-			return "", err
-		}
+	triples, err := suiteTriples(scale)
+	if err != nil {
+		return nil, err
+	}
+	for _, tr := range triples {
 		for _, v := range []struct {
 			name string
 			st   *core.RunStats
@@ -225,7 +235,7 @@ func Table5(s *Suite) (string, error) {
 			c := v.st.Cache
 			pref := v.st.Tip.PrefetchedBlocks()
 			unused := c.UnusedHint + c.UnusedRA
-			t.row(app.String(), v.name,
+			t.row(tr.App.String(), v.name,
 				fmt.Sprint(c.Hits+c.Misses),
 				fmt.Sprint(pref),
 				fmt.Sprint(c.FullyPref), pct(100*float64(c.FullyPref)/f(pref)),
@@ -234,23 +244,23 @@ func Table5(s *Suite) (string, error) {
 				fmt.Sprint(c.Reuses))
 		}
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Table6 reproduces the performance side-effects of speculation.
-func Table6(s *Suite) (string, error) {
+func Table6(scale apps.Scale) (Report, error) {
 	t := newTable("Table 6: performance side-effects of speculative execution")
 	t.row("Benchmark", "", "Footprint", "Reclaims", "Faults", "Sigs", "Restarts")
-	for _, app := range Apps {
-		tr, err := s.Triple(app)
-		if err != nil {
-			return "", err
-		}
+	triples, err := suiteTriples(scale)
+	if err != nil {
+		return nil, err
+	}
+	for _, tr := range triples {
 		for _, v := range []struct {
 			name string
 			st   *core.RunStats
 		}{{"Original", tr.Orig}, {"SpecHint", tr.Spec}, {"Manual", tr.Manual}} {
-			t.row(app.String(), v.name,
+			t.row(tr.App.String(), v.name,
 				fmt.Sprintf("%d KB", v.st.FootprintBytes/1024),
 				fmt.Sprint(v.st.Pages.Reclaims),
 				fmt.Sprint(v.st.Pages.Faults),
@@ -258,11 +268,11 @@ func Table6(s *Suite) (string, error) {
 				fmt.Sprint(v.st.Restarts))
 		}
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Table7 reproduces the file-cache-size sensitivity study.
-func Table7(scale apps.Scale) (string, error) {
+func Table7(scale apps.Scale) (Report, error) {
 	t := newTable("Table 7: elapsed time (s) as the file cache size is varied")
 	sizes := []int{6, 12, 64}
 	t.row("Benchmark", "", "6 MB", "12 MB", "64 MB")
@@ -273,7 +283,7 @@ func Table7(scale apps.Scale) (string, error) {
 		}
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for a, app := range Apps {
 		rows := map[core.Mode][]string{}
@@ -289,12 +299,12 @@ func Table7(scale apps.Scale) (string, error) {
 		t.row(append([]string{"", "SpecHint"}, rows[core.ModeSpeculating]...)...)
 		t.row(append([]string{"", "Manual"}, rows[core.ModeManual]...)...)
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Table8 reproduces the original applications' insensitivity to the number
 // of disks.
-func Table8(scale apps.Scale) (string, error) {
+func Table8(scale apps.Scale) (Report, error) {
 	t := newTable("Table 8: elapsed time (s) of original applications vs number of disks")
 	disks := []int{1, 2, 4, 10}
 	header := []string{"Benchmark"}
@@ -310,7 +320,7 @@ func Table8(scale apps.Scale) (string, error) {
 		return st, err
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for a, app := range Apps {
 		cells := []string{app.String()}
@@ -319,14 +329,14 @@ func Table8(scale apps.Scale) (string, error) {
 		}
 		t.row(cells...)
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Figure5Disks is the disk-count sweep used by Figure5.
 var Figure5Disks = []int{1, 2, 3, 4, 6, 8, 10}
 
 // Figure5 reproduces the performance-improvement-vs-parallelism curves.
-func Figure5(scale apps.Scale) (string, error) {
+func Figure5(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 5: % improvement vs number of disks")
 	header := []string{"Series"}
 	for _, d := range Figure5Disks {
@@ -341,7 +351,7 @@ func Figure5(scale apps.Scale) (string, error) {
 		}
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for a, app := range Apps {
 		spec := []string{app.String() + " speculating"}
@@ -354,7 +364,7 @@ func Figure5(scale apps.Scale) (string, error) {
 		t.row(spec...)
 		t.row(man...)
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Figure6Ratios is the processor/disk speed-ratio sweep used by Figure6.
@@ -364,7 +374,7 @@ var Figure6Ratios = []int{1, 2, 3, 5, 7, 9}
 // notification is delayed by the ratio (and at most one prefetch is kept
 // outstanding per disk, as the paper configured), then measured elapsed
 // times are scaled back down by the ratio.
-func Figure6(scale apps.Scale) (string, error) {
+func Figure6(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 6: % improvement vs processor/disk speed ratio (4 disks)")
 	header := []string{"Series"}
 	for _, r := range Figure6Ratios {
@@ -381,7 +391,7 @@ func Figure6(scale apps.Scale) (string, error) {
 		}
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for a, app := range Apps {
 		spec := []string{app.String() + " speculating"}
@@ -397,7 +407,7 @@ func Figure6(scale apps.Scale) (string, error) {
 		t.row(spec...)
 		t.row(man...)
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // RegionSizes is the §3.2.1 COW-region-size ablation sweep.
@@ -405,7 +415,7 @@ var RegionSizes = []int{128, 512, 1024, 4096, 8192}
 
 // RegionSize reproduces the §3.2.1 observation that the copy-on-write
 // region size generally makes little difference.
-func RegionSize(scale apps.Scale) (string, error) {
+func RegionSize(scale apps.Scale) (Report, error) {
 	t := newTable("§3.2.1 ablation: speculating elapsed time (s) vs COW region size")
 	header := []string{"Benchmark"}
 	for _, rs := range RegionSizes {
@@ -420,7 +430,7 @@ func RegionSize(scale apps.Scale) (string, error) {
 		return st, err
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for a, app := range Apps {
 		cells := []string{app.String()}
@@ -429,26 +439,26 @@ func RegionSize(scale apps.Scale) (string, error) {
 		}
 		t.row(cells...)
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // Throttle reproduces the §5 result: the ad-hoc cancel throttle eliminates
 // Gnuld's speculation penalty when the I/O system offers no parallelism.
-func Throttle(scale apps.Scale) (string, error) {
+func Throttle(scale apps.Scale) (Report, error) {
 	t := newTable("§5: Gnuld on one disk, with and without the cancel throttle")
 	t.row("Configuration", "Elapsed (s)", "Restarts", "vs original")
 	orig, _, err := Run(apps.Gnuld, core.ModeNoHint, scale, func(c *core.Config) {
 		c.Disk = core.TestbedDisk(1)
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	t.row("original", secs(orig), "0", "-")
 	off, _, err := Run(apps.Gnuld, core.ModeSpeculating, scale, func(c *core.Config) {
 		c.Disk = core.TestbedDisk(1)
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	t.row("speculating, no throttle", secs(off), fmt.Sprint(off.Restarts), pct(Improvement(orig, off)))
 	on, _, err := Run(apps.Gnuld, core.ModeSpeculating, scale, func(c *core.Config) {
@@ -457,10 +467,10 @@ func Throttle(scale apps.Scale) (string, error) {
 		c.CancelThrottleCycles = 500_000_000
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	t.row("speculating, throttle", secs(on), fmt.Sprint(on.Restarts), pct(Improvement(orig, on)))
-	return t.String(), nil
+	return t, nil
 }
 
 // TransformOptions returns spechint.Options used by every experiment (the
@@ -472,7 +482,7 @@ func TransformOptions() spechint.Options { return spechint.DefaultOptions() }
 // execution instead of only during I/O stalls. Data-dependence-free
 // applications whose hint generation was dilation-limited (Agrep on large
 // arrays) benefit most.
-func MultiProcessor(scale apps.Scale) (string, error) {
+func MultiProcessor(scale apps.Scale) (Report, error) {
 	t := newTable("§5 extension: speculation on a second processor (% improvement over original)")
 	t.row("Benchmark", "disks", "1 CPU spec", "2 CPU spec", "manual")
 	disks := []int{4, 10}
@@ -489,14 +499,14 @@ func MultiProcessor(scale apps.Scale) (string, error) {
 		return Apps[i/len(disks)], scale, mut(disks[i%len(disks)], false)
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	mps, err := parMap(n, func(i int) (*core.RunStats, error) {
 		mp, _, err := Run(Apps[i/len(disks)], core.ModeSpeculating, scale, mut(disks[i%len(disks)], true))
 		return mp, err
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for a, app := range Apps {
 		for i, d := range disks {
@@ -507,19 +517,19 @@ func MultiProcessor(scale apps.Scale) (string, error) {
 				pct(Improvement(tr.Orig, tr.Manual)))
 		}
 	}
-	return t.String(), nil
+	return t, nil
 }
 
 // AdaptiveLimiter compares the §5 erroneous-hint limiters on the hostile
 // configuration (Gnuld, one disk): no limiter, the fixed cancel throttle,
 // and the accuracy-gated adaptive limiter.
-func AdaptiveLimiter(scale apps.Scale) (string, error) {
+func AdaptiveLimiter(scale apps.Scale) (Report, error) {
 	t := newTable("§5 extension: erroneous-hint limiters (Gnuld, 1 disk)")
 	t.row("Configuration", "Elapsed (s)", "Restarts", "vs original")
 	oneDisk := func(c *core.Config) { c.Disk = core.TestbedDisk(1) }
 	orig, _, err := Run(apps.Gnuld, core.ModeNoHint, scale, oneDisk)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	t.row("original", secs(orig), "0", "-")
 	cases := []struct {
@@ -540,9 +550,9 @@ func AdaptiveLimiter(scale apps.Scale) (string, error) {
 	for _, cse := range cases {
 		st, _, err := Run(apps.Gnuld, core.ModeSpeculating, scale, cse.mut)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		t.row(cse.name, secs(st), fmt.Sprint(st.Restarts), pct(Improvement(orig, st)))
 	}
-	return t.String(), nil
+	return t, nil
 }

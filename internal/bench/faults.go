@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -102,44 +101,41 @@ func faultsSweep(scale apps.Scale) ([]FaultPoint, error) {
 	return points, nil
 }
 
+// FaultsReport is the faults family's report.
+type FaultsReport struct {
+	Experiment string       `json:"experiment"`
+	Seed       int64        `json:"seed"`
+	Rates      []float64    `json:"rates"`
+	Points     []FaultPoint `json:"points"`
+}
+
 // Faults is the graceful-degradation experiment: elapsed time and stall as
 // transient disk faults grow more frequent, for each app in each mode. The
 // reproduction target is the shape (see EXPERIMENTS.md): speculating tracks
 // manual's degradation curve, and no fault rate changes any program's output.
-func Faults(scale apps.Scale) (string, error) {
+func Faults(scale apps.Scale) (Report, error) {
 	points, err := faultsSweep(scale)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
+	return &FaultsReport{"faults", faultSeed, FaultRates, points}, nil
+}
+
+func (r *FaultsReport) Text() string {
 	t := newTable("Faults: elapsed time (s) vs transient-error rate (4 disks, seeded injection)")
 	header := []string{"Series"}
-	for _, r := range FaultRates {
-		header = append(header, fmt.Sprintf("%g", r))
+	for _, rate := range r.Rates {
+		header = append(header, fmt.Sprintf("%g", rate))
 	}
 	t.row(header...)
-	// points are grouped (app, mode) in sweep order, FaultRates per group.
-	for i := 0; i < len(points); i += len(FaultRates) {
-		group := points[i : i+len(FaultRates)]
+	// points are grouped (app, mode) in sweep order, one per rate per group.
+	for i := 0; i < len(r.Points); i += len(r.Rates) {
+		group := r.Points[i : i+len(r.Rates)]
 		cells := []string{group[0].App + " " + group[0].Mode}
 		for _, pt := range group {
 			cells = append(cells, fmt.Sprintf("%.2f", pt.ElapsedSec))
 		}
 		t.row(cells...)
 	}
-	return t.String(), nil
-}
-
-// FaultsJSON runs the sweep and returns it machine-readable (make bench
-// writes it to BENCH_faults.json).
-func FaultsJSON(scale apps.Scale) ([]byte, error) {
-	points, err := faultsSweep(scale)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(struct {
-		Experiment string       `json:"experiment"`
-		Seed       int64        `json:"seed"`
-		Rates      []float64    `json:"rates"`
-		Points     []FaultPoint `json:"points"`
-	}{"faults", faultSeed, FaultRates, points}, "", "  ")
+	return t.Text()
 }

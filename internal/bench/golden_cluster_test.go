@@ -1,47 +1,19 @@
 package bench
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"spechint/internal/apps"
 )
 
-// clusterGoldenPath is the committed canon for the small fixed cluster
-// scenario: the 2-shard, test-scale sweep at both offered loads.
-var clusterGoldenPath = filepath.Join(goldenDir, "cluster_small.json")
-
-// TestGoldenCluster byte-compares the small cluster scenario against the
-// committed canon, like TestGoldenRunStats does for the solo cells: any
-// change to ring placement, hint batching, message timing or the population
-// generator shows up as a diff here. Re-canonize deliberately with:
+// TestGoldenCluster byte-compares the small fixed cluster scenario — the
+// 2-shard, test-scale sweep at both offered loads — against the committed
+// canon, like TestGoldenRunStats does for the solo cells: any change to ring
+// placement, hint batching, message timing or the population generator shows
+// up as a diff here. Re-canonize deliberately with:
 //
 //	go test ./internal/bench -run GoldenCluster -update
 func TestGoldenCluster(t *testing.T) {
-	got, err := ClusterJSON(apps.TestScale(), []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	if *updateGolden {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(clusterGoldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(clusterGoldenPath)
-	if err != nil {
-		t.Fatalf("no golden file (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
-			"If the change is intentional, re-canonize with:\n"+
-			"  go test ./internal/bench -run GoldenCluster -update\nfirst difference at byte %d",
-			clusterGoldenPath, len(got), len(want), firstDiff(got, want))
-	}
+	rep, err := clusterReport(apps.TestScale(), []int{2})
+	goldenReport(t, "cluster_small.json", rep, err)
 }

@@ -1,72 +1,21 @@
 package bench
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"spechint/internal/apps"
 )
 
-// overloadGoldenPath is the committed canon for the test-scale overload
-// sweep: both admission arms across the load axis plus the failover cell.
-var overloadGoldenPath = filepath.Join(goldenDir, "overload_small.json")
-
-// TestGoldenOverload byte-compares the overload sweep against the committed
-// canon. Everything the sweep exercises is under the diff: admission rulings,
-// shed/retry/backoff schedules, breaker trips, the failover re-route and the
-// conservation counters. Re-canonize deliberately with:
+// TestGoldenOverload byte-compares the test-scale overload sweep — both
+// admission arms across the load axis plus the failover cell — against the
+// committed canon. Everything the sweep exercises is under the diff: admission
+// rulings, shed/retry/backoff schedules, breaker trips, the failover re-route
+// and the conservation counters. Re-canonize deliberately with:
 //
 //	go test ./internal/bench -run GoldenOverload -update
 func TestGoldenOverload(t *testing.T) {
-	got, err := OverloadJSON(apps.TestScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	if *updateGolden {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(overloadGoldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(overloadGoldenPath)
-	if err != nil {
-		t.Fatalf("no golden file (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
-			"If the change is intentional, re-canonize with:\n"+
-			"  go test ./internal/bench -run GoldenOverload -update\nfirst difference at byte %d",
-			overloadGoldenPath, len(got), len(want), firstDiff(got, want))
-	}
-}
-
-// TestOverloadParallelWidths: the sweep is byte-identical whether its cells
-// run serially or fan out across the worker pool. Run under -race this also
-// checks the cells share no mutable state.
-func TestOverloadParallelWidths(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
-
-	Parallelism = 1
-	serial, err := OverloadJSON(apps.TestScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	Parallelism = 8
-	wide, err := OverloadJSON(apps.TestScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial, wide) {
-		t.Fatalf("overload sweep depends on -parallel width: %d vs %d bytes, first diff at %d",
-			len(serial), len(wide), firstDiff(serial, wide))
-	}
+	rep, err := Overload(apps.TestScale())
+	goldenReport(t, "overload_small.json", rep, err)
 }
 
 // TestOverloadAcceptance pins the figure the experiment exists to draw, on

@@ -57,29 +57,49 @@ func TestGoldenRunStats(t *testing.T) {
 			app, mode := app, mode
 			t.Run(fmt.Sprintf("%v/%v", app, mode), func(t *testing.T) {
 				got := goldenStats(t, app, mode)
-				path := goldenPath(app, mode)
-				if *updateGolden {
-					if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("no golden file (run with -update to create it): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
-						"If the change is intentional, re-canonize with:\n"+
-						"  go test ./internal/bench -run Golden -update\nfirst difference at byte %d",
-						path, len(got), len(want), firstDiff(got, want))
-				}
+				checkGolden(t, goldenPath(app, mode), got)
 			})
 		}
 	}
+}
+
+// checkGolden byte-compares got against the committed canon at path, or
+// rewrites the canon under -update so review sees the delta.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden file (run with -update to create it): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
+			"If the change is intentional, re-canonize with:\n"+
+			"  go test ./internal/bench -run %s -update\nfirst difference at byte %d",
+			path, len(got), len(want), strings.SplitN(t.Name(), "/", 2)[0], firstDiff(got, want))
+	}
+}
+
+// goldenReport byte-compares a sweep family's encoded report against the
+// committed canon at bench/golden/name.
+func goldenReport(t *testing.T, name string, rep Report, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Encode(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join(goldenDir, name), got)
 }
 
 // firstDiff returns the index of the first differing byte.

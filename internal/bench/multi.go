@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -9,9 +8,8 @@ import (
 	"spechint/internal/multi"
 )
 
-// MultiMaxN bounds the multiprogramming sweep's largest group; tipbench's
-// -multimax flag overrides it.
-var MultiMaxN = 8
+// multiMaxN is the multiprogramming sweep's largest group.
+const multiMaxN = 8
 
 // multiMix fixes process i's application across every group size, so the
 // N-process group is the (N-1)-process group plus one more process.
@@ -138,21 +136,36 @@ func multiSweep(scale apps.Scale, maxN int) ([]MultiPoint, error) {
 	return points, nil
 }
 
+// MultiReport is the multi family's report (make bench commits its JSON to
+// bench/results/BENCH_multi.json, which CheckMulti reads back).
+type MultiReport struct {
+	Experiment string       `json:"experiment"`
+	MaxN       int          `json:"max_n"`
+	Points     []MultiPoint `json:"points"`
+}
+
 // Multi is the multiprogramming experiment: N mixed processes (Agrep,
 // XDataSlice, Postgres, Gnuld round-robin) share one TIP cache and disk
-// array, originals vs speculating builds, for N = 1..MultiMaxN. It reports
+// array, originals vs speculating builds, for N = 1..multiMaxN. It reports
 // makespan for both modes, the improvement from speculation, completed
 // processes per second, and Jain's fairness index over per-process slowdowns
 // (turnaround in the group / turnaround running alone).
-func Multi(scale apps.Scale) (string, error) {
-	points, err := multiSweep(scale, MultiMaxN)
-	if err != nil {
-		return "", err
-	}
+func Multi(scale apps.Scale) (Report, error) {
+	return multiReport(scale, multiMaxN)
+}
 
+func multiReport(scale apps.Scale, maxN int) (*MultiReport, error) {
+	points, err := multiSweep(scale, maxN)
+	if err != nil {
+		return nil, err
+	}
+	return &MultiReport{"multi", maxN, points}, nil
+}
+
+func (r *MultiReport) Text() string {
 	t := newTable("Multiprogramming: N mixed processes on one shared TIP (4 disks, 12 MB cache)")
 	t.row("N", "original (s)", "speculating (s)", "improvement", "throughput (proc/s)", "Jain fairness")
-	for _, pt := range points {
+	for _, pt := range r.Points {
 		t.row(fmt.Sprintf("%d", pt.N),
 			fmt.Sprintf("%.2f", pt.OrigSec),
 			fmt.Sprintf("%.2f", pt.SpecSec),
@@ -160,9 +173,8 @@ func Multi(scale apps.Scale) (string, error) {
 			fmt.Sprintf("%.2f", pt.Throughput),
 			fmt.Sprintf("%.3f", pt.Jain))
 	}
-	out := t.String()
 
-	last := points[len(points)-1]
+	last := r.Points[len(r.Points)-1]
 	bt := newTable(fmt.Sprintf("\nPer-process breakdown at N=%d (speculating)", last.N))
 	bt.row("Process", "App", "elapsed (s)", "solo (s)", "slowdown", "reads", "hints")
 	for _, p := range last.Procs {
@@ -173,19 +185,5 @@ func Multi(scale apps.Scale) (string, error) {
 			fmt.Sprintf("%d", p.ReadCalls),
 			fmt.Sprintf("%d", p.HintCalls))
 	}
-	return out + bt.String(), nil
-}
-
-// MultiJSON runs the sweep and returns it machine-readable (make bench
-// writes it to BENCH_multi.json).
-func MultiJSON(scale apps.Scale, maxN int) ([]byte, error) {
-	points, err := multiSweep(scale, maxN)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(struct {
-		Experiment string       `json:"experiment"`
-		MaxN       int          `json:"max_n"`
-		Points     []MultiPoint `json:"points"`
-	}{"multi", maxN, points}, "", "  ")
+	return t.Text() + bt.Text()
 }

@@ -18,7 +18,6 @@ package bench
 // and jq-asserts admitted + shed + failed == offered from the JSON.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -38,14 +37,8 @@ var OverloadMults = []float64{0.5, 1, 2, 4}
 // leaving a survivor for the failover cell.
 const OverloadShards = 2
 
-// OverloadKillShard is the shard the failover cell kills; tipbench's
-// -kill-shard flag overrides it (< 0 skips the failover cell).
-var OverloadKillShard = 1
-
-// OverloadArm selects which admission arms the sweep runs: "both" (the
-// default), "on" or "off". tipbench's -shed flag sets it. The failover cell
-// always runs with shedding on, so the "off" arm skips it.
-var OverloadArm = "both"
+// overloadKillShard is the shard the failover cell kills.
+const overloadKillShard = 1
 
 // overloadPopulation sizes the population at `mult` times the roughly
 // saturating level for OverloadShards testbed shards. The multiplier scales
@@ -64,7 +57,7 @@ func overloadPopulation(scale apps.Scale, mult float64) clients.Config {
 		ArrivalMean: 1_000_000, ThinkMean: 20_000,
 		ZipfS: 1.01, ZipfV: 1, Seed: 1777,
 	}
-	if scale.Agrep.NumFiles <= 24 { // test scale: smaller base, same shape
+	if scale.Name == "test" { // smaller base, same shape
 		cfg.N, cfg.Sessions = 16, 2
 		cfg.SessionBlocks = 16
 	}
@@ -217,7 +210,7 @@ func overloadCell(scale apps.Scale, mult float64, shed bool, plan *fault.Plan) (
 }
 
 // failoverCell is the shard-death cell: it first runs the same load without
-// a fault plan to learn the healthy run length, then kills OverloadKillShard
+// a fault plan to learn the healthy run length, then kills overloadKillShard
 // a third of the way through a fresh run. Deterministic by construction —
 // the probe run is itself deterministic, so the death time is too.
 func failoverCell(scale apps.Scale, mult float64) (OverloadPoint, error) {
@@ -226,50 +219,46 @@ func failoverCell(scale apps.Scale, mult float64) (OverloadPoint, error) {
 		return OverloadPoint{}, err
 	}
 	plan := fault.NewPlan(1)
-	plan.DieShard = OverloadKillShard
+	plan.DieShard = overloadKillShard
 	plan.DieShardAt = sim.Time(probe.ElapsedCycles / 3)
 	return overloadCell(scale, mult, true, plan)
 }
 
 // overloadSweep runs the (mult, shed) grid plus the failover cell as a flat
 // fan-out: shed-off cells first, then shed-on, then failover — the order the
-// table reads in. OverloadArm restricts the grid to one admission arm.
+// table reads in.
 func overloadSweep(scale apps.Scale) ([]OverloadPoint, error) {
-	var arms []bool
-	switch OverloadArm {
-	case "both":
-		arms = []bool{false, true}
-	case "on":
-		arms = []bool{true}
-	case "off":
-		arms = []bool{false}
-	default:
-		return nil, fmt.Errorf("bench: overload arm %q (want both, on or off)", OverloadArm)
-	}
-	n := len(arms) * len(OverloadMults)
-	failover := arms[len(arms)-1] && OverloadKillShard >= 0 && OverloadKillShard < OverloadShards
-	if failover {
-		n++
-	}
-	return parMap(n, func(i int) (OverloadPoint, error) {
-		if i == len(arms)*len(OverloadMults) {
+	grid := 2 * len(OverloadMults)
+	return parMap(grid+1, func(i int) (OverloadPoint, error) {
+		if i == grid {
 			return failoverCell(scale, 2)
 		}
-		mult := OverloadMults[i%len(OverloadMults)]
-		return overloadCell(scale, mult, arms[i/len(OverloadMults)], nil)
+		return overloadCell(scale, OverloadMults[i%len(OverloadMults)], i >= len(OverloadMults), nil)
 	})
+}
+
+// OverloadReport is the overload family's report; the smoke job jq-validates
+// the conservation invariant from its JSON.
+type OverloadReport struct {
+	Experiment string          `json:"experiment"`
+	Mults      []float64       `json:"load_mults"`
+	Points     []OverloadPoint `json:"points"`
 }
 
 // Overload is the overload-survival experiment: offered load swept past
 // saturation with shedding off vs on, plus a mid-run shard kill.
-func Overload(scale apps.Scale) (string, error) {
+func Overload(scale apps.Scale) (Report, error) {
 	points, err := overloadSweep(scale)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
+	return &OverloadReport{"overload", OverloadMults, points}, nil
+}
+
+func (r *OverloadReport) Text() string {
 	t := newTable("Overload-safe cluster: admission control and failover (2 shards, 2 disks + 4 MB cache each)")
 	t.row("cell", "load", "clients", "offered", "admitted", "shed", "failed", "retries", "goodput (r/s)", "p50 (ms)", "p99 (ms)", "lost ops")
-	for _, pt := range points {
+	for _, pt := range r.Points {
 		name := "shed-off"
 		if pt.Shed {
 			name = "shed-on"
@@ -289,19 +278,5 @@ func Overload(scale apps.Scale) (string, error) {
 			fmt.Sprintf("%.2f", pt.ServedP99Ms),
 			fmt.Sprintf("%d", pt.FailedReads))
 	}
-	return t.String(), nil
-}
-
-// OverloadJSON runs the sweep and returns it machine-readable; the CI smoke
-// job jq-validates the conservation invariant from this output.
-func OverloadJSON(scale apps.Scale) ([]byte, error) {
-	points, err := overloadSweep(scale)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(struct {
-		Experiment string          `json:"experiment"`
-		Mults      []float64       `json:"load_mults"`
-		Points     []OverloadPoint `json:"points"`
-	}{"overload", OverloadMults, points}, "", "  ")
+	return t.Text()
 }

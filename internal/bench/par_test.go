@@ -20,71 +20,46 @@ func withParallelism(w int, fn func()) {
 
 // TestSerialParallelIdentical is the differential determinism check at the
 // heart of the fan-out design: every experiment in the registry must render
-// byte-identical output with -parallel 1 and a multi-worker pool. Cells are
-// simulated in whatever order the workers reach them; the assembled tables
-// must not care.
+// byte-identical output — the text table and, for the sweep families, the
+// encoded JSON the committed baselines are built from — with -parallel 1 and
+// a multi-worker pool, from one run per width. Cells are simulated in
+// whatever order the workers reach them; the assembled report must not care.
+// Run under -race this also checks the cells share no mutable state. The
+// speed family's JSON is wall-clock and is the one exemption.
 func TestSerialParallelIdentical(t *testing.T) {
-	oldMax := MultiMaxN
-	MultiMaxN = 2
-	defer func() { MultiMaxN = oldMax }()
 	scale := apps.TestScale()
-
+	render := func(t *testing.T, e Experiment, width int) (text string, enc []byte) {
+		withParallelism(width, func() {
+			rep, err := e.Run(scale)
+			if err != nil {
+				t.Fatalf("-parallel %d: %v", width, err)
+			}
+			text = rep.Text()
+			if e.JSON && e.Name != "speed" {
+				if enc, err = Encode(rep); err != nil {
+					t.Fatalf("-parallel %d: %v", width, err)
+				}
+			}
+		})
+		return text, enc
+	}
 	for _, name := range Names() {
-		name := name
-		if Registry[name].Heavy && testing.Short() {
+		e := Registry[name]
+		if e.Heavy && testing.Short() {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			var serial, parallel bytes.Buffer
-			withParallelism(1, func() {
-				if err := RunByName(name, scale, &serial); err != nil {
-					t.Fatalf("serial: %v", err)
-				}
-			})
-			withParallelism(4, func() {
-				if err := RunByName(name, scale, &parallel); err != nil {
-					t.Fatalf("parallel: %v", err)
-				}
-			})
-			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
+			serialText, serialJSON := render(t, e, 1)
+			wideText, wideJSON := render(t, e, 4)
+			if serialText != wideText {
 				t.Fatalf("experiment %s renders differently serial vs parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					name, serial.Bytes(), parallel.Bytes())
+					name, serialText, wideText)
+			}
+			if !bytes.Equal(serialJSON, wideJSON) {
+				t.Fatalf("experiment %s JSON depends on -parallel width: %d vs %d bytes, first diff at %d",
+					name, len(serialJSON), len(wideJSON), firstDiff(serialJSON, wideJSON))
 			}
 		})
-	}
-}
-
-// TestSerialParallelJSONIdentical covers the machine-readable exports the
-// committed baselines are built from: the multi and faults sweep JSON must
-// be byte-identical at any pool width.
-func TestSerialParallelJSONIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep JSON is heavy; skipped in -short")
-	}
-	scale := apps.TestScale()
-	var multiSerial, multiPar, faultsSerial, faultsPar []byte
-	var err error
-	withParallelism(1, func() {
-		if multiSerial, err = MultiJSON(scale, 2); err != nil {
-			t.Fatalf("serial multi: %v", err)
-		}
-		if faultsSerial, err = FaultsJSON(scale); err != nil {
-			t.Fatalf("serial faults: %v", err)
-		}
-	})
-	withParallelism(4, func() {
-		if multiPar, err = MultiJSON(scale, 2); err != nil {
-			t.Fatalf("parallel multi: %v", err)
-		}
-		if faultsPar, err = FaultsJSON(scale); err != nil {
-			t.Fatalf("parallel faults: %v", err)
-		}
-	})
-	if !bytes.Equal(multiSerial, multiPar) {
-		t.Errorf("multi sweep JSON differs serial vs parallel:\n%s\nvs\n%s", multiSerial, multiPar)
-	}
-	if !bytes.Equal(faultsSerial, faultsPar) {
-		t.Errorf("faults sweep JSON differs serial vs parallel:\n%s\nvs\n%s", faultsSerial, faultsPar)
 	}
 }
 

@@ -1,75 +1,66 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"spechint/internal/apps"
 )
 
+// Report is what every experiment returns. Text is the paper-style table
+// for the terminal. The sweep families (Experiment.JSON) return a named
+// envelope type that also marshals to the family's machine-readable form,
+// so one run renders both faces; a plain paper table is text only.
+type Report interface {
+	Text() string
+}
+
+// Encode renders a sweep family's report the way tipbench -json writes it
+// (and bench/golden and bench/results commit it): two-space indented JSON
+// with a trailing newline.
+func Encode(r Report) ([]byte, error) {
+	out, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(out, '\n'), nil
+}
+
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	Name  string
 	Desc  string
-	Run   func(scale apps.Scale, w io.Writer) error
+	Run   func(scale apps.Scale) (Report, error)
 	Heavy bool // involves a parameter sweep (long running)
-}
-
-// suiteExp wraps experiments that share the default-configuration triples.
-// The suite is prewarmed across the worker pool so the table formatter
-// only reads cached triples.
-func suiteExp(fn func(*Suite) (string, error)) func(apps.Scale, io.Writer) error {
-	return func(scale apps.Scale, w io.Writer) error {
-		s := NewSuite(scale)
-		if err := s.Prewarm(); err != nil {
-			return err
-		}
-		out, err := fn(s)
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(w, out)
-		return err
-	}
-}
-
-func scaleExp(fn func(apps.Scale) (string, error)) func(apps.Scale, io.Writer) error {
-	return func(scale apps.Scale, w io.Writer) error {
-		out, err := fn(scale)
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(w, out)
-		return err
-	}
+	JSON  bool // Run's report has a machine-readable face (see Encode)
 }
 
 // Registry lists every experiment by id.
 var Registry = map[string]Experiment{
-	"table1":     {Name: "table1", Desc: "manual-hint improvements (background)", Run: suiteExp(Table1)},
-	"table3":     {Name: "table3", Desc: "transformed application statistics", Run: scaleExp(Table3)},
-	"fig3":       {Name: "fig3", Desc: "elapsed time: original vs speculating vs manual", Run: suiteExp(Figure3)},
-	"fig4":       {Name: "fig4", Desc: "overhead with TIP ignoring hints", Run: suiteExp(Figure4)},
-	"table4":     {Name: "table4", Desc: "hinting statistics", Run: suiteExp(Table4)},
-	"table5":     {Name: "table5", Desc: "prefetching and caching statistics", Run: suiteExp(Table5)},
-	"table6":     {Name: "table6", Desc: "performance side-effects", Run: suiteExp(Table6)},
-	"table7":     {Name: "table7", Desc: "file cache size sweep", Run: scaleExp(Table7), Heavy: true},
-	"table8":     {Name: "table8", Desc: "original apps vs number of disks", Run: scaleExp(Table8), Heavy: true},
-	"fig5":       {Name: "fig5", Desc: "improvement vs number of disks", Run: scaleExp(Figure5), Heavy: true},
-	"fig6":       {Name: "fig6", Desc: "improvement vs processor/disk speed ratio", Run: scaleExp(Figure6), Heavy: true},
-	"regionsize": {Name: "regionsize", Desc: "COW region size ablation (§3.2.1)", Run: scaleExp(RegionSize), Heavy: true},
-	"throttle":   {Name: "throttle", Desc: "cancel throttle on one disk (§5)", Run: scaleExp(Throttle)},
-	"mp":         {Name: "mp", Desc: "speculation on a second processor (§5 extension)", Run: scaleExp(MultiProcessor), Heavy: true},
-	"adaptive":   {Name: "adaptive", Desc: "accuracy-gated erroneous-hint limiter (§5 extension)", Run: scaleExp(AdaptiveLimiter)},
-	"join":       {Name: "join", Desc: "Postgres join improvement vs selectivity (Table 1 extension)", Run: scaleExp(JoinSelectivity), Heavy: true},
-	"multi":      {Name: "multi", Desc: "N-process shared-TIP multiprogramming: makespan, throughput, fairness", Run: scaleExp(Multi), Heavy: true},
-	"faults":     {Name: "faults", Desc: "graceful degradation under injected disk faults (robustness extension)", Run: scaleExp(Faults), Heavy: true},
-	"speed":      {Name: "speed", Desc: "simulator fast-path self-check: free-listed events, tick batching, pre-decoded dispatch", Run: scaleExp(Speed)},
-	"static":     {Name: "static", Desc: "statically synthesized hints vs original and manual (static-analysis extension)", Run: scaleExp(Static)},
-	"cluster":    {Name: "cluster", Desc: "sharded TIP service: throughput, latency tails, fairness vs shard count", Run: scaleExp(Cluster), Heavy: true},
-	"overload":   {Name: "overload", Desc: "overload-safe cluster: admission control, load shedding, shard failover", Run: scaleExp(Overload), Heavy: true},
-	"replay":     {Name: "replay", Desc: "trace replay: modern apps in all modes + capture→replay round trip", Run: scaleExp(Replay)},
+	"table1":     {Name: "table1", Desc: "manual-hint improvements (background)", Run: Table1},
+	"table3":     {Name: "table3", Desc: "transformed application statistics", Run: Table3},
+	"fig3":       {Name: "fig3", Desc: "elapsed time: original vs speculating vs manual", Run: Figure3},
+	"fig4":       {Name: "fig4", Desc: "overhead with TIP ignoring hints", Run: Figure4},
+	"table4":     {Name: "table4", Desc: "hinting statistics", Run: Table4},
+	"table5":     {Name: "table5", Desc: "prefetching and caching statistics", Run: Table5},
+	"table6":     {Name: "table6", Desc: "performance side-effects", Run: Table6},
+	"table7":     {Name: "table7", Desc: "file cache size sweep", Run: Table7, Heavy: true},
+	"table8":     {Name: "table8", Desc: "original apps vs number of disks", Run: Table8, Heavy: true},
+	"fig5":       {Name: "fig5", Desc: "improvement vs number of disks", Run: Figure5, Heavy: true},
+	"fig6":       {Name: "fig6", Desc: "improvement vs processor/disk speed ratio", Run: Figure6, Heavy: true},
+	"regionsize": {Name: "regionsize", Desc: "COW region size ablation (§3.2.1)", Run: RegionSize, Heavy: true},
+	"throttle":   {Name: "throttle", Desc: "cancel throttle on one disk (§5)", Run: Throttle},
+	"mp":         {Name: "mp", Desc: "speculation on a second processor (§5 extension)", Run: MultiProcessor, Heavy: true},
+	"adaptive":   {Name: "adaptive", Desc: "accuracy-gated erroneous-hint limiter (§5 extension)", Run: AdaptiveLimiter},
+	"join":       {Name: "join", Desc: "Postgres join improvement vs selectivity (Table 1 extension)", Run: JoinSelectivity, Heavy: true},
+	"multi":      {Name: "multi", Desc: "N-process shared-TIP multiprogramming: makespan, throughput, fairness", Run: Multi, Heavy: true, JSON: true},
+	"faults":     {Name: "faults", Desc: "graceful degradation under injected disk faults (robustness extension)", Run: Faults, Heavy: true, JSON: true},
+	"speed":      {Name: "speed", Desc: "simulator fast-path self-check: free-listed events, tick batching, pre-decoded dispatch", Run: Speed, JSON: true},
+	"static":     {Name: "static", Desc: "statically synthesized hints vs original and manual (static-analysis extension)", Run: Static},
+	"cluster":    {Name: "cluster", Desc: "sharded TIP service: throughput, latency tails, fairness vs shard count", Run: Cluster, Heavy: true, JSON: true},
+	"overload":   {Name: "overload", Desc: "overload-safe cluster: admission control, load shedding, shard failover", Run: Overload, Heavy: true, JSON: true},
+	"replay":     {Name: "replay", Desc: "trace replay: modern apps in all modes + capture→replay round trip", Run: Replay, JSON: true},
 }
 
 // Names returns experiment ids in stable order.
@@ -83,10 +74,10 @@ func Names() []string {
 }
 
 // RunByName runs one experiment by id.
-func RunByName(name string, scale apps.Scale, w io.Writer) error {
+func RunByName(name string, scale apps.Scale) (Report, error) {
 	e, ok := Registry[name]
 	if !ok {
-		return fmt.Errorf("bench: unknown experiment %q (have %v)", name, Names())
+		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", name, Names())
 	}
-	return e.Run(scale, w)
+	return e.Run(scale)
 }

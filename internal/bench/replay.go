@@ -14,7 +14,6 @@ package bench
 //     row.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"spechint/internal/apps"
@@ -51,7 +50,8 @@ type RoundTripResult struct {
 	BucketsOK bool   `json:"buckets_sum_ok"`
 }
 
-// ReplayReport is the JSON shape tipbench -replay emits; CI jq-checks it.
+// ReplayReport is the replay family's report; the smoke job jq-checks its
+// JSON.
 type ReplayReport struct {
 	Schema    string            `json:"schema"`
 	Scale     string            `json:"scale"`
@@ -155,14 +155,14 @@ func replayGrid(scale apps.Scale) ([]*core.RunStats, error) {
 	})
 }
 
-// replayReport assembles the full report; both the text and JSON frontends
-// render from it so they cannot drift.
-func replayReport(scale apps.Scale, scaleName string) (*ReplayReport, error) {
+// Replay is the registry entry: the who-wins grid over the modern apps
+// plus the capture→replay differential for the paper trio.
+func Replay(scale apps.Scale) (Report, error) {
 	grid, err := replayGrid(scale)
 	if err != nil {
 		return nil, err
 	}
-	rep := &ReplayReport{Schema: "tipbench-replay/v1", Scale: scaleName}
+	rep := &ReplayReport{Schema: "tipbench-replay/v1", Scale: scale.Name}
 	for i, app := range ModernApps {
 		base := grid[i*len(replayModes)]
 		for j, mode := range replayModes {
@@ -202,20 +202,13 @@ func replayReport(scale apps.Scale, scaleName string) (*ReplayReport, error) {
 	return rep, nil
 }
 
-// Replay is the registry entry: the who-wins grid over the modern apps
-// plus the capture→replay differential for the paper trio.
-func Replay(scale apps.Scale) (string, error) {
-	rep, err := replayReport(scale, "")
-	if err != nil {
-		return "", err
-	}
+func (rep *ReplayReport) Text() string {
 	t := newTable("Trace replay: modern apps across all modes (4 disks)")
 	t.row("Benchmark", "Mode", "Elapsed(s)", "Improvement", "HintedReads")
 	for _, p := range rep.Points {
 		t.row(p.App, p.Mode, fmt.Sprintf("%.2f", p.Seconds), pct(p.ImprovementPct),
 			fmt.Sprintf("%d/%d", p.HintedReads, p.ReadCalls))
 	}
-	out := t.String() + "\n"
 
 	t2 := newTable("Capture→replay round trip (original mode)")
 	t2.row("Benchmark", "Reads", "Records", "Block-exact", "BucketsSum")
@@ -223,14 +216,5 @@ func Replay(scale apps.Scale) (string, error) {
 		t2.row(rt.App, fmt.Sprint(rt.Reads), fmt.Sprint(rt.Records),
 			fmt.Sprintf("%v", rt.Exact), fmt.Sprintf("%v", rt.BucketsOK))
 	}
-	return out + t2.String(), nil
-}
-
-// ReplayJSON renders the report for tipbench -replay.
-func ReplayJSON(scale apps.Scale, scaleName string) ([]byte, error) {
-	rep, err := replayReport(scale, scaleName)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(rep, "", "  ")
+	return t.Text() + "\n" + t2.Text()
 }

@@ -1,10 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"spechint/internal/apps"
@@ -67,45 +63,17 @@ func TestReplayModernWhoWins(t *testing.T) {
 	}
 }
 
-// replayGoldenPath is the committed canon for the test-scale replay report.
-var replayGoldenPath = filepath.Join(goldenDir, "replay_small.json")
-
 // TestGoldenReplay byte-compares the test-scale replay report against the
 // committed canon; re-canonize deliberately with:
 //
 //	go test ./internal/bench -run GoldenReplay -update
 func TestGoldenReplay(t *testing.T) {
-	got, err := ReplayJSON(apps.TestScale(), "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	if *updateGolden {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(replayGoldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(replayGoldenPath)
-	if err != nil {
-		t.Fatalf("no golden file (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s diverged from the golden run (%d bytes vs %d).\n"+
-			"If the change is intentional, re-canonize with:\n"+
-			"  go test ./internal/bench -run GoldenReplay -update\nfirst difference at byte %d",
-			replayGoldenPath, len(got), len(want), firstDiff(got, want))
-	}
+	rep, err := Replay(apps.TestScale())
+	goldenReport(t, "replay_small.json", rep, err)
 	// The canon itself must carry the headline shape: speculation wins on
 	// every modern app and every round trip is exact.
-	var rep ReplayReport
-	if err := json.Unmarshal(want, &rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rep.Points {
+	canon := rep.(*ReplayReport)
+	for _, p := range canon.Points {
 		if p.Mode == "speculating" && p.ImprovementPct <= 0 {
 			t.Errorf("%s: canonical speculating improvement %.1f%% is not positive",
 				p.App, p.ImprovementPct)
@@ -114,7 +82,7 @@ func TestGoldenReplay(t *testing.T) {
 			t.Errorf("%s/%s: canonical stall buckets do not sum", p.App, p.Mode)
 		}
 	}
-	for _, rt := range rep.RoundTrip {
+	for _, rt := range canon.RoundTrip {
 		if !rt.Exact {
 			t.Errorf("%s: canonical round trip not exact", rt.App)
 		}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,17 +15,17 @@ import (
 // hottest loops — the event queue and the VM interpreter — plus the
 // end-to-end benchmark sweep they gate (ROADMAP item 3).
 //
-// It has two faces:
+// Its two faces are different measurements (`tipbench -exp speed`):
 //
-//   - Speed (the registry entry, `tipbench -exp speed`) is fully
-//     deterministic: it drives the fast paths — free-listed scheduling,
-//     RunTick batching, pre-decoded dispatch — over fixed op counts and
-//     prints only counts and virtual-clock results, so the serial-vs-
-//     parallel differential test can byte-compare it like any experiment.
-//   - SpeedJSON (`tipbench -speed`) measures wall-clock ns/op for the same
-//     shapes plus the end-to-end suite prewarm, for BENCH_speed.json and
-//     the CI smoke. Wall numbers are machine-dependent by nature and are
-//     never part of golden output.
+//   - the text (speedSelfCheck) is fully deterministic: it drives the fast
+//     paths — free-listed scheduling, RunTick batching, pre-decoded
+//     dispatch — over fixed op counts and prints only counts and
+//     virtual-clock results, so the serial-vs-parallel differential test
+//     can byte-compare it like any experiment.
+//   - the JSON (SpeedJSON) measures wall-clock ns/op for the same shapes
+//     plus the end-to-end suite prewarm, for BENCH_speed.json and the CI
+//     smoke. Wall numbers are machine-dependent by nature: this is the one
+//     report exempt from byte-identity checks.
 
 // SpeedCell is one wall-clock microbenchmark result.
 type SpeedCell struct {
@@ -46,7 +45,7 @@ type SpeedEnd struct {
 	WallMS      float64 `json:"wall_ms"`
 }
 
-// SpeedReport is the tipbench -speed export.
+// SpeedReport is the speed family's JSON face.
 type SpeedReport struct {
 	Schema    string      `json:"schema"`
 	EventLoop []SpeedCell `json:"event_loop"`
@@ -102,13 +101,35 @@ func speedMachine() (*vm.Machine, *vm.Thread, error) {
 	return m, m.NewThread("speed", vm.Normal), nil
 }
 
-// Speed is the deterministic registry experiment: it exercises every fast
-// path with fixed op counts and reports only counts and virtual-time
-// results (no wall clock, no allocation averages), so its output is
-// byte-identical at any parallelism on any machine.
-func Speed(apps.Scale) (string, error) {
+// speedFaces is the speed family's report: the deterministic self-check as
+// text, the wall-clock SpeedReport (promoted through the embedding) as JSON.
+type speedFaces struct {
+	text string
+	*SpeedReport
+}
+
+func (r speedFaces) Text() string { return r.text }
+
+// Speed is the registry entry: both measurements, taken once.
+func Speed(scale apps.Scale) (Report, error) {
+	text, err := speedSelfCheck()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := SpeedJSON(scale, scale.Name)
+	if err != nil {
+		return nil, err
+	}
+	return speedFaces{text, rep}, nil
+}
+
+// speedSelfCheck exercises every fast path with fixed op counts and reports
+// only counts and virtual-time results (no wall clock, no allocation
+// averages), so its output is byte-identical at any parallelism on any
+// machine.
+func speedSelfCheck() (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "simulator speed self-check (deterministic; wall-clock numbers: tipbench -speed)\n\n")
+	fmt.Fprintf(&b, "simulator speed self-check (deterministic; wall-clock numbers: tipbench -exp speed -json FILE)\n\n")
 
 	// Steady state: standing heap, one schedule + one pop per cycle.
 	{
@@ -292,13 +313,4 @@ func SpeedJSON(scale apps.Scale, scaleName string) (*SpeedReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// SpeedJSONBytes is SpeedJSON marshalled for the CLI.
-func SpeedJSONBytes(scale apps.Scale, scaleName string) ([]byte, error) {
-	rep, err := SpeedJSON(scale, scaleName)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(rep, "", "  ")
 }

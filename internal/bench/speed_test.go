@@ -11,11 +11,11 @@ import (
 // golden/differential machinery as every other experiment, so two runs must
 // be byte-identical (no wall clock, no allocation averages in the output).
 func TestSpeedDeterministic(t *testing.T) {
-	a, err := Speed(apps.TestScale())
+	a, err := speedSelfCheck()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Speed(apps.TestScale())
+	b, err := speedSelfCheck()
 	if err != nil {
 		t.Fatal(err)
 	}

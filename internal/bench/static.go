@@ -63,7 +63,7 @@ func DynStats(st *core.RunStats) analysis.DynVerifyStats {
 // asserts that, and also self-audits the synthesis: every emitted hint is
 // verified against the run's dynamic read-site statistics, and a hint the
 // run never consumed fails the experiment.
-func Static(scale apps.Scale) (string, error) {
+func Static(scale apps.Scale) (Report, error) {
 	t := newTable("Static hint synthesis: original vs static vs manual (4 disks)")
 	t.row("Benchmark", "Proved", "Bounded", "SpecOnly", "Hints", "HintedReads",
 		"Static impr.", "Manual impr.", "SpecOverhead")
@@ -78,7 +78,7 @@ func Static(scale apps.Scale) (string, error) {
 		return cell{st, b}, err
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 
 	for i, app := range Apps {
@@ -88,20 +88,20 @@ func Static(scale apps.Scale) (string, error) {
 		b := cells[i*len(modes)+1].b
 
 		if static.ExitCode != orig.ExitCode {
-			return "", fmt.Errorf("bench: %v static exit %d != original %d",
+			return nil, fmt.Errorf("bench: %v static exit %d != original %d",
 				app, static.ExitCode, orig.ExitCode)
 		}
 		if static.Buckets.SpecOverhead != 0 {
-			return "", fmt.Errorf("bench: %v static charged %d overhead cycles, want 0",
+			return nil, fmt.Errorf("bench: %v static charged %d overhead cycles, want 0",
 				app, static.Buckets.SpecOverhead)
 		}
 		synth, err := Synth(b)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		// Self-audit: the synthesized hints must square with what the run did.
 		if findings := synth.Verify(DynStats(static)); len(findings) != 0 {
-			return "", fmt.Errorf("bench: %v static hints failed dynamic verification: %v",
+			return nil, fmt.Errorf("bench: %v static hints failed dynamic verification: %v",
 				app, findings)
 		}
 
@@ -116,5 +116,5 @@ func Static(scale apps.Scale) (string, error) {
 			pct(Improvement(orig, manual)),
 			fmt.Sprint(static.Buckets.SpecOverhead))
 	}
-	return t.String(), nil
+	return t, nil
 }

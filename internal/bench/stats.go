@@ -2,15 +2,6 @@ package bench
 
 import "sort"
 
-// Percentile returns the p-quantile (p in [0, 1]) of xs by the nearest-rank
-// method: the smallest sample such that at least p of the distribution lies
-// at or below it. xs is not modified; an empty slice yields 0. Nearest-rank
-// (rather than interpolation) keeps the result an actual observed sample, so
-// quantiles of cycle-valued latencies stay integral and byte-stable in JSON.
-func Percentile(xs []int64, p float64) int64 {
-	return percentileSorted(sortCopy(xs), p)
-}
-
 // sortCopy returns a private ascending-sorted copy of xs, the one sort every
 // quantile helper shares: callers needing several quantiles of the same
 // sample sort once here and read them all through percentileSorted.
@@ -20,7 +11,12 @@ func sortCopy(xs []int64) []int64 {
 	return sorted
 }
 
-// percentileSorted is Percentile over an already ascending-sorted slice.
+// percentileSorted returns the p-quantile (p in [0, 1]) of an ascending-
+// sorted sample by the nearest-rank method: the smallest sample such that at
+// least p of the distribution lies at or below it; an empty slice yields 0.
+// Nearest-rank (rather than interpolation) keeps the result an actual
+// observed sample, so quantiles of cycle-valued latencies stay integral and
+// byte-stable in JSON.
 func percentileSorted(sorted []int64, p float64) int64 {
 	if len(sorted) == 0 {
 		return 0

@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// percentile is the quantile path Summarize takes, one quantile at a time.
+func percentile(xs []int64, p float64) int64 {
+	return percentileSorted(sortCopy(xs), p)
+}
+
 // TestPercentileNearestRank pins the nearest-rank definition on small,
 // hand-checkable samples.
 func TestPercentileNearestRank(t *testing.T) {
@@ -16,17 +21,17 @@ func TestPercentileNearestRank(t *testing.T) {
 		{0, 10}, {0.2, 10}, {0.21, 20}, {0.5, 30}, {0.8, 40}, {0.81, 50}, {0.99, 50}, {1, 50},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(p=%g) = %d, want %d", c.p, got, c.want)
+		if got := percentile(xs, c.p); got != c.want {
+			t.Errorf("percentile(p=%g) = %d, want %d", c.p, got, c.want)
 		}
 	}
 	if xs[0] != 50 {
-		t.Error("Percentile mutated its input")
+		t.Error("percentile mutated its input")
 	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(nil) = %d, want 0", got)
+	if got := percentile(nil, 0.5); got != 0 {
+		t.Errorf("percentile(nil) = %d, want 0", got)
 	}
-	if got := Percentile([]int64{7}, 0.999); got != 7 {
+	if got := percentile([]int64{7}, 0.999); got != 7 {
 		t.Errorf("single-sample p999 = %d, want 7", got)
 	}
 }
@@ -42,8 +47,8 @@ func TestPercentileLargeSample(t *testing.T) {
 		p    float64
 		want int64
 	}{{0.5, 4999}, {0.99, 9899}, {0.999, 9989}} {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(p=%g) = %d, want %d", c.p, got, c.want)
+		if got := percentile(xs, c.p); got != c.want {
+			t.Errorf("percentile(p=%g) = %d, want %d", c.p, got, c.want)
 		}
 	}
 }
@@ -57,29 +62,29 @@ func TestPercentileEdges(t *testing.T) {
 		for i := range xs {
 			xs[i] = int64(10 * (i + 1))
 		}
-		if got, want := Percentile(xs, 0.999), xs[n-1]; got != want {
+		if got, want := percentile(xs, 0.999), xs[n-1]; got != want {
 			t.Errorf("p999 of %d samples = %d, want max %d", n, got, want)
 		}
 	}
 	// A single element answers every quantile.
 	for _, p := range []float64{0, 0.5, 0.99, 0.999, 1} {
-		if got := Percentile([]int64{42}, p); got != 42 {
+		if got := percentile([]int64{42}, p); got != 42 {
 			t.Errorf("single-element p=%g = %d, want 42", p, got)
 		}
 	}
 	// All-equal samples answer every quantile with that value.
 	eq := []int64{7, 7, 7, 7, 7, 7, 7, 7}
 	for _, p := range []float64{0, 0.25, 0.5, 0.99, 0.999, 1} {
-		if got := Percentile(eq, p); got != 7 {
+		if got := percentile(eq, p); got != 7 {
 			t.Errorf("all-equal p=%g = %d, want 7", p, got)
 		}
 	}
 	// Out-of-range p clamps to min/max rather than indexing out of bounds.
 	xs := []int64{1, 2, 3}
-	if got := Percentile(xs, -0.5); got != 1 {
+	if got := percentile(xs, -0.5); got != 1 {
 		t.Errorf("p<0 = %d, want min 1", got)
 	}
-	if got := Percentile(xs, 1.5); got != 3 {
+	if got := percentile(xs, 1.5); got != 3 {
 		t.Errorf("p>1 = %d, want max 3", got)
 	}
 }
@@ -103,8 +108,8 @@ func TestSummarize(t *testing.T) {
 	if s.N != 5 || s.Mean != 5 || s.Max != 9 {
 		t.Errorf("Summarize = %+v, want N=5 Mean=5 Max=9", s)
 	}
-	if s.P50 != Percentile(xs, 0.5) || s.P99 != Percentile(xs, 0.99) || s.P999 != Percentile(xs, 0.999) {
-		t.Errorf("Summarize quantiles %+v disagree with Percentile", s)
+	if s.P50 != percentile(xs, 0.5) || s.P99 != percentile(xs, 0.99) || s.P999 != percentile(xs, 0.999) {
+		t.Errorf("Summarize quantiles %+v disagree with percentile", s)
 	}
 	if z := Summarize(nil); z != (LatencySummary{}) {
 		t.Errorf("Summarize(nil) = %+v, want zero", z)
