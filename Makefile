@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test ci bench bench-check bench-trace
+.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test examples ci bench bench-check bench-trace
 
 all: build
 
@@ -67,7 +67,14 @@ smoke-%:
 perf-test:
 	cd bench/perf && $(GO) build -o /dev/null . && $(GO) test .
 
-ci: lint fmt build race speclint synth smoke perf-test fuzz
+# examples runs every program under examples/ (tier-1 only compiles them;
+# each is a complete core.New(...).Run() walkthrough that panics or exits
+# nonzero if its run fails) and stops at the first nonzero exit.
+examples:
+	@set -e; for p in $$($(GO) list ./examples/...); do \
+		echo "== $$p"; $(GO) run $$p > /dev/null; done
+
+ci: lint fmt build race speclint synth smoke perf-test examples fuzz
 
 # bench regenerates the canonical full-scale multiprogramming sweep into the
 # committed baseline under bench/results/ (expect minutes). Scratch runs that

@@ -1,0 +1,175 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// specrun is the binary under test, built once in TestMain: exit codes need
+// a real process (`go run` collapses every nonzero status to 1).
+var specrun string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "specrun-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	specrun = filepath.Join(dir, "specrun")
+	if out, err := exec.Command("go", "build", "-o", specrun, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// run executes the binary and returns its exit code and both streams.
+func run(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	cmd := exec.Command(specrun, args...)
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("specrun %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), out.String(), errb.String()
+}
+
+// sumSrc reads data/part0..2 end to end, prints the byte sum and exits with
+// the given status.
+func sumSrc(exit int) string {
+	return fmt.Sprintf(`
+.data
+buf:    .space 4096
+nfiles: .word 3
+files:  .word f0, f1, f2
+f0: .asciz "data/part0"
+f1: .asciz "data/part1"
+f2: .asciz "data/part2"
+.text
+main:
+    ldw  r20, nfiles
+    movi r21, files
+next:
+    beq  r20, r0, done
+    ldw  r1, (r21)
+    syscall open
+    mov  r10, r1
+loop:
+    mov  r1, r10
+    movi r2, buf
+    movi r3, 4096
+    syscall read
+    beq  r1, r0, eof
+    movi r4, buf
+    add  r5, r4, r1
+sum:
+    ldb  r6, (r4)
+    add  r22, r22, r6
+    addi r4, r4, 1
+    blt  r4, r5, sum
+    jmp  loop
+eof:
+    mov  r1, r10
+    syscall close
+    addi r21, r21, 8
+    addi r20, r20, -1
+    jmp  next
+done:
+    mov  r1, r22
+    syscall printint
+    movi r1, %d
+    syscall exit
+`, exit)
+}
+
+// spinSrc never reads and never exits: only the deadline ends it.
+const spinSrc = `
+.text
+main:
+    addi r1, r1, 1
+    jmp  main
+`
+
+// fixture lays out the inputs and programs under one temp directory.
+func fixture(t *testing.T) (dir string, file func(name, content string) string) {
+	t.Helper()
+	dir = t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "data"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	file = func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for i := 0; i < 3; i++ {
+		file(fmt.Sprintf("data/part%d", i), strings.Repeat("spechint", 3000+500*i))
+	}
+	return dir, file
+}
+
+// TestExitCodes pins the documented exit-code table, one row per code.
+func TestExitCodes(t *testing.T) {
+	dir, file := fixture(t)
+	ok := file("ok.s", sumSrc(0))
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string // substring
+	}{
+		{"0: program exits 0", []string{"-file", ok, "-dir", dir}, 0, "exit 0 in "},
+		{"1: malformed trace", []string{"-trace-file", file("bad.trace", "open data/part0\nread 0 4096\nreed 4096 4096\nclose\n")}, 1, "trace: line 3:"},
+		{"1: bad assembly", []string{"-file", file("bad.s", ".text\nmain:\n    frobnicate r1\n")}, 1, "specrun: "},
+		{"2: -file and -trace-file", []string{"-file", ok, "-trace-file", ok}, 2, "exactly one of -file or -trace-file"},
+		{"2: neither", nil, 2, "exactly one of -file or -trace-file"},
+		{"3: deadline under I/O", []string{"-file", ok, "-dir", dir, "-deadline", "100000"}, 3, "deadline exceeded: the program did not finish within 100000 virtual cycles"},
+		{"3: deadline under pure compute", []string{"-file", file("spin.s", spinSrc), "-deadline", "5000000"}, 3, "deadline exceeded"},
+		{"4: program exits nonzero", []string{"-file", file("seven.s", sumSrc(7)), "-dir", dir}, 4, "exit 7 in "},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, _, stderr := run(t, c.args...)
+			if code != c.code {
+				t.Errorf("exit %d, want %d\n%s", code, c.code, stderr)
+			}
+			if !strings.Contains(stderr, c.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", c.stderr, stderr)
+			}
+		})
+	}
+}
+
+// TestModesAgreeOnOutput: speculation, on the stalled CPU or on a second
+// processor, changes when the program finishes and never what it prints.
+func TestModesAgreeOnOutput(t *testing.T) {
+	dir, file := fixture(t)
+	ok := file("ok.s", sumSrc(0))
+	code, want, stderr := run(t, "-file", ok, "-dir", dir)
+	if code != 0 || strings.TrimSpace(want) == "" {
+		t.Fatalf("original run: exit %d, stdout %q\n%s", code, want, stderr)
+	}
+	for _, extra := range [][]string{{"-mode", "spec"}, {"-mode", "spec", "-dual"}} {
+		code, got, stderr := run(t, append([]string{"-file", ok, "-dir", dir}, extra...)...)
+		if code != 0 || got != want {
+			t.Errorf("%v: exit %d, stdout %q, want %q\n%s", extra, code, got, want, stderr)
+		}
+		if !strings.Contains(stderr, "hinted") || strings.Contains(stderr, "(0 hinted)") {
+			t.Errorf("%v: the run did not speculate:\n%s", extra, stderr)
+		}
+	}
+}

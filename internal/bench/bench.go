@@ -48,6 +48,19 @@ type Mutator func(*core.Config)
 // Run executes one app in one mode with an optional config mutation,
 // building a fresh workload (runs share nothing).
 func Run(app apps.App, mode core.Mode, scale apps.Scale, mutate Mutator) (*core.RunStats, *apps.Bundle, error) {
+	sys, b, err := newSystem(app, mode, scale, mutate)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := sys.Run()
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: %v %v: %w", app, mode, err)
+	}
+	return st, b, nil
+}
+
+// newSystem builds the workload and the configured System that Run runs.
+func newSystem(app apps.App, mode core.Mode, scale apps.Scale, mutate Mutator) (*core.System, *apps.Bundle, error) {
 	b, err := apps.Build(app, scale)
 	if err != nil {
 		return nil, nil, err
@@ -79,14 +92,7 @@ func Run(app apps.App, mode core.Mode, scale apps.Scale, mutate Mutator) (*core.
 		mutate(&cfg)
 	}
 	sys, err := core.New(cfg, prog, b.FS)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := sys.Run()
-	if err != nil {
-		return nil, nil, fmt.Errorf("bench: %v %v: %w", app, mode, err)
-	}
-	return st, b, nil
+	return sys, b, err
 }
 
 // Triple holds one app's three runs under a single configuration.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,6 +59,40 @@ func TestGoldenRunStats(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", app, mode), func(t *testing.T) {
 				got := goldenStats(t, app, mode)
 				checkGolden(t, goldenPath(app, mode), got)
+			})
+		}
+	}
+}
+
+// TestQuantumIsSlicingNotBehaviour is the differential wall under the single
+// scheduler: for every app and mode, the same inputs run through
+// (*System).Run — a group of one whose quantum never slices — and through the
+// scheduler as a group of one preempted every 100 000 cycles produce
+// identical RunStats: elapsed, all six buckets, every Tip/Cache/Disk counter,
+// the output. For a lone process the quantum only cuts slices; it decides
+// nothing.
+func TestQuantumIsSlicingNotBehaviour(t *testing.T) {
+	suite := append(append([]apps.App{apps.Postgres}, Apps...), ModernApps...)
+	for _, app := range suite {
+		for _, mode := range goldenModes() {
+			app, mode := app, mode
+			t.Run(fmt.Sprintf("%v/%v", app, mode), func(t *testing.T) {
+				t.Parallel()
+				solo, _, err := Run(app, mode, apps.TestScale(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys, _, err := newSystem(app, mode, apps.TestScale(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sliced, err := core.RunGroup([]*core.System{sys}, 100_000, core.DefaultConfig(mode).MaxCycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(solo, sliced[0]) {
+					t.Errorf("quantum changed the run:\n  solo %+v\nsliced %+v", solo, sliced[0])
+				}
 			})
 		}
 	}

@@ -311,14 +311,8 @@ func (c *Cluster) Run() (*Result, error) {
 		c.clk.Schedule(p.DieShardAt, func() { c.shards[id].die() })
 		c.clk.Schedule(p.DieShardAt+sim.Time(c.cfg.DetectCycles), func() { c.ring.MarkDead(id) })
 	}
-	for c.remaining > 0 {
-		if !c.clk.RunTick() {
-			return nil, fmt.Errorf("cluster: event queue drained with %d sessions unfinished", c.remaining)
-		}
-		if c.cfg.MaxCycles > 0 && int64(c.clk.Now()) > c.cfg.MaxCycles {
-			return nil, fmt.Errorf("cluster: exceeded MaxCycles = %d", c.cfg.MaxCycles)
-		}
-		c.cfg.Obs.Tick(c.clk.Now())
+	if err := core.Drive(c.clk, c.cfg.Obs, c.cfg.MaxCycles, population{c}); err != nil {
+		return nil, err
 	}
 	c.doneAt = c.clk.Now()
 	for _, s := range c.shards {
@@ -326,6 +320,16 @@ func (c *Cluster) Run() (*Result, error) {
 		s.tm.FinishRun()
 	}
 	return c.result(), nil
+}
+
+// population is the cluster as core.Drive sees it: pure events. Nothing ever
+// wants the CPU, so the driver only ever jumps from one event to the next.
+type population struct{ c *Cluster }
+
+func (p population) Done() bool             { return p.c.remaining == 0 }
+func (population) Step(int64) (bool, error) { return false, nil }
+func (p population) Stuck() error {
+	return fmt.Errorf("cluster: event queue drained with %d sessions unfinished", p.c.remaining)
 }
 
 // ---------------------------------------------------------------- clients --

@@ -481,16 +481,8 @@ type System struct {
 	mach *vm.Machine
 	prog *vm.Program
 
-	name  string // label in multiprogramming diagnostics
-	owned bool   // the substrate is private to this System
-
-	// preempt, when set, overrides the strict-priority preemption test for
-	// the speculating thread: speculation yields mid-slice when it returns
-	// true. The default is "this System's original thread became Ready";
-	// the multiprogramming scheduler widens it to "any original thread
-	// became Ready", preserving the paper's contract that speculation uses
-	// only globally idle cycles.
-	preempt func() bool
+	name  string // label in diagnostics and trace lanes
+	group *group // the scheduler running this process (set by RunGroup)
 
 	orig    *vm.Thread
 	spec    *vm.Thread
@@ -520,7 +512,7 @@ type System struct {
 	watchdogErr   error      // fatal inconsistency caught by the deadlock watchdog
 
 	stats           RunStats
-	final           *RunStats // cached by Finalize
+	final           *RunStats // detached snapshot taken at exit (see finalize)
 	lastOrigReadAt  int64
 	lastSpecHintAt  int64
 	sawSpecHint     bool
@@ -545,12 +537,7 @@ func New(cfg Config, prog *vm.Program, fs *fsim.FS) (*System, error) {
 	if cfg.Obs != nil {
 		sub.InstallObs(cfg.Obs)
 	}
-	s, err := NewOn(sub, cfg, prog, "app")
-	if err != nil {
-		return nil, err
-	}
-	s.owned = true
-	return s, nil
+	return NewOn(sub, cfg, prog, "app")
 }
 
 // NewOn builds a System for prog over an existing substrate, registering a
@@ -637,24 +624,13 @@ func (s *System) Clock() *sim.Queue { return s.clk }
 // TIP exposes the prefetching manager (tests, tools).
 func (s *System) TIP() *tip.Manager { return s.tip }
 
-// TIPClient exposes this process's hint stream (the multiprogramming layer
-// closes it when the process exits).
-func (s *System) TIPClient() *tip.Client { return s.tipc }
-
 // Name returns the label given at NewOn ("app" for a private System).
 func (s *System) Name() string { return s.name }
 
-// SetPreempt overrides the speculating thread's mid-slice preemption test;
-// see the preempt field. Pass nil to restore the default.
-func (s *System) SetPreempt(fn func() bool) { s.preempt = fn }
-
-// preemptNow reports whether speculation must yield the CPU immediately.
-func (s *System) preemptNow() bool {
-	if s.preempt != nil {
-		return s.preempt()
-	}
-	return s.orig.State == vm.Ready
-}
+// preemptNow reports whether speculation must yield the CPU immediately: the
+// strict-priority test is group-wide, so speculation uses only cycles no
+// original thread on the substrate wants.
+func (s *System) preemptNow() bool { return s.group.anyOrigReady() }
 
 // Output returns everything the program printed.
 func (s *System) Output() string { return s.out.String() }

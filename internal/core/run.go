@@ -1,16 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"spechint/internal/sim"
 	"spechint/internal/vm"
 )
-
-// maxSlice bounds a single execution slice when no events are pending, so
-// elapsed-time accounting stays responsive.
-const maxSlice = int64(1) << 40
 
 // smpQuantum bounds a dual-processor scheduling window: the original thread
 // runs a quantum, then the speculating thread gets the same wall window on
@@ -18,101 +13,35 @@ const maxSlice = int64(1) << 40
 // quantum (~0.4 ms of testbed time).
 const smpQuantum = 100_000
 
-// ErrDeadline marks a run aborted by the MaxCycles budget; detect it with
-// errors.Is to distinguish a runaway program from a real failure.
-var ErrDeadline = errors.New("core: virtual-cycle deadline exceeded")
-
-// Run executes the application to completion and returns the run statistics.
-func (s *System) Run() (*RunStats, error) {
-	for !s.Done() {
-		s.obs.Tick(s.clk.Now())
-		if s.watchdogErr != nil {
-			return nil, s.watchdogErr
-		}
-		if s.orig.Err != nil {
-			return nil, fmt.Errorf("core: original thread failed: %w", s.orig.Err)
-		}
-		if s.cfg.MaxCycles > 0 && int64(s.clk.Now()) > s.cfg.MaxCycles {
-			return nil, fmt.Errorf("%w: MaxCycles %d", ErrDeadline, s.cfg.MaxCycles)
-		}
-
-		runOrig := false
-		switch {
-		case s.OrigReady():
-			runOrig = true
-		case s.SpecRunnable():
-		default:
-			// Both threads idle: advance to the next event tick (disk
-			// completions that will wake the original thread). RunTick
-			// drains every event due at that instant in one heap pass.
-			if !s.clk.RunTick() {
-				return nil, s.Diagnose("deadlock — event queue drained with the original thread blocked")
-			}
-			continue
-		}
-
-		budget := maxSlice
-		if at, ok := s.clk.PeekTime(); ok {
-			budget = int64(at - s.clk.Now())
-			if budget <= 0 {
-				s.clk.RunTick()
-				continue
-			}
-		}
-
-		// Dual-processor mode: while the original thread computes, the
-		// speculating thread runs concurrently on the second processor.
-		parallelSpec := s.cfg.DualProcessor && runOrig && s.SpecRunnable()
-		if parallelSpec && budget > smpQuantum {
-			budget = smpQuantum
-		}
-
-		if runOrig {
-			start := s.clk.Now()
-			used, err := s.StepOrig(budget)
-			if err != nil {
-				return nil, err
-			}
-			if parallelSpec && used > 0 {
-				s.runSpecWindow(start, used)
-			}
-		} else if _, err := s.StepSpec(budget); err != nil {
-			return nil, err
-		}
+// stepOrig runs the original thread for at most budget cycles and advances
+// the clock by the cycles it actually used. In dual-processor mode the
+// speculating thread then runs the same wall window on the second processor.
+func (s *System) stepOrig(budget int64) error {
+	parallelSpec := s.cfg.DualProcessor && s.specRunnable()
+	if parallelSpec && budget > smpQuantum {
+		budget = smpQuantum
 	}
-	return s.Finalize(), nil
-}
-
-// Done reports whether the application has exited.
-func (s *System) Done() bool { return s.orig.State == vm.Halted }
-
-// OrigReady reports whether the original thread can use the CPU now.
-func (s *System) OrigReady() bool { return s.orig.State == vm.Ready }
-
-// StepOrig runs the original thread for at most budget cycles and advances
-// the clock by the cycles it actually used. The caller (Run, or the
-// multiprogramming scheduler) owns event dispatch: it must only call StepOrig
-// with a budget no larger than the gap to the next pending event.
-func (s *System) StepOrig(budget int64) (used int64, err error) {
 	start := s.clk.Now()
 	s.sliceStart = start
 	used, stop := s.mach.Run(s.orig, budget)
 	s.clk.AdvanceTo(start + sim.Time(used))
 	s.stats.OrigBusy += used
 	if stop == vm.StopError {
-		return used, fmt.Errorf("core: %s thread error: %w", s.orig.Name, s.orig.Err)
+		return fmt.Errorf("core: %s: %s thread error: %w", s.name, s.orig.Name, s.orig.Err)
 	}
-	return used, nil
+	if parallelSpec && used > 0 {
+		s.runSpecWindow(used)
+	}
+	return nil
 }
 
-// StepSpec gives the speculating thread at most budget cycles — restart-
+// stepSpec gives the speculating thread at most budget cycles — restart-
 // protocol work first, then shadow-code execution — advancing the clock by
-// the cycles consumed. Like StepOrig, the budget must not cross the next
-// pending event.
-func (s *System) StepSpec(budget int64) (used int64, err error) {
+// the cycles consumed.
+func (s *System) stepSpec(budget int64) error {
 	start := s.clk.Now()
-	if s.restartWork(start, budget, true) {
-		return int64(s.clk.Now() - start), nil
+	if s.restartWork(start, budget) {
+		return nil
 	}
 	s.sliceStart = start
 	used, stop := s.mach.Run(s.spec, budget)
@@ -120,21 +49,21 @@ func (s *System) StepSpec(budget int64) (used int64, err error) {
 	s.stats.SpecBusy += used
 	switch stop {
 	case vm.StopError:
-		return used, fmt.Errorf("core: %s thread error: %w", s.spec.Name, s.spec.Err)
+		return fmt.Errorf("core: %s: %s thread error: %w", s.name, s.spec.Name, s.spec.Err)
 	case vm.StopFault:
 		// Only the speculating thread faults (normal-mode exceptions
 		// surface as StopError); it stays parked until the next restart.
 		s.trace(EvSignal, "speculation faulted at PC %d", s.spec.PC)
 	}
-	return used, nil
+	return nil
 }
 
 // runSpecWindow gives the speculating thread a wall window of `window`
 // cycles on the second processor, concurrent with original-thread execution
 // the clock has already accounted. Restart work and execution both charge
 // against the window.
-func (s *System) runSpecWindow(start sim.Time, window int64) {
-	for window > 0 && s.SpecRunnable() {
+func (s *System) runSpecWindow(window int64) {
+	for window > 0 && s.specRunnable() {
 		if s.restartPending && s.restartRemaining == 0 {
 			if !s.beginRestart(s.clk.Now()) {
 				return // throttled
@@ -166,8 +95,8 @@ func (s *System) runSpecWindow(start sim.Time, window int64) {
 	}
 }
 
-// SpecRunnable reports whether the speculating thread can use the CPU now.
-func (s *System) SpecRunnable() bool {
+// specRunnable reports whether the speculating thread can use the CPU now.
+func (s *System) specRunnable() bool {
 	if s.cfg.Mode != ModeSpeculating {
 		return false
 	}
@@ -184,10 +113,10 @@ func (s *System) SpecRunnable() bool {
 // hints, clear the copy-on-write map, copy the original thread's stack, load
 // its saved registers, and jump to the shadow instruction after the read it
 // blocked on (paper §3.2.2). The work is charged against stall cycles; it
-// returns true if it consumed this scheduling turn. advanceClock is false in
-// dual-processor mode, where the work charges a CPU window instead of wall
-// time.
-func (s *System) restartWork(start sim.Time, budget int64, advanceClock bool) bool {
+// returns true if it consumed this scheduling turn. (Dual-processor mode
+// charges the same work to a CPU window instead of wall time; see
+// runSpecWindow.)
+func (s *System) restartWork(start sim.Time, budget int64) bool {
 	if s.restartRemaining == 0 {
 		if !s.restartPending {
 			return false
@@ -201,9 +130,7 @@ func (s *System) restartWork(start sim.Time, budget int64, advanceClock bool) bo
 	if work > budget {
 		work = budget
 	}
-	if advanceClock {
-		s.clk.AdvanceTo(start + sim.Time(work))
-	}
+	s.clk.AdvanceTo(start + sim.Time(work))
 	s.stats.SpecBusy += work
 	s.restartRemaining -= work
 	if s.restartRemaining == 0 {
@@ -296,20 +223,14 @@ func (s *System) finishRestart() {
 	s.trace(EvRestart, "resume at shadow PC %d, result %d", s.spec.PC, s.savedResult)
 }
 
-// Finalize closes out accounting and assembles the run statistics. It is
-// idempotent; the multiprogramming scheduler calls it the moment a process
-// exits, so Elapsed is that process's own completion time. Tip counters are
-// this process's hint stream; Cache and Disk are substrate-wide (identical
-// on a private substrate).
-func (s *System) Finalize() *RunStats {
-	if s.final != nil {
-		return s.final
-	}
-	if s.owned {
-		s.tip.FinishRun()
-	}
-	st := &s.stats
-	s.final = st
+// finalize closes out accounting at process exit and assembles the run
+// statistics as a detached copy: holding the result keeps no System, machine
+// or file system alive. Elapsed is this process's own completion time. Tip
+// counters are this process's hint stream; Cache and Disk are substrate-wide
+// (identical on a private substrate).
+func (s *System) finalize() *RunStats {
+	st := new(RunStats)
+	*st = s.stats
 	st.Elapsed = s.clk.Now()
 	st.ExitCode = s.orig.ExitCode
 	st.OrigInstrs = s.orig.Instrs

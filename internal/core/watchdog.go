@@ -7,12 +7,12 @@ import (
 	"spechint/internal/vm"
 )
 
-// Diagnose assembles a deadlock/watchdog diagnostic: instead of a bare
+// diagnose assembles a deadlock/watchdog diagnostic: instead of a bare
 // "deadlock" error (or a panic deep in a completion callback), the run fails
 // with the state needed to debug it — thread states and PCs, the pending
 // read, event-queue and disk-queue depths. reason says what tripped the
 // watchdog.
-func (s *System) Diagnose(reason string) error {
+func (s *System) diagnose(reason string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "core: %s: %s\n", s.name, reason)
 	fmt.Fprintf(&b, "  cycle %d, %d pending events\n", s.clk.Now(), s.clk.Len())
@@ -45,6 +45,6 @@ func (s *System) Diagnose(reason string) error {
 // iteration.
 func (s *System) watchdog(reason string) {
 	if s.watchdogErr == nil {
-		s.watchdogErr = s.Diagnose(reason)
+		s.watchdogErr = s.diagnose(reason)
 	}
 }

@@ -4,19 +4,17 @@
 // TIP manager and block cache), which is the regime the paper's TIP was
 // actually built for.
 //
-// Scheduling is deterministic round-robin over the original threads with a
-// fixed CPU quantum. Speculating threads preserve the paper's strict-priority
-// contract *globally*: speculation consumes cycles only when every original
-// thread in the group is blocked, and it is preempted mid-slice the moment
-// any original thread wakes. Each process holds its own TIP client, so hint
-// streams, accuracy estimates and CANCEL_ALLs stay per process while the
-// cache arbitrates buffers between them by cost-benefit (see internal/tip and
-// internal/cache).
+// Scheduling is core's (core.RunGroup): round-robin over the original threads
+// with a fixed CPU quantum, and the paper's strict-priority contract held
+// *globally* — speculation consumes cycles only when every original thread in
+// the group is blocked. This package assembles the workload and reports the
+// outcome. Each process holds its own TIP client, so hint streams, accuracy
+// estimates and CANCEL_ALLs stay per process while the cache arbitrates
+// buffers between them by cost-benefit (see internal/tip and internal/cache).
 package multi
 
 import (
 	"fmt"
-	"strings"
 
 	"spechint/internal/apps"
 	"spechint/internal/cache"
@@ -81,22 +79,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// proc is one scheduled process.
-type proc struct {
-	spec  ProcSpec
-	name  string
-	sys   *core.System
-	stats *core.RunStats // set when the process exits
-}
-
 // Group is a configured multiprogramming run.
 type Group struct {
 	cfg   Config
 	sub   *core.Substrate
-	procs []*proc
-
-	rrOrig int // round-robin pointers (original threads, speculating threads)
-	rrSpec int
+	specs []ProcSpec
+	procs []*core.System
 }
 
 // NewGroup builds the shared substrate, lays each process's workload onto
@@ -128,7 +116,7 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 	if cfg.Obs != nil {
 		sub.InstallObs(cfg.Obs)
 	}
-	g := &Group{cfg: cfg, sub: sub}
+	g := &Group{cfg: cfg, sub: sub, specs: specs}
 
 	for i, spec := range specs {
 		idx := cfg.FirstProcIndex + i
@@ -144,147 +132,34 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 		case core.ModeManual:
 			prog = b.Manual
 		}
-		ccfg := core.DefaultConfig(spec.Mode)
-		ccfg.Disk = cfg.Disk // documented as ignored by NewOn; kept coherent
-		ccfg.TIP = cfg.TIP
-		ccfg.MaxCycles = 0 // the group enforces its own limit
-		name := fmt.Sprintf("p%d:%v", idx, spec)
-		sys, err := core.NewOn(sub, ccfg, prog, name)
+		sys, err := core.NewOn(sub, core.DefaultConfig(spec.Mode), prog, fmt.Sprintf("p%d:%v", idx, spec))
 		if err != nil {
 			return nil, fmt.Errorf("multi: p%d %v: %w", idx, spec, err)
 		}
-		sys.SetPreempt(g.anyOrigReady)
-		g.procs = append(g.procs, &proc{spec: spec, name: name, sys: sys})
+		g.procs = append(g.procs, sys)
 	}
 	return g, nil
 }
 
-// anyOrigReady is the group-wide strict-priority test: speculation must
-// yield whenever ANY original thread can use the CPU.
-func (g *Group) anyOrigReady() bool {
-	for _, p := range g.procs {
-		if !p.sys.Done() && p.sys.OrigReady() {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *Group) allDone() bool {
-	for _, p := range g.procs {
-		if !p.sys.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// nextReadyOrig picks the next Ready original thread in round-robin order,
-// advancing the pointer past the pick.
-func (g *Group) nextReadyOrig() *proc {
-	n := len(g.procs)
-	for k := 0; k < n; k++ {
-		p := g.procs[(g.rrOrig+k)%n]
-		if !p.sys.Done() && p.sys.OrigReady() {
-			g.rrOrig = (g.rrOrig + k + 1) % n
-			return p
-		}
-	}
-	return nil
-}
-
-// nextRunnableSpec picks the next runnable speculating thread round-robin.
-func (g *Group) nextRunnableSpec() *proc {
-	n := len(g.procs)
-	for k := 0; k < n; k++ {
-		p := g.procs[(g.rrSpec+k)%n]
-		if !p.sys.Done() && p.sys.SpecRunnable() {
-			g.rrSpec = (g.rrSpec + k + 1) % n
-			return p
-		}
-	}
-	return nil
-}
-
-// retire finalizes a process the moment it exits, releasing its hint stream
-// so its cache partition redistributes to the survivors.
-func (g *Group) retire(p *proc) {
-	if p.stats != nil {
-		return
-	}
-	p.stats = p.sys.Finalize()
-	p.sys.TIPClient().Close()
-}
-
-// Run executes the group to completion. Scheduling policy, in priority
-// order every iteration: (1) dispatch due events, (2) the next Ready
-// original thread gets a quantum, (3) only if no original thread anywhere
-// can run, the next runnable speculating thread gets the idle gap, (4)
-// otherwise advance the clock.
+// Run executes the group to completion under core's strict-priority
+// scheduler (see core.RunGroup) and assembles the group outcome.
 func (g *Group) Run() (*Result, error) {
-	for !g.allDone() {
-		g.cfg.Obs.Tick(g.sub.Clk.Now())
-		if g.cfg.MaxCycles > 0 && int64(g.sub.Clk.Now()) > g.cfg.MaxCycles {
-			return nil, fmt.Errorf("multi: exceeded MaxCycles %d", g.cfg.MaxCycles)
-		}
-
-		budget := g.cfg.Quantum
-		if at, ok := g.sub.Clk.PeekTime(); ok {
-			gap := int64(at - g.sub.Clk.Now())
-			if gap <= 0 {
-				g.sub.Clk.RunTick()
-				continue
-			}
-			if gap < budget {
-				budget = gap
-			}
-		}
-
-		if p := g.nextReadyOrig(); p != nil {
-			if _, err := p.sys.StepOrig(budget); err != nil {
-				return nil, fmt.Errorf("multi: %s: %w", p.name, err)
-			}
-			if p.sys.Done() {
-				g.retire(p)
-			}
-			continue
-		}
-		if p := g.nextRunnableSpec(); p != nil {
-			if _, err := p.sys.StepSpec(budget); err != nil {
-				return nil, fmt.Errorf("multi: %s: %w", p.name, err)
-			}
-			continue
-		}
-		if !g.sub.Clk.RunTick() {
-			return nil, g.diagnoseDeadlock()
-		}
+	stats, err := core.RunGroup(g.procs, g.cfg.Quantum, g.cfg.MaxCycles)
+	if err != nil {
+		return nil, err
 	}
-
-	g.sub.TIP.FinishRun()
-	res := &Result{Makespan: g.sub.Clk.Now()}
-	res.Tip = g.sub.TIP.Stats()
-	res.Cache = g.sub.TIP.Cache().Stats()
-	res.Disk = g.sub.Arr.Stats()
-	for _, p := range g.procs {
+	res := &Result{
+		Makespan: g.sub.Clk.Now(),
+		Tip:      g.sub.TIP.Stats(),
+		Cache:    g.sub.TIP.Cache().Stats(),
+		Disk:     g.sub.Arr.Stats(),
+	}
+	for i, p := range g.procs {
 		res.Procs = append(res.Procs, ProcResult{
-			Name: p.name, App: p.spec.App, Mode: p.spec.Mode, Stats: p.stats,
+			Name: p.Name(), App: g.specs[i].App, Mode: g.specs[i].Mode, Stats: stats[i],
 		})
 	}
 	return res, nil
-}
-
-// diagnoseDeadlock reports the event queue draining with processes still
-// blocked, carrying each live process's own watchdog diagnostic.
-func (g *Group) diagnoseDeadlock() error {
-	var sb strings.Builder
-	sb.WriteString("multi: deadlock — no thread runnable, no pending events\n")
-	for _, p := range g.procs {
-		if p.sys.Done() {
-			continue
-		}
-		fmt.Fprintf(&sb, "%v\n", p.sys.Diagnose("blocked at group deadlock"))
-	}
-	return fmt.Errorf("%s", strings.TrimRight(sb.String(), "\n"))
 }
 
 // ProcResult is one process's outcome. Stats.Elapsed is the process's own

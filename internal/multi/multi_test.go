@@ -1,12 +1,18 @@
 package multi
 
 import (
+	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"spechint/internal/apps"
 	"spechint/internal/core"
 	"spechint/internal/fault"
+	"spechint/internal/fsim"
+	"spechint/internal/workload"
 )
 
 // mixedSpecs is the standard mixed workload: one process per application.
@@ -100,7 +106,10 @@ func TestSpeculationBeatsOriginalAtN4(t *testing.T) {
 
 func TestGroupOutputsMatchSolo(t *testing.T) {
 	// Each process of a group must compute the same answer it computes when
-	// run alone (same prefix and seeds via FirstProcIndex).
+	// run alone (same prefix and seeds via FirstProcIndex) — and a group of
+	// one, time-sliced every Quantum cycles, must BE the solo run: the same
+	// inputs through core.New(...).Run(), whose quantum never slices, yield
+	// identical statistics down to the last bucket and counter.
 	cfg := DefaultConfig()
 	group := runGroup(t, cfg, mixedSpecs(2, core.ModeSpeculating))
 	for i, p := range group.Procs {
@@ -113,6 +122,67 @@ func TestGroupOutputsMatchSolo(t *testing.T) {
 		if sres.Procs[0].Stats.ExitCode != p.Stats.ExitCode {
 			t.Errorf("p%d (%v) exit code differs: solo %d group %d",
 				i, p.App, sres.Procs[0].Stats.ExitCode, p.Stats.ExitCode)
+		}
+
+		fs := fsim.New(cfg.Disk.BlockSize)
+		workload.SetBenchLayout(fs)
+		b, err := apps.BuildOn(fs, p.App, apps.TestScale().WithProcess(i, cfg.SeedStep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := core.New(core.DefaultConfig(core.ModeSpeculating), b.Transformed, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(alone, sres.Procs[0].Stats) {
+			t.Errorf("p%d (%v): a group of one is not the solo run:\n solo %+v\ngroup %+v",
+				i, p.App, alone, sres.Procs[0].Stats)
+		}
+	}
+}
+
+// TestGroupDeadlineAndStatsOwnership: a group that outruns MaxCycles fails
+// with core.ErrDeadline like any other run, and a finished group's per-process
+// statistics are detached copies — holding the Result keeps no Group alive.
+func TestGroupDeadlineAndStatsOwnership(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxCycles = 1000
+	g, err := NewGroup(cfg, apps.TestScale(), mixedSpecs(3, core.ModeSpeculating))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Run(); !errors.Is(err, core.ErrDeadline) {
+		t.Fatalf("err = %v, want core.ErrDeadline", err)
+	}
+
+	freed := make(chan struct{})
+	res := func() *Result {
+		g, err := NewGroup(DefaultConfig(), apps.TestScale(), mixedSpecs(2, core.ModeNoHint))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(g, func(*Group) { close(freed) })
+		res, err := g.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}()
+	for deadline := time.After(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-freed:
+			if res.Procs[1].Stats.ReadCalls == 0 {
+				t.Fatal("stats lost their contents")
+			}
+			return
+		case <-deadline:
+			t.Fatal("the Group is still reachable while only its Result is held")
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }

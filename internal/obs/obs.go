@@ -208,7 +208,7 @@ func (t *Trace) Points() []Point {
 }
 
 // Tick samples the gauges if virtual time has passed the next tick boundary.
-// The simulation's run loops call it once per scheduling iteration (and every
+// The simulation's driver loop calls it once per scheduling iteration (and every
 // Emit calls it implicitly), so the series advances with virtual time without
 // the Trace ever scheduling events of its own.
 func (t *Trace) Tick(now sim.Time) {
