@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test examples ci bench bench-check bench-trace
+.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test examples ci
 
 all: build
 
@@ -10,8 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
+# race is the invariant DESIGN.md documents: the -short suite (the long sweeps
+# skip themselves) under the race detector.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
 
 vet:
 	$(GO) vet ./...
@@ -75,24 +77,3 @@ examples:
 		echo "== $$p"; $(GO) run $$p > /dev/null; done
 
 ci: lint fmt build race speclint synth smoke perf-test examples fuzz
-
-# bench regenerates the canonical full-scale multiprogramming sweep into the
-# committed baseline under bench/results/ (expect minutes). Scratch runs that
-# should stay out of git can still write BENCH_*.json anywhere else — the
-# ignore rules swallow those but keep bench/results/ tracked.
-bench:
-	@mkdir -p bench/results
-	$(GO) run ./cmd/tipbench -exp multi -json bench/results/BENCH_multi.json
-
-# bench-check reruns the full-scale multi sweep and fails if it drifted more
-# than 10% from the committed baseline or flipped a who-wins ordering
-# (Figure 3 shape). Run it after simulator changes; if the drift is
-# intentional, regenerate the baseline with make bench and commit the diff.
-bench-check:
-	$(GO) run ./cmd/tipbench -check bench/results/BENCH_multi.json
-
-# bench-trace records a full cross-layer Chrome trace of a speculating group
-# next to the baseline; open it in chrome://tracing or ui.perfetto.dev.
-bench-trace:
-	@mkdir -p bench/results
-	$(GO) run ./cmd/tipbench -exp multi -scale test -trace-json bench/results/TRACE_multi.json

@@ -67,11 +67,11 @@ func main() {
 		dir    = flag.String("dir", "", "host directory to load into the simulated fs")
 		dual   = flag.Bool("dual", false, "run speculation on a second processor")
 		quiet  = flag.Bool("q", false, "suppress the program's own output")
-		trace  = flag.Int("trace", 0, "print up to N timeline events (reads, hints, restarts)")
+		trace  = flag.Int("trace", 0, "print up to N core events (reads, hints, restarts) of the cross-layer trace")
 		jsonF  = flag.Bool("json", false, "emit the run's statistics as JSON on stdout")
 		ddline = flag.Int64("deadline", 0, "abort after this many virtual cycles (0 = default budget)")
 		faults = flag.String("faults", "", "fault-injection spec, e.g. rate=0.01,seed=42 (keys: "+
-			strings.Join(fault.Keys(), ", ")+")")
+			strings.Join(fault.Keys(), ", ")+"; dieshard and brown act on cluster shards and are rejected here)")
 		traceJSON   = flag.String("trace-json", "", "write the cross-layer trace as Chrome trace_event JSON to this file")
 		metricsJSON = flag.String("metrics-json", "", "write the sampled metric time series as JSON to this file")
 		traceFile   = flag.String("trace-file", "", "captured I/O trace to compile and replay (instead of -file)")
@@ -149,7 +149,6 @@ func main() {
 	cfg.Disk = core.TestbedDisk(*disks)
 	cfg.TIP.CacheBlocks = *cache << 20 / cfg.Disk.BlockSize
 	cfg.DualProcessor = *dual
-	cfg.TraceEvents = *trace > 0
 	if *ddline > 0 {
 		cfg.MaxCycles = *ddline
 	}
@@ -159,7 +158,7 @@ func main() {
 		}
 	}
 	var tr *obs.Trace
-	if *traceJSON != "" || *metricsJSON != "" {
+	if *trace > 0 || *traceJSON != "" || *metricsJSON != "" {
 		tr = obs.New(obs.Config{})
 		cfg.Obs = tr
 	}
@@ -228,7 +227,7 @@ func main() {
 			st.ReadErrors, st.FaultRestarts, st.Degraded)
 	}
 	if *trace > 0 {
-		fmt.Fprint(os.Stderr, core.FormatTrace(sys.Events(), *trace, sys.DroppedEvents()))
+		fmt.Fprint(os.Stderr, formatTrace(coreEvents(tr), *trace, tr.Dropped()))
 	}
 	exitForProgram(st.ExitCode)
 }
@@ -242,6 +241,44 @@ func exitForProgram(code int64) {
 		os.Exit(0)
 	}
 	os.Exit(4)
+}
+
+// coreEvents picks the core layer's events (reads, hints, off-track
+// detections, restarts) out of the cross-layer trace.
+func coreEvents(tr *obs.Trace) []obs.Event {
+	var evs []obs.Event
+	for _, e := range tr.Events() {
+		if e.Cat == "core" {
+			evs = append(evs, e)
+		}
+	}
+	return evs
+}
+
+// formatTrace renders up to limit events as `cycle  event  detail` rows,
+// eliding the middle of a longer timeline. dropped is the count of events the
+// recorder discarded at its capacity bound; when nonzero it is surfaced as a
+// trailer so a truncated timeline can never pass for a complete one.
+func formatTrace(events []obs.Event, limit int, dropped int64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%12s  %-10s %s\n", "cycle", "event", "detail")
+	rows := func(evs []obs.Event) {
+		for _, e := range evs {
+			fmt.Fprintf(&b, "%12d  %-10s %s\n", e.At, e.Name, e.Detail)
+		}
+	}
+	if limit >= len(events) {
+		rows(events)
+	} else {
+		head := limit / 2
+		rows(events[:head])
+		fmt.Fprintf(&b, "    ... %d events elided ...\n", len(events)-limit)
+		rows(events[len(events)-(limit-head):])
+	}
+	if dropped > 0 {
+		fmt.Fprintf(&b, "    ... %d later events dropped at the trace capacity ...\n", dropped)
+	}
+	return b.String()
 }
 
 // writeExport renders one exporter to a file.

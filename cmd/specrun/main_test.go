@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spechint/internal/obs"
+	"spechint/internal/sim"
 )
 
 // specrun is the binary under test, built once in TestMain: exit codes need
@@ -116,7 +120,7 @@ func fixture(t *testing.T) (dir string, file func(name, content string) string) 
 		}
 		return path
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 10; i++ { // sumSrc reads the first three, seqsum.s all ten
 		file(fmt.Sprintf("data/part%d", i), strings.Repeat("spechint", 3000+500*i))
 	}
 	return dir, file
@@ -135,6 +139,7 @@ func TestExitCodes(t *testing.T) {
 		{"0: program exits 0", []string{"-file", ok, "-dir", dir}, 0, "exit 0 in "},
 		{"1: malformed trace", []string{"-trace-file", file("bad.trace", "open data/part0\nread 0 4096\nreed 4096 4096\nclose\n")}, 1, "trace: line 3:"},
 		{"1: bad assembly", []string{"-file", file("bad.s", ".text\nmain:\n    frobnicate r1\n")}, 1, "specrun: "},
+		{"1: fault key no solo run installs", []string{"-file", ok, "-dir", dir, "-faults", "dieshard=0@1e9"}, 1, "specrun: fault: dieshard acts on a cluster shard"},
 		{"2: -file and -trace-file", []string{"-file", ok, "-trace-file", ok}, 2, "exactly one of -file or -trace-file"},
 		{"2: neither", nil, 2, "exactly one of -file or -trace-file"},
 		{"3: deadline under I/O", []string{"-file", ok, "-dir", dir, "-deadline", "100000"}, 3, "deadline exceeded: the program did not finish within 100000 virtual cycles"},
@@ -171,5 +176,131 @@ func TestModesAgreeOnOutput(t *testing.T) {
 		if !strings.Contains(stderr, "hinted") || strings.Contains(stderr, "(0 hinted)") {
 			t.Errorf("%v: the run did not speculate:\n%s", extra, stderr)
 		}
+	}
+}
+
+// traceRows returns the `cycle  event  detail` rows of a -trace timeline on
+// stderr: everything after the header row, minus the elision line.
+func traceRows(t *testing.T, stderr string) []string {
+	t.Helper()
+	_, body, ok := strings.Cut(stderr, fmt.Sprintf("%12s  %-10s %s\n", "cycle", "event", "detail"))
+	if !ok {
+		t.Fatalf("no timeline header row:\n%s", stderr)
+	}
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if !strings.HasPrefix(line, "    ...") {
+			rows = append(rows, line)
+		}
+	}
+	return rows
+}
+
+// hasEvent reports whether some row's event column is name.
+func hasEvent(rows []string, name string) bool {
+	for _, r := range rows {
+		if f := strings.Fields(r); len(f) > 1 && f[1] == name {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTraceIsAViewOfTheCrossLayerTrace: -trace N prints the core events of the
+// one obs.Trace the run records — head and tail around an elision line, no
+// dropped trailer on a run that fits the recorder — and with -trace-json in
+// the same invocation both outputs come from that one recording.
+func TestTraceIsAViewOfTheCrossLayerTrace(t *testing.T) {
+	dir, _ := fixture(t)
+	args := []string{"-file", "../../examples/progs/seqsum.s", "-dir", dir, "-mode", "spec", "-deadline", "2000000000"}
+
+	code, _, stderr := run(t, append(args, "-trace", "6")...)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	if rows := traceRows(t, stderr); len(rows) != 6 || !hasEvent(rows, "read") || !hasEvent(rows, "restart") {
+		t.Errorf("want 6 rows with a read and a restart, got:\n%s", strings.Join(rows, "\n"))
+	}
+	if !strings.Contains(stderr, " events elided ...") || strings.Contains(stderr, "dropped") {
+		t.Errorf("want an elision line and no dropped trailer:\n%s", stderr)
+	}
+
+	// A wider window reaches the hints, and the same run's JSON export holds
+	// every printed row, in order.
+	jsonPath := filepath.Join(t.TempDir(), "trace.json")
+	code, _, stderr = run(t, append(args, "-trace", "40", "-trace-json", jsonPath)...)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	rows := traceRows(t, stderr)
+	if len(rows) != 40 || !hasEvent(rows, "hint") {
+		t.Errorf("want 40 rows with a hint, got:\n%s", strings.Join(rows, "\n"))
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Events []struct {
+			Name, Cat string
+			Args      struct {
+				Detail string
+				Cycle  int64
+			}
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for _, e := range doc.Events {
+		if next < len(rows) && e.Cat == "core" &&
+			rows[next] == fmt.Sprintf("%12d  %-10s %s", e.Args.Cycle, e.Name, e.Args.Detail) {
+			next++
+		}
+	}
+	if next != len(rows) {
+		t.Errorf("timeline row %d is not in %s (or out of order): %q", next, jsonPath, rows[next])
+	}
+}
+
+// TestTraceFormatEdges pins formatTrace's eliding arithmetic: limit >= len renders
+// everything, an odd limit splits head and tail correctly, and a nonzero
+// dropped count always surfaces as a trailer.
+func TestTraceFormatEdges(t *testing.T) {
+	var events []obs.Event
+	for i := 0; i < 10; i++ {
+		events = append(events, obs.Event{At: sim.Time(i), Cat: "core", Name: "read", Detail: fmt.Sprintf("ev%d", i)})
+	}
+	// The header row contains the word "event"; count rendered entries by
+	// their unambiguous "read  ev<N>" rendering instead.
+	count := func(s string) int { return strings.Count(s, "read       ev") }
+
+	if out := formatTrace(events, 10, 0); count(out) != 10 || strings.Contains(out, "elided") {
+		t.Fatalf("limit == len should render all 10 events:\n%s", out)
+	}
+	if out := formatTrace(events, 99, 0); count(out) != 10 || strings.Contains(out, "elided") || strings.Contains(out, "dropped") {
+		t.Fatalf("limit > len should render all 10 events and no trailer:\n%s", out)
+	}
+
+	out := formatTrace(events, 5, 0)
+	if count(out) != 5 || !strings.Contains(out, "5 events elided") {
+		t.Fatalf("limit 5 of 10:\n%s", out)
+	}
+	// head = 2, tail = 3: first two and last three events.
+	for _, want := range []string{"ev0", "ev1", "ev7", "ev8", "ev9"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("limit 5 missing %s:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "ev2") || strings.Contains(out, "ev6") {
+		t.Fatalf("limit 5 rendered an elided event:\n%s", out)
+	}
+
+	if out := formatTrace(events, 5, 7); !strings.Contains(out, "7 later events dropped") {
+		t.Fatalf("dropped trailer missing:\n%s", out)
+	}
+	if out := formatTrace(nil, 1, 3); !strings.Contains(out, "3 later events dropped") {
+		t.Fatalf("dropped trailer must render even with no events:\n%s", out)
 	}
 }

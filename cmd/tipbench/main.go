@@ -16,9 +16,8 @@
 //	tipbench -exp table4 -trace-json trace.json -trace-app gnuld
 //	tipbench -exp multi -trace-json trace.json   # trace a speculating group
 //	tipbench -exp fig5 -parallel 4               # bound the worker pool
-//	tipbench -check bench/results/BENCH_multi.json
 //
-// Exit codes: 0 ok, 1 an experiment or check failed, 2 usage.
+// Exit codes: 0 ok, 1 an experiment failed, 2 usage.
 package main
 
 import (
@@ -37,7 +36,7 @@ import (
 
 // Exit codes.
 const (
-	exitFailed = 1 // an experiment, check or write failed
+	exitFailed = 1 // an experiment or write failed
 	exitUsage  = 2 // bad command line, reported before any simulation
 )
 
@@ -58,8 +57,6 @@ func main() {
 		traceApp = flag.String("trace-app", "gnuld", "application for the solo -trace-json run: agrep, gnuld, xds, postgres")
 		parallel = flag.Int("parallel", runtime.NumCPU(),
 			"simulation cells run concurrently (1 = serial; output is byte-identical at any width)")
-		checkFlag = flag.String("check", "",
-			"run a fresh multi sweep and fail if it regresses from this baseline JSON")
 	)
 	flag.Parse()
 
@@ -106,14 +103,6 @@ func main() {
 	if *jsonFlag != "" && (len(exps) != 1 || !exps[0].JSON) {
 		die(exitUsage, "-json needs -exp to name exactly one of %s, got %q",
 			strings.Join(jsonFamilies, ", "), *expFlag)
-	}
-
-	if *checkFlag != "" {
-		if err := runCheck(*checkFlag, scale); err != nil {
-			die(exitFailed, "%v", err)
-		}
-		fmt.Printf("check passed: multi sweep matches %s (tolerance %d%%)\n", *checkFlag, bench.CheckTolPct)
-		return
 	}
 
 	forMulti := false
@@ -176,25 +165,6 @@ func expNames(exp string) []string {
 		names[i] = strings.TrimSpace(names[i])
 	}
 	return names
-}
-
-// runCheck reruns the multi sweep and fails if the result drifted outside
-// tolerance or flipped a who-wins ordering against the baseline at path
-// (see bench.CheckMulti). Used by make bench-check.
-func runCheck(path string, scale apps.Scale) error {
-	baseline, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	rep, err := bench.RunByName("multi", scale)
-	if err != nil {
-		return err
-	}
-	fresh, err := bench.Encode(rep)
-	if err != nil {
-		return err
-	}
-	return bench.CheckMulti(fresh, baseline, bench.CheckTolPct)
 }
 
 // writeTrace records one traced run and writes its Chrome trace_event JSON:

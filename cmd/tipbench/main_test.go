@@ -69,7 +69,8 @@ func TestUsageErrors(t *testing.T) {
 		{"deleted -kill-shard", []string{"-exp", "overload", "-scale", "test", "-kill-shard", "0"}, "flag provided but not defined: -kill-shard"},
 		{"deleted -multimax", []string{"-exp", "multi", "-scale", "test", "-multimax", "2"}, "flag provided but not defined: -multimax"},
 		{"deleted -cluster-shards", []string{"-exp", "cluster", "-scale", "test", "-cluster-shards", "1,2"}, "flag provided but not defined: -cluster-shards"},
-		{"deleted -check-tol", []string{"-check", "x.json", "-check-tol", "5"}, "flag provided but not defined: -check-tol"},
+		{"deleted -check-tol", []string{"-exp", "multi", "-scale", "test", "-check-tol", "5"}, "flag provided but not defined: -check-tol"},
+		{"deleted -check", []string{"-check", "x.json"}, "flag provided but not defined: -check"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -12,7 +12,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"spechint/internal/apps"
 	"spechint/internal/core"
@@ -163,65 +162,4 @@ func Improvement(base, st *core.RunStats) float64 {
 		return 0
 	}
 	return 100 * (1 - float64(st.Elapsed)/float64(base.Elapsed))
-}
-
-// Suite runs and caches the three-variant runs that several tables share.
-// It is safe for concurrent use; Prewarm fills it across the worker pool.
-type Suite struct {
-	Scale  apps.Scale
-	Mutate Mutator
-
-	mu      sync.Mutex
-	triples map[apps.App]*Triple
-}
-
-// NewSuite returns a Suite at the given scale under the default (4-disk,
-// 12 MB cache) configuration.
-func NewSuite(scale apps.Scale) *Suite {
-	return &Suite{Scale: scale, triples: make(map[apps.App]*Triple)}
-}
-
-// Triple returns (running on first use) the cached triple for app.
-func (s *Suite) Triple(app apps.App) (*Triple, error) {
-	s.mu.Lock()
-	t, ok := s.triples[app]
-	s.mu.Unlock()
-	if ok {
-		return t, nil
-	}
-	t, err := RunTriple(app, s.Scale, s.Mutate)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	// A concurrent caller may have raced us here; keep the first stored
-	// triple so every reader sees one instance (the results are identical
-	// either way — the runs are deterministic).
-	if prev, ok := s.triples[app]; ok {
-		t = prev
-	} else {
-		s.triples[app] = t
-	}
-	s.mu.Unlock()
-	return t, nil
-}
-
-// Prewarm fills the suite's triples for every benchmark app as one flat
-// app-by-mode fan-out, so the suite-backed tables that follow hit the
-// cache.
-func (s *Suite) Prewarm() error {
-	triples, err := runTripleGrid(len(Apps), func(i int) (apps.App, apps.Scale, Mutator) {
-		return Apps[i], s.Scale, s.Mutate
-	})
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, app := range Apps {
-		if _, ok := s.triples[app]; !ok {
-			s.triples[app] = triples[i]
-		}
-	}
-	return nil
 }

@@ -21,21 +21,6 @@ func TestRunTripleCorrectness(t *testing.T) {
 	}
 }
 
-func TestSuiteCachesTriples(t *testing.T) {
-	s := NewSuite(apps.TestScale())
-	a, err := s.Triple(apps.Agrep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Triple(apps.Agrep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("Suite did not cache the triple")
-	}
-}
-
 func TestImprovement(t *testing.T) {
 	base := &core.RunStats{Elapsed: 100}
 	half := &core.RunStats{Elapsed: 50}

@@ -7,7 +7,6 @@ import (
 
 	"spechint/internal/apps"
 	"spechint/internal/core"
-	"spechint/internal/spechint"
 )
 
 // table collects rows and renders an aligned text table. It is itself the
@@ -472,10 +471,6 @@ func Throttle(scale apps.Scale) (Report, error) {
 	t.row("speculating, throttle", secs(on), fmt.Sprint(on.Restarts), pct(Improvement(orig, on)))
 	return t, nil
 }
-
-// TransformOptions returns spechint.Options used by every experiment (the
-// defaults); exposed so ablation tooling shares them.
-func TransformOptions() spechint.Options { return spechint.DefaultOptions() }
 
 // MultiProcessor explores the paper's §5 multiprocessor scenario: the
 // speculating thread runs on a second processor, in parallel with normal

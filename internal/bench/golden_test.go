@@ -64,6 +64,23 @@ func TestGoldenRunStats(t *testing.T) {
 	}
 }
 
+// TestGoldenMulti byte-compares the test-scale multiprogramming sweep (groups
+// of 1..8 in both modes, with per-process slowdowns and fairness) against the
+// committed canon: the group scheduler, the shared cache and TIP's
+// per-client accounting are all under the diff.
+func TestGoldenMulti(t *testing.T) {
+	rep, err := Multi(apps.TestScale())
+	goldenReport(t, "multi_small.json", rep, err)
+}
+
+// TestGoldenFaults does the same for the test-scale degradation sweep: the
+// seeded injection schedule, TIP's retry/demotion policy and the fault stall
+// attribution.
+func TestGoldenFaults(t *testing.T) {
+	rep, err := Faults(apps.TestScale())
+	goldenReport(t, "faults_small.json", rep, err)
+}
+
 // TestQuantumIsSlicingNotBehaviour is the differential wall under the single
 // scheduler: for every app and mode, the same inputs run through
 // (*System).Run — a group of one whose quantum never slices — and through the

@@ -136,8 +136,7 @@ func multiSweep(scale apps.Scale, maxN int) ([]MultiPoint, error) {
 	return points, nil
 }
 
-// MultiReport is the multi family's report (make bench commits its JSON to
-// bench/results/BENCH_multi.json, which CheckMulti reads back).
+// MultiReport is the multi family's report.
 type MultiReport struct {
 	Experiment string       `json:"experiment"`
 	MaxN       int          `json:"max_n"`

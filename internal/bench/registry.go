@@ -17,7 +17,7 @@ type Report interface {
 }
 
 // Encode renders a sweep family's report the way tipbench -json writes it
-// (and bench/golden and bench/results commit it): two-space indented JSON
+// (and bench/golden commits it): two-space indented JSON
 // with a trailing newline.
 func Encode(r Report) ([]byte, error) {
 	out, err := json.MarshalIndent(r, "", "  ")

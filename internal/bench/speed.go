@@ -23,9 +23,9 @@ import (
 //     virtual-clock results, so the serial-vs-parallel differential test
 //     can byte-compare it like any experiment.
 //   - the JSON (SpeedJSON) measures wall-clock ns/op for the same shapes
-//     plus the end-to-end suite prewarm, for BENCH_speed.json and the CI
-//     smoke. Wall numbers are machine-dependent by nature: this is the one
-//     report exempt from byte-identity checks.
+//     plus the end-to-end suite grid, for the CI smoke. Wall numbers are
+//     machine-dependent by nature: this is the one report exempt from
+//     byte-identity checks.
 
 // SpeedCell is one wall-clock microbenchmark result.
 type SpeedCell struct {
@@ -37,7 +37,7 @@ type SpeedCell struct {
 }
 
 // SpeedEnd is the end-to-end arm: wall time of the full three-app,
-// three-mode suite prewarm (the work behind fig3/table4/table5).
+// three-mode suite grid (the work behind fig3/table4/table5).
 type SpeedEnd struct {
 	Scale       string  `json:"scale"`
 	Runs        int     `json:"runs"`
@@ -226,9 +226,9 @@ func timeCell(name string, ops int64, allocs float64, f func()) SpeedCell {
 }
 
 // SpeedJSON measures wall-clock throughput of the event loop, the VM, and
-// the end-to-end suite prewarm at the given scale (scaleName labels it in
-// the export). Numbers vary run to run and machine to machine; the
-// committed trajectory lives in bench/results/BENCH_speed.json.
+// the end-to-end suite grid at the given scale (scaleName labels it in the
+// export). Numbers vary run to run and machine to machine; the committed
+// trajectory lives in bench/perf/results/ (sim.*, vm.step_ns).
 func SpeedJSON(scale apps.Scale, scaleName string) (*SpeedReport, error) {
 	rep := &SpeedReport{Schema: SpeedSchema}
 
@@ -298,11 +298,10 @@ func SpeedJSON(scale apps.Scale, scaleName string) (*SpeedReport, error) {
 		rep.VM = append(rep.VM, cell)
 	}
 
-	// End to end: the full three-app, three-mode suite prewarm.
+	// End to end: the full three-app, three-mode suite grid.
 	{
 		start := time.Now()
-		s := NewSuite(scale)
-		if err := s.Prewarm(); err != nil {
+		if _, err := suiteTriples(scale); err != nil {
 			return nil, err
 		}
 		rep.EndToEnd = SpeedEnd{

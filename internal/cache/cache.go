@@ -75,9 +75,6 @@ type Block struct {
 // State returns the block's lifecycle state.
 func (b *Block) State() State { return b.state }
 
-// Uses returns the number of demand accesses since the block arrived.
-func (b *Block) Uses() int { return b.uses }
-
 // Demanded reports whether the block is on an application's critical path: it
 // was fetched by a demand read, or a demand read is waiting on it
 // (NoteDemandWait). The fetch-retry policy keys off this — demanded blocks

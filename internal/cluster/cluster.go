@@ -177,7 +177,7 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Fault != nil {
-		if err := c.Fault.Validate(); err != nil {
+		if err := c.Fault.ValidateShard(); err != nil {
 			return err
 		}
 		if c.Fault.DieShard >= c.Shards {

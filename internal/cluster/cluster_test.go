@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spechint/internal/clients"
+	"spechint/internal/disk"
 	"spechint/internal/obs"
 )
 
@@ -150,6 +151,34 @@ func TestClusterObs(t *testing.T) {
 	if !g0 || !g1 {
 		t.Errorf("missing per-shard gauges; have %v", tr.GaugeNames())
 	}
+}
+
+// TestShardQueueDepthCountsInService: a shard's diskN_queue_depth gauge means
+// what a solo run's does (disk.Array.Outstanding: queued plus in service), so
+// a disk serving one request with none waiting reports 1, not 0.
+func TestShardQueueDepthCountsInService(t *testing.T) {
+	tr := obs.New(obs.Config{})
+	cfg := DefaultConfig(1)
+	cfg.Obs = tr
+	c, err := New(cfg, testPop(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr := c.shards[0].arr
+	arr.Submit(&disk.Request{Disk: 0, PhysBlock: 0, Pri: disk.Demand})
+	if !arr.Busy(0) || arr.QueueDepth(0) != 0 {
+		t.Fatalf("want one request in service and none queued; busy %v, queued %d", arr.Busy(0), arr.QueueDepth(0))
+	}
+	tr.Tick(0)
+	for i, name := range tr.GaugeNames() {
+		if name == "s0:disk0_queue_depth" {
+			if got := tr.Points()[0].Values[i]; got != 1 {
+				t.Errorf("%s = %v, want 1", name, got)
+			}
+			return
+		}
+	}
+	t.Fatalf("no s0:disk0_queue_depth gauge; have %v", tr.GaugeNames())
 }
 
 // TestClusterSessionLifecycle: sessions open and close on every shard they

@@ -8,7 +8,9 @@ import (
 
 	"spechint/internal/apps"
 	"spechint/internal/core"
+	"spechint/internal/fault"
 	"spechint/internal/fsim"
+	"spechint/internal/multi"
 	"spechint/internal/sim"
 	"spechint/internal/tip"
 	"spechint/internal/workload"
@@ -101,5 +103,63 @@ func TestOneDriverContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaultPlanHalves: a fault plan has a disk half and a shard half, and each
+// consumer installs one. Every consumer accepts its own half and rejects the
+// other by spec key — before this, a cluster ignored rate/burst/spike/failn/die
+// (no shard installs a disk injector) and a solo or group run ignored
+// dieshard/brown.
+func TestFaultPlanHalves(t *testing.T) {
+	consumers := []struct {
+		name  string
+		disk  bool // installs the disk half (else the shard half)
+		build func(p *fault.Plan) error
+	}{
+		{"core", true, func(p *fault.Plan) error {
+			cfg := core.DefaultConfig(core.ModeNoHint)
+			cfg.Faults = p
+			return cfg.Validate()
+		}},
+		{"multi", true, func(p *fault.Plan) error {
+			cfg := multi.DefaultConfig()
+			cfg.Faults = p
+			_, err := multi.NewGroup(cfg, apps.TestScale(), []multi.ProcSpec{{App: apps.Agrep, Mode: core.ModeNoHint}})
+			return err
+		}},
+		{"cluster", false, func(p *fault.Plan) error {
+			cfg := DefaultConfig(2)
+			cfg.Fault = p
+			_, err := New(cfg, testPop(t))
+			return err
+		}},
+	}
+	specs := []struct {
+		key, spec string
+		disk      bool
+	}{
+		{"rate", "rate=0.1", true},
+		{"burst", "burst=2", true},
+		{"spike", "spike=0.1", true},
+		{"failn", "failn=1", true},
+		{"die", "die=0@1e9", true},
+		{"dieshard", "dieshard=0@1e9", false},
+		{"brown", "brown=1@1e6-2e6", false},
+	}
+	for _, c := range consumers {
+		for _, s := range specs {
+			p, err := fault.Parse(s.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.build(p)
+			switch {
+			case c.disk == s.disk && err != nil:
+				t.Errorf("%s rejects its own half %q: %v", c.name, s.spec, err)
+			case c.disk != s.disk && (err == nil || !strings.Contains(err.Error(), "fault: "+s.key+" ")):
+				t.Errorf("%s given %q: err = %v, want one naming %s", c.name, s.spec, err, s.key)
+			}
+		}
 	}
 }

@@ -179,9 +179,7 @@ func (s *shard) installObs(sub *obs.Trace) {
 	sub.AddGauge("service_est_cycles", func() float64 { return float64(s.svcEst) })
 	for i := 0; i < s.cfg.Disk.NumDisks; i++ {
 		i := i
-		sub.AddGauge(fmt.Sprintf("disk%d_queue_depth", i), func() float64 {
-			return float64(s.arr.QueueDepth(i))
-		})
+		sub.AddGauge(fmt.Sprintf("disk%d_queue_depth", i), func() float64 { return float64(s.arr.Outstanding(i)) })
 	}
 }
 

@@ -118,16 +118,6 @@ type Config struct {
 	// prefetch-priority at the disks).
 	DualProcessor bool
 
-	// TraceEvents records a timeline of reads, hints, restarts and
-	// throttles (see Events / FormatTrace). Off by default: tracing a long
-	// run costs memory and time.
-	TraceEvents bool
-
-	// MaxTraceEvents bounds the TraceEvents timeline; events past the cap
-	// are counted (RunStats.DroppedEvents) instead of recorded. Zero selects
-	// the default of 100_000.
-	MaxTraceEvents int
-
 	// Obs, when non-nil, is the cross-layer observability stream: New
 	// installs it on the private substrate (disk spans, cache and TIP
 	// events, metric gauges) and the core emits its own events under this
@@ -218,7 +208,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative overhead cycles")
 	}
 	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
+		if err := c.Faults.ValidateDisk(); err != nil {
 			return err
 		}
 	}
@@ -294,10 +284,6 @@ type RunStats struct {
 	// Buckets is the exact stall attribution: every elapsed virtual cycle
 	// of the run charged to exactly one bucket (see StallBuckets).
 	Buckets StallBuckets
-
-	// DroppedEvents counts trace events lost to the TraceEvents capacity
-	// bound (zero when tracing is off or the run fit under the cap).
-	DroppedEvents int64
 
 	Tip    tip.Stats
 	Cache  cache.Stats
@@ -431,13 +417,7 @@ func (sub *Substrate) InstallObs(tr *obs.Trace) {
 	})
 	for i := 0; i < arr.Config().NumDisks; i++ {
 		i := i
-		tr.AddGauge(fmt.Sprintf("disk%d_queue_depth", i), func() float64 {
-			n := arr.QueueDepth(i)
-			if arr.Busy(i) {
-				n++
-			}
-			return float64(n)
-		})
+		tr.AddGauge(fmt.Sprintf("disk%d_queue_depth", i), func() float64 { return float64(arr.Outstanding(i)) })
 	}
 	tr.AddGauge("prefetch_depth", func() float64 { return float64(tm.PrefetchDepth()) })
 	tr.AddGauge("hint_accuracy", func() float64 { return tm.MeanAccuracy() })
@@ -503,13 +483,11 @@ type System struct {
 	cancelsRecent    int
 	disabledUntil    sim.Time
 
-	pending       *pendingRead
-	out           bytes.Buffer
-	sliceStart    sim.Time
-	events        []Event
-	droppedEvents int64      // events lost to the trace cap
-	obs           *obs.Trace // cross-layer stream (nil = untraced)
-	watchdogErr   error      // fatal inconsistency caught by the deadlock watchdog
+	pending     *pendingRead
+	out         bytes.Buffer
+	sliceStart  sim.Time
+	obs         *obs.Trace // cross-layer stream (nil = untraced)
+	watchdogErr error      // fatal inconsistency caught by the deadlock watchdog
 
 	stats           RunStats
 	final           *RunStats // detached snapshot taken at exit (see finalize)
@@ -617,9 +595,6 @@ func (s *System) issueStaticHints() {
 		s.tipc.HintSegConf(f, h.Off, h.N, h.Conf)
 	}
 }
-
-// Clock exposes the simulation clock (tests, tools).
-func (s *System) Clock() *sim.Queue { return s.clk }
 
 // TIP exposes the prefetching manager (tests, tools).
 func (s *System) TIP() *tip.Manager { return s.tip }

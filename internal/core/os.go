@@ -208,7 +208,7 @@ func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 			s.savedFD = fd
 			s.savedOff = off
 			s.restartPending = true
-			s.trace(EvOffTrack, "at %s off=%d (log %d/%d)", file.Name, off, s.logNext, len(s.hintLog))
+			s.trace(evOffTrack, "at %s off=%d (log %d/%d)", file.Name, off, s.logNext, len(s.hintLog))
 		}
 	} else if s.cfg.Mode == ModeManual || s.cfg.Mode == ModeStatic {
 		hinted = n > 0 && s.tipc.Covered(file, off, reqLen)
@@ -217,7 +217,7 @@ func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 		s.stats.HintedReads++
 		site.Hinted++
 	}
-	s.trace(EvRead, "%s off=%d len=%d hinted=%v", file.Name, off, reqLen, hinted)
+	s.trace(evRead, "%s off=%d len=%d hinted=%v", file.Name, off, reqLen, hinted)
 
 	immediate := s.tipc.Read(file, off, reqLen, hinted, s.completeRead)
 	if immediate {
@@ -257,7 +257,7 @@ func (s *System) completeRead(err error) {
 	s.chargeStall(p, err)
 	if err != nil {
 		s.stats.ReadErrors++
-		s.trace(EvReadError, "%s off=%d: %v", p.file.Name, p.off, err)
+		s.trace(evReadError, "%s off=%d: %v", p.file.Name, p.off, err)
 		if s.cfg.Mode == ModeSpeculating {
 			// Containment (§3.2.2 applied to faults): whether or not the
 			// read was predicted, speculation believed it would return data.
@@ -270,13 +270,13 @@ func (s *System) completeRead(err error) {
 			s.savedOff = p.off
 			s.restartPending = true
 			s.stats.FaultRestarts++
-			s.trace(EvOffTrack, "fault at %s off=%d: forcing restart with EIO", p.file.Name, p.off)
+			s.trace(evOffTrack, "fault at %s off=%d: forcing restart with EIO", p.file.Name, p.off)
 		}
 		// The file offset does not advance on a failed read.
 		s.orig.Wake(int64(fsim.EIO))
 		return
 	}
-	s.trace(EvReadDone, "%s off=%d n=%d", p.file.Name, p.off, p.n)
+	s.trace(evReadDone, "%s off=%d n=%d", p.file.Name, p.off, p.n)
 	s.finishRead(s.orig, p.file, p.fd, p.buf, p.off, p.n)
 	s.orig.Wake(p.n)
 }
@@ -403,7 +403,7 @@ func (s *System) specRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 
 	if n > 0 {
 		s.tipc.HintSeg(file, off, reqLen)
-		s.trace(EvHint, "%s off=%d len=%d", file.Name, off, reqLen)
+		s.trace(evHint, "%s off=%d len=%d", file.Name, off, reqLen)
 		now := s.busyNow(t)
 		if s.sawSpecHint {
 			s.stats.HintGaps = append(s.stats.HintGaps, now-s.lastSpecHintAt)

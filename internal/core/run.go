@@ -53,7 +53,7 @@ func (s *System) stepSpec(budget int64) error {
 	case vm.StopFault:
 		// Only the speculating thread faults (normal-mode exceptions
 		// surface as StopError); it stays parked until the next restart.
-		s.trace(EvSignal, "speculation faulted at PC %d", s.spec.PC)
+		s.trace(evSignal, "speculation faulted at PC %d", s.spec.PC)
 	}
 	return nil
 }
@@ -198,7 +198,7 @@ func (s *System) throttle(start, window sim.Time) {
 	s.disabledUntil = start + window
 	s.spec.State = vm.Faulted
 	s.restartPending = true
-	s.trace(EvThrottle, "speculation disabled for %d cycles", window)
+	s.trace(evThrottle, "speculation disabled for %d cycles", window)
 }
 
 // finishRestart installs the saved original-thread state into the
@@ -220,7 +220,7 @@ func (s *System) finishRestart() {
 		s.specFDs.Advance(s.savedFD, s.savedResult)
 	}
 	s.spec.State = vm.Ready
-	s.trace(EvRestart, "resume at shadow PC %d, result %d", s.spec.PC, s.savedResult)
+	s.trace(evRestart, "resume at shadow PC %d, result %d", s.spec.PC, s.savedResult)
 }
 
 // finalize closes out accounting at process exit and assembles the run
@@ -234,7 +234,6 @@ func (s *System) finalize() *RunStats {
 	st.Elapsed = s.clk.Now()
 	st.ExitCode = s.orig.ExitCode
 	st.OrigInstrs = s.orig.Instrs
-	st.DroppedEvents = s.droppedEvents
 	// Close the stall-attribution accounting. Compute is what the original
 	// thread executed minus the overhead speculation charged to its path;
 	// SchedWait is the residual: exactly zero in a solo run without

@@ -1,142 +1,20 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-
-	"spechint/internal/sim"
-)
-
-// EventKind classifies a trace event.
-type EventKind int
-
+// The core's event names on the cross-layer obs stream (Cat "core").
 const (
-	// EvRead is a read call by the original thread.
-	EvRead EventKind = iota
-	// EvReadDone is the completion of a blocking read.
-	EvReadDone
-	// EvReadError is a demand read that surfaced an I/O error (EIO).
-	EvReadError
-	// EvHint is a hint issued by the speculating thread.
-	EvHint
-	// EvOffTrack is an off-track detection by the original thread.
-	EvOffTrack
-	// EvRestart is a completed speculation restart.
-	EvRestart
-	// EvThrottle is a speculation disable by a §5 limiter.
-	EvThrottle
-	// EvSignal is a speculative exception.
-	EvSignal
+	evRead      = "read"       // a read call by the original thread
+	evReadDone  = "read-done"  // the completion of a blocking read
+	evReadError = "read-error" // a demand read that surfaced an I/O error (EIO)
+	evHint      = "hint"       // a hint issued by the speculating thread
+	evOffTrack  = "off-track"  // an off-track detection by the original thread
+	evRestart   = "restart"    // a completed speculation restart
+	evThrottle  = "throttle"   // a speculation disable by a §5 limiter
+	evSignal    = "signal"     // a speculative exception
 )
 
-func (k EventKind) String() string {
-	switch k {
-	case EvRead:
-		return "read"
-	case EvReadDone:
-		return "read-done"
-	case EvReadError:
-		return "read-error"
-	case EvHint:
-		return "hint"
-	case EvOffTrack:
-		return "off-track"
-	case EvRestart:
-		return "restart"
-	case EvThrottle:
-		return "throttle"
-	case EvSignal:
-		return "signal"
-	}
-	return "event"
-}
-
-// Event is one timeline entry.
-type Event struct {
-	At     sim.Time
-	Kind   EventKind
-	Detail string
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%12d  %-10s %s", e.At, e.Kind, e.Detail)
-}
-
-// defaultMaxTraceEvents bounds the trace so a long run cannot exhaust memory;
-// Config.MaxTraceEvents overrides it.
-const defaultMaxTraceEvents = 100_000
-
-// maxTraceEvents returns the configured event cap.
-func (s *System) maxTraceEvents() int {
-	if s.cfg.MaxTraceEvents > 0 {
-		return s.cfg.MaxTraceEvents
-	}
-	return defaultMaxTraceEvents
-}
-
-// trace records an event on the core's own bounded timeline (when
-// Config.TraceEvents is set) and on the cross-layer obs stream (when the
-// substrate carries one), under this process's lane. Events past the local
-// cap are counted as dropped rather than silently discarded.
-func (s *System) trace(kind EventKind, format string, args ...any) {
-	local := s.cfg.TraceEvents
-	toObs := s.obs.Enabled()
-	if !local && !toObs {
-		return
-	}
-	detail := fmt.Sprintf(format, args...)
-	if local {
-		if len(s.events) >= s.maxTraceEvents() {
-			s.droppedEvents++
-		} else {
-			s.events = append(s.events, Event{At: s.clk.Now(), Kind: kind, Detail: detail})
-		}
-	}
-	if toObs {
-		s.obs.Emit(s.clk.Now(), s.name, "core", kind.String(), detail)
-	}
-}
-
-// Events returns the recorded timeline (empty unless Config.TraceEvents).
-func (s *System) Events() []Event { return s.events }
-
-// DroppedEvents returns how many events were lost to the trace cap.
-func (s *System) DroppedEvents() int64 { return s.droppedEvents }
-
-// FormatTrace renders up to limit events, eliding the middle of long traces.
-// dropped is the count of events the recorder itself discarded at its
-// capacity bound (System.DroppedEvents); when nonzero it is surfaced as a
-// trailer so a truncated timeline can never pass for a complete one.
-func FormatTrace(events []Event, limit int, dropped int64) string {
-	if limit <= 0 || limit > len(events) {
-		limit = len(events)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%12s  %-10s %s\n", "cycle", "event", "detail")
-	if len(events) <= limit {
-		for _, e := range events {
-			b.WriteString(e.String())
-			b.WriteByte('\n')
-		}
-		return b.String() + droppedTrailer(dropped)
-	}
-	head := limit / 2
-	tail := limit - head
-	for _, e := range events[:head] {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "    ... %d events elided ...\n", len(events)-limit)
-	for _, e := range events[len(events)-tail:] {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String() + droppedTrailer(dropped)
-}
-
-func droppedTrailer(dropped int64) string {
-	if dropped <= 0 {
-		return ""
-	}
-	return fmt.Sprintf("    ... %d later events dropped at the trace capacity ...\n", dropped)
+// trace emits a core event on the cross-layer obs stream (a nil stream, the
+// untraced case, formats and records nothing), under this process's lane. obs
+// is the only recorder: it owns the capacity bound and the dropped count.
+func (s *System) trace(name, format string, args ...any) {
+	s.obs.Emitf(s.clk.Now(), s.name, "core", name, format, args...)
 }

@@ -1,18 +1,19 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"spechint/internal/asm"
-	"spechint/internal/sim"
+	"spechint/internal/obs"
 	"spechint/internal/spechint"
 )
 
+// TestTraceRecordsTimeline: a speculating run's core events land on the
+// cross-layer obs stream, under this process's lane, with every kind the
+// restart protocol produces present and in time order.
 func TestTraceRecordsTimeline(t *testing.T) {
 	cfg := DefaultConfig(ModeSpeculating)
-	cfg.TraceEvents = true
+	cfg.Obs = obs.New(obs.Config{})
 	fs, names := buildFS(t, 6, 6000)
 	prog, err := asm.Assemble(seqReaderSrc(names, false))
 	if err != nil {
@@ -30,162 +31,24 @@ func TestTraceRecordsTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := sys.Events()
-	if len(events) == 0 {
-		t.Fatal("no events recorded")
-	}
-	kinds := map[EventKind]int{}
-	for _, e := range events {
-		kinds[e.Kind]++
-		if e.Kind.String() == "event" {
-			t.Fatalf("unnamed event kind %d", e.Kind)
+	kinds := map[string]int{}
+	var last obs.Event
+	for _, e := range cfg.Obs.Events() {
+		if e.Cat != "core" {
+			continue
 		}
-	}
-	if kinds[EvRead] == 0 || kinds[EvHint] == 0 || kinds[EvRestart] == 0 || kinds[EvOffTrack] == 0 {
-		t.Fatalf("missing kinds: %v", kinds)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			t.Fatal("trace not time-ordered")
+		if e.Lane != sys.Name() {
+			t.Fatalf("core event on lane %q, want %q", e.Lane, sys.Name())
 		}
-	}
-
-	out := FormatTrace(events, 10, 0)
-	if !strings.Contains(out, "read") || !strings.Contains(out, "elided") {
-		t.Fatalf("FormatTrace output:\n%s", out)
-	}
-	full := FormatTrace(events[:3], 0, 0)
-	if strings.Contains(full, "elided") {
-		t.Fatal("short trace elided")
-	}
-}
-
-// TestFormatTraceEdges pins the eliding arithmetic: limit 0 and limit >= len
-// render everything, an even/odd limit splits head and tail correctly, and a
-// nonzero dropped count always surfaces as a trailer.
-func TestFormatTraceEdges(t *testing.T) {
-	var events []Event
-	for i := 0; i < 10; i++ {
-		events = append(events, Event{At: sim.Time(i), Kind: EvRead, Detail: fmt.Sprintf("ev%d", i)})
-	}
-	// The header row contains the word "event"; count rendered entries by
-	// their unambiguous "read  ev<N>" rendering instead.
-	count := func(s string) int { return strings.Count(s, "read       ev") }
-
-	if out := FormatTrace(events, 0, 0); count(out) != 10 || strings.Contains(out, "elided") {
-		t.Fatalf("limit 0 should render all 10 events:\n%s", out)
-	}
-	if out := FormatTrace(events, 10, 0); count(out) != 10 || strings.Contains(out, "elided") {
-		t.Fatalf("limit == len should render all 10 events:\n%s", out)
-	}
-	if out := FormatTrace(events, 99, 0); count(out) != 10 || strings.Contains(out, "elided") {
-		t.Fatalf("limit > len should render all 10 events:\n%s", out)
-	}
-
-	out := FormatTrace(events, 5, 0)
-	if count(out) != 5 || !strings.Contains(out, "5 events elided") {
-		t.Fatalf("limit 5 of 10:\n%s", out)
-	}
-	// head = 2, tail = 3: first two and last three events.
-	for _, want := range []string{"ev0", "ev1", "ev7", "ev8", "ev9"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("limit 5 missing %s:\n%s", want, out)
+		if e.At < last.At {
+			t.Fatalf("core events not time-ordered: %+v after %+v", e, last)
 		}
+		kinds[e.Name]++
+		last = e
 	}
-	if strings.Contains(out, "ev2") || strings.Contains(out, "ev6") {
-		t.Fatalf("limit 5 rendered an elided event:\n%s", out)
-	}
-
-	if out := FormatTrace(events, 5, 7); !strings.Contains(out, "7 later events dropped") {
-		t.Fatalf("dropped trailer missing:\n%s", out)
-	}
-	if out := FormatTrace(nil, 0, 3); !strings.Contains(out, "3 later events dropped") {
-		t.Fatalf("dropped trailer must render even with no events:\n%s", out)
-	}
-	if out := FormatTrace(events, 0, 0); strings.Contains(out, "dropped") {
-		t.Fatalf("dropped trailer rendered with dropped == 0:\n%s", out)
-	}
-}
-
-// TestEventKindStrings covers every arm plus the unknown fallback.
-func TestEventKindStrings(t *testing.T) {
-	want := map[EventKind]string{
-		EvRead:      "read",
-		EvReadDone:  "read-done",
-		EvReadError: "read-error",
-		EvHint:      "hint",
-		EvOffTrack:  "off-track",
-		EvRestart:   "restart",
-		EvThrottle:  "throttle",
-		EvSignal:    "signal",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("EventKind(%d).String() = %q, want %q", k, k.String(), s)
+	for _, k := range []string{evRead, evReadDone, evHint, evOffTrack, evRestart} {
+		if kinds[k] == 0 {
+			t.Errorf("no %q event recorded: %v", k, kinds)
 		}
-	}
-	if got := EventKind(99).String(); got != "event" {
-		t.Errorf("unknown kind = %q, want \"event\"", got)
-	}
-}
-
-// TestTraceDroppedCount drives a run past a tiny trace cap and checks that
-// the overflow is counted, reported in RunStats, and surfaced by FormatTrace
-// instead of silently discarded.
-func TestTraceDroppedCount(t *testing.T) {
-	cfg := DefaultConfig(ModeSpeculating)
-	cfg.TraceEvents = true
-	cfg.MaxTraceEvents = 5
-	fs, names := buildFS(t, 6, 6000)
-	prog, err := asm.Assemble(seqReaderSrc(names, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, _, err := spechint.Transform(prog, spechint.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(cfg, tp, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.Events()) != 5 {
-		t.Fatalf("recorded %d events, want the cap of 5", len(sys.Events()))
-	}
-	if sys.DroppedEvents() == 0 {
-		t.Fatal("no dropped events counted past the cap")
-	}
-	if st.DroppedEvents != sys.DroppedEvents() {
-		t.Fatalf("RunStats.DroppedEvents = %d, want %d", st.DroppedEvents, sys.DroppedEvents())
-	}
-	out := FormatTrace(sys.Events(), 0, sys.DroppedEvents())
-	if !strings.Contains(out, "dropped at the trace capacity") {
-		t.Fatalf("dropped trailer missing:\n%s", out)
-	}
-}
-
-func TestTraceOffByDefault(t *testing.T) {
-	fs, names := buildFS(t, 4, 4000)
-	prog, err := asm.Assemble(seqReaderSrc(names, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, _, err := spechint.Transform(prog, spechint.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(DefaultConfig(ModeSpeculating), tp, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.Events()) != 0 {
-		t.Fatal("events recorded with tracing disabled")
 	}
 }

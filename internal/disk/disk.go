@@ -492,3 +492,14 @@ func (a *Array) QueueDepth(i int) int {
 
 // Busy reports whether disk i is currently servicing a request.
 func (a *Array) Busy(i int) bool { return a.disks[i].busy }
+
+// Outstanding returns the requests disk i holds, queued or in service. It is
+// the definition of every diskN_queue_depth gauge: a disk serving one request
+// with none waiting reports 1, an idle one 0.
+func (a *Array) Outstanding(i int) int {
+	n := a.QueueDepth(i)
+	if a.disks[i].busy {
+		n++
+	}
+	return n
+}

@@ -142,6 +142,43 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
+// ValidateDisk validates a plan about to be installed on a disk array (a solo
+// run or a multiprogramming group). A plan has two halves and each consumer
+// installs one — a disk array's injector acts on rate, burst, spike, failn
+// and die; a cluster acts on dieshard and brown — so ValidateDisk and
+// ValidateShard each also reject, by spec key, a fault from the other half:
+// no part of a plan is ever silently ignored.
+func (p *Plan) ValidateDisk() error {
+	switch {
+	case p.DieShard >= 0:
+		return fmt.Errorf("fault: dieshard acts on a cluster shard; this run has none")
+	case p.BrownShard >= 0:
+		return fmt.Errorf("fault: brown acts on a cluster shard; this run has none")
+	}
+	return p.Validate()
+}
+
+// ValidateShard validates a plan about to be handed to a cluster.
+func (p *Plan) ValidateShard() error {
+	key := ""
+	switch {
+	case p.Rate > 0:
+		key = "rate"
+	case p.Burst > 1:
+		key = "burst"
+	case p.SpikeRate > 0:
+		key = "spike"
+	case p.FailN > 0:
+		key = "failn"
+	case p.DieDisk >= 0:
+		key = "die"
+	}
+	if key != "" {
+		return fmt.Errorf("fault: %s acts on a disk array; a cluster installs only dieshard and brown", key)
+	}
+	return p.Validate()
+}
+
 // ShardDead reports whether cluster shard `shard` has permanently failed as
 // of now.
 func (p *Plan) ShardDead(shard int, now sim.Time) bool {

@@ -108,7 +108,7 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 		return nil, err
 	}
 	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
+		if err := cfg.Faults.ValidateDisk(); err != nil {
 			return nil, err
 		}
 		sub.InstallFaults(cfg.Faults)
