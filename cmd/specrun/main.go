@@ -15,6 +15,7 @@
 //	specrun -file prog.s -trace-json t.json      # cross-layer trace for chrome://tracing
 //	specrun -trace-file app.trace -mode spec     # compile + replay a captured trace
 //	specrun -file prog.s -capture out.trace      # record the read stream as a trace
+//	specrun -file prog.s -cpuprofile cpu.prof    # host pprof of the run (-memprofile too)
 //
 // Files from -dir are loaded into the simulated file system under their
 // relative paths, so the program's open() calls can name them directly.
@@ -52,6 +53,7 @@ import (
 	"spechint/internal/fault"
 	"spechint/internal/fsim"
 	"spechint/internal/obs"
+	"spechint/internal/prof"
 	"spechint/internal/spechint"
 	itrace "spechint/internal/trace"
 	"spechint/internal/vm"
@@ -76,6 +78,8 @@ func main() {
 		metricsJSON = flag.String("metrics-json", "", "write the sampled metric time series as JSON to this file")
 		traceFile   = flag.String("trace-file", "", "captured I/O trace to compile and replay (instead of -file)")
 		captureF    = flag.String("capture", "", "write the run's read stream as a replayable trace to this file")
+		cpuProfile  = flag.String("cpuprofile", "", "write a host CPU profile of the simulated run to this file")
+		memProfile  = flag.String("memprofile", "", "write a host heap profile, taken after the simulated run, to this file")
 	)
 	flag.Parse()
 	if (*file == "") == (*traceFile == "") {
@@ -168,11 +172,18 @@ func main() {
 		cfg.Capture = capt
 	}
 
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(err)
+	}
 	sys, err := core.New(cfg, prog, vfs)
 	if err != nil {
 		fail(err)
 	}
 	st, err := sys.Run()
+	if perr := stopProfiles(); perr != nil {
+		fail(perr)
+	}
 	if errors.Is(err, core.ErrDeadline) {
 		fmt.Fprintf(os.Stderr, "specrun: deadline exceeded: the program did not finish within %d virtual cycles (%.3f testbed seconds)\n",
 			cfg.MaxCycles, float64(cfg.MaxCycles)/core.CPUHz)

@@ -137,6 +137,8 @@ func TestExitCodes(t *testing.T) {
 		stderr string // substring
 	}{
 		{"0: program exits 0", []string{"-file", ok, "-dir", dir}, 0, "exit 0 in "},
+		{"0: profiled run", []string{"-file", ok, "-dir", dir, "-cpuprofile", filepath.Join(dir, "cpu.prof"), "-memprofile", filepath.Join(dir, "mem.prof")}, 0, "exit 0 in "},
+		{"1: profile path cannot be created", []string{"-file", ok, "-dir", dir, "-memprofile", filepath.Join(dir, "missing", "mem.prof")}, 1, "specrun: open "},
 		{"1: malformed trace", []string{"-trace-file", file("bad.trace", "open data/part0\nread 0 4096\nreed 4096 4096\nclose\n")}, 1, "trace: line 3:"},
 		{"1: bad assembly", []string{"-file", file("bad.s", ".text\nmain:\n    frobnicate r1\n")}, 1, "specrun: "},
 		{"1: fault key no solo run installs", []string{"-file", ok, "-dir", dir, "-faults", "dieshard=0@1e9"}, 1, "specrun: fault: dieshard acts on a cluster shard"},
@@ -156,6 +158,11 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", c.stderr, stderr)
 			}
 		})
+	}
+	for _, name := range []string{"cpu.prof", "mem.prof"} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("the profiled run left %s missing or empty (%v)", name, err)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@
 //	tipbench -exp table4 -trace-json trace.json -trace-app gnuld
 //	tipbench -exp multi -trace-json trace.json   # trace a speculating group
 //	tipbench -exp fig5 -parallel 4               # bound the worker pool
+//	tipbench -exp fig5 -scale sweep -cpuprofile cpu.prof -memprofile mem.prof
 //
 // Exit codes: 0 ok, 1 an experiment failed, 2 usage.
 package main
@@ -32,6 +33,7 @@ import (
 	"spechint/internal/bench"
 	"spechint/internal/core"
 	"spechint/internal/obs"
+	"spechint/internal/prof"
 )
 
 // Exit codes.
@@ -57,6 +59,8 @@ func main() {
 		traceApp = flag.String("trace-app", "gnuld", "application for the solo -trace-json run: agrep, gnuld, xds, postgres")
 		parallel = flag.Int("parallel", runtime.NumCPU(),
 			"simulation cells run concurrently (1 = serial; output is byte-identical at any width)")
+		cpuProfile = flag.String("cpuprofile", "", "write a host CPU profile of the experiments to this file")
+		memProfile = flag.String("memprofile", "", "write a host heap profile, taken after the experiments, to this file")
 	)
 	flag.Parse()
 
@@ -105,6 +109,11 @@ func main() {
 			strings.Join(jsonFamilies, ", "), *expFlag)
 	}
 
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		die(exitFailed, "%v", err)
+	}
+
 	forMulti := false
 	for _, e := range exps {
 		forMulti = forMulti || e.Name == "multi"
@@ -127,6 +136,10 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", *jsonFlag)
 		}
+	}
+
+	if err := stopProfiles(); err != nil {
+		die(exitFailed, "%v", err)
 	}
 
 	if *traceJSON != "" {

@@ -91,6 +91,33 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: -cpuprofile and -memprofile write host pprof files beside
+// an unchanged table; a path that cannot be created is exit 1 before any
+// simulation starts.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	code, profiled, stderr := run(t, "-exp", "fig3", "-scale", "test", "-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+	if _, plain, _ := run(t, "-exp", "fig3", "-scale", "test"); simulated(plain) != simulated(profiled) {
+		t.Errorf("profiling changed the table:\n%s\nvs\n%s", simulated(profiled), simulated(plain))
+	}
+
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		code, stdout, stderr := run(t, "-exp", "fig3", "-scale", "test", flag, filepath.Join(dir, "missing", "x.prof"))
+		if code != 1 || stdout != "" || !strings.HasPrefix(stderr, "tipbench: open ") {
+			t.Errorf("%s to an uncreatable path: exit %d, stdout %q, stderr %q; want exit 1 before any run", flag, code, stdout, stderr)
+		}
+	}
+}
+
 func TestListStable(t *testing.T) {
 	code, first, _ := run(t, "-list")
 	if code != 0 || !strings.Contains(first, "fig3") {

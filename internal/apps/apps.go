@@ -60,9 +60,10 @@ func (a App) String() string {
 }
 
 // Bundle is a fully prepared benchmark: file system plus the three program
-// variants (original, transformed, manual). The static hint synthesis over
-// the original binary lives one layer up (bench.Synth) — the analysis
-// package's tests build bundles, so apps cannot import analysis.
+// variants (original, transformed, manual). A bundle from Build is shared by
+// every run at its (app, scale): all of it is read-only. The static hint
+// synthesis over the original binary lives one layer up (bench.Synth) — the
+// analysis package's tests build bundles, so apps cannot import analysis.
 type Bundle struct {
 	App         App
 	FS          *fsim.FS
@@ -72,12 +73,20 @@ type Bundle struct {
 	Transform   spechint.Stats
 }
 
-// Build assembles and transforms both variants of app over a fresh file
-// system populated at the given scale.
+// Build returns app's prepared benchmark at the given scale: its own file
+// system populated by the workload generator, plus the program variants. A
+// built workload is immutable — no syscall writes a file, and the file system
+// is sealed before the bundle is published — so the whole bundle is a
+// deterministic function of (app, scale) and is built once: every cell of a
+// sweep at that key, on any worker, runs against the same *Bundle.
 func Build(app App, scale Scale) (*Bundle, error) {
-	fs := fsim.New(8192)
-	workload.SetBenchLayout(fs)
-	return BuildOn(fs, app, scale)
+	return bundleCache.Get(progKey{app, scale}, func() (*Bundle, error) {
+		fs := fsim.New(8192)
+		workload.SetBenchLayout(fs)
+		b, err := BuildOn(fs, app, scale)
+		fs.Seal()
+		return b, err
+	})
 }
 
 // BuildOn assembles and transforms both variants of app over an existing
@@ -85,49 +94,44 @@ func Build(app App, scale Scale) (*Bundle, error) {
 // uses it to lay several processes' workloads onto one shared file system;
 // scale prefixes (see Scale.WithProcess) keep their file sets disjoint.
 //
-// The file system is populated fresh on every call (runs own their file
-// state), but the expensive artifacts — the assembled original and manual
+// The caller's file system is populated on every call, but the expensive
+// artifacts — both assembly texts, the assembled original and manual
 // binaries and the SpecHint transform — are deterministic functions of
-// (app, scale) and come from a shared immutable cache, so a parameter
-// sweep assembles each binary once instead of once per cell. The cache is
-// safe for concurrent builders (see internal/par).
+// (app, scale) and come from a shared immutable cache, so only the first
+// call at a key generates and assembles them. The cache is safe for
+// concurrent builders (see internal/par).
 func BuildOn(fs *fsim.FS, app App, scale Scale) (*Bundle, error) {
-	var origSrc, manSrc string
+	// source renders the original (manual=false) or hand-hinted assembly
+	// text over the files just created; it runs only on a cache miss.
+	var source func(manual bool) string
 	switch app {
 	case Agrep:
 		spec := scale.Agrep
 		names := spec.Build(fs)
-		origSrc = AgrepSource(names, spec.Pattern, false)
-		manSrc = AgrepSource(names, spec.Pattern, true)
+		source = func(m bool) string { return AgrepSource(names, spec.Pattern, m) }
 	case Gnuld:
 		spec := scale.Gnuld
 		names := spec.Build(fs)
-		origSrc = GnuldSource(names, spec, false)
-		manSrc = GnuldSource(names, spec, true)
+		source = func(m bool) string { return GnuldSource(names, spec, m) }
 	case XDataSlice:
-		spec := scale.XDS
-		name, slices := spec.Build(fs)
-		origSrc = XDSSource(name, slices, false)
-		manSrc = XDSSource(name, slices, true)
+		name, slices := scale.XDS.Build(fs)
+		source = func(m bool) string { return XDSSource(name, slices, m) }
 	case Postgres:
 		spec := scale.Postgres
 		outer, inner := spec.Build(fs)
-		origSrc = PostgresSource(outer, inner, spec, false)
-		manSrc = PostgresSource(outer, inner, spec, true)
+		source = func(m bool) string { return PostgresSource(outer, inner, spec, m) }
 	case LSM:
 		tr := scale.LSM.Build(fs)
-		origSrc = trace.Source(tr, false)
-		manSrc = trace.Source(tr, true)
+		source = func(m bool) string { return trace.Source(tr, m) }
 	case MLShard:
 		tr := scale.MLShard.Build(fs)
-		origSrc = trace.Source(tr, false)
-		manSrc = trace.Source(tr, true)
+		source = func(m bool) string { return trace.Source(tr, m) }
 	default:
 		return nil, fmt.Errorf("apps: unknown app %d", app)
 	}
 
 	pr, err := progCache.Get(progKey{app, scale}, func() (*cachedProgs, error) {
-		return assembleAndTransform(app, origSrc, manSrc)
+		return assembleAndTransform(app, source(false), source(true))
 	})
 	if err != nil {
 		return nil, err
@@ -158,13 +162,23 @@ type cachedProgs struct {
 	tstats      spechint.Stats
 }
 
-// progCache memoizes assembleAndTransform per (app, scale) for the life of
-// the process. Sweeps touch a handful of scales, so the cache stays small;
-// ResetProgramCache drops it (tests that measure the transform use it).
-var progCache = par.NewCache[progKey, *cachedProgs]()
+// progCache memoizes assembleAndTransform, and bundleCache whole solo
+// bundles, per (app, scale) for the life of the process. They are two
+// instances because the same key means two things: BuildOn's programs are
+// valid on any file system holding the key's workload, Build's bundle owns
+// one. Sweeps touch a handful of scales, so both stay small;
+// ResetProgramCache drops them (tests that measure the build use it).
+var (
+	progCache   = par.NewCache[progKey, *cachedProgs]()
+	bundleCache = par.NewCache[progKey, *Bundle]()
+)
 
-// ResetProgramCache empties the shared program cache.
-func ResetProgramCache() { progCache.Reset() }
+// ResetProgramCache empties the shared caches: the next Build at any key
+// makes a fresh bundle and file system.
+func ResetProgramCache() {
+	progCache.Reset()
+	bundleCache.Reset()
+}
 
 // ProgramCacheLen reports how many (app, scale) artifact sets are cached.
 func ProgramCacheLen() int { return progCache.Len() }

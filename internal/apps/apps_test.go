@@ -9,8 +9,8 @@ import (
 	"spechint/internal/workload"
 )
 
-// runBundle executes one variant of a prepared bundle. Each call needs a
-// fresh bundle because the fs/cache state is per-run.
+// runBundle executes one variant of app's prepared bundle on a substrate of
+// its own (the bundle itself is shared between calls).
 func runBundle(t *testing.T, app App, mode core.Mode) *core.RunStats {
 	t.Helper()
 	b, err := Build(app, TestScale())

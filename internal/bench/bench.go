@@ -1,7 +1,8 @@
 // Package bench regenerates every table and figure in the paper's
-// evaluation (§4). Each experiment builds fresh workloads and programs,
-// runs the relevant configurations through the core runtime, and formats
-// rows the way the paper reports them.
+// evaluation (§4). Each experiment builds its workloads and programs (once
+// per (app, scale): built workloads are immutable and shared), runs the
+// relevant configurations through the core runtime, each on a substrate of
+// its own, and formats rows the way the paper reports them.
 //
 // Absolute numbers come from the simulated testbed and are not expected to
 // match the paper's hardware; the shapes — who wins, by roughly what factor,
@@ -29,9 +30,9 @@ var Apps = []apps.App{apps.Agrep, apps.Gnuld, apps.XDataSlice}
 // mutated mid-sweep.
 //
 // The determinism contract: every experiment's output is byte-identical
-// at any width, because cells share nothing mutable (fresh workloads and
-// substrates per cell, immutable cached programs) and results are
-// assembled in index order regardless of completion order.
+// at any width, because cells share nothing mutable (a substrate per cell;
+// built workloads — programs and file systems — are immutable and shared)
+// and results are assembled in index order regardless of completion order.
 var Parallelism = runtime.NumCPU()
 
 // parMap fans n independent cells out over the configured worker pool,
@@ -44,8 +45,8 @@ func parMap[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // Mutator adjusts a configuration before a run (disk count, cache size...).
 type Mutator func(*core.Config)
 
-// Run executes one app in one mode with an optional config mutation,
-// building a fresh workload (runs share nothing).
+// Run executes one app in one mode with an optional config mutation, on a
+// substrate of its own over the shared built workload.
 func Run(app apps.App, mode core.Mode, scale apps.Scale, mutate Mutator) (*core.RunStats, *apps.Bundle, error) {
 	sys, b, err := newSystem(app, mode, scale, mutate)
 	if err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,6 +19,25 @@ func TestRunTripleCorrectness(t *testing.T) {
 	}
 	if tr.Spec.Mode != core.ModeSpeculating {
 		t.Fatal("mode mismatch")
+	}
+}
+
+// TestRunAllocationFollowsReads: a cell's memory follows what it reads, not
+// the size of the files it reads from. An XDataSlice sweep cell views 12
+// slices of a 537 MB volume; building and running it from cold caches must
+// allocate a small fraction of that. (Top-level and not parallel, so no
+// other test allocates between the two readings.)
+func TestRunAllocationFollowsReads(t *testing.T) {
+	apps.ResetProgramCache()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Run(apps.XDataSlice, core.ModeNoHint, apps.SweepScale(), nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 64 {
+		t.Errorf("one XDataSlice cell allocated %d MB, want < 64 (its volume is 537 MB)", mb)
 	}
 }
 

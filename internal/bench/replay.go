@@ -59,35 +59,14 @@ type ReplayReport struct {
 	RoundTrip []RoundTripResult `json:"roundtrip"`
 }
 
-// roundTripBlocks expands a read stream into the logical block sequence it
-// touches on the run's own file system. This is the replay fidelity
-// currency: two runs with equal block sequences cost the disk arm exactly
-// the same.
-func roundTripBlocks(b *apps.Bundle, reads []trace.Rec) ([]int64, error) {
-	bs := int64(b.FS.BlockSize())
-	var seq []int64
-	for _, r := range reads {
-		f, ok := b.FS.Lookup(r.Path)
-		if !ok {
-			return nil, fmt.Errorf("bench: replayed path %q not in workload", r.Path)
-		}
-		last := r.Off + r.Len - 1
-		if max := f.Size() - 1; last > max {
-			last = max // short read at EOF touches no blocks past the file
-		}
-		for blk := r.Off / bs; blk*bs <= last; blk++ {
-			seq = append(seq, f.LogicalBlock(blk))
-		}
-	}
-	return seq, nil
-}
-
 // RoundTrip captures app's original-mode read stream, compiles the trace
-// into a replay program, runs it over an identically built workload, and
-// compares the two disk access sequences block for block.
+// into a replay program, runs it over the same built workload, and compares
+// the two read streams. Both runs lay their reads on one file system, so
+// equal (path, offset, length) streams are equal logical-block sequences —
+// the fidelity currency: they cost the disk arm exactly the same.
 func RoundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
 	capture := &trace.Capture{}
-	st1, b1, err := Run(app, core.ModeNoHint, scale, func(c *core.Config) { c.Capture = capture })
+	st1, b, err := Run(app, core.ModeNoHint, scale, func(c *core.Config) { c.Capture = capture })
 	if err != nil {
 		return nil, err
 	}
@@ -97,14 +76,10 @@ func RoundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: %v captured trace failed to compile: %w", app, err)
 	}
-	b2, err := apps.Build(app, scale) // fresh, identical workload
-	if err != nil {
-		return nil, err
-	}
 	recap := &trace.Capture{}
 	cfg := core.DefaultConfig(core.ModeNoHint)
 	cfg.Capture = recap
-	sys, err := core.New(cfg, prog, b2.FS)
+	sys, err := core.New(cfg, prog, b.FS)
 	if err != nil {
 		return nil, err
 	}
@@ -121,20 +96,6 @@ func RoundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
 				exact = false
 				break
 			}
-		}
-	}
-	if exact {
-		s1, err := roundTripBlocks(b1, orig)
-		if err != nil {
-			return nil, err
-		}
-		s2, err := roundTripBlocks(b2, replay)
-		if err != nil {
-			return nil, err
-		}
-		exact = len(s1) == len(s2)
-		for i := 0; exact && i < len(s1); i++ {
-			exact = s1[i] == s2[i]
 		}
 	}
 	return &RoundTripResult{

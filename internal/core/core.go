@@ -484,6 +484,7 @@ type System struct {
 	disabledUntil    sim.Time
 
 	pending     *pendingRead
+	readBuf     []byte // scratch a generated file's bytes are rendered into on their way to VM memory
 	out         bytes.Buffer
 	sliceStart  sim.Time
 	obs         *obs.Trace // cross-layer stream (nil = untraced)

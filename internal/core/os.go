@@ -305,7 +305,7 @@ func (s *System) chargeStall(p *pendingRead, err error) {
 // finishRead copies the data into the user buffer and advances the offset.
 func (s *System) finishRead(t *vm.Thread, file *fsim.File, fd, buf, off, n int64) {
 	if n > 0 {
-		if err := s.mach.WriteMem(t, buf, file.Data[off:off+n]); err != nil {
+		if err := s.mach.WriteMem(t, buf, file.Bytes(off, n, &s.readBuf)); err != nil {
 			t.Err = err
 			// Surfaces on the thread's next slice as a fatal error via Err;
 			// a bad buffer pointer from the program is a program bug.
@@ -412,7 +412,7 @@ func (s *System) specRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 		s.lastSpecHintAt = now
 
 		if s.tipc.CachedRange(file, off, n) {
-			if err := s.mach.WriteMem(t, buf, file.Data[off:off+n]); err != nil {
+			if err := s.mach.WriteMem(t, buf, file.Bytes(off, n, &s.readBuf)); err != nil {
 				return vm.SysFault
 			}
 			t.PendingCycles += n / 8 * s.cfg.CopyPer8B

@@ -19,21 +19,54 @@ import (
 )
 
 // File is an immutable file: its content and its position in the logical
-// block space.
+// block space. Content is either stored bytes (Create) or a pure function of
+// the offset (CreateGenerated); readers cannot tell which — Bytes is the one
+// way in, so a large sparse file costs what is read of it, not its size.
 type File struct {
 	Name  string
-	Data  []byte
 	Start int64 // first logical block number
 	ino   int64
+	size  int64
+
+	data []byte      // stored content; nil for a generated file
+	fill ContentFunc // generated content; nil for a stored file
 
 	blockSize int
 }
+
+// ContentFunc defines a generated file's content: it overwrites every byte
+// of p with the file's bytes [off, off+len(p)). It must be a pure function of
+// off — files are immutable and read from many goroutines at once.
+type ContentFunc func(p []byte, off int64)
 
 // Ino returns the file's inode number (stable, unique).
 func (f *File) Ino() int64 { return f.ino }
 
 // Size returns the file length in bytes.
-func (f *File) Size() int64 { return int64(len(f.Data)) }
+func (f *File) Size() int64 { return f.size }
+
+// Bytes returns the file's bytes [off, off+n); the caller keeps the range
+// inside the file. The result is read-only. Stored content is returned in
+// place, without a copy; generated content is rendered into *scratch (grown
+// when too small, allocated when scratch is nil) and stays valid until the
+// next call with the same scratch.
+func (f *File) Bytes(off, n int64, scratch *[]byte) []byte {
+	if off < 0 || n < 0 || off+n > f.size {
+		panic(fmt.Sprintf("fsim: read [%d,+%d) of %q (size %d)", off, n, f.Name, f.size))
+	}
+	if f.fill == nil {
+		return f.data[off : off+n]
+	}
+	if scratch == nil {
+		scratch = new([]byte)
+	}
+	if int64(cap(*scratch)) < n {
+		*scratch = make([]byte, n)
+	}
+	p := (*scratch)[:n]
+	f.fill(p, off)
+	return p
+}
 
 // NBlocks returns the number of file-system blocks the file occupies.
 func (f *File) NBlocks() int64 {
@@ -49,9 +82,12 @@ func (f *File) LogicalBlock(i int64) int64 {
 	return f.Start + i
 }
 
-// FS is the file system: a namespace plus the logical block allocator.
+// FS is the file system: a namespace plus the logical block allocator. It is
+// built single-threaded; once sealed nothing in it changes again, so any
+// number of goroutines may run against it.
 type FS struct {
 	blockSize   int
+	sealed      bool
 	byName      map[string]*File
 	byIno       map[int64]*File
 	nextBlock   int64
@@ -82,6 +118,7 @@ func New(blockSize int) *FS {
 // positioning, as it does on a real file system where files and their
 // metadata are scattered.
 func (fs *FS) SetLayout(alignBlocks, gapBlocks int64) {
+	fs.mustBeOpen()
 	if alignBlocks < 1 || gapBlocks < 0 {
 		panic(fmt.Sprintf("fsim: bad layout align=%d gap=%d", alignBlocks, gapBlocks))
 	}
@@ -94,6 +131,7 @@ func (fs *FS) SetLayout(alignBlocks, gapBlocks int64) {
 // rotate across the disks of an array) the way an aged allocator scatters
 // them.
 func (fs *FS) SetGapJitter(maxExtra int64) {
+	fs.mustBeOpen()
 	if maxExtra < 0 {
 		panic(fmt.Sprintf("fsim: negative gap jitter %d", maxExtra))
 	}
@@ -103,10 +141,41 @@ func (fs *FS) SetGapJitter(maxExtra int64) {
 // BlockSize returns the file-system block size in bytes.
 func (fs *FS) BlockSize() int { return fs.blockSize }
 
+// Seal ends construction: every later Create fails. A sealed file system is
+// immutable all the way down, which is what lets one built workload be
+// shared by concurrently running simulations.
+func (fs *FS) Seal() { fs.sealed = true }
+
+// mustBeOpen guards the layout setters, whose callers hold a file system
+// they just made; reaching them on a sealed one is a bug, not an input.
+func (fs *FS) mustBeOpen() {
+	if fs.sealed {
+		panic("fsim: layout change on a sealed file system")
+	}
+}
+
 // Create adds a file with the given content, allocating contiguous logical
 // blocks. Creating an existing name is an error: benchmark file sets are
-// immutable.
+// immutable. The file keeps data; the caller must not modify it afterwards.
 func (fs *FS) Create(name string, data []byte) (*File, error) {
+	return fs.create(&File{Name: name, size: int64(len(data)), data: data})
+}
+
+// CreateGenerated adds a file of the given size whose content is computed by
+// fill on every read instead of being stored.
+func (fs *FS) CreateGenerated(name string, size int64, fill ContentFunc) (*File, error) {
+	if size < 0 || fill == nil {
+		return nil, fmt.Errorf("fsim: generated file %q needs a size >= 0 and a content function", name)
+	}
+	return fs.create(&File{Name: name, size: size, fill: fill})
+}
+
+// create places f (name, size and content set) in the block space.
+func (fs *FS) create(f *File) (*File, error) {
+	name := f.Name
+	if fs.sealed {
+		return nil, fmt.Errorf("fsim: create %q: file system is sealed", name)
+	}
 	if name == "" {
 		return nil, fmt.Errorf("fsim: empty file name")
 	}
@@ -121,7 +190,7 @@ func (fs *FS) Create(name string, data []byte) (*File, error) {
 		}
 	}
 	start = (start + fs.alignBlocks - 1) / fs.alignBlocks * fs.alignBlocks
-	f := &File{Name: name, Data: data, Start: start, ino: fs.nextIno, blockSize: fs.blockSize}
+	f.Start, f.ino, f.blockSize = start, fs.nextIno, fs.blockSize
 	fs.nextBlock = start
 	fs.nextIno++
 	fs.nextBlock += f.NBlocks()

@@ -24,7 +24,7 @@ func TestCreateAndLookup(t *testing.T) {
 	if _, ok := fs.Lookup("missing"); ok {
 		t.Fatal("Lookup found missing file")
 	}
-	if !bytes.Equal(got.Data, data) {
+	if !bytes.Equal(got.Bytes(0, got.Size(), nil), data) {
 		t.Fatal("content mismatch")
 	}
 }
@@ -37,6 +37,63 @@ func TestCreateDuplicateFails(t *testing.T) {
 	}
 	if _, err := fs.Create("", nil); err == nil {
 		t.Fatal("empty-name Create succeeded")
+	}
+}
+
+// TestGeneratedFile: a generated file is laid out by its size like a stored
+// one, and a read renders exactly the requested range into the caller's
+// scratch, growing it once and reusing it after.
+func TestGeneratedFile(t *testing.T) {
+	fs := New(100)
+	ramp := func(p []byte, off int64) {
+		for i := range p {
+			p[i] = byte(off + int64(i))
+		}
+	}
+	g, err := fs.CreateGenerated("gen", 250, ramp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := fs.MustCreate("next", make([]byte, 1))
+	if g.Size() != 250 || g.NBlocks() != 3 || next.Start != 3 {
+		t.Fatalf("size %d nblocks %d, next file at %d; want 250, 3, 3", g.Size(), g.NBlocks(), next.Start)
+	}
+	var scratch []byte
+	if got := g.Bytes(10, 40, &scratch); len(got) != 40 || got[0] != 10 || got[39] != 49 {
+		t.Fatalf("Bytes(10, 40) = %v", got)
+	}
+	held := &scratch[0]
+	if got := g.Bytes(200, 5, &scratch); len(got) != 5 || got[0] != 200 || &got[0] != held {
+		t.Fatalf("smaller read did not reuse the scratch: %v", got)
+	}
+	if got := g.Bytes(0, 250, nil); len(got) != 250 || got[249] != 249 {
+		t.Fatal("whole-file read without a scratch failed")
+	}
+	if _, err := fs.CreateGenerated("nofill", 10, nil); err == nil {
+		t.Fatal("CreateGenerated accepted a nil content function")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("read past the end of a generated file did not panic")
+		}
+	}()
+	g.Bytes(249, 2, &scratch)
+}
+
+// TestSealedRejectsCreate: sealing ends construction for both content kinds
+// and leaves every lookup working.
+func TestSealedRejectsCreate(t *testing.T) {
+	fs := New(100)
+	f := fs.MustCreate("f", []byte("x"))
+	fs.Seal()
+	if _, err := fs.Create("late", nil); err == nil {
+		t.Fatal("Create succeeded on a sealed file system")
+	}
+	if _, err := fs.CreateGenerated("late", 1, func([]byte, int64) {}); err == nil {
+		t.Fatal("CreateGenerated succeeded on a sealed file system")
+	}
+	if got, ok := fs.Lookup("f"); !ok || got != f || fs.TotalBlocks() != 1 {
+		t.Fatal("sealing disturbed the existing files")
 	}
 }
 

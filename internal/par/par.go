@@ -12,8 +12,9 @@
 //   - stable result ordering: cell i's result lands in slot i of the
 //     returned slice no matter which worker ran it or when it finished;
 //   - cell isolation: the engine shares nothing between cells — each fn(i)
-//     must build its own simulation state (the rest of the repo's stack is
-//     goroutine-confined per core.System by construction);
+//     must build its own mutable simulation state (the rest of the repo's
+//     stack is goroutine-confined per core.System by construction); what
+//     cells do share, through Cache, is immutable;
 //   - panic capture: a panicking cell is recovered in its worker and
 //     surfaced as a *PanicError in that cell's slot, so one bad cell
 //     cannot tear down the run or skew sibling cells;
@@ -22,8 +23,8 @@
 //     holds 4 simulations in memory, not 100.
 //
 // Cache is the companion piece: a concurrent, build-once memo for the
-// immutable artifacts (assembled and transformed programs) that every
-// cell of a sweep would otherwise rebuild.
+// immutable artifacts (built workloads: file systems plus assembled and
+// transformed programs) that every cell of a sweep would otherwise rebuild.
 package par
 
 import (

@@ -165,7 +165,7 @@ func TestPopulateFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	f2, _ := fs2.Lookup("miss")
-	if string(f.Data) != string(f2.Data) {
+	if string(f.Bytes(0, f.Size(), nil)) != string(f2.Bytes(0, f2.Size(), nil)) {
 		t.Error("PopulateFS content is not deterministic")
 	}
 }

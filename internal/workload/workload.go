@@ -112,7 +112,7 @@ func CountPattern(fs *fsim.FS, names []string, pattern string) int {
 		if !ok {
 			continue
 		}
-		data := f.Data
+		data := f.Bytes(0, f.Size(), nil)
 		for i := 0; i+len(pattern) <= len(data); i++ {
 			if string(data[i:i+len(pattern)]) == pattern {
 				count++
@@ -291,18 +291,15 @@ const RowPad = 128
 func RowStride(n int) int64 { return int64(n)*4 + RowPad }
 
 // Build creates the volume file and returns its name plus slice requests.
+// The volume is a generated file: a run reads a few slices of it, so its
+// half gigabyte (at the paper's N) is never materialised.
 func (s XDSSpec) Build(fs *fsim.FS) (string, []Slice) {
 	rng := rand.New(rand.NewSource(s.Seed))
 	size := DataOffset + int64(s.N)*int64(s.N)*RowStride(s.N)
-	data := make([]byte, size)
-	binary.LittleEndian.PutUint64(data[0:], uint64(s.N))
-	// Sparse fill: first words of each block carry a block-dependent value,
-	// so checksums depend on exactly which blocks are processed.
-	for b := int64(DataOffset); b < size; b += 8192 {
-		binary.LittleEndian.PutUint64(data[b:], uint64(b/8192*2654435761))
-	}
 	name := s.Prefix + "viz/dataset.vol"
-	fs.MustCreate(name, data)
+	if _, err := fs.CreateGenerated(name, size, xdsContent(s.N)); err != nil {
+		panic(err)
+	}
 
 	slices := make([]Slice, s.NumSlices)
 	for i := range slices {
@@ -313,6 +310,31 @@ func (s XDSSpec) Build(fs *fsim.FS) (string, []Slice) {
 		slices[i] = Slice{Axis: axis, Index: rng.Intn(s.N)}
 	}
 	return name, slices
+}
+
+// xdsContent is the volume's content in closed form: the header block starts
+// with the word N, every later block starts with a block-dependent word (so
+// checksums depend on exactly which blocks are processed), and all else is
+// zero.
+func xdsContent(n int) fsim.ContentFunc {
+	const blk = 8192 // DataOffset is one block
+	return func(p []byte, off int64) {
+		clear(p)
+		end := off + int64(len(p))
+		for b := off / blk; b*blk < end; b++ {
+			v := uint64(b * 2654435761)
+			if b == 0 {
+				v = uint64(n)
+			}
+			var w [8]byte
+			binary.LittleEndian.PutUint64(w[:], v)
+			// The word occupies [pos, pos+8); copy the part inside [off, end).
+			pos := b * blk
+			if lo, hi := max(pos, off), min(pos+8, end); lo < hi {
+				copy(p[lo-off:hi-off], w[lo-pos:hi-pos])
+			}
+		}
+	}
 }
 
 // SliceBlocks returns the ordered list of distinct volume blocks (block

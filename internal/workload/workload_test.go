@@ -1,12 +1,16 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"spechint/internal/fsim"
 )
+
+// whole reads a file end to end through the accessor.
+func whole(f *fsim.File) []byte { return f.Bytes(0, f.Size(), nil) }
 
 func TestAgrepBuildDeterministic(t *testing.T) {
 	spec := AgrepSpec{NumFiles: 20, MeanSize: 3000, Pattern: "NEEDLE", Plants: 2, Seed: 7}
@@ -23,7 +27,7 @@ func TestAgrepBuildDeterministic(t *testing.T) {
 		}
 		f1, _ := fs1.Lookup(names1[i])
 		f2, _ := fs2.Lookup(names2[i])
-		if string(f1.Data) != string(f2.Data) {
+		if !bytes.Equal(whole(f1), whole(f2)) {
 			t.Fatal("content differs across builds")
 		}
 	}
@@ -55,7 +59,7 @@ func TestGnuldObjectFormat(t *testing.T) {
 			t.Fatalf("missing %s", name)
 		}
 		w := func(off int64) int64 {
-			return int64(binary.LittleEndian.Uint64(f.Data[off:]))
+			return int64(binary.LittleEndian.Uint64(f.Bytes(off, 8, nil)))
 		}
 		if w(HdrMagic) != ObjMagic {
 			t.Fatalf("%s: bad magic", name)
@@ -102,7 +106,7 @@ func TestXDSBuildHeaderAndSize(t *testing.T) {
 	if !ok {
 		t.Fatal("volume missing")
 	}
-	if got := int64(binary.LittleEndian.Uint64(f.Data)); got != 32 {
+	if got := int64(binary.LittleEndian.Uint64(f.Bytes(0, 8, nil))); got != 32 {
 		t.Fatalf("header n = %d", got)
 	}
 	want := int64(DataOffset) + 32*32*RowStride(32)
