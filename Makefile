@@ -76,4 +76,4 @@ examples:
 	@set -e; for p in $$($(GO) list ./examples/...); do \
 		echo "== $$p"; $(GO) run $$p > /dev/null; done
 
-ci: lint fmt build race speclint synth smoke perf-test examples fuzz
+ci: lint fmt build test race speclint synth smoke perf-test examples fuzz

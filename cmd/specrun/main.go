@@ -33,7 +33,7 @@
 //
 //	0  run completed and the program exited 0
 //	1  tool error (bad source, malformed trace, I/O error, simulation failure)
-//	2  usage error (including -file and -trace-file both present or both absent)
+//	2  usage error (an unknown -mode; -file and -trace-file both present or both absent)
 //	3  virtual-cycle deadline exceeded
 //	4  run completed but the program exited nonzero
 package main
@@ -97,7 +97,9 @@ func main() {
 	case "spec":
 		m = core.ModeSpeculating
 	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
+		fmt.Fprintf(os.Stderr, "specrun: unknown mode %q (want orig, spec or manual)\n", *mode)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	// Resolve the program: assembly source, or a trace compiled to a replay

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -12,7 +13,10 @@ import (
 	"testing"
 
 	"spechint/internal/apps"
+	"spechint/internal/clients"
+	"spechint/internal/cluster"
 	"spechint/internal/core"
+	"spechint/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the bench/golden canonical RunStats files")
@@ -166,4 +170,60 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return n
+}
+
+// TestGoldenTraces pins event *order*, which the RunStats canon (counts) does
+// not: the SHA-256 of the cross-layer Chrome trace of five test-scale runs —
+// the bytes `tipbench -trace-json` writes for speculating Gnuld, Agrep and
+// XDataSlice and for the four-process multi group, plus one hinted two-shard
+// cluster run. Every hint, prefetch, evict, consume and disk span is under
+// the hash, in order; the file is sha256sum(1) format.
+func TestGoldenTraces(t *testing.T) {
+	scale := apps.TestScale()
+	runs := []struct {
+		name string
+		run  func() (*obs.Trace, error)
+	}{
+		{"gnuld_speculating", soloTrace(apps.Gnuld, scale)},
+		{"agrep_speculating", soloTrace(apps.Agrep, scale)},
+		{"xdataslice_speculating", soloTrace(apps.XDataSlice, scale)},
+		{"multi4_speculating", func() (*obs.Trace, error) {
+			tr, _, err := TraceMulti(scale, 4)
+			return tr, err
+		}},
+		{"cluster2_hinted", func() (*obs.Trace, error) {
+			pop, err := clients.Generate(clusterPopulation(scale, clusterLoads[1].arrivalMean))
+			if err != nil {
+				return nil, err
+			}
+			cfg := cluster.DefaultConfig(2)
+			cfg.Obs = obs.New(obs.Config{})
+			cl, err := cluster.New(cfg, pop)
+			if err != nil {
+				return nil, err
+			}
+			_, err = cl.Run()
+			return cfg.Obs, err
+		}},
+	}
+	var got bytes.Buffer
+	for _, r := range runs {
+		tr, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		out, err := tr.ChromeTraceJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(append(out, '\n')), r.name)
+	}
+	checkGolden(t, filepath.Join(goldenDir, "traces.sha256"), got.Bytes())
+}
+
+func soloTrace(app apps.App, scale apps.Scale) func() (*obs.Trace, error) {
+	return func() (*obs.Trace, error) {
+		tr, _, err := TraceRun(app, core.ModeSpeculating, scale)
+		return tr, err
+	}
 }

@@ -68,7 +68,6 @@ type Block struct {
 	uses     int // demand accesses since arrival
 	waiters  []func(valid bool)
 	elem     *list.Element // position in the LRU list (valid blocks only)
-	arrival  int64         // tick of arrival, for diagnostics
 	demanded bool          // a demand read upgraded/waited on this block
 }
 
@@ -109,7 +108,6 @@ type Cache struct {
 	capacity int
 	blocks   map[int64]*Block
 	lru      *list.List // front = LRU (eviction end), back = MRU
-	tick     int64
 	stats    Stats
 
 	// Hinted-block partitions: per-owner resident hinted-block counts and
@@ -220,8 +218,7 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *
 			return nil
 		}
 	}
-	c.tick++
-	b := &Block{LB: lb, Origin: origin, HintDist: hintDist, Owner: owner, state: InTransit, arrival: c.tick}
+	b := &Block{LB: lb, Origin: origin, HintDist: hintDist, Owner: owner, state: InTransit}
 	c.blocks[lb] = b
 	if hintDist != NoHint {
 		c.hinted[owner]++

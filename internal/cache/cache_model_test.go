@@ -1,0 +1,437 @@
+package cache
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// refCache is a naive reference model of Cache semantics: one slice of
+// blocks, one slice of logical block numbers for the LRU order, every count
+// derived by a linear scan. It is obviously correct and obviously slow; the
+// real Cache (map + intrusive list + maintained per-owner counts) must match
+// it exactly under any interleaving of its operations, including waiters
+// that re-enter the cache from inside Complete and Fail.
+type refCache struct {
+	capacity   int
+	blocks     []*refBlock
+	lru        []int64 // valid blocks, front = LRU
+	partitions map[int]int
+	acc        func(owner int) float64
+	stats      Stats
+}
+
+type refBlock struct {
+	lb       int64
+	origin   Origin
+	hintDist int64
+	owner    int
+	state    State
+	uses     int
+	demanded bool
+	waiters  []func(bool)
+}
+
+func (r *refCache) get(lb int64) *refBlock {
+	for _, b := range r.blocks {
+		if b.lb == lb {
+			return b
+		}
+	}
+	return nil
+}
+
+// mustBe returns the block if it is present in the given state and panics
+// otherwise — the precondition every transition of the real cache checks.
+func (r *refCache) mustBe(lb int64, st State) *refBlock {
+	b := r.get(lb)
+	if b == nil || b.state != st {
+		panic("ref: bad state")
+	}
+	return b
+}
+
+func (r *refCache) hinted(owner int) int {
+	n := 0
+	for _, b := range r.blocks {
+		if b.hintDist != NoHint && b.owner == owner {
+			n++
+		}
+	}
+	return n
+}
+
+// remove takes b out of the block set and the LRU order.
+func (r *refCache) remove(b *refBlock) {
+	for i, x := range r.blocks {
+		if x == b {
+			r.blocks = append(r.blocks[:i], r.blocks[i+1:]...)
+			break
+		}
+	}
+	for i, lb := range r.lru {
+		if lb == b.lb {
+			r.lru = append(r.lru[:i], r.lru[i+1:]...)
+			break
+		}
+	}
+}
+
+func (r *refCache) evict(b *refBlock) {
+	r.stats.EvictedClean++
+	r.noteUnused(b)
+	r.remove(b)
+}
+
+func (r *refCache) noteUnused(b *refBlock) {
+	if b.uses == 0 && b.origin == OriginHint {
+		r.stats.UnusedHint++
+	}
+	if b.uses == 0 && b.origin == OriginReadahead {
+		r.stats.UnusedRA++
+	}
+}
+
+// evictOwnFurthest: the owner's valid hinted block with the largest distance
+// (the least recently used of equals), if it is further out than incoming.
+func (r *refCache) evictOwnFurthest(owner int, incoming int64) bool {
+	var victim *refBlock
+	for _, lb := range r.lru {
+		b := r.get(lb)
+		if b.hintDist != NoHint && b.owner == owner && (victim == nil || b.hintDist > victim.hintDist) {
+			victim = b
+		}
+	}
+	if victim == nil || victim.hintDist <= incoming {
+		return false
+	}
+	r.evict(victim)
+	return true
+}
+
+func (r *refCache) evictFor(owner int, origin Origin, hintDist int64) bool {
+	for _, lb := range r.lru {
+		if b := r.get(lb); b.hintDist == NoHint {
+			r.evict(b)
+			return true
+		}
+	}
+	if hintDist == NoHint {
+		if origin == OriginDemand {
+			return r.evictOwnFurthest(owner, -1)
+		}
+		return r.evictOwnFurthest(owner, NoHint)
+	}
+	// Benefit of holding a block = accuracy(owner) / (distance + 1), compared
+	// cross-multiplied exactly as the real cache does so the floats agree.
+	var victim *refBlock
+	for _, lb := range r.lru {
+		b := r.get(lb)
+		if victim == nil || r.acc(b.owner)*float64(victim.hintDist+1) < r.acc(victim.owner)*float64(b.hintDist+1) {
+			victim = b
+		}
+	}
+	if victim == nil || !(r.acc(victim.owner)*float64(hintDist+1) < r.acc(owner)*float64(victim.hintDist+1)) {
+		return false
+	}
+	if victim.owner != owner {
+		r.stats.CrossHintEvicts++
+	}
+	r.evict(victim)
+	return true
+}
+
+// cacheOps is the surface the driver exercises, implemented by the model
+// directly and by realCache over *Cache.
+type cacheOps interface {
+	AcquireFor(owner int, lb int64, origin Origin, hintDist int64) bool
+	Complete(lb int64)
+	Fail(lb int64)
+	Wait(lb int64, fn func(bool))
+	Touch(lb int64)
+	NoteDemandWait(lb int64)
+	Drop(lb int64)
+	SetHintFor(lb int64, owner int, dist int64)
+	SetPartition(owner, max int)
+}
+
+type realCache struct{ *Cache }
+
+func (c realCache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) bool {
+	return c.Cache.AcquireFor(owner, lb, origin, hintDist) != nil
+}
+
+func (r *refCache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) bool {
+	if r.get(lb) != nil {
+		panic("ref: acquire of present block")
+	}
+	if max := r.partitions[owner]; hintDist != NoHint && max > 0 && r.hinted(owner) >= max {
+		if !r.evictOwnFurthest(owner, hintDist) {
+			return false
+		}
+	}
+	if len(r.blocks) >= r.capacity && !r.evictFor(owner, origin, hintDist) {
+		return false
+	}
+	r.blocks = append(r.blocks, &refBlock{lb: lb, origin: origin, hintDist: hintDist, owner: owner, state: InTransit})
+	return true
+}
+
+func (r *refCache) Complete(lb int64) {
+	b := r.mustBe(lb, InTransit)
+	b.state = Valid
+	r.lru = append(r.lru, lb)
+	r.wake(b, true)
+}
+
+func (r *refCache) Fail(lb int64) {
+	b := r.mustBe(lb, InTransit)
+	r.stats.FailedLoads++
+	r.remove(b)
+	r.wake(b, false)
+}
+
+func (r *refCache) wake(b *refBlock, valid bool) {
+	ws := b.waiters
+	b.waiters = nil
+	for _, w := range ws {
+		w(valid)
+	}
+}
+
+func (r *refCache) Wait(lb int64, fn func(bool)) {
+	b := r.mustBe(lb, InTransit)
+	b.waiters = append(b.waiters, fn)
+}
+
+func (r *refCache) Touch(lb int64) {
+	b := r.mustBe(lb, Valid)
+	r.stats.Hits++
+	if b.uses > 0 {
+		r.stats.Reuses++
+	} else if b.origin != OriginDemand && !b.demanded {
+		r.stats.FullyPref++
+	}
+	b.uses++
+	r.remove(b)
+	r.blocks = append(r.blocks, b)
+	r.lru = append(r.lru, lb)
+}
+
+func (r *refCache) NoteDemandWait(lb int64) {
+	b := r.mustBe(lb, InTransit)
+	if !b.demanded && b.origin != OriginDemand {
+		r.stats.PartialWaits++
+	}
+	b.demanded = true
+}
+
+func (r *refCache) Drop(lb int64) {
+	b := r.mustBe(lb, InTransit)
+	if len(b.waiters) > 0 {
+		panic("ref: drop with waiters")
+	}
+	r.remove(b)
+}
+
+func (r *refCache) SetHintFor(lb int64, owner int, dist int64) {
+	b := r.get(lb)
+	if b == nil {
+		return
+	}
+	// Ownership moves with a hint; losing the hint leaves the last owner.
+	if dist != NoHint {
+		b.owner = owner
+	}
+	b.hintDist = dist
+}
+
+func (r *refCache) SetPartition(owner, max int) {
+	if max < 0 {
+		max = 0
+	}
+	r.partitions[owner] = max
+}
+
+func blockRow(lb int64, st State, origin Origin, dist int64, owner, uses int, demanded bool, waiters int) string {
+	return fmt.Sprintf("%d:%v/%v/d%d/o%d/u%d/%v/w%d", lb, st, origin, dist, owner, uses, demanded, waiters)
+}
+
+// describeReal and describeRef render everything observable about a cache: resident blocks with
+// their states, the LRU order, the per-owner hinted counts and every counter.
+func describeReal(c *Cache, owners int) string {
+	var rows []string
+	for _, b := range c.blocks {
+		rows = append(rows, blockRow(b.LB, b.state, b.Origin, b.HintDist, b.Owner, b.uses, b.Demanded(), len(b.waiters)))
+	}
+	sort.Strings(rows)
+	var lru []int64
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		lru = append(lru, e.Value.(*Block).LB)
+	}
+	var hinted []int
+	for o := 0; o < owners; o++ {
+		hinted = append(hinted, c.HintedCount(o))
+	}
+	return fmt.Sprintf("%s lru=%v hinted=%v len=%d %+v", strings.Join(rows, " "), lru, hinted, c.Len(), c.Stats())
+}
+
+func describeRef(r *refCache, owners int) string {
+	var rows []string
+	for _, b := range r.blocks {
+		rows = append(rows, blockRow(b.lb, b.state, b.origin, b.hintDist, b.owner, b.uses, b.demanded || b.origin == OriginDemand, len(b.waiters)))
+	}
+	sort.Strings(rows)
+	var hinted []int
+	for o := 0; o < owners; o++ {
+		hinted = append(hinted, r.hinted(o))
+	}
+	return fmt.Sprintf("%s lru=%v hinted=%v len=%d %+v", strings.Join(rows, " "), r.lru, hinted, len(r.blocks), r.stats)
+}
+
+// modelOp is one operation of the random program. A wait carries the
+// operation its waiter performs when woken — the re-entrant dispatch a
+// completion callback does in internal/tip and internal/cluster.
+type modelOp struct {
+	kind   int
+	lb     int64
+	owner  int
+	origin Origin
+	dist   int64
+	max    int
+	then   *modelOp
+}
+
+const (
+	opAcquire = iota
+	opComplete
+	opFail
+	opWait
+	opTouch
+	opDemandWait
+	opDrop
+	opSetHint
+	opSetPartition
+	numOps
+)
+
+// run applies op to c and appends what could be observed to log: whether the
+// call panicked on a violated precondition, whether an acquire found a
+// buffer, and every waiter wake-up with its nested operation, in order.
+func (op *modelOp) run(c cacheOps, log *[]string) {
+	note := func(format string, args ...any) { *log = append(*log, fmt.Sprintf(format, args...)) }
+	defer func() {
+		if recover() != nil {
+			note("panic(%d %d)", op.kind, op.lb)
+		}
+	}()
+	switch op.kind {
+	case opAcquire:
+		note("acquire(%d)=%v", op.lb, c.AcquireFor(op.owner, op.lb, op.origin, op.dist))
+	case opComplete:
+		c.Complete(op.lb)
+	case opFail:
+		c.Fail(op.lb)
+	case opWait:
+		c.Wait(op.lb, func(valid bool) {
+			note("wake(%d,%v)", op.lb, valid)
+			op.then.run(c, log)
+		})
+	case opTouch:
+		c.Touch(op.lb)
+	case opDemandWait:
+		c.NoteDemandWait(op.lb)
+	case opDrop:
+		c.Drop(op.lb)
+	case opSetHint:
+		c.SetHintFor(op.lb, op.owner, op.dist)
+	case opSetPartition:
+		c.SetPartition(op.owner, op.max)
+	}
+}
+
+// TestCacheMatchesModel drives the real cache and the naive model with the
+// same seeded random programs — three owners, a small pool under constant
+// eviction pressure, an accuracy function that changes under them — and
+// demands identical observations after every operation.
+func TestCacheMatchesModel(t *testing.T) {
+	const (
+		owners   = 3
+		capacity = 8
+		universe = 20 // logical blocks: more than fit, few enough to collide
+		seeds    = 40
+		opsEach  = 3000 // 40 x 3000 = 1.2e5 operations
+	)
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		acc := []float64{1, 1, 1}
+		accOf := func(owner int) float64 { return acc[owner] }
+		fast := New(capacity)
+		fast.SetAccuracyFn(accOf)
+		ref := &refCache{capacity: capacity, partitions: map[int]int{}, acc: accOf}
+
+		// pick returns a block in the state the operation needs three times in
+		// four, and any block at all otherwise (the precondition-panic paths).
+		needs := map[int]State{opAcquire: Absent, opTouch: Valid, opComplete: InTransit, opFail: InTransit,
+			opWait: InTransit, opDemandWait: InTransit, opDrop: InTransit}
+		pick := func(kind int) int64 {
+			var fit []int64
+			for lb := int64(0); lb < universe; lb++ {
+				st := Absent
+				if b := ref.get(lb); b != nil {
+					st = b.state
+				}
+				if want, ok := needs[kind]; ok && st == want {
+					fit = append(fit, lb)
+				}
+			}
+			if len(fit) == 0 || rng.Intn(4) == 0 {
+				return rng.Int63n(universe)
+			}
+			return fit[rng.Intn(len(fit))]
+		}
+		randomOp := func(kind int) *modelOp {
+			op := &modelOp{kind: kind, lb: pick(kind), owner: rng.Intn(owners), dist: NoHint}
+			op.origin = Origin(rng.Intn(3))
+			if op.origin == OriginHint || kind == opSetHint && rng.Intn(3) > 0 {
+				op.dist = rng.Int63n(12)
+			}
+			op.max = rng.Intn(capacity) - 1
+			return op
+		}
+		for i := 0; i < opsEach; i++ {
+			// Acquire, complete and touch dominate, as they do in a run.
+			kind := []int{opAcquire, opAcquire, opAcquire, opComplete, opComplete, opTouch, opTouch,
+				opFail, opWait, opWait, opDemandWait, opDrop, opSetHint, opSetHint, opSetPartition}[rng.Intn(15)]
+			op := randomOp(kind)
+			if kind == opWait {
+				// The waiter touches its own block (TIP's consume), touches or
+				// acquires another (the cluster's next queued part), or drops.
+				op.then = randomOp([]int{opTouch, opTouch, opAcquire, opDrop}[rng.Intn(4)])
+				if rng.Intn(2) == 0 {
+					op.then.lb = op.lb
+				}
+			}
+			if rng.Intn(16) == 0 {
+				acc[rng.Intn(owners)] = float64(1+rng.Intn(8)) / 8
+			}
+			var gotLog, wantLog []string
+			op.run(realCache{fast}, &gotLog)
+			op.run(ref, &wantLog)
+			got := fmt.Sprint(gotLog, " ", describeReal(fast, owners))
+			want := fmt.Sprint(wantLog, " ", describeRef(ref, owners))
+			if got != want {
+				t.Fatalf("seed %d op %d (%+v) diverged:\n real %s\nmodel %s", seed, i, *op, got, want)
+			}
+		}
+		fast.FlushAccounting()
+		for _, b := range ref.blocks {
+			ref.noteUnused(b)
+		}
+		if fast.Stats() != ref.stats {
+			t.Fatalf("seed %d: after FlushAccounting real %+v, model %+v", seed, fast.Stats(), ref.stats)
+		}
+	}
+}

@@ -245,12 +245,9 @@ func New(cfg Config, pop *clients.Population) (*Cluster, error) {
 		c.shards = append(c.shards, s)
 	}
 	for i, cl := range pop.Clients {
-		cr := &clientRun{c: c, id: i, sessions: cl.Sessions}
-		if cfg.Breaker.TripAfter > 0 {
-			cr.breakers = make([]*clients.Breaker, cfg.Shards)
-			for sh := range cr.breakers {
-				cr.breakers[sh] = clients.NewBreaker(cfg.Breaker)
-			}
+		cr := &clientRun{c: c, id: i, sessions: cl.Sessions, breakers: make([]*clients.Breaker, cfg.Shards)}
+		for sh := range cr.breakers {
+			cr.breakers[sh] = clients.NewBreaker(cfg.Breaker)
 		}
 		c.cls = append(c.cls, cr)
 		c.remaining += len(cl.Sessions)
@@ -346,7 +343,7 @@ type clientRun struct {
 	op      int   // next read op
 	touched []int // shards this session has messaged (close targets)
 
-	breakers []*clients.Breaker // per-shard; nil when the breaker is disabled
+	breakers []*clients.Breaker // per-shard; a disabled breaker never opens
 
 	issueAt   sim.Time
 	deadline  sim.Time // absolute per-op deadline; 0 = none
@@ -374,23 +371,19 @@ func (cr *clientRun) arrive(si int) {
 	}
 }
 
-// touch records a shard as messaged by the current session (dedup'd).
-func (cr *clientRun) touch(sh int) {
+// send delivers a message after the one-way network latency.
+func (c *Cluster) send(deliver func()) { c.clk.After(sim.Time(c.cfg.NetCycles), deliver) }
+
+// touch records a shard as messaged by the current session and reports
+// whether this is the session's first contact with it.
+func (cr *clientRun) touch(sh int) (first bool) {
 	for _, t := range cr.touched {
 		if t == sh {
-			return
+			return false
 		}
 	}
 	cr.touched = append(cr.touched, sh)
-}
-
-func (cr *clientRun) hasTouched(sh int) bool {
-	for _, t := range cr.touched {
-		if t == sh {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // start opens the next pending session: disclose the whole session's read
@@ -401,30 +394,45 @@ func (cr *clientRun) start() {
 	cr.running = true
 	cr.op = 0
 	cr.touched = nil
+	cr.disclose(0, -1)
+	cr.issueOp()
+}
 
+// disclose sends the session's read span from fromOff on as one Hint message
+// per owning shard: to every owner at session start (only < 0), or to the one
+// shard the session is about to message for the first time — the failover
+// path: when the ring re-routes a dead shard's keys, the new owner receives
+// the hints it needs before (in virtual time: concurrently with) the retried
+// read.
+func (cr *clientRun) disclose(fromOff int64, only int) {
 	c := cr.c
 	sess := cr.sessions[cr.cur]
-	key := SessionKey{Client: cr.id, Session: cr.cur}
-	if c.cfg.Hints && len(sess.Reads) > 0 {
-		lastOp := sess.Reads[len(sess.Reads)-1]
-		span := lastOp.Off + lastOp.N
-		parts := splitRange(c.ring, c.cfg.GroupBlocks, c.cfg.Clients.BlockSize, sess.File, 0, span, c.fileSize)
-		var order []int
-		byShard := make(map[int][]HintSeg)
-		for _, p := range parts {
-			if _, ok := byShard[p.Shard]; !ok {
-				order = append(order, p.Shard)
-			}
-			byShard[p.Shard] = append(byShard[p.Shard], HintSeg{File: sess.File, Off: p.Off, N: p.N})
-		}
-		for _, shid := range order {
-			segs := byShard[shid]
-			cr.touch(shid)
-			target := c.shards[shid]
-			c.clk.After(sim.Time(c.cfg.NetCycles), func() { target.serveHints(key, segs) })
-		}
+	if !c.cfg.Hints || len(sess.Reads) == 0 {
+		return
 	}
-	cr.issueOp()
+	lastOp := sess.Reads[len(sess.Reads)-1]
+	span := lastOp.Off + lastOp.N
+	if fromOff >= span {
+		return
+	}
+	key := SessionKey{Client: cr.id, Session: cr.cur}
+	var order []int
+	byShard := make(map[int][]HintSeg)
+	for _, p := range splitRange(c.ring, c.cfg.GroupBlocks, c.cfg.Clients.BlockSize, sess.File, fromOff, span-fromOff, c.fileSize) {
+		if only >= 0 && p.Shard != only {
+			continue
+		}
+		if _, ok := byShard[p.Shard]; !ok {
+			order = append(order, p.Shard)
+		}
+		byShard[p.Shard] = append(byShard[p.Shard], HintSeg{File: sess.File, Off: p.Off, N: p.N})
+	}
+	for _, shid := range order {
+		segs := byShard[shid]
+		cr.touch(shid)
+		target := c.shards[shid]
+		c.send(func() { target.serveHints(key, segs) })
+	}
 }
 
 // issueOp sends the current read op as per-shard parts, or finishes the
@@ -437,7 +445,7 @@ func (cr *clientRun) issueOp() {
 		return
 	}
 	r := sess.Reads[cr.op]
-	if r.Off >= cr.fileEnd() || r.Off < 0 { // degenerate op (outside the file): skip it
+	if r.Off >= c.fileSize || r.Off < 0 { // degenerate op (outside the file): skip it
 		cr.op++
 		cr.issueOp()
 		return
@@ -451,42 +459,6 @@ func (cr *clientRun) issueOp() {
 	}
 	cr.curThink = r.Think
 	cr.sendPart(r.Off, r.N, 0)
-}
-
-// fileEnd returns the corpus file size (every file is the same size).
-func (cr *clientRun) fileEnd() int64 { return cr.c.fileSize }
-
-// discloseTo re-discloses the rest of the session's read span to a shard the
-// session has not messaged before — the failover path: when the ring
-// re-routes a dead shard's keys, the new owner receives the hints it needs
-// before (in virtual time: concurrently with) the retried read.
-func (cr *clientRun) discloseTo(shid int, fromOff int64) {
-	c := cr.c
-	if !c.cfg.Hints {
-		return
-	}
-	sess := cr.sessions[cr.cur]
-	if len(sess.Reads) == 0 {
-		return
-	}
-	lastOp := sess.Reads[len(sess.Reads)-1]
-	span := lastOp.Off + lastOp.N
-	if fromOff >= span {
-		return
-	}
-	key := SessionKey{Client: cr.id, Session: cr.cur}
-	parts := splitRange(c.ring, c.cfg.GroupBlocks, c.cfg.Clients.BlockSize, sess.File, fromOff, span-fromOff, c.fileSize)
-	var segs []HintSeg
-	for _, p := range parts {
-		if p.Shard == shid {
-			segs = append(segs, HintSeg{File: sess.File, Off: p.Off, N: p.N})
-		}
-	}
-	if len(segs) == 0 {
-		return
-	}
-	target := c.shards[shid]
-	c.clk.After(sim.Time(c.cfg.NetCycles), func() { target.serveHints(key, segs) })
 }
 
 // sendPart routes the byte range [off, off+n) through the ring — at send
@@ -508,53 +480,39 @@ func (cr *clientRun) sendPart(off, n int64, attempt int) {
 	now := int64(c.clk.Now())
 	for _, p := range parts {
 		p := p
-		if br := cr.breaker(p.Shard); br != nil && !br.Allow(now) {
+		if !cr.breakers[p.Shard].Allow(now) {
 			// Fail fast: the breaker is open, don't even pay the network.
 			cr.brokerFast++
 			cr.partFailed(p.Off, p.N, attempt)
 			continue
 		}
-		if !cr.hasTouched(p.Shard) {
-			cr.discloseTo(p.Shard, p.Off)
+		if cr.touch(p.Shard) {
+			cr.disclose(p.Off, p.Shard)
 		}
-		cr.touch(p.Shard)
 		if attempt > 0 {
 			cr.retries++
 		}
 		retry := attempt > 0
 		target := c.shards[p.Shard]
-		c.clk.After(sim.Time(c.cfg.NetCycles), func() {
+		c.send(func() {
 			target.serveRead(key, sess.File, p.Off, p.N, retry, func(st Status) {
-				c.clk.After(sim.Time(c.cfg.NetCycles), func() { cr.partReply(p, attempt, st) })
+				c.send(func() { cr.partReply(p, attempt, st) })
 			})
 		})
 	}
-}
-
-// breaker returns this client's breaker toward a shard, or nil when breakers
-// are disabled.
-func (cr *clientRun) breaker(sh int) *clients.Breaker {
-	if cr.breakers == nil {
-		return nil
-	}
-	return cr.breakers[sh]
 }
 
 // partReply handles one part's response: success resolves the part, anything
 // else feeds the breaker and enters the retry path.
 func (cr *clientRun) partReply(p ReadPart, attempt int, st Status) {
 	now := int64(cr.c.clk.Now())
-	br := cr.breaker(p.Shard)
+	br := cr.breakers[p.Shard]
 	if st == StatusOK {
-		if br != nil {
-			br.OnSuccess()
-		}
+		br.OnSuccess()
 		cr.partDone()
 		return
 	}
-	if br != nil {
-		br.OnFailure(now)
-	}
+	br.OnFailure(now)
 	switch st {
 	case StatusShed:
 		cr.shedSeen++
@@ -610,7 +568,7 @@ func (cr *clientRun) finish() {
 	key := SessionKey{Client: cr.id, Session: cr.cur}
 	for _, shid := range cr.touched {
 		target := c.shards[shid]
-		c.clk.After(sim.Time(c.cfg.NetCycles), func() { target.closeSession(key) })
+		c.send(func() { target.closeSession(key) })
 	}
 	cr.running = false
 	c.remaining--

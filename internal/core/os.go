@@ -135,26 +135,41 @@ func (s *System) origSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 	return vm.SysFault
 }
 
+// readArgs resolves the read(fd, buf, len) call in t's registers against
+// fds: the open file, its offset, and n, the bytes the read returns (len
+// clamped to what is left of the file). ok=false means the call has already
+// failed and R1 holds its errno.
+func readArgs(t *vm.Thread, fds *fsim.FDTable) (file *fsim.File, off, n int64, ok bool) {
+	file, off, errno := fds.File(t.Regs[vm.R1])
+	reqLen := t.Regs[vm.R3]
+	if errno == fsim.OK && reqLen < 0 {
+		errno = fsim.EINVAL
+	}
+	if errno != fsim.OK {
+		t.Regs[vm.R1] = int64(errno)
+		return nil, 0, 0, false
+	}
+	return file, off, max(0, min(file.Size()-off, reqLen)), true
+}
+
+// copyOut delivers n bytes of file from off into the thread's buffer and
+// charges the copy to the thread.
+func (s *System) copyOut(t *vm.Thread, buf int64, file *fsim.File, off, n int64) error {
+	err := s.mach.WriteMem(t, buf, file.Bytes(off, n, &s.readBuf))
+	if err == nil {
+		t.PendingCycles += n / 8 * s.cfg.CopyPer8B
+	}
+	return err
+}
+
 // origRead is the heart of the runtime: the hint-log check, off-track
 // detection and state save all happen here, before the read is issued
 // (paper §3.2.2).
 func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 	fd, buf, reqLen := t.Regs[vm.R1], t.Regs[vm.R2], t.Regs[vm.R3]
-	file, off, errno := s.origFDs.File(fd)
-	if errno != fsim.OK {
-		t.Regs[vm.R1] = int64(errno)
+	file, off, n, ok := readArgs(t, s.origFDs)
+	if !ok {
 		return vm.SysDone
-	}
-	if reqLen < 0 {
-		t.Regs[vm.R1] = int64(fsim.EINVAL)
-		return vm.SysDone
-	}
-	n := file.Size() - off
-	if n < 0 {
-		n = 0
-	}
-	if n > reqLen {
-		n = reqLen
 	}
 
 	s.stats.ReadCalls++
@@ -305,12 +320,11 @@ func (s *System) chargeStall(p *pendingRead, err error) {
 // finishRead copies the data into the user buffer and advances the offset.
 func (s *System) finishRead(t *vm.Thread, file *fsim.File, fd, buf, off, n int64) {
 	if n > 0 {
-		if err := s.mach.WriteMem(t, buf, file.Bytes(off, n, &s.readBuf)); err != nil {
+		// A bad buffer pointer from the program is a program bug: it surfaces
+		// on the thread's next slice as a fatal error via Err.
+		if err := s.copyOut(t, buf, file, off, n); err != nil {
 			t.Err = err
-			// Surfaces on the thread's next slice as a fatal error via Err;
-			// a bad buffer pointer from the program is a program bug.
 		}
-		t.PendingCycles += n / 8 * s.cfg.CopyPer8B
 	}
 	s.origFDs.Advance(fd, n)
 }
@@ -379,21 +393,9 @@ func (s *System) specSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 // which is exactly how data-dependent speculation strays.
 func (s *System) specRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 	fd, buf, reqLen := t.Regs[vm.R1], t.Regs[vm.R2], t.Regs[vm.R3]
-	file, off, errno := s.specFDs.File(fd)
-	if errno != fsim.OK {
-		t.Regs[vm.R1] = int64(errno)
+	file, off, n, ok := readArgs(t, s.specFDs)
+	if !ok {
 		return vm.SysDone
-	}
-	if reqLen < 0 {
-		t.Regs[vm.R1] = int64(fsim.EINVAL)
-		return vm.SysDone
-	}
-	n := file.Size() - off
-	if n < 0 {
-		n = 0
-	}
-	if n > reqLen {
-		n = reqLen
 	}
 
 	s.hintLog = append(s.hintLog, logEntry{file.Ino(), off, reqLen})
@@ -411,11 +413,8 @@ func (s *System) specRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 		s.sawSpecHint = true
 		s.lastSpecHintAt = now
 
-		if s.tipc.CachedRange(file, off, n) {
-			if err := s.mach.WriteMem(t, buf, file.Bytes(off, n, &s.readBuf)); err != nil {
-				return vm.SysFault
-			}
-			t.PendingCycles += n / 8 * s.cfg.CopyPer8B
+		if s.tipc.CachedRange(file, off, n) && s.copyOut(t, buf, file, off, n) != nil {
+			return vm.SysFault
 		}
 	}
 	s.specFDs.Advance(fd, n)

@@ -131,6 +131,11 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 			prog = b.Transformed
 		case core.ModeManual:
 			prog = b.Manual
+		case core.ModeStatic:
+			// The hint list comes from the synthesizer (bench.Synth), which
+			// multi cannot run; the original binary without it would run
+			// unhinted under a "static" label.
+			return nil, fmt.Errorf("multi: p%d %v: static mode is not supported in a group (no synthesized hints)", idx, spec)
 		}
 		sys, err := core.NewOn(sub, core.DefaultConfig(spec.Mode), prog, fmt.Sprintf("p%d:%v", idx, spec))
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,6 +232,16 @@ func TestJainIndex(t *testing.T) {
 func TestNewGroupRejectsEmpty(t *testing.T) {
 	if _, err := NewGroup(DefaultConfig(), apps.TestScale(), nil); err == nil {
 		t.Fatal("empty process list accepted")
+	}
+}
+
+// A static-mode process would run the original binary with no hint list while
+// every lane and ProcResult.Mode said "static": NewGroup names it and refuses.
+func TestNewGroupRejectsStaticMode(t *testing.T) {
+	specs := []ProcSpec{{App: apps.Agrep, Mode: core.ModeNoHint}, {App: apps.Gnuld, Mode: core.ModeStatic}}
+	_, err := NewGroup(DefaultConfig(), apps.TestScale(), specs)
+	if err == nil || !strings.Contains(err.Error(), "p1") {
+		t.Fatalf("static-mode process accepted or not named: %v", err)
 	}
 }
 

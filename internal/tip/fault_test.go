@@ -34,7 +34,7 @@ func TestDemandReadRetriesTransientFaults(t *testing.T) {
 
 	var gotErr error
 	done := false
-	if r.m.Read(f, 0, 1024, false, func(err error) { done, gotErr = true, err }) {
+	if r.cli().Read(f, 0, 1024, false, func(err error) { done, gotErr = true, err }) {
 		t.Fatal("miss read completed immediately")
 	}
 	for !done && r.clk.RunNext() {
@@ -61,7 +61,7 @@ func TestPrefetchDemotedAfterRepeatedFailures(t *testing.T) {
 	r.arr.SetInjector(failNPlan(100)) // never recovers within the retry budget
 	f := r.fs.MustCreate("a", make([]byte, 8192))
 
-	r.m.HintSeg(f, 0, 2048) // prefetch blocks 0 and 1
+	r.cli().HintSeg(f, 0, 2048) // prefetch blocks 0 and 1
 	r.clk.Drain()
 
 	fc := r.m.Faults()
@@ -89,7 +89,7 @@ func TestDemandReadClearsDemotion(t *testing.T) {
 	r.arr.SetInjector(plan)
 	f := r.fs.MustCreate("a", make([]byte, 4096))
 
-	r.m.HintSeg(f, 0, 1024)
+	r.cli().HintSeg(f, 0, 1024)
 	r.clk.Drain() // prefetch fails twice, block demoted
 	if r.m.Faults().DemotedBlocks == 0 {
 		t.Fatal("setup: block not demoted")
@@ -100,7 +100,7 @@ func TestDemandReadClearsDemotion(t *testing.T) {
 	if gotErr := func() error {
 		var e error
 		done := false
-		if r.m.Read(f, 0, 1024, true, func(err error) { done, e = true, err }) {
+		if r.cli().Read(f, 0, 1024, true, func(err error) { done, e = true, err }) {
 			return nil
 		}
 		for !done && r.clk.RunNext() {
@@ -126,7 +126,7 @@ func TestDeadDiskSuppressesPrefetchKeepsDemand(t *testing.T) {
 	// Wake the array's death detection: the first touch of disk 0 marks it.
 	var first error
 	done := false
-	r.m.Read(f, 0, 1024, false, func(err error) { done, first = true, err }) // block 0 -> disk 0
+	r.cli().Read(f, 0, 1024, false, func(err error) { done, first = true, err }) // block 0 -> disk 0
 	for !done && r.clk.RunNext() {
 	}
 	if first == nil {
@@ -138,7 +138,7 @@ func TestDeadDiskSuppressesPrefetchKeepsDemand(t *testing.T) {
 
 	// Hints whose blocks map to the dead disk are skipped, not fetched.
 	prefBefore := r.arr.Stats().PrefetchReqs
-	r.m.HintSeg(f, 0, 8192)
+	r.cli().HintSeg(f, 0, 8192)
 	r.clk.Drain()
 	fc := r.m.Faults()
 	if fc.DeadSkips == 0 {

@@ -1,0 +1,215 @@
+package tip
+
+// Prefetching: the pump that turns queued hints into fetches up to the
+// cost-benefit depth, the one place a disk request is built and submitted,
+// its completion, and the sequential read-ahead policy for unhinted reads.
+
+import (
+	"spechint/internal/cache"
+	"spechint/internal/disk"
+	"spechint/internal/fsim"
+)
+
+// fetch is the manager's record of one in-transit block.
+type fetch struct {
+	req      *disk.Request // the outstanding disk request; nil during a retry backoff
+	attempts int           // attempts that failed transiently so far
+}
+
+// pump issues hint-driven prefetches for every client. It is invoked on every
+// hint, every disk-idle transition and every completion. Clients are visited
+// in id order for determinism; one client running out of buffers does not
+// stop the others (their partitions may still have room).
+func (m *Manager) pump() {
+	if m.cfg.IgnoreHints {
+		return
+	}
+	for _, c := range m.clients {
+		c.pump()
+	}
+}
+
+// pump issues this client's hint-driven prefetches up to its effective
+// horizon.
+func (c *Client) pump() {
+	if c.closed {
+		return
+	}
+	m := c.m
+	horizon := c.effHorizon()
+	bs := int64(m.fs.BlockSize())
+	dist := 0
+	for i := c.head; i < len(c.hints) && dist < horizon; i++ {
+		seg := c.hints[i]
+		// A statically synthesized hint prefetches only within its
+		// confidence-scaled share of the horizon: proved segments (conf 1)
+		// run to the full depth, speculative ones stop shallow. Blocks past
+		// the bound still advance dist, so later segments see their true
+		// queue distance. conf == 0 (dynamic hints) leaves lim == horizon.
+		lim := int64(horizon)
+		if seg.conf > 0 {
+			lim = min(lim, max(int64(seg.conf*float64(horizon)), int64(m.cfg.MinHorizon)))
+		}
+		for k := seg.consumedBlocks(bs); k < seg.nBlocks; k++ {
+			if dist >= horizon {
+				return
+			}
+			lb := seg.firstLB + k
+			d := int64(dist)
+			dist++
+			if d >= lim {
+				continue
+			}
+			if m.demoted[lb] {
+				// Repeatedly failing block: left to the demand read, so the
+				// rest of the hinted sequence keeps prefetching.
+				continue
+			}
+			if dk, _ := m.arr.Map(lb); m.arr.Dead(dk) {
+				// Degraded mode: no prefetching onto a dead disk.
+				if !m.deadSkipped[lb] {
+					m.deadSkipped[lb] = true
+					m.faults.DeadSkips++
+				}
+				continue
+			}
+			if b := m.cache.Get(lb); b != nil {
+				if b.HintDist > d {
+					m.cache.SetHintFor(lb, c.id, d)
+				}
+				continue
+			}
+			switch m.startFetch(c.id, lb, cache.OriginHint, d) {
+			case fetchStarted:
+				c.stats.HintPrefetches++
+				m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
+			case fetchDiskBusy:
+				continue // this disk is at depth; later blocks may differ
+			case fetchNoBuffer:
+				return // cache pressure: stop pumping this client
+			}
+		}
+	}
+}
+
+// fetchResult says why startFetch declined, so the pump can distinguish
+// per-disk back-pressure (skip the block) from cache pressure (stop).
+type fetchResult int
+
+const (
+	fetchStarted fetchResult = iota
+	fetchDiskBusy
+	fetchNoBuffer
+)
+
+// startFetch acquires a buffer for lb on the owner's behalf and submits the
+// disk request, leaving no residue on failure. Prefetch-priority fetches are
+// refused outright when the target disk is dead (degraded mode); demand
+// fetches are always submitted — the dead disk answers them with ErrDead,
+// which surfaces to the reader as a read error.
+func (m *Manager) startFetch(owner int, lb int64, origin cache.Origin, hintDist int64) fetchResult {
+	dk, phys := m.arr.Map(lb)
+	pri := disk.Prefetch
+	if origin == cache.OriginDemand {
+		pri = disk.Demand
+	}
+	if pri == disk.Prefetch {
+		bound := m.cfg.MaxDepthPerDisk
+		if origin == cache.OriginReadahead {
+			bound = m.cfg.RADepthPerDisk
+		}
+		if m.arr.Dead(dk) || bound > 0 && m.prefDepth[dk] >= bound {
+			return fetchDiskBusy
+		}
+	}
+	if m.cache.AcquireFor(owner, lb, origin, hintDist) == nil {
+		return fetchNoBuffer
+	}
+	if !m.submit(lb, dk, phys, pri) {
+		m.cache.Drop(lb)
+		return fetchDiskBusy
+	}
+	return fetchStarted
+}
+
+// submit sends the disk request for the in-transit block lb and records it;
+// false means the disk refused it (prefetch back-pressure) and nothing was
+// recorded. A retry keeps the block's failed-attempt count.
+func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority) bool {
+	isPref := pri == disk.Prefetch
+	req := &disk.Request{
+		Disk: dk, PhysBlock: phys, Pri: pri,
+		Done: func(err error) { m.onFetchDone(lb, dk, isPref, err) },
+	}
+	if !m.arr.Submit(req) {
+		return false
+	}
+	ft := m.fetches[lb]
+	ft.req = req
+	m.fetches[lb] = ft
+	if isPref {
+		m.prefDepth[dk]++
+	}
+	return true
+}
+
+func (m *Manager) onFetchDone(lb int64, dk int, wasPrefetch bool, err error) {
+	if wasPrefetch {
+		m.prefDepth[dk]--
+	}
+	if err != nil {
+		m.handleFetchError(lb, dk, err)
+	} else {
+		delete(m.fetches, lb)
+		delete(m.demoted, lb)
+		m.cache.Complete(lb)
+	}
+	m.retryPendingDemand()
+	m.pump()
+}
+
+// raState tracks the sequential read-ahead heuristic for one file.
+type raState struct {
+	nextByte  int64 // where a sequential read would continue
+	runBlocks int64 // length of the current sequential run, in blocks
+}
+
+// readahead implements the sequential read-ahead policy: on a sequential
+// read, prefetch approximately as many blocks as have been read
+// sequentially, up to ReadaheadMax. The run state is per client as well as
+// per file — two processes interleaving reads of one file must not corrupt
+// each other's sequentiality detection.
+func (c *Client) readahead(f *fsim.File, off, end, first, last int64) {
+	m := c.m
+	if m.cfg.ReadaheadMax == 0 {
+		return
+	}
+	st := c.ra[f.Ino()]
+	if st == nil {
+		st = &raState{}
+		c.ra[f.Ino()] = st
+	}
+	nBlocks := last - first + 1
+	if off == st.nextByte || off == 0 && st.nextByte == 0 {
+		st.runBlocks += nBlocks
+	} else {
+		st.runBlocks = nBlocks
+	}
+	st.nextByte = end
+
+	depth := st.runBlocks
+	if depth > int64(m.cfg.ReadaheadMax) {
+		depth = int64(m.cfg.ReadaheadMax)
+	}
+	for b := last + 1; b <= last+depth && b < f.NBlocks(); b++ {
+		lb := f.LogicalBlock(b)
+		if m.cache.Get(lb) != nil {
+			continue
+		}
+		if m.startFetch(c.id, lb, cache.OriginReadahead, cache.NoHint) != fetchStarted {
+			return
+		}
+		c.stats.RAPrefetches++
+		m.emit("readahead", "client=%d lb=%d run=%d", c.id, lb, st.runBlocks)
+	}
+}

@@ -16,6 +16,16 @@ type rig struct {
 	arr *disk.Array
 	fs  *fsim.FS
 	m   *Manager
+	c   *Client
+}
+
+// cli returns the rig's own client, registered on first use so that a test
+// which registers its clients itself sees no extra stream.
+func (r *rig) cli() *Client {
+	if r.c == nil {
+		r.c = r.m.NewClient("test")
+	}
+	return r.c
 }
 
 func newRig(t *testing.T, cfg Config, diskCfg disk.Config) *rig {
@@ -56,7 +66,7 @@ func (r *rig) readSync(t *testing.T, f *fsim.File, off, n int64, hinted bool) si
 	t.Helper()
 	start := r.clk.Now()
 	done := false
-	if r.m.Read(f, off, n, hinted, func(error) { done = true }) {
+	if r.cli().Read(f, off, n, hinted, func(error) { done = true }) {
 		return 0
 	}
 	for !done {
@@ -100,7 +110,7 @@ func TestDemandReadMissThenHit(t *testing.T) {
 	if elapsed == 0 {
 		t.Fatal("first read was free; expected a disk fetch")
 	}
-	if r.m.Read(f, 0, 1024, false, nil) != true {
+	if r.cli().Read(f, 0, 1024, false, nil) != true {
 		t.Fatal("second read of cached block was not immediate")
 	}
 	st := r.m.Stats()
@@ -118,6 +128,7 @@ func TestDemandReadMissThenHit(t *testing.T) {
 func TestReadBeyondEOFIsImmediate(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 100))
+	// Through Manager.Read: the default client is created on first use.
 	if !r.m.Read(f, 100, 50, false, nil) {
 		t.Fatal("EOF read was not immediate")
 	}
@@ -132,7 +143,7 @@ func TestReadBeyondEOFIsImmediate(t *testing.T) {
 func TestHintPrefetchesWithinHorizon(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 20*1024))
-	r.m.HintSeg(f, 0, 20*1024) // 20 blocks, horizon is 8
+	r.cli().HintSeg(f, 0, 20*1024) // 20 blocks, horizon is 8
 	st := r.m.Stats()
 	if st.HintCalls != 1 || st.HintBlocks != 20 {
 		t.Fatalf("hint stats = %+v", st)
@@ -153,7 +164,7 @@ func TestHintConsumptionAdvancesHorizon(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 20*1024))
 	for i := int64(0); i < 20; i++ {
-		r.m.HintSeg(f, i*1024, 1024)
+		r.cli().HintSeg(f, i*1024, 1024)
 	}
 	r.clk.Drain()
 	before := r.m.Stats().HintPrefetches
@@ -172,7 +183,7 @@ func TestHintConsumptionAdvancesHorizon(t *testing.T) {
 func TestFullyPrefetchedRead(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 8*1024))
-	r.m.HintSeg(f, 0, 1024)
+	r.cli().HintSeg(f, 0, 1024)
 	r.clk.Drain() // let the prefetch finish
 	if elapsed := r.readSync(t, f, 0, 1024, true); elapsed != 0 {
 		t.Fatalf("hinted+prefetched read stalled %d cycles", elapsed)
@@ -185,7 +196,7 @@ func TestFullyPrefetchedRead(t *testing.T) {
 func TestPartiallyPrefetchedRead(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 8*1024))
-	r.m.HintSeg(f, 0, 1024)
+	r.cli().HintSeg(f, 0, 1024)
 	// Read immediately, while the prefetch is still in transit.
 	elapsed := r.readSync(t, f, 0, 1024, true)
 	if elapsed == 0 {
@@ -200,8 +211,8 @@ func TestPartiallyPrefetchedRead(t *testing.T) {
 func TestCancelAllStopsPrefetchingAndUnprotectsBlocks(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 32*1024))
-	r.m.HintSeg(f, 0, 32*1024)
-	r.m.CancelAll()
+	r.cli().HintSeg(f, 0, 32*1024)
+	r.cli().CancelAll()
 	r.clk.Drain()
 	st := r.m.Stats()
 	if st.CancelCalls != 1 || st.CancelledSegs != 1 {
@@ -223,8 +234,8 @@ func TestCancelAllStopsPrefetchingAndUnprotectsBlocks(t *testing.T) {
 func TestBypassedSegmentsCountInaccurate(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 16*1024))
-	r.m.HintSeg(f, 0, 1024)    // wrong prediction
-	r.m.HintSeg(f, 4096, 1024) // matches the actual read
+	r.cli().HintSeg(f, 0, 1024)    // wrong prediction
+	r.cli().HintSeg(f, 4096, 1024) // matches the actual read
 	r.readSync(t, f, 4096, 1024, true)
 	st := r.m.Stats()
 	if st.BypassedSegs != 1 || st.MatchedCalls != 1 {
@@ -237,27 +248,27 @@ func TestBypassedSegmentsCountInaccurate(t *testing.T) {
 
 func TestAccuracyScalesHorizon(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
-	if h := r.m.def().effHorizon(); h != 8 {
+	if h := r.cli().effHorizon(); h != 8 {
 		t.Fatalf("initial effHorizon = %d, want full 8", h)
 	}
 	// Force poor recent accuracy: many bypassed, none matched.
 	for i := 0; i < 100; i++ {
-		r.m.def().accObserve(false, 1)
+		r.cli().accObserve(false, 1)
 	}
-	if h := r.m.def().effHorizon(); h != r.m.cfg.MinHorizon {
+	if h := r.cli().effHorizon(); h != r.m.cfg.MinHorizon {
 		t.Fatalf("effHorizon = %d with zero accuracy, want MinHorizon %d", h, r.m.cfg.MinHorizon)
 	}
 	for i := 0; i < 100; i++ {
-		r.m.def().accObserve(true, 1)
+		r.cli().accObserve(true, 1)
 	}
-	if h := r.m.def().effHorizon(); h != 4 {
+	if h := r.cli().effHorizon(); h != 4 {
 		t.Fatalf("effHorizon = %d at 50%% accuracy, want 4", h)
 	}
 	// The window decays: sustained good hints recover the horizon.
 	for i := 0; i < 2000; i++ {
-		r.m.def().accObserve(true, 1)
+		r.cli().accObserve(true, 1)
 	}
-	if h := r.m.def().effHorizon(); h < 7 {
+	if h := r.cli().effHorizon(); h < 7 {
 		t.Fatalf("effHorizon = %d after recovery, want near full", h)
 	}
 }
@@ -310,7 +321,7 @@ func TestIgnoreHintsMode(t *testing.T) {
 	cfg.IgnoreHints = true
 	r := newRig(t, cfg, smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 16*1024))
-	r.m.HintSeg(f, 0, 16*1024)
+	r.cli().HintSeg(f, 0, 16*1024)
 	r.clk.Drain()
 	st := r.m.Stats()
 	if st.HintCalls != 1 {
@@ -333,18 +344,18 @@ func TestIgnoreHintsMode(t *testing.T) {
 func TestCachedRange(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 4096))
-	if r.m.CachedRange(f, 0, 1024) {
+	if r.cli().CachedRange(f, 0, 1024) {
 		t.Fatal("empty cache reported range cached")
 	}
 	r.readSync(t, f, 0, 1024, false)
-	if !r.m.CachedRange(f, 0, 1024) {
+	if !r.cli().CachedRange(f, 0, 1024) {
 		t.Fatal("read block not reported cached")
 	}
-	if r.m.CachedRange(f, 0, 2048) {
+	if r.cli().CachedRange(f, 0, 2048) {
 		t.Fatal("partially cached range reported cached")
 	}
 	// Degenerate ranges are trivially cached (no I/O needed).
-	if !r.m.CachedRange(f, 4096, 100) || !r.m.CachedRange(f, 0, 0) {
+	if !r.cli().CachedRange(f, 4096, 100) || !r.cli().CachedRange(f, 0, 0) {
 		t.Fatal("degenerate range not trivially cached")
 	}
 }
@@ -365,7 +376,7 @@ func TestMultiBlockRead(t *testing.T) {
 func TestDemandSharesInTransitPrefetch(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 4096))
-	r.m.HintSeg(f, 0, 1024)
+	r.cli().HintSeg(f, 0, 1024)
 	// Demand read arrives while prefetch in transit; must not double-fetch.
 	r.readSync(t, f, 0, 1024, true)
 	ds := r.arr.Stats()
@@ -377,7 +388,7 @@ func TestDemandSharesInTransitPrefetch(t *testing.T) {
 func TestFinishRunFlushesUnused(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 8*1024))
-	r.m.HintSeg(f, 0, 2048)
+	r.cli().HintSeg(f, 0, 2048)
 	r.clk.Drain()
 	r.m.FinishRun()
 	if cs := r.m.Cache().Stats(); cs.UnusedHint != 2 {
@@ -395,7 +406,7 @@ func TestManyFilesStress(t *testing.T) {
 	// Hint everything, then read everything in hinted order.
 	for _, f := range files {
 		for off := int64(0); off < f.Size(); off += 1024 {
-			r.m.HintSeg(f, off, 1024)
+			r.cli().HintSeg(f, off, 1024)
 		}
 	}
 	for _, f := range files {
@@ -427,7 +438,7 @@ func TestPrefetchDepthBound(t *testing.T) {
 	cfg.Horizon = 8
 	r := newRig(t, cfg, smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 32*1024)) // 32 blocks over 2 disks
-	r.m.HintSeg(f, 0, 32*1024)
+	r.cli().HintSeg(f, 0, 32*1024)
 	// At most 1 outstanding prefetch per disk: 2 issued immediately.
 	if got := r.m.Stats().HintPrefetches; got != 2 {
 		t.Fatalf("HintPrefetches = %d at depth 1 on 2 disks, want 2", got)
@@ -445,7 +456,7 @@ func TestHintSegCapDropsHints(t *testing.T) {
 	r := newRig(t, cfg, smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 16*1024))
 	for i := int64(0); i < 6; i++ {
-		r.m.HintSeg(f, i*1024, 1024)
+		r.cli().HintSeg(f, i*1024, 1024)
 	}
 	st := r.m.Stats()
 	if st.DroppedHints != 3 {
@@ -454,7 +465,7 @@ func TestHintSegCapDropsHints(t *testing.T) {
 	// Consuming hints frees queue space for new ones.
 	r.clk.Drain()
 	r.readSync(t, f, 0, 1024, true)
-	r.m.HintSeg(f, 10*1024, 1024)
+	r.cli().HintSeg(f, 10*1024, 1024)
 	if got := r.m.Stats().DroppedHints; got != 3 {
 		t.Fatalf("DroppedHints = %d after consumption freed space, want still 3", got)
 	}
@@ -466,7 +477,7 @@ func TestDemandPromotesQueuedPrefetch(t *testing.T) {
 	r := newRig(t, cfg, smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 16*1024))
 	// Hint blocks 0..7; several prefetches queue up on each disk.
-	r.m.HintSeg(f, 0, 16*1024)
+	r.cli().HintSeg(f, 0, 16*1024)
 	// Immediately demand the LAST hinted block: its queued prefetch must be
 	// promoted ahead of the earlier prefetches on its disk.
 	elapsed := r.readSync(t, f, 15*1024, 1024, true)
@@ -482,9 +493,9 @@ func TestPartialSegmentConsumption(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 8*1024))
 	// One manual-style hint covering the whole file.
-	r.m.HintSeg(f, 0, 8*1024)
+	r.cli().HintSeg(f, 0, 8*1024)
 	r.clk.Drain()
-	if !r.m.Covered(f, 0, 1024) || !r.m.Covered(f, 4096, 1024) {
+	if !r.cli().Covered(f, 0, 1024) || !r.cli().Covered(f, 4096, 1024) {
 		t.Fatal("whole-file hint does not cover chunk reads")
 	}
 	// Consume in three chunks; segment completes only at the end.
@@ -496,7 +507,7 @@ func TestPartialSegmentConsumption(t *testing.T) {
 	if got := r.m.Stats().MatchedCalls; got != 1 {
 		t.Fatalf("MatchedCalls = %d after full consumption, want 1", got)
 	}
-	if r.m.Covered(f, 0, 1024) {
+	if r.cli().Covered(f, 0, 1024) {
 		t.Fatal("completed segment still covers reads")
 	}
 }
@@ -504,9 +515,9 @@ func TestPartialSegmentConsumption(t *testing.T) {
 func TestCoverageClampsAtEOF(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 3000)) // not block aligned
-	r.m.HintSeg(f, 0, 1<<30)                      // whole-file manual hint
+	r.cli().HintSeg(f, 0, 1<<30)                  // whole-file manual hint
 	// A read whose requested length extends past EOF is still covered.
-	if !r.m.Covered(f, 2048, 4096) {
+	if !r.cli().Covered(f, 2048, 4096) {
 		t.Fatal("EOF-clamped read not covered")
 	}
 	r.readSync(t, f, 0, 2048, true)
@@ -520,16 +531,16 @@ func TestAccuracyWindowRecovers(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	// A flood of cancellations crushes the horizon...
 	for i := 0; i < 1000; i++ {
-		r.m.def().accObserve(false, 1)
+		r.cli().accObserve(false, 1)
 	}
-	if r.m.def().effHorizon() != r.m.cfg.MinHorizon {
+	if r.cli().effHorizon() != r.m.cfg.MinHorizon {
 		t.Fatal("horizon not floored after cancellation flood")
 	}
 	// ...but sustained matches bring it back (windowed, not lifetime).
 	for i := 0; i < 2000; i++ {
-		r.m.def().accObserve(true, 1)
+		r.cli().accObserve(true, 1)
 	}
-	if h := r.m.def().effHorizon(); h < r.m.cfg.Horizon*3/4 {
+	if h := r.cli().effHorizon(); h < r.m.cfg.Horizon*3/4 {
 		t.Fatalf("horizon %d did not recover (window broken)", h)
 	}
 }
@@ -553,7 +564,7 @@ func TestRADepthSeparateFromHintDepth(t *testing.T) {
 func TestHintBatch(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 8*1024))
-	r.m.HintBatch([]Seg{
+	r.cli().HintBatch([]Seg{
 		{File: f, Off: 0, N: 2048},
 		{File: f, Off: 2048, N: 2048},
 		{File: f, Off: 4096, N: 2048},
@@ -574,7 +585,7 @@ func TestHintBatch(t *testing.T) {
 // observed rate.
 func TestSetPriorBlendsAccuracy(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
-	c := r.m.def()
+	c := r.cli()
 	if got := c.Accuracy(); got != 1.0 {
 		t.Fatalf("accuracy before prior = %v, want optimistic 1.0", got)
 	}
@@ -613,7 +624,7 @@ func TestHintSegConfBoundsDepth(t *testing.T) {
 	for _, tc := range cases {
 		r := newRig(t, smallTIP(), smallDisk())
 		f := r.fs.MustCreate("f", make([]byte, 20*1024))
-		r.m.HintSegConf(f, 0, 20*1024, tc.conf)
+		r.cli().HintSegConf(f, 0, 20*1024, tc.conf)
 		r.clk.Drain()
 		if got := r.m.Stats().HintPrefetches; got != tc.want {
 			t.Errorf("conf %v: HintPrefetches = %d, want %d", tc.conf, got, tc.want)
@@ -627,7 +638,7 @@ func TestHintSegConfBoundsDepth(t *testing.T) {
 func TestHintSegConfConsumptionAdvances(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 20*1024))
-	r.m.HintSegConf(f, 0, 20*1024, 0.5)
+	r.cli().HintSegConf(f, 0, 20*1024, 0.5)
 	r.clk.Drain()
 	before := r.m.Stats().HintPrefetches
 	r.readSync(t, f, 0, 4*1024, true)
