@@ -23,13 +23,15 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint runs the Go static analyzers: go vet always, staticcheck when it is on
-# PATH (CI installs the pinned version; locally the step is skipped with a
-# note rather than failing on a missing tool).
+# PATH. The `lint` job of .github/workflows/ci.yml installs a pinned
+# staticcheck and then calls this target; anywhere the tool is missing (the
+# build container has neither it nor a network to fetch it) the step is
+# skipped with a note rather than failing.
 lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
-		echo "staticcheck not installed; skipped (CI runs the pinned version)"; \
+		echo "staticcheck not installed; skipped (the lint job in .github/workflows/ci.yml runs it)"; \
 	fi
 
 # speclint runs the shadow-text verifier over every benchmark app's

@@ -6,11 +6,14 @@
 package spechint_bench
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"spechint/internal/apps"
 	"spechint/internal/bench"
+	"spechint/internal/clients"
+	"spechint/internal/cluster"
 	"spechint/internal/spechint"
 )
 
@@ -22,6 +25,43 @@ func BenchmarkExperiment(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkClusterHinted runs the population bench/perf's cluster_overload
+// draws, hints on, at three sizes, and reports what one client read costs the
+// host (us/read) and the hint pumps (steps/read, tip.Manager.PumpWork): the
+// second is deterministic, and it is what the first grows with.
+func BenchmarkClusterHinted(b *testing.B) {
+	for _, n := range []int{48, 128, 256} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			pop, err := clients.Generate(clients.Config{
+				N: n, Sessions: 8,
+				Files: 96, FileBlocks: 96, BlockSize: 8192,
+				SessionBlocks: 48, ReadBlocks: 8,
+				ArrivalMean: 80_000_000, ThinkMean: 20_000,
+				ZipfS: 1.2, ZipfV: 1, Seed: 1778,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var reads, steps int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := cluster.New(cluster.DefaultConfig(4), pop)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := c.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, st := c.PumpWork()
+				reads, steps = reads+res.Reads, steps+st
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
+			b.ReportMetric(float64(steps)/float64(reads), "steps/read")
 		})
 	}
 }

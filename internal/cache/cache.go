@@ -18,7 +18,7 @@ import (
 )
 
 // State is a cache block's lifecycle state.
-type State int
+type State uint8
 
 const (
 	// Absent blocks are not in the cache (Get returns nil instead).
@@ -64,11 +64,15 @@ type Block struct {
 	Owner    int   // hint-stream (client) id holding the hint protection;
 	// meaningful only while HintDist != NoHint
 
-	state    State
-	uses     int // demand accesses since arrival
+	// The fields below are sized and ordered so that a Block stays in the
+	// 96-byte allocation class: one is allocated per block admitted.
 	waiters  []func(valid bool)
 	elem     *list.Element // position in the LRU list (valid blocks only)
-	demanded bool          // a demand read upgraded/waited on this block
+	stamp    uint64        // LRU position as a number: larger is nearer the MRU end (valid blocks only)
+	uses     int32         // demand accesses since arrival
+	ownIdx   int32         // index in own[Owner]; meaningful only while HintDist != NoHint
+	state    State
+	demanded bool // a demand read upgraded/waited on this block
 }
 
 // State returns the block's lifecycle state.
@@ -108,13 +112,23 @@ type Cache struct {
 	capacity int
 	blocks   map[int64]*Block
 	lru      *list.List // front = LRU (eviction end), back = MRU
+	tick     uint64     // source of Block.stamp: bumped on every PushBack/MoveToBack
+	unhinted int        // valid blocks with no hint: the candidates of evictFor's case 1
 	stats    Stats
 
-	// Hinted-block partitions: per-owner resident hinted-block counts and
-	// caps (0 or absent = unlimited). The TIP manager sets caps from its
-	// cost-benefit allocation across competing hinted processes.
-	hinted     map[int]int
+	// Hinted-block partitions: each owner's resident hinted blocks (in
+	// transit or valid, in no particular order) and the cap on how many it
+	// may hold (0 or absent = unlimited). The TIP manager sets caps from its
+	// cost-benefit allocation across competing hinted processes. The lists
+	// let an owner's furthest-out block be found without walking the LRU
+	// list past every other owner's blocks.
+	own        map[int][]*Block
 	partitions map[int]int
+
+	// onChange, when set, is told the block number whenever what Get(lb)
+	// answers changes: the block is admitted, evicted, failed or dropped, or
+	// its (HintDist, Owner) is rewritten.
+	onChange func(lb int64)
 
 	// accuracyOf, when set, supplies each owner's recent hint accuracy so
 	// that cross-owner evictions can compare marginal benefit
@@ -138,7 +152,7 @@ func New(capacity int) *Cache {
 		capacity:   capacity,
 		blocks:     make(map[int64]*Block),
 		lru:        list.New(),
-		hinted:     make(map[int]int),
+		own:        make(map[int][]*Block),
 		partitions: make(map[int]int),
 	}
 }
@@ -146,6 +160,18 @@ func New(capacity int) *Cache {
 // SetAccuracyFn installs the per-owner hint-accuracy source used by the
 // cross-owner marginal-benefit comparison.
 func (c *Cache) SetAccuracyFn(fn func(owner int) float64) { c.accuracyOf = fn }
+
+// SetOnChange installs the residency hook: fn(lb) runs after every admit,
+// evict, Fail, Drop and SetHintFor of block lb, before any waiter is woken. It
+// must not call back into the cache.
+func (c *Cache) SetOnChange(fn func(lb int64)) { c.onChange = fn }
+
+// changed reports lb to the residency hook.
+func (c *Cache) changed(lb int64) {
+	if c.onChange != nil {
+		c.onChange(lb)
+	}
+}
 
 // SetObs installs a cross-layer trace and a virtual-clock source for
 // timestamping cache events (the cache holds no clock of its own).
@@ -171,7 +197,24 @@ func (c *Cache) SetPartition(owner, max int) {
 }
 
 // HintedCount returns owner's current resident hinted-block count.
-func (c *Cache) HintedCount(owner int) int { return c.hinted[owner] }
+func (c *Cache) HintedCount(owner int) int { return len(c.own[owner]) }
+
+// list enters the hinted block b in its owner's list.
+func (c *Cache) list(b *Block) {
+	l := c.own[b.Owner]
+	b.ownIdx = int32(len(l))
+	c.own[b.Owner] = append(l, b)
+}
+
+// unlist takes the hinted block b out of its owner's list.
+func (c *Cache) unlist(b *Block) {
+	l := c.own[b.Owner]
+	last := l[len(l)-1]
+	l[b.ownIdx] = last
+	last.ownIdx = b.ownIdx
+	l[len(l)-1] = nil
+	c.own[b.Owner] = l[:len(l)-1]
+}
 
 // Capacity returns the pool size in blocks.
 func (c *Cache) Capacity() int { return c.capacity }
@@ -204,7 +247,7 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *
 		panic(fmt.Sprintf("cache: Acquire of present block %d", lb))
 	}
 	if hintDist != NoHint {
-		if max := c.partitions[owner]; max > 0 && c.hinted[owner] >= max {
+		if max := c.partitions[owner]; max > 0 && len(c.own[owner]) >= max {
 			// The owner's hinted partition is full: the stream competes with
 			// itself, reclaiming its own furthest-out hinted block — never
 			// another process's.
@@ -221,23 +264,26 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *
 	b := &Block{LB: lb, Origin: origin, HintDist: hintDist, Owner: owner, state: InTransit}
 	c.blocks[lb] = b
 	if hintDist != NoHint {
-		c.hinted[owner]++
+		c.list(b)
 	}
+	c.changed(lb)
 	c.emit("admit", "lb=%d origin=%s owner=%d used=%d/%d", lb, origin, owner, len(c.blocks), c.capacity)
 	return b
 }
 
 // evictOwnFurthest evicts owner's furthest-out valid hinted block, provided
 // it is further out than the incoming distance (ejecting a hinted block to
-// fetch data needed even later is never beneficial).
+// fetch data needed even later is never beneficial). Of several equally far
+// out it takes the least recently used — the one a walk of the LRU list from
+// the front would meet first.
 func (c *Cache) evictOwnFurthest(owner int, incoming int64) bool {
 	var victim *Block
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(*Block)
-		if b.HintDist == NoHint || b.Owner != owner {
+	for _, b := range c.own[owner] {
+		if b.state != Valid {
 			continue
 		}
-		if victim == nil || b.HintDist > victim.HintDist {
+		if victim == nil || b.HintDist > victim.HintDist ||
+			b.HintDist == victim.HintDist && b.stamp < victim.stamp {
 			victim = b
 		}
 	}
@@ -245,8 +291,8 @@ func (c *Cache) evictOwnFurthest(owner int, incoming int64) bool {
 		return false
 	}
 	if victim.Owner != owner {
-		// Unreachable under the partition policy (the candidate scan filters
-		// on owner); the counter is a tripwire for internal/multi's isolation
+		// Unreachable under the partition policy (the candidates are the
+		// owner's own list); the counter is a tripwire for internal/multi's isolation
 		// assertion should the policy ever regress.
 		c.stats.UnhintedCrossEvicts++
 	}
@@ -279,12 +325,15 @@ func (c *Cache) accuracy(owner int) float64 {
 //
 // In-transit blocks are never evicted.
 func (c *Cache) evictFor(owner int, origin Origin, hintDist int64) bool {
-	// Case 1: LRU unhinted block.
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(*Block)
-		if b.HintDist == NoHint {
-			c.evict(b)
-			return true
+	// Case 1: LRU unhinted block. A cache full of hint-protected blocks has
+	// none, and says so without being walked.
+	if c.unhinted > 0 {
+		for e := c.lru.Front(); e != nil; e = e.Next() {
+			b := e.Value.(*Block)
+			if b.HintDist == NoHint {
+				c.evict(b)
+				return true
+			}
 		}
 	}
 	// Case 2: unhinted traffic reclaims only its own stream's hinted blocks.
@@ -328,15 +377,25 @@ func (c *Cache) evict(b *Block) {
 	c.emit("evict", "lb=%d origin=%s owner=%d uses=%d", b.LB, b.Origin, b.Owner, b.uses)
 	c.noteUnusedIfPrefetched(b)
 	c.dropHintAccounting(b)
+	if b.HintDist == NoHint {
+		c.unhinted--
+	}
 	c.lru.Remove(b.elem)
 	delete(c.blocks, b.LB)
+	c.changed(b.LB)
 }
 
 // dropHintAccounting releases b's slot in its owner's hinted partition.
 func (c *Cache) dropHintAccounting(b *Block) {
 	if b.HintDist != NoHint {
-		c.hinted[b.Owner]--
+		c.unlist(b)
 	}
+}
+
+// restamp records that b has just moved to the MRU end of the list.
+func (c *Cache) restamp(b *Block) {
+	c.tick++
+	b.stamp = c.tick
 }
 
 func (c *Cache) noteUnusedIfPrefetched(b *Block) {
@@ -360,6 +419,10 @@ func (c *Cache) Complete(lb int64) {
 	}
 	b.state = Valid
 	b.elem = c.lru.PushBack(b)
+	c.restamp(b)
+	if b.HintDist == NoHint {
+		c.unhinted++
+	}
 	ws := b.waiters
 	b.waiters = nil
 	for _, w := range ws {
@@ -380,6 +443,7 @@ func (c *Cache) Fail(lb int64) {
 	c.emit("fail", "lb=%d origin=%s owner=%d waiters=%d", lb, b.Origin, b.Owner, len(b.waiters))
 	c.dropHintAccounting(b)
 	delete(c.blocks, lb)
+	c.changed(lb)
 	ws := b.waiters
 	b.waiters = nil
 	for _, w := range ws {
@@ -414,6 +478,7 @@ func (c *Cache) Touch(lb int64) {
 	}
 	b.uses++
 	c.lru.MoveToBack(b.elem)
+	c.restamp(b)
 }
 
 // NoteDemandWait records that a demand read is waiting on an in-transit
@@ -440,6 +505,7 @@ func (c *Cache) Drop(lb int64) {
 	}
 	c.dropHintAccounting(b)
 	delete(c.blocks, lb)
+	c.changed(lb)
 }
 
 // NoteMiss records a demand fetch for an absent block.
@@ -462,16 +528,23 @@ func (c *Cache) SetHintFor(lb int64, owner int, dist int64) {
 	nowHinted := dist != NoHint
 	switch {
 	case wasHinted && !nowHinted:
-		c.hinted[b.Owner]--
+		c.unlist(b)
+		if b.state == Valid {
+			c.unhinted++
+		}
 	case !wasHinted && nowHinted:
-		c.hinted[owner]++
 		b.Owner = owner
+		c.list(b)
+		if b.state == Valid {
+			c.unhinted--
+		}
 	case wasHinted && nowHinted && b.Owner != owner:
-		c.hinted[b.Owner]--
-		c.hinted[owner]++
+		c.unlist(b)
 		b.Owner = owner
+		c.list(b)
 	}
 	b.HintDist = dist
+	c.changed(lb)
 }
 
 // ForEach visits every cached block (any state), in unspecified order.

@@ -21,6 +21,15 @@ type refCache struct {
 	partitions map[int]int
 	acc        func(owner int) float64
 	stats      Stats
+
+	// What the generator has exercised, for the coverage check at the end of
+	// TestCacheMatchesModel: seen counts SetHintFor moves by kind and state,
+	// ownTies the evictOwnFurthest calls that had to choose among equally
+	// distant blocks, ownTiesTouched those where a Touch had reordered them
+	// (the victim was not the first of them to arrive).
+	seen                    map[string]int
+	arrivals                int
+	ownTies, ownTiesTouched int
 }
 
 type refBlock struct {
@@ -32,6 +41,7 @@ type refBlock struct {
 	uses     int
 	demanded bool
 	waiters  []func(bool)
+	arrived  int // order of Complete
 }
 
 func (r *refCache) get(lb int64) *refBlock {
@@ -106,6 +116,21 @@ func (r *refCache) evictOwnFurthest(owner int, incoming int64) bool {
 	}
 	if victim == nil || victim.hintDist <= incoming {
 		return false
+	}
+	tied, first := 0, victim
+	for _, b := range r.blocks {
+		if b.state == Valid && b.owner == owner && b.hintDist == victim.hintDist {
+			tied++
+			if b.arrived < first.arrived {
+				first = b
+			}
+		}
+	}
+	if tied > 1 {
+		r.ownTies++
+		if first != victim {
+			r.ownTiesTouched++
+		}
 	}
 	r.evict(victim)
 	return true
@@ -182,6 +207,8 @@ func (r *refCache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64
 func (r *refCache) Complete(lb int64) {
 	b := r.mustBe(lb, InTransit)
 	b.state = Valid
+	r.arrivals++
+	b.arrived = r.arrivals
 	r.lru = append(r.lru, lb)
 	r.wake(b, true)
 }
@@ -241,6 +268,18 @@ func (r *refCache) SetHintFor(lb int64, owner int, dist int64) {
 	if b == nil {
 		return
 	}
+	move := "rehint"
+	switch {
+	case b.hintDist == NoHint && dist == NoHint:
+		move = "none"
+	case b.hintDist == NoHint:
+		move = "hint"
+	case dist == NoHint:
+		move = "unhint"
+	case b.owner != owner:
+		move = "to-other-owner"
+	}
+	r.seen[fmt.Sprint(move, "/", b.state)]++
 	// Ownership moves with a hint; losing the hint leaves the last owner.
 	if dist != NoHint {
 		b.owner = owner
@@ -264,7 +303,7 @@ func blockRow(lb int64, st State, origin Origin, dist int64, owner, uses int, de
 func describeReal(c *Cache, owners int) string {
 	var rows []string
 	for _, b := range c.blocks {
-		rows = append(rows, blockRow(b.LB, b.state, b.Origin, b.HintDist, b.Owner, b.uses, b.Demanded(), len(b.waiters)))
+		rows = append(rows, blockRow(b.LB, b.state, b.Origin, b.HintDist, b.Owner, int(b.uses), b.Demanded(), len(b.waiters)))
 	}
 	sort.Strings(rows)
 	var lru []int64
@@ -275,7 +314,7 @@ func describeReal(c *Cache, owners int) string {
 	for o := 0; o < owners; o++ {
 		hinted = append(hinted, c.HintedCount(o))
 	}
-	return fmt.Sprintf("%s lru=%v hinted=%v len=%d %+v", strings.Join(rows, " "), lru, hinted, c.Len(), c.Stats())
+	return fmt.Sprintf("%s lru=%v hinted=%v unhinted=%d len=%d %+v", strings.Join(rows, " "), lru, hinted, c.unhinted, c.Len(), c.Stats())
 }
 
 func describeRef(r *refCache, owners int) string {
@@ -288,7 +327,13 @@ func describeRef(r *refCache, owners int) string {
 	for o := 0; o < owners; o++ {
 		hinted = append(hinted, r.hinted(o))
 	}
-	return fmt.Sprintf("%s lru=%v hinted=%v len=%d %+v", strings.Join(rows, " "), r.lru, hinted, len(r.blocks), r.stats)
+	unhinted := 0
+	for _, b := range r.blocks {
+		if b.state == Valid && b.hintDist == NoHint {
+			unhinted++
+		}
+	}
+	return fmt.Sprintf("%s lru=%v hinted=%v unhinted=%d len=%d %+v", strings.Join(rows, " "), r.lru, hinted, unhinted, len(r.blocks), r.stats)
 }
 
 // modelOp is one operation of the random program. A wait carries the
@@ -352,10 +397,28 @@ func (op *modelOp) run(c cacheOps, log *[]string) {
 	}
 }
 
+// gone lists the blocks of before that are no longer resident: the victims of
+// the operation in between (and its own block, if it failed or dropped it).
+func gone(before []int64, resident func(lb int64) bool) []int64 {
+	var out []int64
+	for _, lb := range before {
+		if !resident(lb) {
+			out = append(out, lb)
+		}
+	}
+	return out
+}
+
 // TestCacheMatchesModel drives the real cache and the naive model with the
 // same seeded random programs — three owners, a small pool under constant
 // eviction pressure, an accuracy function that changes under them — and
-// demands identical observations after every operation.
+// demands identical observations after every operation, the identity of every
+// evicted block among them. The model finds an owner's furthest-out block by
+// walking the LRU order, so it pins the real cache's per-owner index to the
+// same victim when several are equally far out: odd seeds draw hint distances
+// from three values, and the run must have met such ties, with a Touch having
+// reordered the tied blocks, and every kind of SetHintFor move (hinted,
+// unhinted, handed to another owner) on Valid and on InTransit blocks.
 func TestCacheMatchesModel(t *testing.T) {
 	const (
 		owners   = 3
@@ -364,13 +427,19 @@ func TestCacheMatchesModel(t *testing.T) {
 		seeds    = 40
 		opsEach  = 3000 // 40 x 3000 = 1.2e5 operations
 	)
+	seen := map[string]int{}
+	ownTies, ownTiesTouched := 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		acc := []float64{1, 1, 1}
 		accOf := func(owner int) float64 { return acc[owner] }
 		fast := New(capacity)
 		fast.SetAccuracyFn(accOf)
-		ref := &refCache{capacity: capacity, partitions: map[int]int{}, acc: accOf}
+		ref := &refCache{capacity: capacity, partitions: map[int]int{}, acc: accOf, seen: seen}
+		dists := int64(12)
+		if seed%2 == 1 {
+			dists = 3 // equal distances within one owner are the rule, not the exception
+		}
 
 		// pick returns a block in the state the operation needs three times in
 		// four, and any block at all otherwise (the precondition-panic paths).
@@ -383,7 +452,7 @@ func TestCacheMatchesModel(t *testing.T) {
 				if b := ref.get(lb); b != nil {
 					st = b.state
 				}
-				if want, ok := needs[kind]; ok && st == want {
+				if want, ok := needs[kind]; ok && st == want || kind == opSetHint && st != Absent {
 					fit = append(fit, lb)
 				}
 			}
@@ -396,7 +465,7 @@ func TestCacheMatchesModel(t *testing.T) {
 			op := &modelOp{kind: kind, lb: pick(kind), owner: rng.Intn(owners), dist: NoHint}
 			op.origin = Origin(rng.Intn(3))
 			if op.origin == OriginHint || kind == opSetHint && rng.Intn(3) > 0 {
-				op.dist = rng.Int63n(12)
+				op.dist = rng.Int63n(dists)
 			}
 			op.max = rng.Intn(capacity) - 1
 			return op
@@ -417,11 +486,15 @@ func TestCacheMatchesModel(t *testing.T) {
 			if rng.Intn(16) == 0 {
 				acc[rng.Intn(owners)] = float64(1+rng.Intn(8)) / 8
 			}
+			var before []int64
+			for _, b := range ref.blocks {
+				before = append(before, b.lb)
+			}
 			var gotLog, wantLog []string
 			op.run(realCache{fast}, &gotLog)
 			op.run(ref, &wantLog)
-			got := fmt.Sprint(gotLog, " ", describeReal(fast, owners))
-			want := fmt.Sprint(wantLog, " ", describeRef(ref, owners))
+			got := fmt.Sprint(gotLog, " gone=", gone(before, func(lb int64) bool { return fast.Get(lb) != nil }), " ", describeReal(fast, owners))
+			want := fmt.Sprint(wantLog, " gone=", gone(before, func(lb int64) bool { return ref.get(lb) != nil }), " ", describeRef(ref, owners))
 			if got != want {
 				t.Fatalf("seed %d op %d (%+v) diverged:\n real %s\nmodel %s", seed, i, *op, got, want)
 			}
@@ -432,6 +505,18 @@ func TestCacheMatchesModel(t *testing.T) {
 		}
 		if fast.Stats() != ref.stats {
 			t.Fatalf("seed %d: after FlushAccounting real %+v, model %+v", seed, fast.Stats(), ref.stats)
+		}
+		ownTies, ownTiesTouched = ownTies+ref.ownTies, ownTiesTouched+ref.ownTiesTouched
+	}
+	t.Logf("own-furthest ties %d (%d reordered by a touch), SetHintFor moves %v", ownTies, ownTiesTouched, seen)
+	if ownTies < 100 || ownTiesTouched < 20 {
+		t.Errorf("evictOwnFurthest chose among equally distant blocks %d times, %d with a touch between them: too few to pin the tie-break", ownTies, ownTiesTouched)
+	}
+	for _, move := range []string{"hint", "unhint", "rehint", "to-other-owner"} {
+		for _, st := range []State{Valid, InTransit} {
+			if key := fmt.Sprint(move, "/", st); seen[key] < 100 {
+				t.Errorf("SetHintFor move %s made %d times, want >= 100", key, seen[key])
+			}
 		}
 	}
 }

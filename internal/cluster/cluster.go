@@ -258,6 +258,16 @@ func New(cfg Config, pop *clients.Population) (*Cluster, error) {
 	return c, nil
 }
 
+// PumpWork sums every shard's tip.Manager.PumpWork: the passes the hint pumps
+// made over a session's window and the hinted blocks those passes examined.
+func (c *Cluster) PumpWork() (walks, steps int64) {
+	for _, s := range c.shards {
+		w, st := s.tm.PumpWork()
+		walks, steps = walks+w, steps+st
+	}
+	return walks, steps
+}
+
 // installObs contributes the cluster-wide overload gauges: total sheds seen
 // by clients, total retries sent, and how many per-shard breakers are not
 // closed right now.

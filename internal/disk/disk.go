@@ -191,6 +191,9 @@ func (a *Array) Dead(i int) bool {
 	return i >= 0 && i < len(a.disks) && a.disks[i].dead
 }
 
+// DeadCount returns how many disks have permanently failed so far.
+func (a *Array) DeadCount() int { return a.stats.DeadDisks }
+
 // deadNotifyCycles is the latency of an ErrDead completion: the driver's
 // command timeout, modeled as one positioning time.
 func (a *Array) deadNotifyCycles() sim.Time {

@@ -100,6 +100,8 @@ func (c *Client) hintSeg(f *fsim.File, off, n int64, conf float64) {
 		return
 	}
 	c.hints = append(c.hints, seg)
+	c.watch(seg)
+	c.stale()
 	m.emit("hint", "client=%d %s off=%d n=%d blocks=%d", c.id, f.Name, off, n, seg.nBlocks)
 	m.pump()
 }
@@ -193,6 +195,7 @@ func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 	if i < 0 {
 		return false
 	}
+	c.stale()
 	for _, seg := range c.hints[c.head:i] {
 		c.stats.BypassedSegs++
 		c.accObserve(false, 1)
@@ -259,6 +262,7 @@ func (c *Client) accObserve(good bool, weight float64) {
 func (c *Client) SetPrior(p float64) {
 	c.prior = clamp01(p)
 	c.priorWt = priorWeight
+	c.stale()
 	c.m.recomputePartitions()
 }
 
@@ -289,13 +293,15 @@ func (c *Client) weight() float64 { return max(c.Accuracy(), 0.05) }
 // MeanAccuracy returns the mean windowed hint accuracy over open clients
 // (1.0 with no clients — no evidence of error).
 func (m *Manager) MeanAccuracy() float64 {
-	open := m.openClients()
-	if len(open) == 0 {
+	open, sum := 0, 0.0
+	for _, c := range m.clients {
+		if !c.closed {
+			open++
+			sum += c.Accuracy()
+		}
+	}
+	if open == 0 {
 		return 1
 	}
-	sum := 0.0
-	for _, c := range open {
-		sum += c.Accuracy()
-	}
-	return sum / float64(len(open))
+	return sum / float64(open)
 }

@@ -5,6 +5,8 @@ package tip
 // its completion, and the sequential read-ahead policy for unhinted reads.
 
 import (
+	"slices"
+
 	"spechint/internal/cache"
 	"spechint/internal/disk"
 	"spechint/internal/fsim"
@@ -29,13 +31,108 @@ func (m *Manager) pump() {
 	}
 }
 
+// pumpMemo is what a client keeps of its last pass over its window when that
+// pass was pure: it changed nothing, and every block it wanted was turned away
+// by the per-disk depth bound before a buffer was asked for. A pure pass over
+// unchanged inputs is pure again, so the pump skips the client until an input
+// moves. Each input has one invalidation:
+//
+//   - the client's own queue, horizon and accuracy: stale, from hintSeg,
+//     consume and SetPrior (accuracy is otherwise observed only inside
+//     consume and CancelAll; CancelAll and Close leave an empty window, and
+//     a pass over that does nothing whatever it remembers);
+//   - the residency, (HintDist, Owner) or demotion of a block of a live
+//     segment: Manager.blockChanged, told by the cache's change hook (a
+//     demotion is set just before the Fail that reports the block) and by
+//     the one place a demotion is cleared;
+//   - a prefetch slot on a disk that refused, and a disk's death: compared
+//     when the client is next visited (settled), because either can happen
+//     while an earlier client of the same pump is being served.
+//
+// A pass is marked clean before it starts and spoils itself: whatever it does
+// to a block of its window (SetHintFor, a buffer acquired, a buffer dropped
+// again) comes back through blockChanged, the client watching every granule
+// its segments touch, and a refused buffer says so itself. A pass that
+// reached AcquireFor is therefore never kept, and what only AcquireFor reads
+// — partitions, cache occupancy, other clients' accuracy — is not tracked.
+// (A dead-disk skip is counted once per block, so the pass that counts it
+// leaves nothing for its repeat to do and may be kept.)
+type pumpMemo struct {
+	clean   bool
+	dead    int   // the array's dead-disk count the pass saw
+	refused []int // disks at MaxDepthPerDisk that turned a block of the pass away
+}
+
+// granuleShift sizes the granules of Manager.interest: 64 blocks. The index
+// is conservative — a client is woken by any change in a granule it has ever
+// hinted into, until it closes; a spurious wake costs one walk.
+const granuleShift = 6
+
+// stale discards the memo: the client walks at its next visit.
+func (c *Client) stale() { c.memo.clean = false }
+
+// blockChanged wakes the clients whose window may hold lb.
+func (m *Manager) blockChanged(lb int64) {
+	for _, c := range m.interest[lb>>granuleShift] {
+		c.stale()
+	}
+}
+
+// watch enters c in the interest index for every granule seg touches.
+func (c *Client) watch(seg *segment) {
+	if seg.nBlocks == 0 {
+		return
+	}
+	in := c.m.interest
+	for g := seg.firstLB >> granuleShift; g <= (seg.firstLB+seg.nBlocks-1)>>granuleShift; g++ {
+		if !slices.Contains(in[g], c) {
+			in[g] = append(in[g], c)
+			c.granules = append(c.granules, g)
+		}
+	}
+}
+
+// unwatch takes c out of the interest index.
+func (c *Client) unwatch() {
+	in := c.m.interest
+	for _, g := range c.granules {
+		l := in[g]
+		last := len(l) - 1
+		l[slices.Index(l, c)] = l[last]
+		l[last] = nil
+		in[g] = l[:last]
+	}
+	c.granules = nil
+}
+
+// settled reports that c's last pass was pure and nothing it read has moved.
+func (c *Client) settled() bool {
+	m := c.m
+	if !c.memo.clean || c.memo.dead != m.arr.DeadCount() {
+		return false
+	}
+	for _, dk := range c.memo.refused {
+		if m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
+			return false
+		}
+	}
+	return true
+}
+
+// PumpWork returns the pump's effort so far: walks counts the passes a client
+// made over its window (a visit to a settled client is not one), steps the
+// hinted blocks those passes examined. Both are deterministic for a run.
+func (m *Manager) PumpWork() (walks, steps int64) { return m.pumpWalks, m.pumpSteps }
+
 // pump issues this client's hint-driven prefetches up to its effective
-// horizon.
+// horizon, unless its last pass settled it.
 func (c *Client) pump() {
-	if c.closed {
+	if c.closed || c.settled() {
 		return
 	}
 	m := c.m
+	m.pumpWalks++
+	c.memo = pumpMemo{clean: true, dead: m.arr.DeadCount(), refused: c.memo.refused[:0]}
 	horizon := c.effHorizon()
 	bs := int64(m.fs.BlockSize())
 	dist := 0
@@ -54,6 +151,7 @@ func (c *Client) pump() {
 			if dist >= horizon {
 				return
 			}
+			m.pumpSteps++
 			lb := seg.firstLB + k
 			d := int64(dist)
 			dist++
@@ -65,7 +163,8 @@ func (c *Client) pump() {
 				// rest of the hinted sequence keeps prefetching.
 				continue
 			}
-			if dk, _ := m.arr.Map(lb); m.arr.Dead(dk) {
+			dk, _ := m.arr.Map(lb)
+			if m.arr.Dead(dk) {
 				// Degraded mode: no prefetching onto a dead disk.
 				if !m.deadSkipped[lb] {
 					m.deadSkipped[lb] = true
@@ -84,8 +183,12 @@ func (c *Client) pump() {
 				c.stats.HintPrefetches++
 				m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
 			case fetchDiskBusy:
-				continue // this disk is at depth; later blocks may differ
+				// This disk is at depth; later blocks may differ.
+				if !slices.Contains(c.memo.refused, dk) {
+					c.memo.refused = append(c.memo.refused, dk)
+				}
 			case fetchNoBuffer:
+				c.stale()
 				return // cache pressure: stop pumping this client
 			}
 		}
@@ -161,7 +264,10 @@ func (m *Manager) onFetchDone(lb int64, dk int, wasPrefetch bool, err error) {
 		m.handleFetchError(lb, dk, err)
 	} else {
 		delete(m.fetches, lb)
-		delete(m.demoted, lb)
+		if m.demoted[lb] {
+			delete(m.demoted, lb)
+			m.blockChanged(lb)
+		}
 		m.cache.Complete(lb)
 	}
 	m.retryPendingDemand()

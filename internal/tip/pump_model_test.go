@@ -1,0 +1,424 @@
+package tip
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"spechint/internal/cache"
+	"spechint/internal/disk"
+	"spechint/internal/fault"
+	"spechint/internal/fsim"
+	"spechint/internal/sim"
+)
+
+// The pump skips a client whose last pass was pure until one of that pass's
+// inputs moves (pumpMemo). The claim is that skipping is invisible: the same
+// fetches, evictions and hint-distance refreshes at the same virtual instants
+// as a pump that walks every open client's window every time. This test holds
+// the two side by side — two identical rigs, one seeded script, the second
+// rig's memos discarded before every pump — and compares everything
+// observable after every step.
+
+// forgetMemos makes every client of m walk at its next visit.
+func forgetMemos(m *Manager) {
+	for _, c := range m.clients {
+		c.stale()
+	}
+}
+
+// recInjector records the ordered stream of requests entering service (disk,
+// physical block, virtual time) and otherwise is the plan it wraps.
+type recInjector struct {
+	plan *fault.Plan
+	log  []string
+}
+
+func (r *recInjector) DiskDead(dk int, now sim.Time) bool { return r.plan.DiskDead(dk, now) }
+func (r *recInjector) NoteDeadHit()                       { r.plan.NoteDeadHit() }
+func (r *recInjector) Outcome(dk int, phys int64, now sim.Time) (int, bool) {
+	spike, fail := r.plan.Outcome(dk, phys, now)
+	r.log = append(r.log, fmt.Sprintf("t=%d disk=%d phys=%d fail=%v", now, dk, phys, fail))
+	return spike, fail
+}
+
+// pumpRig is one side of the comparison. Every pump in it is reached through
+// one of four doors — a client call the script makes, a clock event the
+// script runs, a read completion it is called back for, the array's OnIdle —
+// and before() stands at each of them, so on the forgetful side no pump ever
+// finds a memo left by an earlier one.
+type pumpRig struct {
+	clk    *sim.Queue
+	arr    *disk.Array
+	m      *Manager
+	inj    *recInjector
+	files  []*fsim.File
+	slots  []*Client // nil: closed, not yet reopened
+	forget bool
+	dones  []string    // read completions, in order
+	reads  []*pumpStep // reads not yet completed
+
+	sawPending, sawDemotionCleared, sawReentrant, sawRefusedHeld bool
+}
+
+func (r *pumpRig) before() {
+	if r.forget {
+		forgetMemos(r.m)
+	}
+}
+
+func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
+	t.Helper()
+	dcfg := disk.Config{
+		NumDisks: 3, BlockSize: 1024, StripeUnit: 2048,
+		PositionCycles: 1000, TransferCycles: 100, TrackBufCycles: 10, TrackBufBlocks: 4,
+		DelayFactor: 1, MaxPrefetchPerDisk: 10, // TIP unbounded (depth 0): the array itself refuses
+	}
+	cfg := Config{
+		CacheBlocks: 32, Horizon: 16, MinHorizon: 2, ReadaheadMax: 4,
+		MaxDepthPerDisk: depth, RADepthPerDisk: 4, MaxHintSegs: 64,
+		MaxFetchRetries: 1, RetryBaseCycles: 1500, RetryCapCycles: 6000,
+	}
+	clk := sim.NewQueue()
+	fs := fsim.New(dcfg.BlockSize)
+	arr, err := disk.New(clk, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(clk, arr, fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := fault.NewPlan(3)
+	plan.Rate, plan.Burst = 0.06, 3
+	plan.DieDisk, plan.DieAt = 2, 400_000 // a script runs some 650,000 cycles
+	r := &pumpRig{clk: clk, arr: arr, m: m, inj: &recInjector{plan: plan}, forget: forget}
+	arr.SetInjector(r.inj)
+	idle := arr.OnIdle
+	arr.OnIdle = func(dk int) { r.before(); idle(dk) }
+	// Five files of 40 blocks: 200 logical blocks, four granules of the
+	// interest index, every client hinting into every file.
+	for i := 0; i < 5; i++ {
+		r.files = append(r.files, fs.MustCreate(fmt.Sprintf("f%d", i), make([]byte, 40*1024)))
+	}
+	for i := 0; i < 5; i++ {
+		r.slots = append(r.slots, m.NewClient(fmt.Sprintf("c%d", i)))
+	}
+	return r
+}
+
+// pumpStep is one step of the script, decided from script state alone so both
+// rigs receive exactly the same calls.
+type pumpStep struct {
+	kind   string
+	slot   int
+	file   int
+	off, n int64
+	hinted bool
+	conf   float64
+	events int
+	then   *pumpStep // a read's completion callback issues this read
+}
+
+func (s *pumpStep) String() string {
+	str := fmt.Sprintf("%s slot=%d f%d off=%d n=%d hinted=%v conf=%.2f events=%d", s.kind, s.slot, s.file, s.off, s.n, s.hinted, s.conf, s.events)
+	if s.then != nil {
+		str += " then{" + s.then.String() + "}"
+	}
+	return str
+}
+
+// sharesBlocks reports whether two reads touch a common block of one file.
+func sharesBlocks(a, b *pumpStep) bool {
+	return a.file == b.file && a.off/1024 <= (b.off+b.n-1)/1024 && b.off/1024 <= (a.off+a.n-1)/1024
+}
+
+func (r *pumpRig) read(s *pumpStep) {
+	if r.slots[s.slot] == nil {
+		return // closed since the read was drawn
+	}
+	tag := fmt.Sprintf("slot=%d f%d off=%d n=%d", s.slot, s.file, s.off, s.n)
+	r.before()
+	r.reads = append(r.reads, s)
+	imm := r.slots[s.slot].Read(r.files[s.file], s.off, s.n, s.hinted, func(err error) {
+		r.before()
+		r.dones = append(r.dones, fmt.Sprintf("t=%d %s err=%v", r.clk.Now(), tag, err))
+		r.reads = slices.DeleteFunc(r.reads, func(x *pumpStep) bool { return x == s })
+		// The cluster dispatches a session's next part from inside the
+		// completion callback; so does this — unless another read may be
+		// waiting on the block that just completed. Dispatching then can
+		// evict that block under the next waiter (bench/perf/README.md Known
+		// failure 1, ROADMAP item 1(b): open, and not this test's subject),
+		// so that dispatch waits for the callback to return.
+		if s.then != nil {
+			if slices.ContainsFunc(r.reads, func(x *pumpStep) bool { return sharesBlocks(x, s) }) {
+				r.clk.After(0, func() { r.read(s.then) })
+			} else {
+				r.sawReentrant = true
+				r.read(s.then)
+			}
+		}
+		r.before()
+	})
+	if imm {
+		r.reads = r.reads[:len(r.reads)-1]
+		r.dones = append(r.dones, fmt.Sprintf("t=%d %s immediate", r.clk.Now(), tag))
+	}
+	if len(r.m.pendingDemand) > 0 {
+		r.sawPending = true
+	}
+}
+
+func (r *pumpRig) apply(s *pumpStep) {
+	switch s.kind {
+	case "hint":
+		r.before()
+		if s.conf > 0 {
+			r.slots[s.slot].HintSegConf(r.files[s.file], s.off, s.n, s.conf)
+		} else {
+			r.slots[s.slot].HintSeg(r.files[s.file], s.off, s.n)
+		}
+	case "read":
+		r.read(s)
+	case "cancel":
+		r.before()
+		r.slots[s.slot].CancelAll()
+	case "prior":
+		r.before()
+		r.slots[s.slot].SetPrior(s.conf)
+	case "close":
+		r.before()
+		r.slots[s.slot].Close()
+		r.slots[s.slot] = nil
+	case "open":
+		r.before()
+		r.slots[s.slot] = r.m.NewClient(fmt.Sprintf("c%d'", s.slot))
+	case "run":
+		for i := 0; i < s.events; i++ {
+			r.before()
+			demoted := len(r.m.demoted)
+			if !r.clk.RunNext() {
+				break
+			}
+			if len(r.m.demoted) < demoted {
+				r.sawDemotionCleared = true
+			}
+		}
+	}
+	for _, c := range r.slots {
+		if c != nil && len(c.memo.refused) > 0 && c.settled() {
+			r.sawRefusedHeld = true
+		}
+	}
+}
+
+// observe renders everything the two rigs must agree on: the clock, every
+// cached block's (LB, state, HintDist, Owner), each slot's counters and the
+// manager's aggregate, the fault counters, the per-disk prefetch depth and the
+// array's own counters. The disk request stream and the read completions are
+// compared as they grow.
+func (r *pumpRig) observe() string {
+	var rows []string
+	r.m.cache.ForEach(func(b *cache.Block) {
+		rows = append(rows, fmt.Sprintf("%03d:%v/d%d/o%d", b.LB, b.State(), b.HintDist, b.Owner))
+	})
+	sort.Strings(rows)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "now=%d blocks=%v\n", r.clk.Now(), rows)
+	for i, c := range r.slots {
+		if c != nil {
+			fmt.Fprintf(&sb, " slot%d id=%d acc=%v queue=%d %+v\n", i, c.ID(), c.Accuracy(), len(c.hints)-c.head, c.Stats())
+		}
+	}
+	fmt.Fprintf(&sb, " all=%+v\n faults=%+v prefDepth=%v pending=%d demoted=%d\n disk=%+v cache=%+v",
+		r.m.Stats(), r.m.Faults(), r.m.prefDepth, len(r.m.pendingDemand), len(r.m.demoted), r.arr.Stats(), r.m.cache.Stats())
+	return sb.String()
+}
+
+// pumpScript draws the steps. It keeps its own idea of what each slot has
+// hinted and not yet read, only to draw plausible reads: a hinted read of the
+// queue head (whole or the first part of it), of a later segment (bypassing
+// the ones before), of something never hinted, and unhinted sequential runs
+// that grow the read-ahead.
+type pumpScript struct {
+	rng     *rand.Rand
+	open    []bool
+	pending [][]pumpStep // hinted, unread segments per slot
+	seq     []int64      // next sequential unhinted offset per slot (in file slot%5)
+}
+
+const pumpFileBytes = 40 * 1024
+
+func (p *pumpScript) hintedRead(slot int) *pumpStep {
+	q := p.pending[slot]
+	if len(q) == 0 {
+		return nil
+	}
+	k := 0
+	if p.rng.Intn(5) == 0 {
+		k = p.rng.Intn(len(q)) // bypass what lies before
+	}
+	seg := q[k]
+	s := &pumpStep{kind: "read", slot: slot, file: seg.file, off: seg.off, n: seg.n, hinted: true}
+	if seg.n > 1024 && p.rng.Intn(3) == 0 {
+		// Partial consume: read the first part, leave the rest hinted.
+		s.n = 1024 * (1 + p.rng.Int63n(seg.n/1024))
+		q[k].off, q[k].n = seg.off+s.n, seg.n-s.n
+		p.pending[slot] = q[k:]
+		if q[k].n <= 0 {
+			p.pending[slot] = q[k+1:]
+		}
+		return s
+	}
+	p.pending[slot] = q[k+1:]
+	return s
+}
+
+func (p *pumpScript) next() *pumpStep {
+	rng := p.rng
+	slot := rng.Intn(len(p.open))
+	if !p.open[slot] {
+		p.open[slot] = true
+		p.pending[slot], p.seq[slot] = nil, 0
+		return &pumpStep{kind: "open", slot: slot}
+	}
+	switch x := rng.Intn(100); {
+	case x < 30:
+		s := &pumpStep{kind: "hint", slot: slot, file: rng.Intn(5)}
+		s.off = rng.Int63n(pumpFileBytes - 1024)
+		s.n = 1 + rng.Int63n(6*1024)
+		if rng.Intn(4) > 0 {
+			s.off &^= 1023 // mostly block-aligned, as the apps hint
+		}
+		if rng.Intn(6) == 0 {
+			s.conf = float64(1+rng.Intn(4)) / 4
+		}
+		p.pending[slot] = append(p.pending[slot], *s)
+		return s
+	case x < 55:
+		s := p.hintedRead(slot)
+		if s == nil {
+			return &pumpStep{kind: "run", events: 1 + rng.Intn(4)}
+		}
+		if rng.Intn(3) == 0 {
+			s.then = p.hintedRead(slot) // may be nil
+		}
+		return s
+	case x < 65:
+		// Unhinted: a sequential run in the slot's own file, or a random poke.
+		s := &pumpStep{kind: "read", slot: slot, file: slot % 5, off: p.seq[slot], n: 1024 * (1 + rng.Int63n(3))}
+		if rng.Intn(4) == 0 || s.off >= pumpFileBytes {
+			s.file, s.off = rng.Intn(5), rng.Int63n(pumpFileBytes)
+			p.seq[slot] = 0
+		} else {
+			p.seq[slot] = s.off + s.n
+		}
+		return s
+	case x < 68:
+		// Claims to be hinted, matches nothing in the queue.
+		return &pumpStep{kind: "read", slot: slot, file: rng.Intn(5), off: rng.Int63n(pumpFileBytes), n: 2048, hinted: true}
+	case x < 71:
+		p.pending[slot] = nil
+		return &pumpStep{kind: "cancel", slot: slot}
+	case x < 73:
+		return &pumpStep{kind: "prior", slot: slot, conf: float64(rng.Intn(5)) / 4}
+	case x < 76:
+		p.open[slot] = false
+		return &pumpStep{kind: "close", slot: slot}
+	default:
+		return &pumpStep{kind: "run", events: 1 + rng.Intn(6)}
+	}
+}
+
+func TestPumpMemoIsInvisible(t *testing.T) {
+	const steps = 2500
+	seeds := int64(12)
+	if testing.Short() {
+		seeds = 2 // the race detector's share; too few to reach every path below
+	}
+	for _, depth := range []int{0, 1, 8} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			t.Parallel()
+			var lazyWalks, eagerWalks int64
+			var faults FaultCounters
+			var sawPending, sawCleared, sawRejected, sawReentrant, sawRefusedHeld bool
+			for seed := int64(0); seed < seeds; seed++ {
+				lazy, eager := newPumpRig(t, depth, false), newPumpRig(t, depth, true)
+				script := &pumpScript{rng: rand.New(rand.NewSource(seed)), open: make([]bool, 5),
+					pending: make([][]pumpStep, 5), seq: make([]int64, 5)}
+				for i := range script.open {
+					script.open[i] = true
+				}
+				reqs, dones := 0, 0
+				for i := 0; i < steps; i++ {
+					s := script.next()
+					if i == steps-1 {
+						s = &pumpStep{kind: "run", events: 1 << 20} // drain
+					}
+					lazy.apply(s)
+					eager.apply(s)
+					if got, want := lazy.observe(), eager.observe(); got != want {
+						t.Fatalf("seed %d step %d (%v): the rigs diverged\nmemoised:\n%s\nwalk-always:\n%s", seed, i, s, got, want)
+					}
+					if !reflect.DeepEqual(lazy.inj.log[reqs:], eager.inj.log[reqs:]) {
+						t.Fatalf("seed %d step %d (%v): disk request streams diverged\nmemoised:    %v\nwalk-always: %v",
+							seed, i, s, lazy.inj.log[reqs:], eager.inj.log[reqs:])
+					}
+					if !reflect.DeepEqual(lazy.dones[dones:], eager.dones[dones:]) {
+						t.Fatalf("seed %d step %d (%v): read completions diverged\nmemoised:    %v\nwalk-always: %v",
+							seed, i, s, lazy.dones[dones:], eager.dones[dones:])
+					}
+					reqs, dones = len(lazy.inj.log), len(lazy.dones)
+				}
+				lw, _ := lazy.m.PumpWork()
+				ew, _ := eager.m.PumpWork()
+				lazyWalks, eagerWalks = lazyWalks+lw, eagerWalks+ew
+				f := lazy.m.Faults()
+				faults.FetchErrors += f.FetchErrors
+				faults.FetchRetries += f.FetchRetries
+				faults.DemotedBlocks += f.DemotedBlocks
+				faults.DeadSkips += f.DeadSkips
+				faults.FailedDemand += f.FailedDemand
+				sawPending = sawPending || lazy.sawPending
+				sawCleared = sawCleared || lazy.sawDemotionCleared
+				sawRejected = sawRejected || lazy.arr.Stats().RejectedReqs > 0
+				sawReentrant = sawReentrant || lazy.sawReentrant
+				sawRefusedHeld = sawRefusedHeld || lazy.sawRefusedHeld
+				if lazy.arr.DeadCount() != 1 {
+					t.Errorf("seed %d: the script ended before the disk died", seed)
+				}
+			}
+			// The script must have been where the memo can go wrong, and the
+			// memo must have been in play.
+			t.Logf("walks: memoised %d, walk-always %d; %+v", lazyWalks, eagerWalks, faults)
+			if testing.Short() {
+				return
+			}
+			if lazyWalks*10 > eagerWalks*9 {
+				t.Errorf("the memoised pump walked %d times against %d: the memo hardly ever held", lazyWalks, eagerWalks)
+			}
+			if faults.FetchRetries == 0 || faults.DemotedBlocks == 0 || faults.DeadSkips == 0 || faults.FailedDemand == 0 {
+				t.Errorf("fault paths not all reached: %+v", faults)
+			}
+			if !sawCleared {
+				t.Error("no demand read ever cleared a demotion")
+			}
+			if !sawReentrant {
+				t.Error("no completion callback ever issued the next read itself")
+			}
+			if !sawPending {
+				t.Error("no demand miss ever found the cache full (pendingDemand)")
+			}
+			if depth == 0 && !sawRejected {
+				t.Error("the array never refused a prefetch (the Drop path)")
+			}
+			if depth > 0 && !sawRefusedHeld {
+				t.Error("no client ever stayed settled against a disk at its depth bound")
+			}
+		})
+	}
+}

@@ -9,7 +9,6 @@
 // queue, accuracy estimate and read-ahead state are private, so one process's
 // TIPIO_CANCEL_ALL or bad hints cannot cancel or discount another's. The
 // Manager arbitrates the shared cache and disk array across clients,
-// partitioning hinted buffers by each client's recent accuracy. Single-process
 // partitioning hinted buffers by each client's recent accuracy.
 //
 // Unhinted read calls invoke the operating system's sequential read-ahead
@@ -213,7 +212,15 @@ type Manager struct {
 	// (everything in transit); retried on every completion.
 	pendingDemand []pendingFetch
 
-	prefDepth map[int]int // outstanding prefetches per disk
+	prefDepth []int // outstanding prefetches per disk
+
+	// interest maps a granule of the logical block space to the clients that
+	// have disclosed a hint touching it: whom blockChanged must wake. See
+	// pumpMemo.
+	interest map[int64][]*Client
+
+	// Pump effort, for PumpWork.
+	pumpWalks, pumpSteps int64
 
 	// fetches holds exactly one record per in-transit block, from the submit
 	// that acquired its buffer until the block resolves (Complete or Fail) —
@@ -262,6 +269,9 @@ type Client struct {
 	prior   float64
 	priorWt float64
 
+	memo     pumpMemo
+	granules []int64 // the granules of m.interest this client is entered in
+
 	stats Stats
 }
 
@@ -276,7 +286,8 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		fs:          fs,
 		cache:       cache.New(cfg.CacheBlocks),
 		cfg:         cfg,
-		prefDepth:   make(map[int]int),
+		prefDepth:   make([]int, arr.Config().NumDisks),
+		interest:    make(map[int64][]*Client),
 		fetches:     make(map[int64]fetch),
 		demoted:     make(map[int64]bool),
 		deadSkipped: make(map[int64]bool),
@@ -287,6 +298,7 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		}
 		return 1
 	})
+	m.cache.SetOnChange(m.blockChanged)
 	arr.OnIdle = func(int) { m.pump() }
 	return m, nil
 }
@@ -386,19 +398,9 @@ func (c *Client) Close() {
 	c.hints = nil
 	c.head = 0
 	c.closed = true
+	c.unwatch()
 	c.m.free = append(c.m.free, c.id)
 	c.m.recomputePartitions()
-}
-
-// openClients returns the clients still accepting hints.
-func (m *Manager) openClients() []*Client {
-	var open []*Client
-	for _, c := range m.clients {
-		if !c.closed {
-			open = append(open, c)
-		}
-	}
-	return open
 }
 
 // recomputePartitions reapportions the hinted-buffer budget across open
@@ -409,15 +411,17 @@ func (m *Manager) openClients() []*Client {
 // allocation reduced to its ranking: reliable hinters earn deeper prefetch
 // residency.
 func (m *Manager) recomputePartitions() {
-	open := m.openClients()
 	avail := m.cfg.CacheBlocks - max(1, m.cfg.CacheBlocks/4)
-	var sumW float64
-	for _, c := range open {
-		sumW += c.weight()
+	open, sumW := 0, 0.0
+	for _, c := range m.clients {
+		if !c.closed {
+			open++
+			sumW += c.weight()
+		}
 	}
 	for _, c := range m.clients {
 		share := 0 // unlimited: a closed client, or the only open one
-		if !c.closed && len(open) > 1 {
+		if !c.closed && open > 1 {
 			share = max(1, int(float64(avail)*c.weight()/sumW))
 		}
 		m.cache.SetPartition(c.id, share)
