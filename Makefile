@@ -45,9 +45,12 @@ speclint:
 synth:
 	$(GO) run ./cmd/spechint -app all -synthesize
 
-# fuzz runs the native fault-containment fuzz target for a short budget.
+# fuzz runs the native fuzz targets for a short budget each: fault
+# containment (core), then counted-loop summarisation against the stepping
+# interpreter (vm).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=10s -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzCountedLoop -fuzztime=10s -run '^$$' ./internal/vm
 
 # smoke-F runs sweep family F (any tipbench experiment with a -json report)
 # at test scale at -parallel 1 and 4, demands byte-identical JSON at both

@@ -600,6 +600,17 @@ func (s *System) issueStaticHints() {
 // TIP exposes the prefetching manager (tests, tools).
 func (s *System) TIP() *tip.Manager { return s.tip }
 
+// Summarised returns how many of each thread's instructions the VM retired
+// in closed form (vm.Thread.Summarised; spec is 0 without a speculating
+// thread). It is what the simulator spent, not what it simulated — it moves
+// with the scheduling quantum — so RunStats does not carry it.
+func (s *System) Summarised() (orig, spec int64) {
+	if s.spec != nil {
+		spec = s.spec.Summarised
+	}
+	return s.orig.Summarised, spec
+}
+
 // Name returns the label given at NewOn ("app" for a private System).
 func (s *System) Name() string { return s.name }
 

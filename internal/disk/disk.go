@@ -137,6 +137,7 @@ type Stats struct {
 type Array struct {
 	clk   *sim.Queue
 	cfg   Config
+	unit  int64 // file-system blocks per striping unit
 	disks []diskState
 	stats Stats
 	inj   Injector   // nil = perfect hardware
@@ -166,7 +167,8 @@ func New(clk *sim.Queue, cfg Config) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{clk: clk, cfg: cfg, disks: make([]diskState, cfg.NumDisks)}
+	a := &Array{clk: clk, cfg: cfg, unit: int64(cfg.StripeUnit / cfg.BlockSize),
+		disks: make([]diskState, cfg.NumDisks)}
 	for i := range a.disks {
 		a.disks[i].nextSeqPhys = -1
 		a.disks[i].arrival = make(map[*Request]sim.Time)
@@ -246,20 +248,22 @@ func (a *Array) failDead(r *Request) {
 func (a *Array) Stats() Stats { return a.stats }
 
 // BlocksPerStripeUnit returns the number of file-system blocks per striping unit.
-func (a *Array) BlocksPerStripeUnit() int64 {
-	return int64(a.cfg.StripeUnit / a.cfg.BlockSize)
-}
+func (a *Array) BlocksPerStripeUnit() int64 { return a.unit }
 
 // Map implements the striping pseudodevice: it maps a logical block number
 // (in the file system's global block space) to a (disk, physical block) pair,
 // striping round-robin in StripeUnit-sized runs.
 func (a *Array) Map(logical int64) (disk int, phys int64) {
-	unit := a.BlocksPerStripeUnit()
-	stripe := logical / unit
-	within := logical % unit
+	stripe := logical / a.unit
+	within := logical % a.unit
 	disk = int(stripe % int64(a.cfg.NumDisks))
 	row := stripe / int64(a.cfg.NumDisks)
-	return disk, row*unit + within
+	return disk, row*a.unit + within
+}
+
+// DiskOf is the disk half of Map, for callers that only route by disk.
+func (a *Array) DiskOf(logical int64) int {
+	return int(logical / a.unit % int64(a.cfg.NumDisks))
 }
 
 // Submit enqueues a request. It returns false if the request is a prefetch

@@ -77,6 +77,9 @@ func TestStripingMap(t *testing.T) {
 		if d != c.disk || p != c.phys {
 			t.Errorf("Map(%d) = (%d,%d), want (%d,%d)", c.logical, d, p, c.disk, c.phys)
 		}
+		if got := a.DiskOf(c.logical); got != c.disk {
+			t.Errorf("DiskOf(%d) = %d, want %d", c.logical, got, c.disk)
+		}
 	}
 }
 

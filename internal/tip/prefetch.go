@@ -158,12 +158,12 @@ func (c *Client) pump() {
 			if d >= lim {
 				continue
 			}
-			if m.demoted[lb] {
+			if len(m.demoted) > 0 && m.demoted[lb] {
 				// Repeatedly failing block: left to the demand read, so the
 				// rest of the hinted sequence keeps prefetching.
 				continue
 			}
-			dk, _ := m.arr.Map(lb)
+			dk := m.arr.DiskOf(lb)
 			if m.arr.Dead(dk) {
 				// Degraded mode: no prefetching onto a dead disk.
 				if !m.deadSkipped[lb] {

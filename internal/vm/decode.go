@@ -11,7 +11,9 @@ package vm
 //   - the base cycle cost of every instruction (Default/Mul/Div/Syscall plus
 //     the speculative check surcharges) is precomputed into the entry;
 //   - the SP-discipline check predicate (Rd == SP on a non-store) becomes a
-//     flag bit instead of three comparisons per step.
+//     flag bit instead of three comparisons per step;
+//   - the header of a pure counted spin loop gets a class of its own (dSPIN),
+//     which lets Run retire whole iterations in closed form (markSpinLoops).
 //
 // The original []Instr stays on the Machine for diagnostics (fault messages
 // name the source opcode, not the decoded class).
@@ -44,6 +46,8 @@ const (
 	dLDS // COW-checked load
 	dST  // plain store
 	dSTS // COW-checked store
+	// dSPIN is a BEQ that heads a counted spin loop (markSpinLoops).
+	dSPIN
 	dBEQ
 	dBNE
 	dBLT
@@ -195,5 +199,36 @@ func decodeProgram(text []Instr, cost CostModel) []dInstr {
 			d.flags |= dfCheckSP
 		}
 	}
+	markSpinLoops(dec)
 	return dec
+}
+
+// spinLen is the instruction count of one iteration of a counted spin loop.
+const spinLen = 3
+
+// markSpinLoops reclassifies as dSPIN the header of every pure counted loop
+//
+//	head: beq  rX, r0, exit
+//	      addi rX, rX, -1
+//	      jmp  head
+//
+// the shape trace.Source emits for think time, in original and shadow text
+// alike (the transformer copies all three instructions verbatim and rebases
+// the jump). An iteration changes nothing but rX, the instruction count and
+// the clock, so Run can retire k of them at once; what it charges for them it
+// reads from these same decoded entries. Everything else stays a plain BEQ:
+// rX = r0 never iterates, rX = SP carries the stack-discipline check, a body
+// of any other length or a linking jump has effects the closed form does not
+// model, and a non-positive cost has no budget arithmetic.
+func markSpinLoops(dec []dInstr) {
+	for i := 0; i+spinLen <= len(dec); i++ {
+		head, body, back := &dec[i], &dec[i+1], &dec[i+2]
+		x := head.rs1
+		if head.class == dBEQ && head.rs2 == R0 && x != R0 && x != SP &&
+			body.class == dADDI && body.rd == x && body.rs1 == x && body.imm == -1 &&
+			back.class == dJMP && back.flags&dfLink == 0 && back.imm == int64(i) &&
+			head.cost > 0 && body.cost > 0 && back.cost > 0 {
+			head.class = dSPIN
+		}
+	}
 }

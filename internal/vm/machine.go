@@ -3,6 +3,7 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"spechint/internal/cow"
 )
@@ -181,6 +182,11 @@ type Thread struct {
 	Signals  int64 // speculative faults
 	ExitCode int64
 	Err      error // fatal error (Normal mode only)
+
+	// Summarised counts the instructions (a subset of Instrs) that Run
+	// retired in closed form instead of dispatching: whole iterations of
+	// counted spin loops (decode.go).
+	Summarised int64
 }
 
 // Wake unblocks a Blocked thread, storing result into R1 (the syscall
@@ -203,6 +209,7 @@ type Machine struct {
 	os   OS
 
 	cowCopyCost int64 // cycles charged per freshly-copied COW region
+	pageShift   uint  // log2(cfg.PageBytes): touchPage runs on every access
 
 	brk     int64 // original thread's heap break
 	specBrk int64 // speculating thread's private break
@@ -222,6 +229,9 @@ func NewMachine(prog *Program, os OS, cfg Config) (*Machine, error) {
 	if cfg.MemSize <= 0 || cfg.StackSize <= 0 || cfg.StackSize*2 >= cfg.MemSize {
 		return nil, fmt.Errorf("vm: bad memory geometry mem=%d stack=%d", cfg.MemSize, cfg.StackSize)
 	}
+	if cfg.PageBytes <= 0 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
+		return nil, fmt.Errorf("vm: page size %d is not a power of two", cfg.PageBytes)
+	}
 	if prog.DataSize > cfg.MemSize-cfg.StackSize {
 		return nil, fmt.Errorf("vm: data %d does not fit below the stack", prog.DataSize)
 	}
@@ -237,6 +247,7 @@ func NewMachine(prog *Program, os OS, cfg Config) (*Machine, error) {
 		pageLast: make([]int64, (total+cfg.PageBytes-1)/cfg.PageBytes),
 
 		cowCopyCost: cfg.Cost.CopyPer8B * int64(cfg.COWRegion) / 8,
+		pageShift:   uint(bits.TrailingZeros64(uint64(cfg.PageBytes))),
 	}
 	m.specBrk = cfg.MemSize + cfg.StackSize
 	copy(m.mem, prog.Data)
@@ -322,7 +333,7 @@ func (m *Machine) ResetSpecBrk() { m.specBrk = m.cfg.MemSize + m.cfg.StackSize }
 
 // touchPage records a data access for footprint/fault/reclaim accounting.
 func (m *Machine) touchPage(addr int64) {
-	p := addr / m.cfg.PageBytes
+	p := addr >> m.pageShift
 	last := m.pageLast[p]
 	switch {
 	case last < 0:
@@ -667,6 +678,29 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 			}
 			c += int64(fresh) * m.cowCopyCost
 
+		case dSPIN:
+			// Header of a counted spin loop (markSpinLoops) with n iterations
+			// to go. An instruction runs iff used < budget at its start, so
+			// an iteration runs whole iff its last instruction starts under
+			// budget: retire the k that do at once and stay on the header.
+			// The exit, a partial iteration and a counter that would have to
+			// wrap (n <= 0) are the plain BEQ's.
+			if n := regs[ins.rs1]; n > 0 {
+				upToLast := c + dec[pc+1].cost
+				iter := upToLast + dec[pc+2].cost
+				if room := budget - used - upToLast; room > 0 {
+					k := (room-1)/iter + 1
+					if k > n {
+						k = n
+					}
+					regs[ins.rs1] = n - k
+					t.Instrs += k*spinLen - 1 // this arrival is already counted
+					t.Summarised += k * spinLen
+					used += k * iter
+					continue
+				}
+			}
+			fallthrough
 		case dBEQ:
 			if regs[ins.rs1] == regs[ins.rs2] {
 				nextPC = ins.imm

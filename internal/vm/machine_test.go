@@ -673,6 +673,8 @@ func TestMachineGeometryValidation(t *testing.T) {
 		func() Config { c := testCfg(); c.MemSize = 0; return c }(),
 		func() Config { c := testCfg(); c.StackSize = c.MemSize; return c }(),
 		func() Config { c := testCfg(); c.MemSize = 4096; c.StackSize = 64 << 10; return c }(),
+		func() Config { c := testCfg(); c.PageBytes = 0; return c }(),
+		func() Config { c := testCfg(); c.PageBytes = 6000; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, err := NewMachine(p, &scriptOS{}, cfg); err == nil {
