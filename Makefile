@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test examples ci
+.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test examples pairs ci
 
 all: build
 
@@ -73,6 +73,16 @@ smoke-%:
 # that breaks the frozen benchmark fails here, not in the next bench run.
 perf-test:
 	cd bench/perf && $(GO) build -o /dev/null . && $(GO) test .
+
+# pairs runs N alternating parent/change pairs of benchmark workload W (the
+# parent is PARENT's committed tree, the change this checkout as it stands) and
+# prints each side's median and quartiles per end-to-end metric, the pairs won,
+# and whether every virt_* was exactly equal: `make pairs W=replay_modern
+# PARENT=HEAD~1 [SEED=1] [N=10]`. It edits nothing under bench/perf.
+SEED ?= 1
+N ?= 10
+pairs:
+	@bash scripts/pairs.sh "$(W)" "$(PARENT)" $(SEED) $(N)
 
 # examples runs every program under examples/ (tier-1 only compiles them;
 # each is a complete core.New(...).Run() walkthrough that panics or exits

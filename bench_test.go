@@ -14,6 +14,7 @@ import (
 	"spechint/internal/bench"
 	"spechint/internal/clients"
 	"spechint/internal/cluster"
+	"spechint/internal/core"
 	"spechint/internal/spechint"
 )
 
@@ -46,7 +47,7 @@ func BenchmarkClusterHinted(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var reads, steps int64
+			var reads, steps, probes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c, err := cluster.New(cluster.DefaultConfig(4), pop)
@@ -57,12 +58,64 @@ func BenchmarkClusterHinted(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, st := c.PumpWork()
-				reads, steps = reads+res.Reads, steps+st
+				_, st, pr := c.PumpWork()
+				reads, steps, probes = reads+res.Reads, steps+st, probes+pr
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
 			b.ReportMetric(float64(steps)/float64(reads), "steps/read")
+			b.ReportMetric(float64(probes)/float64(reads), "probes/read")
 		})
+	}
+}
+
+// BenchmarkSoloHinted is the same report for one hinting process: the two
+// solo cells that keep the deepest hint window open — MLShard read in 128 KB
+// batches with manual hints, Gnuld speculating — on one disk and on four.
+// probes/read is the part of steps/read that went on to ask the disk side
+// about the block; with every disk at its depth bound the pump stops asking.
+func BenchmarkSoloHinted(b *testing.B) {
+	ml := apps.SweepScale()
+	ml.MLShard.ReadSize = 128 << 10
+	for _, cell := range []struct {
+		name  string
+		app   apps.App
+		mode  core.Mode
+		scale apps.Scale
+	}{
+		{"MLShard128KB/manual", apps.MLShard, core.ModeManual, ml},
+		{"Gnuld/speculating", apps.Gnuld, core.ModeSpeculating, apps.SweepScale()},
+	} {
+		for _, disks := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/disks=%d", cell.name, disks), func(b *testing.B) {
+				bundle, err := apps.Build(cell.app, cell.scale)
+				if err != nil {
+					b.Fatal(err)
+				}
+				prog := bundle.Manual
+				if cell.mode == core.ModeSpeculating {
+					prog = bundle.Transformed
+				}
+				cfg := core.DefaultConfig(cell.mode)
+				cfg.Disk = core.TestbedDisk(disks)
+				var reads, steps, probes int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sys, err := core.New(cfg, prog, bundle.FS)
+					if err != nil {
+						b.Fatal(err)
+					}
+					st, err := sys.Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					_, s, p := sys.TIP().PumpWork()
+					reads, steps, probes = reads+st.ReadCalls, steps+s, probes+p
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
+				b.ReportMetric(float64(steps)/float64(reads), "steps/read")
+				b.ReportMetric(float64(probes)/float64(reads), "probes/read")
+			})
+		}
 	}
 }
 

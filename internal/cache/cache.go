@@ -110,7 +110,7 @@ type Stats struct {
 // is single-threaded by construction.
 type Cache struct {
 	capacity int
-	blocks   map[int64]*Block
+	blocks   blockTable
 	lru      *list.List // front = LRU (eviction end), back = MRU
 	tick     uint64     // source of Block.stamp: bumped on every PushBack/MoveToBack
 	unhinted int        // valid blocks with no hint: the candidates of evictFor's case 1
@@ -150,7 +150,6 @@ func New(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity:   capacity,
-		blocks:     make(map[int64]*Block),
 		lru:        list.New(),
 		own:        make(map[int][]*Block),
 		partitions: make(map[int]int),
@@ -220,13 +219,13 @@ func (c *Cache) unlist(b *Block) {
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of buffers in use (valid + in transit).
-func (c *Cache) Len() int { return len(c.blocks) }
+func (c *Cache) Len() int { return c.blocks.n }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Get returns the block for lb, or nil if absent.
-func (c *Cache) Get(lb int64) *Block { return c.blocks[lb] }
+func (c *Cache) Get(lb int64) *Block { return c.blocks.get(lb) }
 
 // Acquire allocates a buffer for owner 0 — the single-process form; see
 // AcquireFor.
@@ -241,9 +240,13 @@ func (c *Cache) Acquire(lb int64, origin Origin, hintDist int64) *Block {
 // no buffer could be freed — every cached block is either in transit or more
 // valuable than the request.
 //
-// AcquireFor panics if lb is already present; callers must check Get first.
+// AcquireFor panics if lb is already present (callers must check Get first)
+// or negative.
 func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *Block {
-	if _, ok := c.blocks[lb]; ok {
+	if lb < 0 {
+		panic(fmt.Sprintf("cache: Acquire of negative block number %d", lb))
+	}
+	if c.blocks.get(lb) != nil {
 		panic(fmt.Sprintf("cache: Acquire of present block %d", lb))
 	}
 	if hintDist != NoHint {
@@ -256,18 +259,18 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *
 			}
 		}
 	}
-	if len(c.blocks) >= c.capacity {
+	if c.blocks.n >= c.capacity {
 		if !c.evictFor(owner, origin, hintDist) {
 			return nil
 		}
 	}
 	b := &Block{LB: lb, Origin: origin, HintDist: hintDist, Owner: owner, state: InTransit}
-	c.blocks[lb] = b
+	c.blocks.set(lb, b)
 	if hintDist != NoHint {
 		c.list(b)
 	}
 	c.changed(lb)
-	c.emit("admit", "lb=%d origin=%s owner=%d used=%d/%d", lb, origin, owner, len(c.blocks), c.capacity)
+	c.emit("admit", "lb=%d origin=%s owner=%d used=%d/%d", lb, origin, owner, c.blocks.n, c.capacity)
 	return b
 }
 
@@ -381,7 +384,7 @@ func (c *Cache) evict(b *Block) {
 		c.unhinted--
 	}
 	c.lru.Remove(b.elem)
-	delete(c.blocks, b.LB)
+	c.blocks.del(b.LB)
 	c.changed(b.LB)
 }
 
@@ -413,7 +416,7 @@ func (c *Cache) noteUnusedIfPrefetched(b *Block) {
 // Complete transitions an in-transit block to Valid and wakes its waiters
 // with valid=true.
 func (c *Cache) Complete(lb int64) {
-	b := c.blocks[lb]
+	b := c.blocks.get(lb)
 	if b == nil || b.state != InTransit {
 		panic(fmt.Sprintf("cache: Complete of block %d in bad state", lb))
 	}
@@ -435,14 +438,14 @@ func (c *Cache) Complete(lb int64) {
 // woken with valid=false. The block must be InTransit — failing a block in
 // any other state panics, like Complete.
 func (c *Cache) Fail(lb int64) {
-	b := c.blocks[lb]
+	b := c.blocks.get(lb)
 	if b == nil || b.state != InTransit {
 		panic(fmt.Sprintf("cache: Fail of block %d in bad state", lb))
 	}
 	c.stats.FailedLoads++
 	c.emit("fail", "lb=%d origin=%s owner=%d waiters=%d", lb, b.Origin, b.Owner, len(b.waiters))
 	c.dropHintAccounting(b)
-	delete(c.blocks, lb)
+	c.blocks.del(lb)
 	c.changed(lb)
 	ws := b.waiters
 	b.waiters = nil
@@ -454,7 +457,7 @@ func (c *Cache) Fail(lb int64) {
 // Wait registers fn to run when the in-transit block lb resolves: valid=true
 // from Complete, valid=false from Fail.
 func (c *Cache) Wait(lb int64, fn func(valid bool)) {
-	b := c.blocks[lb]
+	b := c.blocks.get(lb)
 	if b == nil || b.state != InTransit {
 		panic(fmt.Sprintf("cache: Wait on block %d in bad state", lb))
 	}
@@ -464,7 +467,7 @@ func (c *Cache) Wait(lb int64, fn func(valid bool)) {
 // Touch records a demand access to a valid block: it moves the block to the
 // MRU end and updates hit/reuse statistics.
 func (c *Cache) Touch(lb int64) {
-	b := c.blocks[lb]
+	b := c.blocks.get(lb)
 	if b == nil || b.state != Valid {
 		panic(fmt.Sprintf("cache: Touch of block %d in bad state", lb))
 	}
@@ -485,7 +488,7 @@ func (c *Cache) Touch(lb int64) {
 // block. If the block was a prefetch, its latency was only partially hidden
 // (Table 5's "Partially" column).
 func (c *Cache) NoteDemandWait(lb int64) {
-	b := c.blocks[lb]
+	b := c.blocks.get(lb)
 	if b == nil || b.state != InTransit {
 		panic(fmt.Sprintf("cache: NoteDemandWait on block %d in bad state", lb))
 	}
@@ -499,28 +502,24 @@ func (c *Cache) NoteDemandWait(lb int64) {
 // rejected it under prefetch back-pressure). Dropping a block with waiters
 // or in any other state panics: it would strand the waiters.
 func (c *Cache) Drop(lb int64) {
-	b := c.blocks[lb]
+	b := c.blocks.get(lb)
 	if b == nil || b.state != InTransit || len(b.waiters) > 0 {
 		panic(fmt.Sprintf("cache: Drop of block %d in bad state", lb))
 	}
 	c.dropHintAccounting(b)
-	delete(c.blocks, lb)
+	c.blocks.del(lb)
 	c.changed(lb)
 }
 
 // NoteMiss records a demand fetch for an absent block.
 func (c *Cache) NoteMiss() { c.stats.Misses++ }
 
-// SetHintDist updates a block's hint distance on behalf of owner 0 — the
-// single-process form; see SetHintFor.
-func (c *Cache) SetHintDist(lb, dist int64) { c.SetHintFor(lb, 0, dist) }
-
 // SetHintFor updates a block's hint distance and owner (e.g. after a
 // CANCEL_ALL the block becomes unhinted; after a new hint it gains a distance
 // and the hinting stream takes ownership), keeping the per-owner hinted
 // partition counts consistent.
 func (c *Cache) SetHintFor(lb int64, owner int, dist int64) {
-	b := c.blocks[lb]
+	b := c.blocks.get(lb)
 	if b == nil {
 		return
 	}
@@ -547,17 +546,11 @@ func (c *Cache) SetHintFor(lb int64, owner int, dist int64) {
 	c.changed(lb)
 }
 
-// ForEach visits every cached block (any state), in unspecified order.
-func (c *Cache) ForEach(fn func(*Block)) {
-	for _, b := range c.blocks {
-		fn(b)
-	}
-}
+// ForEach visits every cached block (any state), in ascending block order.
+func (c *Cache) ForEach(fn func(*Block)) { c.blocks.each(fn) }
 
 // FlushAccounting finalizes end-of-run statistics: prefetched blocks still
 // resident with zero uses are counted as unused, exactly like evictions.
 func (c *Cache) FlushAccounting() {
-	for _, b := range c.blocks {
-		c.noteUnusedIfPrefetched(b)
-	}
+	c.blocks.each(c.noteUnusedIfPrefetched)
 }

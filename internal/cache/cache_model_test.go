@@ -302,9 +302,9 @@ func blockRow(lb int64, st State, origin Origin, dist int64, owner, uses int, de
 // their states, the LRU order, the per-owner hinted counts and every counter.
 func describeReal(c *Cache, owners int) string {
 	var rows []string
-	for _, b := range c.blocks {
+	c.ForEach(func(b *Block) {
 		rows = append(rows, blockRow(b.LB, b.state, b.Origin, b.HintDist, b.Owner, int(b.uses), b.Demanded(), len(b.waiters)))
-	}
+	})
 	sort.Strings(rows)
 	var lru []int64
 	for e := c.lru.Front(); e != nil; e = e.Next() {

@@ -131,7 +131,7 @@ func TestUnusedPrefetchAccounting(t *testing.T) {
 	c.Complete(1)
 	c.Acquire(2, OriginReadahead, NoHint)
 	c.Complete(2)
-	c.SetHintDist(1, NoHint) // hint cancelled
+	c.SetHintFor(1, 0, NoHint) // hint cancelled
 	// Evict both via demand fetches.
 	c.Acquire(3, OriginDemand, NoHint)
 	c.Acquire(4, OriginDemand, NoHint)
@@ -149,7 +149,7 @@ func TestUsedPrefetchNotCountedUnused(t *testing.T) {
 	c.Acquire(1, OriginHint, 1)
 	c.Complete(1)
 	c.Touch(1)
-	c.SetHintDist(1, NoHint)
+	c.SetHintFor(1, 0, NoHint)
 	c.Acquire(2, OriginDemand, NoHint)
 	if st := c.Stats(); st.UnusedHint != 0 {
 		t.Fatalf("used prefetched block counted unused: %+v", st)

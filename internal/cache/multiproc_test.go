@@ -128,14 +128,14 @@ func TestSetHintForTransfersOwnership(t *testing.T) {
 	}
 
 	// Un-hinting releases owner 2's slot.
-	c.SetHintDist(10, NoHint)
+	c.SetHintFor(10, 0, NoHint)
 	if c.HintedCount(2) != 0 {
 		t.Errorf("count 2 = %d after unhint, want 0", c.HintedCount(2))
 	}
 
-	// Re-hinting via the owner-0 wrapper assigns owner 0.
-	c.SetHintDist(10, 7)
+	// Re-hinting an unhinted block assigns the hinting owner.
+	c.SetHintFor(10, 0, 7)
 	if c.HintedCount(0) != 1 || b.Owner != 0 {
-		t.Errorf("wrapper re-hint: count 0 = %d owner = %d", c.HintedCount(0), b.Owner)
+		t.Errorf("re-hint: count 0 = %d owner = %d", c.HintedCount(0), b.Owner)
 	}
 }

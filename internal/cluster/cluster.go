@@ -259,13 +259,14 @@ func New(cfg Config, pop *clients.Population) (*Cluster, error) {
 }
 
 // PumpWork sums every shard's tip.Manager.PumpWork: the passes the hint pumps
-// made over a session's window and the hinted blocks those passes examined.
-func (c *Cluster) PumpWork() (walks, steps int64) {
+// made over a session's window, the hinted blocks those passes examined, and
+// the ones they went on to ask the disks about.
+func (c *Cluster) PumpWork() (walks, steps, probes int64) {
 	for _, s := range c.shards {
-		w, st := s.tm.PumpWork()
-		walks, steps = walks+w, steps+st
+		w, st, pr := s.tm.PumpWork()
+		walks, steps, probes = walks+w, steps+st, probes+pr
 	}
-	return walks, steps
+	return walks, steps, probes
 }
 
 // installObs contributes the cluster-wide overload gauges: total sheds seen

@@ -42,9 +42,10 @@ func TestPumpWorkPerRead(t *testing.T) {
 			if err := res.Check(); err != nil {
 				t.Fatal(err)
 			}
-			walks, steps := c.PumpWork()
+			walks, steps, probes := c.PumpWork()
 			perRead := float64(steps) / float64(res.Reads)
-			t.Logf("%d reads, %d walks, %d block-steps: %.0f steps/read", res.Reads, walks, steps, perRead)
+			t.Logf("%d reads, %d walks, %d block-steps (%d probing the disks): %.0f steps/read, %.0f probes/read",
+				res.Reads, walks, steps, probes, perRead, float64(probes)/float64(res.Reads))
 			if perRead > maxStepsPerRead {
 				t.Errorf("%.0f pump block-steps per read, want <= %d", perRead, maxStepsPerRead)
 			}

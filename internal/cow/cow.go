@@ -108,6 +108,17 @@ func (m *Map) StoreByte(mem []byte, addr int64, v byte) bool {
 	return copied
 }
 
+// StoreBytes writes p at addr into copies, creating them as needed: one
+// lookup and one copy per region touched, and the same copies and accounting
+// as a StoreByte per byte.
+func (m *Map) StoreBytes(mem []byte, addr int64, p []byte) {
+	for len(p) > 0 {
+		c, _ := m.ensure(mem, addr)
+		n := copy(c[addr&^m.mask:], p)
+		addr, p = addr+int64(n), p[n:]
+	}
+}
+
 // LoadWord reads a 64-bit little-endian word at addr, honoring copies. The
 // word may span two regions.
 func (m *Map) LoadWord(mem []byte, addr int64) int64 {

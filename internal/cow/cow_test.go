@@ -1,6 +1,8 @@
 package cow
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -211,5 +213,58 @@ func TestPropertyWordByteConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// StoreBytes is the byte loop, region by region: the same copies made, the
+// same view afterwards, the same counters — for writes that start and end
+// anywhere in a region, cover several, end in the final partial region of a
+// memory that is not region aligned, or are empty.
+func TestStoreBytesMatchesByteLoop(t *testing.T) {
+	const memSize, region = 1000, 64 // 15 regions and a 40-byte tail
+	rng := rand.New(rand.NewSource(1))
+	type write struct{ addr, n int64 }
+	writes := []write{
+		{0, 0}, {5, 1}, {60, 8}, {63, 1}, {64, 64}, {100, 200}, {0, memSize},
+		{memSize - 1, 1}, {memSize - 40, 40}, {memSize - 41, 41}, {960, 0},
+	}
+	for i := 0; i < 200; i++ {
+		addr := rng.Int63n(memSize)
+		writes = append(writes, write{addr, rng.Int63n(memSize - addr + 1)})
+	}
+	mem := make([]byte, memSize)
+	rng.Read(mem)
+	orig := bytes.Clone(mem)
+	for reset := 0; reset < 2; reset++ {
+		bulk, loop := New(region), New(region)
+		for i, w := range writes {
+			if reset == 1 && i%7 == 0 {
+				bulk.Reset()
+				loop.Reset()
+			}
+			p := make([]byte, w.n)
+			rng.Read(p)
+			bulk.StoreBytes(mem, w.addr, p)
+			for j, b := range p {
+				loop.StoreByte(mem, w.addr+int64(j), b)
+			}
+			if bulk.Copies() != loop.Copies() || bulk.BytesCopied() != loop.BytesCopied() ||
+				bulk.PeakRegions() != loop.PeakRegions() || bulk.Regions() != loop.Regions() {
+				t.Fatalf("write %d %+v: counters (%d %d %d %d), byte loop (%d %d %d %d)", i, w,
+					bulk.Copies(), bulk.BytesCopied(), bulk.PeakRegions(), bulk.Regions(),
+					loop.Copies(), loop.BytesCopied(), loop.PeakRegions(), loop.Regions())
+			}
+			for a := int64(0); a < memSize; a++ {
+				if bulk.Covered(a) != loop.Covered(a) || bulk.LoadByte(mem, a) != loop.LoadByte(mem, a) {
+					t.Fatalf("write %d %+v: views differ at %d", i, w, a)
+				}
+			}
+			if w.n > 0 && bulk.LoadByte(mem, w.addr+w.n-1) != p[w.n-1] {
+				t.Fatalf("write %d %+v: the last byte written does not read back", i, w)
+			}
+		}
+	}
+	if !bytes.Equal(mem, orig) {
+		t.Fatal("a speculative store reached shared memory")
 	}
 }

@@ -121,8 +121,45 @@ func (c *Client) settled() bool {
 
 // PumpWork returns the pump's effort so far: walks counts the passes a client
 // made over its window (a visit to a settled client is not one), steps the
-// hinted blocks those passes examined. Both are deterministic for a run.
-func (m *Manager) PumpWork() (walks, steps int64) { return m.pumpWalks, m.pumpSteps }
+// hinted blocks those passes examined, probes the steps that went on to ask
+// the disk side about the block (demoted? which disk? dead? a free slot?)
+// rather than stopping at the cache. All three are deterministic for a run.
+func (m *Manager) PumpWork() (walks, steps, probes int64) {
+	return m.pumpWalks, m.pumpSteps, m.pumpProbes
+}
+
+// saturated reports that the disk side has one answer for every block a pass
+// could ask about — "no slot" — so the pass need not ask: every disk is at
+// MaxDepthPerDisk (a missing block cannot start), no block is demoted and no
+// disk is dead (a step has neither to skip nor to count). Inside a pass only a
+// started fetch can change any of the three.
+func (m *Manager) saturated() bool {
+	bound := m.cfg.MaxDepthPerDisk
+	if bound == 0 || m.probeAlways || len(m.demoted) > 0 || m.arr.DeadCount() > 0 {
+		return false
+	}
+	for _, depth := range m.prefDepth {
+		if depth < bound {
+			return false
+		}
+	}
+	return true
+}
+
+// saturate is saturated, and when it holds the rest of the pass is refused by
+// every disk without being asked: the memo says so, and settled wakes the
+// client on the first slot freed anywhere (more disks than a probing pass
+// would have listed; a spurious wake costs one walk).
+func (c *Client) saturate() bool {
+	if !c.m.saturated() {
+		return false
+	}
+	c.memo.refused = c.memo.refused[:0]
+	for dk := range c.m.prefDepth {
+		c.memo.refused = append(c.memo.refused, dk)
+	}
+	return true
+}
 
 // pump issues this client's hint-driven prefetches up to its effective
 // horizon, unless its last pass settled it.
@@ -135,6 +172,7 @@ func (c *Client) pump() {
 	c.memo = pumpMemo{clean: true, dead: m.arr.DeadCount(), refused: c.memo.refused[:0]}
 	horizon := c.effHorizon()
 	bs := int64(m.fs.BlockSize())
+	sat := c.saturate()
 	dist := 0
 	for i := c.head; i < len(c.hints) && dist < horizon; i++ {
 		seg := c.hints[i]
@@ -158,6 +196,15 @@ func (c *Client) pump() {
 			if d >= lim {
 				continue
 			}
+			if sat {
+				// Nothing can start: only a resident block's distance is left
+				// to refresh.
+				if b := m.cache.Get(lb); b != nil && b.HintDist > d {
+					m.cache.SetHintFor(lb, c.id, d)
+				}
+				continue
+			}
+			m.pumpProbes++
 			if len(m.demoted) > 0 && m.demoted[lb] {
 				// Repeatedly failing block: left to the demand read, so the
 				// rest of the hinted sequence keeps prefetching.
@@ -182,6 +229,7 @@ func (c *Client) pump() {
 			case fetchStarted:
 				c.stats.HintPrefetches++
 				m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
+				sat = c.saturate()
 			case fetchDiskBusy:
 				// This disk is at depth; later blocks may differ.
 				if !slices.Contains(c.memo.refused, dk) {

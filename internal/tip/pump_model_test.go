@@ -23,6 +23,12 @@ import (
 // the two side by side — two identical rigs, one seeded script, the second
 // rig's memos discarded before every pump — and compares everything
 // observable after every step.
+//
+// The same comparison holds the saturated short step (Manager.saturated) to
+// the probing one: the second rig also probes at every step (probeAlways), so
+// a guard missing from the short step, or a wake-up missing from the memo it
+// leaves, shows as a divergence — provided the script has been where each
+// guard matters, which the saw* flags below assert.
 
 // forgetMemos makes every client of m walk at its next visit.
 func forgetMemos(m *Manager) {
@@ -63,6 +69,34 @@ type pumpRig struct {
 	reads  []*pumpStep // reads not yet completed
 
 	sawPending, sawDemotionCleared, sawReentrant, sawRefusedHeld bool
+
+	// Where the saturated short step can go wrong (first rig only; the second
+	// never reports saturated). A step that runs no clock event can neither
+	// free a prefetch slot nor change a demotion, and a death is for good, so
+	// what held both before and after it held for every pass inside it.
+	sawShortRewrite  bool // a saturated pass moved a resident block's HintDist
+	sawShortNewOwner bool // ... and took it over from another owner or from no hint
+	sawBoundDead     bool // a pass with every disk at its bound and one dead
+	sawBoundDemoted  bool // a pass with every disk at its bound and a block demoted
+	sawSlotRegained  bool // one clock event took a settled client out of saturation into a fetch
+}
+
+// atBound reports that every disk is at the depth bound — saturation without
+// the two guards.
+func (r *pumpRig) atBound() bool {
+	bound := r.m.cfg.MaxDepthPerDisk
+	return bound > 0 && !slices.ContainsFunc(r.m.prefDepth, func(d int) bool { return d < bound })
+}
+
+type hintRow struct {
+	dist  int64
+	owner int
+}
+
+func (r *pumpRig) hintRows() map[int64]hintRow {
+	rows := map[int64]hintRow{}
+	r.m.cache.ForEach(func(b *cache.Block) { rows[b.LB] = hintRow{b.HintDist, b.Owner} })
+	return rows
 }
 
 func (r *pumpRig) before() {
@@ -97,6 +131,7 @@ func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
 	plan.Rate, plan.Burst = 0.06, 3
 	plan.DieDisk, plan.DieAt = 2, 400_000 // a script runs some 650,000 cycles
 	r := &pumpRig{clk: clk, arr: arr, m: m, inj: &recInjector{plan: plan}, forget: forget}
+	m.probeAlways = forget
 	arr.SetInjector(r.inj)
 	idle := arr.OnIdle
 	arr.OnIdle = func(dk int) { r.before(); idle(dk) }
@@ -174,6 +209,30 @@ func (r *pumpRig) read(s *pumpStep) {
 }
 
 func (r *pumpRig) apply(s *pumpStep) {
+	if s.kind != "run" && r.atBound() {
+		sat, dead, demoted := r.m.saturated(), r.arr.DeadCount() > 0, len(r.m.demoted) > 0
+		walks, _, _ := r.m.PumpWork()
+		rows := r.hintRows()
+		defer func() {
+			if w, _, _ := r.m.PumpWork(); w == walks || !r.atBound() {
+				return
+			}
+			r.sawBoundDead = r.sawBoundDead || dead
+			r.sawBoundDemoted = r.sawBoundDemoted || demoted
+			if !sat || !r.m.saturated() {
+				return
+			}
+			// Only the pump gives a block a hint distance.
+			for lb, now := range r.hintRows() {
+				if was, ok := rows[lb]; now.dist != cache.NoHint && (!ok || was != now) {
+					r.sawShortRewrite = true
+					if !ok || was.dist == cache.NoHint || was.owner != now.owner {
+						r.sawShortNewOwner = true
+					}
+				}
+			}
+		}()
+	}
 	switch s.kind {
 	case "hint":
 		r.before()
@@ -201,11 +260,16 @@ func (r *pumpRig) apply(s *pumpStep) {
 		for i := 0; i < s.events; i++ {
 			r.before()
 			demoted := len(r.m.demoted)
+			settledSat := r.m.saturated() && slices.ContainsFunc(r.slots, func(c *Client) bool { return c != nil && c.settled() })
+			prefetches := r.m.Stats().HintPrefetches
 			if !r.clk.RunNext() {
 				break
 			}
 			if len(r.m.demoted) < demoted {
 				r.sawDemotionCleared = true
+			}
+			if settledSat && r.m.Stats().HintPrefetches > prefetches {
+				r.sawSlotRegained = true
 			}
 		}
 	}
@@ -346,6 +410,8 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			var lazyWalks, eagerWalks int64
 			var faults FaultCounters
 			var sawPending, sawCleared, sawRejected, sawReentrant, sawRefusedHeld bool
+			var sawShortRewrite, sawShortNewOwner, sawBoundDead, sawBoundDemoted, sawSlotRegained bool
+			var lazySteps, lazyProbes int64
 			for seed := int64(0); seed < seeds; seed++ {
 				lazy, eager := newPumpRig(t, depth, false), newPumpRig(t, depth, true)
 				script := &pumpScript{rng: rand.New(rand.NewSource(seed)), open: make([]bool, 5),
@@ -374,9 +440,10 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 					}
 					reqs, dones = len(lazy.inj.log), len(lazy.dones)
 				}
-				lw, _ := lazy.m.PumpWork()
-				ew, _ := eager.m.PumpWork()
+				lw, ls, lp := lazy.m.PumpWork()
+				ew, _, _ := eager.m.PumpWork()
 				lazyWalks, eagerWalks = lazyWalks+lw, eagerWalks+ew
+				lazySteps, lazyProbes = lazySteps+ls, lazyProbes+lp
 				f := lazy.m.Faults()
 				faults.FetchErrors += f.FetchErrors
 				faults.FetchRetries += f.FetchRetries
@@ -388,13 +455,19 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 				sawRejected = sawRejected || lazy.arr.Stats().RejectedReqs > 0
 				sawReentrant = sawReentrant || lazy.sawReentrant
 				sawRefusedHeld = sawRefusedHeld || lazy.sawRefusedHeld
+				sawShortRewrite = sawShortRewrite || lazy.sawShortRewrite
+				sawShortNewOwner = sawShortNewOwner || lazy.sawShortNewOwner
+				sawBoundDead = sawBoundDead || lazy.sawBoundDead
+				sawBoundDemoted = sawBoundDemoted || lazy.sawBoundDemoted
+				sawSlotRegained = sawSlotRegained || lazy.sawSlotRegained
 				if lazy.arr.DeadCount() != 1 {
 					t.Errorf("seed %d: the script ended before the disk died", seed)
 				}
 			}
 			// The script must have been where the memo can go wrong, and the
 			// memo must have been in play.
-			t.Logf("walks: memoised %d, walk-always %d; %+v", lazyWalks, eagerWalks, faults)
+			t.Logf("walks: memoised %d, walk-always %d; %d of the memoised rig's %d steps probed the disks; %+v",
+				lazyWalks, eagerWalks, lazyProbes, lazySteps, faults)
 			if testing.Short() {
 				return
 			}
@@ -418,6 +491,23 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			}
 			if depth > 0 && !sawRefusedHeld {
 				t.Error("no client ever stayed settled against a disk at its depth bound")
+			}
+			if depth == 0 {
+				return
+			}
+			if !sawShortRewrite || !sawShortNewOwner {
+				t.Errorf("no saturated pass ever refreshed a resident block's hint distance (%v) or took one over (%v)", sawShortRewrite, sawShortNewOwner)
+			}
+			// Twenty-four slots are rarely all taken by a 16-block horizon;
+			// three are, most of the time, faults or no faults.
+			if depth == 1 && !sawBoundDead {
+				t.Error("no pass ever ran with every disk at its depth bound and one of them dead")
+			}
+			if depth == 1 && !sawBoundDemoted {
+				t.Error("no pass ever ran with every disk at its depth bound and a block demoted")
+			}
+			if !sawSlotRegained {
+				t.Error("no freed slot ever woke a client settled by a saturated pass into starting a fetch")
 			}
 		})
 	}

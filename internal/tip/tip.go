@@ -220,7 +220,11 @@ type Manager struct {
 	interest map[int64][]*Client
 
 	// Pump effort, for PumpWork.
-	pumpWalks, pumpSteps int64
+	pumpWalks, pumpSteps, pumpProbes int64
+
+	// probeAlways is set by tests only: the pump then never takes the
+	// saturated short step, and is the reference the stepping pump is held to.
+	probeAlways bool
 
 	// fetches holds exactly one record per in-transit block, from the submit
 	// that acquired its buffer until the block resolves (Complete or Fail) —

@@ -215,8 +215,11 @@ type Machine struct {
 	specBrk int64 // speculating thread's private break
 
 	pageLast []int64
+	lastPage int64 // the page touchPage saw last in this Run slice; -1 = none yet
 	pages    PageStats
 	clock    int64 // total cycles executed on this machine (all threads)
+
+	touchEvery bool // tests only: touchPage never skips a repeated page
 
 	sliceUsed int64 // cycles consumed in the current Run slice (for OS clock sync)
 }
@@ -232,6 +235,9 @@ func NewMachine(prog *Program, os OS, cfg Config) (*Machine, error) {
 	if cfg.PageBytes <= 0 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
 		return nil, fmt.Errorf("vm: page size %d is not a power of two", cfg.PageBytes)
 	}
+	if cfg.ReclaimGap < 0 {
+		return nil, fmt.Errorf("vm: negative reclaim gap %d", cfg.ReclaimGap)
+	}
 	if prog.DataSize > cfg.MemSize-cfg.StackSize {
 		return nil, fmt.Errorf("vm: data %d does not fit below the stack", prog.DataSize)
 	}
@@ -245,6 +251,7 @@ func NewMachine(prog *Program, os OS, cfg Config) (*Machine, error) {
 		os:       os,
 		brk:      (prog.DataSize + 7) &^ 7,
 		pageLast: make([]int64, (total+cfg.PageBytes-1)/cfg.PageBytes),
+		lastPage: -1,
 
 		cowCopyCost: cfg.Cost.CopyPer8B * int64(cfg.COWRegion) / 8,
 		pageShift:   uint(bits.TrailingZeros64(uint64(cfg.PageBytes))),
@@ -332,8 +339,15 @@ func (m *Machine) Sbrk(t *Thread, incr int64) int64 {
 func (m *Machine) ResetSpecBrk() { m.specBrk = m.cfg.MemSize + m.cfg.StackSize }
 
 // touchPage records a data access for footprint/fault/reclaim accounting.
+// The clock moves only in finish, so a page touched again before the slice
+// ends was last touched "now": neither a fault nor a reclaim, and nothing to
+// store. The common case of that, the same page twice running, returns early.
 func (m *Machine) touchPage(addr int64) {
 	p := addr >> m.pageShift
+	if p == m.lastPage && !m.touchEvery {
+		return
+	}
+	m.lastPage = p
 	last := m.pageLast[p]
 	switch {
 	case last < 0:
@@ -382,9 +396,7 @@ func (m *Machine) WriteMem(t *Thread, addr int64, p []byte) error {
 		return fmt.Errorf("vm: write [%d,+%d) out of range", addr, n)
 	}
 	if t.Mode == Speculative && !m.inSpecPrivate(addr, n) {
-		for i, b := range p {
-			t.Cow.StoreByte(m.mem, addr+int64(i), b)
-		}
+		t.Cow.StoreBytes(m.mem, addr, p)
 		return nil
 	}
 	copy(m.mem[addr:], p)
@@ -459,6 +471,7 @@ func (t *Thread) set(rd uint8, v int64) {
 func (m *Machine) finish(t *Thread, used int64, r StopReason) (int64, StopReason) {
 	t.Cycles += used
 	m.clock += used
+	m.lastPage = -1
 	m.sliceUsed = 0
 	return used, r
 }

@@ -675,6 +675,7 @@ func TestMachineGeometryValidation(t *testing.T) {
 		func() Config { c := testCfg(); c.MemSize = 4096; c.StackSize = 64 << 10; return c }(),
 		func() Config { c := testCfg(); c.PageBytes = 0; return c }(),
 		func() Config { c := testCfg(); c.PageBytes = 6000; return c }(),
+		func() Config { c := testCfg(); c.ReclaimGap = -1; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, err := NewMachine(p, &scriptOS{}, cfg); err == nil {
