@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test examples pairs ci
+.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test examples pairs profile ci
 
 all: build
 
@@ -83,6 +83,14 @@ SEED ?= 1
 N ?= 10
 pairs:
 	@bash scripts/pairs.sh "$(W)" "$(PARENT)" $(SEED) $(N)
+
+# profile CPU-profiles the root benchmarks matching B and prints the top of
+# the profile: `make profile B='Cluster/capacity/N=256'`. The profile and the
+# test binary pprof reads it with stay in .bench_build/.
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '$(B)' -o .bench_build/bench.test -cpuprofile .bench_build/cpu.prof .
+	$(GO) tool pprof -top .bench_build/bench.test .bench_build/cpu.prof
 
 # examples runs every program under examples/ (tier-1 only compiles them;
 # each is a complete core.New(...).Run() walkthrough that panics or exits

@@ -16,6 +16,7 @@ import (
 	"spechint/internal/cluster"
 	"spechint/internal/core"
 	"spechint/internal/spechint"
+	"spechint/internal/tip"
 )
 
 func BenchmarkExperiment(b *testing.B) {
@@ -30,41 +31,55 @@ func BenchmarkExperiment(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterHinted runs the population bench/perf's cluster_overload
-// draws, hints on, at three sizes, and reports what one client read costs the
-// host (us/read) and the hint pumps (steps/read, tip.Manager.PumpWork): the
-// second is deterministic, and it is what the first grows with.
-func BenchmarkClusterHinted(b *testing.B) {
-	for _, n := range []int{48, 128, 256} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			pop, err := clients.Generate(clients.Config{
-				N: n, Sessions: 8,
-				Files: 96, FileBlocks: 96, BlockSize: 8192,
-				SessionBlocks: 48, ReadBlocks: 8,
-				ArrivalMean: 80_000_000, ThinkMean: 20_000,
-				ZipfS: 1.2, ZipfV: 1, Seed: 1778,
+// BenchmarkCluster runs the populations bench/perf's cluster_overload draws —
+// hinted at capacity, unhinted at capacity, unhinted at four times the
+// arrival rate — at three sizes, and reports what one client read costs the
+// host (us/read) and the hint pumps (tip.PumpWork per read: block-steps,
+// probes, client visits). The pump counts are deterministic, and they are
+// what the host time grows with.
+func BenchmarkCluster(b *testing.B) {
+	for _, arm := range []string{"capacity", "nohints", "overload"} {
+		for _, n := range []int{48, 128, 256} {
+			b.Run(fmt.Sprintf("%s/N=%d", arm, n), func(b *testing.B) {
+				cfg, arrival := cluster.DefaultConfig(4), int64(80_000_000)
+				switch arm {
+				case "nohints":
+					cfg.Hints = false
+				case "overload":
+					cfg, arrival = cluster.OverloadConfig(4), 20_000_000
+					cfg.Hints = false
+				}
+				pop, err := clients.Generate(clients.Config{
+					N: n, Sessions: 8,
+					Files: 96, FileBlocks: 96, BlockSize: 8192,
+					SessionBlocks: 48, ReadBlocks: 8,
+					ArrivalMean: arrival, ThinkMean: 20_000,
+					ZipfS: 1.2, ZipfV: 1, Seed: 1778,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var reads int64
+				var work tip.PumpWork
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c, err := cluster.New(cfg, pop)
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := c.Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					reads, work = reads+res.Reads, c.PumpWork()
+				}
+				r := float64(reads) / float64(b.N) // work is one run's
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
+				b.ReportMetric(float64(work.Steps)/r, "steps/read")
+				b.ReportMetric(float64(work.Probes)/r, "probes/read")
+				b.ReportMetric(float64(work.Visits)/r, "visits/read")
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var reads, steps, probes int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c, err := cluster.New(cluster.DefaultConfig(4), pop)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, st, pr := c.PumpWork()
-				reads, steps, probes = reads+res.Reads, steps+st, probes+pr
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
-			b.ReportMetric(float64(steps)/float64(reads), "steps/read")
-			b.ReportMetric(float64(probes)/float64(reads), "probes/read")
-		})
+		}
 	}
 }
 
@@ -108,8 +123,8 @@ func BenchmarkSoloHinted(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					_, s, p := sys.TIP().PumpWork()
-					reads, steps, probes = reads+st.ReadCalls, steps+s, probes+p
+					w := sys.TIP().PumpWork()
+					reads, steps, probes = reads+st.ReadCalls, steps+w.Steps, probes+w.Probes
 				}
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
 				b.ReportMetric(float64(steps)/float64(reads), "steps/read")

@@ -116,14 +116,16 @@ type Cache struct {
 	unhinted int        // valid blocks with no hint: the candidates of evictFor's case 1
 	stats    Stats
 
-	// Hinted-block partitions: each owner's resident hinted blocks (in
-	// transit or valid, in no particular order) and the cap on how many it
-	// may hold (0 or absent = unlimited). The TIP manager sets caps from its
-	// cost-benefit allocation across competing hinted processes. The lists
-	// let an owner's furthest-out block be found without walking the LRU
-	// list past every other owner's blocks.
-	own        map[int][]*Block
-	partitions map[int]int
+	// Each owner's resident hinted blocks (in transit or valid, in no
+	// particular order): an owner's furthest-out block is found without
+	// walking the LRU list past every other owner's blocks.
+	own map[int][]*Block
+
+	// partitionOf, when set, caps each owner's resident hinted blocks (0 =
+	// unlimited); only a hinted AcquireFor asks it. The TIP manager answers
+	// from its cost-benefit allocation across competing hinted processes.
+	// Nil means no caps.
+	partitionOf func(owner int) int
 
 	// onChange, when set, is told the block number whenever what Get(lb)
 	// answers changes: the block is admitted, evicted, failed or dropped, or
@@ -149,16 +151,19 @@ func New(capacity int) *Cache {
 		panic(fmt.Sprintf("cache: capacity %d", capacity))
 	}
 	return &Cache{
-		capacity:   capacity,
-		lru:        list.New(),
-		own:        make(map[int][]*Block),
-		partitions: make(map[int]int),
+		capacity: capacity,
+		lru:      list.New(),
+		own:      make(map[int][]*Block),
 	}
 }
 
 // SetAccuracyFn installs the per-owner hint-accuracy source used by the
 // cross-owner marginal-benefit comparison.
 func (c *Cache) SetAccuracyFn(fn func(owner int) float64) { c.accuracyOf = fn }
+
+// SetPartitionFn installs the per-owner cap on resident hinted blocks (0 =
+// unlimited) that a hinted AcquireFor enforces.
+func (c *Cache) SetPartitionFn(fn func(owner int) int) { c.partitionOf = fn }
 
 // SetOnChange installs the residency hook: fn(lb) runs after every admit,
 // evict, Fail, Drop and SetHintFor of block lb, before any waiter is woken. It
@@ -184,15 +189,6 @@ func (c *Cache) emit(name, format string, args ...any) {
 	if c.obs.Enabled() && c.obsNow != nil {
 		c.obs.Emitf(c.obsNow(), "cache", "cache", name, format, args...)
 	}
-}
-
-// SetPartition caps owner's resident hinted blocks at max (0 = unlimited).
-func (c *Cache) SetPartition(owner, max int) {
-	if max <= 0 {
-		delete(c.partitions, owner)
-		return
-	}
-	c.partitions[owner] = max
 }
 
 // HintedCount returns owner's current resident hinted-block count.
@@ -249,8 +245,8 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *
 	if c.blocks.get(lb) != nil {
 		panic(fmt.Sprintf("cache: Acquire of present block %d", lb))
 	}
-	if hintDist != NoHint {
-		if max := c.partitions[owner]; max > 0 && len(c.own[owner]) >= max {
+	if hintDist != NoHint && c.partitionOf != nil {
+		if max := c.partitionOf(owner); max > 0 && len(c.own[owner]) >= max {
 			// The owner's hinted partition is full: the stream competes with
 			// itself, reclaiming its own furthest-out hinted block — never
 			// another process's.

@@ -17,8 +17,8 @@ import (
 type refCache struct {
 	capacity   int
 	blocks     []*refBlock
-	lru        []int64 // valid blocks, front = LRU
-	partitions map[int]int
+	lru        []int64     // valid blocks, front = LRU
+	partitions map[int]int // shared with the real cache's partition function
 	acc        func(owner int) float64
 	stats      Stats
 
@@ -179,7 +179,6 @@ type cacheOps interface {
 	NoteDemandWait(lb int64)
 	Drop(lb int64)
 	SetHintFor(lb int64, owner int, dist int64)
-	SetPartition(owner, max int)
 }
 
 type realCache struct{ *Cache }
@@ -287,13 +286,6 @@ func (r *refCache) SetHintFor(lb int64, owner int, dist int64) {
 	b.hintDist = dist
 }
 
-func (r *refCache) SetPartition(owner, max int) {
-	if max < 0 {
-		max = 0
-	}
-	r.partitions[owner] = max
-}
-
 func blockRow(lb int64, st State, origin Origin, dist int64, owner, uses int, demanded bool, waiters int) string {
 	return fmt.Sprintf("%d:%v/%v/d%d/o%d/u%d/%v/w%d", lb, st, origin, dist, owner, uses, demanded, waiters)
 }
@@ -358,7 +350,7 @@ const (
 	opDemandWait
 	opDrop
 	opSetHint
-	opSetPartition
+	opPartitionCap
 	numOps
 )
 
@@ -392,8 +384,6 @@ func (op *modelOp) run(c cacheOps, log *[]string) {
 		c.Drop(op.lb)
 	case opSetHint:
 		c.SetHintFor(op.lb, op.owner, op.dist)
-	case opSetPartition:
-		c.SetPartition(op.owner, op.max)
 	}
 }
 
@@ -433,9 +423,13 @@ func TestCacheMatchesModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		acc := []float64{1, 1, 1}
 		accOf := func(owner int) float64 { return acc[owner] }
+		// Both caches read one set of partition caps, which opPartitionCap
+		// rewrites between operations.
+		parts := map[int]int{}
 		fast := New(capacity)
 		fast.SetAccuracyFn(accOf)
-		ref := &refCache{capacity: capacity, partitions: map[int]int{}, acc: accOf, seen: seen}
+		fast.SetPartitionFn(func(owner int) int { return parts[owner] })
+		ref := &refCache{capacity: capacity, partitions: parts, acc: accOf, seen: seen}
 		dists := int64(12)
 		if seed%2 == 1 {
 			dists = 3 // equal distances within one owner are the rule, not the exception
@@ -473,7 +467,7 @@ func TestCacheMatchesModel(t *testing.T) {
 		for i := 0; i < opsEach; i++ {
 			// Acquire, complete and touch dominate, as they do in a run.
 			kind := []int{opAcquire, opAcquire, opAcquire, opComplete, opComplete, opTouch, opTouch,
-				opFail, opWait, opWait, opDemandWait, opDrop, opSetHint, opSetHint, opSetPartition}[rng.Intn(15)]
+				opFail, opWait, opWait, opDemandWait, opDrop, opSetHint, opSetHint, opPartitionCap}[rng.Intn(15)]
 			op := randomOp(kind)
 			if kind == opWait {
 				// The waiter touches its own block (TIP's consume), touches or
@@ -485,6 +479,9 @@ func TestCacheMatchesModel(t *testing.T) {
 			}
 			if rng.Intn(16) == 0 {
 				acc[rng.Intn(owners)] = float64(1+rng.Intn(8)) / 8
+			}
+			if kind == opPartitionCap {
+				parts[op.owner] = max(op.max, 0)
 			}
 			var before []int64
 			for _, b := range ref.blocks {

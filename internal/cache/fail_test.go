@@ -43,7 +43,7 @@ func TestFailResolvesInTransitToError(t *testing.T) {
 
 func TestFailReleasesHintPartitionSlot(t *testing.T) {
 	c := New(4)
-	c.SetPartition(0, 1)
+	c.SetPartitionFn(func(int) int { return 1 })
 	c.Acquire(7, OriginHint, 2)
 	if c.HintedCount(0) != 1 {
 		t.Fatalf("HintedCount = %d, want 1", c.HintedCount(0))

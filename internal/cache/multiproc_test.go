@@ -79,7 +79,8 @@ func TestHintedEvictionComparesMarginalBenefit(t *testing.T) {
 
 func TestPartitionCapReclaimsOwnBlocks(t *testing.T) {
 	c := New(8)
-	c.SetPartition(1, 2)
+	caps := map[int]int{1: 2}
+	c.SetPartitionFn(func(owner int) int { return caps[owner] })
 
 	fillValid(t, c, 1, []int64{10, 11}, OriginHint, func(i int) int64 { return int64(i) })
 	if got := c.HintedCount(1); got != 2 {
@@ -104,7 +105,7 @@ func TestPartitionCapReclaimsOwnBlocks(t *testing.T) {
 	}
 
 	// Lifting the cap admits it.
-	c.SetPartition(1, 0)
+	caps[1] = 0
 	if b := c.AcquireFor(1, 13, OriginHint, 50); b == nil {
 		t.Error("uncapped owner refused a hinted block with free buffers")
 	}

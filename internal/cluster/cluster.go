@@ -258,15 +258,21 @@ func New(cfg Config, pop *clients.Population) (*Cluster, error) {
 	return c, nil
 }
 
-// PumpWork sums every shard's tip.Manager.PumpWork: the passes the hint pumps
-// made over a session's window, the hinted blocks those passes examined, and
-// the ones they went on to ask the disks about.
-func (c *Cluster) PumpWork() (walks, steps, probes int64) {
+// PumpWork sums every shard's tip.Manager.PumpWork: the sessions the hint
+// pumps visited, the passes they made over a session's window, the hinted
+// blocks those passes examined and the ones they went on to ask the disks
+// about, and the partition-share recomputes.
+func (c *Cluster) PumpWork() tip.PumpWork {
+	var sum tip.PumpWork
 	for _, s := range c.shards {
-		w, st, pr := s.tm.PumpWork()
-		walks, steps, probes = walks+w, steps+st, probes+pr
+		w := s.tm.PumpWork()
+		sum.Walks += w.Walks
+		sum.Steps += w.Steps
+		sum.Probes += w.Probes
+		sum.Visits += w.Visits
+		sum.PartitionSums += w.PartitionSums
 	}
-	return walks, steps, probes
+	return sum
 }
 
 // installObs contributes the cluster-wide overload gauges: total sheds seen

@@ -251,7 +251,7 @@ func (c *Client) accObserve(good bool, weight float64) {
 		c.accGood /= 2
 		c.accBad /= 2
 	}
-	c.m.recomputePartitions()
+	c.m.shares.valid = false
 }
 
 // SetPrior installs a static accuracy prior for this client's hint stream
@@ -263,7 +263,7 @@ func (c *Client) SetPrior(p float64) {
 	c.prior = clamp01(p)
 	c.priorWt = priorWeight
 	c.stale()
-	c.m.recomputePartitions()
+	c.m.shares.valid = false
 }
 
 // Accuracy returns TIP's windowed estimate of the fraction of this client's

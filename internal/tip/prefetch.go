@@ -5,6 +5,7 @@ package tip
 // its completion, and the sequential read-ahead policy for unhinted reads.
 
 import (
+	"math/bits"
 	"slices"
 
 	"spechint/internal/cache"
@@ -18,17 +19,72 @@ type fetch struct {
 	attempts int           // attempts that failed transiently so far
 }
 
-// pump issues hint-driven prefetches for every client. It is invoked on every
-// hint, every disk-idle transition and every completion. Clients are visited
-// in id order for determinism; one client running out of buffers does not
-// stop the others (their partitions may still have room).
+// pump issues hint-driven prefetches on every hint, disk-idle transition and
+// completion. It visits the woken clients, each once and in ascending id order
+// for determinism: every client a sweep over all slots would find unsettled.
+// A client woken behind the cursor waits for the next pump, as it would behind
+// that sweep. One client running out of buffers does not stop the others
+// (their partitions may still have room).
 func (m *Manager) pump() {
 	if m.cfg.IgnoreHints {
 		return
 	}
-	for _, c := range m.clients {
-		c.pump()
+	for id := 0; ; id++ {
+		if d := m.arr.DeadCount(); d != m.dead {
+			// A disk died (a Submit can find one mid-pump): every memo is out of date.
+			m.dead = d
+			for _, c := range m.clients {
+				if !c.closed {
+					m.woken.add(c.id)
+				}
+			}
+		}
+		if id = m.woken.next(id); id < 0 {
+			return
+		}
+		m.woken.del(id)
+		m.clients[id].pump()
 	}
+}
+
+// clientSet is a set of client ids, one bit per slot.
+type clientSet []uint64
+
+func (s *clientSet) add(id int) {
+	for len(*s) <= id>>6 {
+		*s = append(*s, 0)
+	}
+	(*s)[id>>6] |= 1 << (id & 63)
+}
+
+func (s clientSet) del(id int) {
+	if id>>6 < len(s) {
+		s[id>>6] &^= 1 << (id & 63)
+	}
+}
+
+// addAll adds every id of o to s.
+func (s *clientSet) addAll(o clientSet) {
+	for len(*s) < len(o) {
+		*s = append(*s, 0)
+	}
+	for i, w := range o {
+		(*s)[i] |= w
+	}
+}
+
+// next returns the smallest id in s that is at least from, or -1.
+func (s clientSet) next(from int) int {
+	for i := from >> 6; i < len(s); i++ {
+		w := s[i]
+		if i == from>>6 {
+			w &= ^uint64(0) << (from & 63)
+		}
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // pumpMemo is what a client keeps of its last pass over its window when that
@@ -49,6 +105,12 @@ func (m *Manager) pump() {
 //     when the client is next visited (settled), because either can happen
 //     while an earlier client of the same pump is being served.
 //
+// Only a woken client is visited, so each of these also wakes it: stale sets
+// its bit, a freed slot on dk wakes Manager.refusers[dk] (and the clients
+// every disk refused), a change in the dead-disk count wakes every open
+// client, and NewClient wakes the new one. A wake that finds the client
+// settled after all costs one visit.
+//
 // A pass is marked clean before it starts and spoils itself: whatever it does
 // to a block of its window (SetHintFor, a buffer acquired, a buffer dropped
 // again) comes back through blockChanged, the client watching every granule
@@ -59,6 +121,7 @@ func (m *Manager) pump() {
 // leaves nothing for its repeat to do and may be kept.)
 type pumpMemo struct {
 	clean   bool
+	all     bool  // every disk turned the pass away: it found the array saturated
 	dead    int   // the array's dead-disk count the pass saw
 	refused []int // disks at MaxDepthPerDisk that turned a block of the pass away
 }
@@ -68,8 +131,18 @@ type pumpMemo struct {
 // hinted into, until it closes; a spurious wake costs one walk.
 const granuleShift = 6
 
-// stale discards the memo: the client walks at its next visit.
-func (c *Client) stale() { c.memo.clean = false }
+// stale discards the memo and wakes the client: it walks at its next visit.
+func (c *Client) stale() {
+	c.memo.clean = false
+	c.m.woken.add(c.id)
+}
+
+// unrefuse takes c out of every refusers set: its memo lists no disk.
+func (c *Client) unrefuse() {
+	for _, s := range c.m.refusers {
+		s.del(c.id)
+	}
+}
 
 // blockChanged wakes the clients whose window may hold lb.
 func (m *Manager) blockChanged(lb int64) {
@@ -111,6 +184,9 @@ func (c *Client) settled() bool {
 	if !c.memo.clean || c.memo.dead != m.arr.DeadCount() {
 		return false
 	}
+	if c.memo.all && slices.ContainsFunc(m.prefDepth, func(depth int) bool { return depth < m.cfg.MaxDepthPerDisk }) {
+		return false
+	}
 	for _, dk := range c.memo.refused {
 		if m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
 			return false
@@ -119,14 +195,21 @@ func (c *Client) settled() bool {
 	return true
 }
 
-// PumpWork returns the pump's effort so far: walks counts the passes a client
-// made over its window (a visit to a settled client is not one), steps the
-// hinted blocks those passes examined, probes the steps that went on to ask
-// the disk side about the block (demoted? which disk? dead? a free slot?)
-// rather than stopping at the cache. All three are deterministic for a run.
-func (m *Manager) PumpWork() (walks, steps, probes int64) {
-	return m.pumpWalks, m.pumpSteps, m.pumpProbes
+// PumpWork is the pump's effort so far; every count is deterministic for a
+// run.
+type PumpWork struct {
+	Walks  int64 // passes a client made over its window (a visit to a settled client is not one)
+	Steps  int64 // hinted blocks those passes examined
+	Probes int64 // steps that went on to ask the disk side about the block (demoted? which disk? dead? a free slot?)
+	Visits int64 // clients the pump looked at, walking or not (Client.pump entries)
+
+	// PartitionSums counts the passes over every client slot that recomputed
+	// the partition shares.
+	PartitionSums int64
 }
+
+// PumpWork returns the pump's effort so far.
+func (m *Manager) PumpWork() PumpWork { return m.work }
 
 // saturated reports that the disk side has one answer for every block a pass
 // could ask about — "no slot" — so the pass need not ask: every disk is at
@@ -154,21 +237,21 @@ func (c *Client) saturate() bool {
 	if !c.m.saturated() {
 		return false
 	}
-	c.memo.refused = c.memo.refused[:0]
-	for dk := range c.m.prefDepth {
-		c.memo.refused = append(c.memo.refused, dk)
-	}
+	c.memo.all = true
+	c.m.refusers[len(c.m.prefDepth)].add(c.id)
 	return true
 }
 
 // pump issues this client's hint-driven prefetches up to its effective
 // horizon, unless its last pass settled it.
 func (c *Client) pump() {
+	m := c.m
+	m.work.Visits++
 	if c.closed || c.settled() {
 		return
 	}
-	m := c.m
-	m.pumpWalks++
+	m.work.Walks++
+	c.unrefuse()
 	c.memo = pumpMemo{clean: true, dead: m.arr.DeadCount(), refused: c.memo.refused[:0]}
 	horizon := c.effHorizon()
 	bs := int64(m.fs.BlockSize())
@@ -189,7 +272,7 @@ func (c *Client) pump() {
 			if dist >= horizon {
 				return
 			}
-			m.pumpSteps++
+			m.work.Steps++
 			lb := seg.firstLB + k
 			d := int64(dist)
 			dist++
@@ -204,7 +287,7 @@ func (c *Client) pump() {
 				}
 				continue
 			}
-			m.pumpProbes++
+			m.work.Probes++
 			if len(m.demoted) > 0 && m.demoted[lb] {
 				// Repeatedly failing block: left to the demand read, so the
 				// rest of the hinted sequence keeps prefetching.
@@ -234,6 +317,7 @@ func (c *Client) pump() {
 				// This disk is at depth; later blocks may differ.
 				if !slices.Contains(c.memo.refused, dk) {
 					c.memo.refused = append(c.memo.refused, dk)
+					m.refusers[dk].add(c.id)
 				}
 			case fetchNoBuffer:
 				c.stale()
@@ -307,6 +391,11 @@ func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority) bool {
 func (m *Manager) onFetchDone(lb int64, dk int, wasPrefetch bool, err error) {
 	if wasPrefetch {
 		m.prefDepth[dk]--
+		if m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
+			// A slot is free on dk: wake the clients a full dk turned away.
+			m.woken.addAll(m.refusers[dk])
+			m.woken.addAll(m.refusers[len(m.prefDepth)])
+		}
 	}
 	if err != nil {
 		m.handleFetchError(lb, dk, err)

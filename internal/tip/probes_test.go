@@ -34,7 +34,8 @@ func TestPumpProbesPerRead(t *testing.T) {
 			for b := int64(0); b < blocks; b++ {
 				r.readSync(t, f, b*int64(dcfg.BlockSize), int64(dcfg.BlockSize), true)
 			}
-			walks, steps, probes := r.m.PumpWork()
+			w := r.m.PumpWork()
+			walks, steps, probes := w.Walks, w.Steps, w.Probes
 			perRead := float64(probes) / blocks
 			t.Logf("%d walks, %d steps, %d probes: %.1f steps/read, %.1f probes/read, %d hint prefetches",
 				walks, steps, probes, float64(steps)/blocks, perRead, r.m.Stats().HintPrefetches)

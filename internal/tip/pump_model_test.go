@@ -29,6 +29,11 @@ import (
 // a guard missing from the short step, or a wake-up missing from the memo it
 // leaves, shows as a divergence — provided the script has been where each
 // guard matters, which the saw* flags below assert.
+//
+// It also holds the woken set to the sweep over every slot it replaced: the
+// second rig's forgotten memos wake every client, so its pumps visit them all.
+// A wake missing from the memoised rig is a client that should have walked and
+// was not visited; invariants() also catches one at the end of every step.
 
 // forgetMemos makes every client of m walk at its next visit.
 func forgetMemos(m *Manager) {
@@ -69,6 +74,12 @@ type pumpRig struct {
 	reads  []*pumpStep // reads not yet completed
 
 	sawPending, sawDemotionCleared, sawReentrant, sawRefusedHeld bool
+
+	// Where the woken set can go wrong (first rig only).
+	sawSettledVisit bool // a freed slot woke a client that found it re-taken at its visit
+	sawDeferred     bool // a pass woke a client behind the cursor: it waits for the next pump
+	sawDeadWake     bool // a disk's death woke a client that was settled and not woken
+	sawIdlePump     bool // a pump from the array's OnIdle visited a client
 
 	// Where the saturated short step can go wrong (first rig only; the second
 	// never reports saturated). A step that runs no clock event can neither
@@ -134,7 +145,12 @@ func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
 	m.probeAlways = forget
 	arr.SetInjector(r.inj)
 	idle := arr.OnIdle
-	arr.OnIdle = func(dk int) { r.before(); idle(dk) }
+	arr.OnIdle = func(dk int) {
+		r.before()
+		visits := m.work.Visits
+		idle(dk)
+		r.sawIdlePump = r.sawIdlePump || m.work.Visits > visits
+	}
 	// Five files of 40 blocks: 200 logical blocks, four granules of the
 	// interest index, every client hinting into every file.
 	for i := 0; i < 5; i++ {
@@ -208,13 +224,36 @@ func (r *pumpRig) read(s *pumpStep) {
 	}
 }
 
+func (s clientSet) has(id int) bool {
+	return id>>6 < len(s) && s[id>>6]&(1<<(id&63)) != 0
+}
+
+// settledUnwoken reports an open client that the pump would not visit and
+// would not walk if it did.
+func (r *pumpRig) settledUnwoken() bool {
+	return slices.ContainsFunc(r.m.clients, func(c *Client) bool { return !c.closed && c.settled() && !r.m.woken.has(c.id) })
+}
+
 func (r *pumpRig) apply(s *pumpStep) {
+	work, deadSeen, settledUnwoken := r.m.work, r.m.dead, r.settledUnwoken()
+	defer func() {
+		w := r.m.work
+		// A settled visit is a freed slot's wake that came too late: nothing
+		// else wakes a settled client (a closed one is never woken).
+		r.sawSettledVisit = r.sawSettledVisit || w.Visits-work.Visits > w.Walks-work.Walks
+		r.sawDeadWake = r.sawDeadWake || r.m.dead != deadSeen && settledUnwoken
+		// A read's last act is a pump: a client woken now was woken behind
+		// its cursor.
+		if s.kind == "read" && r.slots[s.slot] != nil {
+			r.sawDeferred = r.sawDeferred || slices.ContainsFunc(r.m.clients, func(c *Client) bool { return !c.closed && r.m.woken.has(c.id) })
+		}
+	}()
 	if s.kind != "run" && r.atBound() {
 		sat, dead, demoted := r.m.saturated(), r.arr.DeadCount() > 0, len(r.m.demoted) > 0
-		walks, _, _ := r.m.PumpWork()
+		walks := r.m.PumpWork().Walks
 		rows := r.hintRows()
 		defer func() {
-			if w, _, _ := r.m.PumpWork(); w == walks || !r.atBound() {
+			if r.m.PumpWork().Walks == walks || !r.atBound() {
 				return
 			}
 			r.sawBoundDead = r.sawBoundDead || dead
@@ -278,6 +317,42 @@ func (r *pumpRig) apply(s *pumpStep) {
 			r.sawRefusedHeld = true
 		}
 	}
+}
+
+// invariants checks what the memoised rig keeps instead of recomputing: an
+// open client the pump would not visit has nothing to do (unless a death the
+// pump has yet to see will wake it), the cached partition inputs are the
+// id-order sums, and every slot's share is the eager formula's. Asking for
+// the shares leaves the sums cached, so a step that moves an input without
+// invalidating them fails the next check.
+func (r *pumpRig) invariants() error {
+	m := r.m
+	for _, c := range m.clients {
+		if !c.closed && !c.settled() && !m.woken.has(c.id) && m.dead == m.arr.DeadCount() {
+			return fmt.Errorf("client %d is unsettled and not woken", c.id)
+		}
+	}
+	open, sumW := 0, 0.0
+	for _, c := range m.clients {
+		if !c.closed {
+			open++
+			sumW += c.weight()
+		}
+	}
+	if sh := m.shares; sh.valid && (sh.open != open || sh.sumW != sumW) {
+		return fmt.Errorf("cached partition inputs (%d open, weight %v), want (%d, %v)", sh.open, sh.sumW, open, sumW)
+	}
+	avail := m.cfg.CacheBlocks - max(1, m.cfg.CacheBlocks/4)
+	for _, c := range m.clients {
+		want := 0
+		if !c.closed && open > 1 {
+			want = max(1, int(float64(avail)*c.weight()/sumW))
+		}
+		if got := m.partition(c.id); got != want {
+			return fmt.Errorf("client %d's partition is %d, want %d", c.id, got, want)
+		}
+	}
+	return nil
 }
 
 // observe renders everything the two rigs must agree on: the clock, every
@@ -411,6 +486,7 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			var faults FaultCounters
 			var sawPending, sawCleared, sawRejected, sawReentrant, sawRefusedHeld bool
 			var sawShortRewrite, sawShortNewOwner, sawBoundDead, sawBoundDemoted, sawSlotRegained bool
+			var sawSettledVisit, sawDeferred, sawDeadWake, sawIdlePump bool
 			var lazySteps, lazyProbes int64
 			for seed := int64(0); seed < seeds; seed++ {
 				lazy, eager := newPumpRig(t, depth, false), newPumpRig(t, depth, true)
@@ -427,6 +503,9 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 					}
 					lazy.apply(s)
 					eager.apply(s)
+					if err := lazy.invariants(); err != nil {
+						t.Fatalf("seed %d step %d (%v): %v", seed, i, s, err)
+					}
 					if got, want := lazy.observe(), eager.observe(); got != want {
 						t.Fatalf("seed %d step %d (%v): the rigs diverged\nmemoised:\n%s\nwalk-always:\n%s", seed, i, s, got, want)
 					}
@@ -440,10 +519,9 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 					}
 					reqs, dones = len(lazy.inj.log), len(lazy.dones)
 				}
-				lw, ls, lp := lazy.m.PumpWork()
-				ew, _, _ := eager.m.PumpWork()
-				lazyWalks, eagerWalks = lazyWalks+lw, eagerWalks+ew
-				lazySteps, lazyProbes = lazySteps+ls, lazyProbes+lp
+				lw, ew := lazy.m.PumpWork(), eager.m.PumpWork()
+				lazyWalks, eagerWalks = lazyWalks+lw.Walks, eagerWalks+ew.Walks
+				lazySteps, lazyProbes = lazySteps+lw.Steps, lazyProbes+lw.Probes
 				f := lazy.m.Faults()
 				faults.FetchErrors += f.FetchErrors
 				faults.FetchRetries += f.FetchRetries
@@ -460,6 +538,10 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 				sawBoundDead = sawBoundDead || lazy.sawBoundDead
 				sawBoundDemoted = sawBoundDemoted || lazy.sawBoundDemoted
 				sawSlotRegained = sawSlotRegained || lazy.sawSlotRegained
+				sawSettledVisit = sawSettledVisit || lazy.sawSettledVisit
+				sawDeferred = sawDeferred || lazy.sawDeferred
+				sawDeadWake = sawDeadWake || lazy.sawDeadWake
+				sawIdlePump = sawIdlePump || lazy.sawIdlePump
 				if lazy.arr.DeadCount() != 1 {
 					t.Errorf("seed %d: the script ended before the disk died", seed)
 				}
@@ -482,6 +564,15 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			}
 			if !sawReentrant {
 				t.Error("no completion callback ever issued the next read itself")
+			}
+			if !sawIdlePump {
+				t.Error("no pump from the array's OnIdle ever visited a client")
+			}
+			if !sawDeferred {
+				t.Error("no pass ever woke a client behind the pump's cursor")
+			}
+			if !sawDeadWake {
+				t.Error("the disk's death never woke a settled client")
 			}
 			if !sawPending {
 				t.Error("no demand miss ever found the cache full (pendingDemand)")
@@ -508,6 +599,9 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			}
 			if !sawSlotRegained {
 				t.Error("no freed slot ever woke a client settled by a saturated pass into starting a fetch")
+			}
+			if !sawSettledVisit {
+				t.Error("no client woken by a freed slot ever found it re-taken at its visit")
 			}
 		})
 	}

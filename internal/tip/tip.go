@@ -219,8 +219,25 @@ type Manager struct {
 	// pumpMemo.
 	interest map[int64][]*Client
 
-	// Pump effort, for PumpWork.
-	pumpWalks, pumpSteps, pumpProbes int64
+	// The woken set: the clients the next pump visits. refusers[dk] holds the
+	// clients whose memo lists disk dk as refusing, refusers[NumDisks] those
+	// whose memo says every disk refused; a freed slot on dk wakes both. dead
+	// is the array's dead-disk count when the pump last looked.
+	woken    clientSet
+	refusers []clientSet
+	dead     int
+
+	// shares caches what every partition share is computed from: the open
+	// clients and the sum of their weights, in id order. Each input of a share
+	// clears valid — NewClient, Close, accObserve, SetPrior — and partition
+	// recomputes on the next read.
+	shares struct {
+		valid bool
+		open  int
+		sumW  float64
+	}
+
+	work PumpWork // for PumpWork
 
 	// probeAlways is set by tests only: the pump then never takes the
 	// saturated short step, and is the reference the stepping pump is held to.
@@ -291,6 +308,7 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		cache:       cache.New(cfg.CacheBlocks),
 		cfg:         cfg,
 		prefDepth:   make([]int, arr.Config().NumDisks),
+		refusers:    make([]clientSet, arr.Config().NumDisks+1),
 		interest:    make(map[int64][]*Client),
 		fetches:     make(map[int64]fetch),
 		demoted:     make(map[int64]bool),
@@ -302,6 +320,7 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		}
 		return 1
 	})
+	m.cache.SetPartitionFn(m.partition)
 	m.cache.SetOnChange(m.blockChanged)
 	arr.OnIdle = func(int) { m.pump() }
 	return m, nil
@@ -322,7 +341,8 @@ func (m *Manager) NewClient(name string) *Client {
 	} else {
 		m.clients = append(m.clients, c)
 	}
-	m.recomputePartitions()
+	m.shares.valid = false
+	m.woken.add(c.id) // its first visit walks (an empty window)
 	return c
 }
 
@@ -403,31 +423,39 @@ func (c *Client) Close() {
 	c.head = 0
 	c.closed = true
 	c.unwatch()
+	c.unrefuse()
+	c.m.woken.del(c.id)
 	c.m.free = append(c.m.free, c.id)
-	c.m.recomputePartitions()
+	c.m.shares.valid = false
 }
 
-// recomputePartitions reapportions the hinted-buffer budget across open
-// clients. With at most one open client the cache is unpartitioned (the
-// single-process configuration of the paper); with several, a quarter of the
-// cache is reserved as the shared unhinted LRU pool and the rest is split in
-// proportion to each client's recent hint accuracy — TIP's cost-benefit
-// allocation reduced to its ranking: reliable hinters earn deeper prefetch
-// residency.
-func (m *Manager) recomputePartitions() {
+// partition is owner's share of the hinted-buffer budget, the cache's cap on
+// its resident hinted blocks. With at most one open client the cache is
+// unpartitioned (the single-process configuration of the paper); with
+// several, a quarter of the cache is reserved as the shared unhinted LRU pool
+// and the rest is split in proportion to each client's recent hint accuracy —
+// TIP's cost-benefit allocation reduced to its ranking: reliable hinters earn
+// deeper prefetch residency. 0 means unlimited: a closed client, or the only
+// open one.
+func (m *Manager) partition(owner int) int {
+	if owner < 0 || owner >= len(m.clients) || m.clients[owner].closed {
+		return 0
+	}
+	s := &m.shares
+	if !s.valid {
+		s.open, s.sumW = 0, 0
+		for _, c := range m.clients {
+			if !c.closed {
+				s.open++
+				s.sumW += c.weight()
+			}
+		}
+		s.valid = true
+		m.work.PartitionSums++
+	}
+	if s.open <= 1 {
+		return 0
+	}
 	avail := m.cfg.CacheBlocks - max(1, m.cfg.CacheBlocks/4)
-	open, sumW := 0, 0.0
-	for _, c := range m.clients {
-		if !c.closed {
-			open++
-			sumW += c.weight()
-		}
-	}
-	for _, c := range m.clients {
-		share := 0 // unlimited: a closed client, or the only open one
-		if !c.closed && open > 1 {
-			share = max(1, int(float64(avail)*c.weight()/sumW))
-		}
-		m.cache.SetPartition(c.id, share)
-	}
+	return max(1, int(float64(avail)*m.clients[owner].weight()/s.sumW))
 }
