@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint speclint synth fuzz smoke perf-test examples pairs profile ci
+.PHONY: all build test race vet fmt lint unused speclint synth fuzz smoke perf-test examples pairs profile ci
 
 all: build
 
@@ -33,6 +33,14 @@ lint: vet
 	else \
 		echo "staticcheck not installed; skipped (the lint job in .github/workflows/ci.yml runs it)"; \
 	fi
+
+# unused fails on every exported function or method of an internal package
+# that nothing outside that package refers to (production code, another
+# package's tests, bench/perf, cmd or examples); a method that implements an
+# interface is exempt. It is the root package's TestNoUnusedExports, a
+# go/parser + go/types scan of the whole tree, so it needs no download.
+unused:
+	$(GO) test -count=1 -run '^TestNoUnusedExports$$' .
 
 # speclint runs the shadow-text verifier over every benchmark app's
 # transformed binary; a nonzero exit means a transform invariant does not hold.
@@ -99,4 +107,4 @@ examples:
 	@set -e; for p in $$($(GO) list ./examples/...); do \
 		echo "== $$p"; $(GO) run $$p > /dev/null; done
 
-ci: lint fmt build test race speclint synth smoke perf-test examples fuzz
+ci: lint fmt unused build test race speclint synth smoke perf-test examples fuzz

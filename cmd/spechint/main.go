@@ -2,9 +2,8 @@
 // a VM program (an assembly file, or one of the built-in benchmark
 // applications) to perform speculative execution for I/O hint generation,
 // and reports the paper's Table 3 statistics. It can also run the static
-// analyses on their own: -analyze classifies every read call site by how
-// much of the file access pattern is statically computable, -lint verifies
-// the transform invariants on the generated shadow text, and -synthesize
+// analyses on their own: -lint verifies the transform invariants on the
+// generated shadow text, and -synthesize classifies every read call site and
 // compiles the access pattern into confidence-ranked static hints — for the
 // built-in apps it then runs the program in static mode and audits every
 // synthesized hint against the dynamic read-site statistics (a hint the run
@@ -15,7 +14,6 @@
 //	spechint -file prog.s [-dis] [-no-stack-opt] [-keep-output]
 //	spechint -app agrep|gnuld|xds [-dis]
 //	spechint -app all -lint          # verify the shadow text of every app
-//	spechint -app xds -analyze       # static hintability report
 //	spechint -app all -synthesize    # synthesize + verify static hints
 package main
 
@@ -41,7 +39,6 @@ func main() {
 		dis        = flag.Bool("dis", false, "print the disassembly of the transformed program")
 		noStackOpt = flag.Bool("no-stack-opt", false, "disable the stack-copy optimization (check SP-relative accesses too)")
 		keepOutput = flag.Bool("keep-output", false, "keep output-routine calls in the shadow code")
-		analyze    = flag.Bool("analyze", false, "run the static hintability analysis instead of reporting transform stats")
 		lint       = flag.Bool("lint", false, "verify the transform invariants on the shadow text; nonzero exit on findings")
 		synthesize = flag.Bool("synthesize", false, "synthesize static hints; for built-in apps, also verify them against a dynamic run")
 	)
@@ -99,7 +96,7 @@ func main() {
 		if len(progs) > 1 {
 			fmt.Printf("== %s ==\n", np.name)
 		}
-		if !run(np.prog, opt, *analyze, *lint, *dis) {
+		if !run(np.prog, opt, *lint, *dis) {
 			bad = true
 		}
 	}
@@ -195,39 +192,24 @@ func buildApp(a apps.App) *vm.Program {
 }
 
 // run processes one program; it returns false when lint found violations.
-func run(prog *vm.Program, opt spechint.Options, analyze, lint, dis bool) bool {
-	if analyze {
-		report, err := analysis.Classify(prog, analysis.DefaultConfig())
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(report.String())
-		if lint {
-			fmt.Println()
-		}
-	}
-
-	if !analyze && !lint {
+func run(prog *vm.Program, opt spechint.Options, lint, dis bool) bool {
+	if !lint {
 		if err := reportTransform(os.Stdout, os.Stderr, prog, opt, dis); err != nil {
 			fail(err)
 		}
 		return true
 	}
-
-	if lint {
-		out, _, err := spechint.Transform(prog, opt)
-		if err != nil {
-			fail(err)
-		}
-		findings := analysis.Lint(out, opt)
-		fmt.Print(analysis.FormatFindings(out, findings))
-		if dis {
-			fmt.Println()
-			fmt.Print(asm.Disassemble(out))
-		}
-		return len(findings) == 0
+	out, _, err := spechint.Transform(prog, opt)
+	if err != nil {
+		fail(err)
 	}
-	return true
+	findings := analysis.Lint(out, opt)
+	fmt.Print(analysis.FormatFindings(out, findings))
+	if dis {
+		fmt.Println()
+		fmt.Print(asm.Disassemble(out))
+	}
+	return len(findings) == 0
 }
 
 // reportTransform transforms prog and writes the statistics report to w.

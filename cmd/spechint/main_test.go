@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -40,5 +43,42 @@ func TestReportTransformStdoutDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(out1, "hint sites:") {
 		t.Fatalf("report missing statistics:\n%s", out1)
+	}
+}
+
+// TestDeletedFlags: every flag this CLI used to have is exit 2 with a
+// one-line diagnosis and nothing on stdout. Exit codes need a built binary:
+// `go run` collapses every nonzero status to 1.
+func TestDeletedFlags(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "spechint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cases := []struct {
+		name string
+		args []string
+		want string // prefix of the first stderr line
+	}{
+		{"deleted -analyze", []string{"-app", "xds", "-analyze"}, "flag provided but not defined: -analyze"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			cmd := exec.Command(bin, c.args...)
+			cmd.Stdout, cmd.Stderr = &out, &errb
+			var exit *exec.ExitError
+			if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+				t.Fatal(err)
+			}
+			if code := cmd.ProcessState.ExitCode(); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if first, _, _ := strings.Cut(errb.String(), "\n"); !strings.HasPrefix(first, c.want) {
+				t.Errorf("stderr starts %q, want prefix %q", first, c.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("usage error still ran something:\n%s", out.String())
+			}
+		})
 	}
 }

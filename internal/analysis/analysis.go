@@ -1,8 +1,8 @@
 // Package analysis is the static-analysis layer over vm programs: a
 // control-flow-graph builder, a small dataflow framework (reaching
-// definitions and a taint lattice), a hintability classifier that predicts
-// the paper's Table 4 hint-coverage numbers without running the program, and
-// speclint, a shadow-text verifier that checks every invariant the SpecHint
+// definitions and a taint lattice), a static hint synthesizer that
+// classifies every read site and predicts the paper's Table 4 hint-coverage
+// numbers without running the program, and speclint, a shadow-text verifier that checks every invariant the SpecHint
 // transform (internal/spechint) is supposed to establish.
 //
 // The paper's tool is itself a static binary analysis (§3.3: resolving
@@ -14,7 +14,7 @@
 //     jump-table edges, the call graph, dominators, and reachability.
 //   - Dataflow (dataflow.go): classic reaching definitions over the CFG,
 //     built on the instruction use-def accessors vm.Instr exposes.
-//   - Taint/classification (taint.go, classify.go): an abstract
+//   - Taint/classification (taint.go): an abstract
 //     interpretation whose lattice tracks what runtime input each value
 //     depends on — nothing (constants), the static argument data (argv),
 //     first-level file metadata (headers), or arbitrary file data — and

@@ -44,13 +44,13 @@ type CallSite struct {
 	Target int64 // callee entry
 }
 
-// BuildCFG partitions the text into basic blocks and wires the edges.
+// buildCFG partitions the text into basic blocks and wires the edges.
 // Jump-table edges come from tables registered in the program: a rewritten
 // jtr names its table directly; an original-text jr is matched against the
 // same load idiom SpecHint recognizes (cfg.JumpTableLookback). Programs with
 // out-of-range targets (e.g. deliberately corrupted ones under test) still
 // build; the bad edges are simply dropped.
-func BuildCFG(p *vm.Program, cfg Config) *CFG {
+func buildCFG(p *vm.Program, cfg Config) *CFG {
 	if cfg.JumpTableLookback <= 0 {
 		cfg.JumpTableLookback = 1
 	}
@@ -233,16 +233,16 @@ func recognizeJumpTable(p *vm.Program, pc int64, reg uint8, lookback int) (int, 
 	return 0, false
 }
 
-// BlockOf returns the index of the block containing pc, or -1.
-func (g *CFG) BlockOf(pc int64) int {
+// blockOf returns the index of the block containing pc, or -1.
+func (g *CFG) blockOf(pc int64) int {
 	if pc < 0 || pc >= int64(len(g.pcBlock)) {
 		return -1
 	}
 	return g.pcBlock[pc]
 }
 
-// Calls returns every direct call edge in the graph.
-func (g *CFG) Calls() []CallSite {
+// calls returns every direct call edge in the graph.
+func (g *CFG) calls() []CallSite {
 	var out []CallSite
 	for _, b := range g.Blocks {
 		for _, t := range b.CallsTo {
@@ -252,22 +252,12 @@ func (g *CFG) Calls() []CallSite {
 	return out
 }
 
-// CallGraph returns the direct call graph: callee entry PC -> the PCs of the
-// call instructions targeting it.
-func (g *CFG) CallGraph() map[int64][]int64 {
-	cg := make(map[int64][]int64)
-	for _, c := range g.Calls() {
-		cg[c.Target] = append(cg[c.Target], c.PC)
-	}
-	return cg
-}
-
-// Reachable returns, per block, whether it is reachable from the program
+// reachable returns, per block, whether it is reachable from the program
 // entry following successor and call edges.
-func (g *CFG) Reachable() []bool { return g.ReachableFrom(g.Prog.Entry) }
+func (g *CFG) reachable() []bool { return g.reachableFrom(g.Prog.Entry) }
 
-// ReachableFrom computes block reachability from the given starting PCs.
-func (g *CFG) ReachableFrom(pcs ...int64) []bool {
+// reachableFrom computes block reachability from the given starting PCs.
+func (g *CFG) reachableFrom(pcs ...int64) []bool {
 	seen := make([]bool, len(g.Blocks))
 	var stack []int
 	push := func(b int) {
@@ -277,7 +267,7 @@ func (g *CFG) ReachableFrom(pcs ...int64) []bool {
 		}
 	}
 	for _, pc := range pcs {
-		push(g.BlockOf(pc))
+		push(g.blockOf(pc))
 	}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
@@ -286,16 +276,16 @@ func (g *CFG) ReachableFrom(pcs ...int64) []bool {
 			push(s)
 		}
 		for _, t := range g.Blocks[b].CallsTo {
-			push(g.BlockOf(t))
+			push(g.blockOf(t))
 		}
 	}
 	return seen
 }
 
-// Dominators computes the immediate dominator of every block reachable from
+// dominators computes the immediate dominator of every block reachable from
 // the entry (Cooper-Harvey-Kennedy iterative algorithm). The entry block is
 // its own idom; unreachable blocks get -1.
-func (g *CFG) Dominators() []int {
+func (g *CFG) dominators() []int {
 	idom := make([]int, len(g.Blocks))
 	for i := range idom {
 		idom[i] = -1
@@ -366,9 +356,9 @@ func (g *CFG) Dominators() []int {
 	return idom
 }
 
-// Dominates reports whether block a dominates block b under idom (as
-// returned by Dominators).
-func Dominates(idom []int, a, b int) bool {
+// dominates reports whether block a dominates block b under idom (as
+// returned by dominators).
+func dominates(idom []int, a, b int) bool {
 	if idom[b] == -1 {
 		return false
 	}
@@ -383,8 +373,8 @@ func Dominates(idom []int, a, b int) bool {
 	}
 }
 
-// Summary is a one-paragraph description of the graph for reports.
-func (g *CFG) Summary() string {
+// summary is a one-paragraph description of the graph for reports.
+func (g *CFG) summary() string {
 	edges := 0
 	indirect := 0
 	for _, b := range g.Blocks {
@@ -394,11 +384,11 @@ func (g *CFG) Summary() string {
 		}
 	}
 	reach := 0
-	for _, r := range g.Reachable() {
+	for _, r := range g.reachable() {
 		if r {
 			reach++
 		}
 	}
 	return fmt.Sprintf("%d blocks, %d edges, %d direct calls, %d unresolved indirect exits, %d/%d blocks reachable from entry",
-		len(g.Blocks), edges, len(g.Calls()), indirect, reach, len(g.Blocks))
+		len(g.Blocks), edges, len(g.calls()), indirect, reach, len(g.Blocks))
 }

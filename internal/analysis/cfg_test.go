@@ -32,19 +32,19 @@ join:   add  r3, r1, r2
 
 func TestBuildCFGDiamond(t *testing.T) {
 	p := mustAssemble(t, diamondSrc)
-	g := BuildCFG(p, DefaultConfig())
+	g := buildCFG(p, DefaultConfig())
 
 	// Blocks: [main..beq] [movi r2,2; jmp] [left] [join..exit]
 	if len(g.Blocks) != 4 {
 		t.Fatalf("got %d blocks, want 4: %+v", len(g.Blocks), g.Blocks)
 	}
-	b0 := g.Blocks[g.BlockOf(0)]
+	b0 := g.Blocks[g.blockOf(0)]
 	if len(b0.Succs) != 2 {
 		t.Fatalf("entry block succs = %v, want 2", b0.Succs)
 	}
-	join := g.BlockOf(p.Symbols["join"])
+	join := g.blockOf(p.Symbols["join"])
 	for _, s := range []int64{2, p.Symbols["left"]} {
-		sb := g.Blocks[g.BlockOf(s)]
+		sb := g.Blocks[g.blockOf(s)]
 		if len(sb.Succs) != 1 || sb.Succs[0] != join {
 			t.Errorf("block at %d succs = %v, want [%d]", s, sb.Succs, join)
 		}
@@ -58,12 +58,12 @@ func TestBuildCFGDiamond(t *testing.T) {
 
 func TestDominatorsDiamond(t *testing.T) {
 	p := mustAssemble(t, diamondSrc)
-	g := BuildCFG(p, DefaultConfig())
-	idom := g.Dominators()
+	g := buildCFG(p, DefaultConfig())
+	idom := g.dominators()
 
-	entry := g.BlockOf(0)
-	join := g.BlockOf(p.Symbols["join"])
-	left := g.BlockOf(p.Symbols["left"])
+	entry := g.blockOf(0)
+	join := g.blockOf(p.Symbols["join"])
+	left := g.blockOf(p.Symbols["left"])
 
 	if idom[entry] != entry {
 		t.Errorf("idom(entry) = %d, want itself", idom[entry])
@@ -72,10 +72,10 @@ func TestDominatorsDiamond(t *testing.T) {
 	if idom[join] != entry {
 		t.Errorf("idom(join) = %d, want entry %d", idom[join], entry)
 	}
-	if !Dominates(idom, entry, join) {
+	if !dominates(idom, entry, join) {
 		t.Error("entry should dominate join")
 	}
-	if Dominates(idom, left, join) {
+	if dominates(idom, left, join) {
 		t.Error("left arm must not dominate join")
 	}
 }
@@ -90,8 +90,8 @@ main:   call fn
 fn:     movi r1, 1
         ret
 `)
-	g := BuildCFG(p, DefaultConfig())
-	calls := g.Calls()
+	g := buildCFG(p, DefaultConfig())
+	calls := g.calls()
 	if len(calls) != 2 {
 		t.Fatalf("got %d call sites, want 2", len(calls))
 	}
@@ -106,12 +106,12 @@ fn:     movi r1, 1
 		t.Errorf("call graph for fn = %v, want 2 callers", cg[fn])
 	}
 	// fn's body must be reachable (via the call edge).
-	reach := g.Reachable()
-	if !reach[g.BlockOf(fn)] {
+	reach := g.reachable()
+	if !reach[g.blockOf(fn)] {
 		t.Error("callee not reachable from entry")
 	}
 	// The block ending in ret has no successors but Returns set.
-	rb := g.Blocks[g.BlockOf(fn)]
+	rb := g.Blocks[g.blockOf(fn)]
 	if !rb.Returns || len(rb.Succs) != 0 {
 		t.Errorf("ret block: Returns=%v Succs=%v", rb.Returns, rb.Succs)
 	}
@@ -130,17 +130,17 @@ case0:  syscall exit
 case1:  syscall exit
 case2:  syscall exit
 `)
-	g := BuildCFG(p, DefaultConfig())
-	jb := g.Blocks[g.BlockOf(2)] // the jr
+	g := buildCFG(p, DefaultConfig())
+	jb := g.Blocks[g.blockOf(2)] // the jr
 	if len(jb.Succs) != 3 {
 		t.Fatalf("jump-table block succs = %v, want 3 cases", jb.Succs)
 	}
 	if jb.IndirectExit {
 		t.Error("recognized table jump marked as unresolved indirect")
 	}
-	reach := g.Reachable()
+	reach := g.reachable()
 	for _, label := range []string{"case0", "case1", "case2"} {
-		if !reach[g.BlockOf(p.Symbols[label])] {
+		if !reach[g.blockOf(p.Symbols[label])] {
 			t.Errorf("%s not reachable through table edge", label)
 		}
 	}
@@ -155,8 +155,8 @@ main:   movi r1, 3
         syscall exit
         syscall exit
 `)
-	g := BuildCFG(p, DefaultConfig())
-	jb := g.Blocks[g.BlockOf(1)]
+	g := buildCFG(p, DefaultConfig())
+	jb := g.Blocks[g.blockOf(1)]
 	if !jb.IndirectExit {
 		t.Error("jr through a non-table value should be an unresolved indirect exit")
 	}
@@ -175,8 +175,8 @@ main:   movi r1, 1
         syscall exit
 `)
 	p.Text[1].Imm = 9999 // out of range
-	g := BuildCFG(p, DefaultConfig())
-	bb := g.Blocks[g.BlockOf(1)]
+	g := buildCFG(p, DefaultConfig())
+	bb := g.Blocks[g.blockOf(1)]
 	if len(bb.Succs) != 1 { // only the fall-through survives
 		t.Errorf("corrupt branch succs = %v, want fall-through only", bb.Succs)
 	}
@@ -184,13 +184,13 @@ main:   movi r1, 1
 
 func TestCFGOnTransformedApps(t *testing.T) {
 	for _, b := range buildAllBundles(t) {
-		g := BuildCFG(b.Transformed, DefaultConfig())
+		g := buildCFG(b.Transformed, DefaultConfig())
 		if err := checkCFGWellFormed(g); err != nil {
 			t.Errorf("%v transformed: %v", b.App, err)
 		}
 		// Every original-text block index must be mirrored in range: the
 		// shadow doubles the text, so there are at least as many blocks.
-		og := BuildCFG(b.Original, DefaultConfig())
+		og := buildCFG(b.Original, DefaultConfig())
 		if len(g.Blocks) < len(og.Blocks) {
 			t.Errorf("%v: transformed CFG has fewer blocks (%d) than original (%d)",
 				b.App, len(g.Blocks), len(og.Blocks))
@@ -205,8 +205,8 @@ func checkCFGWellFormed(g *CFG) error {
 			return errf("block %d empty [%d,%d)", bi, b.Start, b.End)
 		}
 		for pc := b.Start; pc < b.End; pc++ {
-			if g.BlockOf(pc) != bi {
-				return errf("pc %d maps to block %d, inside block %d", pc, g.BlockOf(pc), bi)
+			if g.blockOf(pc) != bi {
+				return errf("pc %d maps to block %d, inside block %d", pc, g.blockOf(pc), bi)
 			}
 		}
 		for _, s := range b.Succs {
@@ -225,4 +225,14 @@ func checkCFGWellFormed(g *CFG) error {
 		}
 	}
 	return nil
+}
+
+// CallGraph returns the direct call graph: callee entry PC -> the PCs of the
+// call instructions targeting it.
+func (g *CFG) CallGraph() map[int64][]int64 {
+	cg := make(map[int64][]int64)
+	for _, c := range g.calls() {
+		cg[c.Target] = append(cg[c.Target], c.PC)
+	}
+	return cg
 }

@@ -1,27 +1,46 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"spechint/internal/apps"
 )
 
-// The classifier must reproduce the paper's per-application story (§4.1-§4.3):
-// Agrep's accesses are fully determined by argv, XDataSlice needs exactly one
-// header read, and Gnuld's later passes chase pointers through file data.
+// The per-site access classes Synthesize reports must reproduce the paper's
+// per-application story (§4.1-§4.3): Agrep's accesses are fully determined by
+// argv, XDataSlice needs exactly one header read, and Gnuld's later passes
+// chase pointers through file data.
 
-func classifyApp(t *testing.T, a apps.App) *Report {
+func classifyApp(t *testing.T, a apps.App) *SynthReport {
 	t.Helper()
 	b, err := apps.Build(a, apps.TestScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Classify(b.Original, DefaultConfig())
+	r, err := Synthesize(b.Original, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+func classCounts(r *SynthReport) map[AccessClass]int {
+	m := make(map[AccessClass]int)
+	for _, s := range r.Sites {
+		m[s.Class]++
+	}
+	return m
+}
+
+// hintableSiteFraction is the purely static summary: the fraction of read
+// sites whose class is hintable without chasing file data.
+func hintableSiteFraction(r *SynthReport) float64 {
+	if len(r.Sites) == 0 {
+		return 0
+	}
+	return 1 - float64(classCounts(r)[ClassData])/float64(len(r.Sites))
 }
 
 func TestClassifyAgrep(t *testing.T) {
@@ -34,14 +53,13 @@ func TestClassifyAgrep(t *testing.T) {
 			t.Errorf("agrep site at %d is %v, want argv-determined", s.PC, s.Class)
 		}
 	}
-	if f := r.HintableSiteFraction(); f != 1.0 {
+	if f := hintableSiteFraction(r); f != 1.0 {
 		t.Errorf("agrep hintable fraction = %v, want 1.0", f)
 	}
 }
 
 func TestClassifyXDataSlice(t *testing.T) {
-	r := classifyApp(t, apps.XDataSlice)
-	c := r.ClassCounts()
+	c := classCounts(classifyApp(t, apps.XDataSlice))
 	if c[ClassData] != 0 {
 		t.Errorf("xds has %d data-dependent sites, want 0", c[ClassData])
 	}
@@ -55,7 +73,7 @@ func TestClassifyXDataSlice(t *testing.T) {
 
 func TestClassifyGnuld(t *testing.T) {
 	r := classifyApp(t, apps.Gnuld)
-	c := r.ClassCounts()
+	c := classCounts(r)
 	if c[ClassArgv] == 0 {
 		t.Error("gnuld's per-file header reads should be argv-determined")
 	}
@@ -87,9 +105,9 @@ func TestClassifyPostgres(t *testing.T) {
 // The per-app static hintability ordering mirrors the paper's Table 4:
 // XDataSlice > Agrep > Gnuld.
 func TestHintableOrderingAcrossApps(t *testing.T) {
-	xds := classifyApp(t, apps.XDataSlice).HintableSiteFraction()
-	agrep := classifyApp(t, apps.Agrep).HintableSiteFraction()
-	gnuld := classifyApp(t, apps.Gnuld).HintableSiteFraction()
+	xds := hintableSiteFraction(classifyApp(t, apps.XDataSlice))
+	agrep := hintableSiteFraction(classifyApp(t, apps.Agrep))
+	gnuld := hintableSiteFraction(classifyApp(t, apps.Gnuld))
 	if !(xds >= agrep && agrep > gnuld) {
 		t.Errorf("hintable fractions xds=%.2f agrep=%.2f gnuld=%.2f, want xds >= agrep > gnuld", xds, agrep, gnuld)
 	}
@@ -100,16 +118,21 @@ func TestClassifyRejectsTransformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Classify(b.Transformed, DefaultConfig()); err == nil {
-		t.Fatal("classify accepted a transformed program")
+	if _, err := Synthesize(b.Transformed, DefaultConfig()); err == nil {
+		t.Fatal("classification accepted a transformed program")
 	}
 }
 
+// TestReportStringMentionsEverySite: the -synthesize report names every read
+// site with its class.
 func TestReportStringMentionsEverySite(t *testing.T) {
 	r := classifyApp(t, apps.Gnuld)
 	s := r.String()
 	for _, site := range r.Sites {
-		if !strings.Contains(s, site.Class.String()) {
+		if !strings.Contains(s, fmt.Sprintf("pc %-5d", site.PC)) {
+			t.Fatalf("report missing site pc %d:\n%s", site.PC, s)
+		}
+		if !strings.Contains(s, "class "+site.Class.String()) {
 			t.Fatalf("report missing class %v:\n%s", site.Class, s)
 		}
 	}
@@ -118,33 +141,25 @@ func TestReportStringMentionsEverySite(t *testing.T) {
 	}
 }
 
-// TestAnalyzeReportDeterministic: the -analyze report (Report.String) and the
-// synthesis report must be byte-identical across fresh builds of the same
-// program — no map-iteration order may leak into either.
+// TestAnalyzeReportDeterministic: the per-site classes and the report at the
+// transformer's jump-table lookback must be byte-identical across runs — no
+// map-iteration order may leak into either.
 func TestAnalyzeReportDeterministic(t *testing.T) {
-	bundles := buildAllBundles(t)
-	for _, b := range bundles {
-		var prevAnalyze, prevSynth string
+	for _, b := range buildAllBundles(t) {
+		var prev string
 		for trial := 0; trial < 5; trial++ {
-			r, err := Classify(b.Original, DefaultConfig())
+			r, err := Synthesize(b.Original, DefaultConfig())
 			if err != nil {
 				t.Fatalf("%v: %v", b.App, err)
 			}
 			got := r.String()
-			s, err := Synthesize(b.Original, Config{})
-			if err != nil {
-				t.Fatalf("%v: %v", b.App, err)
+			for _, s := range r.Sites {
+				got += fmt.Sprintf("%d %v\n", s.PC, s.Class)
 			}
-			gotSynth := s.String()
-			if trial > 0 {
-				if got != prevAnalyze {
-					t.Fatalf("%v: analyze report differs between runs", b.App)
-				}
-				if gotSynth != prevSynth {
-					t.Fatalf("%v: synthesis report differs between runs", b.App)
-				}
+			if trial > 0 && got != prev {
+				t.Fatalf("%v: report differs between runs", b.App)
 			}
-			prevAnalyze, prevSynth = got, gotSynth
+			prev = got
 		}
 	}
 }
@@ -154,19 +169,19 @@ func TestAnalyzeReportDeterministic(t *testing.T) {
 // depend on iteration order.
 func TestPredictedCoverageDeterministic(t *testing.T) {
 	b := buildAllBundles(t)[0]
-	r, err := Classify(b.Original, DefaultConfig())
+	r, err := Synthesize(b.Original, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	weights := make(map[int64]SiteWeight)
+	sites := make(map[int64]DynSiteStats)
 	for i, s := range r.Sites {
-		weights[s.PC] = SiteWeight{Calls: int64(3 + i), DataCalls: int64(2 + i)}
+		sites[s.PC] = DynSiteStats{Calls: int64(3 + i), DataCalls: int64(2 + i)}
 	}
 	// Also weight a PC absent from the report (conservative data-dependent path).
-	weights[1<<40] = SiteWeight{Calls: 7, DataCalls: 5}
-	first := r.PredictedCoverage(weights)
+	sites[1<<40] = DynSiteStats{Calls: 7, DataCalls: 5}
+	first := r.PredictedCoverage(sites)
 	for trial := 0; trial < 32; trial++ {
-		if got := r.PredictedCoverage(weights); got != first {
+		if got := r.PredictedCoverage(sites); got != first {
 			t.Fatalf("PredictedCoverage varies: %v then %v", first, got)
 		}
 	}

@@ -73,7 +73,7 @@ func solveForwardE[S any](g *CFG, boundary func() S, clone func(S) S,
 		// Direct calls: flow into the callee too (context-insensitive; the
 		// fall-through edge separately models the call returning).
 		for _, t := range g.Blocks[b].CallsTo {
-			cb := g.BlockOf(t)
+			cb := g.blockOf(t)
 			if cb < 0 {
 				continue
 			}
@@ -122,8 +122,8 @@ func (b defBits) or(o defBits) bool {
 }
 func (b defBits) clone() defBits { return append(defBits(nil), b...) }
 
-// SolveReachingDefs computes reaching definitions over the graph.
-func SolveReachingDefs(g *CFG) *ReachingDefs {
+// solveReachingDefs computes reaching definitions over the graph.
+func solveReachingDefs(g *CFG) *ReachingDefs {
 	rd := &ReachingDefs{g: g}
 	defAt := make(map[int64]int) // pc -> def index (each pc defines <=1 reg)
 	for pc, ins := range g.Prog.Text {
@@ -168,13 +168,13 @@ func SolveReachingDefs(g *CFG) *ReachingDefs {
 	return rd
 }
 
-// DefsOf returns the definition sites of reg that reach pc (before the
+// defsOf returns the definition sites of reg that reach pc (before the
 // instruction at pc executes), in ascending PC order.
-func (rd *ReachingDefs) DefsOf(pc int64, reg uint8) []int64 {
+func (rd *ReachingDefs) defsOf(pc int64, reg uint8) []int64 {
 	if reg == vm.R0 {
 		return nil // the zero register has no definitions
 	}
-	block := rd.g.BlockOf(pc)
+	block := rd.g.blockOf(pc)
 	if block < 0 {
 		return nil
 	}
@@ -203,6 +203,3 @@ func (rd *ReachingDefs) DefsOf(pc int64, reg uint8) []int64 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Defs returns every definition site in the program.
-func (rd *ReachingDefs) Defs() []Def { return append([]Def(nil), rd.defs...) }

@@ -15,15 +15,15 @@ main:   movi r1, 1
         add  r2, r1, r1
         syscall exit
 `)
-	rd := SolveReachingDefs(BuildCFG(p, DefaultConfig()))
+	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
 
 	// At the add (pc 2), only the second movi reaches r1.
-	defs := rd.DefsOf(2, vm.R1)
+	defs := rd.defsOf(2, vm.R1)
 	if len(defs) != 1 || defs[0] != 1 {
 		t.Fatalf("DefsOf(2, r1) = %v, want [1]", defs)
 	}
 	// At pc 1, only the first.
-	defs = rd.DefsOf(1, vm.R1)
+	defs = rd.defsOf(1, vm.R1)
 	if len(defs) != 1 || defs[0] != 0 {
 		t.Fatalf("DefsOf(1, r1) = %v, want [0]", defs)
 	}
@@ -31,10 +31,10 @@ main:   movi r1, 1
 
 func TestReachingDefsMergeAtJoin(t *testing.T) {
 	p := mustAssemble(t, diamondSrc)
-	rd := SolveReachingDefs(BuildCFG(p, DefaultConfig()))
+	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
 
 	// Both arms define r2 (pc 2 and pc 4); both reach the join's add (pc 5).
-	defs := rd.DefsOf(p.Symbols["join"], vm.R2)
+	defs := rd.defsOf(p.Symbols["join"], vm.R2)
 	if len(defs) != 2 || defs[0] != 2 || defs[1] != 4 {
 		t.Fatalf("DefsOf(join, r2) = %v, want [2 4]", defs)
 	}
@@ -50,9 +50,9 @@ main:   movi r1, 7
 fn:     add  r2, r1, r1
         ret
 `)
-	rd := SolveReachingDefs(BuildCFG(p, DefaultConfig()))
+	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
 	fn := p.Symbols["fn"]
-	defs := rd.DefsOf(fn, vm.R1)
+	defs := rd.defsOf(fn, vm.R1)
 	if len(defs) != 1 || defs[0] != 0 {
 		t.Fatalf("DefsOf(fn, r1) = %v, want the caller's movi at 0", defs)
 	}
@@ -65,8 +65,8 @@ func TestReachingDefsZeroRegister(t *testing.T) {
 main:   add  r0, r1, r2
         syscall exit
 `)
-	rd := SolveReachingDefs(BuildCFG(p, DefaultConfig()))
-	if defs := rd.DefsOf(1, vm.R0); defs != nil {
+	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
+	if defs := rd.defsOf(1, vm.R0); defs != nil {
 		t.Fatalf("r0 has definitions %v; the zero register must have none", defs)
 	}
 	// And the write to r0 is not a definition at all.
@@ -86,9 +86,12 @@ main:   movi r1, 0
         add  r2, r1, r1
         syscall exit
 `)
-	rd := SolveReachingDefs(BuildCFG(p, DefaultConfig()))
-	defs := rd.DefsOf(2, vm.R1)
+	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
+	defs := rd.defsOf(2, vm.R1)
 	if len(defs) != 1 || defs[0] != 1 {
 		t.Fatalf("DefsOf(2, r1) = %v, want the syscall at 1 (result clobbers r1)", defs)
 	}
 }
+
+// Defs returns every definition site in the program.
+func (rd *ReachingDefs) Defs() []Def { return append([]Def(nil), rd.defs...) }

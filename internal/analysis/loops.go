@@ -43,7 +43,7 @@ type IndVar struct {
 	InitPC int64 // PC of the out-of-loop init definition
 }
 
-// LoopInfo is the result of FindLoops.
+// LoopInfo is the result of findLoops.
 type LoopInfo struct {
 	G     *CFG
 	Idom  []int
@@ -52,10 +52,10 @@ type LoopInfo struct {
 	inner []int // block index -> innermost containing loop index, or -1
 }
 
-// FindLoops detects the natural loops of g and recognizes their basic
+// findLoops detects the natural loops of g and recognizes their basic
 // induction variables.
-func FindLoops(g *CFG) *LoopInfo {
-	li := &LoopInfo{G: g, Idom: g.Dominators()}
+func findLoops(g *CFG) *LoopInfo {
+	li := &LoopInfo{G: g, Idom: g.dominators()}
 	li.inner = make([]int, len(g.Blocks))
 	for i := range li.inner {
 		li.inner[i] = -1
@@ -66,7 +66,7 @@ func FindLoops(g *CFG) *LoopInfo {
 	var headers []int
 	for bi, b := range g.Blocks {
 		for _, s := range b.Succs {
-			if Dominates(li.Idom, s, bi) {
+			if dominates(li.Idom, s, bi) {
 				if len(tails[s]) == 0 {
 					headers = append(headers, s)
 				}
@@ -131,7 +131,7 @@ func FindLoops(g *CFG) *LoopInfo {
 		}
 	}
 
-	rd := SolveReachingDefs(g)
+	rd := solveReachingDefs(g)
 	for i := range li.Loops {
 		li.findIVs(&li.Loops[i], rd)
 	}
@@ -168,14 +168,14 @@ func (li *LoopInfo) findIVs(l *Loop, rd *ReachingDefs) {
 		// The value flowing around the back edge must come from exactly this
 		// step plus one out-of-loop init: at the step itself, the reaching
 		// defs are {init, step}.
-		reaching := rd.DefsOf(pc, uint8(r))
+		reaching := rd.defsOf(pc, uint8(r))
 		var initPC int64 = -1
 		ok := true
 		for _, d := range reaching {
 			if d == pc {
 				continue
 			}
-			if li.blockIn(l, g.BlockOf(d)) {
+			if li.blockIn(l, g.blockOf(d)) {
 				ok = false // another in-loop def reaches (shouldn't happen: n==1)
 				break
 			}
@@ -195,26 +195,16 @@ func (li *LoopInfo) findIVs(l *Loop, rd *ReachingDefs) {
 
 func (li *LoopInfo) blockIn(l *Loop, b int) bool { return b >= 0 && l.inBody[b] }
 
-// InnermostAt returns the index (into Loops) of the innermost loop containing
-// the block of pc, or -1.
-func (li *LoopInfo) InnermostAt(pc int64) int {
-	b := li.G.BlockOf(pc)
-	if b < 0 {
-		return -1
-	}
-	return li.inner[b]
-}
-
-// Contains reports whether loop index l contains the block of pc.
-func (li *LoopInfo) Contains(l int, pc int64) bool {
+// contains reports whether loop index l contains the block of pc.
+func (li *LoopInfo) contains(l int, pc int64) bool {
 	if l < 0 || l >= len(li.Loops) {
 		return false
 	}
-	return li.blockIn(&li.Loops[l], li.G.BlockOf(pc))
+	return li.blockIn(&li.Loops[l], li.G.blockOf(pc))
 }
 
-// IV returns loop l's induction variable for reg, if recognized.
-func (l *Loop) IV(reg uint8) (IndVar, bool) {
+// iv returns loop l's induction variable for reg, if recognized.
+func (l *Loop) iv(reg uint8) (IndVar, bool) {
 	for _, iv := range l.IVs {
 		if iv.Reg == reg {
 			return iv, true
@@ -223,11 +213,11 @@ func (l *Loop) IV(reg uint8) (IndVar, bool) {
 	return IndVar{}, false
 }
 
-// BodyReach computes intra-iteration reachability: the blocks reachable from
+// bodyReach computes intra-iteration reachability: the blocks reachable from
 // `from` along body edges with back edges to the header removed, optionally
 // avoiding one block (pass avoid=-1 for none) and skipping edges the caller
 // prunes (prune may be nil). from itself is included unless avoided.
-func (li *LoopInfo) BodyReach(l int, from, avoid int, prune func(from, to int) bool) map[int]bool {
+func (li *LoopInfo) bodyReach(l int, from, avoid int, prune func(from, to int) bool) map[int]bool {
 	loop := &li.Loops[l]
 	seen := make(map[int]bool)
 	if from == avoid || !loop.inBody[from] {
@@ -252,14 +242,14 @@ func (li *LoopInfo) BodyReach(l int, from, avoid int, prune func(from, to int) b
 	return seen
 }
 
-// TripCountWith derives the loop's exact trip count: the number of times the
+// tripCountWith derives the loop's exact trip count: the number of times the
 // body runs, assuming the program does not abort. It requires a counted exit
 // test in the header comparing an induction variable against a loop-invariant
 // constant, and every *other* exit to target an abort-only region (a
 // subgraph that performs no further I/O and only exits — Gnuld's `fail`
 // label). constAt resolves a register to a constant at a PC (the caller's
 // evaluator); ivInit resolves an induction variable's initial value.
-func (li *LoopInfo) TripCountWith(l int,
+func (li *LoopInfo) tripCountWith(l int,
 	ivInit func(iv IndVar) (int64, bool),
 	constAt func(pc int64, reg uint8) (int64, bool)) (int64, bool) {
 
@@ -271,8 +261,8 @@ func (li *LoopInfo) TripCountWith(l int,
 	if !ins.Op.IsBranch() {
 		return 0, false
 	}
-	takenBlock := g.BlockOf(ins.Imm)
-	fallBlock := g.BlockOf(hb.End)
+	takenBlock := g.blockOf(ins.Imm)
+	fallBlock := g.blockOf(hb.End)
 	takenExits := !loop.inBody[takenBlock]
 	fallExits := fallBlock < 0 || !loop.inBody[fallBlock]
 	if takenExits == fallExits {
@@ -295,10 +285,10 @@ func (li *LoopInfo) TripCountWith(l int,
 		if r == vm.R0 {
 			return IndVar{}, false, 0, true
 		}
-		if v, ok := loop.IV(r); ok {
+		if v, ok := loop.iv(r); ok {
 			// The IV reads its header value only if the step has not run
 			// yet: the step must not reach the header test intra-block.
-			if g.BlockOf(v.StepPC) != loop.Header || v.StepPC >= branchPC {
+			if g.blockOf(v.StepPC) != loop.Header || v.StepPC >= branchPC {
 				return v, true, 0, false
 			}
 		}
@@ -417,8 +407,8 @@ func (li *LoopInfo) abortOnly(b int) bool {
 	return true
 }
 
-// Summary renders a one-line description per loop for reports.
-func (li *LoopInfo) Summary() string {
+// summary renders a one-line description per loop for reports.
+func (li *LoopInfo) summary() string {
 	if len(li.Loops) == 0 {
 		return "no natural loops"
 	}

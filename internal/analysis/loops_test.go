@@ -12,7 +12,7 @@ func mustCFG(t *testing.T, src string) *CFG {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BuildCFG(p, Config{})
+	return buildCFG(p, Config{})
 }
 
 const countedLoopSrc = `
@@ -35,9 +35,9 @@ done:
 
 func TestFindLoopsCounted(t *testing.T) {
 	g := mustCFG(t, countedLoopSrc)
-	li := FindLoops(g)
+	li := findLoops(g)
 	if len(li.Loops) != 1 {
-		t.Fatalf("loops = %d, want 1 (%s)", len(li.Loops), li.Summary())
+		t.Fatalf("loops = %d, want 1 (%s)", len(li.Loops), li.summary())
 	}
 	l := li.Loops[0]
 	if len(l.Tails) != 1 {
@@ -45,15 +45,15 @@ func TestFindLoopsCounted(t *testing.T) {
 	}
 	// Both r20 (the counter) and r22 (the accumulator) step by a constant
 	// once per iteration.
-	if _, ok := l.IV(20); !ok {
+	if _, ok := l.iv(20); !ok {
 		t.Errorf("r20 not recognized as induction variable: %+v", l.IVs)
 	}
-	iv, ok := l.IV(22)
+	iv, ok := l.iv(22)
 	if !ok || iv.Step != 3 {
 		t.Errorf("r22 IV = %+v ok=%v, want step 3", iv, ok)
 	}
 
-	n, ok := li.TripCountWith(0,
+	n, ok := li.tripCountWith(0,
 		func(iv IndVar) (int64, bool) {
 			ins := g.Prog.Text[iv.InitPC]
 			return ins.Imm, true // both inits are movi
@@ -85,19 +85,19 @@ inner:
     blt  r20, r9, outer
     syscall exit
 `)
-	li := FindLoops(g)
+	li := findLoops(g)
 	if len(li.Loops) != 2 {
-		t.Fatalf("loops = %d, want 2 (%s)", len(li.Loops), li.Summary())
+		t.Fatalf("loops = %d, want 2 (%s)", len(li.Loops), li.summary())
 	}
 	// Loops are sorted by header PC: outer first.
 	outer, inner := li.Loops[0], li.Loops[1]
 	if len(outer.Blocks) <= len(inner.Blocks) {
 		t.Errorf("outer body %d blocks, inner %d: want outer larger", len(outer.Blocks), len(inner.Blocks))
 	}
-	if _, ok := outer.IV(20); !ok {
+	if _, ok := outer.iv(20); !ok {
 		t.Errorf("outer loop should carry IV r20: %+v", outer.IVs)
 	}
-	if _, ok := inner.IV(21); !ok {
+	if _, ok := inner.iv(21); !ok {
 		t.Errorf("inner loop should carry IV r21: %+v", inner.IVs)
 	}
 	// The inner accumulator steps twice per outer iteration (reset by the
@@ -111,7 +111,7 @@ inner:
 
 func TestBodyReachStopsAtBackEdge(t *testing.T) {
 	g := mustCFG(t, countedLoopSrc)
-	li := FindLoops(g)
+	li := findLoops(g)
 	l := li.Loops[0]
 	// From the body block, intra-iteration reachability must not wrap
 	// through the back edge into the header again.
@@ -122,7 +122,7 @@ func TestBodyReachStopsAtBackEdge(t *testing.T) {
 			break
 		}
 	}
-	reach := li.BodyReach(0, body, -1, nil)
+	reach := li.bodyReach(0, body, -1, nil)
 	if reach[l.Header] {
 		t.Errorf("BodyReach wrapped through the back edge into the header")
 	}
@@ -148,11 +148,11 @@ done:
     movi r1, 0
     syscall exit
 `)
-	li := FindLoops(g)
+	li := findLoops(g)
 	if len(li.Loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(li.Loops))
 	}
-	_, ok := li.TripCountWith(0,
+	_, ok := li.tripCountWith(0,
 		func(iv IndVar) (int64, bool) { return g.Prog.Text[iv.InitPC].Imm, true },
 		func(pc int64, reg uint8) (int64, bool) {
 			if reg == 19 {
@@ -188,8 +188,8 @@ done:
     movi r1, 0
     syscall exit
 `)
-	li := FindLoops(g)
-	n, ok := li.TripCountWith(0,
+	li := findLoops(g)
+	n, ok := li.tripCountWith(0,
 		func(iv IndVar) (int64, bool) { return g.Prog.Text[iv.InitPC].Imm, true },
 		func(pc int64, reg uint8) (int64, bool) {
 			if reg == 19 {
@@ -215,18 +215,28 @@ loop:
 done:
     syscall exit
 `)
-	li := FindLoops(g)
+	li := findLoops(g)
 	if len(li.Loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(li.Loops))
 	}
-	iv, ok := li.Loops[0].IV(20)
+	iv, ok := li.Loops[0].iv(20)
 	if !ok || iv.Step != -1 {
 		t.Fatalf("r20 IV = %+v ok=%v, want step -1", iv, ok)
 	}
-	n, ok := li.TripCountWith(0,
+	n, ok := li.tripCountWith(0,
 		func(iv IndVar) (int64, bool) { return 6, true },
 		func(pc int64, reg uint8) (int64, bool) { return 0, false })
 	if !ok || n != 6 {
 		t.Errorf("trip count = %d ok=%v, want 6", n, ok)
 	}
+}
+
+// InnermostAt returns the index (into Loops) of the innermost loop containing
+// the block of pc, or -1.
+func (li *LoopInfo) InnermostAt(pc int64) int {
+	b := li.G.blockOf(pc)
+	if b < 0 {
+		return -1
+	}
+	return li.inner[b]
 }

@@ -24,21 +24,21 @@ type Interval struct {
 	LoInf, HiInf bool
 }
 
-// Top is the unconstrained interval.
-func Top() Interval { return Interval{LoInf: true, HiInf: true} }
+// top is the unconstrained interval.
+func top() Interval { return Interval{LoInf: true, HiInf: true} }
 
-// Point is the singleton interval [k, k].
-func Point(k int64) Interval { return Interval{Lo: k, Hi: k} }
+// point is the singleton interval [k, k].
+func point(k int64) Interval { return Interval{Lo: k, Hi: k} }
 
-// Span is the finite interval [lo, hi].
-func Span(lo, hi int64) Interval { return Interval{Lo: lo, Hi: hi} }
+// span is the finite interval [lo, hi].
+func span(lo, hi int64) Interval { return Interval{Lo: lo, Hi: hi} }
 
-// Finite reports whether both bounds are finite.
-func (iv Interval) Finite() bool { return !iv.LoInf && !iv.HiInf }
+// finite reports whether both bounds are finite.
+func (iv Interval) finite() bool { return !iv.LoInf && !iv.HiInf }
 
-// Const reports the single value of a point interval.
-func (iv Interval) Const() (int64, bool) {
-	if iv.Finite() && iv.Lo == iv.Hi {
+// constant reports the single value of a point interval.
+func (iv Interval) constant() (int64, bool) {
+	if iv.finite() && iv.Lo == iv.Hi {
 		return iv.Lo, true
 	}
 	return 0, false
@@ -68,8 +68,8 @@ func (iv Interval) norm() Interval {
 	return iv
 }
 
-// Join is the interval union hull.
-func (iv Interval) Join(o Interval) Interval {
+// join is the interval union hull.
+func (iv Interval) join(o Interval) Interval {
 	r := iv
 	if o.LoInf || (!r.LoInf && o.Lo < r.Lo) {
 		r.LoInf, r.Lo = o.LoInf, o.Lo
@@ -91,7 +91,7 @@ func (iv Interval) meet(o Interval) Interval {
 	if !o.HiInf && (r.HiInf || o.Hi < r.Hi) {
 		r.HiInf, r.Hi = false, o.Hi
 	}
-	if r.Finite() && r.Lo > r.Hi {
+	if r.finite() && r.Lo > r.Hi {
 		return iv.norm()
 	}
 	return r.norm()
@@ -142,15 +142,15 @@ func itvNeg(a Interval) Interval {
 func itvSub(a, b Interval) Interval { return itvAdd(a, itvNeg(b)) }
 
 func itvMul(a, b Interval) Interval {
-	if !a.Finite() || !b.Finite() {
+	if !a.finite() || !b.finite() {
 		// Only the simple scaling case keeps precision: finite × point.
-		if k, ok := b.Const(); ok {
+		if k, ok := b.constant(); ok {
 			return itvScale(a, k)
 		}
-		if k, ok := a.Const(); ok {
+		if k, ok := a.constant(); ok {
 			return itvScale(b, k)
 		}
-		return Top()
+		return top()
 	}
 	lo, hi := int64(0), int64(0)
 	first := true
@@ -158,7 +158,7 @@ func itvMul(a, b Interval) Interval {
 		for _, y := range [2]int64{b.Lo, b.Hi} {
 			p, ok := satMul(x, y)
 			if !ok {
-				return Top()
+				return top()
 			}
 			if first || p < lo {
 				lo = p
@@ -169,12 +169,12 @@ func itvMul(a, b Interval) Interval {
 			first = false
 		}
 	}
-	return Span(lo, hi)
+	return span(lo, hi)
 }
 
 func itvScale(a Interval, k int64) Interval {
 	if k == 0 {
-		return Point(0)
+		return point(0)
 	}
 	r := Interval{}
 	lo, okLo := satMul(a.Lo, k)
@@ -193,10 +193,10 @@ func itvScale(a Interval, k int64) Interval {
 // immediate is passed as a point interval).
 func itvALU(op vm.Op, x, y Interval) Interval {
 	// Exact fold when both are single points.
-	if xk, ok := x.Const(); ok {
-		if yk, ok := y.Const(); ok {
+	if xk, ok := x.constant(); ok {
+		if yk, ok := y.constant(); ok {
 			if v, ok := constFold(op, xk, yk); ok {
-				return Point(v)
+				return point(v)
 			}
 		}
 	}
@@ -208,46 +208,46 @@ func itvALU(op vm.Op, x, y Interval) Interval {
 	case vm.MUL:
 		return itvMul(x, y)
 	case vm.SHL, vm.SHLI:
-		if k, ok := y.Const(); ok && k >= 0 && k < 62 {
+		if k, ok := y.constant(); ok && k >= 0 && k < 62 {
 			return itvScale(x, int64(1)<<uint(k))
 		}
-		return Top()
+		return top()
 	case vm.SHR, vm.SHRI:
-		if k, ok := y.Const(); ok && k >= 0 && k < 63 && !x.LoInf && x.Lo >= 0 {
+		if k, ok := y.constant(); ok && k >= 0 && k < 63 && !x.LoInf && x.Lo >= 0 {
 			if x.HiInf {
 				return Interval{Lo: x.Lo >> uint(k), HiInf: true}
 			}
-			return Span(x.Lo>>uint(k), x.Hi>>uint(k))
+			return span(x.Lo>>uint(k), x.Hi>>uint(k))
 		}
-		return Top()
+		return top()
 	case vm.AND, vm.ANDI:
 		// x & m with x ≥ 0 clears bits: the result stays within [0, x.Hi].
 		// With a non-negative mask it is additionally ≤ m.
 		if !x.LoInf && x.Lo >= 0 {
 			r := Interval{Lo: 0, Hi: x.Hi, HiInf: x.HiInf}
-			if m, ok := y.Const(); ok && m >= 0 && (!r.HiInf && m < r.Hi || r.HiInf) {
+			if m, ok := y.constant(); ok && m >= 0 && (!r.HiInf && m < r.Hi || r.HiInf) {
 				r.Hi, r.HiInf = m, false
 			}
 			return r.norm()
 		}
-		return Top()
+		return top()
 	case vm.MOD:
-		if m, ok := y.Const(); ok && m > 0 {
+		if m, ok := y.constant(); ok && m > 0 {
 			if !x.LoInf && x.Lo >= 0 {
-				return Span(0, m-1)
+				return span(0, m-1)
 			}
-			return Span(-(m - 1), m-1)
+			return span(-(m - 1), m-1)
 		}
-		return Top()
+		return top()
 	case vm.DIV:
-		if m, ok := y.Const(); ok && m > 0 && x.Finite() {
-			return Span(x.Lo/m, x.Hi/m)
+		if m, ok := y.constant(); ok && m > 0 && x.finite() {
+			return span(x.Lo/m, x.Hi/m)
 		}
-		return Top()
+		return top()
 	case vm.SLT, vm.SLTI:
-		return Span(0, 1)
+		return span(0, 1)
 	default: // OR, XOR and anything else: no useful bound
-		return Top()
+		return top()
 	}
 }
 
@@ -279,9 +279,9 @@ type Ranges struct {
 // to ±∞.
 const widenAfter = 4
 
-// SolveRanges runs the interval fixpoint. oracle may be nil (loads then have
+// solveRanges runs the interval fixpoint. oracle may be nil (loads then have
 // no bound).
-func SolveRanges(g *CFG, oracle LoadOracle) *Ranges {
+func solveRanges(g *CFG, oracle LoadOracle) *Ranges {
 	ra := &Ranges{g: g, oracle: oracle, Sites: make(map[int64]Interval)}
 	joins := make([]int, len(g.Blocks))
 	// Widening applies only at cycle heads (targets of DFS retreating edges):
@@ -294,8 +294,8 @@ func SolveRanges(g *CFG, oracle LoadOracle) *Ranges {
 	boundary := func() *rangeState {
 		s := &rangeState{}
 		// Registers start zeroed; SP is set by the machine, not the text.
-		s.regs[vm.SP] = Top()
-		s.fpos = Top()
+		s.regs[vm.SP] = top()
+		s.fpos = top()
 		return s
 	}
 	join := func(block int, dst, src *rangeState) bool {
@@ -303,7 +303,7 @@ func SolveRanges(g *CFG, oracle LoadOracle) *Ranges {
 		widen := widenAt[block] && joins[block] > widenAfter
 		changed := false
 		merge := func(d *Interval, s Interval) {
-			j := d.Join(s)
+			j := d.join(s)
 			if j != *d {
 				if widen {
 					// Widen only the bounds that are still moving.
@@ -353,7 +353,7 @@ func retreatTargets(g *CFG) []bool {
 	edges := func(b int) []int {
 		out := append([]int(nil), g.Blocks[b].Succs...)
 		for _, t := range g.Blocks[b].CallsTo {
-			if cb := g.BlockOf(t); cb >= 0 {
+			if cb := g.blockOf(t); cb >= 0 {
 				out = append(out, cb)
 			}
 		}
@@ -392,7 +392,7 @@ func retreatTargets(g *CFG) []bool {
 
 func (ra *Ranges) val(s *rangeState, r uint8) Interval {
 	if r == vm.R0 {
-		return Point(0)
+		return point(0)
 	}
 	return s.regs[r]
 }
@@ -409,38 +409,38 @@ func (ra *Ranges) transfer(s *rangeState, pc int64, ins vm.Instr) {
 		ra.set(s, ins.Rd, itvALU(ins.Op, ra.val(s, ins.Rs1), ra.val(s, ins.Rs2)))
 
 	case ins.Op >= vm.ADDI && ins.Op <= vm.SLTI:
-		ra.set(s, ins.Rd, itvALU(ins.Op, ra.val(s, ins.Rs1), Point(ins.Imm)))
+		ra.set(s, ins.Rd, itvALU(ins.Op, ra.val(s, ins.Rs1), point(ins.Imm)))
 
 	case ins.Op == vm.MOVI:
-		ra.set(s, ins.Rd, Point(ins.Imm))
+		ra.set(s, ins.Rd, point(ins.Imm))
 
 	case ins.Op.IsLoad():
-		v := Top()
+		v := top()
 		if ra.oracle != nil {
 			if iv, ok := ra.oracle(pc, ins); ok {
 				v = iv
 			}
 		}
 		if ins.Op == vm.LDB || ins.Op == vm.LDBS {
-			v = v.meet(Span(0, 255)) // byte loads are unsigned
+			v = v.meet(span(0, 255)) // byte loads are unsigned
 		}
 		ra.set(s, ins.Rd, v)
 
 	case ins.Op.IsCall():
-		ra.set(s, vm.RA, Point(pc+1))
+		ra.set(s, vm.RA, point(pc+1))
 
 	case ins.Op == vm.SYSCALL:
 		switch ins.Imm {
 		case vm.SysOpen:
-			s.fpos = Point(0)
-			ra.set(s, vm.R1, Top())
+			s.fpos = point(0)
+			ra.set(s, vm.R1, top())
 		case vm.SysSeek:
 			s.fpos = ra.val(s, vm.R2)
-			ra.set(s, vm.R1, Top())
+			ra.set(s, vm.R1, top())
 		case vm.SysRead:
 			iv := s.fpos
 			if prev, ok := ra.Sites[pc]; ok {
-				iv = prev.Join(iv)
+				iv = prev.join(iv)
 			}
 			ra.Sites[pc] = iv
 			// The position advances by at most the requested length.
@@ -450,12 +450,12 @@ func (ra *Ranges) transfer(s *rangeState, pc int64, ins vm.Instr) {
 				adv.Hi = 0
 			}
 			s.fpos = itvAdd(s.fpos, adv)
-			ra.set(s, vm.R1, Top())
+			ra.set(s, vm.R1, top())
 		case vm.SysClose:
-			s.fpos = Top()
-			ra.set(s, vm.R1, Top())
+			s.fpos = top()
+			ra.set(s, vm.R1, top())
 		default:
-			ra.set(s, vm.R1, Top())
+			ra.set(s, vm.R1, top())
 		}
 	}
 }
@@ -468,8 +468,8 @@ func (ra *Ranges) refineEdge(from, to int, s *rangeState) *rangeState {
 	if !ins.Op.IsBranch() {
 		return s
 	}
-	taken := ra.g.BlockOf(ins.Imm)
-	fall := ra.g.BlockOf(b.End)
+	taken := ra.g.blockOf(ins.Imm)
+	fall := ra.g.blockOf(b.End)
 	if taken == fall {
 		return s // both edges reach the same block: no fact holds
 	}
@@ -507,9 +507,9 @@ func (ra *Ranges) refineEdge(from, to int, s *rangeState) *rangeState {
 		m := x.meet(y)
 		setPair(m, m)
 	case vm.BNE: // x != y: trims only a point endpoint
-		if k, ok := y.Const(); ok {
+		if k, ok := y.constant(); ok {
 			setPair(trimNE(x, k), y)
-		} else if k, ok := x.Const(); ok {
+		} else if k, ok := x.constant(); ok {
 			setPair(x, trimNE(y, k))
 		}
 	case vm.BLT: // x < y
@@ -526,31 +526,17 @@ func (ra *Ranges) refineEdge(from, to int, s *rangeState) *rangeState {
 
 // trimNE removes k from an interval when it sits on a finite endpoint.
 func trimNE(iv Interval, k int64) Interval {
-	if !iv.LoInf && iv.Lo == k && !(iv.Finite() && iv.Lo == iv.Hi) {
+	if !iv.LoInf && iv.Lo == k && !(iv.finite() && iv.Lo == iv.Hi) {
 		iv.Lo++
 	}
-	if !iv.HiInf && iv.Hi == k && !(iv.Finite() && iv.Lo == iv.Hi) {
+	if !iv.HiInf && iv.Hi == k && !(iv.finite() && iv.Lo == iv.Hi) {
 		iv.Hi--
 	}
 	return iv
 }
 
-// At recomputes the interval of reg just before pc executes.
-func (ra *Ranges) At(pc int64, reg uint8) Interval {
-	block := ra.g.BlockOf(pc)
-	if block < 0 || ra.in[block] == nil {
-		return Top()
-	}
-	s := ra.in[block].clone()
-	b := ra.g.Blocks[block]
-	for p := b.Start; p < b.End && p < pc; p++ {
-		ra.transfer(s, p, ra.g.Prog.Text[p])
-	}
-	return ra.val(s, reg)
-}
-
-// SiteBound returns the file-position interval observed at a read site.
-func (ra *Ranges) SiteBound(pc int64) (Interval, bool) {
+// siteBound returns the file-position interval observed at a read site.
+func (ra *Ranges) siteBound(pc int64) (Interval, bool) {
 	iv, ok := ra.Sites[pc]
 	return iv, ok
 }

@@ -8,14 +8,14 @@ import (
 )
 
 func TestIntervalOps(t *testing.T) {
-	if got := Span(1, 5).Join(Span(3, 9)); got != Span(1, 9) {
+	if got := span(1, 5).join(span(3, 9)); got != span(1, 9) {
 		t.Errorf("join = %v", got)
 	}
-	if got := Span(1, 5).meet(Span(3, 9)); got != Span(3, 5) {
+	if got := span(1, 5).meet(span(3, 9)); got != span(3, 5) {
 		t.Errorf("meet = %v", got)
 	}
 	// Disjoint meet collapses to the receiver (refinement is advisory).
-	if got := Span(1, 2).meet(Span(5, 9)); got != Span(1, 2) {
+	if got := span(1, 2).meet(span(5, 9)); got != span(1, 2) {
 		t.Errorf("empty meet = %v, want receiver", got)
 	}
 	// Infinite bounds are canonical: the ignored finite field is zeroed, so
@@ -26,10 +26,10 @@ func TestIntervalOps(t *testing.T) {
 	if a != b {
 		t.Errorf("normalized +inf intervals differ: %v vs %v", a, b)
 	}
-	if got := Top().Join(Span(1, 2)); got != Top() {
+	if got := top().join(span(1, 2)); got != top() {
 		t.Errorf("Top join = %v", got)
 	}
-	if v, ok := Point(42).Const(); !ok || v != 42 {
+	if v, ok := point(42).constant(); !ok || v != 42 {
 		t.Errorf("Point Const = %d, %v", v, ok)
 	}
 }
@@ -40,16 +40,16 @@ func TestIntervalALU(t *testing.T) {
 		x, y Interval
 		want Interval
 	}{
-		{vm.ADD, Span(1, 3), Span(10, 20), Span(11, 23)},
-		{vm.SUB, Span(1, 3), Span(10, 20), Span(-19, -7)},
-		{vm.MUL, Span(0, 5), Span(2, 4), Span(0, 20)},
-		{vm.MUL, Span(-2, 3), Span(4, 4), Span(-8, 12)},
-		{vm.SHLI, Span(1, 3), Point(4), Span(16, 48)},
-		{vm.SHRI, Span(16, 48), Point(4), Span(1, 3)},
-		{vm.ANDI, Span(0, 100), Point(7), Span(0, 7)},
-		{vm.ANDI, Span(0, 100), Point(-8192), Span(0, 100)},
-		{vm.MOD, Top(), Point(10), Span(-9, 9)},
-		{vm.SLT, Top(), Top(), Span(0, 1)},
+		{vm.ADD, span(1, 3), span(10, 20), span(11, 23)},
+		{vm.SUB, span(1, 3), span(10, 20), span(-19, -7)},
+		{vm.MUL, span(0, 5), span(2, 4), span(0, 20)},
+		{vm.MUL, span(-2, 3), span(4, 4), span(-8, 12)},
+		{vm.SHLI, span(1, 3), point(4), span(16, 48)},
+		{vm.SHRI, span(16, 48), point(4), span(1, 3)},
+		{vm.ANDI, span(0, 100), point(7), span(0, 7)},
+		{vm.ANDI, span(0, 100), point(-8192), span(0, 100)},
+		{vm.MOD, top(), point(10), span(-9, 9)},
+		{vm.SLT, top(), top(), span(0, 1)},
 	}
 	for _, c := range cases {
 		if got := itvALU(c.op, c.x, c.y); got != c.want {
@@ -95,8 +95,8 @@ done:
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := BuildCFG(p, Config{})
-	ra := SolveRanges(g, nil)
+	g := buildCFG(p, Config{})
+	ra := solveRanges(g, nil)
 	var seekPC int64 = -1
 	for pc, ins := range p.Text {
 		if ins.Op == vm.SYSCALL && ins.Imm == vm.SysSeek {
@@ -109,13 +109,13 @@ done:
 	// r11 was refined to [1,100] by the guards, r17 to [0,99] by the loop
 	// test, so r18 = r17*r11 is finite despite the loop widening r17 at the
 	// header.
-	if got := ra.At(seekPC, 11); got != Span(1, 100) {
+	if got := ra.At(seekPC, 11); got != span(1, 100) {
 		t.Errorf("r11 at seek = %v, want [1,100]", got)
 	}
-	if got := ra.At(seekPC, 17); got != Span(0, 99) {
+	if got := ra.At(seekPC, 17); got != span(0, 99) {
 		t.Errorf("r17 at seek = %v, want [0,99]", got)
 	}
-	if got := ra.At(seekPC, 18); !got.Finite() || got.Lo < 0 || got.Hi != 99*100 {
+	if got := ra.At(seekPC, 18); !got.finite() || got.Lo < 0 || got.Hi != 99*100 {
 		t.Errorf("r18 at seek = %v, want finite [0,9900]", got)
 	}
 }
@@ -142,8 +142,8 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := BuildCFG(p, Config{})
-	ra := SolveRanges(g, nil)
+	g := buildCFG(p, Config{})
+	ra := solveRanges(g, nil)
 	seekPC := int64(len(p.Text) - 2)
 	got := ra.At(seekPC, 20)
 	if !got.HiInf {
@@ -184,8 +184,8 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := BuildCFG(p, Config{})
-	ra := SolveRanges(g, nil)
+	g := buildCFG(p, Config{})
+	ra := solveRanges(g, nil)
 	var reads []int64
 	for pc, ins := range p.Text {
 		if ins.Op == vm.SYSCALL && ins.Imm == vm.SysRead {
@@ -195,10 +195,24 @@ main:
 	if len(reads) != 2 {
 		t.Fatalf("reads = %v", reads)
 	}
-	if iv, ok := ra.SiteBound(reads[0]); !ok || iv != Point(0) {
+	if iv, ok := ra.siteBound(reads[0]); !ok || iv != point(0) {
 		t.Errorf("first read bound = %v, %v; want [0,0]", iv, ok)
 	}
-	if iv, ok := ra.SiteBound(reads[1]); !ok || iv != Point(4096) {
+	if iv, ok := ra.siteBound(reads[1]); !ok || iv != point(4096) {
 		t.Errorf("seeked read bound = %v, %v; want [4096,4096]", iv, ok)
 	}
+}
+
+// At recomputes the interval of reg just before pc executes.
+func (ra *Ranges) At(pc int64, reg uint8) Interval {
+	block := ra.g.blockOf(pc)
+	if block < 0 || ra.in[block] == nil {
+		return top()
+	}
+	s := ra.in[block].clone()
+	b := ra.g.Blocks[block]
+	for p := b.Start; p < b.End && p < pc; p++ {
+		ra.transfer(s, p, ra.g.Prog.Text[p])
+	}
+	return ra.val(s, reg)
 }

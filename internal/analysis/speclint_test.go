@@ -245,14 +245,14 @@ func TestLintLoopBackEdges(t *testing.T) {
 }
 
 // TestLintIrreducibleLoopShape: the CFG layer itself must cope with the
-// goto-into-loop shape — FindLoops must not claim the irreducible cycle as a
+// goto-into-loop shape — findLoops must not claim the irreducible cycle as a
 // natural loop (its entry block does not dominate the body).
 func TestLintIrreducibleLoopShape(t *testing.T) {
 	g := mustCFG(t, irreducibleSrc)
-	li := FindLoops(g)
+	li := findLoops(g)
 	for _, l := range li.Loops {
 		for _, b := range l.Blocks {
-			if !Dominates(li.Idom, l.Header, b) {
+			if !dominates(li.Idom, l.Header, b) {
 				t.Errorf("loop header %d does not dominate body block %d: irreducible cycle misclassified", l.Header, b)
 			}
 		}

@@ -20,7 +20,7 @@ import (
 //  2. bounded — no closed form, but the value-range pass bounds the file
 //     position at the site to a finite interval.
 //  3. speculative-only — fall back to the taint-based hintability class
-//     (classify.go): only runtime speculation can discover these accesses.
+//     (taint.go): only runtime speculation can discover these accesses.
 //
 // Synthesis assumes the program completes normally (opens succeed, reads
 // return their requested length) — the same assumption the emitted hints
@@ -114,17 +114,17 @@ func Synthesize(p *vm.Program, cfg Config) (*SynthReport, error) {
 	if p.ShadowBase != 0 || p.OrigTextLen != 0 {
 		return nil, fmt.Errorf("analysis: synthesize wants an untransformed program (got shadow at %d)", p.ShadowBase)
 	}
-	g := BuildCFG(p, cfg)
+	g := buildCFG(p, cfg)
 	ta, _ := runTaint(g)
-	li := FindLoops(g)
-	ev := &evaluator{p: p, g: g, li: li, rd: SolveReachingDefs(g), ta: ta}
+	li := findLoops(g)
+	ev := &evaluator{p: p, g: g, li: li, rd: solveReachingDefs(g), ta: ta}
 	sy := &synthesizer{
 		p:      p,
 		g:      g,
 		li:     li,
 		ev:     ev,
 		ta:     ta,
-		ranges: SolveRanges(g, ev.rangeOracle()),
+		ranges: solveRanges(g, ev.rangeOracle()),
 		pos:    solvePos(g, ev),
 		trips:  make(map[int]tripResult),
 	}
@@ -217,17 +217,6 @@ type tripResult struct {
 	ok bool
 }
 
-func classOf(st *siteTaints) AccessClass {
-	switch st.fd.Join(st.pos).Join(st.length) {
-	case TaintNone, TaintArgv:
-		return ClassArgv
-	case TaintHeader:
-		return ClassHeader
-	default:
-		return ClassData
-	}
-}
-
 // site synthesizes one read site.
 func (sy *synthesizer) site(pc int64, st *siteTaints) (SynthSite, *emitter) {
 	s := SynthSite{PC: pc, Conf: ConfSpecOnly, Class: classOf(st), Loop: -1, Trips: 1}
@@ -235,7 +224,7 @@ func (sy *synthesizer) site(pc int64, st *siteTaints) (SynthSite, *emitter) {
 		s.Conf = ConfProved
 		return s, em
 	}
-	if iv, ok := sy.ranges.SiteBound(pc); ok && iv.Finite() {
+	if iv, ok := sy.ranges.siteBound(pc); ok && iv.finite() {
 		if iv.Lo < 0 {
 			iv.Lo = 0
 		}
@@ -363,7 +352,7 @@ func contains(xs []int, x int) bool {
 func (sy *synthesizer) loopsContaining(pc int64) []int {
 	var out []int
 	for l := range sy.li.Loops {
-		if sy.li.Contains(l, pc) {
+		if sy.li.contains(l, pc) {
 			out = append(out, l)
 		}
 	}
@@ -374,7 +363,7 @@ func (sy *synthesizer) tripOf(l int) (int64, bool) {
 	if r, ok := sy.trips[l]; ok {
 		return r.n, r.ok
 	}
-	n, ok := sy.li.TripCountWith(l,
+	n, ok := sy.li.tripCountWith(l,
 		func(iv IndVar) (int64, bool) {
 			x := sy.ev.evalDef(iv.InitPC, nil, 0)
 			return x.k, x.kind == exConst
@@ -395,7 +384,7 @@ func (sy *synthesizer) tripOf(l int) (int64, bool) {
 // run completes (audited by Verify).
 func (sy *synthesizer) paired(binding int, openPC, sitePC int64) bool {
 	g := sy.g
-	ob, sb := g.BlockOf(openPC), g.BlockOf(sitePC)
+	ob, sb := g.blockOf(openPC), g.blockOf(sitePC)
 	if ob < 0 || sb < 0 {
 		return false
 	}
@@ -405,28 +394,28 @@ func (sy *synthesizer) paired(binding int, openPC, sitePC int64) bool {
 	if binding < 0 {
 		// Straight-line: the open dominates the site, and no pruned path
 		// from the open terminates without passing the site.
-		if !Dominates(sy.li.Idom, ob, sb) {
+		if !dominates(sy.li.Idom, ob, sb) {
 			return false
 		}
 		return !sy.escapes(ob, sb)
 	}
 	prune := sy.prunedEdge
 	// The open runs every iteration…
-	reach := sy.li.BodyReach(binding, sy.li.Loops[binding].Header, ob, prune)
+	reach := sy.li.bodyReach(binding, sy.li.Loops[binding].Header, ob, prune)
 	for _, t := range sy.li.Loops[binding].Tails {
 		if reach[t] {
 			return false
 		}
 	}
 	// …the site runs every iteration…
-	reach = sy.li.BodyReach(binding, sy.li.Loops[binding].Header, sb, prune)
+	reach = sy.li.bodyReach(binding, sy.li.Loops[binding].Header, sb, prune)
 	for _, t := range sy.li.Loops[binding].Tails {
 		if reach[t] {
 			return false
 		}
 	}
 	// …and the site is only reachable through this iteration's open.
-	reach = sy.li.BodyReach(binding, sy.li.Loops[binding].Header, ob, prune)
+	reach = sy.li.bodyReach(binding, sy.li.Loops[binding].Header, ob, prune)
 	return !reach[sb]
 }
 
@@ -483,8 +472,8 @@ func (sy *synthesizer) prunedEdge(b, t int) bool {
 			return false
 		}
 	}
-	taken := g.BlockOf(ins.Imm)
-	fall := g.BlockOf(blk.End)
+	taken := g.blockOf(ins.Imm)
+	fall := g.blockOf(blk.End)
 	if taken == fall {
 		return false
 	}
@@ -571,7 +560,7 @@ func (e *evaluator) eval(pc int64, reg uint8, env map[int]int64, depth int) expr
 }
 
 func (e *evaluator) eval1(pc int64, reg uint8, env map[int]int64, depth int) expr {
-	defs := e.rd.DefsOf(pc, reg)
+	defs := e.rd.defsOf(pc, reg)
 	switch len(defs) {
 	case 1:
 		if e.isStep(defs[0], reg) {
@@ -599,10 +588,10 @@ func (e *evaluator) isStep(pc int64, reg uint8) bool {
 // variable: the value at a header-phase use is init + step·i.
 func (e *evaluator) evalIV(pc int64, reg uint8, defs []int64, env map[int]int64, depth int) expr {
 	for l := range e.li.Loops {
-		if !e.li.Contains(l, pc) {
+		if !e.li.contains(l, pc) {
 			continue
 		}
-		iv, ok := e.li.Loops[l].IV(reg)
+		iv, ok := e.li.Loops[l].iv(reg)
 		if !ok {
 			continue
 		}
@@ -612,12 +601,12 @@ func (e *evaluator) evalIV(pc int64, reg uint8, defs []int64, env map[int]int64,
 		}
 		// The use must read the header-phase value: the step may not run
 		// before it within one iteration.
-		sb, ub := e.g.BlockOf(iv.StepPC), e.g.BlockOf(pc)
+		sb, ub := e.g.blockOf(iv.StepPC), e.g.blockOf(pc)
 		if sb == ub {
 			if iv.StepPC < pc {
 				return expr{} // post-increment read: ambiguous with RD alone
 			}
-		} else if e.li.BodyReach(l, sb, -1, nil)[ub] {
+		} else if e.li.bodyReach(l, sb, -1, nil)[ub] {
 			return expr{} // some intra-iteration path increments first
 		}
 		init := e.evalDef(iv.InitPC, env, depth+1)
@@ -789,7 +778,7 @@ func (e *evaluator) rangeOracle() LoadOracle {
 		switch base.kind {
 		case exConst:
 			if v, ok := read(base.k + ins.Imm); ok {
-				return Point(v), true
+				return point(v), true
 			}
 		case exAffine:
 			if base.coef == 0 {
@@ -805,9 +794,9 @@ func (e *evaluator) rangeOracle() LoadOracle {
 					break
 				}
 				if !got {
-					iv, got = Point(v), true
+					iv, got = point(v), true
 				} else {
-					iv = iv.Join(Point(v))
+					iv = iv.join(point(v))
 				}
 				addr += base.coef
 			}
@@ -927,8 +916,8 @@ func (r *SynthReport) ConfCounts() map[Confidence]int {
 	return m
 }
 
-// Ranked returns the sites ordered by confidence (descending), then PC.
-func (r *SynthReport) Ranked() []SynthSite {
+// ranked returns the sites ordered by confidence (descending), then PC.
+func (r *SynthReport) ranked() []SynthSite {
 	out := append([]SynthSite(nil), r.Sites...)
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Conf != out[j].Conf {
@@ -943,17 +932,17 @@ func (r *SynthReport) Ranked() []SynthSite {
 func (r *SynthReport) String() string {
 	loc := asm.NewLocator(r.Prog)
 	var b strings.Builder
-	fmt.Fprintf(&b, "cfg: %s\n", r.CFG.Summary())
-	fmt.Fprintf(&b, "loops: %s\n", r.Loops.Summary())
+	fmt.Fprintf(&b, "cfg: %s\n", r.CFG.summary())
+	fmt.Fprintf(&b, "loops: %s\n", r.Loops.summary())
 	counts := r.ConfCounts()
 	fmt.Fprintf(&b, "read sites: %d total — %d proved, %d bounded, %d speculative-only\n",
 		len(r.Sites), counts[ConfProved], counts[ConfBounded], counts[ConfSpecOnly])
 	fmt.Fprintf(&b, "synthesized hints: %d\n", len(r.Hints))
-	for _, s := range r.Ranked() {
+	for _, s := range r.ranked() {
 		fmt.Fprintf(&b, "  pc %-5d %-16s %-16s prior=%.2f", s.PC, loc.Locate(s.PC)+":", s.Conf, s.Conf.Prior())
 		switch {
 		case s.Conf == ConfProved:
-			fmt.Fprintf(&b, " %s (%d hints)", s.Template, s.NumHints)
+			fmt.Fprintf(&b, " %s (%d hints, class %s)", s.Template, s.NumHints, s.Class)
 		case s.Conf == ConfBounded:
 			fmt.Fprintf(&b, " off in %s (class %s)", s.Bound, s.Class)
 		default:
@@ -971,6 +960,42 @@ func (r *SynthReport) String() string {
 			i+1, h.Path, h.Off, h.N, h.SitePC, h.Iter)
 	}
 	return b.String()
+}
+
+// PredictedCoverage combines the per-site access classes with dynamic
+// execution counts into a predicted hinted-read fraction directly comparable
+// to the paper's Table 4 (hinted reads / all read calls; EOF probes count in
+// the denominator but can never be hinted). Sites absent from the report
+// (e.g. reads reached only through unresolved indirect control flow) are
+// conservatively treated as data-dependent. Only Calls and DataCalls are
+// read.
+func (r *SynthReport) PredictedCoverage(sites map[int64]DynSiteStats) float64 {
+	class := make(map[int64]AccessClass, len(r.Sites))
+	for _, s := range r.Sites {
+		class[s.PC] = s.Class
+	}
+	// Accumulate in sorted site order: float addition is order-sensitive, and
+	// map iteration order would make the low bits vary run to run.
+	pcs := make([]int64, 0, len(sites))
+	for pc := range sites {
+		pcs = append(pcs, pc)
+	}
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	var predicted float64
+	var total int64
+	for _, pc := range pcs {
+		w := sites[pc]
+		total += w.Calls
+		c, ok := class[pc]
+		if !ok {
+			c = ClassData
+		}
+		predicted += c.hintProbability() * float64(w.DataCalls)
+	}
+	if total == 0 {
+		return 0
+	}
+	return predicted / float64(total)
 }
 
 // LintStaticHint flags a synthesized hint contradicted by the dynamic run:

@@ -107,7 +107,7 @@ func TestSynthesizeXDS(t *testing.T) {
 	}
 	for _, s := range r.Sites {
 		if s.Conf == analysis.ConfBounded {
-			if !s.Bound.Finite() || s.Bound.Lo < 0 {
+			if s.Bound.LoInf || s.Bound.HiInf || s.Bound.Lo < 0 {
 				t.Errorf("bounded site pc %d: bound %v not a usable offset interval", s.PC, s.Bound)
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // data section — the program's command line)", TaintHeader "depends on
 // first-level file metadata (data located by static information)", and
 // TaintData "depends on arbitrary file contents (data located by other file
-// data)". Join is max: a value depending on both argv and file data is
+// data)". The join is max: a value depending on both argv and file data is
 // data-dependent.
 //
 // Seeding follows the paper's access-pattern taxonomy (§4.1-§4.3): the data
@@ -48,12 +48,65 @@ func (t Taint) String() string {
 	return "taint?"
 }
 
-// Join is the lattice join (max of the chain).
-func (t Taint) Join(u Taint) Taint {
+// join is the lattice join (max of the chain).
+func (t Taint) join(u Taint) Taint {
 	if u > t {
 		return u
 	}
 	return t
+}
+
+// AccessClass is the paper's access-pattern taxonomy for read call sites
+// (§4.1-§4.3): Agrep's reads are argv-determined, XDataSlice's are computable
+// from one header read, Gnuld's chase pointers through file data.
+type AccessClass uint8
+
+const (
+	ClassArgv   AccessClass = iota // determined by the static argument data
+	ClassHeader                    // computable from first-level file metadata
+	ClassData                      // dependent on arbitrary file data
+)
+
+func (c AccessClass) String() string {
+	switch c {
+	case ClassArgv:
+		return "argv-determined"
+	case ClassHeader:
+		return "header-determined"
+	case ClassData:
+		return "data-dependent"
+	}
+	return "class?"
+}
+
+// hintProbability is the modeled probability that a dynamic read issued from
+// a site of this class arrives hinted under speculative execution. Argv- and
+// header-determined sites are fully computable ahead of the access (the
+// paper hints essentially all of them); a data-dependent site can only be
+// hinted when the read it depends on was itself prefetched or cached in
+// time, which the paper's Gnuld analysis (§4.2: "limited to about half")
+// puts near one half. These are calibrated model constants in the same
+// spirit as the simulator's cycle costs.
+func (c AccessClass) hintProbability() float64 {
+	switch c {
+	case ClassArgv, ClassHeader:
+		return 1.0
+	default:
+		return 0.5
+	}
+}
+
+// classOf joins a read site's descriptor, position and length taints into
+// its access class.
+func classOf(st *siteTaints) AccessClass {
+	switch st.fd.join(st.pos).join(st.length) {
+	case TaintNone, TaintArgv:
+		return ClassArgv
+	case TaintHeader:
+		return ClassHeader
+	default:
+		return ClassData
+	}
 }
 
 // Abstract values. The analysis is a constant/region propagation carrying
@@ -95,42 +148,30 @@ func taintOf(v aval) Taint {
 
 // regions partitions the data section by its symbols, so the analysis can
 // track a content taint per named buffer/table. The stack is modeled as one
-// extra pseudo-region (index len(names)).
+// extra pseudo-region (index len(starts)).
 type regions struct {
-	starts []int64  // sorted region start addresses
-	names  []string // parallel region names
+	starts []int64 // sorted region start addresses
 }
 
 const regionUnknown = -1
 
 func buildRegions(p *vm.Program) *regions {
-	type symbol struct {
-		addr int64
-		name string
+	var addrs []int64
+	for _, addr := range p.DataSymbols {
+		addrs = append(addrs, addr)
 	}
-	var syms []symbol
-	for name, addr := range p.DataSymbols {
-		syms = append(syms, symbol{addr, name})
-	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].addr != syms[j].addr {
-			return syms[i].addr < syms[j].addr
-		}
-		return syms[i].name < syms[j].name
-	})
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	r := &regions{}
 	last := int64(-1)
-	for _, s := range syms {
-		if s.addr == last {
-			continue // aliased symbol: keep the first name
+	for _, a := range addrs {
+		if a == last {
+			continue // aliased symbols share one region
 		}
-		r.starts = append(r.starts, s.addr)
-		r.names = append(r.names, s.name)
-		last = s.addr
+		r.starts = append(r.starts, a)
+		last = a
 	}
 	if len(r.starts) == 0 || r.starts[0] > 0 {
 		r.starts = append([]int64{0}, r.starts...)
-		r.names = append([]string{"(data)"}, r.names...)
 	}
 	return r
 }
@@ -138,16 +179,6 @@ func buildRegions(p *vm.Program) *regions {
 func (r *regions) count() int { return len(r.starts) + 1 } // + stack pseudo-region
 
 func (r *regions) stack() int { return len(r.starts) }
-
-func (r *regions) name(i int) string {
-	if i == r.stack() {
-		return "(stack)"
-	}
-	if i >= 0 && i < len(r.names) {
-		return r.names[i]
-	}
-	return "(unknown)"
-}
 
 // resolve maps a data address to its region, or regionUnknown.
 func (r *regions) resolve(p *vm.Program, addr int64) int {
@@ -207,9 +238,9 @@ func joinVal(a, b aval, rg *regions, p *vm.Program) aval {
 		return taintV(TaintNone)
 	case a.kind == vAddr && b.kind == vAddr:
 		if a.region == b.region {
-			return addrV(a.region, a.t.Join(b.t))
+			return addrV(a.region, a.t.join(b.t))
 		}
-		return taintV(a.t.Join(b.t))
+		return taintV(a.t.join(b.t))
 	case a.kind == vAddr && b.kind == vConst:
 		if rg.resolve(p, b.k) == a.region {
 			return a
@@ -218,7 +249,7 @@ func joinVal(a, b aval, rg *regions, p *vm.Program) aval {
 	case a.kind == vConst && b.kind == vAddr:
 		return joinVal(b, a, rg, p)
 	default: // at least one vTaint
-		return taintV(taintOf(a).Join(taintOf(b)))
+		return taintV(taintOf(a).join(taintOf(b)))
 	}
 }
 
@@ -232,12 +263,12 @@ func (s *taintState) join(src *taintState, rg *regions, p *vm.Program) bool {
 			changed = true
 		}
 	}
-	if t := s.fpos.Join(src.fpos); t != s.fpos {
+	if t := s.fpos.join(src.fpos); t != s.fpos {
 		s.fpos = t
 		changed = true
 	}
 	for i := range s.mem {
-		if t := s.mem[i].Join(src.mem[i]); t != s.mem[i] {
+		if t := s.mem[i].join(src.mem[i]); t != s.mem[i] {
 			s.mem[i] = t
 			changed = true
 		}
@@ -300,7 +331,7 @@ func (a *taintAnalysis) set(s *taintState, r uint8, v aval) {
 func (a *taintAnalysis) maxContent(s *taintState) Taint {
 	t := TaintNone
 	for _, m := range s.mem {
-		t = t.Join(m)
+		t = t.join(m)
 	}
 	return t
 }
@@ -335,10 +366,10 @@ func (a *taintAnalysis) alu(op vm.Op, x, y aval) aval {
 		// stays a pointer into that region; the offset taints the element
 		// choice.
 		if x.kind == vAddr && y.kind != vAddr {
-			return addrV(x.region, x.t.Join(taintOf(y)))
+			return addrV(x.region, x.t.join(taintOf(y)))
 		}
 		if y.kind == vAddr && x.kind != vAddr && op != vm.SUB {
-			return addrV(y.region, y.t.Join(taintOf(x)))
+			return addrV(y.region, y.t.join(taintOf(x)))
 		}
 		if x.kind == vConst && y.kind == vTaint {
 			if r := a.rg.exact(x.k); r != regionUnknown {
@@ -351,7 +382,7 @@ func (a *taintAnalysis) alu(op vm.Op, x, y aval) aval {
 			}
 		}
 	}
-	return taintV(taintOf(x).Join(taintOf(y)))
+	return taintV(taintOf(x).join(taintOf(y)))
 }
 
 func constFold(op vm.Op, x, y int64) (int64, bool) {
@@ -406,22 +437,22 @@ func (a *taintAnalysis) transfer(s *taintState, pc int64, ins vm.Instr) {
 	case ins.Op.IsLoad():
 		region, choice := a.baseRegion(s, a.val(s, ins.Rs1), ins.Imm, ins.Rs1 == vm.SP)
 		if region == regionUnknown {
-			a.set(s, ins.Rd, taintV(choice.Join(a.maxContent(s))))
+			a.set(s, ins.Rd, taintV(choice.join(a.maxContent(s))))
 		} else {
-			a.set(s, ins.Rd, taintV(choice.Join(s.mem[region])))
+			a.set(s, ins.Rd, taintV(choice.join(s.mem[region])))
 		}
 
 	case ins.Op.IsStore():
 		region, choice := a.baseRegion(s, a.val(s, ins.Rs1), ins.Imm, ins.Rs1 == vm.SP)
 		a.markDirty(region)
-		t := choice.Join(taintOf(a.val(s, ins.Rs2)))
+		t := choice.join(taintOf(a.val(s, ins.Rs2)))
 		if region == regionUnknown {
 			// Unknown target: every region may have been written.
 			for i := range s.mem {
-				s.mem[i] = s.mem[i].Join(t)
+				s.mem[i] = s.mem[i].join(t)
 			}
 		} else {
-			s.mem[region] = s.mem[region].Join(t)
+			s.mem[region] = s.mem[region].join(t)
 		}
 
 	case ins.Op.IsCall():
@@ -453,26 +484,26 @@ func (a *taintAnalysis) syscall(s *taintState, pc int64, code int64) {
 			st = &siteTaints{}
 			a.sites[pc] = st
 		}
-		st.fd = st.fd.Join(fd)
-		st.pos = st.pos.Join(s.fpos)
-		st.length = st.length.Join(length)
+		st.fd = st.fd.join(fd)
+		st.pos = st.pos.join(s.fpos)
+		st.length = st.length.join(length)
 		st.set = true
 
 		// The buffer now holds file content. Content located statically is
 		// first-level metadata (a header); content located by other file
 		// data is data-dependent.
 		content := TaintHeader
-		if fd.Join(s.fpos).Join(length) > TaintArgv {
+		if fd.join(s.fpos).join(length) > TaintArgv {
 			content = TaintData
 		}
 		region, _ := a.baseRegion(s, a.val(s, vm.R2), 0, false)
 		a.markDirty(region)
 		if region == regionUnknown {
 			for i := range s.mem {
-				s.mem[i] = s.mem[i].Join(content)
+				s.mem[i] = s.mem[i].join(content)
 			}
 		} else {
-			s.mem[region] = s.mem[region].Join(content)
+			s.mem[region] = s.mem[region].join(content)
 		}
 		// The result (bytes read) reveals the file size boundary — file
 		// metadata at the taint level of the content read.
@@ -485,7 +516,7 @@ func (a *taintAnalysis) syscall(s *taintState, pc int64, code int64) {
 		region, _ := a.baseRegion(s, a.val(s, vm.R2), 0, false)
 		a.markDirty(region)
 		if region != regionUnknown {
-			s.mem[region] = s.mem[region].Join(TaintHeader)
+			s.mem[region] = s.mem[region].join(TaintHeader)
 		}
 		a.set(s, vm.R1, taintV(TaintNone))
 

@@ -119,7 +119,7 @@ func BuildOn(fs *fsim.FS, app App, scale Scale) (*Bundle, error) {
 	case Postgres:
 		spec := scale.Postgres
 		outer, inner := spec.Build(fs)
-		source = func(m bool) string { return PostgresSource(outer, inner, spec, m) }
+		source = func(m bool) string { return postgresSource(outer, inner, spec, m) }
 	case LSM:
 		tr := scale.LSM.Build(fs)
 		source = func(m bool) string { return trace.Source(tr, m) }

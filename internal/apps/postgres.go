@@ -6,7 +6,7 @@ import (
 	"spechint/internal/workload"
 )
 
-// PostgresSource builds the database-join benchmark from the paper's Table 1
+// postgresSource builds the database-join benchmark from the paper's Table 1
 // (Patterson's Postgres run): a sequential scan of the outer relation drives
 // random fetches into an inner relation far larger than the file cache. Each
 // outer tuple carries the tid of its matching inner tuple (the index
@@ -20,7 +20,7 @@ import (
 // (paper Table 1: 48% improvement at 20% selectivity, 69% at 80%).
 //
 // Exit code: checksum over joined inner tuples, masked.
-func PostgresSource(outer, inner string, spec workload.PostgresSpec, manual bool) string {
+func postgresSource(outer, inner string, spec workload.PostgresSpec, manual bool) string {
 	chunkTuples := 8192 / workload.OuterTupleSize
 	src := fmt.Sprintf(`; Postgres: nested join, outer scan + random inner fetches
 .equ OUTSIZE %d

@@ -7,7 +7,7 @@ import (
 	"spechint/internal/core"
 )
 
-// The golden static-vs-dynamic check: the classifier's per-site predictions,
+// The golden static-vs-dynamic check: the synthesizer's per-site classes,
 // weighted by what each site actually executed, must land near the measured
 // hinted-read fraction of a speculating run.
 //
@@ -54,20 +54,20 @@ func measureCoverage(t *testing.T, app App) (predicted, dynamic float64) {
 		t.Fatalf("%v made no reads", app)
 	}
 
-	rep, err := analysis.Classify(b.Original, analysis.DefaultConfig())
+	rep, err := analysis.Synthesize(b.Original, analysis.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	weights := make(map[int64]analysis.SiteWeight, len(st.ReadSites))
+	sites := make(map[int64]analysis.DynSiteStats, len(st.ReadSites))
 	var siteCalls int64
 	for pc, s := range st.ReadSites {
-		weights[pc] = analysis.SiteWeight{Calls: s.Calls, DataCalls: s.DataCalls}
+		sites[pc] = analysis.DynSiteStats{Calls: s.Calls, DataCalls: s.DataCalls}
 		siteCalls += s.Calls
 	}
 	if siteCalls != st.ReadCalls {
 		t.Fatalf("%v: per-site calls %d != ReadCalls %d", app, siteCalls, st.ReadCalls)
 	}
-	return rep.PredictedCoverage(weights), float64(st.HintedReads) / float64(st.ReadCalls)
+	return rep.PredictedCoverage(sites), float64(st.HintedReads) / float64(st.ReadCalls)
 }
 
 func TestStaticCoveragePredictionPerApp(t *testing.T) {
@@ -114,12 +114,16 @@ func TestEveryDynamicSiteClassified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := analysis.Classify(b.Original, analysis.DefaultConfig())
+		rep, err := analysis.Synthesize(b.Original, analysis.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
+		static := make(map[int64]bool, len(rep.Sites))
+		for _, s := range rep.Sites {
+			static[s.PC] = true
+		}
 		for pc := range st.ReadSites {
-			if _, ok := rep.Site(pc); !ok {
+			if !static[pc] {
 				t.Errorf("%v: dynamic read site at pc %d not in the static report", app, pc)
 			}
 		}

@@ -174,10 +174,10 @@ type ClusterReport struct {
 	Points     []ClusterPoint `json:"points"`
 }
 
-// Cluster is the sharded-service experiment: the synthetic population
+// shardedService is the sharded-service experiment: the synthetic population
 // against 1..16 shards at two offered loads, reporting throughput, latency
 // tails and Jain fairness across clients.
-func Cluster(scale apps.Scale) (Report, error) {
+func shardedService(scale apps.Scale) (Report, error) {
 	return clusterReport(scale, clusterShards)
 }
 

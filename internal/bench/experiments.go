@@ -47,11 +47,11 @@ func secs(s *core.RunStats) string {
 	return fmt.Sprintf("%.2f", s.Seconds())
 }
 
-// Table1 reproduces the paper's Table 1 for our suite: the reduction in
+// table1 reproduces the paper's Table 1 for our suite: the reduction in
 // execution time from manually-inserted hints (the motivating result).
 // The paper's other four applications (Davidson, Postgres, Sphinx) were
 // closed to us; the three TIP-suite apps are reproduced.
-func Table1(scale apps.Scale) (Report, error) {
+func table1(scale apps.Scale) (Report, error) {
 	t := newTable("Table 1: execution-time reduction from manual hints (4 disks)")
 	t.row("Benchmark", "Improvement", "Description")
 	desc := map[apps.App]string{
@@ -84,9 +84,9 @@ func Table1(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// JoinSelectivity sweeps the Postgres join's selectivity, extending the
+// joinSelectivity sweeps the Postgres join's selectivity, extending the
 // paper's two Table 1 points into a curve for all three builds.
-func JoinSelectivity(scale apps.Scale) (Report, error) {
+func joinSelectivity(scale apps.Scale) (Report, error) {
 	t := newTable("Postgres join: % improvement vs selectivity")
 	sels := []int{10, 20, 40, 80}
 	header := []string{"Series"}
@@ -113,9 +113,9 @@ func JoinSelectivity(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Table3 reproduces the transformed-application statistics: modification
+// table3 reproduces the transformed-application statistics: modification
 // time and executable size growth.
-func Table3(scale apps.Scale) (Report, error) {
+func table3(scale apps.Scale) (Report, error) {
 	t := newTable("Table 3: transformed application statistics")
 	t.row("Benchmark", "Modification time", "Executable size", "% increase",
 		"COW checks", "static jumps", "handler jumps", "jump tables")
@@ -140,9 +140,9 @@ func Table3(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Figure3 reproduces the headline performance chart: elapsed time of the
+// figure3 reproduces the headline performance chart: elapsed time of the
 // original, speculating and manually-hinted builds on four disks.
-func Figure3(scale apps.Scale) (Report, error) {
+func figure3(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 3: elapsed time (seconds), 4 disks, 12 MB cache")
 	t.row("Benchmark", "Original", "Speculating", "Manual", "Spec improv.", "Manual improv.")
 	triples, err := suiteTriples(scale)
@@ -156,9 +156,9 @@ func Figure3(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Figure4 reproduces the worst-case overhead measurement: the speculating
+// figure4 reproduces the worst-case overhead measurement: the speculating
 // binary with TIP configured to ignore hints, versus the original.
-func Figure4(scale apps.Scale) (Report, error) {
+func figure4(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 4: runtime overhead with TIP ignoring hints")
 	t.row("Benchmark", "Original (s)", "Speculating, hints ignored (s)", "Overhead")
 	ignored, err := parMap(len(Apps), func(i int) (*core.RunStats, error) {
@@ -182,8 +182,8 @@ func Figure4(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Table4 reproduces the hinting statistics.
-func Table4(scale apps.Scale) (Report, error) {
+// table4 reproduces the hinting statistics.
+func table4(scale apps.Scale) (Report, error) {
 	t := newTable("Table 4: hinting statistics")
 	t.row("Benchmark", "", "Read calls", "Read blocks", "Read bytes", "Write calls", "Write bytes")
 	triples, err := suiteTriples(scale)
@@ -218,8 +218,8 @@ func f(v int64) float64 {
 	return float64(v)
 }
 
-// Table5 reproduces the prefetching and caching statistics.
-func Table5(scale apps.Scale) (Report, error) {
+// table5 reproduces the prefetching and caching statistics.
+func table5(scale apps.Scale) (Report, error) {
 	t := newTable("Table 5: prefetching and caching statistics")
 	t.row("Benchmark", "", "Cache block reads", "Prefetched", "Fully", "%", "Partially", "%", "Unused", "%", "Reuses")
 	triples, err := suiteTriples(scale)
@@ -246,8 +246,8 @@ func Table5(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Table6 reproduces the performance side-effects of speculation.
-func Table6(scale apps.Scale) (Report, error) {
+// table6 reproduces the performance side-effects of speculation.
+func table6(scale apps.Scale) (Report, error) {
 	t := newTable("Table 6: performance side-effects of speculative execution")
 	t.row("Benchmark", "", "Footprint", "Reclaims", "Faults", "Sigs", "Restarts")
 	triples, err := suiteTriples(scale)
@@ -270,8 +270,8 @@ func Table6(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Table7 reproduces the file-cache-size sensitivity study.
-func Table7(scale apps.Scale) (Report, error) {
+// table7 reproduces the file-cache-size sensitivity study.
+func table7(scale apps.Scale) (Report, error) {
 	t := newTable("Table 7: elapsed time (s) as the file cache size is varied")
 	sizes := []int{6, 12, 64}
 	t.row("Benchmark", "", "6 MB", "12 MB", "64 MB")
@@ -301,9 +301,9 @@ func Table7(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Table8 reproduces the original applications' insensitivity to the number
+// table8 reproduces the original applications' insensitivity to the number
 // of disks.
-func Table8(scale apps.Scale) (Report, error) {
+func table8(scale apps.Scale) (Report, error) {
 	t := newTable("Table 8: elapsed time (s) of original applications vs number of disks")
 	disks := []int{1, 2, 4, 10}
 	header := []string{"Benchmark"}
@@ -331,11 +331,11 @@ func Table8(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Figure5Disks is the disk-count sweep used by Figure5.
+// Figure5Disks is the disk-count sweep used by figure5.
 var Figure5Disks = []int{1, 2, 3, 4, 6, 8, 10}
 
-// Figure5 reproduces the performance-improvement-vs-parallelism curves.
-func Figure5(scale apps.Scale) (Report, error) {
+// figure5 reproduces the performance-improvement-vs-parallelism curves.
+func figure5(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 5: % improvement vs number of disks")
 	header := []string{"Series"}
 	for _, d := range Figure5Disks {
@@ -366,14 +366,14 @@ func Figure5(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Figure6Ratios is the processor/disk speed-ratio sweep used by Figure6.
+// Figure6Ratios is the processor/disk speed-ratio sweep used by figure6.
 var Figure6Ratios = []int{1, 2, 3, 5, 7, 9}
 
-// Figure6 reproduces the widening processor/disk gap simulation: completion
+// figure6 reproduces the widening processor/disk gap simulation: completion
 // notification is delayed by the ratio (and at most one prefetch is kept
 // outstanding per disk, as the paper configured), then measured elapsed
 // times are scaled back down by the ratio.
-func Figure6(scale apps.Scale) (Report, error) {
+func figure6(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 6: % improvement vs processor/disk speed ratio (4 disks)")
 	header := []string{"Series"}
 	for _, r := range Figure6Ratios {
@@ -412,9 +412,9 @@ func Figure6(scale apps.Scale) (Report, error) {
 // RegionSizes is the §3.2.1 COW-region-size ablation sweep.
 var RegionSizes = []int{128, 512, 1024, 4096, 8192}
 
-// RegionSize reproduces the §3.2.1 observation that the copy-on-write
+// regionSize reproduces the §3.2.1 observation that the copy-on-write
 // region size generally makes little difference.
-func RegionSize(scale apps.Scale) (Report, error) {
+func regionSize(scale apps.Scale) (Report, error) {
 	t := newTable("§3.2.1 ablation: speculating elapsed time (s) vs COW region size")
 	header := []string{"Benchmark"}
 	for _, rs := range RegionSizes {
@@ -441,9 +441,9 @@ func RegionSize(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// Throttle reproduces the §5 result: the ad-hoc cancel throttle eliminates
+// throttle reproduces the §5 result: the ad-hoc cancel throttle eliminates
 // Gnuld's speculation penalty when the I/O system offers no parallelism.
-func Throttle(scale apps.Scale) (Report, error) {
+func throttle(scale apps.Scale) (Report, error) {
 	t := newTable("§5: Gnuld on one disk, with and without the cancel throttle")
 	t.row("Configuration", "Elapsed (s)", "Restarts", "vs original")
 	orig, _, err := Run(apps.Gnuld, core.ModeNoHint, scale, func(c *core.Config) {
@@ -472,12 +472,12 @@ func Throttle(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// MultiProcessor explores the paper's §5 multiprocessor scenario: the
+// multiProcessor explores the paper's §5 multiprocessor scenario: the
 // speculating thread runs on a second processor, in parallel with normal
 // execution instead of only during I/O stalls. Data-dependence-free
 // applications whose hint generation was dilation-limited (Agrep on large
 // arrays) benefit most.
-func MultiProcessor(scale apps.Scale) (Report, error) {
+func multiProcessor(scale apps.Scale) (Report, error) {
 	t := newTable("§5 extension: speculation on a second processor (% improvement over original)")
 	t.row("Benchmark", "disks", "1 CPU spec", "2 CPU spec", "manual")
 	disks := []int{4, 10}
@@ -515,10 +515,10 @@ func MultiProcessor(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
-// AdaptiveLimiter compares the §5 erroneous-hint limiters on the hostile
+// adaptiveLimiter compares the §5 erroneous-hint limiters on the hostile
 // configuration (Gnuld, one disk): no limiter, the fixed cancel throttle,
 // and the accuracy-gated adaptive limiter.
-func AdaptiveLimiter(scale apps.Scale) (Report, error) {
+func adaptiveLimiter(scale apps.Scale) (Report, error) {
 	t := newTable("§5 extension: erroneous-hint limiters (Gnuld, 1 disk)")
 	t.row("Configuration", "Elapsed (s)", "Restarts", "vs original")
 	oneDisk := func(c *core.Config) { c.Disk = core.TestbedDisk(1) }

@@ -109,11 +109,11 @@ type FaultsReport struct {
 	Points     []FaultPoint `json:"points"`
 }
 
-// Faults is the graceful-degradation experiment: elapsed time and stall as
+// faults is the graceful-degradation experiment: elapsed time and stall as
 // transient disk faults grow more frequent, for each app in each mode. The
 // reproduction target is the shape (see EXPERIMENTS.md): speculating tracks
 // manual's degradation curve, and no fault rate changes any program's output.
-func Faults(scale apps.Scale) (Report, error) {
+func faults(scale apps.Scale) (Report, error) {
 	points, err := faultsSweep(scale)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 //
 //	go test ./internal/bench -run GoldenOverload -update
 func TestGoldenOverload(t *testing.T) {
-	rep, err := Overload(apps.TestScale())
+	rep, err := overload(apps.TestScale())
 	goldenReport(t, "overload_small.json", rep, err)
 }
 

@@ -73,7 +73,7 @@ func TestGoldenRunStats(t *testing.T) {
 // committed canon: the group scheduler, the shared cache and TIP's
 // per-client accounting are all under the diff.
 func TestGoldenMulti(t *testing.T) {
-	rep, err := Multi(apps.TestScale())
+	rep, err := multiprogramming(apps.TestScale())
 	goldenReport(t, "multi_small.json", rep, err)
 }
 
@@ -81,7 +81,7 @@ func TestGoldenMulti(t *testing.T) {
 // seeded injection schedule, TIP's retry/demotion policy and the fault stall
 // attribution.
 func TestGoldenFaults(t *testing.T) {
-	rep, err := Faults(apps.TestScale())
+	rep, err := faults(apps.TestScale())
 	goldenReport(t, "faults_small.json", rep, err)
 }
 

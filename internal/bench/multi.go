@@ -143,13 +143,13 @@ type MultiReport struct {
 	Points     []MultiPoint `json:"points"`
 }
 
-// Multi is the multiprogramming experiment: N mixed processes (Agrep,
+// multiprogramming is the N-process experiment: N mixed processes (Agrep,
 // XDataSlice, Postgres, Gnuld round-robin) share one TIP cache and disk
 // array, originals vs speculating builds, for N = 1..multiMaxN. It reports
 // makespan for both modes, the improvement from speculation, completed
 // processes per second, and Jain's fairness index over per-process slowdowns
 // (turnaround in the group / turnaround running alone).
-func Multi(scale apps.Scale) (Report, error) {
+func multiprogramming(scale apps.Scale) (Report, error) {
 	return multiReport(scale, multiMaxN)
 }
 

@@ -245,9 +245,9 @@ type OverloadReport struct {
 	Points     []OverloadPoint `json:"points"`
 }
 
-// Overload is the overload-survival experiment: offered load swept past
+// overload is the overload-survival experiment: offered load swept past
 // saturation with shedding off vs on, plus a mid-run shard kill.
-func Overload(scale apps.Scale) (Report, error) {
+func overload(scale apps.Scale) (Report, error) {
 	points, err := overloadSweep(scale)
 	if err != nil {
 		return nil, err

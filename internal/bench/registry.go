@@ -38,29 +38,29 @@ type Experiment struct {
 
 // Registry lists every experiment by id.
 var Registry = map[string]Experiment{
-	"table1":     {Name: "table1", Desc: "manual-hint improvements (background)", Run: Table1},
-	"table3":     {Name: "table3", Desc: "transformed application statistics", Run: Table3},
-	"fig3":       {Name: "fig3", Desc: "elapsed time: original vs speculating vs manual", Run: Figure3},
-	"fig4":       {Name: "fig4", Desc: "overhead with TIP ignoring hints", Run: Figure4},
-	"table4":     {Name: "table4", Desc: "hinting statistics", Run: Table4},
-	"table5":     {Name: "table5", Desc: "prefetching and caching statistics", Run: Table5},
-	"table6":     {Name: "table6", Desc: "performance side-effects", Run: Table6},
-	"table7":     {Name: "table7", Desc: "file cache size sweep", Run: Table7, Heavy: true},
-	"table8":     {Name: "table8", Desc: "original apps vs number of disks", Run: Table8, Heavy: true},
-	"fig5":       {Name: "fig5", Desc: "improvement vs number of disks", Run: Figure5, Heavy: true},
-	"fig6":       {Name: "fig6", Desc: "improvement vs processor/disk speed ratio", Run: Figure6, Heavy: true},
-	"regionsize": {Name: "regionsize", Desc: "COW region size ablation (§3.2.1)", Run: RegionSize, Heavy: true},
-	"throttle":   {Name: "throttle", Desc: "cancel throttle on one disk (§5)", Run: Throttle},
-	"mp":         {Name: "mp", Desc: "speculation on a second processor (§5 extension)", Run: MultiProcessor, Heavy: true},
-	"adaptive":   {Name: "adaptive", Desc: "accuracy-gated erroneous-hint limiter (§5 extension)", Run: AdaptiveLimiter},
-	"join":       {Name: "join", Desc: "Postgres join improvement vs selectivity (Table 1 extension)", Run: JoinSelectivity, Heavy: true},
-	"multi":      {Name: "multi", Desc: "N-process shared-TIP multiprogramming: makespan, throughput, fairness", Run: Multi, Heavy: true, JSON: true},
-	"faults":     {Name: "faults", Desc: "graceful degradation under injected disk faults (robustness extension)", Run: Faults, Heavy: true, JSON: true},
-	"speed":      {Name: "speed", Desc: "simulator fast-path self-check: free-listed events, tick batching, pre-decoded dispatch", Run: Speed, JSON: true},
-	"static":     {Name: "static", Desc: "statically synthesized hints vs original and manual (static-analysis extension)", Run: Static},
-	"cluster":    {Name: "cluster", Desc: "sharded TIP service: throughput, latency tails, fairness vs shard count", Run: Cluster, Heavy: true, JSON: true},
-	"overload":   {Name: "overload", Desc: "overload-safe cluster: admission control, load shedding, shard failover", Run: Overload, Heavy: true, JSON: true},
-	"replay":     {Name: "replay", Desc: "trace replay: modern apps in all modes + capture→replay round trip", Run: Replay, JSON: true},
+	"table1":     {Name: "table1", Desc: "manual-hint improvements (background)", Run: table1},
+	"table3":     {Name: "table3", Desc: "transformed application statistics", Run: table3},
+	"fig3":       {Name: "fig3", Desc: "elapsed time: original vs speculating vs manual", Run: figure3},
+	"fig4":       {Name: "fig4", Desc: "overhead with TIP ignoring hints", Run: figure4},
+	"table4":     {Name: "table4", Desc: "hinting statistics", Run: table4},
+	"table5":     {Name: "table5", Desc: "prefetching and caching statistics", Run: table5},
+	"table6":     {Name: "table6", Desc: "performance side-effects", Run: table6},
+	"table7":     {Name: "table7", Desc: "file cache size sweep", Run: table7, Heavy: true},
+	"table8":     {Name: "table8", Desc: "original apps vs number of disks", Run: table8, Heavy: true},
+	"fig5":       {Name: "fig5", Desc: "improvement vs number of disks", Run: figure5, Heavy: true},
+	"fig6":       {Name: "fig6", Desc: "improvement vs processor/disk speed ratio", Run: figure6, Heavy: true},
+	"regionsize": {Name: "regionsize", Desc: "COW region size ablation (§3.2.1)", Run: regionSize, Heavy: true},
+	"throttle":   {Name: "throttle", Desc: "cancel throttle on one disk (§5)", Run: throttle},
+	"mp":         {Name: "mp", Desc: "speculation on a second processor (§5 extension)", Run: multiProcessor, Heavy: true},
+	"adaptive":   {Name: "adaptive", Desc: "accuracy-gated erroneous-hint limiter (§5 extension)", Run: adaptiveLimiter},
+	"join":       {Name: "join", Desc: "Postgres join improvement vs selectivity (Table 1 extension)", Run: joinSelectivity, Heavy: true},
+	"multi":      {Name: "multi", Desc: "N-process shared-TIP multiprogramming: makespan, throughput, fairness", Run: multiprogramming, Heavy: true, JSON: true},
+	"faults":     {Name: "faults", Desc: "graceful degradation under injected disk faults (robustness extension)", Run: faults, Heavy: true, JSON: true},
+	"speed":      {Name: "speed", Desc: "simulator fast-path self-check: free-listed events, tick batching, pre-decoded dispatch", Run: speed, JSON: true},
+	"static":     {Name: "static", Desc: "statically synthesized hints vs original and manual (static-analysis extension)", Run: static},
+	"cluster":    {Name: "cluster", Desc: "sharded TIP service: throughput, latency tails, fairness vs shard count", Run: shardedService, Heavy: true, JSON: true},
+	"overload":   {Name: "overload", Desc: "overload-safe cluster: admission control, load shedding, shard failover", Run: overload, Heavy: true, JSON: true},
+	"replay":     {Name: "replay", Desc: "trace replay: modern apps in all modes + capture→replay round trip", Run: replay, JSON: true},
 }
 
 // Names returns experiment ids in stable order.

@@ -59,12 +59,12 @@ type ReplayReport struct {
 	RoundTrip []RoundTripResult `json:"roundtrip"`
 }
 
-// RoundTrip captures app's original-mode read stream, compiles the trace
+// roundTrip captures app's original-mode read stream, compiles the trace
 // into a replay program, runs it over the same built workload, and compares
 // the two read streams. Both runs lay their reads on one file system, so
 // equal (path, offset, length) streams are equal logical-block sequences —
 // the fidelity currency: they cost the disk arm exactly the same.
-func RoundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
+func roundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
 	capture := &trace.Capture{}
 	st1, b, err := Run(app, core.ModeNoHint, scale, func(c *core.Config) { c.Capture = capture })
 	if err != nil {
@@ -116,9 +116,9 @@ func replayGrid(scale apps.Scale) ([]*core.RunStats, error) {
 	})
 }
 
-// Replay is the registry entry: the who-wins grid over the modern apps
+// replay is the registry entry: the who-wins grid over the modern apps
 // plus the capture→replay differential for the paper trio.
-func Replay(scale apps.Scale) (Report, error) {
+func replay(scale apps.Scale) (Report, error) {
 	grid, err := replayGrid(scale)
 	if err != nil {
 		return nil, err
@@ -145,7 +145,7 @@ func Replay(scale apps.Scale) (Report, error) {
 		}
 	}
 	trips, err := parMap(len(Apps), func(i int) (*RoundTripResult, error) {
-		return RoundTrip(Apps[i], scale)
+		return roundTrip(Apps[i], scale)
 	})
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ func TestReplayRoundTrip(t *testing.T) {
 		app := app
 		t.Run(app.String(), func(t *testing.T) {
 			t.Parallel()
-			rt, err := RoundTrip(app, apps.TestScale())
+			rt, err := roundTrip(app, apps.TestScale())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestReplayModernWhoWins(t *testing.T) {
 //
 //	go test ./internal/bench -run GoldenReplay -update
 func TestGoldenReplay(t *testing.T) {
-	rep, err := Replay(apps.TestScale())
+	rep, err := replay(apps.TestScale())
 	goldenReport(t, "replay_small.json", rep, err)
 	// The canon itself must carry the headline shape: speculation wins on
 	// every modern app and every round trip is exact.

@@ -110,8 +110,8 @@ type speedFaces struct {
 
 func (r speedFaces) Text() string { return r.text }
 
-// Speed is the registry entry: both measurements, taken once.
-func Speed(scale apps.Scale) (Report, error) {
+// speed is the registry entry: both measurements, taken once.
+func speed(scale apps.Scale) (Report, error) {
 	text, err := speedSelfCheck()
 	if err != nil {
 		return nil, err

@@ -56,14 +56,14 @@ func DynStats(st *core.RunStats) analysis.DynVerifyStats {
 	return d
 }
 
-// Static compares statically synthesized hints (internal/analysis.Synthesize
+// static compares statically synthesized hints (internal/analysis.Synthesize
 // compiled into start-of-run disclosures) against the original and manual
 // runs for every benchmark app. Unlike speculation, static mode adds no code
 // to the application, so its SpecOverhead is zero by construction; the table
 // asserts that, and also self-audits the synthesis: every emitted hint is
 // verified against the run's dynamic read-site statistics, and a hint the
 // run never consumed fails the experiment.
-func Static(scale apps.Scale) (Report, error) {
+func static(scale apps.Scale) (Report, error) {
 	t := newTable("Static hint synthesis: original vs static vs manual (4 disks)")
 	t.row("Benchmark", "Proved", "Bounded", "SpecOnly", "Hints", "HintedReads",
 		"Static impr.", "Manual impr.", "SpecOverhead")

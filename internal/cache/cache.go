@@ -73,6 +73,7 @@ type Block struct {
 	ownIdx   int32         // index in own[Owner]; meaningful only while HintDist != NoHint
 	state    State
 	demanded bool // a demand read upgraded/waited on this block
+	pinned   bool // Complete is waking waiters and one is still to run: not evictable
 }
 
 // State returns the block's lifecycle state.
@@ -278,7 +279,7 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *
 func (c *Cache) evictOwnFurthest(owner int, incoming int64) bool {
 	var victim *Block
 	for _, b := range c.own[owner] {
-		if b.state != Valid {
+		if b.state != Valid || b.pinned {
 			continue
 		}
 		if victim == nil || b.HintDist > victim.HintDist ||
@@ -322,14 +323,14 @@ func (c *Cache) accuracy(owner int) float64 {
 //     by its hint distance, and the globally least-beneficial block is
 //     evicted if the incoming block is worth strictly more.
 //
-// In-transit blocks are never evicted.
+// In-transit and pinned blocks are never evicted.
 func (c *Cache) evictFor(owner int, origin Origin, hintDist int64) bool {
 	// Case 1: LRU unhinted block. A cache full of hint-protected blocks has
 	// none, and says so without being walked.
 	if c.unhinted > 0 {
 		for e := c.lru.Front(); e != nil; e = e.Next() {
 			b := e.Value.(*Block)
-			if b.HintDist == NoHint {
+			if b.HintDist == NoHint && !b.pinned {
 				c.evict(b)
 				return true
 			}
@@ -347,7 +348,7 @@ func (c *Cache) evictFor(owner int, origin Origin, hintDist int64) bool {
 	var victim *Block
 	for e := c.lru.Front(); e != nil; e = e.Next() {
 		b := e.Value.(*Block)
-		if victim == nil || c.lessBeneficial(b, victim) {
+		if !b.pinned && (victim == nil || c.lessBeneficial(b, victim)) {
 			victim = b
 		}
 	}
@@ -410,7 +411,9 @@ func (c *Cache) noteUnusedIfPrefetched(b *Block) {
 }
 
 // Complete transitions an in-transit block to Valid and wakes its waiters
-// with valid=true.
+// with valid=true. A waiter may re-enter the cache (its reply can dispatch
+// the next read, whose fetch evicts), so the block stays pinned until the
+// last waiter runs: each waiter finds it still Valid.
 func (c *Cache) Complete(lb int64) {
 	b := c.blocks.get(lb)
 	if b == nil || b.state != InTransit {
@@ -424,9 +427,11 @@ func (c *Cache) Complete(lb int64) {
 	}
 	ws := b.waiters
 	b.waiters = nil
-	for _, w := range ws {
+	for i, w := range ws {
+		b.pinned = i < len(ws)-1
 		w(true)
 	}
+	b.pinned = false
 }
 
 // Fail resolves an in-transit block to an error: the buffer is released (its

@@ -13,7 +13,9 @@ import (
 // derived by a linear scan. It is obviously correct and obviously slow; the
 // real Cache (map + intrusive list + maintained per-owner counts) must match
 // it exactly under any interleaving of its operations, including waiters
-// that re-enter the cache from inside Complete and Fail.
+// that re-enter the cache from inside Complete and Fail. While Complete wakes
+// a block's waiters, the block is pinned until the last one runs: no
+// eviction may take it from under a waiter still to come.
 type refCache struct {
 	capacity   int
 	blocks     []*refBlock
@@ -30,6 +32,7 @@ type refCache struct {
 	seen                    map[string]int
 	arrivals                int
 	ownTies, ownTiesTouched int
+	pinSkips                int // eviction scans that passed over a pinned block
 }
 
 type refBlock struct {
@@ -41,7 +44,8 @@ type refBlock struct {
 	uses     int
 	demanded bool
 	waiters  []func(bool)
-	arrived  int // order of Complete
+	arrived  int  // order of Complete
+	pinned   bool // Complete is waking its waiters and one is still to run
 }
 
 func (r *refCache) get(lb int64) *refBlock {
@@ -71,6 +75,15 @@ func (r *refCache) hinted(owner int) int {
 		}
 	}
 	return n
+}
+
+// evictable reports whether an eviction scan may take b, counting the pinned
+// blocks it passes over.
+func (r *refCache) evictable(b *refBlock) bool {
+	if b.pinned {
+		r.pinSkips++
+	}
+	return !b.pinned
 }
 
 // remove takes b out of the block set and the LRU order.
@@ -104,13 +117,14 @@ func (r *refCache) noteUnused(b *refBlock) {
 	}
 }
 
-// evictOwnFurthest: the owner's valid hinted block with the largest distance
-// (the least recently used of equals), if it is further out than incoming.
+// evictOwnFurthest: the owner's unpinned valid hinted block with the largest
+// distance (the least recently used of equals), if it is further out than
+// incoming.
 func (r *refCache) evictOwnFurthest(owner int, incoming int64) bool {
 	var victim *refBlock
 	for _, lb := range r.lru {
 		b := r.get(lb)
-		if b.hintDist != NoHint && b.owner == owner && (victim == nil || b.hintDist > victim.hintDist) {
+		if b.hintDist != NoHint && b.owner == owner && r.evictable(b) && (victim == nil || b.hintDist > victim.hintDist) {
 			victim = b
 		}
 	}
@@ -119,7 +133,7 @@ func (r *refCache) evictOwnFurthest(owner int, incoming int64) bool {
 	}
 	tied, first := 0, victim
 	for _, b := range r.blocks {
-		if b.state == Valid && b.owner == owner && b.hintDist == victim.hintDist {
+		if b.state == Valid && !b.pinned && b.owner == owner && b.hintDist == victim.hintDist {
 			tied++
 			if b.arrived < first.arrived {
 				first = b
@@ -138,7 +152,7 @@ func (r *refCache) evictOwnFurthest(owner int, incoming int64) bool {
 
 func (r *refCache) evictFor(owner int, origin Origin, hintDist int64) bool {
 	for _, lb := range r.lru {
-		if b := r.get(lb); b.hintDist == NoHint {
+		if b := r.get(lb); b.hintDist == NoHint && r.evictable(b) {
 			r.evict(b)
 			return true
 		}
@@ -154,6 +168,9 @@ func (r *refCache) evictFor(owner int, origin Origin, hintDist int64) bool {
 	var victim *refBlock
 	for _, lb := range r.lru {
 		b := r.get(lb)
+		if !r.evictable(b) {
+			continue
+		}
 		if victim == nil || r.acc(b.owner)*float64(victim.hintDist+1) < r.acc(victim.owner)*float64(b.hintDist+1) {
 			victim = b
 		}
@@ -209,21 +226,23 @@ func (r *refCache) Complete(lb int64) {
 	r.arrivals++
 	b.arrived = r.arrivals
 	r.lru = append(r.lru, lb)
-	r.wake(b, true)
+	ws := b.waiters
+	b.waiters = nil
+	for i, w := range ws {
+		b.pinned = i < len(ws)-1
+		w(true)
+	}
+	b.pinned = false
 }
 
 func (r *refCache) Fail(lb int64) {
 	b := r.mustBe(lb, InTransit)
 	r.stats.FailedLoads++
 	r.remove(b)
-	r.wake(b, false)
-}
-
-func (r *refCache) wake(b *refBlock, valid bool) {
 	ws := b.waiters
 	b.waiters = nil
 	for _, w := range ws {
-		w(valid)
+		w(false)
 	}
 }
 
@@ -407,8 +426,9 @@ func gone(before []int64, resident func(lb int64) bool) []int64 {
 // walking the LRU order, so it pins the real cache's per-owner index to the
 // same victim when several are equally far out: odd seeds draw hint distances
 // from three values, and the run must have met such ties, with a Touch having
-// reordered the tied blocks, and every kind of SetHintFor move (hinted,
-// unhinted, handed to another owner) on Valid and on InTransit blocks.
+// reordered the tied blocks, every kind of SetHintFor move (hinted,
+// unhinted, handed to another owner) on Valid and on InTransit blocks, and
+// eviction scans that had to pass over a block pinned by Complete.
 func TestCacheMatchesModel(t *testing.T) {
 	const (
 		owners   = 3
@@ -418,7 +438,7 @@ func TestCacheMatchesModel(t *testing.T) {
 		opsEach  = 3000 // 40 x 3000 = 1.2e5 operations
 	)
 	seen := map[string]int{}
-	ownTies, ownTiesTouched := 0, 0
+	ownTies, ownTiesTouched, pinSkips := 0, 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		acc := []float64{1, 1, 1}
@@ -504,8 +524,12 @@ func TestCacheMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d: after FlushAccounting real %+v, model %+v", seed, fast.Stats(), ref.stats)
 		}
 		ownTies, ownTiesTouched = ownTies+ref.ownTies, ownTiesTouched+ref.ownTiesTouched
+		pinSkips += ref.pinSkips
 	}
-	t.Logf("own-furthest ties %d (%d reordered by a touch), SetHintFor moves %v", ownTies, ownTiesTouched, seen)
+	t.Logf("own-furthest ties %d (%d reordered by a touch), pinned blocks passed over %d, SetHintFor moves %v", ownTies, ownTiesTouched, pinSkips, seen)
+	if pinSkips < 20 {
+		t.Errorf("eviction scans passed over a pinned block %d times, want >= 20", pinSkips)
+	}
 	if ownTies < 100 || ownTiesTouched < 20 {
 		t.Errorf("evictOwnFurthest chose among equally distant blocks %d times, %d with a touch between them: too few to pin the tie-break", ownTies, ownTiesTouched)
 	}

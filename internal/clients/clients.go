@@ -14,9 +14,7 @@ package clients
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"strings"
 
 	"spechint/internal/par"
 )
@@ -54,8 +52,8 @@ type Config struct {
 	Seed int64
 }
 
-// Validate reports a configuration error, if any.
-func (c Config) Validate() error {
+// validate reports a configuration error, if any.
+func (c Config) validate() error {
 	switch {
 	case c.N < 1:
 		return fmt.Errorf("clients: N = %d, want >= 1", c.N)
@@ -112,7 +110,7 @@ type Population struct {
 // Generate builds the population for cfg, fanning client generation out over
 // the worker pool. The result is deterministic in cfg alone.
 func Generate(cfg Config) (*Population, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cls, err := par.MapErr(par.Workers(0), cfg.N, func(i int) (Client, error) {
@@ -186,63 +184,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
-}
-
-// Fingerprint renders the whole schedule as a canonical text form; two
-// populations are byte-identical iff their fingerprints are. Tests use it to
-// pin the determinism contract.
-func (p *Population) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d sessions=%d files=%d fb=%d bs=%d sb=%d rb=%d am=%d tm=%d s=%g v=%g seed=%d\n",
-		p.Cfg.N, p.Cfg.Sessions, p.Cfg.Files, p.Cfg.FileBlocks, p.Cfg.BlockSize,
-		p.Cfg.SessionBlocks, p.Cfg.ReadBlocks, p.Cfg.ArrivalMean, p.Cfg.ThinkMean,
-		p.Cfg.ZipfS, p.Cfg.ZipfV, p.Cfg.Seed)
-	for _, c := range p.Clients {
-		for si, s := range c.Sessions {
-			fmt.Fprintf(&b, "c%d.%d at=%d f=%d:", c.ID, si, s.At, s.File)
-			for _, r := range s.Reads {
-				fmt.Fprintf(&b, " %d+%d/%d", r.Off, r.N, r.Think)
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-// FileShare returns the fraction of the population's sessions that open a
-// file with index < topN — the empirical popularity mass of the corpus head.
-func (p *Population) FileShare(topN int) float64 {
-	if p.TotalSessions == 0 {
-		return 0
-	}
-	hits := 0
-	for _, c := range p.Clients {
-		for _, s := range c.Sessions {
-			if s.File < topN {
-				hits++
-			}
-		}
-	}
-	return float64(hits) / float64(p.TotalSessions)
-}
-
-// ZipfShare is the analytic probability mass of the topN most popular files
-// under the (s, v) Zipf distribution over files: the expected value of
-// FileShare for a large population.
-func ZipfShare(files, topN int, s, v float64) float64 {
-	if files < 1 || topN < 1 {
-		return 0
-	}
-	if topN > files {
-		topN = files
-	}
-	var head, total float64
-	for k := 0; k < files; k++ {
-		w := math.Pow(v+float64(k), -s)
-		total += w
-		if k < topN {
-			head += w
-		}
-	}
-	return head / total
 }

@@ -1,7 +1,9 @@
 package clients
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -157,4 +159,63 @@ func TestValidate(t *testing.T) {
 			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
+}
+
+// Fingerprint renders the whole schedule as a canonical text form; two
+// populations are byte-identical iff their fingerprints are. Tests use it to
+// pin the determinism contract.
+func (p *Population) Fingerprint() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "n=%d sessions=%d files=%d fb=%d bs=%d sb=%d rb=%d am=%d tm=%d s=%g v=%g seed=%d\n",
+		p.Cfg.N, p.Cfg.Sessions, p.Cfg.Files, p.Cfg.FileBlocks, p.Cfg.BlockSize,
+		p.Cfg.SessionBlocks, p.Cfg.ReadBlocks, p.Cfg.ArrivalMean, p.Cfg.ThinkMean,
+		p.Cfg.ZipfS, p.Cfg.ZipfV, p.Cfg.Seed)
+	for _, c := range p.Clients {
+		for si, s := range c.Sessions {
+			fmt.Fprintf(&b, "c%d.%d at=%d f=%d:", c.ID, si, s.At, s.File)
+			for _, r := range s.Reads {
+				fmt.Fprintf(&b, " %d+%d/%d", r.Off, r.N, r.Think)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// FileShare returns the fraction of the population's sessions that open a
+// file with index < topN — the empirical popularity mass of the corpus head.
+func (p *Population) FileShare(topN int) float64 {
+	if p.TotalSessions == 0 {
+		return 0
+	}
+	hits := 0
+	for _, c := range p.Clients {
+		for _, s := range c.Sessions {
+			if s.File < topN {
+				hits++
+			}
+		}
+	}
+	return float64(hits) / float64(p.TotalSessions)
+}
+
+// ZipfShare is the analytic probability mass of the topN most popular files
+// under the (s, v) Zipf distribution over files: the expected value of
+// FileShare for a large population.
+func ZipfShare(files, topN int, s, v float64) float64 {
+	if files < 1 || topN < 1 {
+		return 0
+	}
+	if topN > files {
+		topN = files
+	}
+	var head, total float64
+	for k := 0; k < files; k++ {
+		w := math.Pow(v+float64(k), -s)
+		total += w
+		if k < topN {
+			head += w
+		}
+	}
+	return head / total
 }

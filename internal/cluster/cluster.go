@@ -29,11 +29,30 @@ import (
 	"spechint/internal/tip"
 )
 
-// Config shapes a cluster. All times are virtual CPU cycles on the shared
+// The cluster's fixed shape. All times are virtual CPU cycles on the shared
 // clock (233 MHz testbed scale).
+const (
+	vNodes = 64 // ring points per shard
+
+	// netCycles is the one-way client<->shard network latency (~100 us);
+	// every request and every reply pays it once.
+	netCycles = 23_300
+
+	// Hint ingestion batching: queued segments apply after hintBatchCycles
+	// (~2 ms), or immediately once hintBatchMax are queued.
+	hintBatchCycles = 466_000
+	hintBatchMax    = 64
+
+	// Admission control (Config.Admission): a part is shed when the queue
+	// holds queueCap parts or its predicted wait exceeds latencyBudget
+	// (~100 ms).
+	queueCap      = 64
+	latencyBudget = 23_300_000
+)
+
+// Config shapes a cluster.
 type Config struct {
 	Shards int // server nodes
-	VNodes int // ring points per shard
 
 	// GroupBlocks is the placement-group size in blocks: runs of GroupBlocks
 	// consecutive file blocks share an owner, trading per-block placement
@@ -48,15 +67,6 @@ type Config struct {
 	Disk disk.Config // per-shard array
 	TIP  tip.Config  // per-shard manager (cache partition included)
 
-	// NetCycles is the one-way client<->shard network latency; every request
-	// and every reply pays it once.
-	NetCycles int64
-
-	// Hint ingestion batching: queued segments apply after HintBatchCycles,
-	// or immediately once HintBatchMax are queued (0 disables the size cap).
-	HintBatchCycles int64
-	HintBatchMax    int
-
 	// Hints disables disclosure entirely when false: every read is unhinted,
 	// the baseline the hinted runs are measured against.
 	Hints bool
@@ -68,13 +78,10 @@ type Config struct {
 
 	// Admission arms load shedding at the shard boundary (requires
 	// MaxInflight > 0): a part is shed when the queue's predicted wait
-	// (depth x recent mean service / MaxInflight) exceeds LatencyBudget, or
-	// when the queue holds QueueCap parts. Priority dequeues reads of
+	// (depth x recent mean service / MaxInflight) exceeds latencyBudget, or
+	// when the queue holds queueCap parts. It also dequeues reads of
 	// sessions already in flight ahead of new sessions' first reads.
-	Admission     bool
-	QueueCap      int
-	LatencyBudget int64
-	Priority      bool
+	Admission bool
 
 	// Retry is the client-side reaction to SHED/EIO/DEAD replies: capped
 	// exponential backoff with deterministic seeded jitter, bounded by
@@ -107,23 +114,19 @@ type Config struct {
 }
 
 // DefaultConfig returns a cluster of `shards` nodes at testbed scale: two
-// HP-C2247 disks and a 4 MB TIP cache per shard, 64 ring vnodes, 64 KB
-// placement groups (one stripe unit), ~100 us one-way network, ~2 ms hint
-// batch window. The admission layer is off (unbounded queueing, no retries
-// are ever needed because nothing sheds or dies); see OverloadConfig.
+// HP-C2247 disks and a 4 MB TIP cache per shard and 64 KB placement groups
+// (one stripe unit). The admission layer is off (unbounded queueing, no
+// retries are ever needed because nothing sheds or dies); see
+// OverloadConfig.
 func DefaultConfig(shards int) Config {
 	tcfg := tip.DefaultConfig()
 	tcfg.CacheBlocks = 4 << 20 / 8192
 	return Config{
-		Shards:          shards,
-		VNodes:          64,
-		GroupBlocks:     8,
-		Disk:            core.TestbedDisk(2),
-		TIP:             tcfg,
-		NetCycles:       23_300,  // ~100 us at 233 MHz
-		HintBatchCycles: 466_000, // ~2 ms
-		HintBatchMax:    64,
-		Hints:           true,
+		Shards:      shards,
+		GroupBlocks: 8,
+		Disk:        core.TestbedDisk(2),
+		TIP:         tcfg,
+		Hints:       true,
 		Retry: clients.RetryPolicy{
 			MaxAttempts: 4,
 			BaseBackoff: 466_000,    // ~2 ms, then 4, 8 ms ...
@@ -144,31 +147,22 @@ func OverloadConfig(shards int) Config {
 	cfg := DefaultConfig(shards)
 	cfg.MaxInflight = 4 * cfg.Disk.NumDisks
 	cfg.Admission = true
-	cfg.QueueCap = 64
-	cfg.LatencyBudget = 23_300_000 // ~100 ms predicted queue wait
-	cfg.Priority = true
 	cfg.Retry.MaxAttempts = 8        // overload sheds often; keep trying
 	cfg.Retry.Deadline = 932_000_000 // ~4 s per read op, retries included
 	return cfg
 }
 
-// Validate reports a configuration error, if any.
-func (c Config) Validate() error {
+// validate reports a configuration error, if any.
+func (c Config) validate() error {
 	switch {
 	case c.Shards < 1:
 		return fmt.Errorf("cluster: Shards = %d, want >= 1", c.Shards)
-	case c.VNodes < 1:
-		return fmt.Errorf("cluster: VNodes = %d, want >= 1", c.VNodes)
 	case c.GroupBlocks < 1:
 		return fmt.Errorf("cluster: GroupBlocks = %d, want >= 1", c.GroupBlocks)
-	case c.NetCycles < 0 || c.HintBatchCycles < 0 || c.HintBatchMax < 0:
-		return fmt.Errorf("cluster: negative NetCycles, HintBatchCycles or HintBatchMax")
-	case c.MaxInflight < 0 || c.QueueCap < 0 || c.LatencyBudget < 0 || c.DetectCycles < 0:
-		return fmt.Errorf("cluster: negative MaxInflight, QueueCap, LatencyBudget or DetectCycles")
+	case c.MaxInflight < 0 || c.DetectCycles < 0:
+		return fmt.Errorf("cluster: negative MaxInflight or DetectCycles")
 	case c.Admission && c.MaxInflight < 1:
 		return fmt.Errorf("cluster: Admission requires MaxInflight >= 1 (got %d)", c.MaxInflight)
-	case c.Admission && c.QueueCap < 1 && c.LatencyBudget < 1:
-		return fmt.Errorf("cluster: Admission requires a QueueCap or a LatencyBudget")
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return err
@@ -221,10 +215,10 @@ type Cluster struct {
 // by construction.
 func New(cfg Config, pop *clients.Population) (*Cluster, error) {
 	cfg.Clients = pop.Cfg
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(cfg.Shards, cfg.VNodes)
+	ring, err := newRing(cfg.Shards, vNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +317,7 @@ func (c *Cluster) Run() (*Result, error) {
 		// replies and burn retry attempts — the failure-detection latency a
 		// real cluster pays.
 		c.clk.Schedule(p.DieShardAt, func() { c.shards[id].die() })
-		c.clk.Schedule(p.DieShardAt+sim.Time(c.cfg.DetectCycles), func() { c.ring.MarkDead(id) })
+		c.clk.Schedule(p.DieShardAt+sim.Time(c.cfg.DetectCycles), func() { c.ring.markDead(id) })
 	}
 	if err := core.Drive(c.clk, c.cfg.Obs, c.cfg.MaxCycles, population{c}); err != nil {
 		return nil, err
@@ -389,7 +383,7 @@ func (cr *clientRun) arrive(si int) {
 }
 
 // send delivers a message after the one-way network latency.
-func (c *Cluster) send(deliver func()) { c.clk.After(sim.Time(c.cfg.NetCycles), deliver) }
+func (c *Cluster) send(deliver func()) { c.clk.After(netCycles, deliver) }
 
 // touch records a shard as messaged by the current session and reports
 // whether this is the session's first contact with it.
@@ -641,9 +635,7 @@ type Result struct {
 	Clients []ClientResult
 	Shards  []ShardResult
 
-	hintBatchMax int  // for Check
-	admission    bool // for Check
-	queueCap     int  // for Check
+	admission bool // for Check
 }
 
 // Seconds converts the run's elapsed virtual time to testbed seconds.
@@ -661,11 +653,11 @@ func (r *Result) Throughput() float64 {
 // violation: every shard's stall buckets must sum exactly to elapsed, every
 // offered part must be ruled exactly once (Admitted + Shed + Failed ==
 // Offered), the hint ingestion queue must never have exceeded its cap, and
-// the admission queue must never have exceeded QueueCap. Tests and the bench
+// the admission queue must never have exceeded queueCap. Tests and the bench
 // experiments fail loudly on any violation.
 func (r *Result) Check() error {
 	for _, s := range r.Shards {
-		if got := s.Buckets.Total(); got != int64(r.Elapsed) {
+		if got := s.Buckets.total(); got != int64(r.Elapsed) {
 			return fmt.Errorf("cluster: shard %d stall buckets sum to %d, elapsed %d", s.ID, got, r.Elapsed)
 		}
 		st := s.Stats
@@ -676,11 +668,11 @@ func (r *Result) Check() error {
 		if st.ReadParts != st.Admitted {
 			return fmt.Errorf("cluster: shard %d served %d parts but admitted %d", s.ID, st.ReadParts, st.Admitted)
 		}
-		if r.hintBatchMax > 0 && st.PeakIngest > r.hintBatchMax {
-			return fmt.Errorf("cluster: shard %d ingestion queue peaked at %d, cap %d", s.ID, st.PeakIngest, r.hintBatchMax)
+		if st.PeakIngest > hintBatchMax {
+			return fmt.Errorf("cluster: shard %d ingestion queue peaked at %d, cap %d", s.ID, st.PeakIngest, hintBatchMax)
 		}
-		if r.admission && r.queueCap > 0 && st.PeakQueue > r.queueCap {
-			return fmt.Errorf("cluster: shard %d admission queue peaked at %d, cap %d", s.ID, st.PeakQueue, r.queueCap)
+		if r.admission && st.PeakQueue > queueCap {
+			return fmt.Errorf("cluster: shard %d admission queue peaked at %d, cap %d", s.ID, st.PeakQueue, queueCap)
 		}
 		if !r.admission && st.Shed != 0 {
 			return fmt.Errorf("cluster: shard %d shed %d parts with admission disabled", s.ID, st.Shed)
@@ -691,10 +683,8 @@ func (r *Result) Check() error {
 
 func (c *Cluster) result() *Result {
 	res := &Result{
-		Elapsed:      c.doneAt,
-		hintBatchMax: c.cfg.HintBatchMax,
-		admission:    c.cfg.Admission,
-		queueCap:     c.cfg.QueueCap,
+		Elapsed:   c.doneAt,
+		admission: c.cfg.Admission,
 	}
 	for _, cr := range c.cls {
 		sum := int64(0)

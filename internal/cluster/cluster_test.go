@@ -77,7 +77,7 @@ func TestClusterShardCells(t *testing.T) {
 			}
 			var parts int64
 			for _, s := range res.Shards {
-				if got := s.Buckets.Total(); got != int64(res.Elapsed) {
+				if got := s.Buckets.total(); got != int64(res.Elapsed) {
 					t.Errorf("shard %d buckets sum to %d, elapsed %d", s.ID, got, res.Elapsed)
 				}
 				if s.Stats.ReadErrors != 0 {

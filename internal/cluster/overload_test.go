@@ -197,7 +197,6 @@ func TestClusterOverloadValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Admission = true; c.MaxInflight = 0 },
 		func(c *Config) { c.MaxInflight = -1 },
-		func(c *Config) { c.Admission = true; c.MaxInflight = 4; c.QueueCap = 0; c.LatencyBudget = 0 },
 		func(c *Config) { c.Retry.MaxAttempts = 0 },
 		func(c *Config) {
 			p := fault.NewPlan(1)

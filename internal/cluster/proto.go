@@ -4,7 +4,7 @@ package cluster
 // client <-> shard boundary and the routing that splits a file operation
 // into per-shard messages. Everything a client asks of a shard travels as
 // one of three requests — session open (hint disclosure), read, session
-// close — each delivered after Config.NetCycles of one-way network latency;
+// close — each delivered after netCycles of one-way network latency;
 // replies pay the same latency back. Nothing else crosses the boundary:
 // shards never call into clients and clients never touch a shard's cache,
 // which is exactly the seam that makes sharding, batching and admission
@@ -89,7 +89,7 @@ func splitRange(r *Ring, groupBlocks, blockSize int64, file int, off, n, fileSiz
 
 	var parts []ReadPart
 	runStart := first
-	runOwner := r.Owner(file, first/groupBlocks)
+	runOwner := r.owner(file, first/groupBlocks)
 	flush := func(b int64) { // run covers [runStart, b)
 		pOff := runStart * blockSize
 		if pOff < off {
@@ -102,7 +102,7 @@ func splitRange(r *Ring, groupBlocks, blockSize int64, file int, off, n, fileSiz
 		parts = append(parts, ReadPart{Shard: runOwner, Off: pOff, N: pEnd - pOff})
 	}
 	for b := first + 1; b <= last; b++ {
-		if owner := r.Owner(file, b/groupBlocks); owner != runOwner {
+		if owner := r.owner(file, b/groupBlocks); owner != runOwner {
 			flush(b)
 			runStart, runOwner = b, owner
 		}

@@ -18,13 +18,11 @@ import (
 )
 
 // Ring is a consistent-hash ring mapping placement groups to shards.
-// Each shard contributes VNodes points, hashed deterministically from
+// Each shard contributes vnodes points, hashed deterministically from
 // (shard, vnode), so the placement is identical across runs and across
 // machines, and growing the ring from N to N+1 shards moves only the keys
 // whose successor point changed — about 1/(N+1) of them.
 type Ring struct {
-	shards int
-	vnodes int
 	points []ringPoint // sorted by (hash, shard)
 	dead   []bool      // per-shard liveness; dead shards' points are skipped
 	live   int         // count of live shards
@@ -35,8 +33,8 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds the ring for the given shard count.
-func NewRing(shards, vnodes int) (*Ring, error) {
+// newRing builds the ring for the given shard count.
+func newRing(shards, vnodes int) (*Ring, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("cluster: ring needs >= 1 shard, got %d", shards)
 	}
@@ -44,7 +42,6 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("cluster: ring needs >= 1 vnode per shard, got %d", vnodes)
 	}
 	r := &Ring{
-		shards: shards, vnodes: vnodes,
 		points: make([]ringPoint, 0, shards*vnodes),
 		dead:   make([]bool, shards), live: shards,
 	}
@@ -62,21 +59,12 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Shards returns the ring's shard count.
-func (r *Ring) Shards() int { return r.shards }
-
-// Live returns how many shards are currently alive.
-func (r *Ring) Live() int { return r.live }
-
-// Alive reports whether shard s is alive.
-func (r *Ring) Alive(s int) bool { return !r.dead[s] }
-
-// MarkDead removes shard s from the placement: its ring points are skipped,
+// markDead removes shard s from the placement: its ring points are skipped,
 // so its keys fall through to the next live point clockwise — every other
 // shard's keys stay exactly where they were (the failover analogue of the
 // rebalance bound). Marking the last live shard dead panics: a cluster with
 // no servers has no meaningful placement.
-func (r *Ring) MarkDead(s int) {
+func (r *Ring) markDead(s int) {
 	if r.dead[s] {
 		return
 	}
@@ -87,19 +75,9 @@ func (r *Ring) MarkDead(s int) {
 	r.live--
 }
 
-// Revive returns shard s to the placement. Because the points themselves
-// never move, revival restores the original ownership of every key exactly.
-func (r *Ring) Revive(s int) {
-	if !r.dead[s] {
-		return
-	}
-	r.dead[s] = false
-	r.live++
-}
-
-// Lookup returns the shard owning hash h: the first ring point clockwise of
+// lookup returns the shard owning hash h: the first ring point clockwise of
 // h whose shard is alive, wrapping at the top of the circle.
-func (r *Ring) Lookup(h uint64) int {
+func (r *Ring) lookup(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
 	for range r.points {
 		if i == len(r.points) {
@@ -113,10 +91,10 @@ func (r *Ring) Lookup(h uint64) int {
 	panic("cluster: lookup on a ring with no live shards")
 }
 
-// Owner returns the shard owning placement group `group` of corpus file
+// owner returns the shard owning placement group `group` of corpus file
 // `file`.
-func (r *Ring) Owner(file int, group int64) int {
-	return r.Lookup(groupKey(file, group))
+func (r *Ring) owner(file int, group int64) int {
+	return r.lookup(groupKey(file, group))
 }
 
 // pointHash places vnode v of shard s on the circle. Both hashes below use

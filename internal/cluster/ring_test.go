@@ -17,16 +17,16 @@ func sampleKeys(files int, groups int64) [][2]int64 {
 // TestRingDeterministic: two rings built from the same parameters place every
 // key identically — the property cross-run byte-identity rests on.
 func TestRingDeterministic(t *testing.T) {
-	a, err := NewRing(4, 64)
+	a, err := newRing(4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(4, 64)
+	b, err := newRing(4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range sampleKeys(50, 16) {
-		if a.Owner(int(k[0]), k[1]) != b.Owner(int(k[0]), k[1]) {
+		if a.owner(int(k[0]), k[1]) != b.owner(int(k[0]), k[1]) {
 			t.Fatalf("placement of (%d,%d) differs between identical rings", k[0], k[1])
 		}
 	}
@@ -38,17 +38,17 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingRebalanceBound(t *testing.T) {
 	keys := sampleKeys(200, 8) // 1600 keys
 	for _, n := range []int{1, 2, 4, 8} {
-		old, err := NewRing(n, 64)
+		old, err := newRing(n, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grown, err := NewRing(n+1, 64)
+		grown, err := newRing(n+1, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		moved := 0
 		for _, k := range keys {
-			a, b := old.Owner(int(k[0]), k[1]), grown.Owner(int(k[0]), k[1])
+			a, b := old.owner(int(k[0]), k[1]), grown.owner(int(k[0]), k[1])
 			if a == b {
 				continue
 			}
@@ -71,14 +71,14 @@ func TestRingRebalanceBound(t *testing.T) {
 // small constant factor of fair share.
 func TestRingBalance(t *testing.T) {
 	const shards = 8
-	r, err := NewRing(shards, 64)
+	r, err := newRing(shards, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, shards)
 	keys := sampleKeys(1000, 10) // 10k keys
 	for _, k := range keys {
-		counts[r.Owner(int(k[0]), k[1])]++
+		counts[r.owner(int(k[0]), k[1])]++
 	}
 	fair := len(keys) / shards
 	for s, c := range counts {
@@ -90,10 +90,10 @@ func TestRingBalance(t *testing.T) {
 
 // TestRingValidation rejects degenerate parameters.
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(0, 64); err == nil {
+	if _, err := newRing(0, 64); err == nil {
 		t.Error("0 shards accepted")
 	}
-	if _, err := NewRing(2, 0); err == nil {
+	if _, err := newRing(2, 0); err == nil {
 		t.Error("0 vnodes accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestRingValidation(t *testing.T) {
 // TestSplitRange: parts tile the requested range in offset order, each part's
 // blocks belong to its shard, and consecutive same-owner groups merge.
 func TestSplitRange(t *testing.T) {
-	r, err := NewRing(3, 64)
+	r, err := newRing(3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSplitRange(t *testing.T) {
 			}
 			next = p.Off + p.N
 			for b := p.Off / bs; b <= (p.Off+p.N-1)/bs; b++ {
-				if owner := r.Owner(file, b/gb); owner != p.Shard {
+				if owner := r.owner(file, b/gb); owner != p.Shard {
 					t.Fatalf("part %+v contains block %d owned by shard %d", p, b, owner)
 				}
 			}
@@ -147,24 +147,24 @@ func TestSplitRange(t *testing.T) {
 // the failover contract that bounds key movement to the dead shard's share.
 func TestRingFailoverReroute(t *testing.T) {
 	const shards = 4
-	r, err := NewRing(shards, 64)
+	r, err := newRing(shards, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := sampleKeys(200, 8) // 1600 keys
 	baseline := make([]int, len(keys))
 	for i, k := range keys {
-		baseline[i] = r.Owner(int(k[0]), k[1])
+		baseline[i] = r.owner(int(k[0]), k[1])
 	}
 
 	const dead = 2
-	r.MarkDead(dead)
+	r.markDead(dead)
 	if r.Live() != shards-1 || r.Alive(dead) {
 		t.Fatalf("after MarkDead: live=%d alive(%d)=%v", r.Live(), dead, r.Alive(dead))
 	}
 	moved := 0
 	for i, k := range keys {
-		got := r.Owner(int(k[0]), k[1])
+		got := r.owner(int(k[0]), k[1])
 		if baseline[i] != dead {
 			if got != baseline[i] {
 				t.Fatalf("key (%d,%d) owned by live shard %d moved to %d", k[0], k[1], baseline[i], got)
@@ -189,7 +189,7 @@ func TestRingFailoverReroute(t *testing.T) {
 	// Revival restores the original placement exactly, deterministically.
 	r.Revive(dead)
 	for i, k := range keys {
-		if got := r.Owner(int(k[0]), k[1]); got != baseline[i] {
+		if got := r.owner(int(k[0]), k[1]); got != baseline[i] {
 			t.Fatalf("after revival key (%d,%d) owned by %d, originally %d", k[0], k[1], got, baseline[i])
 		}
 	}
@@ -199,19 +199,19 @@ func TestRingFailoverReroute(t *testing.T) {
 // orphaned keys; killing the last shard panics rather than placing keys on a
 // serverless ring, and double-kill/double-revive are idempotent.
 func TestRingFailoverCascade(t *testing.T) {
-	r, err := NewRing(3, 64)
+	r, err := newRing(3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := sampleKeys(100, 8)
-	r.MarkDead(0)
-	r.MarkDead(0) // idempotent
-	r.MarkDead(1)
+	r.markDead(0)
+	r.markDead(0) // idempotent
+	r.markDead(1)
 	if r.Live() != 1 {
 		t.Fatalf("live = %d, want 1", r.Live())
 	}
 	for _, k := range keys {
-		if got := r.Owner(int(k[0]), k[1]); got != 2 {
+		if got := r.owner(int(k[0]), k[1]); got != 2 {
 			t.Fatalf("sole survivor does not own key (%d,%d): owner %d", k[0], k[1], got)
 		}
 	}
@@ -220,5 +220,21 @@ func TestRingFailoverCascade(t *testing.T) {
 			t.Error("killing the last live shard did not panic")
 		}
 	}()
-	r.MarkDead(2)
+	r.markDead(2)
+}
+
+// Live returns how many shards are currently alive.
+func (r *Ring) Live() int { return r.live }
+
+// Alive reports whether shard s is alive.
+func (r *Ring) Alive(s int) bool { return !r.dead[s] }
+
+// Revive returns shard s to the placement. Because the points themselves
+// never move, revival restores the original ownership of every key exactly.
+func (r *Ring) Revive(s int) {
+	if !r.dead[s] {
+		return
+	}
+	r.dead[s] = false
+	r.live++
 }

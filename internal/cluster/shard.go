@@ -14,7 +14,7 @@ package cluster
 // read parts enter a bounded two-priority queue and are dispatched into TIP
 // at most Config.MaxInflight at a time. A part is shed at arrival when the
 // queue's predicted wait — depth x recent mean service time / service width —
-// exceeds Config.LatencyBudget (or when the queue hits its hard cap), so
+// exceeds latencyBudget (or when the queue hits its hard cap), so
 // under overload the shard keeps serving at capacity with bounded latency
 // instead of queueing without bound. Every arriving part is ruled exactly
 // once: Admitted (dispatched into service), Shed (admission rejection), or
@@ -44,9 +44,9 @@ type Buckets struct {
 	Idle            int64 `json:"idle_cycles"`
 }
 
-// Total returns the sum of all buckets — by construction the cluster's
+// total returns the sum of all buckets — by construction the cluster's
 // elapsed cycles once the shard is frozen.
-func (b Buckets) Total() int64 { return b.HintedService + b.UnhintedService + b.Idle }
+func (b Buckets) total() int64 { return b.HintedService + b.UnhintedService + b.Idle }
 
 // ShardStats counts a shard's protocol-level activity (the TIP, cache and
 // disk layers below keep their own counters).
@@ -69,8 +69,8 @@ type ShardStats struct {
 	Batches      int64 // ingestion queue flushes
 	SessionsOpen int64 // sessions ever opened
 	PeakSessions int   // max concurrently open sessions
-	PeakIngest   int   // max ingestion queue depth (<= HintBatchMax when capped)
-	PeakQueue    int   // max admission queue depth (<= QueueCap when admission is on)
+	PeakIngest   int   // max ingestion queue depth (<= hintBatchMax)
+	PeakQueue    int   // max admission queue depth (<= queueCap when admission is on)
 }
 
 // pendingHint is one queued, not-yet-applied hint segment.
@@ -218,7 +218,7 @@ func (s *shard) freeze(at sim.Time) {
 func (s *shard) session(key SessionKey) *tip.Client {
 	cli := s.sess[key]
 	if cli == nil {
-		cli = s.tm.NewClient(fmt.Sprintf("c%d.s%d", key.Client, key.Session))
+		cli = s.tm.NewClient()
 		s.sess[key] = cli
 		s.stats.SessionsOpen++
 		if n := len(s.sess); n > s.stats.PeakSessions {
@@ -269,19 +269,16 @@ func (s *shard) observeService(sample int64) {
 // its queue owes more than the budget at its degraded rate.
 func (s *shard) shouldShed() bool {
 	depth := len(s.hotQ) + len(s.coldQ)
-	if s.cfg.QueueCap > 0 && depth >= s.cfg.QueueCap {
+	if depth >= queueCap {
 		return true
 	}
-	if s.cfg.LatencyBudget > 0 {
-		width := s.cfg.MaxInflight
-		if width < 1 {
-			width = 1
-		}
-		est := s.svcEstimate() * int64(s.brownFactor())
-		wait := int64(depth+s.inflight) * est / int64(width)
-		return wait > s.cfg.LatencyBudget
+	width := s.cfg.MaxInflight
+	if width < 1 {
+		width = 1
 	}
-	return false
+	est := s.svcEstimate() * int64(s.brownFactor())
+	wait := int64(depth+s.inflight) * est / int64(width)
+	return wait > latencyBudget
 }
 
 // serveRead rules on one arriving ReadPart: reject it if the shard is dead,
@@ -312,7 +309,7 @@ func (s *shard) serveRead(key SessionKey, file int, off, n int64, retry bool, re
 	// Two priority classes: sessions with a part already served here go to
 	// the hot queue and dequeue first, so in-flight sessions' reads are never
 	// starved by a thundering herd of new opens.
-	if s.cfg.Priority && s.served[key] {
+	if s.cfg.Admission && s.served[key] {
 		s.hotQ = append(s.hotQ, req)
 	} else {
 		s.coldQ = append(s.coldQ, req)
@@ -432,9 +429,9 @@ func (s *shard) die() {
 }
 
 // serveHints receives one hint message: the segments enter the ingestion
-// queue and apply at the next flush — after HintBatchCycles, or the moment
-// the queue reaches HintBatchMax (the cap is checked per segment, so the
-// queue depth never exceeds it: PeakIngest <= HintBatchMax is a checked
+// queue and apply at the next flush — after hintBatchCycles, or the moment
+// the queue reaches hintBatchMax (the cap is checked per segment, so the
+// queue depth never exceeds it: PeakIngest <= hintBatchMax is a checked
 // invariant). The session opens now even though the hints apply later, so a
 // racing read lands on the right stream.
 func (s *shard) serveHints(key SessionKey, segs []HintSeg) {
@@ -449,12 +446,12 @@ func (s *shard) serveHints(key SessionKey, segs []HintSeg) {
 		if n := len(s.ingest); n > s.stats.PeakIngest {
 			s.stats.PeakIngest = n
 		}
-		if s.cfg.HintBatchMax > 0 && len(s.ingest) >= s.cfg.HintBatchMax {
+		if len(s.ingest) >= hintBatchMax {
 			s.flush()
 		}
 	}
 	if !s.clk.Pending(s.flushEv) && len(s.ingest) > 0 {
-		s.flushEv = s.clk.After(sim.Time(s.cfg.HintBatchCycles), func() {
+		s.flushEv = s.clk.After(hintBatchCycles, func() {
 			s.flushEv = sim.Handle{}
 			s.flush()
 		})

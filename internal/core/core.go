@@ -72,30 +72,39 @@ func (m Mode) String() string {
 // used only to convert cycles to seconds in reports.
 const CPUHz = 233e6
 
+// The fixed costs of the runtime, in cycles. The first three are the
+// observable overheads on the original thread's path (paper §3.2.2: "at
+// most, checking an entry in the hint log and saving its registers once per
+// read").
+const (
+	hintLogCheckCycles = 20
+	regSaveCycles      = 64
+	initCycles         = 50_000 // one-time: spawn the speculating thread etc.
+
+	// copyPer8B charges user-buffer copies (read results, writes).
+	copyPer8B = 1
+
+	// printCycles is the extra cost of output routines (they flush buffers;
+	// the paper removes them from shadow code because they are expensive).
+	printCycles = 2_000
+
+	// restartBaseCycles is the fixed part of a speculation restart; the
+	// stack copy adds copyPer8B per 8 bytes of live stack.
+	restartBaseCycles = 1_000
+
+	// adaptiveThreshold and adaptiveBackoff drive Config.AdaptiveThrottle:
+	// restarts are gated while TIP's accuracy estimate is below the
+	// threshold, backing off from the initial cycles and doubling.
+	adaptiveThreshold = 0.2
+	adaptiveBackoff   = 50_000_000
+)
+
 // Config assembles a full system.
 type Config struct {
 	Mode    Mode
 	Disk    disk.Config
 	TIP     tip.Config
 	Machine vm.Config
-
-	// Observable overheads on the original thread's path (paper §3.2.2:
-	// "at most, checking an entry in the hint log and saving its registers
-	// once per read").
-	HintLogCheckCycles int64
-	RegSaveCycles      int64
-	InitCycles         int64 // one-time: spawn the speculating thread etc.
-
-	// CopyPer8B charges user-buffer copies (read results, writes).
-	CopyPer8B int64
-
-	// PrintCycles is the extra cost of output routines (they flush buffers;
-	// the paper removes them from shadow code because they are expensive).
-	PrintCycles int64
-
-	// RestartBaseCycles is the fixed part of a speculation restart; the
-	// stack copy adds CopyPer8B per 8 bytes of live stack.
-	RestartBaseCycles int64
 
 	// CancelThrottle, when > 0, disables speculation for
 	// CancelThrottleCycles after that many restarts (paper §5's ad-hoc
@@ -106,10 +115,8 @@ type Config struct {
 	// AdaptiveThrottle is the paper's §5 "more generic method for limiting
 	// the number of erroneous hints": instead of a fixed cancel count, gate
 	// restarts on TIP's recent hint-accuracy estimate, backing off
-	// exponentially while accuracy stays below AdaptiveThreshold.
-	AdaptiveThrottle  bool
-	AdaptiveThreshold float64 // default 0.2 when AdaptiveThrottle is set
-	AdaptiveBackoff   int64   // initial backoff cycles (doubles; default 50M)
+	// exponentially while accuracy stays below adaptiveThreshold.
+	AdaptiveThrottle bool
 
 	// DualProcessor runs the speculating thread on a second processor, in
 	// parallel with normal execution rather than only during I/O stalls —
@@ -176,17 +183,11 @@ func TestbedDisk(numDisks int) disk.Config {
 // cache.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:               mode,
-		Disk:               TestbedDisk(4),
-		TIP:                tip.DefaultConfig(),
-		Machine:            vm.DefaultConfig(),
-		HintLogCheckCycles: 20,
-		RegSaveCycles:      64,
-		InitCycles:         50_000,
-		CopyPer8B:          1,
-		PrintCycles:        2_000,
-		RestartBaseCycles:  1_000,
-		MaxCycles:          1 << 42,
+		Mode:      mode,
+		Disk:      TestbedDisk(4),
+		TIP:       tip.DefaultConfig(),
+		Machine:   vm.DefaultConfig(),
+		MaxCycles: 1 << 42,
 	}
 }
 
@@ -203,9 +204,6 @@ func (c Config) Validate() error {
 	}
 	if len(c.StaticHints) > 0 && c.Mode != ModeStatic {
 		return fmt.Errorf("core: StaticHints given in mode %v", c.Mode)
-	}
-	if c.CopyPer8B < 0 || c.HintLogCheckCycles < 0 || c.RegSaveCycles < 0 {
-		return fmt.Errorf("core: negative overhead cycles")
 	}
 	if c.Faults != nil {
 		if err := c.Faults.ValidateDisk(); err != nil {
@@ -277,7 +275,7 @@ type RunStats struct {
 
 	// ReadSites breaks the read counters down by call-site PC (the address
 	// of the read syscall instruction in the original text), letting the
-	// static classifier's per-site predictions be weighed against what the
+	// static analysis's per-site classes be weighed against what the
 	// run actually did.
 	ReadSites map[int64]*ReadSiteStats
 
@@ -298,7 +296,7 @@ type RunStats struct {
 //
 //   - Compute: the original thread executing application work.
 //   - SpecOverhead: cycles the speculation machinery added to the original
-//     thread's own path — thread spawn (InitCycles), the per-read hint-log
+//     thread's own path — thread spawn (initCycles), the per-read hint-log
 //     check, and register saves at off-track detections. Zero outside
 //     ModeSpeculating.
 //   - HintedStall: the original thread blocked on a read that arrived
@@ -346,19 +344,19 @@ func (s *RunStats) Seconds() float64 { return float64(s.Elapsed) / CPUHz }
 // StallCycles is the time the original thread spent blocked.
 func (s *RunStats) StallCycles() int64 { return int64(s.Elapsed) - s.OrigBusy }
 
-// MedianReadGap returns the median number of original-thread cycles between
+// medianReadGap returns the median number of original-thread cycles between
 // read calls (paper §4.4).
-func (s *RunStats) MedianReadGap() int64 { return median(s.ReadGaps) }
+func (s *RunStats) medianReadGap() int64 { return median(s.ReadGaps) }
 
-// MedianHintGap returns the median number of speculating-thread cycles
+// medianHintGap returns the median number of speculating-thread cycles
 // between hint calls.
-func (s *RunStats) MedianHintGap() int64 { return median(s.HintGaps) }
+func (s *RunStats) medianHintGap() int64 { return median(s.HintGaps) }
 
 // DilationFactor is the ratio of the median inter-hint interval to the
 // median inter-read interval (>1 mainly due to copy-on-write checks).
 func (s *RunStats) DilationFactor() float64 {
-	r := s.MedianReadGap()
-	h := s.MedianHintGap()
+	r := s.medianReadGap()
+	h := s.medianHintGap()
 	if r <= 0 || h <= 0 {
 		return 0
 	}
@@ -537,7 +535,7 @@ func NewOn(sub *Substrate, cfg Config, prog *vm.Program, name string) (*System, 
 
 	s := &System{
 		cfg: cfg, clk: sub.Clk, fs: sub.FS, arr: sub.Arr, tip: sub.TIP,
-		tipc: sub.TIP.NewClient(name), prog: prog, name: name,
+		tipc: sub.TIP.NewClient(), prog: prog, name: name,
 		obs: sub.Obs,
 	}
 	var err error
@@ -550,10 +548,10 @@ func NewOn(sub *Substrate, cfg Config, prog *vm.Program, name string) (*System, 
 	if cfg.Mode == ModeSpeculating {
 		s.spec = s.mach.NewThread("speculating", vm.Speculative)
 		s.specFDs = fsim.NewFDTable()
-		s.orig.PendingCycles += cfg.InitCycles
+		s.orig.PendingCycles += initCycles
 		// The spawn cost executes on the original thread's path: it is
 		// speculation overhead, not application compute.
-		s.stats.Buckets.SpecOverhead += cfg.InitCycles
+		s.stats.Buckets.SpecOverhead += initCycles
 	}
 	s.stats.Mode = cfg.Mode
 	if cfg.Mode == ModeStatic {
@@ -618,6 +616,3 @@ func (s *System) Name() string { return s.name }
 // strict-priority test is group-wide, so speculation uses only cycles no
 // original thread on the substrate wants.
 func (s *System) preemptNow() bool { return s.group.anyOrigReady() }
-
-// Output returns everything the program printed.
-func (s *System) Output() string { return s.out.String() }

@@ -55,7 +55,6 @@ func TestAdaptiveThrottleLimitsRestarts(t *testing.T) {
 
 	cfg := DefaultConfig(ModeSpeculating)
 	cfg.AdaptiveThrottle = true
-	cfg.AdaptiveBackoff = 10_000_000
 	fs2, _, _ := chainFS(t, 2<<20, 40)
 	on := runMode(t, cfg, chainReaderSrc(name, 40), fs2)
 

@@ -79,7 +79,7 @@ func (s *System) origSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 		}
 		s.stats.WriteCalls++
 		s.stats.WriteBytes += n
-		t.PendingCycles += n / 8 * s.cfg.CopyPer8B
+		t.PendingCycles += n / 8 * copyPer8B
 		t.Regs[vm.R1] = n
 		return vm.SysDone
 
@@ -90,13 +90,13 @@ func (s *System) origSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 			return vm.SysFault
 		}
 		s.out.WriteString(str)
-		t.PendingCycles += s.cfg.PrintCycles
+		t.PendingCycles += printCycles
 		t.Regs[vm.R1] = 0
 		return vm.SysDone
 
 	case vm.SysPrintInt:
 		fmt.Fprintf(&s.out, "%d", t.Regs[vm.R1])
-		t.PendingCycles += s.cfg.PrintCycles
+		t.PendingCycles += printCycles
 		t.Regs[vm.R1] = 0
 		return vm.SysDone
 
@@ -157,7 +157,7 @@ func readArgs(t *vm.Thread, fds *fsim.FDTable) (file *fsim.File, off, n int64, o
 func (s *System) copyOut(t *vm.Thread, buf int64, file *fsim.File, off, n int64) error {
 	err := s.mach.WriteMem(t, buf, file.Bytes(off, n, &s.readBuf))
 	if err == nil {
-		t.PendingCycles += n / 8 * s.cfg.CopyPer8B
+		t.PendingCycles += n / 8 * copyPer8B
 	}
 	return err
 }
@@ -204,8 +204,8 @@ func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 
 	hinted := false
 	if s.cfg.Mode == ModeSpeculating {
-		t.PendingCycles += s.cfg.HintLogCheckCycles
-		s.stats.Buckets.SpecOverhead += s.cfg.HintLogCheckCycles
+		t.PendingCycles += hintLogCheckCycles
+		s.stats.Buckets.SpecOverhead += hintLogCheckCycles
 		if s.logNext < len(s.hintLog) && s.hintLog[s.logNext] == (logEntry{file.Ino(), off, reqLen}) {
 			// Speculation is, as far as we can tell, on track.
 			s.logNext++
@@ -215,8 +215,8 @@ func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 			// strayed). Save state and raise the restart flag before the
 			// read is issued, so the speculating thread can restart during
 			// the coming stall.
-			t.PendingCycles += s.cfg.RegSaveCycles
-			s.stats.Buckets.SpecOverhead += s.cfg.RegSaveCycles
+			t.PendingCycles += regSaveCycles
+			s.stats.Buckets.SpecOverhead += regSaveCycles
 			s.savedRegs = t.Regs
 			s.savedResult = n
 			s.savedPC = t.PC // Run already advanced past the syscall

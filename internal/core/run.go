@@ -165,16 +165,9 @@ func (s *System) beginRestart(start sim.Time) bool {
 	// §5 generic limiter: gate restarts on TIP's recent hint accuracy,
 	// with exponential backoff while it stays poor.
 	if s.cfg.AdaptiveThrottle {
-		threshold := s.cfg.AdaptiveThreshold
-		if threshold == 0 {
-			threshold = 0.2
-		}
-		if s.tipc.Accuracy() < threshold {
+		if s.tipc.Accuracy() < adaptiveThreshold {
 			if s.backoffCycles == 0 {
-				s.backoffCycles = s.cfg.AdaptiveBackoff
-				if s.backoffCycles == 0 {
-					s.backoffCycles = 50_000_000
-				}
+				s.backoffCycles = adaptiveBackoff
 			} else if s.backoffCycles < 1<<32 {
 				s.backoffCycles *= 2
 			}
@@ -185,7 +178,7 @@ func (s *System) beginRestart(start sim.Time) bool {
 	}
 
 	liveStack := s.cfg.Machine.MemSize - s.savedRegs[vm.SP]
-	s.restartRemaining = s.cfg.RestartBaseCycles + liveStack/8*s.cfg.CopyPer8B
+	s.restartRemaining = restartBaseCycles + liveStack/8*copyPer8B
 	if s.restartRemaining <= 0 {
 		s.restartRemaining = 1
 	}

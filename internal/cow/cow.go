@@ -45,12 +45,6 @@ func (m *Map) RegionSize() int { return int(m.regionSize) }
 // Regions returns the number of currently copied regions.
 func (m *Map) Regions() int { return len(m.regions) }
 
-// Copies returns the number of region copies made since the last Reset.
-func (m *Map) Copies() int64 { return m.copies }
-
-// BytesCopied returns the number of bytes copied since the last Reset.
-func (m *Map) BytesCopied() int64 { return m.bytesCopied }
-
 // PeakRegions returns the most regions ever live at once — the copy-on-write
 // contribution to the process's memory footprint.
 func (m *Map) PeakRegions() int { return m.peakRegions }
@@ -59,12 +53,6 @@ func (m *Map) PeakRegions() int { return m.peakRegions }
 // speculation begins.
 func (m *Map) Reset() {
 	clear(m.regions)
-}
-
-// Covered reports whether addr lies in a copied region.
-func (m *Map) Covered(addr int64) bool {
-	_, ok := m.regions[addr&m.mask]
-	return ok
 }
 
 // ensure returns the copy covering addr, creating it from mem if needed,

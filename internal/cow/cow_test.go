@@ -268,3 +268,15 @@ func TestStoreBytesMatchesByteLoop(t *testing.T) {
 		t.Fatal("a speculative store reached shared memory")
 	}
 }
+
+// Copies returns the number of region copies made since the last Reset.
+func (m *Map) Copies() int64 { return m.copies }
+
+// BytesCopied returns the number of bytes copied since the last Reset.
+func (m *Map) BytesCopied() int64 { return m.bytesCopied }
+
+// Covered reports whether addr lies in a copied region.
+func (m *Map) Covered(addr int64) bool {
+	_, ok := m.regions[addr&m.mask]
+	return ok
+}

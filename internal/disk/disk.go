@@ -247,9 +247,6 @@ func (a *Array) failDead(r *Request) {
 // Stats returns a copy of the accumulated statistics.
 func (a *Array) Stats() Stats { return a.stats }
 
-// BlocksPerStripeUnit returns the number of file-system blocks per striping unit.
-func (a *Array) BlocksPerStripeUnit() int64 { return a.unit }
-
 // Map implements the striping pseudodevice: it maps a logical block number
 // (in the file system's global block space) to a (disk, physical block) pair,
 // striping round-robin in StripeUnit-sized runs.

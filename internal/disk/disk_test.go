@@ -377,3 +377,6 @@ func TestPromotePreservesQueueIntegrity(t *testing.T) {
 		t.Fatalf("served %d of 6 after promotions", served)
 	}
 }
+
+// BlocksPerStripeUnit returns the number of file-system blocks per striping unit.
+func (a *Array) BlocksPerStripeUnit() int64 { return a.unit }

@@ -179,12 +179,6 @@ func (p *Plan) ValidateShard() error {
 	return p.Validate()
 }
 
-// ShardDead reports whether cluster shard `shard` has permanently failed as
-// of now.
-func (p *Plan) ShardDead(shard int, now sim.Time) bool {
-	return p.DieShard == shard && p.DieShardAt > 0 && now >= p.DieShardAt
-}
-
 // ShardBrownFactor returns the service-stretch factor for shard `shard` at
 // time now: 1 outside any brownout window, BrownFactor inside it.
 func (p *Plan) ShardBrownFactor(shard int, now sim.Time) int {
@@ -193,9 +187,6 @@ func (p *Plan) ShardBrownFactor(shard int, now sim.Time) int {
 	}
 	return 1
 }
-
-// Stats returns a copy of the injection counters.
-func (p *Plan) Stats() Stats { return p.stats }
 
 // next advances the splitmix64 stream.
 func (p *Plan) next() uint64 {
@@ -385,19 +376,6 @@ func Parse(spec string) (*Plan, error) {
 }
 
 const knownKeys = "seed, rate, burst, spike, failn, die, dieshard, brown"
-
-// Sweep returns n plans derived from a base spec with distinct seeds, for
-// chaos sweeps. Seeds are base.Seed, base.Seed+step, ...
-func Sweep(base *Plan, n int, step int64) []*Plan {
-	plans := make([]*Plan, 0, n)
-	for i := 0; i < n; i++ {
-		c := *base
-		c.Seed = base.Seed + int64(i)*step
-		c.init()
-		plans = append(plans, &c)
-	}
-	return plans
-}
 
 // Keys returns the sorted spec keys (for CLI help).
 func Keys() []string {

@@ -246,3 +246,25 @@ func TestShardFaults(t *testing.T) {
 		t.Error("zero-value plan injects shard faults")
 	}
 }
+
+// ShardDead reports whether cluster shard `shard` has permanently failed as
+// of now.
+func (p *Plan) ShardDead(shard int, now sim.Time) bool {
+	return p.DieShard == shard && p.DieShardAt > 0 && now >= p.DieShardAt
+}
+
+// Stats returns a copy of the injection counters.
+func (p *Plan) Stats() Stats { return p.stats }
+
+// Sweep returns n plans derived from a base spec with distinct seeds, for
+// chaos sweeps. Seeds are base.Seed, base.Seed+step, ...
+func Sweep(base *Plan, n int, step int64) []*Plan {
+	plans := make([]*Plan, 0, n)
+	for i := 0; i < n; i++ {
+		c := *base
+		c.Seed = base.Seed + int64(i)*step
+		c.init()
+		plans = append(plans, &c)
+	}
+	return plans
+}

@@ -15,7 +15,6 @@ package fsim
 
 import (
 	"fmt"
-	"sort"
 )
 
 // File is an immutable file: its content and its position in the logical
@@ -217,24 +216,8 @@ func (fs *FS) Lookup(name string) (*File, bool) {
 	return f, ok
 }
 
-// ByIno finds a file by inode number.
-func (fs *FS) ByIno(ino int64) (*File, bool) {
-	f, ok := fs.byIno[ino]
-	return f, ok
-}
-
 // TotalBlocks returns the number of logical blocks allocated so far.
 func (fs *FS) TotalBlocks() int64 { return fs.nextBlock }
-
-// Names returns all file names in sorted order (deterministic iteration).
-func (fs *FS) Names() []string {
-	names := make([]string, 0, len(fs.byName))
-	for n := range fs.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Errno is a tiny errno-style error code for VM syscall returns.
 type Errno int64
@@ -371,6 +354,3 @@ func (t *FDTable) Advance(fd, n int64) {
 		of.offset += n
 	}
 }
-
-// Len returns the number of open descriptors.
-func (t *FDTable) Len() int { return len(t.entries) }

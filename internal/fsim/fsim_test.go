@@ -3,6 +3,7 @@ package fsim
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -340,3 +341,22 @@ func TestPropertyFDUniqueness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ByIno finds a file by inode number.
+func (fs *FS) ByIno(ino int64) (*File, bool) {
+	f, ok := fs.byIno[ino]
+	return f, ok
+}
+
+// Names returns all file names in sorted order (deterministic iteration).
+func (fs *FS) Names() []string {
+	names := make([]string, 0, len(fs.byName))
+	for n := range fs.byName {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Len returns the number of open descriptors.
+func (t *FDTable) Len() int { return len(t.entries) }

@@ -36,18 +36,20 @@ type ProcSpec struct {
 
 func (p ProcSpec) String() string { return fmt.Sprintf("%v/%v", p.App, p.Mode) }
 
+const (
+	// quantum is the round-robin CPU slice in cycles (~0.4 ms of testbed
+	// time).
+	quantum = 100_000
+
+	// seedStep offsets each process's workload seeds so N processes run N
+	// distinct workload instances.
+	seedStep = 101
+)
+
 // Config assembles a process group.
 type Config struct {
 	Disk disk.Config // the shared array
 	TIP  tip.Config  // the shared manager + cache
-
-	// Quantum is the round-robin CPU slice in cycles (default 100_000,
-	// ~0.4 ms of testbed time).
-	Quantum int64
-
-	// SeedStep offsets each process's workload seeds so N processes run N
-	// distinct workload instances (default 101).
-	SeedStep int64
 
 	// FirstProcIndex numbers the group's processes starting here (default
 	// 0). Solo baseline runs use it to rebuild process i's exact workload
@@ -72,10 +74,8 @@ type Config struct {
 // DefaultConfig mirrors the paper's testbed: four disks, 12 MB shared cache.
 func DefaultConfig() Config {
 	return Config{
-		Disk:     core.TestbedDisk(4),
-		TIP:      tip.DefaultConfig(),
-		Quantum:  100_000,
-		SeedStep: 101,
+		Disk: core.TestbedDisk(4),
+		TIP:  tip.DefaultConfig(),
 	}
 }
 
@@ -94,13 +94,6 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("multi: empty process list")
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 100_000
-	}
-	if cfg.SeedStep == 0 {
-		cfg.SeedStep = 101
-	}
-
 	fs := fsim.New(cfg.Disk.BlockSize)
 	workload.SetBenchLayout(fs)
 	sub, err := core.NewSubstrate(cfg.Disk, cfg.TIP, fs)
@@ -120,7 +113,7 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 
 	for i, spec := range specs {
 		idx := cfg.FirstProcIndex + i
-		ps := scale.WithProcess(idx, cfg.SeedStep)
+		ps := scale.WithProcess(idx, seedStep)
 		b, err := apps.BuildOn(fs, spec.App, ps)
 		if err != nil {
 			return nil, fmt.Errorf("multi: p%d %v: %w", idx, spec, err)
@@ -149,7 +142,7 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 // Run executes the group to completion under core's strict-priority
 // scheduler (see core.RunGroup) and assembles the group outcome.
 func (g *Group) Run() (*Result, error) {
-	stats, err := core.RunGroup(g.procs, g.cfg.Quantum, g.cfg.MaxCycles)
+	stats, err := core.RunGroup(g.procs, quantum, g.cfg.MaxCycles)
 	if err != nil {
 		return nil, err
 	}

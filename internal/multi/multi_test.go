@@ -108,7 +108,7 @@ func TestSpeculationBeatsOriginalAtN4(t *testing.T) {
 func TestGroupOutputsMatchSolo(t *testing.T) {
 	// Each process of a group must compute the same answer it computes when
 	// run alone (same prefix and seeds via FirstProcIndex) — and a group of
-	// one, time-sliced every Quantum cycles, must BE the solo run: the same
+	// one, time-sliced every quantum cycles, must BE the solo run: the same
 	// inputs through core.New(...).Run(), whose quantum never slices, yield
 	// identical statistics down to the last bucket and counter.
 	cfg := DefaultConfig()
@@ -127,7 +127,7 @@ func TestGroupOutputsMatchSolo(t *testing.T) {
 
 		fs := fsim.New(cfg.Disk.BlockSize)
 		workload.SetBenchLayout(fs)
-		b, err := apps.BuildOn(fs, p.App, apps.TestScale().WithProcess(i, cfg.SeedStep))
+		b, err := apps.BuildOn(fs, p.App, apps.TestScale().WithProcess(i, seedStep))
 		if err != nil {
 			t.Fatal(err)
 		}

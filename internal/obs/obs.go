@@ -130,11 +130,6 @@ func (t *Trace) Sub(prefix string) *Trace {
 // guard: callers that must format a detail string check it first.
 func (t *Trace) Enabled() bool { return t != nil }
 
-// Emit records an instant event.
-func (t *Trace) Emit(at sim.Time, lane, cat, name, detail string) {
-	t.Span(at, 0, lane, cat, name, detail)
-}
-
 // Emitf records an instant event with a formatted detail. The format
 // arguments are evaluated by the caller either way; prefer
 // `if t.Enabled() { t.Emitf(...) }` on hot paths.

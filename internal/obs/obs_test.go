@@ -199,3 +199,8 @@ func TestDefaults(t *testing.T) {
 		t.Fatalf("defaults: %+v", tr.cfg)
 	}
 }
+
+// Emit records an instant event.
+func (t *Trace) Emit(at sim.Time, lane, cat, name, detail string) {
+	t.Span(at, 0, lane, cat, name, detail)
+}

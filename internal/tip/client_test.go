@@ -10,8 +10,8 @@ func TestCancelAllScopedPerClient(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	fa := r.fs.MustCreate("a", make([]byte, 4096))
 	fb := r.fs.MustCreate("b", make([]byte, 4096))
-	ca := r.m.NewClient("A")
-	cb := r.m.NewClient("B")
+	ca := r.m.NewClient()
+	cb := r.m.NewClient()
 
 	ca.HintSeg(fa, 0, 2048)
 	cb.HintSeg(fb, 0, 2048)
@@ -58,8 +58,8 @@ func TestCancelAllScopedPerClient(t *testing.T) {
 
 func TestAccuracyScopedPerClient(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
-	ca := r.m.NewClient("A")
-	cb := r.m.NewClient("B")
+	ca := r.m.NewClient()
+	cb := r.m.NewClient()
 
 	for i := 0; i < 8; i++ {
 		ca.accObserve(false, 1)
@@ -116,7 +116,7 @@ func TestReadaheadStopsAtEOF(t *testing.T) {
 func TestHintAfterCancelAllRedisclosure(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 2048))
-	c := r.m.NewClient("A")
+	c := r.m.NewClient()
 
 	c.HintSeg(f, 0, 1024)
 	r.clk.Drain()
@@ -167,8 +167,8 @@ func TestHintAfterCancelAllRedisclosure(t *testing.T) {
 func TestClientCloseReleasesProtection(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 2048))
-	ca := r.m.NewClient("A")
-	cb := r.m.NewClient("B")
+	ca := r.m.NewClient()
+	cb := r.m.NewClient()
 	_ = cb
 
 	ca.HintSeg(f, 0, 2048)
@@ -200,7 +200,7 @@ func TestPartitionsOnlyWithMultipleClients(t *testing.T) {
 	// horizon, are the binding constraint.
 	cfg := Config{CacheBlocks: 16, Horizon: 16, MinHorizon: 2}
 	r := newRig(t, cfg, smallDisk())
-	ca := r.m.NewClient("A")
+	ca := r.m.NewClient()
 	// One open client: unpartitioned, exactly like the single-process paper
 	// configuration.
 	f := r.fs.MustCreate("f", make([]byte, 16*1024))
@@ -211,12 +211,22 @@ func TestPartitionsOnlyWithMultipleClients(t *testing.T) {
 	}
 
 	// A second client triggers partitioning: neither may monopolise.
-	cb := r.m.NewClient("B")
+	cb := r.m.NewClient()
 	g := r.fs.MustCreate("g", make([]byte, 16*1024))
 	cb.HintSeg(g, 0, 16*1024)
 	r.clk.Drain()
 	total := r.m.Cache().Capacity()
 	if n := r.m.Cache().HintedCount(cb.ID()); n >= total*3/4 {
 		t.Errorf("client B holds %d/%d hinted blocks despite partitioning", n, total)
+	}
+}
+
+// HintBatch discloses several future reads in one call — Table 2's batched
+// TIPIO_SEG form. Speculative execution discovers reads one at a time and
+// never uses it (as the paper notes), but manually modified applications
+// can.
+func (c *Client) HintBatch(segs []Seg) {
+	for _, sg := range segs {
+		c.HintSeg(sg.File, sg.Off, sg.N)
 	}
 }

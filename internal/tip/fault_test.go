@@ -163,7 +163,7 @@ func TestCancelAllWithErroredInflightPrefetch(t *testing.T) {
 	r.arr.SetInjector(failNPlan(1))
 	f := r.fs.MustCreate("a", make([]byte, 4096))
 
-	c := r.m.NewClient("spec")
+	c := r.m.NewClient()
 	c.HintSeg(f, 0, 1024) // prefetch in flight, will error
 	if r.m.Cache().Get(f.LogicalBlock(0)) == nil {
 		t.Fatal("setup: no prefetch in transit")
@@ -181,7 +181,7 @@ func TestCancelAllWithErroredInflightPrefetch(t *testing.T) {
 	// The errored block was demoted, so hints skip it; the eventual demand
 	// read must fetch it from scratch (no stale inflight entry, no
 	// double-completion panic from a late Done) and clear the demotion.
-	c2 := r.m.NewClient("reader")
+	c2 := r.m.NewClient()
 	done, gotErr := false, error(nil)
 	if !c2.Read(f, 0, 1024, false, func(err error) { done, gotErr = true, err }) {
 		for !done && r.clk.RunNext() {

@@ -113,16 +113,6 @@ type Seg struct {
 	N    int64
 }
 
-// HintBatch discloses several future reads in one call — Table 2's batched
-// TIPIO_SEG form. Speculative execution discovers reads one at a time and
-// never uses it (as the paper notes), but manually modified applications
-// can.
-func (c *Client) HintBatch(segs []Seg) {
-	for _, sg := range segs {
-		c.HintSeg(sg.File, sg.Off, sg.N)
-	}
-}
-
 // unprotect releases the hint protection c holds on lb, if any. A block
 // re-protected by a different client keeps that client's protection.
 func (c *Client) unprotect(lb int64) {

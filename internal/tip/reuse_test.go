@@ -10,8 +10,8 @@ func TestClientSlotReuse(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("a", make([]byte, 64<<10))
 
-	a := r.m.NewClient("A")
-	b := r.m.NewClient("B")
+	a := r.m.NewClient()
+	b := r.m.NewClient()
 	if a.ID() == b.ID() {
 		t.Fatalf("distinct clients share id %d", a.ID())
 	}
@@ -23,7 +23,7 @@ func TestClientSlotReuse(t *testing.T) {
 	}
 
 	a.Close()
-	c := r.m.NewClient("C")
+	c := r.m.NewClient()
 	if c.ID() != aID {
 		t.Errorf("NewClient after Close = id %d, want reused slot %d", c.ID(), aID)
 	}
@@ -42,7 +42,7 @@ func TestClientSlotReuse(t *testing.T) {
 
 	// Churn many sessions through one slot: the slice must not grow.
 	for i := 0; i < 100; i++ {
-		s := r.m.NewClient("session")
+		s := r.m.NewClient()
 		s.HintSeg(f, 0, 4096)
 		s.Close()
 	}
@@ -53,8 +53,8 @@ func TestClientSlotReuse(t *testing.T) {
 	// Closing twice must not double-free the slot.
 	c.Close()
 	c.Close()
-	d := r.m.NewClient("D")
-	e := r.m.NewClient("E")
+	d := r.m.NewClient()
+	e := r.m.NewClient()
 	if d.ID() == e.ID() {
 		t.Errorf("double Close double-freed slot: D and E share id %d", d.ID())
 	}

@@ -264,7 +264,6 @@ type Manager struct {
 type Client struct {
 	m      *Manager
 	id     int
-	name   string
 	closed bool
 
 	// The hint queue. Everything in hints[head:] is live: a cancel truncates
@@ -326,13 +325,12 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 	return m, nil
 }
 
-// NewClient registers a new hint stream with the manager. The name labels
-// the stream in diagnostics; ids are assigned sequentially from zero, except
-// that the slot of a closed client is reused first (its final counters move
+// NewClient registers a new hint stream with the manager. Ids are assigned
+// sequentially from zero, except that the slot of a closed client is reused first (its final counters move
 // into the manager's retired aggregate — see Stats). A closed client holds
 // no cache protection (Close released it), so reuse cannot leak ownership.
-func (m *Manager) NewClient(name string) *Client {
-	c := &Client{m: m, id: len(m.clients), name: name, ra: make(map[int64]*raState)}
+func (m *Manager) NewClient() *Client {
+	c := &Client{m: m, id: len(m.clients), ra: make(map[int64]*raState)}
 	if n := len(m.free); n > 0 {
 		c.id = m.free[n-1]
 		m.free = m.free[:n-1]
@@ -351,7 +349,7 @@ func (m *Manager) NewClient(name string) *Client {
 // exactly one explicit client) therefore never sees partitioning.
 func (m *Manager) Read(f *fsim.File, off, n int64, hinted bool, done func(err error)) bool {
 	if m.defc == nil {
-		m.defc = m.NewClient("default")
+		m.defc = m.NewClient()
 	}
 	return m.defc.Read(f, off, n, hinted, done)
 }
@@ -399,12 +397,6 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) FinishRun() {
 	m.cache.FlushAccounting()
 }
-
-// ID returns the client's id (also its cache owner id).
-func (c *Client) ID() int { return c.id }
-
-// Name returns the label given at NewClient.
-func (c *Client) Name() string { return c.name }
 
 // Stats returns a copy of this client's counters.
 func (c *Client) Stats() Stats { return c.stats }

@@ -23,7 +23,7 @@ type rig struct {
 // which registers its clients itself sees no extra stream.
 func (r *rig) cli() *Client {
 	if r.c == nil {
-		r.c = r.m.NewClient("test")
+		r.c = r.m.NewClient()
 	}
 	return r.c
 }
@@ -648,3 +648,6 @@ func TestHintSegConfConsumptionAdvances(t *testing.T) {
 		t.Fatalf("consumption did not advance a conf-bounded segment: %d -> %d", before, after)
 	}
 }
+
+// ID returns the client's id (also its cache owner id).
+func (c *Client) ID() int { return c.id }

@@ -60,19 +60,24 @@ func TestCompileAssembles(t *testing.T) {
 	}
 }
 
-// TestCompileClassifies: the static classifier walks a replay program
-// without error and sees its read site.
+// TestCompileClassifies: the static synthesizer walks a replay program
+// without error and classifies its read site.
 func TestCompileClassifies(t *testing.T) {
 	orig, err := asm.Assemble(Source(testTrace(t), false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analysis.Classify(orig, analysis.DefaultConfig())
+	rep, err := analysis.Synthesize(orig, analysis.DefaultConfig())
 	if err != nil {
 		t.Fatalf("replay program does not classify cleanly: %v", err)
 	}
 	if len(rep.Sites) == 0 {
-		t.Fatal("classifier found no read sites in the replay interpreter")
+		t.Fatal("synthesizer found no read sites in the replay interpreter")
+	}
+	for _, s := range rep.Sites {
+		if s.Class.String() == "class?" {
+			t.Errorf("site pc %d has no access class", s.PC)
+		}
 	}
 }
 

@@ -268,17 +268,6 @@ func (c *Capture) Read(path string, off, n, think int64) {
 	c.recs = append(c.recs, Rec{Kind: KindRead, Off: off, Len: n})
 }
 
-// Think records standalone compute (workload builders use it for trailing
-// work; mid-stream thinks normally ride in with Read).
-func (c *Capture) Think(cycles int64) {
-	if cycles > 0 {
-		c.recs = append(c.recs, Rec{Kind: KindThink, Cycles: cycles})
-	}
-}
-
-// Len reports how many records have been captured so far.
-func (c *Capture) Len() int { return len(c.recs) }
-
 // Trace finalizes the capture into a well-formed trace (closing the last
 // open file). The capture remains usable; Trace can be called again after
 // further reads.

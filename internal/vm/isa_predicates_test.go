@@ -103,3 +103,37 @@ func TestReadsRegs(t *testing.T) {
 		}
 	}
 }
+
+// IsControl reports whether o transfers control (unconditionally or not).
+// SYSCALL is not control transfer: it always resumes at the next PC.
+func (o Op) IsControl() bool {
+	return o.IsBranch() || o.IsIndirect() || o == JMP || o == CALL
+}
+
+// ReadsRegs appends the registers i uses to dst and returns the extended
+// slice. The hardwired zero register is included when named; callers that
+// track definitions can ignore it (it has none). SYSCALL conservatively
+// reads the full argument convention R1-R4.
+func (i Instr) ReadsRegs(dst []uint8) []uint8 {
+	switch {
+	case i.Op >= ADD && i.Op <= SLT: // register ALU
+		return append(dst, i.Rs1, i.Rs2)
+	case i.Op >= ADDI && i.Op <= SLTI: // immediate ALU
+		return append(dst, i.Rs1)
+	case i.Op == MOVI, i.Op == NOP, i.Op == JMP, i.Op == CALL:
+		return dst
+	case i.Op.IsLoad():
+		return append(dst, i.Rs1)
+	case i.Op.IsStore():
+		return append(dst, i.Rs1, i.Rs2)
+	case i.Op.IsBranch():
+		return append(dst, i.Rs1, i.Rs2)
+	case i.Op == JR, i.Op == CALLR, i.Op == JRH, i.Op == CALLRH, i.Op == JTR:
+		return append(dst, i.Rs1)
+	case i.Op == RET, i.Op == RETH:
+		return append(dst, RA)
+	case i.Op == SYSCALL:
+		return append(dst, R1, R2, R3, R4)
+	}
+	return dst
+}

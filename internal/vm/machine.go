@@ -112,8 +112,8 @@ type CostModel struct {
 	JumpTable  int64 // extra cycles for a recognized (static) jump-table jump
 }
 
-// DefaultCosts approximates the testbed processor.
-func DefaultCosts() CostModel {
+// defaultCosts approximates the testbed processor.
+func defaultCosts() CostModel {
 	return CostModel{
 		Default:    1,
 		Mul:        3,
@@ -149,7 +149,7 @@ func DefaultConfig() Config {
 		PageBytes:    8192,
 		ReclaimGap:   4 << 20,
 		COWRegion:    1024,
-		Cost:         DefaultCosts(),
+		Cost:         defaultCosts(),
 	}
 }
 
@@ -264,15 +264,6 @@ func NewMachine(prog *Program, os OS, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Program returns the loaded program.
-func (m *Machine) Program() *Program { return m.prog }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
-// Mem exposes raw memory for loaders and tests.
-func (m *Machine) Mem() []byte { return m.mem }
-
 // Pages returns the paging statistics accumulated so far.
 func (m *Machine) Pages() PageStats { return m.pages }
 
@@ -296,8 +287,8 @@ func (m *Machine) NewThread(name string, mode Mode) *Thread {
 	return t
 }
 
-// SpecStackBounds returns the speculating thread's private stack region.
-func (m *Machine) SpecStackBounds() (lo, hi int64) {
+// specStackBounds returns the speculating thread's private stack region.
+func (m *Machine) specStackBounds() (lo, hi int64) {
 	return m.cfg.MemSize, m.cfg.MemSize + m.cfg.StackSize
 }
 
@@ -305,7 +296,7 @@ func (m *Machine) SpecStackBounds() (lo, hi int64) {
 // into the speculative stack area and returns the speculative SP. This is
 // the restart protocol's stack copy (paper §3.2.2).
 func (m *Machine) CopyStackForSpec(origSP int64) int64 {
-	lo, _ := m.SpecStackBounds()
+	lo, _ := m.specStackBounds()
 	if origSP < m.cfg.MemSize-m.cfg.StackSize || origSP > m.cfg.MemSize {
 		panic(fmt.Sprintf("vm: original SP %d outside stack", origSP))
 	}
@@ -370,23 +361,6 @@ func (m *Machine) validAddr(addr, n int64) bool {
 // stores unchecked because the speculative stack is private.
 func (m *Machine) inSpecPrivate(addr, n int64) bool {
 	return addr >= m.cfg.MemSize && addr+n <= int64(len(m.mem))
-}
-
-// ReadMem copies n bytes at addr out of the thread's view of memory
-// (honoring COW for speculative threads).
-func (m *Machine) ReadMem(t *Thread, addr, n int64) ([]byte, error) {
-	if !m.validAddr(addr, n) {
-		return nil, fmt.Errorf("vm: read [%d,+%d) out of range", addr, n)
-	}
-	buf := make([]byte, n)
-	if t.Mode == Speculative {
-		for i := int64(0); i < n; i++ {
-			buf[i] = t.Cow.LoadByte(m.mem, addr+i)
-		}
-	} else {
-		copy(buf, m.mem[addr:addr+n])
-	}
-	return buf, nil
 }
 
 // WriteMem stores p at addr through the thread's view of memory.
@@ -807,7 +781,7 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 		if ins.flags&dfCheckSP != 0 {
 			sp := regs[SP]
 			if t.Mode == Speculative {
-				lo, hi := m.SpecStackBounds()
+				lo, hi := m.specStackBounds()
 				if sp < lo || sp > hi {
 					used += c
 					t.PC = pc

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
@@ -423,7 +424,7 @@ func TestCopyStackForSpec(t *testing.T) {
 		m.Mem()[origSP+i] = byte(i + 1)
 	}
 	specSP := m.CopyStackForSpec(origSP)
-	lo, hi := m.SpecStackBounds()
+	lo, hi := m.specStackBounds()
 	if specSP < lo || specSP > hi {
 		t.Fatalf("specSP %d outside [%d,%d]", specSP, lo, hi)
 	}
@@ -497,7 +498,7 @@ func TestReadWriteMemAndCStr(t *testing.T) {
 		t.Fatalf("spec view = %q, %v", s, err)
 	}
 	// Spec write to its private area is direct.
-	lo, _ := m.SpecStackBounds()
+	lo, _ := m.specStackBounds()
 	if err := m.WriteMem(spec, lo, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -698,4 +699,27 @@ func TestNormalModeIndirectGarbageIsError(t *testing.T) {
 	if stop != StopError {
 		t.Fatalf("stop = %v, want error on wild jump in normal mode", stop)
 	}
+}
+
+// Program returns the loaded program.
+func (m *Machine) Program() *Program { return m.prog }
+
+// Mem exposes raw memory for loaders and tests.
+func (m *Machine) Mem() []byte { return m.mem }
+
+// ReadMem copies n bytes at addr out of the thread's view of memory
+// (honoring COW for speculative threads).
+func (m *Machine) ReadMem(t *Thread, addr, n int64) ([]byte, error) {
+	if !m.validAddr(addr, n) {
+		return nil, fmt.Errorf("vm: read [%d,+%d) out of range", addr, n)
+	}
+	buf := make([]byte, n)
+	if t.Mode == Speculative {
+		for i := int64(0); i < n; i++ {
+			buf[i] = t.Cow.LoadByte(m.mem, addr+i)
+		}
+	} else {
+		copy(buf, m.mem[addr:addr+n])
+	}
+	return buf, nil
 }

@@ -373,7 +373,7 @@ func TestSpinClosedFormAtScale(t *testing.T) {
 	_, stop = m.Run(th, 1<<62)
 	// MOVI, 3n of loop, the exiting BEQ, exitProg's MOVI and its SYSCALL.
 	wantInstrs := 1 + 3*n + 3
-	wantCycles := wantInstrs - 1 + DefaultCosts().Syscall
+	wantCycles := wantInstrs - 1 + defaultCosts().Syscall
 	if stop != StopHalted || th.Instrs != wantInstrs || th.Cycles != wantCycles || th.Regs[6] != 0 {
 		t.Fatalf("to the end: stop %v instrs %d (want %d) cycles %d (want %d) counter %d",
 			stop, th.Instrs, wantInstrs, th.Cycles, wantCycles, th.Regs[6])

@@ -141,7 +141,7 @@ func TestPropertySpecStoresNeverLeak(t *testing.T) {
 		th.PC = p.ShadowBase
 		m.Run(th, 1_000_000)
 		after := m.Mem()
-		lo, _ := m.SpecStackBounds()
+		lo, _ := m.specStackBounds()
 		for i := int64(0); i < lo; i++ {
 			if before[i] != after[i] {
 				return false

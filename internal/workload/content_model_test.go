@@ -14,7 +14,7 @@ import (
 // XDSSpec.Build stored when a volume was a slice — allocate everything, stamp
 // the header word and the first word of every data block.
 func materialiseXDS(n int) []byte {
-	size := DataOffset + int64(n)*int64(n)*RowStride(n)
+	size := DataOffset + int64(n)*int64(n)*rowStride(n)
 	data := make([]byte, size)
 	binary.LittleEndian.PutUint64(data[0:], uint64(n))
 	for b := int64(DataOffset); b < size; b += 8192 {

@@ -287,15 +287,15 @@ const DataOffset = 8192
 // array of 1-10 disks.
 const RowPad = 128
 
-// RowStride returns the on-disk bytes per z-row for dimension n.
-func RowStride(n int) int64 { return int64(n)*4 + RowPad }
+// rowStride returns the on-disk bytes per z-row for dimension n.
+func rowStride(n int) int64 { return int64(n)*4 + RowPad }
 
 // Build creates the volume file and returns its name plus slice requests.
 // The volume is a generated file: a run reads a few slices of it, so its
 // half gigabyte (at the paper's N) is never materialised.
 func (s XDSSpec) Build(fs *fsim.FS) (string, []Slice) {
 	rng := rand.New(rand.NewSource(s.Seed))
-	size := DataOffset + int64(s.N)*int64(s.N)*RowStride(s.N)
+	size := DataOffset + int64(s.N)*int64(s.N)*rowStride(s.N)
 	name := s.Prefix + "viz/dataset.vol"
 	if _, err := fs.CreateGenerated(name, size, xdsContent(s.N)); err != nil {
 		panic(err)
@@ -341,7 +341,7 @@ func xdsContent(n int) fsim.ContentFunc {
 // numbers within the file) a slice touches — the read sequence XDataSlice
 // issues. Exported for the manual-hint variant and for tests.
 func SliceBlocks(n int, sl Slice) []int64 {
-	stride := RowStride(n)
+	stride := rowStride(n)
 	elem := func(x int) int64 {
 		// Byte offset of the x'th run (z-row) of the plane.
 		if sl.Axis == 0 { // x = Index: the plane's rows are consecutive

@@ -109,7 +109,7 @@ func TestXDSBuildHeaderAndSize(t *testing.T) {
 	if got := int64(binary.LittleEndian.Uint64(f.Bytes(0, 8, nil))); got != 32 {
 		t.Fatalf("header n = %d", got)
 	}
-	want := int64(DataOffset) + 32*32*RowStride(32)
+	want := int64(DataOffset) + 32*32*rowStride(32)
 	if f.Size() != want {
 		t.Fatalf("size = %d, want %d", f.Size(), want)
 	}
@@ -125,7 +125,7 @@ func TestXDSBuildHeaderAndSize(t *testing.T) {
 
 func TestSliceBlocksInRange(t *testing.T) {
 	n := 32
-	size := int64(DataOffset) + int64(n)*int64(n)*RowStride(n)
+	size := int64(DataOffset) + int64(n)*int64(n)*rowStride(n)
 	maxBlock := (size - 1) / 8192
 	for axis := 0; axis <= 1; axis++ {
 		for _, idx := range []int{0, 1, n / 2, n - 1} {
