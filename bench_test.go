@@ -12,7 +12,6 @@ import (
 
 	"spechint/internal/apps"
 	"spechint/internal/bench"
-	"spechint/internal/clients"
 	"spechint/internal/cluster"
 	"spechint/internal/core"
 	"spechint/internal/spechint"
@@ -34,34 +33,19 @@ func BenchmarkExperiment(b *testing.B) {
 // BenchmarkCluster runs the populations bench/perf's cluster_overload draws —
 // hinted at capacity, unhinted at capacity, unhinted at four times the
 // arrival rate — at three sizes, and reports what one client read costs the
-// host (us/read) and the hint pumps (tip.PumpWork per read: block-steps,
-// probes, client visits). The pump counts are deterministic, and they are
-// what the host time grows with.
+// host (us/read, and allocs/read: heap objects, building the cluster
+// included) and the hint pumps (tip.PumpWork per read: block-steps, probes,
+// client visits). The pump counts are deterministic, and they are what the
+// host time grows with.
 func BenchmarkCluster(b *testing.B) {
 	for _, arm := range []string{"capacity", "nohints", "overload"} {
 		for _, n := range []int{48, 128, 256} {
 			b.Run(fmt.Sprintf("%s/N=%d", arm, n), func(b *testing.B) {
-				cfg, arrival := cluster.DefaultConfig(4), int64(80_000_000)
-				switch arm {
-				case "nohints":
-					cfg.Hints = false
-				case "overload":
-					cfg, arrival = cluster.OverloadConfig(4), 20_000_000
-					cfg.Hints = false
-				}
-				pop, err := clients.Generate(clients.Config{
-					N: n, Sessions: 8,
-					Files: 96, FileBlocks: 96, BlockSize: 8192,
-					SessionBlocks: 48, ReadBlocks: 8,
-					ArrivalMean: arrival, ThinkMean: 20_000,
-					ZipfS: 1.2, ZipfV: 1, Seed: 1778,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				cfg, pop := clusterArm(arm, n, 8)
 				var reads int64
 				var work tip.PumpWork
 				b.ResetTimer()
+				before := mallocs()
 				for i := 0; i < b.N; i++ {
 					c, err := cluster.New(cfg, pop)
 					if err != nil {
@@ -73,8 +57,10 @@ func BenchmarkCluster(b *testing.B) {
 					}
 					reads, work = reads+res.Reads, c.PumpWork()
 				}
+				allocs := mallocs() - before
 				r := float64(reads) / float64(b.N) // work is one run's
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
+				b.ReportMetric(float64(allocs)/float64(reads), "allocs/read")
 				b.ReportMetric(float64(work.Steps)/r, "steps/read")
 				b.ReportMetric(float64(work.Probes)/r, "probes/read")
 				b.ReportMetric(float64(work.Visits)/r, "visits/read")
@@ -88,6 +74,7 @@ func BenchmarkCluster(b *testing.B) {
 // batches with manual hints, Gnuld speculating — on one disk and on four.
 // probes/read is the part of steps/read that went on to ask the disk side
 // about the block; with every disk at its depth bound the pump stops asking.
+// allocs/read counts building the System too.
 func BenchmarkSoloHinted(b *testing.B) {
 	ml := apps.SweepScale()
 	ml.MLShard.ReadSize = 128 << 10
@@ -114,6 +101,7 @@ func BenchmarkSoloHinted(b *testing.B) {
 				cfg.Disk = core.TestbedDisk(disks)
 				var reads, steps, probes int64
 				b.ResetTimer()
+				before := mallocs()
 				for i := 0; i < b.N; i++ {
 					sys, err := core.New(cfg, prog, bundle.FS)
 					if err != nil {
@@ -126,7 +114,9 @@ func BenchmarkSoloHinted(b *testing.B) {
 					w := sys.TIP().PumpWork()
 					reads, steps, probes = reads+st.ReadCalls, steps+w.Steps, probes+w.Probes
 				}
+				allocs := mallocs() - before
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
+				b.ReportMetric(float64(allocs)/float64(reads), "allocs/read")
 				b.ReportMetric(float64(steps)/float64(reads), "steps/read")
 				b.ReportMetric(float64(probes)/float64(reads), "probes/read")
 			})

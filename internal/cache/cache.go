@@ -9,7 +9,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 
@@ -56,7 +55,10 @@ func (o Origin) String() string {
 	return "origin"
 }
 
-// Block is one cache buffer.
+// Block is one cache buffer. A Block is recycled: once evicted, failed or
+// dropped it goes back to the cache's free list and a later admit hands it out
+// again, so a *Block is only good until the block it describes leaves the
+// cache (see release).
 type Block struct {
 	LB       int64 // global logical block number
 	Origin   Origin
@@ -64,17 +66,22 @@ type Block struct {
 	Owner    int   // hint-stream (client) id holding the hint protection;
 	// meaningful only while HintDist != NoHint
 
-	// The fields below are sized and ordered so that a Block stays in the
-	// 96-byte allocation class: one is allocated per block admitted.
-	waiters  []func(valid bool)
-	elem     *list.Element // position in the LRU list (valid blocks only)
-	stamp    uint64        // LRU position as a number: larger is nearer the MRU end (valid blocks only)
-	uses     int32         // demand accesses since arrival
-	ownIdx   int32         // index in own[Owner]; meaningful only while HintDist != NoHint
-	state    State
-	demanded bool // a demand read upgraded/waited on this block
-	pinned   bool // Complete is waking waiters and one is still to run: not evictable
+	// The fields below are sized and ordered so that a Block fits the 96-byte
+	// allocation class.
+	waiters    []Waiter
+	prev, next *Block // LRU neighbours (valid blocks only); next also links the free list
+	stamp      uint64 // LRU position as a number: larger is nearer the MRU end (valid blocks only)
+	uses       int32  // demand accesses since arrival
+	ownIdx     int32  // index in own[Owner]; meaningful only while HintDist != NoHint
+	state      State
+	demanded   bool // a demand read upgraded/waited on this block
+	pinned     bool // Complete is waking waiters and one is still to run: not evictable
 }
+
+// Waiter is told how the in-transit block lb resolved: valid=true from
+// Complete, valid=false from Fail. It gets the block number rather than
+// capturing it, so one bound function can wait on any number of blocks.
+type Waiter func(lb int64, valid bool)
 
 // State returns the block's lifecycle state.
 func (b *Block) State() State { return b.state }
@@ -112,10 +119,21 @@ type Stats struct {
 type Cache struct {
 	capacity int
 	blocks   blockTable
-	lru      *list.List // front = LRU (eviction end), back = MRU
-	tick     uint64     // source of Block.stamp: bumped on every PushBack/MoveToBack
-	unhinted int        // valid blocks with no hint: the candidates of evictFor's case 1
+	lruHead  *Block // the LRU end, where eviction looks first
+	lruTail  *Block // the MRU end
+	tick     uint64 // source of Block.stamp: bumped whenever a block moves to the MRU end
+	unhinted int    // valid blocks with no hint: the candidates of evictFor's case 1
 	stats    Stats
+
+	// Free lists, grown on demand: released Blocks linked through next, and
+	// the emptied waiter slices of resolved blocks.
+	free        *Block
+	freeWaiters [][]Waiter
+
+	// poison is set by tests only: a released Block is overwritten with
+	// poisonedBlock and a released waiter slice with poisonedWaiter, and
+	// neither is handed out again, so a use after release panics or shows.
+	poison bool
 
 	// Each owner's resident hinted blocks (in transit or valid, in no
 	// particular order): an owner's furthest-out block is found without
@@ -153,7 +171,6 @@ func New(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		lru:      list.New(),
 		own:      make(map[int][]*Block),
 	}
 }
@@ -261,14 +278,70 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *
 			return nil
 		}
 	}
-	b := &Block{LB: lb, Origin: origin, HintDist: hintDist, Owner: owner, state: InTransit}
+	b := c.free
+	if b != nil && !c.poison {
+		c.free = b.next
+	} else {
+		b = new(Block)
+	}
+	*b = Block{LB: lb, Origin: origin, HintDist: hintDist, Owner: owner, state: InTransit}
 	c.blocks.set(lb, b)
 	if hintDist != NoHint {
 		c.list(b)
 	}
 	c.changed(lb)
-	c.emit("admit", "lb=%d origin=%s owner=%d used=%d/%d", lb, origin, owner, c.blocks.n, c.capacity)
+	if c.obs.Enabled() {
+		c.emit("admit", "lb=%d origin=%s owner=%d used=%d/%d", lb, origin, owner, c.blocks.n, c.capacity)
+	}
 	return b
+}
+
+// poisonedBlock is what a released Block holds when Cache.poison is set: a
+// block number no table holds and a state every transition rejects, pinned so
+// that a late write to the flag shows.
+var poisonedBlock = Block{LB: -1, state: Absent, pinned: true}
+
+// poisonedWaiter fills a released waiter slice when Cache.poison is set.
+func poisonedWaiter(lb int64, valid bool) {
+	panic(fmt.Sprintf("cache: waiter slice of block %d run after release", lb))
+}
+
+// release puts b on the free list. The caller guarantees nothing can reach b
+// any more: it is out of the table, the LRU list and its owner's list, and
+// no waiter of it is still to run.
+func (c *Cache) release(b *Block) {
+	if c.poison {
+		*b = poisonedBlock
+	}
+	b.next = c.free
+	c.free = b
+}
+
+// waitersFor returns an empty waiter slice with room, from the free list if
+// one is there.
+func (c *Cache) waitersFor() []Waiter {
+	if n := len(c.freeWaiters); n > 0 && !c.poison {
+		ws := c.freeWaiters[n-1]
+		c.freeWaiters = c.freeWaiters[:n-1]
+		return ws
+	}
+	return nil
+}
+
+// releaseWaiters puts the waiter slice of a resolved block on the free list,
+// once every waiter in it has run.
+func (c *Cache) releaseWaiters(ws []Waiter) {
+	if cap(ws) == 0 {
+		return
+	}
+	if c.poison {
+		for i := range ws {
+			ws[i] = poisonedWaiter
+		}
+	} else {
+		clear(ws)
+	}
+	c.freeWaiters = append(c.freeWaiters, ws[:0])
 }
 
 // evictOwnFurthest evicts owner's furthest-out valid hinted block, provided
@@ -328,8 +401,7 @@ func (c *Cache) evictFor(owner int, origin Origin, hintDist int64) bool {
 	// Case 1: LRU unhinted block. A cache full of hint-protected blocks has
 	// none, and says so without being walked.
 	if c.unhinted > 0 {
-		for e := c.lru.Front(); e != nil; e = e.Next() {
-			b := e.Value.(*Block)
+		for b := c.lruHead; b != nil; b = b.next {
 			if b.HintDist == NoHint && !b.pinned {
 				c.evict(b)
 				return true
@@ -346,8 +418,7 @@ func (c *Cache) evictFor(owner int, origin Origin, hintDist int64) bool {
 	}
 	// Case 3: hinted fetch — cross-process marginal-benefit comparison.
 	var victim *Block
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(*Block)
+	for b := c.lruHead; b != nil; b = b.next {
 		if !b.pinned && (victim == nil || c.lessBeneficial(b, victim)) {
 			victim = b
 		}
@@ -372,17 +443,49 @@ func (c *Cache) lessBeneficial(a, b *Block) bool {
 	return c.accuracy(a.Owner)*float64(b.HintDist+1) < c.accuracy(b.Owner)*float64(a.HintDist+1)
 }
 
+// evict takes the valid, unpinned block b out of the cache and releases it:
+// an unpinned block has no waiter still to run.
 func (c *Cache) evict(b *Block) {
 	c.stats.EvictedClean++
-	c.emit("evict", "lb=%d origin=%s owner=%d uses=%d", b.LB, b.Origin, b.Owner, b.uses)
+	if c.obs.Enabled() {
+		c.emit("evict", "lb=%d origin=%s owner=%d uses=%d", b.LB, b.Origin, b.Owner, b.uses)
+	}
 	c.noteUnusedIfPrefetched(b)
 	c.dropHintAccounting(b)
 	if b.HintDist == NoHint {
 		c.unhinted--
 	}
-	c.lru.Remove(b.elem)
-	c.blocks.del(b.LB)
-	c.changed(b.LB)
+	c.unlinkLRU(b)
+	lb := b.LB
+	c.blocks.del(lb)
+	c.release(b)
+	c.changed(lb)
+}
+
+// pushLRU enters b at the MRU end of the LRU list.
+func (c *Cache) pushLRU(b *Block) {
+	b.prev, b.next = c.lruTail, nil
+	if c.lruTail != nil {
+		c.lruTail.next = b
+	} else {
+		c.lruHead = b
+	}
+	c.lruTail = b
+	c.restamp(b)
+}
+
+// unlinkLRU takes b out of the LRU list.
+func (c *Cache) unlinkLRU(b *Block) {
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		c.lruHead = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	} else {
+		c.lruTail = b.prev
+	}
 }
 
 // dropHintAccounting releases b's slot in its owner's hinted partition.
@@ -420,8 +523,7 @@ func (c *Cache) Complete(lb int64) {
 		panic(fmt.Sprintf("cache: Complete of block %d in bad state", lb))
 	}
 	b.state = Valid
-	b.elem = c.lru.PushBack(b)
-	c.restamp(b)
+	c.pushLRU(b)
 	if b.HintDist == NoHint {
 		c.unhinted++
 	}
@@ -429,9 +531,12 @@ func (c *Cache) Complete(lb int64) {
 	b.waiters = nil
 	for i, w := range ws {
 		b.pinned = i < len(ws)-1
-		w(true)
+		w(lb, true)
 	}
-	b.pinned = false
+	// The last waiter ran with b unpinned and may have evicted it, so b may be
+	// released or even handed out again for another block: it is not touched
+	// after the loop.
+	c.releaseWaiters(ws)
 }
 
 // Fail resolves an in-transit block to an error: the buffer is released (its
@@ -444,25 +549,33 @@ func (c *Cache) Fail(lb int64) {
 		panic(fmt.Sprintf("cache: Fail of block %d in bad state", lb))
 	}
 	c.stats.FailedLoads++
-	c.emit("fail", "lb=%d origin=%s owner=%d waiters=%d", lb, b.Origin, b.Owner, len(b.waiters))
+	if c.obs.Enabled() {
+		c.emit("fail", "lb=%d origin=%s owner=%d waiters=%d", lb, b.Origin, b.Owner, len(b.waiters))
+	}
 	c.dropHintAccounting(b)
 	c.blocks.del(lb)
 	c.changed(lb)
 	ws := b.waiters
 	b.waiters = nil
 	for _, w := range ws {
-		w(false)
+		w(lb, false)
 	}
+	// Out of the table, b is reachable only from here; its waiters have run.
+	c.releaseWaiters(ws)
+	c.release(b)
 }
 
-// Wait registers fn to run when the in-transit block lb resolves: valid=true
+// Wait registers w to run when the in-transit block lb resolves: valid=true
 // from Complete, valid=false from Fail.
-func (c *Cache) Wait(lb int64, fn func(valid bool)) {
+func (c *Cache) Wait(lb int64, w Waiter) {
 	b := c.blocks.get(lb)
 	if b == nil || b.state != InTransit {
 		panic(fmt.Sprintf("cache: Wait on block %d in bad state", lb))
 	}
-	b.waiters = append(b.waiters, fn)
+	if b.waiters == nil {
+		b.waiters = c.waitersFor()
+	}
+	b.waiters = append(b.waiters, w)
 }
 
 // Touch records a demand access to a valid block: it moves the block to the
@@ -481,8 +594,8 @@ func (c *Cache) Touch(lb int64) {
 		c.stats.FullyPref++
 	}
 	b.uses++
-	c.lru.MoveToBack(b.elem)
-	c.restamp(b)
+	c.unlinkLRU(b)
+	c.pushLRU(b)
 }
 
 // NoteDemandWait records that a demand read is waiting on an in-transit
@@ -509,6 +622,7 @@ func (c *Cache) Drop(lb int64) {
 	}
 	c.dropHintAccounting(b)
 	c.blocks.del(lb)
+	c.release(b)
 	c.changed(lb)
 }
 

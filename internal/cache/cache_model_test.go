@@ -204,6 +204,10 @@ func (c realCache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64
 	return c.Cache.AcquireFor(owner, lb, origin, hintDist) != nil
 }
 
+func (c realCache) Wait(lb int64, fn func(bool)) {
+	c.Cache.Wait(lb, func(_ int64, valid bool) { fn(valid) })
+}
+
 func (r *refCache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) bool {
 	if r.get(lb) != nil {
 		panic("ref: acquire of present block")
@@ -318,8 +322,8 @@ func describeReal(c *Cache, owners int) string {
 	})
 	sort.Strings(rows)
 	var lru []int64
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		lru = append(lru, e.Value.(*Block).LB)
+	for b := c.lruHead; b != nil; b = b.next {
+		lru = append(lru, b.LB)
 	}
 	var hinted []int
 	for o := 0; o < owners; o++ {
@@ -429,6 +433,12 @@ func gone(before []int64, resident func(lb int64) bool) []int64 {
 // reordered the tied blocks, every kind of SetHintFor move (hinted,
 // unhinted, handed to another owner) on Valid and on InTransit blocks, and
 // eviction scans that had to pass over a block pinned by Complete.
+//
+// Half the seeds run the cache with its test-only poison on (Cache.poison):
+// a released block or waiter slice is poisoned instead of reused, so a use
+// after release panics (a divergence from the model), and at the end every
+// released block must still hold its poison, or something wrote to it after
+// its release. The other half reuse them, as a run does.
 func TestCacheMatchesModel(t *testing.T) {
 	const (
 		owners   = 3
@@ -447,6 +457,7 @@ func TestCacheMatchesModel(t *testing.T) {
 		// rewrites between operations.
 		parts := map[int]int{}
 		fast := New(capacity)
+		fast.poison = seed%4 >= 2
 		fast.SetAccuracyFn(accOf)
 		fast.SetPartitionFn(func(owner int) int { return parts[owner] })
 		ref := &refCache{capacity: capacity, partitions: parts, acc: accOf, seen: seen}
@@ -514,6 +525,12 @@ func TestCacheMatchesModel(t *testing.T) {
 			want := fmt.Sprint(wantLog, " gone=", gone(before, func(lb int64) bool { return ref.get(lb) != nil }), " ", describeRef(ref, owners))
 			if got != want {
 				t.Fatalf("seed %d op %d (%+v) diverged:\n real %s\nmodel %s", seed, i, *op, got, want)
+			}
+		}
+		for b := fast.free; fast.poison && b != nil; b = b.next {
+			if got := *b; got.LB != -1 || got.state != Absent || !got.pinned || got.waiters != nil ||
+				got.HintDist != 0 || got.Owner != 0 || got.Origin != 0 || got.uses != 0 || got.demanded || got.prev != nil {
+				t.Fatalf("seed %d: a released block was written after its release: %+v", seed, got)
 			}
 		}
 		fast.FlushAccounting()

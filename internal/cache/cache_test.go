@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAcquireCompleteTouch(t *testing.T) {
@@ -44,8 +45,8 @@ func TestWaitersRunOnComplete(t *testing.T) {
 	c := New(4)
 	c.Acquire(5, OriginHint, 3)
 	n := 0
-	c.Wait(5, func(bool) { n++ })
-	c.Wait(5, func(bool) { n++ })
+	c.Wait(5, func(int64, bool) { n++ })
+	c.Wait(5, func(int64, bool) { n++ })
 	c.Complete(5)
 	if n != 2 {
 		t.Fatalf("waiters run = %d, want 2", n)
@@ -295,5 +296,13 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockSize: a Block fits the 96-byte allocation class. A field that
+// pushes it past costs every buffer of every cache a larger slot.
+func TestBlockSize(t *testing.T) {
+	if n := unsafe.Sizeof(Block{}); n > 96 {
+		t.Errorf("a Block takes %d bytes, want <= 96", n)
 	}
 }

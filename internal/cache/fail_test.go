@@ -18,7 +18,7 @@ func TestFailResolvesInTransitToError(t *testing.T) {
 	c := New(4)
 	c.Acquire(5, OriginHint, 3)
 	valid, invalid := 0, 0
-	c.Wait(5, func(ok bool) {
+	c.Wait(5, func(_ int64, ok bool) {
 		if ok {
 			valid++
 		} else {
@@ -72,15 +72,15 @@ func TestPanicPreconditionsCoverEveryTransition(t *testing.T) {
 
 	mustPanic(t, "Complete of absent block", func() { c.Complete(99) })
 	mustPanic(t, "Complete of valid block", func() { c.Complete(2) })
-	mustPanic(t, "Wait on absent block", func() { c.Wait(99, func(bool) {}) })
-	mustPanic(t, "Wait on valid block", func() { c.Wait(2, func(bool) {}) })
+	mustPanic(t, "Wait on absent block", func() { c.Wait(99, func(int64, bool) {}) })
+	mustPanic(t, "Wait on valid block", func() { c.Wait(2, func(int64, bool) {}) })
 	mustPanic(t, "Touch of absent block", func() { c.Touch(99) })
 	mustPanic(t, "Touch of in-transit block", func() { c.Touch(1) })
 	mustPanic(t, "NoteDemandWait on absent block", func() { c.NoteDemandWait(99) })
 	mustPanic(t, "NoteDemandWait on valid block", func() { c.NoteDemandWait(2) })
 	mustPanic(t, "Drop of absent block", func() { c.Drop(99) })
 	mustPanic(t, "Drop of valid block", func() { c.Drop(2) })
-	c.Wait(1, func(bool) {})
+	c.Wait(1, func(int64, bool) {})
 	mustPanic(t, "Drop of block with waiters", func() { c.Drop(1) })
 	mustPanic(t, "Acquire of present block", func() { c.Acquire(1, OriginDemand, NoHint) })
 	mustPanic(t, "zero-capacity cache", func() { New(0) })

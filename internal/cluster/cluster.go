@@ -208,6 +208,18 @@ type Cluster struct {
 
 	remaining int // sessions not yet finished
 	doneAt    sim.Time
+
+	// The message free list, and scratch lists for routing: a read's parts,
+	// a disclosure's parts and the hint messages it builds. Nothing that
+	// fills one runs inside another's use.
+	freeMsgs  []*msg
+	readParts []ReadPart
+	hintParts []ReadPart
+	hintMsgs  []*msg
+
+	// poison is set by tests only: released messages are poisoned and never
+	// handed out again (msg.release).
+	poison bool
 }
 
 // New wires a cluster for the given population. The population's config
@@ -239,10 +251,17 @@ func New(cfg Config, pop *clients.Population) (*Cluster, error) {
 		c.shards = append(c.shards, s)
 	}
 	for i, cl := range pop.Clients {
+		for si := 1; si < len(cl.Sessions); si++ {
+			if cl.Sessions[si].At < cl.Sessions[si-1].At {
+				return nil, fmt.Errorf("cluster: client %d's session %d arrives before session %d", i, si, si-1)
+			}
+		}
 		cr := &clientRun{c: c, id: i, sessions: cl.Sessions, breakers: make([]*clients.Breaker, cfg.Shards)}
 		for sh := range cr.breakers {
 			cr.breakers[sh] = clients.NewBreaker(cfg.Breaker)
 		}
+		cr.arriveFn = cr.arrive
+		cr.issueFn = cr.issueOp
 		c.cls = append(c.cls, cr)
 		c.remaining += len(cl.Sessions)
 	}
@@ -305,9 +324,8 @@ func (c *Cluster) installObs(tr *obs.Trace) {
 // the shards at the end time. It may be called once.
 func (c *Cluster) Run() (*Result, error) {
 	for _, cr := range c.cls {
-		for si := range cr.sessions {
-			si, cr := si, cr
-			c.clk.Schedule(sim.Time(cr.sessions[si].At), func() { cr.arrive(si) })
+		for _, sess := range cr.sessions {
+			c.clk.Schedule(sim.Time(sess.At), cr.arriveFn)
 		}
 	}
 	if p := c.cfg.Fault; p != nil && p.DieShard >= 0 {
@@ -348,11 +366,17 @@ type clientRun struct {
 	id       int
 	sessions []clients.Session
 
+	arrived int   // sessions arrived so far: they arrive in index order
 	pending []int // arrived, not yet started (FIFO open queue)
 	running bool
 	cur     int   // session index in flight
 	op      int   // next read op
 	touched []int // shards this session has messaged (close targets)
+
+	// The client's two timer events, bound once: a session's arrival and the
+	// next op's issue after think time.
+	arriveFn func()
+	issueFn  func()
 
 	breakers []*clients.Breaker // per-shard; a disabled breaker never opens
 
@@ -374,16 +398,16 @@ type clientRun struct {
 	failedReads int64 // ops abandoned after retries/deadline
 }
 
-// arrive queues session si; if the client is idle it starts immediately.
-func (cr *clientRun) arrive(si int) {
-	cr.pending = append(cr.pending, si)
+// arrive queues the next session to arrive; if the client is idle it starts
+// immediately. Run schedules the arrivals in session order and New checks
+// that their times do not decrease, so the clock fires them in that order.
+func (cr *clientRun) arrive() {
+	cr.pending = append(cr.pending, cr.arrived)
+	cr.arrived++
 	if !cr.running {
 		cr.start()
 	}
 }
-
-// send delivers a message after the one-way network latency.
-func (c *Cluster) send(deliver func()) { c.clk.After(netCycles, deliver) }
 
 // touch records a shard as messaged by the current session and reports
 // whether this is the session's first contact with it.
@@ -401,10 +425,10 @@ func (cr *clientRun) touch(sh int) (first bool) {
 // span per shard (one Hint message each), then issue the first read.
 func (cr *clientRun) start() {
 	cr.cur = cr.pending[0]
-	cr.pending = cr.pending[1:]
+	cr.pending = cr.pending[:copy(cr.pending, cr.pending[1:])]
 	cr.running = true
 	cr.op = 0
-	cr.touched = nil
+	cr.touched = cr.touched[:0]
 	cr.disclose(0, -1)
 	cr.issueOp()
 }
@@ -427,23 +451,32 @@ func (cr *clientRun) disclose(fromOff int64, only int) {
 		return
 	}
 	key := SessionKey{Client: cr.id, Session: cr.cur}
-	var order []int
-	byShard := make(map[int][]HintSeg)
-	for _, p := range splitRange(c.ring, c.cfg.GroupBlocks, c.cfg.Clients.BlockSize, sess.File, fromOff, span-fromOff, c.fileSize) {
+	c.hintParts = splitRange(c.hintParts, c.ring, c.cfg.GroupBlocks, c.cfg.Clients.BlockSize, sess.File, fromOff, span-fromOff, c.fileSize)
+	msgs := c.hintMsgs[:0] // one per shard, in the order the shards first appear
+	for _, p := range c.hintParts {
 		if only >= 0 && p.Shard != only {
 			continue
 		}
-		if _, ok := byShard[p.Shard]; !ok {
-			order = append(order, p.Shard)
+		var m *msg
+		for _, x := range msgs {
+			if x.target.id == p.Shard {
+				m = x
+				break
+			}
 		}
-		byShard[p.Shard] = append(byShard[p.Shard], HintSeg{File: sess.File, Off: p.Off, N: p.N})
+		if m == nil {
+			m = c.newMsg(msgHints, cr, c.shards[p.Shard])
+			m.key = key
+			msgs = append(msgs, m)
+		}
+		m.segs = append(m.segs, HintSeg{File: sess.File, Off: p.Off, N: p.N})
 	}
-	for _, shid := range order {
-		segs := byShard[shid]
-		cr.touch(shid)
-		target := c.shards[shid]
-		c.send(func() { target.serveHints(key, segs) })
+	for _, m := range msgs {
+		cr.touch(m.target.id)
+		m.send()
 	}
+	clear(msgs)
+	c.hintMsgs = msgs[:0]
 }
 
 // issueOp sends the current read op as per-shard parts, or finishes the
@@ -480,7 +513,8 @@ func (cr *clientRun) sendPart(off, n int64, attempt int) {
 	c := cr.c
 	sess := cr.sessions[cr.cur]
 	key := SessionKey{Client: cr.id, Session: cr.cur}
-	parts := splitRange(c.ring, c.cfg.GroupBlocks, c.cfg.Clients.BlockSize, sess.File, off, n, c.fileSize)
+	parts := splitRange(c.readParts, c.ring, c.cfg.GroupBlocks, c.cfg.Clients.BlockSize, sess.File, off, n, c.fileSize)
+	c.readParts = parts
 	if len(parts) == 0 {
 		// The range fell entirely outside the file (clamped away): resolve
 		// the pending part slot as served-empty.
@@ -490,7 +524,6 @@ func (cr *clientRun) sendPart(off, n int64, attempt int) {
 	cr.partsLeft += len(parts) - 1
 	now := int64(c.clk.Now())
 	for _, p := range parts {
-		p := p
 		if !cr.breakers[p.Shard].Allow(now) {
 			// Fail fast: the breaker is open, don't even pay the network.
 			cr.brokerFast++
@@ -503,19 +536,18 @@ func (cr *clientRun) sendPart(off, n int64, attempt int) {
 		if attempt > 0 {
 			cr.retries++
 		}
-		retry := attempt > 0
-		target := c.shards[p.Shard]
-		c.send(func() {
-			target.serveRead(key, sess.File, p.Off, p.N, retry, func(st Status) {
-				c.send(func() { cr.partReply(p, attempt, st) })
-			})
-		})
+		m := c.newMsg(msgRead, cr, c.shards[p.Shard])
+		m.key, m.file, m.part, m.try = key, sess.File, p, attempt
+		m.send()
 	}
 }
 
 // partReply handles one part's response: success resolves the part, anything
-// else feeds the breaker and enters the retry path.
-func (cr *clientRun) partReply(p ReadPart, attempt int, st Status) {
+// else feeds the breaker and enters the retry path. The part's message is
+// released first: what follows may send new ones.
+func (cr *clientRun) partReply(m *msg) {
+	p, attempt, st := m.part, m.try, m.status
+	m.release()
 	now := int64(cr.c.clk.Now())
 	br := cr.breakers[p.Shard]
 	if st == StatusOK {
@@ -545,7 +577,9 @@ func (cr *clientRun) partFailed(off, n int64, attempt int) {
 	if sends < rp.MaxAttempts {
 		backoff := rp.Backoff(cr.id, cr.cur, cr.op, attempt+1)
 		if cr.deadline == 0 || c.clk.Now()+sim.Time(backoff) <= cr.deadline {
-			c.clk.After(sim.Time(backoff), func() { cr.sendPart(off, n, attempt+1) })
+			m := c.newMsg(msgRead, cr, nil)
+			m.part, m.try = ReadPart{Off: off, N: n}, attempt+1
+			c.clk.After(sim.Time(backoff), m.resendFn)
 			return
 		}
 	}
@@ -569,7 +603,7 @@ func (cr *clientRun) partDone() {
 		cr.reads++
 	}
 	cr.op++
-	c.clk.After(sim.Time(cr.curThink), cr.issueOp)
+	c.clk.After(sim.Time(cr.curThink), cr.issueFn)
 }
 
 // finish closes the session on every shard it touched and starts the next
@@ -578,8 +612,9 @@ func (cr *clientRun) finish() {
 	c := cr.c
 	key := SessionKey{Client: cr.id, Session: cr.cur}
 	for _, shid := range cr.touched {
-		target := c.shards[shid]
-		c.send(func() { target.closeSession(key) })
+		m := c.newMsg(msgClose, cr, c.shards[shid])
+		m.key = key
+		m.send()
 	}
 	cr.running = false
 	c.remaining--

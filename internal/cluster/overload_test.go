@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spechint/internal/clients"
@@ -218,5 +219,14 @@ func TestClusterOverloadValidate(t *testing.T) {
 		if _, err := New(cfg, pop); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// A client's sessions must come in arrival order.
+	swapped := *pop
+	swapped.Clients = slices.Clone(pop.Clients)
+	cl := &swapped.Clients[0]
+	cl.Sessions = slices.Clone(cl.Sessions)
+	cl.Sessions[0], cl.Sessions[1] = cl.Sessions[1], cl.Sessions[0]
+	if _, err := New(DefaultConfig(2), &swapped); err == nil {
+		t.Error("a client whose sessions are out of arrival order accepted")
 	}
 }

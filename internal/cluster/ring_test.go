@@ -113,7 +113,7 @@ func TestSplitRange(t *testing.T) {
 	)
 	for _, rng := range [][2]int64{{0, 64 * bs}, {bs, 10 * bs}, {3 * bs, 5 * bs}, {60 * bs, 100 * bs}} {
 		off, n := rng[0], rng[1]
-		parts := splitRange(r, gb, bs, file, off, n, fileSize)
+		parts := splitRange(nil, r, gb, bs, file, off, n, fileSize)
 		end := off + n
 		if end > fileSize {
 			end = fileSize
@@ -137,7 +137,7 @@ func TestSplitRange(t *testing.T) {
 			t.Fatalf("range [%d,+%d): parts cover to %d, want %d", off, n, next, end)
 		}
 	}
-	if parts := splitRange(r, gb, bs, file, fileSize, bs, fileSize); parts != nil {
+	if parts := splitRange(nil, r, gb, bs, file, fileSize, bs, fileSize); parts != nil {
 		t.Errorf("read past EOF produced parts %v", parts)
 	}
 }

@@ -79,14 +79,30 @@ type pendingHint struct {
 	seg HintSeg
 }
 
-// partReq is one read part waiting in (or moving through) the shard's
-// admission queue.
-type partReq struct {
-	key   SessionKey
-	file  int
-	off   int64
-	n     int64
-	reply func(Status)
+// partQueue is a FIFO of read parts: the shard's admission queues. It pops
+// by index and reuses its array, so a queue that empties, or keeps draining
+// at the rate it fills, allocates nothing.
+type partQueue struct {
+	q    []*msg
+	head int
+}
+
+func (pq *partQueue) len() int { return len(pq.q) - pq.head }
+
+func (pq *partQueue) push(m *msg) { pq.q = append(pq.q, m) }
+
+func (pq *partQueue) pop() *msg {
+	m := pq.q[pq.head]
+	pq.q[pq.head] = nil
+	pq.head++
+	if pq.head == len(pq.q) {
+		pq.q, pq.head = pq.q[:0], 0
+	} else if pq.head >= 32 && 2*pq.head >= len(pq.q) {
+		n := copy(pq.q, pq.q[pq.head:])
+		clear(pq.q[n:])
+		pq.q, pq.head = pq.q[:n], 0
+	}
+	return m
 }
 
 // initialSvcEst seeds the mean-service estimate before the first completion
@@ -110,10 +126,11 @@ type shard struct {
 
 	ingest  []pendingHint
 	flushEv sim.Handle
+	flushFn func() // the batch-window timer's event, bound once
 
 	// Admission/service state (active when cfg.MaxInflight > 0).
-	hotQ     []partReq // parts of sessions already in flight here
-	coldQ    []partReq // first parts of newly opened sessions
+	hotQ     partQueue // parts of sessions already in flight here
+	coldQ    partQueue // first parts of newly opened sessions
 	inflight int       // parts dispatched into TIP, not yet completed
 	svcEst   int64     // EWMA of per-part service cycles (dispatch -> done)
 	dead     bool      // shard killed by the fault plan
@@ -151,6 +168,10 @@ func newShard(id int, clk *sim.Queue, cfg *Config, corpus []byte) (*shard, error
 		sess:   make(map[SessionKey]*tip.Client),
 		served: make(map[SessionKey]bool),
 	}
+	s.flushFn = func() {
+		s.flushEv = sim.Handle{}
+		s.flush()
+	}
 	for i := range s.files {
 		f, err := fs.Create(fmt.Sprintf("f%04d", i), corpus)
 		if err != nil {
@@ -174,7 +195,7 @@ func (s *shard) installObs(sub *obs.Trace) {
 	s.arr.SetObs(sub)
 	sub.AddGauge("ingest_queue_depth", func() float64 { return float64(len(s.ingest)) })
 	sub.AddGauge("active_sessions", func() float64 { return float64(len(s.sess)) })
-	sub.AddGauge("admit_queue_depth", func() float64 { return float64(len(s.hotQ) + len(s.coldQ)) })
+	sub.AddGauge("admit_queue_depth", func() float64 { return float64(s.hotQ.len() + s.coldQ.len()) })
 	sub.AddGauge("shed_total", func() float64 { return float64(s.stats.Shed) })
 	sub.AddGauge("service_est_cycles", func() float64 { return float64(s.svcEst) })
 	for i := 0; i < s.cfg.Disk.NumDisks; i++ {
@@ -268,7 +289,7 @@ func (s *shard) observeService(sample int64) {
 // stretch factor explicitly: a browned-out shard starts shedding as soon as
 // its queue owes more than the budget at its degraded rate.
 func (s *shard) shouldShed() bool {
-	depth := len(s.hotQ) + len(s.coldQ)
+	depth := s.hotQ.len() + s.coldQ.len()
 	if depth >= queueCap {
 		return true
 	}
@@ -281,40 +302,45 @@ func (s *shard) shouldShed() bool {
 	return wait > latencyBudget
 }
 
-// serveRead rules on one arriving ReadPart: reject it if the shard is dead,
+// reply sends the read part m back to its client with status st.
+func (s *shard) reply(m *msg, st Status) {
+	m.status = st
+	s.clk.After(netCycles, m.replyFn)
+}
+
+// serveRead rules on one arriving read part: reject it if the shard is dead,
 // shed it if admission says the queue already owes too much latency, else
 // queue it (or, with no admission layer configured, dispatch it directly —
 // the original unbounded behavior overload runs measure against).
-func (s *shard) serveRead(key SessionKey, file int, off, n int64, retry bool, reply func(Status)) {
+func (s *shard) serveRead(m *msg) {
 	s.account(s.clk.Now())
 	s.stats.Offered++
-	if retry {
+	if m.try > 0 {
 		s.stats.Retried++
 	}
 	if s.dead {
 		s.stats.Failed++
-		reply(StatusDead)
+		s.reply(m, StatusDead)
 		return
 	}
-	req := partReq{key: key, file: file, off: off, n: n, reply: reply}
 	if s.cfg.MaxInflight <= 0 {
-		s.startService(req)
+		s.startService(m)
 		return
 	}
 	if s.cfg.Admission && s.shouldShed() {
 		s.stats.Shed++
-		reply(StatusShed)
+		s.reply(m, StatusShed)
 		return
 	}
 	// Two priority classes: sessions with a part already served here go to
 	// the hot queue and dequeue first, so in-flight sessions' reads are never
 	// starved by a thundering herd of new opens.
-	if s.cfg.Admission && s.served[key] {
-		s.hotQ = append(s.hotQ, req)
+	if s.cfg.Admission && s.served[m.key] {
+		s.hotQ.push(m)
 	} else {
-		s.coldQ = append(s.coldQ, req)
+		s.coldQ.push(m)
 	}
-	if depth := len(s.hotQ) + len(s.coldQ); depth > s.stats.PeakQueue {
+	if depth := s.hotQ.len() + s.coldQ.len(); depth > s.stats.PeakQueue {
 		s.stats.PeakQueue = depth
 	}
 	s.pump()
@@ -326,12 +352,12 @@ func (s *shard) serveRead(key SessionKey, file int, off, n int64, retry bool, re
 // which is exactly the regime admission control exists for.
 func (s *shard) pump() {
 	for s.inflight < s.cfg.MaxInflight {
-		var req partReq
+		var m *msg
 		switch {
-		case len(s.hotQ) > 0:
-			req, s.hotQ = s.hotQ[0], s.hotQ[1:]
-		case len(s.coldQ) > 0:
-			req, s.coldQ = s.coldQ[0], s.coldQ[1:]
+		case s.hotQ.len() > 0:
+			m = s.hotQ.pop()
+		case s.coldQ.len() > 0:
+			m = s.coldQ.pop()
 		default:
 			return
 		}
@@ -342,17 +368,17 @@ func (s *shard) pump() {
 				width = 1
 			}
 			delay := sim.Time(int64(f-1) * s.svcEstimate() / int64(width))
-			s.clk.After(delay, func() { s.startService(req) })
+			s.clk.After(delay, m.serviceFn)
 			continue
 		}
-		s.startService(req)
+		s.startService(m)
 	}
 }
 
 // startService moves one part into service: this is the Admitted ruling. If
 // the shard died while the part waited (queued or brownout-delayed), the part
 // is Failed instead — still exactly one ruling per offered part.
-func (s *shard) startService(req partReq) {
+func (s *shard) startService(m *msg) {
 	now := s.clk.Now()
 	s.account(now)
 	if s.dead {
@@ -360,14 +386,14 @@ func (s *shard) startService(req partReq) {
 		if s.cfg.MaxInflight > 0 {
 			s.inflight--
 		}
-		req.reply(StatusDead)
+		s.reply(m, StatusDead)
 		return
 	}
 	s.stats.Admitted++
-	s.served[req.key] = true
-	cli := s.session(req.key)
-	f := s.files[req.file]
-	hinted := cli.Covered(f, req.off, req.n)
+	s.served[m.key] = true
+	cli := s.session(m.key)
+	f := s.files[m.file]
+	hinted := cli.Covered(f, m.part.Off, m.part.N)
 	s.stats.ReadParts++
 	if hinted {
 		s.stats.HintedParts++
@@ -376,33 +402,37 @@ func (s *shard) startService(req partReq) {
 	if hinted {
 		s.outHinted++
 	}
-	done := func(err error) {
-		end := s.clk.Now()
-		s.account(end)
-		s.outstanding--
-		if hinted {
-			s.outHinted--
-		}
-		s.observeService(int64(end - now))
-		if err != nil {
-			s.stats.ReadErrors++
-		}
-		st := StatusOK
-		switch {
-		case s.dead:
-			st = StatusDead // completed on a dead shard: the reply never makes it
-		case err != nil:
-			st = StatusEIO
-		}
-		if s.cfg.MaxInflight > 0 {
-			s.inflight--
-			s.pump()
-		}
-		req.reply(st)
+	m.start, m.hinted = now, hinted
+	if cli.Read(f, m.part.Off, m.part.N, hinted, m.doneFn) {
+		s.endService(m, nil) // fully cached: tip never calls done on the immediate path
 	}
-	if cli.Read(f, req.off, req.n, hinted, done) {
-		done(nil) // fully cached: tip never calls done on the immediate path
+}
+
+// endService is TIP's completion of the read part m: the part leaves service
+// and its reply goes back.
+func (s *shard) endService(m *msg, err error) {
+	end := s.clk.Now()
+	s.account(end)
+	s.outstanding--
+	if m.hinted {
+		s.outHinted--
 	}
+	s.observeService(int64(end - m.start))
+	if err != nil {
+		s.stats.ReadErrors++
+	}
+	st := StatusOK
+	switch {
+	case s.dead:
+		st = StatusDead // completed on a dead shard: the reply never makes it
+	case err != nil:
+		st = StatusEIO
+	}
+	if s.cfg.MaxInflight > 0 {
+		s.inflight--
+		s.pump()
+	}
+	s.reply(m, st)
 }
 
 // die kills the shard: every queued part fails (the client's retry re-routes
@@ -416,13 +446,12 @@ func (s *shard) die() {
 	}
 	s.account(s.clk.Now())
 	s.dead = true
-	for _, q := range [][]partReq{s.hotQ, s.coldQ} {
-		for _, req := range q {
+	for _, q := range []*partQueue{&s.hotQ, &s.coldQ} {
+		for q.len() > 0 {
 			s.stats.Failed++
-			req.reply(StatusDead)
+			s.reply(q.pop(), StatusDead)
 		}
 	}
-	s.hotQ, s.coldQ = nil, nil
 	s.clk.Cancel(s.flushEv)
 	s.flushEv = sim.Handle{}
 	s.ingest = nil
@@ -451,10 +480,7 @@ func (s *shard) serveHints(key SessionKey, segs []HintSeg) {
 		}
 	}
 	if !s.clk.Pending(s.flushEv) && len(s.ingest) > 0 {
-		s.flushEv = s.clk.After(hintBatchCycles, func() {
-			s.flushEv = sim.Handle{}
-			s.flush()
-		})
+		s.flushEv = s.clk.After(hintBatchCycles, s.flushFn)
 	}
 }
 
@@ -486,6 +512,9 @@ func (s *shard) flush() {
 		}
 		i = j
 	}
+	// Nothing in the loop reaches serveHints: the queue is still empty, and
+	// takes the drained array back for the next batch.
+	s.ingest = batch[:0]
 }
 
 // closeSession retires the session's hint stream; TIP reuses the client slot

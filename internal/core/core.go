@@ -481,8 +481,15 @@ type System struct {
 	cancelsRecent    int
 	disabledUntil    sim.Time
 
-	pending     *pendingRead
+	// The original thread's blocking read: pending is nil or points at read,
+	// the one record a System needs (its thread blocks on one read at a
+	// time), and readDone is completeRead, bound once for every read.
+	pending  *pendingRead
+	read     pendingRead
+	readDone func(error)
+
 	readBuf     []byte // scratch a generated file's bytes are rendered into on their way to VM memory
+	strBuf      []byte // scratch a string argument (a path, a message to print) is read into
 	out         bytes.Buffer
 	sliceStart  sim.Time
 	obs         *obs.Trace // cross-layer stream (nil = untraced)
@@ -538,6 +545,7 @@ func NewOn(sub *Substrate, cfg Config, prog *vm.Program, name string) (*System, 
 		tipc: sub.TIP.NewClient(), prog: prog, name: name,
 		obs: sub.Obs,
 	}
+	s.readDone = s.completeRead
 	var err error
 	s.mach, err = vm.NewMachine(prog, s, cfg.Machine)
 	if err != nil {

@@ -46,7 +46,7 @@ func (s *System) origSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 		return vm.SysHalt
 
 	case vm.SysOpen:
-		path, err := m.ReadCStr(t, t.Regs[vm.R1])
+		path, err := s.readStr(m, t)
 		if err != nil {
 			t.Err = err
 			return vm.SysFault
@@ -84,12 +84,12 @@ func (s *System) origSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 		return vm.SysDone
 
 	case vm.SysPrint:
-		str, err := m.ReadCStr(t, t.Regs[vm.R1])
+		str, err := s.readStr(m, t)
 		if err != nil {
 			t.Err = err
 			return vm.SysFault
 		}
-		s.out.WriteString(str)
+		s.out.Write(str)
 		t.PendingCycles += printCycles
 		t.Regs[vm.R1] = 0
 		return vm.SysDone
@@ -110,12 +110,12 @@ func (s *System) origSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 		return vm.SysDone
 
 	case vm.SysHintFile:
-		path, err := m.ReadCStr(t, t.Regs[vm.R1])
+		path, err := s.readStr(m, t)
 		if err != nil {
 			t.Err = err
 			return vm.SysFault
 		}
-		if f, ok := s.fs.Lookup(path); ok {
+		if f, ok := s.fs.LookupBytes(path); ok {
 			s.tipc.HintSeg(f, t.Regs[vm.R2], t.Regs[vm.R3])
 			t.Regs[vm.R1] = 0
 		} else {
@@ -133,6 +133,14 @@ func (s *System) origSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 	}
 	t.Err = fmt.Errorf("core: unknown syscall %d", code)
 	return vm.SysFault
+}
+
+// readStr reads the string argument in R1 into the System's scratch buffer;
+// the bytes are good until the next call.
+func (s *System) readStr(m *vm.Machine, t *vm.Thread) ([]byte, error) {
+	var err error
+	s.strBuf, err = m.ReadCStr(t, t.Regs[vm.R1], s.strBuf)
+	return s.strBuf, err
 }
 
 // readArgs resolves the read(fd, buf, len) call in t's registers against
@@ -223,7 +231,9 @@ func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 			s.savedFD = fd
 			s.savedOff = off
 			s.restartPending = true
-			s.trace(evOffTrack, "at %s off=%d (log %d/%d)", file.Name, off, s.logNext, len(s.hintLog))
+			if s.obs.Enabled() {
+				s.trace(evOffTrack, "at %s off=%d (log %d/%d)", file.Name, off, s.logNext, len(s.hintLog))
+			}
 		}
 	} else if s.cfg.Mode == ModeManual || s.cfg.Mode == ModeStatic {
 		hinted = n > 0 && s.tipc.Covered(file, off, reqLen)
@@ -232,9 +242,11 @@ func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 		s.stats.HintedReads++
 		site.Hinted++
 	}
-	s.trace(evRead, "%s off=%d len=%d hinted=%v", file.Name, off, reqLen, hinted)
+	if s.obs.Enabled() {
+		s.trace(evRead, "%s off=%d len=%d hinted=%v", file.Name, off, reqLen, hinted)
+	}
 
-	immediate := s.tipc.Read(file, off, reqLen, hinted, s.completeRead)
+	immediate := s.tipc.Read(file, off, reqLen, hinted, s.readDone)
 	if immediate {
 		s.finishRead(t, file, fd, buf, off, n)
 		t.Regs[vm.R1] = n
@@ -245,11 +257,12 @@ func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 	// so the stall begins that many cycles after the clock's present reading —
 	// counting them in the window too would double-charge them (they are
 	// already in OrigBusy).
-	s.pending = &pendingRead{
+	s.read = pendingRead{
 		fd: fd, buf: buf, file: file, off: off, n: n, pc: t.PC,
 		stallStart: s.clk.Now() + sim.Time(t.PendingCycles),
 		hinted:     hinted, faultsAt: s.tip.Faults().FetchErrors,
 	}
+	s.pending = &s.read
 	return vm.SysBlock
 }
 
@@ -272,7 +285,9 @@ func (s *System) completeRead(err error) {
 	s.chargeStall(p, err)
 	if err != nil {
 		s.stats.ReadErrors++
-		s.trace(evReadError, "%s off=%d: %v", p.file.Name, p.off, err)
+		if s.obs.Enabled() {
+			s.trace(evReadError, "%s off=%d: %v", p.file.Name, p.off, err)
+		}
 		if s.cfg.Mode == ModeSpeculating {
 			// Containment (§3.2.2 applied to faults): whether or not the
 			// read was predicted, speculation believed it would return data.
@@ -285,13 +300,17 @@ func (s *System) completeRead(err error) {
 			s.savedOff = p.off
 			s.restartPending = true
 			s.stats.FaultRestarts++
-			s.trace(evOffTrack, "fault at %s off=%d: forcing restart with EIO", p.file.Name, p.off)
+			if s.obs.Enabled() {
+				s.trace(evOffTrack, "fault at %s off=%d: forcing restart with EIO", p.file.Name, p.off)
+			}
 		}
 		// The file offset does not advance on a failed read.
 		s.orig.Wake(int64(fsim.EIO))
 		return
 	}
-	s.trace(evReadDone, "%s off=%d n=%d", p.file.Name, p.off, p.n)
+	if s.obs.Enabled() {
+		s.trace(evReadDone, "%s off=%d n=%d", p.file.Name, p.off, p.n)
+	}
 	s.finishRead(s.orig, p.file, p.fd, p.buf, p.off, p.n)
 	s.orig.Wake(p.n)
 }
@@ -340,7 +359,7 @@ func (s *System) specSyscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysCont
 		return vm.SysHalt
 
 	case vm.SysOpen:
-		path, err := m.ReadCStr(t, t.Regs[vm.R1])
+		path, err := s.readStr(m, t)
 		if err != nil {
 			return vm.SysFault // garbage pointer from stale data
 		}
@@ -405,7 +424,9 @@ func (s *System) specRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 
 	if n > 0 {
 		s.tipc.HintSeg(file, off, reqLen)
-		s.trace(evHint, "%s off=%d len=%d", file.Name, off, reqLen)
+		if s.obs.Enabled() {
+			s.trace(evHint, "%s off=%d len=%d", file.Name, off, reqLen)
+		}
 		now := s.busyNow(t)
 		if s.sawSpecHint {
 			s.stats.HintGaps = append(s.stats.HintGaps, now-s.lastSpecHintAt)

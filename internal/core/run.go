@@ -53,7 +53,9 @@ func (s *System) stepSpec(budget int64) error {
 	case vm.StopFault:
 		// Only the speculating thread faults (normal-mode exceptions
 		// surface as StopError); it stays parked until the next restart.
-		s.trace(evSignal, "speculation faulted at PC %d", s.spec.PC)
+		if s.obs.Enabled() {
+			s.trace(evSignal, "speculation faulted at PC %d", s.spec.PC)
+		}
 	}
 	return nil
 }
@@ -191,7 +193,9 @@ func (s *System) throttle(start, window sim.Time) {
 	s.disabledUntil = start + window
 	s.spec.State = vm.Faulted
 	s.restartPending = true
-	s.trace(evThrottle, "speculation disabled for %d cycles", window)
+	if s.obs.Enabled() {
+		s.trace(evThrottle, "speculation disabled for %d cycles", window)
+	}
 }
 
 // finishRestart installs the saved original-thread state into the
@@ -213,7 +217,9 @@ func (s *System) finishRestart() {
 		s.specFDs.Advance(s.savedFD, s.savedResult)
 	}
 	s.spec.State = vm.Ready
-	s.trace(evRestart, "resume at shadow PC %d, result %d", s.spec.PC, s.savedResult)
+	if s.obs.Enabled() {
+		s.trace(evRestart, "resume at shadow PC %d, result %d", s.spec.PC, s.savedResult)
+	}
 }
 
 // finalize closes out accounting at process exit and assembles the run

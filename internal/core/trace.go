@@ -12,9 +12,13 @@ const (
 	evSignal    = "signal"     // a speculative exception
 )
 
-// trace emits a core event on the cross-layer obs stream (a nil stream, the
-// untraced case, formats and records nothing), under this process's lane. obs
-// is the only recorder: it owns the capacity bound and the dropped count.
+// trace emits a core event on the cross-layer obs stream, under this
+// process's lane. obs is the only recorder: it owns the capacity bound and the
+// dropped count. Callers check s.obs.Enabled() first, so an untraced run
+// boxes no argument (the root package's TestTraceCallsGuarded holds them to
+// it).
 func (s *System) trace(name, format string, args ...any) {
-	s.obs.Emitf(s.clk.Now(), s.name, "core", name, format, args...)
+	if s.obs.Enabled() {
+		s.obs.Emitf(s.clk.Now(), s.name, "core", name, format, args...)
+	}
 }

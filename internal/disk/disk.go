@@ -106,14 +106,17 @@ func (c Config) Validate() error {
 
 // Request is one block read submitted to the array. Done is invoked exactly
 // once when the host is notified of completion; err is nil on success, ErrIO
-// for a transient fault, ErrDead when the disk has permanently failed.
+// for a transient fault, ErrDead when the disk has permanently failed. The
+// array does not touch a request after calling its Done, so the submitter may
+// reuse it from inside Done.
 type Request struct {
 	Disk      int             // target disk, from the striping map
 	PhysBlock int64           // physical block number on that disk
 	Pri       Priority        // demand or prefetch
 	Done      func(err error) // completion notification with result status
 
-	next *Request // intrusive FIFO link
+	next    *Request // intrusive FIFO link
+	arrival sim.Time // when Submit queued it
 }
 
 // Stats aggregates array activity for the evaluation tables.
@@ -150,7 +153,6 @@ type Array struct {
 }
 
 type diskState struct {
-	busy        bool
 	dead        bool
 	demandHead  *Request
 	demandTail  *Request
@@ -159,7 +161,13 @@ type diskState struct {
 	prefCount   int   // queued + in-service prefetches
 	nextSeqPhys int64 // first physical block covered by the track buffer
 	seqLimit    int64 // one past the last block covered by the track buffer
-	arrival     map[*Request]sim.Time
+
+	// The request in service (nil when idle), whether it fails, and the
+	// completion event that ends its service: bound once, because a disk has
+	// at most one request in service.
+	cur     *Request
+	curFail bool
+	finish  func()
 }
 
 // New constructs an array on the given clock.
@@ -171,7 +179,7 @@ func New(clk *sim.Queue, cfg Config) (*Array, error) {
 		disks: make([]diskState, cfg.NumDisks)}
 	for i := range a.disks {
 		a.disks[i].nextSeqPhys = -1
-		a.disks[i].arrival = make(map[*Request]sim.Time)
+		a.disks[i].finish = func() { a.finish(i) }
 	}
 	return a, nil
 }
@@ -224,7 +232,6 @@ func (a *Array) checkDeath(i int) {
 		if r.Pri == Prefetch {
 			d.prefCount--
 		}
-		delete(d.arrival, r)
 		a.failDead(r)
 	}
 }
@@ -232,8 +239,10 @@ func (a *Array) checkDeath(i int) {
 // failDead schedules r's ErrDead completion.
 func (a *Array) failDead(r *Request) {
 	a.stats.DeadReqs++
-	a.obs.Emitf(a.clk.Now(), fmt.Sprintf("disk%d", r.Disk), "disk", "dead",
-		"%s phys=%d completed ErrDead", r.Pri, r.PhysBlock)
+	if a.obs.Enabled() {
+		a.obs.Emitf(a.clk.Now(), fmt.Sprintf("disk%d", r.Disk), "disk", "dead",
+			"%s phys=%d completed ErrDead", r.Pri, r.PhysBlock)
+	}
 	if n, ok := a.inj.(interface{ NoteDeadHit() }); ok {
 		n.NoteDeadHit()
 	}
@@ -300,14 +309,14 @@ func (a *Array) Submit(r *Request) bool {
 			d.demandTail = r
 		}
 	}
-	d.arrival[r] = a.clk.Now()
+	r.arrival = a.clk.Now()
 	a.startIfIdle(r.Disk)
 	return true
 }
 
 func (a *Array) startIfIdle(disk int) {
 	d := &a.disks[disk]
-	if d.busy {
+	if d.cur != nil {
 		return
 	}
 	a.checkDeath(disk)
@@ -318,7 +327,7 @@ func (a *Array) startIfIdle(disk int) {
 	if r == nil {
 		return
 	}
-	d.busy = true
+	d.cur = r
 
 	service, trackHit := a.serviceTime(d, r)
 	spike, fail := 1, false
@@ -337,11 +346,9 @@ func (a *Array) startIfIdle(disk int) {
 	}
 	a.stats.BusyCycles += service
 	if r.Pri == Demand {
-		wait := a.clk.Now() - d.arrival[r]
-		a.stats.DemandWait += wait
+		a.stats.DemandWait += a.clk.Now() - r.arrival
 		a.stats.DemandService += service
 	}
-	delete(d.arrival, r)
 
 	if fail {
 		// A failed read streams no data: the track-buffer window is lost.
@@ -366,24 +373,30 @@ func (a *Array) startIfIdle(disk int) {
 		a.obs.Span(a.clk.Now(), service, fmt.Sprintf("disk%d", disk), "disk", r.Pri.String(), detail)
 	}
 
-	notify := service * sim.Time(a.cfg.DelayFactor)
-	a.clk.After(notify, func() {
-		d.busy = false
-		if r.Pri == Prefetch {
-			d.prefCount--
+	d.curFail = fail
+	a.clk.After(service*sim.Time(a.cfg.DelayFactor), d.finish)
+}
+
+// finish ends the service of disk's current request: the host is notified,
+// then the disk takes its next request.
+func (a *Array) finish(disk int) {
+	d := &a.disks[disk]
+	r := d.cur
+	d.cur = nil
+	if r.Pri == Prefetch {
+		d.prefCount--
+	}
+	if r.Done != nil {
+		var err error
+		if d.curFail {
+			err = ErrIO
 		}
-		if r.Done != nil {
-			var err error
-			if fail {
-				err = ErrIO
-			}
-			r.Done(err)
-		}
-		a.startIfIdle(disk)
-		if a.OnIdle != nil && !d.busy {
-			a.OnIdle(disk)
-		}
-	})
+		r.Done(err)
+	}
+	a.startIfIdle(disk)
+	if a.OnIdle != nil && d.cur == nil {
+		a.OnIdle(disk)
+	}
 }
 
 // serviceTime computes the media service time for r on d, consulting the
@@ -495,14 +508,14 @@ func (a *Array) QueueDepth(i int) int {
 }
 
 // Busy reports whether disk i is currently servicing a request.
-func (a *Array) Busy(i int) bool { return a.disks[i].busy }
+func (a *Array) Busy(i int) bool { return a.disks[i].cur != nil }
 
 // Outstanding returns the requests disk i holds, queued or in service. It is
 // the definition of every diskN_queue_depth gauge: a disk serving one request
 // with none waiting reports 1, an idle one 0.
 func (a *Array) Outstanding(i int) int {
 	n := a.QueueDepth(i)
-	if a.disks[i].busy {
+	if a.disks[i].cur != nil {
 		n++
 	}
 	return n

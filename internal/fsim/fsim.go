@@ -216,6 +216,13 @@ func (fs *FS) Lookup(name string) (*File, bool) {
 	return f, ok
 }
 
+// LookupBytes is Lookup for a name held in a byte slice, such as a path read
+// out of VM memory; it does not copy the name.
+func (fs *FS) LookupBytes(name []byte) (*File, bool) {
+	f, ok := fs.byName[string(name)]
+	return f, ok
+}
+
 // TotalBlocks returns the number of logical blocks allocated so far.
 func (fs *FS) TotalBlocks() int64 { return fs.nextBlock }
 
@@ -289,8 +296,8 @@ func (t *FDTable) Clone() *FDTable {
 }
 
 // Open opens name read-only and returns the new descriptor, or an Errno < 0.
-func (t *FDTable) Open(fs *FS, name string) int64 {
-	f, ok := fs.Lookup(name)
+func (t *FDTable) Open(fs *FS, name []byte) int64 {
+	f, ok := fs.LookupBytes(name)
 	if !ok {
 		return int64(ENOENT)
 	}

@@ -172,19 +172,19 @@ func TestFDTableOpenCloseLowestFree(t *testing.T) {
 	fs := New(100)
 	fs.MustCreate("f", make([]byte, 10))
 	tb := NewFDTable()
-	fd1 := tb.Open(fs, "f")
-	fd2 := tb.Open(fs, "f")
+	fd1 := tb.Open(fs, []byte("f"))
+	fd2 := tb.Open(fs, []byte("f"))
 	if fd1 != 3 || fd2 != 4 {
 		t.Fatalf("fds = %d,%d want 3,4", fd1, fd2)
 	}
 	if e := tb.Close(fd1); e != OK {
 		t.Fatalf("Close: %v", e)
 	}
-	fd3 := tb.Open(fs, "f")
+	fd3 := tb.Open(fs, []byte("f"))
 	if fd3 != 3 {
 		t.Fatalf("reopened fd = %d, want lowest-free 3", fd3)
 	}
-	if fd := tb.Open(fs, "missing"); Errno(fd) != ENOENT {
+	if fd := tb.Open(fs, []byte("missing")); Errno(fd) != ENOENT {
 		t.Fatalf("open missing = %d, want ENOENT", fd)
 	}
 	if e := tb.Close(99); e != EBADF {
@@ -197,11 +197,11 @@ func TestFDTableExhaustion(t *testing.T) {
 	fs.MustCreate("f", nil)
 	tb := NewFDTable()
 	for i := 3; i < MaxFDs; i++ {
-		if fd := tb.Open(fs, "f"); fd < 0 {
+		if fd := tb.Open(fs, []byte("f")); fd < 0 {
 			t.Fatalf("open %d failed early: %d", i, fd)
 		}
 	}
-	if fd := tb.Open(fs, "f"); Errno(fd) != EMFILE {
+	if fd := tb.Open(fs, []byte("f")); Errno(fd) != EMFILE {
 		t.Fatalf("over-limit open = %d, want EMFILE", fd)
 	}
 }
@@ -210,7 +210,7 @@ func TestSeekWhence(t *testing.T) {
 	fs := New(100)
 	fs.MustCreate("f", make([]byte, 100))
 	tb := NewFDTable()
-	fd := tb.Open(fs, "f")
+	fd := tb.Open(fs, []byte("f"))
 	if n := tb.SeekFD(fd, 10, 0); n != 10 {
 		t.Fatalf("SEEK_SET = %d", n)
 	}
@@ -235,7 +235,7 @@ func TestAdvanceAndFile(t *testing.T) {
 	fs := New(100)
 	fs.MustCreate("f", make([]byte, 100))
 	tb := NewFDTable()
-	fd := tb.Open(fs, "f")
+	fd := tb.Open(fs, []byte("f"))
 	tb.Advance(fd, 30)
 	_, off, e := tb.File(fd)
 	if e != OK || off != 30 {
@@ -251,12 +251,12 @@ func TestCloneIsolation(t *testing.T) {
 	fs := New(100)
 	fs.MustCreate("f", make([]byte, 100))
 	orig := NewFDTable()
-	fd := orig.Open(fs, "f")
+	fd := orig.Open(fs, []byte("f"))
 	orig.Advance(fd, 10)
 
 	clone := orig.Clone()
 	clone.Advance(fd, 50)
-	cfd := clone.Open(fs, "f") // new fd only in clone
+	cfd := clone.Open(fs, []byte("f")) // new fd only in clone
 
 	_, off, _ := orig.File(fd)
 	if off != 10 {
@@ -317,7 +317,7 @@ func TestPropertyFDUniqueness(t *testing.T) {
 		var open []int64
 		for _, doOpen := range ops {
 			if doOpen || len(open) == 0 {
-				fd := tb.Open(fs, "f")
+				fd := tb.Open(fs, []byte("f"))
 				if fd < 3 {
 					return false
 				}

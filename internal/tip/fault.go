@@ -63,7 +63,8 @@ func (m *Manager) Degraded() bool {
 // times and are then demoted — dropped from the hinted sequence so the
 // prefetcher does not wedge on one bad block. Dead-disk errors never retry:
 // the block resolves to an error immediately.
-func (m *Manager) handleFetchError(lb int64, dk int, err error) {
+func (m *Manager) handleFetchError(f *fetch, err error) {
+	lb, dk := f.lb, f.Disk
 	m.faults.FetchErrors++
 	b := m.cache.Get(lb)
 	if b == nil || b.State() != cache.InTransit {
@@ -73,25 +74,31 @@ func (m *Manager) handleFetchError(lb int64, dk int, err error) {
 		if b.Demanded() {
 			m.faults.FailedDemand++
 		}
-		m.emit("fetch-dead", "lb=%d disk=%d demanded=%v", lb, dk, b.Demanded())
+		if m.obs.Enabled() {
+			m.emit("fetch-dead", "lb=%d disk=%d demanded=%v", lb, dk, b.Demanded())
+		}
 		m.fail(lb)
 		return
 	}
-	attempt := m.fetches[lb].attempts + 1
-	if !b.Demanded() && attempt > m.cfg.MaxFetchRetries {
+	f.attempts++
+	if !b.Demanded() && f.attempts > m.cfg.MaxFetchRetries {
 		m.demote(lb)
 		return
 	}
-	m.fetches[lb] = fetch{attempts: attempt}
 	m.faults.FetchRetries++
-	m.emit("fetch-retry", "lb=%d disk=%d attempt=%d backoff=%d", lb, dk, attempt, m.cfg.retryBackoff(attempt))
-	m.clk.After(m.cfg.retryBackoff(attempt), func() { m.refetch(lb, dk) })
+	if m.obs.Enabled() {
+		m.emit("fetch-retry", "lb=%d disk=%d attempt=%d backoff=%d", lb, dk, f.attempts, m.cfg.retryBackoff(f.attempts))
+	}
+	m.clk.After(m.cfg.retryBackoff(f.attempts), func() { m.refetch(lb, dk) })
 }
 
 // fail resolves the in-transit block lb to an error: its fetch record goes
-// and its waiters are woken with valid=false.
+// and is released (the array is done with its request, which is not
+// submitted again), and its waiters are woken with valid=false.
 func (m *Manager) fail(lb int64) {
+	f := m.fetches[lb]
 	delete(m.fetches, lb)
+	m.releaseFetch(f)
 	m.cache.Fail(lb)
 }
 
@@ -101,7 +108,9 @@ func (m *Manager) fail(lb int64) {
 func (m *Manager) demote(lb int64) {
 	m.demoted[lb] = true
 	m.faults.DemotedBlocks++
-	m.emit("demote", "lb=%d after %d retries", lb, m.cfg.MaxFetchRetries)
+	if m.obs.Enabled() {
+		m.emit("demote", "lb=%d after %d retries", lb, m.cfg.MaxFetchRetries)
+	}
 	m.fail(lb)
 }
 

@@ -82,7 +82,7 @@ func (c *Client) HintSegConf(f *fsim.File, off, n int64, conf float64) {
 func (c *Client) hintSeg(f *fsim.File, off, n int64, conf float64) {
 	c.stats.HintCalls++
 	m := c.m
-	seg := &segment{file: f, off: off, n: n, conf: conf}
+	seg := segment{file: f, off: off, n: n, conf: conf}
 	if first, last, end, ok := blockRange(f, off, n, int64(m.fs.BlockSize())); ok {
 		seg.firstBlock = first
 		seg.firstLB = f.LogicalBlock(first)
@@ -96,13 +96,17 @@ func (c *Client) hintSeg(f *fsim.File, off, n int64, conf float64) {
 	if m.cfg.MaxHintSegs > 0 && len(c.hints)-c.head >= m.cfg.MaxHintSegs {
 		// Hint buffers are full (runaway speculation): drop the hint.
 		c.stats.DroppedHints++
-		m.emit("hint-dropped", "client=%d %s off=%d n=%d (queue full)", c.id, f.Name, off, n)
+		if m.obs.Enabled() {
+			m.emit("hint-dropped", "client=%d %s off=%d n=%d (queue full)", c.id, f.Name, off, n)
+		}
 		return
 	}
 	c.hints = append(c.hints, seg)
-	c.watch(seg)
+	c.watch(&seg)
 	c.stale()
-	m.emit("hint", "client=%d %s off=%d n=%d blocks=%d", c.id, f.Name, off, n, seg.nBlocks)
+	if m.obs.Enabled() {
+		m.emit("hint", "client=%d %s off=%d n=%d blocks=%d", c.id, f.Name, off, n, seg.nBlocks)
+	}
 	m.pump()
 }
 
@@ -138,12 +142,14 @@ func (c *Client) CancelAll() {
 		return
 	}
 	live := c.hints[c.head:]
-	for _, seg := range live {
+	for i := range live {
 		c.stats.CancelledSegs++
 		c.accObserve(false, 1)
-		c.release(seg)
+		c.release(&live[i])
 	}
-	c.m.emit("cancel-all", "client=%d segs=%d", c.id, len(live))
+	if c.m.obs.Enabled() {
+		c.m.emit("cancel-all", "client=%d segs=%d", c.id, len(live))
+	}
 	c.hints = c.hints[:0]
 	c.head = 0
 }
@@ -152,7 +158,7 @@ func (c *Client) CancelAll() {
 // the read [off, end) of f (end already clamped to the file), or -1.
 func (c *Client) findCover(f *fsim.File, off, end int64) int {
 	for i := c.head; i < len(c.hints); i++ {
-		seg := c.hints[i]
+		seg := &c.hints[i]
 		if seg.file == f && off >= seg.off && end <= seg.dataEnd() {
 			return i
 		}
@@ -186,14 +192,16 @@ func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 		return false
 	}
 	c.stale()
-	for _, seg := range c.hints[c.head:i] {
+	for k := c.head; k < i; k++ {
 		c.stats.BypassedSegs++
 		c.accObserve(false, 1)
-		c.release(seg)
+		c.release(&c.hints[k])
 	}
-	c.m.emit("consume", "client=%d %s off=%d n=%d bypassed=%d", c.id, f.Name, off, n, i-c.head)
+	if c.m.obs.Enabled() {
+		c.m.emit("consume", "client=%d %s off=%d n=%d bypassed=%d", c.id, f.Name, off, n, i-c.head)
+	}
 	c.head = i
-	seg := c.hints[i]
+	seg := &c.hints[i]
 	if hw := end - seg.off; hw > seg.consumed {
 		seg.consumed = hw
 	}
@@ -212,10 +220,12 @@ func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 	return staticTail
 }
 
-// compact reclaims consumed queue prefix space.
+// compact reclaims consumed queue prefix space, in place.
 func (c *Client) compact() {
 	if c.head > 1024 && c.head*2 > len(c.hints) {
-		c.hints = append(c.hints[:0:0], c.hints[c.head:]...)
+		n := copy(c.hints, c.hints[c.head:])
+		clear(c.hints[n:])
+		c.hints = c.hints[:n]
 		c.head = 0
 	}
 }

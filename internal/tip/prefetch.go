@@ -13,10 +13,46 @@ import (
 	"spechint/internal/fsim"
 )
 
-// fetch is the manager's record of one in-transit block.
+// fetch is the manager's record of one in-transit block (Manager.fetches),
+// carrying the disk request of its current attempt. Records come from the
+// manager's free list (newFetch); the request's Done is the record's done,
+// bound when the record is first allocated.
 type fetch struct {
-	req      *disk.Request // the outstanding disk request; nil during a retry backoff
-	attempts int           // attempts that failed transiently so far
+	disk.Request
+	m        *Manager
+	lb       int64
+	attempts int  // attempts that failed transiently so far
+	queued   bool // the request is at the array: false during a retry backoff
+}
+
+// done is the request's completion.
+func (f *fetch) done(err error) { f.m.onFetchDone(f, err) }
+
+// newFetch returns a record for lb with no failed attempt, from the free list
+// if it can.
+func (m *Manager) newFetch(lb int64) *fetch {
+	var f *fetch
+	if n := len(m.freeFetches); n > 0 {
+		f = m.freeFetches[n-1]
+		m.freeFetches = m.freeFetches[:n-1]
+	} else {
+		f = &fetch{m: m}
+		f.Done = f.done
+	}
+	f.lb, f.attempts, f.queued = lb, 0, false
+	return f
+}
+
+// releaseFetch puts f on the free list. The caller guarantees nothing
+// reaches f any more: the array has called its Done, it was not re-submitted,
+// and Manager.fetches no longer names it. Under the test-only poison a
+// released record names block -1 on disk -1, so a late Submit or Done panics.
+func (m *Manager) releaseFetch(f *fetch) {
+	if m.poison {
+		f.lb, f.Disk = -1, -1
+		return
+	}
+	m.freeFetches = append(m.freeFetches, f)
 }
 
 // pump issues hint-driven prefetches on every hint, disk-idle transition and
@@ -175,7 +211,7 @@ func (c *Client) unwatch() {
 		l[last] = nil
 		in[g] = l[:last]
 	}
-	c.granules = nil
+	c.granules = c.granules[:0]
 }
 
 // settled reports that c's last pass was pure and nothing it read has moved.
@@ -258,7 +294,7 @@ func (c *Client) pump() {
 	sat := c.saturate()
 	dist := 0
 	for i := c.head; i < len(c.hints) && dist < horizon; i++ {
-		seg := c.hints[i]
+		seg := &c.hints[i]
 		// A statically synthesized hint prefetches only within its
 		// confidence-scaled share of the horizon: proved segments (conf 1)
 		// run to the full depth, speculative ones stop shallow. Blocks past
@@ -311,7 +347,9 @@ func (c *Client) pump() {
 			switch m.startFetch(c.id, lb, cache.OriginHint, d) {
 			case fetchStarted:
 				c.stats.HintPrefetches++
-				m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
+				if m.obs.Enabled() {
+					m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
+				}
 				sat = c.saturate()
 			case fetchDiskBusy:
 				// This disk is at depth; later blocks may differ.
@@ -368,28 +406,38 @@ func (m *Manager) startFetch(owner int, lb int64, origin cache.Origin, hintDist 
 }
 
 // submit sends the disk request for the in-transit block lb and records it;
-// false means the disk refused it (prefetch back-pressure) and nothing was
-// recorded. A retry keeps the block's failed-attempt count.
+// false means the disk refused it (prefetch back-pressure) and nothing new
+// was recorded. A retry reuses the block's record, failed-attempt count
+// included.
 func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority) bool {
-	isPref := pri == disk.Prefetch
-	req := &disk.Request{
-		Disk: dk, PhysBlock: phys, Pri: pri,
-		Done: func(err error) { m.onFetchDone(lb, dk, isPref, err) },
+	f := m.fetches[lb]
+	fresh := f == nil
+	if fresh {
+		f = m.newFetch(lb)
 	}
-	if !m.arr.Submit(req) {
+	f.Disk, f.PhysBlock, f.Pri = dk, phys, pri
+	if !m.arr.Submit(&f.Request) {
+		if fresh {
+			m.releaseFetch(f)
+		}
 		return false
 	}
-	ft := m.fetches[lb]
-	ft.req = req
-	m.fetches[lb] = ft
-	if isPref {
+	if fresh {
+		m.fetches[lb] = f
+	}
+	f.queued = true
+	if pri == disk.Prefetch {
 		m.prefDepth[dk]++
 	}
 	return true
 }
 
-func (m *Manager) onFetchDone(lb int64, dk int, wasPrefetch bool, err error) {
-	if wasPrefetch {
+// onFetchDone is the completion of f's request. f is released once it is out
+// of fetches, so it is read first and not touched after.
+func (m *Manager) onFetchDone(f *fetch, err error) {
+	lb, dk := f.lb, f.Disk
+	f.queued = false
+	if f.Pri == disk.Prefetch {
 		m.prefDepth[dk]--
 		if m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
 			// A slot is free on dk: wake the clients a full dk turned away.
@@ -398,9 +446,10 @@ func (m *Manager) onFetchDone(lb int64, dk int, wasPrefetch bool, err error) {
 		}
 	}
 	if err != nil {
-		m.handleFetchError(lb, dk, err)
+		m.handleFetchError(f, err)
 	} else {
 		delete(m.fetches, lb)
+		m.releaseFetch(f)
 		if m.demoted[lb] {
 			delete(m.demoted, lb)
 			m.blockChanged(lb)
@@ -411,7 +460,8 @@ func (m *Manager) onFetchDone(lb int64, dk int, wasPrefetch bool, err error) {
 	m.pump()
 }
 
-// raState tracks the sequential read-ahead heuristic for one file.
+// raState tracks the sequential read-ahead heuristic for one file; Client.ra
+// holds it by value, so a file's first read allocates nothing.
 type raState struct {
 	nextByte  int64 // where a sequential read would continue
 	runBlocks int64 // length of the current sequential run, in blocks
@@ -428,10 +478,6 @@ func (c *Client) readahead(f *fsim.File, off, end, first, last int64) {
 		return
 	}
 	st := c.ra[f.Ino()]
-	if st == nil {
-		st = &raState{}
-		c.ra[f.Ino()] = st
-	}
 	nBlocks := last - first + 1
 	if off == st.nextByte || off == 0 && st.nextByte == 0 {
 		st.runBlocks += nBlocks
@@ -439,6 +485,7 @@ func (c *Client) readahead(f *fsim.File, off, end, first, last int64) {
 		st.runBlocks = nBlocks
 	}
 	st.nextByte = end
+	c.ra[f.Ino()] = st
 
 	depth := st.runBlocks
 	if depth > int64(m.cfg.ReadaheadMax) {
@@ -453,6 +500,8 @@ func (c *Client) readahead(f *fsim.File, off, end, first, last int64) {
 			return
 		}
 		c.stats.RAPrefetches++
-		m.emit("readahead", "client=%d lb=%d run=%d", c.id, lb, st.runBlocks)
+		if m.obs.Enabled() {
+			m.emit("readahead", "client=%d lb=%d run=%d", c.id, lb, st.runBlocks)
+		}
 	}
 }

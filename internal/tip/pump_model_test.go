@@ -34,6 +34,11 @@ import (
 // second rig's forgotten memos wake every client, so its pumps visit them all.
 // A wake missing from the memoised rig is a client that should have walked and
 // was not visited; invariants() also catches one at the end of every step.
+//
+// And it holds recycling to allocation: the first rig reuses released readOps
+// and fetch records, the second poisons them (Manager.poison) and allocates
+// afresh, so an object used after its release panics there or shows as a
+// divergence here.
 
 // forgetMemos makes every client of m walk at its next visit.
 func forgetMemos(m *Manager) {
@@ -142,6 +147,7 @@ func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
 	plan.DieDisk, plan.DieAt = 2, 400_000 // a script runs some 650,000 cycles
 	r := &pumpRig{clk: clk, arr: arr, m: m, inj: &recInjector{plan: plan}, forget: forget}
 	m.probeAlways = forget
+	m.poison = forget
 	arr.SetInjector(r.inj)
 	idle := arr.OnIdle
 	arr.OnIdle = func(dk int) {

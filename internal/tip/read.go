@@ -18,11 +18,39 @@ var ErrReadFailed = errors.New("tip: demand read failed (unrecoverable block)")
 // readOp is one demand read in flight. Each block it waits for resolves
 // exactly once, in the order the cache wakes its waiters (registration
 // order), and touches its block immediately before counting it done.
+// readOps come from the manager's free list (newReadOp); wake is op.resolve,
+// bound when the op is first allocated, and serves every block it waits on.
 type readOp struct {
 	c         *Client
 	remaining int  // blocks not yet resolved
 	failed    bool // some block resolved to an error
 	done      func(err error)
+	wake      cache.Waiter
+}
+
+// newReadOp returns a cleared readOp for c, from the free list if it can.
+func (m *Manager) newReadOp(c *Client) *readOp {
+	var op *readOp
+	if n := len(m.freeOps); n > 0 {
+		op = m.freeOps[n-1]
+		m.freeOps = m.freeOps[:n-1]
+	} else {
+		op = &readOp{}
+		op.wake = op.resolve
+	}
+	op.c = c
+	return op
+}
+
+// releaseReadOp clears op and puts it on the free list. The caller
+// guarantees nothing reaches op any more: every block it waited on has
+// resolved, it is in no pending list, and its done, if any, has been taken.
+// Clearing c is also the poison: a use after release dereferences nil.
+func (m *Manager) releaseReadOp(op *readOp) {
+	*op = readOp{wake: op.wake}
+	if !m.poison {
+		m.freeOps = append(m.freeOps, op)
+	}
 }
 
 // pendingFetch is a demand fetch that found no free buffer; see
@@ -45,7 +73,7 @@ func (op *readOp) touch(lb int64) {
 // await makes op a waiter on the in-transit block lb.
 func (op *readOp) await(lb int64) {
 	op.c.m.cache.NoteDemandWait(lb)
-	op.c.m.cache.Wait(lb, func(valid bool) { op.resolve(lb, valid) })
+	op.c.m.cache.Wait(lb, op.wake)
 }
 
 // resolve counts lb done — touched if it holds data, an error otherwise —
@@ -60,11 +88,15 @@ func (op *readOp) resolve(lb int64, valid bool) {
 	}
 	op.remaining--
 	if op.remaining == 0 && op.done != nil {
+		done := op.done
 		var err error
 		if op.failed {
 			err = ErrReadFailed
 		}
-		op.done(err)
+		// Its last block has resolved and its done is taken: op is released
+		// before done runs, since done may start the next read.
+		op.c.m.releaseReadOp(op)
+		done(err)
 	}
 }
 
@@ -87,17 +119,25 @@ func (op *readOp) fetch(lb int64) bool {
 	return true
 }
 
+// retryPendingDemand retries every demand fetch that found no buffer. A retry
+// can complete its read, whose done may dispatch a new read re-entrantly (the
+// cluster's next queued part), and that read's misses append to
+// pendingDemand. So the list being retried is taken out of pendingDemand,
+// which restarts on the spare buffer: an append from inside the loop can never
+// land on an entry the loop has yet to read.
 func (m *Manager) retryPendingDemand() {
 	if len(m.pendingDemand) == 0 {
 		return
 	}
 	pending := m.pendingDemand
-	m.pendingDemand = m.pendingDemand[:0]
+	m.pendingDemand, m.pendingSpare = m.pendingSpare[:0], nil
 	for _, p := range pending {
 		if !p.op.fetch(p.lb) {
 			m.pendingDemand = append(m.pendingDemand, p)
 		}
 	}
+	clear(pending)
+	m.pendingSpare = pending[:0]
 }
 
 // Read performs a demand read of [off, off+n) from f. hinted says whether
@@ -129,8 +169,10 @@ func (c *Client) Read(f *fsim.File, off, n int64, hinted bool, done func(err err
 
 	// Two passes: the blocks this read already has are touched (moved to the
 	// MRU end) or joined before any miss goes looking for a buffer to evict.
-	op := &readOp{c: c}
-	var misses []int64
+	// The misses go to the manager's scratch list, taken while in use.
+	op := m.newReadOp(c)
+	misses := m.misses[:0]
+	m.misses = nil
 	for b := first; b <= last; b++ {
 		lb := f.LogicalBlock(b)
 		switch blk := m.cache.Get(lb); {
@@ -143,8 +185,8 @@ func (c *Client) Read(f *fsim.File, off, n int64, hinted bool, done func(err err
 		default:
 			// The application now needs this block: if its prefetch is
 			// still queued, it inherits demand priority.
-			if req := m.fetches[lb].req; req != nil {
-				m.arr.Promote(req)
+			if f := m.fetches[lb]; f != nil && f.queued {
+				m.arr.Promote(&f.Request)
 			}
 			op.remaining++
 			op.await(lb)
@@ -155,6 +197,7 @@ func (c *Client) Read(f *fsim.File, off, n int64, hinted bool, done func(err err
 			m.pendingDemand = append(m.pendingDemand, pendingFetch{op, lb})
 		}
 	}
+	m.misses = misses[:0]
 
 	if !hinted || staticTail {
 		c.readahead(f, off, end, first, last)
@@ -164,6 +207,7 @@ func (c *Client) Read(f *fsim.File, off, n int64, hinted bool, done func(err err
 	m.pump()
 
 	if op.remaining == 0 {
+		m.releaseReadOp(op)
 		return true
 	}
 	op.done = done

@@ -202,15 +202,24 @@ type Manager struct {
 	// closes a hint stream per client session; without reuse the clients
 	// slice — which every partition recompute walks — would grow with the
 	// total number of sessions ever served instead of the concurrent peak.
-	// free holds closed ids available to NewClient; retired accumulates the
-	// stats of clients whose slot has been handed out again, so Stats stays
-	// a whole-lifetime aggregate.
+	// free holds closed ids available to NewClient, which hands out the
+	// closed Client itself again; retired accumulates the stats of clients
+	// whose slot has been handed out again, so Stats stays a whole-lifetime
+	// aggregate.
 	free    []int
 	retired Stats
 
+	// Free lists of the objects a read makes (see readOp and fetch), and the
+	// scratch list of a read's misses.
+	freeOps     []*readOp
+	freeFetches []*fetch
+	misses      []int64
+
 	// pendingDemand holds demand fetches that could not obtain a buffer
-	// (everything in transit); retried on every completion.
+	// (everything in transit); retried on every completion. pendingSpare is
+	// the buffer the next retry restarts the list on (retryPendingDemand).
 	pendingDemand []pendingFetch
+	pendingSpare  []pendingFetch
 
 	prefDepth []int // outstanding prefetches per disk
 
@@ -243,10 +252,15 @@ type Manager struct {
 	// saturated short step, and is the reference the stepping pump is held to.
 	probeAlways bool
 
+	// poison is set by tests only: released readOps and fetch records are
+	// poisoned (releaseReadOp, releaseFetch) and never handed out again, so a
+	// use after release panics.
+	poison bool
+
 	// fetches holds exactly one record per in-transit block, from the submit
 	// that acquired its buffer until the block resolves (Complete or Fail) —
 	// the backoff between a failed attempt and its retry included.
-	fetches map[int64]fetch
+	fetches map[int64]*fetch
 
 	// Degradation state: blocks demoted from prefetching after repeated
 	// failures, and dead-disk blocks already counted as skipped (so DeadSkips
@@ -269,10 +283,10 @@ type Client struct {
 	// The hint queue. Everything in hints[head:] is live: a cancel truncates
 	// the queue in the same call, and consume only ever completes the
 	// segment at head and pops it.
-	hints []*segment
+	hints []segment
 	head  int // first unconsumed hint
 
-	ra map[int64]*raState // by inode
+	ra map[int64]raState // by inode
 
 	// Windowed hint-accuracy estimate (right ≈ matched, wrong ≈ bypassed +
 	// cancelled, both decayed): TIP discounts the benefit of prefetching
@@ -309,7 +323,7 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		prefDepth:   make([]int, arr.Config().NumDisks),
 		refusers:    make([]clientSet, arr.Config().NumDisks+1),
 		interest:    make(map[int64][]*Client),
-		fetches:     make(map[int64]fetch),
+		fetches:     make(map[int64]*fetch),
 		demoted:     make(map[int64]bool),
 		deadSkipped: make(map[int64]bool),
 	}
@@ -326,17 +340,23 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 }
 
 // NewClient registers a new hint stream with the manager. Ids are assigned
-// sequentially from zero, except that the slot of a closed client is reused first (its final counters move
-// into the manager's retired aggregate — see Stats). A closed client holds
-// no cache protection (Close released it), so reuse cannot leak ownership.
+// sequentially from zero, except that the slot of a closed client is reused
+// first: the closed Client is cleared and handed out again, keeping the room
+// its hint queue and maps had grown (its final counters move into the
+// manager's retired aggregate — see Stats). A closed client holds no cache
+// protection (Close released it), so reuse cannot leak ownership. The caller
+// of Close must drop its handle: after reuse it names the new stream.
 func (m *Manager) NewClient() *Client {
-	c := &Client{m: m, id: len(m.clients), ra: make(map[int64]*raState)}
+	var c *Client
 	if n := len(m.free); n > 0 {
-		c.id = m.free[n-1]
+		c = m.clients[m.free[n-1]]
 		m.free = m.free[:n-1]
-		m.retired.add(m.clients[c.id].stats)
-		m.clients[c.id] = c
+		m.retired.add(c.stats)
+		clear(c.ra)
+		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0],
+			memo: pumpMemo{refused: c.memo.refused[:0]}}
 	} else {
+		c = &Client{m: m, id: len(m.clients), ra: make(map[int64]raState)}
 		m.clients = append(m.clients, c)
 	}
 	m.shares.valid = false
@@ -408,10 +428,10 @@ func (c *Client) Close() {
 	if c.closed {
 		return
 	}
-	for _, seg := range c.hints[c.head:] {
-		c.release(seg)
+	for i := c.head; i < len(c.hints); i++ {
+		c.release(&c.hints[i])
 	}
-	c.hints = nil
+	c.hints = c.hints[:0]
 	c.head = 0
 	c.closed = true
 	c.unwatch()

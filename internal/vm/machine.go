@@ -377,13 +377,16 @@ func (m *Machine) WriteMem(t *Thread, addr int64, p []byte) error {
 	return nil
 }
 
-// ReadCStr reads a NUL-terminated string from the thread's view of memory.
-func (m *Machine) ReadCStr(t *Thread, addr int64) (string, error) {
+// ReadCStr reads a NUL-terminated string from the thread's view of memory
+// into buf, overwriting it, and returns the bytes read without the NUL: a
+// caller that passes the same scratch buffer every time reads paths without
+// allocating.
+func (m *Machine) ReadCStr(t *Thread, addr int64, buf []byte) ([]byte, error) {
 	const maxLen = 4096
-	var out []byte
+	out := buf[:0]
 	for i := int64(0); i < maxLen; i++ {
 		if !m.validAddr(addr+i, 1) {
-			return "", fmt.Errorf("vm: string at %d runs out of memory", addr)
+			return out, fmt.Errorf("vm: string at %d runs out of memory", addr)
 		}
 		var b byte
 		if t.Mode == Speculative {
@@ -392,11 +395,11 @@ func (m *Machine) ReadCStr(t *Thread, addr int64) (string, error) {
 			b = m.mem[addr+i]
 		}
 		if b == 0 {
-			return string(out), nil
+			return out, nil
 		}
 		out = append(out, b)
 	}
-	return "", fmt.Errorf("vm: unterminated string at %d", addr)
+	return out, fmt.Errorf("vm: unterminated string at %d", addr)
 }
 
 // fault marks a speculative exception (a signal in the paper's Table 6);

@@ -481,20 +481,20 @@ func TestReadWriteMemAndCStr(t *testing.T) {
 	if err := m.WriteMem(norm, 100, []byte("hi\x00")); err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.ReadCStr(norm, 100)
-	if err != nil || s != "hi" {
+	s, err := m.ReadCStr(norm, 100, nil)
+	if err != nil || string(s) != "hi" {
 		t.Fatalf("ReadCStr = %q, %v", s, err)
 	}
 	// Speculative write goes to COW; normal view unchanged.
 	if err := m.WriteMem(spec, 100, []byte("yo")); err != nil {
 		t.Fatal(err)
 	}
-	s, _ = m.ReadCStr(norm, 100)
-	if s != "hi" {
+	s, _ = m.ReadCStr(norm, 100, s)
+	if string(s) != "hi" {
 		t.Fatalf("spec WriteMem leaked: %q", s)
 	}
-	s, err = m.ReadCStr(spec, 100)
-	if err != nil || s != "yo" {
+	s, err = m.ReadCStr(spec, 100, s)
+	if err != nil || string(s) != "yo" {
 		t.Fatalf("spec view = %q, %v", s, err)
 	}
 	// Spec write to its private area is direct.
@@ -624,13 +624,13 @@ func TestReadCStrUnterminated(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		m.Mem()[100+i] = 'x'
 	}
-	if _, err := m.ReadCStr(th, 100); err == nil {
+	if _, err := m.ReadCStr(th, 100, nil); err == nil {
 		t.Fatal("unterminated string accepted")
 	}
-	if _, err := m.ReadCStr(th, int64(len(m.Mem()))-2); err == nil {
+	if _, err := m.ReadCStr(th, int64(len(m.Mem()))-2, nil); err == nil {
 		// last two bytes are zero -> valid empty-ish string is fine; move
 		// the probe outside memory instead
-		if _, err := m.ReadCStr(th, int64(len(m.Mem()))+10); err == nil {
+		if _, err := m.ReadCStr(th, int64(len(m.Mem()))+10, nil); err == nil {
 			t.Fatal("out-of-memory string accepted")
 		}
 	}
