@@ -54,11 +54,13 @@ synth:
 	$(GO) run ./cmd/spechint -app all -synthesize
 
 # fuzz runs the native fuzz targets for a short budget each: fault
-# containment (core), then counted-loop summarisation against the stepping
-# interpreter (vm).
+# containment (core), counted-loop summarisation against the stepping
+# interpreter (vm), then generated file content against its materialised
+# model (workload).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzCountedLoop -fuzztime=10s -run '^$$' ./internal/vm
+	$(GO) test -fuzz=FuzzFileContent -fuzztime=10s -run '^$$' ./internal/workload
 
 # smoke-F runs sweep family F (any tipbench experiment with a -json report)
 # at test scale at -parallel 1 and 4, demands byte-identical JSON at both

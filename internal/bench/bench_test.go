@@ -24,20 +24,39 @@ func TestRunTripleCorrectness(t *testing.T) {
 
 // TestRunAllocationFollowsReads: a cell's memory follows what it reads, not
 // the size of the files it reads from. An XDataSlice sweep cell views 12
-// slices of a 537 MB volume; building and running it from cold caches must
-// allocate a small fraction of that. (Top-level and not parallel, so no
-// other test allocates between the two readings.)
+// slices of a 537 MB volume; a full-scale LSM cell merges 32 MB of tables and
+// an MLShard cell loads 64 MB of shards, twice. Building and running each from
+// cold caches, original and speculating, must allocate a small fraction of
+// that. (Top-level and not parallel, so no other test allocates between the
+// two readings.)
 func TestRunAllocationFollowsReads(t *testing.T) {
-	apps.ResetProgramCache()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := Run(apps.XDataSlice, core.ModeNoHint, apps.SweepScale(), nil)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	cells := []struct {
+		app    apps.App
+		mode   core.Mode
+		scale  apps.Scale
+		limit  uint64 // MB
+		inputs string
+	}{
+		{apps.XDataSlice, core.ModeNoHint, apps.SweepScale(), 64, "its volume is 537 MB"},
+		{apps.LSM, core.ModeNoHint, apps.FullScale(), 20, "its tables are 32 MB"},
+		{apps.LSM, core.ModeSpeculating, apps.FullScale(), 20, "its tables are 32 MB"},
+		{apps.MLShard, core.ModeNoHint, apps.FullScale(), 40, "its shards are 64 MB"},
+		{apps.MLShard, core.ModeSpeculating, apps.FullScale(), 40, "its shards are 64 MB"},
 	}
-	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 64 {
-		t.Errorf("one XDataSlice cell allocated %d MB, want < 64 (its volume is 537 MB)", mb)
+	for _, c := range cells {
+		apps.ResetProgramCache()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := Run(c.app, c.mode, c.scale, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb := (after.TotalAlloc - before.TotalAlloc) >> 20
+		t.Logf("%v %v: %d MB", c.app, c.mode, mb)
+		if mb >= c.limit {
+			t.Errorf("one %v %v cell allocated %d MB, want < %d (%s)", c.app, c.mode, mb, c.limit, c.inputs)
+		}
 	}
 }
 

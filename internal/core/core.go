@@ -488,7 +488,6 @@ type System struct {
 	read     pendingRead
 	readDone func(error)
 
-	readBuf     []byte // scratch a generated file's bytes are rendered into on their way to VM memory
 	strBuf      []byte // scratch a string argument (a path, a message to print) is read into
 	out         bytes.Buffer
 	sliceStart  sim.Time

@@ -161,9 +161,10 @@ func readArgs(t *vm.Thread, fds *fsim.FDTable) (file *fsim.File, off, n int64, o
 }
 
 // copyOut delivers n bytes of file from off into the thread's buffer and
-// charges the copy to the thread.
+// charges the copy to the thread. The machine renders the file's bytes
+// straight into the thread's view of memory.
 func (s *System) copyOut(t *vm.Thread, buf int64, file *fsim.File, off, n int64) error {
-	err := s.mach.WriteMem(t, buf, file.Bytes(off, n, &s.readBuf))
+	err := s.mach.WriteFrom(t, buf, n, file, off)
 	if err == nil {
 		t.PendingCycles += n / 8 * copyPer8B
 	}

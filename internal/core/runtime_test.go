@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"spechint/internal/asm"
 	"spechint/internal/fsim"
 	"spechint/internal/spechint"
+	"spechint/internal/vm"
 )
 
 // faultyReaderSrc computes a divisor from file content and divides by it:
@@ -348,5 +351,52 @@ func TestHintLogPeakTracked(t *testing.T) {
 	st := runMode(t, DefaultConfig(ModeSpeculating), seqReaderSrc(names, false), fs)
 	if st.HintLogPeak < 5 {
 		t.Fatalf("HintLogPeak = %d, want speculation well ahead", st.HintLogPeak)
+	}
+}
+
+// TestWildReadBuffer: a read whose buffer+len wraps past MaxInt64 stops the
+// original thread with an error and is refused for the speculating one; it
+// never panics the host. The whole syscall path is run for the original
+// thread, and copyOut is called directly for both.
+func TestWildReadBuffer(t *testing.T) {
+	const wild = math.MaxInt64 - 3
+	src := fmt.Sprintf(`
+.data
+path: .asciz "a"
+.text
+main:
+    movi r1, path
+    syscall open
+    movi r2, %d
+    movi r3, 16
+    syscall read
+    movi r1, 0
+    syscall exit
+`, int64(wild))
+	fs := fsim.New(8192)
+	f := fs.MustCreate("a", make([]byte, 4096))
+	prog := asm.MustAssemble(src)
+	sys, err := New(DefaultConfig(ModeNoHint), prog, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("read into a wrapping buffer: run error %v, want an out-of-range write", err)
+	}
+
+	tp, _, err := spechint.Transform(prog, spechint.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := New(DefaultConfig(ModeSpeculating), tp, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, th := range []*vm.Thread{spec.orig, spec.spec} {
+		for _, buf := range []int64{wild, math.MaxInt64 - 15, -1} {
+			if err := spec.copyOut(th, buf, f, 0, 16); err == nil {
+				t.Errorf("%s: copyOut to %d accepted", th.Name, buf)
+			}
+		}
 	}
 }

@@ -96,13 +96,19 @@ func (m *Map) StoreByte(mem []byte, addr int64, v byte) bool {
 	return copied
 }
 
-// StoreBytes writes p at addr into copies, creating them as needed: one
-// lookup and one copy per region touched, and the same copies and accounting
-// as a StoreByte per byte.
+// Writable returns the copy of memory from addr to the end of addr's region,
+// creating the region's copy from mem if needed. A span written through it
+// region by region costs one lookup and at most one copy per region, with the
+// same copies and accounting as a StoreByte per byte.
+func (m *Map) Writable(mem []byte, addr int64) []byte {
+	c, _ := m.ensure(mem, addr)
+	return c[addr&^m.mask:]
+}
+
+// StoreBytes writes p at addr into copies, creating them as needed.
 func (m *Map) StoreBytes(mem []byte, addr int64, p []byte) {
 	for len(p) > 0 {
-		c, _ := m.ensure(mem, addr)
-		n := copy(c[addr&^m.mask:], p)
+		n := copy(m.Writable(mem, addr), p)
 		addr, p = addr+int64(n), p[n:]
 	}
 }

@@ -14,12 +14,13 @@
 package fsim
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
 // File is an immutable file: its content and its position in the logical
 // block space. Content is either stored bytes (Create) or a pure function of
-// the offset (CreateGenerated); readers cannot tell which — Bytes is the one
+// the offset (CreateGenerated); readers cannot tell which — ReadAt is the one
 // way in, so a large sparse file costs what is read of it, not its size.
 type File struct {
 	Name  string
@@ -44,27 +45,46 @@ func (f *File) Ino() int64 { return f.ino }
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.size }
 
-// Bytes returns the file's bytes [off, off+n); the caller keeps the range
-// inside the file. The result is read-only. Stored content is returned in
-// place, without a copy; generated content is rendered into *scratch (grown
-// when too small, allocated when scratch is nil) and stays valid until the
-// next call with the same scratch.
-func (f *File) Bytes(off, n int64, scratch *[]byte) []byte {
-	if off < 0 || n < 0 || off+n > f.size {
-		panic(fmt.Sprintf("fsim: read [%d,+%d) of %q (size %d)", off, n, f.Name, f.size))
+// ReadAt overwrites all of dst with the file's bytes [off, off+len(dst)); the
+// caller keeps the range inside the file. Stored content is copied and
+// generated content rendered straight into dst, so a read needs no staging
+// buffer between the file and its destination.
+func (f *File) ReadAt(dst []byte, off int64) {
+	if off < 0 || off > f.size-int64(len(dst)) {
+		panic(fmt.Sprintf("fsim: read [%d,+%d) of %q (size %d)", off, len(dst), f.Name, f.size))
 	}
 	if f.fill == nil {
-		return f.data[off : off+n]
+		copy(dst, f.data[off:])
+		return
 	}
-	if scratch == nil {
-		scratch = new([]byte)
+	f.fill(dst, off)
+}
+
+// Stamped is the content of a record file of the given size: zero but for a
+// little-endian word(i) at every offset i*stride (stride >= 8). A word that
+// would run past size is cut there when partial is set and left out
+// otherwise; word is called only for the words a read covers.
+func Stamped(size, stride int64, partial bool, word func(i int64) uint64) ContentFunc {
+	return func(p []byte, off int64) {
+		clear(p)
+		end := off + int64(len(p))
+		for i := off / stride; i*stride < end; i++ {
+			pos := i * stride
+			if !partial && pos+8 > size {
+				return
+			}
+			if pos >= off && pos+8 <= end {
+				binary.LittleEndian.PutUint64(p[pos-off:], word(i))
+				continue
+			}
+			// The word is cut by the read: copy the part inside [off, end).
+			if lo, hi := max(pos, off), min(pos+8, end); lo < hi {
+				var w [8]byte
+				binary.LittleEndian.PutUint64(w[:], word(i))
+				copy(p[lo-off:hi-off], w[lo-pos:hi-pos])
+			}
+		}
 	}
-	if int64(cap(*scratch)) < n {
-		*scratch = make([]byte, n)
-	}
-	p := (*scratch)[:n]
-	f.fill(p, off)
-	return p
 }
 
 // NBlocks returns the number of file-system blocks the file occupies.

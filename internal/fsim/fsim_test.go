@@ -3,6 +3,7 @@ package fsim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,9 @@ func TestCreateAndLookup(t *testing.T) {
 	if _, ok := fs.Lookup("missing"); ok {
 		t.Fatal("Lookup found missing file")
 	}
-	if !bytes.Equal(got.Bytes(0, got.Size(), nil), data) {
+	content := make([]byte, got.Size())
+	got.ReadAt(content, 0)
+	if !bytes.Equal(content, data) {
 		t.Fatal("content mismatch")
 	}
 }
@@ -43,7 +46,7 @@ func TestCreateDuplicateFails(t *testing.T) {
 
 // TestGeneratedFile: a generated file is laid out by its size like a stored
 // one, and a read renders exactly the requested range into the caller's
-// scratch, growing it once and reusing it after.
+// buffer, all of it and nothing outside it.
 func TestGeneratedFile(t *testing.T) {
 	fs := New(100)
 	ramp := func(p []byte, off int64) {
@@ -59,26 +62,55 @@ func TestGeneratedFile(t *testing.T) {
 	if g.Size() != 250 || g.NBlocks() != 3 || next.Start != 3 {
 		t.Fatalf("size %d nblocks %d, next file at %d; want 250, 3, 3", g.Size(), g.NBlocks(), next.Start)
 	}
-	var scratch []byte
-	if got := g.Bytes(10, 40, &scratch); len(got) != 40 || got[0] != 10 || got[39] != 49 {
-		t.Fatalf("Bytes(10, 40) = %v", got)
+	buf := bytes.Repeat([]byte{0xAA}, 42)
+	if g.ReadAt(buf[1:41], 10); buf[0] != 0xAA || buf[1] != 10 || buf[40] != 49 || buf[41] != 0xAA {
+		t.Fatalf("ReadAt(10, 40) = %v", buf)
 	}
-	held := &scratch[0]
-	if got := g.Bytes(200, 5, &scratch); len(got) != 5 || got[0] != 200 || &got[0] != held {
-		t.Fatalf("smaller read did not reuse the scratch: %v", got)
-	}
-	if got := g.Bytes(0, 250, nil); len(got) != 250 || got[249] != 249 {
-		t.Fatal("whole-file read without a scratch failed")
+	whole := make([]byte, 250)
+	if g.ReadAt(whole, 0); whole[249] != 249 {
+		t.Fatal("whole-file read failed")
 	}
 	if _, err := fs.CreateGenerated("nofill", 10, nil); err == nil {
 		t.Fatal("CreateGenerated accepted a nil content function")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("read past the end of a generated file did not panic")
+	for _, f := range []*File{g, next} {
+		for _, r := range []struct{ off, n int64 }{{f.Size(), 1}, {-1, 1}, {math.MaxInt64, 2}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: read [%d,+%d) past the file did not panic", f.Name, r.off, r.n)
+					}
+				}()
+				f.ReadAt(make([]byte, r.n), r.off)
+			}()
 		}
-	}()
-	g.Bytes(249, 2, &scratch)
+	}
+}
+
+// TestStamped: a record word lands at every stride, cut at the file's end or
+// left out, and a read that splits a word gets exactly its part.
+func TestStamped(t *testing.T) {
+	word := func(i int64) uint64 { return 0x0807060504030201 + uint64(i)<<56 }
+	for _, partial := range []bool{false, true} {
+		fill := Stamped(21, 10, partial, word)
+		got := bytes.Repeat([]byte{0xAA}, 21)
+		fill(got, 0)
+		want := []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 1, 2, 3, 4, 5, 6, 7, 9, 0, 0, 0}
+		if partial {
+			want[20] = 1 // the third word, cut after its first byte
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("partial=%v: %v, want %v", partial, got, want)
+		}
+		for off := int64(0); off <= 21; off++ {
+			for n := int64(0); off+n <= 21; n++ {
+				p := bytes.Repeat([]byte{0xAA}, int(n))
+				if fill(p, off); !bytes.Equal(p, want[off:off+n]) {
+					t.Fatalf("partial=%v: [%d,+%d) = %v, want %v", partial, off, n, p, want[off:off+n])
+				}
+			}
+		}
+	}
 }
 
 // TestSealedRejectsCreate: sealing ends construction for both content kinds

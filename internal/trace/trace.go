@@ -280,11 +280,12 @@ func (c *Capture) Trace() *Trace {
 }
 
 // PopulateFS creates any file the trace touches that fs does not already
-// have, sized to cover the trace's furthest read and filled with sparse
-// deterministic markers (a path-and-offset hash every 512 bytes), so that
-// replayed checksums are reproducible. Files that already exist — a host
-// directory loaded under the same paths, or a benchmark workload — are left
-// alone.
+// have, sized to cover the trace's furthest read and holding sparse
+// deterministic markers (a path-and-offset hash every 512 bytes, the last one
+// cut at the end of the file), so that replayed checksums are reproducible.
+// The files are generated: their content is rendered when read, never stored.
+// Files that already exist — a host directory loaded under the same paths, or
+// a benchmark workload — are left alone.
 func PopulateFS(fs *fsim.FS, t *Trace) error {
 	need := map[string]int64{}
 	order := []string{}
@@ -308,15 +309,9 @@ func PopulateFS(fs *fsim.FS, t *Trace) error {
 			continue
 		}
 		size := need[path]
-		data := make([]byte, size)
 		h := pathHash(path)
-		for off := int64(0); off < size; off += 512 {
-			v := h ^ uint64(off)*0x9e3779b97f4a7c15
-			for i := 0; i < 8 && off+int64(i) < size; i++ {
-				data[off+int64(i)] = byte(v >> (8 * i))
-			}
-		}
-		if _, err := fs.Create(path, data); err != nil {
+		marker := func(r int64) uint64 { return h ^ uint64(r*512)*0x9e3779b97f4a7c15 }
+		if _, err := fs.CreateGenerated(path, size, fsim.Stamped(size, 512, true, marker)); err != nil {
 			return fmt.Errorf("trace: populate %s: %v", path, err)
 		}
 	}

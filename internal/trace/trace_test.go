@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -165,7 +166,10 @@ func TestPopulateFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	f2, _ := fs2.Lookup("miss")
-	if string(f.Bytes(0, f.Size(), nil)) != string(f2.Bytes(0, f2.Size(), nil)) {
+	got, again := make([]byte, f.Size()), make([]byte, f2.Size())
+	f.ReadAt(got, 0)
+	f2.ReadAt(again, 0)
+	if !bytes.Equal(got, again) {
 		t.Error("PopulateFS content is not deterministic")
 	}
 }

@@ -312,14 +312,14 @@ func (m *Machine) Sbrk(t *Thread, incr int64) int64 {
 	incr = (incr + 7) &^ 7
 	if t.Mode == Speculative {
 		old := m.specBrk
-		if incr < 0 || m.specBrk+incr > int64(len(m.mem)) {
+		if incr < 0 || incr > int64(len(m.mem))-m.specBrk {
 			return -1
 		}
 		m.specBrk += incr
 		return old
 	}
 	old := m.brk
-	if incr < 0 || m.brk+incr > m.cfg.MemSize-m.cfg.StackSize {
+	if incr < 0 || incr > m.cfg.MemSize-m.cfg.StackSize-m.brk {
 		return -1
 	}
 	m.brk += incr
@@ -350,9 +350,10 @@ func (m *Machine) touchPage(addr int64) {
 	m.pageLast[p] = m.clock
 }
 
-// validAddr reports whether [addr, addr+n) lies in memory.
+// validAddr reports whether [addr, addr+n) lies in memory. It never forms
+// addr+n: a wild guest address near MaxInt64 would wrap it past the test.
 func (m *Machine) validAddr(addr, n int64) bool {
-	return addr >= 0 && n >= 0 && addr+n <= int64(len(m.mem))
+	return addr >= 0 && n >= 0 && addr <= int64(len(m.mem))-n
 }
 
 // inSpecPrivate reports whether [addr, addr+n) lies in the speculating
@@ -360,7 +361,7 @@ func (m *Machine) validAddr(addr, n int64) bool {
 // shadow code are only legal there — SpecHint leaves stack-pointer-relative
 // stores unchecked because the speculative stack is private.
 func (m *Machine) inSpecPrivate(addr, n int64) bool {
-	return addr >= m.cfg.MemSize && addr+n <= int64(len(m.mem))
+	return addr >= m.cfg.MemSize && addr <= int64(len(m.mem))-n
 }
 
 // WriteMem stores p at addr through the thread's view of memory.
@@ -374,6 +375,34 @@ func (m *Machine) WriteMem(t *Thread, addr int64, p []byte) error {
 		return nil
 	}
 	copy(m.mem[addr:], p)
+	return nil
+}
+
+// Source is where the bytes of a read come from: ReadAt overwrites all of dst
+// with the source's bytes at off. A *fsim.File is one.
+type Source interface {
+	ReadAt(dst []byte, off int64)
+}
+
+// WriteFrom stores n bytes of src, starting at src offset off, at addr through
+// the thread's view of memory. The bytes are rendered straight into place —
+// into memory itself for the original thread and for the speculating thread's
+// private area, region by region into the speculating thread's copies
+// otherwise — so no staging buffer sits between a file and a thread.
+func (m *Machine) WriteFrom(t *Thread, addr, n int64, src Source, off int64) error {
+	if !m.validAddr(addr, n) {
+		return fmt.Errorf("vm: write [%d,+%d) out of range", addr, n)
+	}
+	if t.Mode == Speculative && !m.inSpecPrivate(addr, n) {
+		for n > 0 {
+			c := t.Cow.Writable(m.mem, addr)
+			k := min(int64(len(c)), n)
+			src.ReadAt(c[:k], off)
+			addr, off, n = addr+k, off+k, n-k
+		}
+		return nil
+	}
+	src.ReadAt(m.mem[addr:addr+n], off)
 	return nil
 }
 

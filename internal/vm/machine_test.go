@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -511,6 +512,69 @@ func TestReadWriteMemAndCStr(t *testing.T) {
 	}
 	if _, err := m.ReadMem(norm, int64(len(m.Mem())), 1); err == nil {
 		t.Fatal("out-of-range read accepted")
+	}
+}
+
+// rampSource is a Source whose byte at off is byte(off); it counts its reads.
+type rampSource struct{ reads int }
+
+func (r *rampSource) ReadAt(dst []byte, off int64) {
+	r.reads++
+	for i := range dst {
+		dst[i] = byte(off + int64(i))
+	}
+}
+
+// TestWriteFrom: a source's bytes land straight in memory for the original
+// thread and the speculating thread's private area, and in copies — across
+// several regions, leaving shared memory alone — for a speculative write
+// anywhere else.
+func TestWriteFrom(t *testing.T) {
+	m, err := NewMachine(prog([]Instr{{Op: NOP}}), &scriptOS{}, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := m.NewThread("orig", Normal)
+	spec := m.NewThread("spec", Speculative)
+	region := int64(m.cfg.COWRegion)
+	view := func(th *Thread, addr, n int64) []byte {
+		t.Helper()
+		b, err := m.ReadMem(th, addr, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := func(off, n int64) []byte {
+		b := make([]byte, n)
+		new(rampSource).ReadAt(b, off)
+		return b
+	}
+
+	if err := m.WriteFrom(norm, 100, 50, &rampSource{}, 7); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Mem()[100:150], want(7, 50)) {
+		t.Fatal("original thread's write did not land in memory")
+	}
+
+	addr, n := region-3, 2*region+10 // spans four regions
+	if err := m.WriteFrom(spec, addr, n, &rampSource{}, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(view(spec, addr, n), want(1000, n)) {
+		t.Fatal("speculating thread does not see its write")
+	}
+	if !bytes.Equal(view(norm, addr, n), make([]byte, n)) || spec.Cow.Regions() != 4 {
+		t.Fatalf("speculative write leaked into shared memory or made %d copies, want 4", spec.Cow.Regions())
+	}
+
+	lo, _ := m.specStackBounds()
+	if err := m.WriteFrom(spec, lo, 30, &rampSource{}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Mem()[lo:lo+30], want(3, 30)) || spec.Cow.Regions() != 4 {
+		t.Fatal("private-area write not direct")
 	}
 }
 

@@ -8,7 +8,6 @@ package workload
 // exactly like the hand-written benchmarks.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -59,7 +58,7 @@ func (s LSMSpec) Build(fs *fsim.FS) *trace.Trace {
 	mk := func(level string, n int) {
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("%slsm/%s/t%02d.sst", s.Prefix, level, i)
-			fs.MustCreate(name, tableData(rng, s.TableSize))
+			mustGenerate(fs, name, int64(s.TableSize), tableContent(rng, s.TableSize))
 			tables = append(tables, name)
 		}
 	}
@@ -106,16 +105,23 @@ func (s LSMSpec) Build(fs *fsim.FS) *trace.Trace {
 	return rec.Trace()
 }
 
-// tableData fills a sorted table: ascending 64-bit keys every 512 bytes, so
-// replay checksums depend on exactly which chunks were read.
-func tableData(rng *rand.Rand, size int) []byte {
-	data := make([]byte, size)
+// recordBytes is the record size of the LSM tables and MLShard shards: each
+// record starts with a 64-bit word and is zero after it, and a record whose
+// word does not fit before the end of the file is left out.
+const recordBytes = 512
+
+// tableContent draws a sorted table, ascending 64-bit keys one per record,
+// so replay checksums depend on exactly which chunks were read. Only the keys
+// are kept (8 bytes per 512-byte record); the table is rendered from them on
+// every read.
+func tableContent(rng *rand.Rand, size int) fsim.ContentFunc {
+	keys := make([]uint64, 0, (size+recordBytes-8)/recordBytes)
 	key := int64(rng.Intn(1 << 20))
-	for off := 0; off+8 <= size; off += 512 {
+	for off := 0; off+8 <= size; off += recordBytes {
 		key += int64(1 + rng.Intn(64))
-		binary.LittleEndian.PutUint64(data[off:], uint64(key))
+		keys = append(keys, uint64(key))
 	}
-	return data
+	return fsim.Stamped(int64(size), recordBytes, false, func(r int64) uint64 { return keys[r] })
 }
 
 // -------------------------------------------------------------- MLShard --
@@ -156,7 +162,7 @@ func (s MLShardSpec) Build(fs *fsim.FS) *trace.Trace {
 	names := make([]string, s.Shards)
 	for i := range names {
 		names[i] = fmt.Sprintf("%sml/shard%03d.bin", s.Prefix, i)
-		fs.MustCreate(names[i], shardData(rng, s.ShardSize, i))
+		mustGenerate(fs, names[i], int64(s.ShardSize), shardContent(rng, s.ShardSize, i))
 	}
 	rec := &trace.Capture{}
 	reads := s.ShardSize / s.ReadSize
@@ -178,13 +184,12 @@ func (s MLShardSpec) Build(fs *fsim.FS) *trace.Trace {
 	return rec.Trace()
 }
 
-// shardData marks each 512-byte record with a shard- and offset-dependent
-// value, so the replay digest pins exactly which batches were read.
-func shardData(rng *rand.Rand, size, shard int) []byte {
-	data := make([]byte, size)
-	salt := uint64(rng.Int63())
-	for off := 0; off+8 <= size; off += 512 {
-		binary.LittleEndian.PutUint64(data[off:], salt^uint64(shard)<<40^uint64(off)*2654435761)
-	}
-	return data
+// shardContent marks each record with a shard- and offset-dependent value,
+// so the replay digest pins exactly which batches were read. The one draw
+// from rng is the shard's salt.
+func shardContent(rng *rand.Rand, size, shard int) fsim.ContentFunc {
+	salt := uint64(rng.Int63()) ^ uint64(shard)<<40
+	return fsim.Stamped(int64(size), recordBytes, false, func(r int64) uint64 {
+		return salt ^ uint64(r*recordBytes)*2654435761
+	})
 }

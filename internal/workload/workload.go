@@ -112,7 +112,8 @@ func CountPattern(fs *fsim.FS, names []string, pattern string) int {
 		if !ok {
 			continue
 		}
-		data := f.Bytes(0, f.Size(), nil)
+		data := make([]byte, f.Size())
+		f.ReadAt(data, 0)
 		for i := 0; i+len(pattern) <= len(data); i++ {
 			if string(data[i:i+len(pattern)]) == pattern {
 				count++
@@ -297,9 +298,7 @@ func (s XDSSpec) Build(fs *fsim.FS) (string, []Slice) {
 	rng := rand.New(rand.NewSource(s.Seed))
 	size := DataOffset + int64(s.N)*int64(s.N)*rowStride(s.N)
 	name := s.Prefix + "viz/dataset.vol"
-	if _, err := fs.CreateGenerated(name, size, xdsContent(s.N)); err != nil {
-		panic(err)
-	}
+	mustGenerate(fs, name, size, xdsContent(s.N, size))
 
 	slices := make([]Slice, s.NumSlices)
 	for i := range slices {
@@ -316,24 +315,20 @@ func (s XDSSpec) Build(fs *fsim.FS) (string, []Slice) {
 // with the word N, every later block starts with a block-dependent word (so
 // checksums depend on exactly which blocks are processed), and all else is
 // zero.
-func xdsContent(n int) fsim.ContentFunc {
-	const blk = 8192 // DataOffset is one block
-	return func(p []byte, off int64) {
-		clear(p)
-		end := off + int64(len(p))
-		for b := off / blk; b*blk < end; b++ {
-			v := uint64(b * 2654435761)
-			if b == 0 {
-				v = uint64(n)
-			}
-			var w [8]byte
-			binary.LittleEndian.PutUint64(w[:], v)
-			// The word occupies [pos, pos+8); copy the part inside [off, end).
-			pos := b * blk
-			if lo, hi := max(pos, off), min(pos+8, end); lo < hi {
-				copy(p[lo-off:hi-off], w[lo-pos:hi-pos])
-			}
+func xdsContent(n int, size int64) fsim.ContentFunc {
+	return fsim.Stamped(size, DataOffset, true, func(b int64) uint64 {
+		if b == 0 {
+			return uint64(n)
 		}
+		return uint64(b * 2654435761)
+	})
+}
+
+// mustGenerate creates a generated file; the names are the generator's own,
+// so a failure is a bug.
+func mustGenerate(fs *fsim.FS, name string, size int64, fill fsim.ContentFunc) {
+	if _, err := fs.CreateGenerated(name, size, fill); err != nil {
+		panic(err)
 	}
 }
 

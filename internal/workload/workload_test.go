@@ -9,8 +9,19 @@ import (
 	"spechint/internal/fsim"
 )
 
-// whole reads a file end to end through the accessor.
-func whole(f *fsim.File) []byte { return f.Bytes(0, f.Size(), nil) }
+// whole reads a file end to end through ReadAt.
+func whole(f *fsim.File) []byte {
+	p := make([]byte, f.Size())
+	f.ReadAt(p, 0)
+	return p
+}
+
+// word reads the little-endian word at off through ReadAt.
+func word(f *fsim.File, off int64) int64 {
+	var p [8]byte
+	f.ReadAt(p[:], off)
+	return int64(binary.LittleEndian.Uint64(p[:]))
+}
 
 func TestAgrepBuildDeterministic(t *testing.T) {
 	spec := AgrepSpec{NumFiles: 20, MeanSize: 3000, Pattern: "NEEDLE", Plants: 2, Seed: 7}
@@ -58,9 +69,7 @@ func TestGnuldObjectFormat(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
-		w := func(off int64) int64 {
-			return int64(binary.LittleEndian.Uint64(f.Bytes(off, 8, nil)))
-		}
+		w := func(off int64) int64 { return word(f, off) }
 		if w(HdrMagic) != ObjMagic {
 			t.Fatalf("%s: bad magic", name)
 		}
@@ -106,7 +115,7 @@ func TestXDSBuildHeaderAndSize(t *testing.T) {
 	if !ok {
 		t.Fatal("volume missing")
 	}
-	if got := int64(binary.LittleEndian.Uint64(f.Bytes(0, 8, nil))); got != 32 {
+	if got := word(f, 0); got != 32 {
 		t.Fatalf("header n = %d", got)
 	}
 	want := int64(DataOffset) + 32*32*rowStride(32)
