@@ -55,12 +55,13 @@ synth:
 
 # fuzz runs the native fuzz targets for a short budget each: fault
 # containment (core), counted-loop summarisation against the stepping
-# interpreter (vm), then generated file content against its materialised
-# model (workload).
+# interpreter (vm), generated file content against its materialised model
+# (workload), then scan-loop kernels against the stepping interpreter (vm).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzCountedLoop -fuzztime=10s -run '^$$' ./internal/vm
 	$(GO) test -fuzz=FuzzFileContent -fuzztime=10s -run '^$$' ./internal/workload
+	$(GO) test -fuzz=FuzzScanLoop -fuzztime=10s -run '^$$' ./internal/vm
 
 # smoke-F runs sweep family F (any tipbench experiment with a -json report)
 # at test scale at -parallel 1 and 4, demands byte-identical JSON at both

@@ -211,12 +211,12 @@ func speedSelfCheck() (string, error) {
 	return b.String(), nil
 }
 
-// timeCell runs f (which performs ops operations) once for wall time and
-// derives per-op figures; allocs is the separately measured allocation
+// timeCell runs f once for wall time and derives per-op figures from the
+// operation count f returns; allocs is the separately measured allocation
 // average per op.
-func timeCell(name string, ops int64, allocs float64, f func()) SpeedCell {
+func timeCell(name string, allocs float64, f func() (ops int64)) SpeedCell {
 	start := time.Now()
-	f()
+	ops := f()
 	ns := float64(time.Since(start).Nanoseconds()) / float64(ops)
 	perSec := 0.0
 	if ns > 0 {
@@ -246,11 +246,12 @@ func SpeedJSON(scale apps.Scale, scaleName string) (*SpeedReport, error) {
 			i++
 		})
 		const ops = 2_000_000
-		rep.EventLoop = append(rep.EventLoop, timeCell("steady512", ops, allocs, func() {
+		rep.EventLoop = append(rep.EventLoop, timeCell("steady512", allocs, func() int64 {
 			for i := 0; i < ops; i++ {
 				q.Schedule(q.Now()+sim.Time(i%61+1), fn)
 				q.RunNext()
 			}
+			return ops
 		}))
 	}
 
@@ -269,31 +270,39 @@ func SpeedJSON(scale apps.Scale, scaleName string) (*SpeedReport, error) {
 		burstTick() // warm arena + free list
 		allocsPerTick := testing.AllocsPerRun(512, burstTick)
 		const ticks = 30_000
-		cell := timeCell("burst64", ticks*speedBurst, allocsPerTick/speedBurst, func() {
+		cell := timeCell("burst64", allocsPerTick/speedBurst, func() int64 {
 			for t := 0; t < ticks; t++ {
 				burstTick()
 			}
+			return ticks * speedBurst
 		})
 		rep.EventLoop = append(rep.EventLoop, cell)
 	}
 
-	// VM: pre-decoded dispatch, budget-bound slices.
+	// VM: pre-decoded dispatch, budget-bound slices of 4096 cycles. An op is
+	// an instruction, counted from th.Instrs: the loop retires 7 of them in
+	// 9 cycles (MUL costs 3).
 	{
 		m, th, err := speedMachine()
 		if err != nil {
 			return nil, err
 		}
+		slices := int64(0)
 		slice := func() {
+			slices++
 			if _, stop := m.Run(th, 4096); stop != vm.StopBudget {
 				panic(fmt.Sprintf("bench: speed VM stopped %v (err %v)", stop, th.Err))
 			}
 		}
+		before := th.Instrs
 		allocsPerSlice := testing.AllocsPerRun(256, slice)
-		const instrs = 8_000_000
-		cell := timeCell("vmstep", instrs, allocsPerSlice/4096, func() {
-			for i := 0; i < instrs/4096; i++ {
+		instrsPerSlice := float64(th.Instrs-before) / float64(slices)
+		cell := timeCell("vmstep", allocsPerSlice/instrsPerSlice, func() int64 {
+			start := th.Instrs
+			for i := 0; i < 8_000_000/4096; i++ {
 				slice()
 			}
+			return th.Instrs - start
 		})
 		rep.VM = append(rep.VM, cell)
 	}

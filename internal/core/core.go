@@ -606,8 +606,8 @@ func (s *System) issueStaticHints() {
 func (s *System) TIP() *tip.Manager { return s.tip }
 
 // Summarised returns how many of each thread's instructions the VM retired
-// in closed form (vm.Thread.Summarised; spec is 0 without a speculating
-// thread). It is what the simulator spent, not what it simulated — it moves
+// in bulk — spin, word-sum and byte-scan loops — instead of dispatching them
+// (vm.Thread.Summarised; spec is 0 without a speculating thread). It is what the simulator spent, not what it simulated — it moves
 // with the scheduling quantum — so RunStats does not carry it.
 func (s *System) Summarised() (orig, spec int64) {
 	if s.spec != nil {

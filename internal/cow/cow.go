@@ -105,6 +105,20 @@ func (m *Map) Writable(mem []byte, addr int64) []byte {
 	return c[addr&^m.mask:]
 }
 
+// Readable is Writable's read side: memory from addr to the end of addr's
+// region (or of mem, if that comes first) as the copies show it — the region's
+// copy if it has one, mem itself if not. It never copies, so a span read
+// through it region by region costs one lookup per region instead of one per
+// load.
+func (m *Map) Readable(mem []byte, addr int64) []byte {
+	base := addr & m.mask
+	end := min(base+m.regionSize, int64(len(mem)))
+	if c, ok := m.regions[base]; ok {
+		return c[addr-base : end-base]
+	}
+	return mem[addr:end]
+}
+
 // StoreBytes writes p at addr into copies, creating them as needed.
 func (m *Map) StoreBytes(mem []byte, addr int64, p []byte) {
 	for len(p) > 0 {

@@ -269,6 +269,34 @@ func TestStoreBytesMatchesByteLoop(t *testing.T) {
 	}
 }
 
+// Readable is the view LoadByte gives, a region at a time: from any address
+// to its region's end (or memory's, for the final partial region), through
+// copied and uncopied regions alike, and it never makes a copy.
+func TestReadableMatchesLoadByte(t *testing.T) {
+	const memSize, region = 1000, 64
+	mem := make([]byte, memSize)
+	rand.New(rand.NewSource(2)).Read(mem)
+	m := New(region)
+	for _, a := range []int64{3, 130, 131, memSize - 5} {
+		m.StoreByte(mem, a, ^mem[a])
+	}
+	copies := m.Copies()
+	for addr := int64(0); addr < memSize; addr++ {
+		b := m.Readable(mem, addr)
+		if want := min(addr|(region-1)+1, memSize) - addr; int64(len(b)) != want {
+			t.Fatalf("Readable(%d) has %d bytes, want %d", addr, len(b), want)
+		}
+		for i, v := range b {
+			if v != m.LoadByte(mem, addr+int64(i)) {
+				t.Fatalf("Readable(%d)[%d] = %d, LoadByte says %d", addr, i, v, m.LoadByte(mem, addr+int64(i)))
+			}
+		}
+	}
+	if m.Copies() != copies {
+		t.Fatalf("Readable made %d copies", m.Copies()-copies)
+	}
+}
+
 // Copies returns the number of region copies made since the last Reset.
 func (m *Map) Copies() int64 { return m.copies }
 

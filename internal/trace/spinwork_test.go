@@ -5,7 +5,8 @@ package trace_test
 // copy spechint.Transform makes of it, keep the one shape the VM recognises.
 // Nothing simulated changes when they stop — a trace-driven cell just costs
 // seven times the host time — so these tests pin the work itself, the way
-// internal/cluster's pumpwork_test.go pins the pump's.
+// internal/cluster's pumpwork_test.go pins the pump's. The paper apps' scan
+// loops get the same gate (TestScansAreNotInterpreted).
 
 import (
 	"fmt"
@@ -100,6 +101,57 @@ func TestThinkIsNotInterpreted(t *testing.T) {
 					check("speculating", st.SpecInstrs, specSum)
 				}
 			})
+		}
+	}
+}
+
+// minScanShare is the share of a paper app's instructions, per thread, that
+// the VM must retire in bulk. Agrep's first-byte scan and Gnuld's and
+// XDataSlice's word sums are 98–99% of what those apps execute; an edit to
+// their assembly or to spechint.Transform that breaks the shape markScanLoops
+// recognises drops the share to about 0, and the cells merely get slower.
+const minScanShare = 0.9
+
+// TestScansAreNotInterpreted is TestThinkIsNotInterpreted for the paper's
+// three apps: their scan loops run as native kernels in the original, the
+// speculating and the manually hinted run.
+func TestScansAreNotInterpreted(t *testing.T) {
+	scale := apps.TestScale()
+	for _, app := range []apps.App{apps.Agrep, apps.Gnuld, apps.XDataSlice} {
+		b, err := apps.Build(app, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []core.Mode{core.ModeNoHint, core.ModeSpeculating, core.ModeManual} {
+			prog := b.Original
+			switch mode {
+			case core.ModeSpeculating:
+				prog = b.Transformed
+			case core.ModeManual:
+				prog = b.Manual
+			}
+			sys, err := core.New(core.DefaultConfig(mode), prog, b.FS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			origSum, specSum := sys.Summarised()
+			check := func(thread string, instrs, summarised int64) {
+				share := float64(summarised) / float64(max(instrs, 1))
+				t.Logf("%v/%v %s thread: %d of %d instructions retired in bulk (%.4f)",
+					app, mode, thread, summarised, instrs, share)
+				if share < minScanShare {
+					t.Errorf("%v/%v %s thread: %.4f of its instructions retired in bulk, gate %.2f: its scan loop is no longer recognised",
+						app, mode, thread, share, minScanShare)
+				}
+			}
+			check("original", st.OrigInstrs, origSum)
+			if mode == core.ModeSpeculating {
+				check("speculating", st.SpecInstrs, specSum)
+			}
 		}
 	}
 }

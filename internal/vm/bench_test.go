@@ -22,10 +22,11 @@ func stepProg(iters int64) *Program {
 }
 
 // BenchmarkVMStep measures the interpreter's per-instruction cost on the
-// hot ALU/memory loop. Each b.N step executes one instruction (budget-bound
-// slices of 4096 cycles ≈ 4096 instructions at Default cost 1); the loop
-// must report 0 allocs/op — the step loop has no closures and no per-slice
-// heap state.
+// hot ALU/memory loop. Each b.N step is one instruction, counted from
+// th.Instrs: the loop retires 7 instructions in 9 cycles (MUL costs 3), so a
+// cycle is not an instruction. Slices are budget-bound, 4096 cycles at most;
+// the loop must report 0 allocs/op — the step loop has no closures and no
+// per-slice heap state.
 func BenchmarkVMStep(b *testing.B) {
 	m, err := NewMachine(stepProg(1<<62), &scriptOS{}, testCfg())
 	if err != nil {
@@ -34,17 +35,10 @@ func BenchmarkVMStep(b *testing.B) {
 	th := m.NewThread("bench", Normal)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var left = int64(b.N)
-	for left > 0 {
-		slice := int64(4096)
-		if slice > left {
-			slice = left
-		}
-		used, stop := m.Run(th, slice)
-		if stop != StopBudget {
+	for end := th.Instrs + int64(b.N); th.Instrs < end; {
+		if _, stop := m.Run(th, min(4096, end-th.Instrs)); stop != StopBudget {
 			b.Fatalf("stop = %v (err %v)", stop, th.Err)
 		}
-		left -= used
 	}
 }
 
@@ -68,7 +62,9 @@ func BenchmarkVMRunSlice(b *testing.B) {
 
 // TestRunZeroAlloc pins Run's allocation count at zero so a future change
 // that reintroduces per-slice closures (or lets a local escape) fails this
-// test instead of taxing every simulated instruction slice.
+// test instead of taxing every simulated instruction slice: on the ALU/memory
+// loop, and on a speculating thread whose slices retire a checked word sum
+// over copied and uncopied regions.
 func TestRunZeroAlloc(t *testing.T) {
 	m, err := NewMachine(stepProg(1<<62), &scriptOS{}, testCfg())
 	if err != nil {
@@ -82,5 +78,25 @@ func TestRunZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Run allocates %.2f objects/slice, want 0", avg)
+	}
+
+	sm, spec := makeSpecMachine(t, []Instr{{Op: NOP}}, []Instr{
+		{Op: MOVI, Rd: 4, Imm: 0},
+		{Op: MOVI, Rd: 5, Imm: 4000},
+		{Op: LDWS, Rd: 6, Rs1: 4}, // the word sum, restarted forever
+		{Op: ADD, Rd: 22, Rs1: 22, Rs2: 6},
+		{Op: ADDI, Rd: 4, Rs1: 4, Imm: 8},
+		{Op: BLT, Rs1: 4, Rs2: 5, Imm: 3},
+		{Op: JMP, Imm: 1},
+	})
+	spec.Cow.StoreWord(sm.Mem(), 1020, 7) // copies the first two regions; the rest read through
+	avg = testing.AllocsPerRun(200, func() {
+		if _, stop := sm.Run(spec, 1024); stop != StopBudget {
+			t.Fatalf("stop = %v (signals %d)", stop, spec.Signals)
+		}
+	})
+	if avg != 0 || spec.Summarised == 0 {
+		t.Fatalf("a checked scan slice allocates %.2f objects and retired %d instructions in bulk, want 0 and some",
+			avg, spec.Summarised)
 	}
 }

@@ -13,7 +13,9 @@ package vm
 //   - the SP-discipline check predicate (Rd == SP on a non-store) becomes a
 //     flag bit instead of three comparisons per step;
 //   - the header of a pure counted spin loop gets a class of its own (dSPIN),
-//     which lets Run retire whole iterations in closed form (markSpinLoops).
+//     which lets Run retire whole iterations in closed form (markSpinLoops),
+//     and so does the header of a word-sum or byte-scan loop (dSCAN, dSCANS),
+//     whose iterations Run retires in native code (markScanLoops).
 //
 // The original []Instr stays on the Machine for diagnostics (fault messages
 // name the source opcode, not the decoded class).
@@ -42,7 +44,11 @@ const (
 	dSHRI
 	dSLTI
 	dMOVI
-	dLD  // plain load; width via dfWord
+	// dSCAN and dSCANS are a plain and a checked load that head a scan loop
+	// (markScanLoops); the width flag tells the two shapes apart.
+	dSCAN
+	dLD // plain load; width via dfWord
+	dSCANS
 	dLDS // COW-checked load
 	dST  // plain store
 	dSTS // COW-checked store
@@ -200,6 +206,7 @@ func decodeProgram(text []Instr, cost CostModel) []dInstr {
 		}
 	}
 	markSpinLoops(dec)
+	markScanLoops(dec)
 	return dec
 }
 
@@ -231,4 +238,97 @@ func markSpinLoops(dec []dInstr) {
 			head.class = dSPIN
 		}
 	}
+}
+
+// scanLen is the instruction count of one loop-back iteration of a scan loop.
+const scanLen = 4
+
+// markScanLoops reclassifies as dSCAN (plain load) or dSCANS (checked load)
+// the header of every loop of the two memory-scan shapes the benchmark
+// applications spend almost all of their instructions in:
+//
+//	word sum:  head: ldw  V, o(P)        byte scan:  head: ldb  A, o(P)
+//	                 add  S, S, V                          bne  A, K, L
+//	                 addi P, P, 8                          ...
+//	                 blt  P, E, head                    L: addi P, P, 1
+//	                                                       blt  P, E, head
+//
+// Gnuld's and XDataSlice's checksums are the first, Agrep's hunt for its
+// pattern's first byte the second; the transformer copies them verbatim with
+// the load made checked, so the shadow copies pass the same test. An iteration
+// that loops back changes P, S and V (or A), the load and instruction counts,
+// the pages touched and the clock, and nothing else, so Run can retire k of
+// them at once (Machine.scan); what it charges for them it reads from these
+// same decoded entries. Everything else stays a plain load: V (A), S, P and E
+// must be different registers and none of them r0 or SP, K must differ from
+// A, P and E, the stride must be the load's width, no instruction of the loop
+// may carry the stack-discipline check, and every cost must be positive.
+func markScanLoops(dec []dInstr) {
+	for i := range dec {
+		if !isScanHead(dec, int64(i)) {
+			continue
+		}
+		if dec[i].class == dLD {
+			dec[i].class = dSCAN
+		} else {
+			dec[i].class = dSCANS
+		}
+	}
+}
+
+// isScanHead reports whether dec[i] is a load that heads one of
+// markScanLoops' two shapes.
+func isScanHead(dec []dInstr, i int64) bool {
+	n := int64(len(dec))
+	if i+1 >= n || dec[i].class != dLD && dec[i].class != dLDS {
+		return false
+	}
+	ld, test := &dec[i], &dec[i+1]
+	v, p := ld.rd, ld.rs1
+	at, step := i+2, int64(8) // the word sum's addi follows its add
+	if ld.flags&dfWord != 0 {
+		if test.class != dADD || test.rs1 != test.rd || test.rs2 != v {
+			return false
+		}
+	} else {
+		at, step = test.imm, 1 // the byte scan's is where bne goes
+		if test.class != dBNE || test.rs1 != v || at < 0 {
+			return false
+		}
+	}
+	if at+1 >= n {
+		return false
+	}
+	inc, back := &dec[at], &dec[at+1]
+	if inc.class != dADDI || inc.rd != p || inc.rs1 != p || inc.imm != step ||
+		back.class != dBLT || back.rs1 != p || back.imm != i {
+		return false
+	}
+	for _, d := range [scanLen]*dInstr{ld, test, inc, back} {
+		if d.flags&dfCheckSP != 0 || d.cost <= 0 {
+			return false
+		}
+	}
+	e := back.rs2
+	if step == 8 {
+		return distinctGPRs(v, test.rd, p, e)
+	}
+	k := test.rs2
+	return distinctGPRs(v, p, e) && k != v && k != p && k != e
+}
+
+// distinctGPRs reports whether regs are pairwise different and none of them
+// is r0 or SP.
+func distinctGPRs(regs ...uint8) bool {
+	for i, r := range regs {
+		if r == R0 || r == SP {
+			return false
+		}
+		for _, q := range regs[:i] {
+			if q == r {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -184,8 +185,8 @@ type Thread struct {
 	Err      error // fatal error (Normal mode only)
 
 	// Summarised counts the instructions (a subset of Instrs) that Run
-	// retired in closed form instead of dispatching: whole iterations of
-	// counted spin loops (decode.go).
+	// retired in bulk instead of dispatching: whole iterations of counted
+	// spin loops and of word-sum and byte-scan loops (decode.go).
 	Summarised int64
 }
 
@@ -350,6 +351,18 @@ func (m *Machine) touchPage(addr int64) {
 	m.pageLast[p] = m.clock
 }
 
+// touchRun does for the k accesses at a, a+step, … what k touchPage calls
+// would: it touches each of their pages once, in ascending order. Within a
+// slice a repeated touch changes nothing, so the statistics and lastPage end
+// up the same.
+func (m *Machine) touchRun(a, step, k int64) {
+	for end := a + step*(k-1); a <= end; {
+		m.touchPage(a)
+		next := (a>>m.pageShift + 1) << m.pageShift // the first access on a later page
+		a += (next - a + step - 1) / step * step
+	}
+}
+
 // validAddr reports whether [addr, addr+n) lies in memory. It never forms
 // addr+n: a wild guest address near MaxInt64 would wrap it past the test.
 func (m *Machine) validAddr(addr, n int64) bool {
@@ -364,15 +377,87 @@ func (m *Machine) inSpecPrivate(addr, n int64) bool {
 	return addr >= m.cfg.MemSize && addr <= int64(len(m.mem))-n
 }
 
+// The speculating thread's view of memory is one rule, byte by byte: a byte
+// of its private area (addr >= MemSize) is memory itself, as its unchecked
+// stack loads and stores see it, and any other byte is its copy-on-write
+// view. Checked loads and stores, the checked scan kernels, ReadCStr, WriteMem
+// and WriteFrom all follow it, so a private access never makes a copy and
+// never charges for one. The helpers below take a valid address.
+
+// specLoad reads size (1 or 8) bytes at addr through the speculating thread's
+// view.
+func (m *Machine) specLoad(t *Thread, addr, size int64) int64 {
+	switch priv := m.cfg.MemSize; {
+	case addr+size <= priv:
+		if size == 1 {
+			return int64(t.Cow.LoadByte(m.mem, addr))
+		}
+		return t.Cow.LoadWord(m.mem, addr)
+	case addr >= priv:
+		if size == 1 {
+			return int64(m.mem[addr])
+		}
+		return int64(binary.LittleEndian.Uint64(m.mem[addr:]))
+	}
+	// A word across the private area's edge: each byte from its own side.
+	var v uint64
+	for i := int64(0); i < size; i++ {
+		v |= uint64(m.specLoad(t, addr+i, 1)) << (8 * i)
+	}
+	return int64(v)
+}
+
+// specStore writes the low size (1 or 8) bytes of v at addr through the
+// speculating thread's view and returns how many fresh region copies that
+// made.
+func (m *Machine) specStore(t *Thread, addr, size, v int64) int {
+	switch priv := m.cfg.MemSize; {
+	case addr+size <= priv:
+		if size == 8 {
+			return t.Cow.StoreWord(m.mem, addr, v)
+		}
+		if t.Cow.StoreByte(m.mem, addr, byte(v)) {
+			return 1
+		}
+		return 0
+	case addr >= priv:
+		if size == 8 {
+			binary.LittleEndian.PutUint64(m.mem[addr:], uint64(v))
+		} else {
+			m.mem[addr] = byte(v)
+		}
+		return 0
+	}
+	fresh := 0
+	for i := int64(0); i < size; i++ {
+		fresh += m.specStore(t, addr+i, 1, int64(uint64(v)>>(8*i)))
+	}
+	return fresh
+}
+
+// specReadable returns the speculating thread's view of memory from addr to
+// the end of the stretch one source serves: the rest of memory in the private
+// area, else the rest of addr's copy-on-write region (cow.Readable), cut at
+// the private area's edge. It never copies.
+func (m *Machine) specReadable(t *Thread, addr int64) []byte {
+	priv := m.cfg.MemSize
+	if addr >= priv {
+		return m.mem[addr:]
+	}
+	b := t.Cow.Readable(m.mem, addr)
+	return b[:min(int64(len(b)), priv-addr)]
+}
+
 // WriteMem stores p at addr through the thread's view of memory.
 func (m *Machine) WriteMem(t *Thread, addr int64, p []byte) error {
 	n := int64(len(p))
 	if !m.validAddr(addr, n) {
 		return fmt.Errorf("vm: write [%d,+%d) out of range", addr, n)
 	}
-	if t.Mode == Speculative && !m.inSpecPrivate(addr, n) {
-		t.Cow.StoreBytes(m.mem, addr, p)
-		return nil
+	if t.Mode == Speculative {
+		shared := min(max(m.cfg.MemSize-addr, 0), n)
+		t.Cow.StoreBytes(m.mem, addr, p[:shared])
+		addr, p = addr+shared, p[shared:]
 	}
 	copy(m.mem[addr:], p)
 	return nil
@@ -393,14 +478,16 @@ func (m *Machine) WriteFrom(t *Thread, addr, n int64, src Source, off int64) err
 	if !m.validAddr(addr, n) {
 		return fmt.Errorf("vm: write [%d,+%d) out of range", addr, n)
 	}
-	if t.Mode == Speculative && !m.inSpecPrivate(addr, n) {
-		for n > 0 {
+	if t.Mode == Speculative {
+		for n > 0 && addr < m.cfg.MemSize {
 			c := t.Cow.Writable(m.mem, addr)
-			k := min(int64(len(c)), n)
+			k := min(int64(len(c)), n, m.cfg.MemSize-addr)
 			src.ReadAt(c[:k], off)
 			addr, off, n = addr+k, off+k, n-k
 		}
-		return nil
+		if n == 0 {
+			return nil
+		}
 	}
 	src.ReadAt(m.mem[addr:addr+n], off)
 	return nil
@@ -413,20 +500,20 @@ func (m *Machine) WriteFrom(t *Thread, addr, n int64, src Source, off int64) err
 func (m *Machine) ReadCStr(t *Thread, addr int64, buf []byte) ([]byte, error) {
 	const maxLen = 4096
 	out := buf[:0]
-	for i := int64(0); i < maxLen; i++ {
-		if !m.validAddr(addr+i, 1) {
+	for len(out) < maxLen {
+		a := addr + int64(len(out))
+		if !m.validAddr(a, 1) {
 			return out, fmt.Errorf("vm: string at %d runs out of memory", addr)
 		}
-		var b byte
+		b := m.mem[a:]
 		if t.Mode == Speculative {
-			b = t.Cow.LoadByte(m.mem, addr+i)
-		} else {
-			b = m.mem[addr+i]
+			b = m.specReadable(t, a)
 		}
-		if b == 0 {
-			return out, nil
+		b = b[:min(len(b), maxLen-len(out))]
+		if i := bytes.IndexByte(b, 0); i >= 0 {
+			return append(out, b[:i]...), nil
 		}
-		out = append(out, b)
+		out = append(out, b...)
 	}
 	return out, fmt.Errorf("vm: unterminated string at %d", addr)
 }
@@ -480,6 +567,112 @@ func (m *Machine) finish(t *Thread, used int64, r StopReason) (int64, StopReason
 	m.lastPage = -1
 	m.sliceUsed = 0
 	return used, r
+}
+
+// scan retires at once the whole loop-back iterations of the scan loop headed
+// at pc (markScanLoops) that the dispatcher would run in room cycles, and
+// returns what they cost; 0 means none, and the header is then a plain load.
+// It retires k = min(budget bound, loop bound, last valid address, first byte
+// equal to K) iterations. The budget bound is dSPIN's: an iteration runs whole
+// iff its last instruction starts under budget. The exiting iteration, a
+// partial one, the matching byte and a load that would fault are left to the
+// dispatcher. checked reads through the speculating thread's view, a region
+// at a time.
+func (m *Machine) scan(t *Thread, pc, room int64, checked bool) int64 {
+	ld, test := &m.dec[pc], &m.dec[pc+1]
+	word := ld.flags&dfWord != 0
+	at := pc + 2 // the word sum's addi; the byte scan's is bne's target
+	if !word {
+		at = test.imm
+	}
+	inc, back := &m.dec[at], &m.dec[at+1]
+	upToLast := ld.cost + test.cost + inc.cost
+	iter := upToLast + back.cost
+	regs := &t.Regs
+	p, e, step := regs[ld.rs1], regs[back.rs2], inc.imm // step is also the load's width
+	a := p + ld.imm
+	if room <= upToLast || e <= p || !m.validAddr(a, step) {
+		return 0
+	}
+	k := (room-upToLast-1)/iter + 1
+	if loops := (uint64(e) - uint64(p) - 1) / uint64(step); loops < uint64(k) {
+		k = int64(loops) // P stays below E throughout, so P+step·k cannot wrap
+	}
+	if k = min(k, (int64(len(m.mem))-step-a)/step+1); k == 0 {
+		return 0
+	}
+	var last int64
+	if word {
+		var sum int64
+		sum, last = m.sumWords(t, a, k, checked)
+		regs[test.rd] += sum
+	} else if k, last = m.scanBytes(t, a, k, regs[test.rs2], checked); k == 0 {
+		return 0
+	}
+	regs[ld.rd] = last
+	regs[ld.rs1] = p + step*k
+	m.touchRun(a, step, k)
+	t.Loads += k
+	t.Instrs += scanLen*k - 1 // this arrival is already counted
+	t.Summarised += scanLen * k
+	return k * iter
+}
+
+// sumWords returns the wrapped sum of the k words from a and the last of them.
+func (m *Machine) sumWords(t *Thread, a, k int64, checked bool) (sum, last int64) {
+	if !checked {
+		return addWords(m.mem[a : a+8*k])
+	}
+	for k > 0 {
+		b := m.specReadable(t, a)
+		n := min(int64(len(b))/8, k)
+		if n == 0 { // a word across two regions, or across the private edge
+			last = m.specLoad(t, a, 8)
+			sum += last
+			a, k = a+8, k-1
+			continue
+		}
+		s, l := addWords(b[:8*n])
+		sum, last = sum+s, l
+		a, k = a+8*n, k-n
+	}
+	return sum, last
+}
+
+// addWords returns the wrapped sum of b's little-endian words and the last of
+// them; len(b) is a positive multiple of 8.
+func addWords(b []byte) (sum, last int64) {
+	for ; len(b) >= 8; b = b[8:] {
+		last = int64(binary.LittleEndian.Uint64(b))
+		sum += last
+	}
+	return sum, last
+}
+
+// scanBytes returns how many of the k bytes from a come before the first one
+// equal to key (all k if none is), and the last of those.
+func (m *Machine) scanBytes(t *Thread, a, k, key int64, checked bool) (n, last int64) {
+	for n < k {
+		b := m.mem[a+n : a+k]
+		if checked {
+			b = m.specReadable(t, a+n)
+			b = b[:min(int64(len(b)), k-n)]
+		}
+		i := len(b)
+		if key == int64(byte(key)) {
+			if j := bytes.IndexByte(b, byte(key)); j >= 0 {
+				i = j
+			}
+		}
+		if i > 0 {
+			last = int64(b[i-1])
+		}
+		n += int64(i)
+		if i < len(b) {
+			break
+		}
+	}
+	return n, last
 }
 
 // Run executes t for at most budget cycles, returning the cycles actually
@@ -609,6 +802,15 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 				regs[ins.rd] = ins.imm
 			}
 
+		case dSCAN:
+			// Header of a scan loop (markScanLoops): retire the whole
+			// loop-back iterations that fit at once and stay on the header;
+			// when none does, this is the plain load below it.
+			if n := m.scan(t, pc, budget-used, false); n > 0 {
+				used += n
+				continue
+			}
+			fallthrough
 		case dLD:
 			t.Loads++
 			addr := regs[ins.rs1] + ins.imm
@@ -628,6 +830,12 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 				t.set(ins.rd, int64(binary.LittleEndian.Uint64(mem[addr:])))
 			}
 
+		case dSCANS:
+			if n := m.scan(t, pc, budget-used, true); n > 0 {
+				used += n
+				continue
+			}
+			fallthrough
 		case dLDS:
 			t.Loads++
 			addr := regs[ins.rs1] + ins.imm
@@ -641,11 +849,7 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 				return m.finish(t, used, m.fault(t, "vm: spec load at %d out of range (PC %d)", addr, pc))
 			}
 			m.touchPage(addr)
-			if ins.flags&dfWord == 0 {
-				t.set(ins.rd, int64(t.Cow.LoadByte(mem, addr)))
-			} else {
-				t.set(ins.rd, t.Cow.LoadWord(mem, addr))
-			}
+			t.set(ins.rd, m.specLoad(t, addr, size))
 
 		case dST:
 			t.Stores++
@@ -687,15 +891,7 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 				return m.finish(t, used, m.fault(t, "vm: spec store at %d out of range (PC %d)", addr, pc))
 			}
 			m.touchPage(addr)
-			var fresh int
-			if ins.flags&dfWord == 0 {
-				if t.Cow.StoreByte(mem, addr, byte(regs[ins.rs2])) {
-					fresh = 1
-				}
-			} else {
-				fresh = t.Cow.StoreWord(mem, addr, regs[ins.rs2])
-			}
-			c += int64(fresh) * m.cowCopyCost
+			c += int64(m.specStore(t, addr, size, regs[ins.rs2])) * m.cowCopyCost
 
 		case dSPIN:
 			// Header of a counted spin loop (markSpinLoops) with n iterations

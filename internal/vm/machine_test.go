@@ -344,6 +344,129 @@ func TestSpeculativeUncheckedStoreToSpecStackAllowed(t *testing.T) {
 	}
 }
 
+// TestSpecViewIsOneRule: the speculating thread sees its private area (its
+// stack and arena, from MemSize up) the same way through checked and
+// unchecked accesses — a checked access goes straight to memory there, with no
+// copy — and sees any other byte through its copies. Each row stores with one
+// kind and loads with the other, over the same private bytes: well inside the
+// area, or at its edge, where a checked word straddles MemSize and its shared
+// half still goes through a copy.
+func TestSpecViewIsOneRule(t *testing.T) {
+	memSize := testCfg().MemSize
+	type row struct {
+		name           string
+		st, ld         Op
+		stAddr, ldAddr int64
+	}
+	var rows []row
+	for _, w := range []struct {
+		name                 string
+		stw, stws, ldw, ldws Op
+		edge                 int64 // the checked access's address at the edge
+	}{
+		{"byte", STB, STBS, LDB, LDBS, memSize},
+		{"word", STW, STWS, LDW, LDWS, memSize - 4},
+	} {
+		in := memSize + 256
+		rows = append(rows,
+			row{w.name + "/checked store, unchecked load/inside", w.stws, w.ldw, in, in},
+			row{w.name + "/unchecked store, checked load/inside", w.stw, w.ldws, in, in},
+			row{w.name + "/checked store, unchecked load/edge", w.stws, w.ldw, w.edge, memSize},
+			row{w.name + "/unchecked store, checked load/edge", w.stw, w.ldws, memSize, w.edge},
+		)
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			const v = 0x1122334455667788
+			m, th := makeSpecMachine(t, []Instr{{Op: NOP}}, []Instr{
+				{Op: MOVI, Rd: 10, Imm: r.stAddr},
+				{Op: MOVI, Rd: 11, Imm: v},
+				{Op: r.st, Rs1: 10, Rs2: 11},
+				{Op: MOVI, Rd: 12, Imm: r.ldAddr},
+				{Op: r.ld, Rd: 13, Rs1: 12},
+				{Op: JMP, Imm: 6},
+			})
+			for a := memSize - 16; a < memSize+16; a++ {
+				m.Mem()[a] = byte(0xa0 + a - memSize)
+			}
+			for a := int64(256); a < 272; a++ {
+				m.Mem()[memSize+a] = byte(a)
+			}
+			// The view the thread should have: memory with the store on top.
+			model, shared := bytes.Clone(m.Mem()), bytes.Clone(m.Mem()[:memSize])
+			n := int64(1)
+			if r.st == STW || r.st == STWS {
+				n = 8
+			}
+			for i := int64(0); i < n; i++ {
+				model[r.stAddr+i] = byte(uint64(v) >> (8 * i))
+			}
+			want := int64(model[r.ldAddr])
+			if n == 8 {
+				want = int64(binary.LittleEndian.Uint64(model[r.ldAddr:]))
+			}
+			wantCopies := 0
+			if r.st.IsSpeculative() && r.stAddr < memSize {
+				wantCopies = 1 // the shared half's region; the private half is memory
+			}
+
+			if _, stop := m.Run(th, 1000); stop != StopBudget {
+				t.Fatalf("stop %v, signals %d", stop, th.Signals)
+			}
+			if th.Regs[13] != want {
+				t.Fatalf("loaded %#x, want %#x", th.Regs[13], want)
+			}
+			if !bytes.Equal(m.Mem()[:memSize], shared) {
+				t.Fatal("a speculative store reached shared memory")
+			}
+			if th.Cow.Regions() != wantCopies {
+				t.Fatalf("%d regions copied, want %d", th.Cow.Regions(), wantCopies)
+			}
+		})
+	}
+
+	// The case as found: a checked store through a register copied the stack
+	// region, so the SP-relative load beside it read memory the copy hid.
+	m, th := makeSpecMachine(t, []Instr{{Op: NOP}}, []Instr{
+		{Op: MOVI, Rd: 5, Imm: 77},
+		{Op: ADDI, Rd: 4, Rs1: SP, Imm: -16},
+		{Op: STWS, Rs1: 4, Rs2: 5},
+		{Op: LDW, Rd: 6, Rs1: SP, Imm: -16},
+		{Op: LDWS, Rd: 7, Rs1: 4},
+		{Op: JMP, Imm: 6},
+	})
+	m.Run(th, 100)
+	if th.Regs[6] != 77 || th.Regs[7] != 77 || th.Cow.Regions() != 0 {
+		t.Fatalf("r6 = %d, r7 = %d after %d copies, want 77, 77 and none", th.Regs[6], th.Regs[7], th.Cow.Regions())
+	}
+
+	// A path built on the speculative stack by an unchecked store after a
+	// checked one, and one that starts in shared memory and ends on the stack.
+	path := int64(binary.LittleEndian.Uint64([]byte("in/x\x00\x00\x00\x00")))
+	m, th = makeSpecMachine(t, []Instr{{Op: NOP}}, []Instr{
+		{Op: ADDI, Rd: 4, Rs1: SP, Imm: -32},
+		{Op: STWS, Rs1: 4, Rs2: R0},
+		{Op: MOVI, Rd: 5, Imm: path},
+		{Op: STW, Rs1: SP, Rs2: 5, Imm: -32},
+		{Op: JMP, Imm: 5},
+	})
+	m.Run(th, 100)
+	if s, err := m.ReadCStr(th, th.Regs[SP]-32, nil); err != nil || string(s) != "in/x" {
+		t.Fatalf("ReadCStr on the speculative stack = %q, %v; want \"in/x\"", s, err)
+	}
+	lo, _ := m.specStackBounds()
+	if err := m.WriteMem(th, lo-3, []byte("sha")); err != nil {
+		t.Fatal(err)
+	}
+	copy(m.Mem()[lo:], "red\x00")
+	if s, err := m.ReadCStr(th, lo-3, nil); err != nil || string(s) != "shared" {
+		t.Fatalf("ReadCStr across the private edge = %q, %v; want \"shared\"", s, err)
+	}
+	if th.Cow.Regions() != 1 {
+		t.Fatalf("%d regions copied, want the one below the edge", th.Cow.Regions())
+	}
+}
+
 func TestSpecSPBoundsCheck(t *testing.T) {
 	orig := []Instr{{Op: NOP}}
 	shadow := []Instr{
@@ -772,7 +895,7 @@ func (m *Machine) Program() *Program { return m.prog }
 func (m *Machine) Mem() []byte { return m.mem }
 
 // ReadMem copies n bytes at addr out of the thread's view of memory
-// (honoring COW for speculative threads).
+// (the speculative view for speculative threads).
 func (m *Machine) ReadMem(t *Thread, addr, n int64) ([]byte, error) {
 	if !m.validAddr(addr, n) {
 		return nil, fmt.Errorf("vm: read [%d,+%d) out of range", addr, n)
@@ -780,7 +903,7 @@ func (m *Machine) ReadMem(t *Thread, addr, n int64) ([]byte, error) {
 	buf := make([]byte, n)
 	if t.Mode == Speculative {
 		for i := int64(0); i < n; i++ {
-			buf[i] = t.Cow.LoadByte(m.mem, addr+i)
+			buf[i] = byte(m.specLoad(t, addr+i, 1))
 		}
 	} else {
 		copy(buf, m.mem[addr:addr+n])

@@ -16,18 +16,24 @@ import (
 	"testing"
 )
 
-// forgetSpins turns m into the reference interpreter: every spin header
-// goes back to the plain BEQ it decorates.
-func forgetSpins(m *Machine) {
+// forgetMarks turns m into the reference interpreter: every spin header goes
+// back to the plain BEQ it decorates, every scan header (scan_test.go) to the
+// plain load.
+func forgetMarks(m *Machine) {
 	for i := range m.dec {
-		if m.dec[i].class == dSPIN {
+		switch m.dec[i].class {
+		case dSPIN:
 			m.dec[i].class = dBEQ
+		case dSCAN:
+			m.dec[i].class = dLD
+		case dSCANS:
+			m.dec[i].class = dLDS
 		}
 	}
 }
 
 // twins is one program on two machines with one thread each: index 0
-// summarises, index 1 has forgotten how.
+// retires loops in bulk, index 1 has forgotten how.
 type twins struct {
 	m  [2]*Machine
 	th [2]*Thread
@@ -48,7 +54,7 @@ func newTwins(tb testing.TB, p *Program, cfg Config, mode Mode, newOS func() OS)
 			w.th[i].PC = p.ShadowBase
 		}
 	}
-	forgetSpins(w.m[1])
+	forgetMarks(w.m[1])
 	return w
 }
 
