@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint unused speclint synth fuzz smoke perf-test examples pairs profile ci
+.PHONY: all build test race vet fmt lint unused speclint synth fuzz smoke perf-test examples pairs profile benchcheck ci
 
 all: build
 
@@ -103,6 +103,12 @@ profile:
 	$(GO) test -run '^$$' -bench '$(B)' -o .bench_build/bench.test -cpuprofile .bench_build/cpu.prof .
 	$(GO) tool pprof -top .bench_build/bench.test .bench_build/cpu.prof
 
+# benchcheck runs every Go benchmark of the module once, so that a change that
+# breaks one (BenchmarkSoloHinted and BenchmarkCluster read tip.PumpWork) fails
+# here rather than in the next profile. It times nothing worth keeping.
+benchcheck:
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
 # examples runs every program under examples/ (tier-1 only compiles them;
 # each is a complete core.New(...).Run() walkthrough that panics or exits
 # nonzero if its run fails) and stops at the first nonzero exit.
@@ -110,4 +116,4 @@ examples:
 	@set -e; for p in $$($(GO) list ./examples/...); do \
 		echo "== $$p"; $(GO) run $$p > /dev/null; done
 
-ci: lint fmt unused build test race speclint synth smoke perf-test examples fuzz
+ci: lint fmt unused build test race speclint synth smoke perf-test benchcheck examples fuzz

@@ -62,19 +62,20 @@ func BenchmarkCluster(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
 				b.ReportMetric(float64(allocs)/float64(reads), "allocs/read")
 				b.ReportMetric(float64(work.Steps)/r, "steps/read")
-				b.ReportMetric(float64(work.Probes)/r, "probes/read")
 				b.ReportMetric(float64(work.Visits)/r, "visits/read")
 			})
 		}
 	}
 }
 
-// BenchmarkSoloHinted is the same report for one hinting process: the two
-// solo cells that keep the deepest hint window open — MLShard read in 128 KB
-// batches with manual hints, Gnuld speculating — on one disk and on four.
-// probes/read is the part of steps/read that went on to ask the disk side
-// about the block; with every disk at its depth bound the pump stops asking.
-// allocs/read counts building the System too.
+// BenchmarkSoloHinted is the same report for one hinting process: the solo
+// cells that keep the deepest hint window open — MLShard read in 128 KB
+// batches with manual hints, Gnuld speculating, and XDataSlice speculating,
+// the heaviest pump cell of bench/perf's sweep_disks — on one disk and on
+// four. walks/read counts the pump's passes and steps/read the window
+// positions they visited; a pass skips what it has examined while the disks
+// it would need are full. allocs/read counts building the System too. `make profile
+// B='SoloHinted/XDataSlice'` profiles one cell.
 func BenchmarkSoloHinted(b *testing.B) {
 	ml := apps.SweepScale()
 	ml.MLShard.ReadSize = 128 << 10
@@ -86,6 +87,7 @@ func BenchmarkSoloHinted(b *testing.B) {
 	}{
 		{"MLShard128KB/manual", apps.MLShard, core.ModeManual, ml},
 		{"Gnuld/speculating", apps.Gnuld, core.ModeSpeculating, apps.SweepScale()},
+		{"XDataSlice/speculating", apps.XDataSlice, core.ModeSpeculating, apps.SweepScale()},
 	} {
 		for _, disks := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/disks=%d", cell.name, disks), func(b *testing.B) {
@@ -99,7 +101,7 @@ func BenchmarkSoloHinted(b *testing.B) {
 				}
 				cfg := core.DefaultConfig(cell.mode)
 				cfg.Disk = core.TestbedDisk(disks)
-				var reads, steps, probes int64
+				var reads, walks, steps int64
 				b.ResetTimer()
 				before := mallocs()
 				for i := 0; i < b.N; i++ {
@@ -112,13 +114,13 @@ func BenchmarkSoloHinted(b *testing.B) {
 						b.Fatal(err)
 					}
 					w := sys.TIP().PumpWork()
-					reads, steps, probes = reads+st.ReadCalls, steps+w.Steps, probes+w.Probes
+					reads, walks, steps = reads+st.ReadCalls, walks+w.Walks, steps+w.Steps
 				}
 				allocs := mallocs() - before
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reads), "us/read")
 				b.ReportMetric(float64(allocs)/float64(reads), "allocs/read")
+				b.ReportMetric(float64(walks)/float64(reads), "walks/read")
 				b.ReportMetric(float64(steps)/float64(reads), "steps/read")
-				b.ReportMetric(float64(probes)/float64(reads), "probes/read")
 			})
 		}
 	}

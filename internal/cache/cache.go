@@ -31,8 +31,12 @@ const (
 // NoHint marks a block with no outstanding hint.
 const NoHint = int64(math.MaxInt64)
 
+// WasAbsent is the position the change hook reports for a block that was not
+// in the cache before the change (an admission).
+const WasAbsent = int64(-1)
+
 // Origin records how a block entered the cache, for the Table 5 accounting.
-type Origin int
+type Origin uint8
 
 const (
 	// OriginDemand blocks were fetched by a blocking read.
@@ -60,11 +64,14 @@ func (o Origin) String() string {
 // again, so a *Block is only good until the block it describes leaves the
 // cache (see release).
 type Block struct {
-	LB       int64 // global logical block number
-	Origin   Origin
-	HintDist int64 // position in the hint sequence; NoHint if unhinted
-	Owner    int   // hint-stream (client) id holding the hint protection;
-	// meaningful only while HintDist != NoHint
+	LB      int64 // global logical block number
+	HintPos int64 // position in the owner's hint stream; NoHint if unhinted
+	Owner   int   // hint-stream (client) id holding the hint protection;
+	// meaningful only while HintPos != NoHint
+
+	// heldBase is the base a held distance is measured from (see Dist); -1
+	// while the distance follows the owner's base.
+	heldBase int64
 
 	// The fields below are sized and ordered so that a Block fits the 96-byte
 	// allocation class.
@@ -72,7 +79,8 @@ type Block struct {
 	prev, next *Block // LRU neighbours (valid blocks only); next also links the free list
 	stamp      uint64 // LRU position as a number: larger is nearer the MRU end (valid blocks only)
 	uses       int32  // demand accesses since arrival
-	ownIdx     int32  // index in own[Owner]; meaningful only while HintDist != NoHint
+	ownIdx     int32  // index in own[Owner]; meaningful only while HintPos != NoHint
+	Origin     Origin
 	state      State
 	demanded   bool // a demand read upgraded/waited on this block
 	pinned     bool // Complete is waking waiters and one is still to run: not evictable
@@ -146,10 +154,16 @@ type Cache struct {
 	// Nil means no caps.
 	partitionOf func(owner int) int
 
-	// onChange, when set, is told the block number whenever what Get(lb)
-	// answers changes: the block is admitted, evicted, failed or dropped, or
-	// its (HintDist, Owner) is rewritten.
-	onChange func(lb int64)
+	// onChange, when set, is told the block number and what the block was
+	// before (owner and HintPos; NoHint if unhinted, WasAbsent if not cached)
+	// whenever what Get(lb) answers changes: the block is admitted, evicted,
+	// failed or dropped, or its (HintPos, Owner) is rewritten.
+	onChange func(lb int64, owner int, pos int64)
+
+	// bases holds each owner's stream base, from which a hinted block's
+	// distance is computed when it is read (Dist). Indexed by owner; an owner
+	// beyond it measures from 0.
+	bases []base
 
 	// accuracyOf, when set, supplies each owner's recent hint accuracy so
 	// that cross-owner evictions can compare marginal benefit
@@ -183,15 +197,98 @@ func (c *Cache) SetAccuracyFn(fn func(owner int) float64) { c.accuracyOf = fn }
 // unlimited) that a hinted AcquireFor enforces.
 func (c *Cache) SetPartitionFn(fn func(owner int) int) { c.partitionOf = fn }
 
-// SetOnChange installs the residency hook: fn(lb) runs after every admit,
-// evict, Fail, Drop and SetHintFor of block lb, before any waiter is woken. It
-// must not call back into the cache.
-func (c *Cache) SetOnChange(fn func(lb int64)) { c.onChange = fn }
+// SetOnChange installs the residency hook: fn(lb, owner, pos) runs after every
+// admit, evict, Fail, Drop and SetHintFor of block lb, before any waiter is
+// woken, with the (Owner, HintPos) the block had before (pos NoHint: it was
+// unhinted; WasAbsent: it was not cached). It must not call back into the
+// cache.
+func (c *Cache) SetOnChange(fn func(lb int64, owner int, pos int64)) { c.onChange = fn }
 
-// changed reports lb to the residency hook.
-func (c *Cache) changed(lb int64) {
+// changed reports lb and its previous owner and position to the residency hook.
+func (c *Cache) changed(lb int64, owner int, pos int64) {
 	if c.onChange != nil {
-		c.onChange(lb)
+		c.onChange(lb, owner, pos)
+	}
+}
+
+// base is one owner's hint-stream base: a block at position p of the stream
+// is p - base blocks down it. Between passes every followed distance is
+// measured from cur. During a pass (BeginPass to EndPass) the positions the
+// pass has reached, those below split, are measured from the pass's base cur
+// and the rest still from old, the base of the pass before: a distance is the
+// one the last pass to reach its position gave it.
+type base struct{ old, cur, split int64 }
+
+// Dist returns b's hint distance: NoHint if unhinted, else its position less
+// its owner's base as of the last pass that reached that position, or less
+// the base it was held at (Hold).
+func (c *Cache) Dist(b *Block) int64 { return b.dist(c.baseOf(b.Owner)) }
+
+// baseOf returns owner's base; an owner without one measures from 0.
+func (c *Cache) baseOf(owner int) *base {
+	if owner < len(c.bases) {
+		return &c.bases[owner]
+	}
+	return &noBase
+}
+
+// noBase is the base of an owner that has never begun a pass.
+var noBase = base{split: math.MaxInt64}
+
+// dist is Dist for a block whose owner's base is o.
+func (b *Block) dist(o *base) int64 {
+	switch {
+	case b.HintPos == NoHint:
+		return NoHint
+	case b.heldBase >= 0:
+		return b.HintPos - b.heldBase
+	case b.HintPos < o.split:
+		return b.HintPos - o.cur
+	}
+	return b.HintPos - o.old
+}
+
+// Held reports whether b's distance is held rather than following its
+// owner's base.
+func (b *Block) Held() bool { return b.heldBase >= 0 }
+
+// HoldFrom holds the distance of every hinted block of owner at a position
+// at or beyond pos: a pass that stopped at pos did not reach them.
+func (c *Cache) HoldFrom(owner int, pos int64) {
+	for _, b := range c.own[owner] {
+		if b.HintPos >= pos {
+			c.Hold(b)
+		}
+	}
+}
+
+// BeginPass starts a pass of owner's stream at base: no position is reached
+// yet, so every distance stays what the last pass made it.
+func (c *Cache) BeginPass(owner int, at int64) {
+	for len(c.bases) <= owner {
+		c.bases = append(c.bases, base{})
+	}
+	o := &c.bases[owner]
+	*o = base{old: o.cur, cur: at, split: at}
+}
+
+// Reach records that the pass of owner's stream has reached every position
+// below pos: their distances are measured from the pass's base.
+func (c *Cache) Reach(owner int, pos int64) { c.bases[owner].split = pos }
+
+// EndPass ends the pass of owner's stream: every followed distance is
+// measured from its base until the next pass.
+func (c *Cache) EndPass(owner int) {
+	o := &c.bases[owner]
+	o.old, o.split = o.cur, math.MaxInt64
+}
+
+// Hold fixes the hinted block b's distance at its current value: a later
+// change of its owner's base no longer moves it. SetHintFor lets it follow
+// again.
+func (c *Cache) Hold(b *Block) {
+	if b.HintPos != NoHint && b.heldBase < 0 {
+		b.heldBase = b.HintPos - c.Dist(b)
 	}
 }
 
@@ -243,25 +340,30 @@ func (c *Cache) Get(lb int64) *Block { return c.blocks.get(lb) }
 
 // Acquire allocates a buffer for owner 0 — the single-process form; see
 // AcquireFor.
-func (c *Cache) Acquire(lb int64, origin Origin, hintDist int64) *Block {
-	return c.AcquireFor(0, lb, origin, hintDist)
+func (c *Cache) Acquire(lb int64, origin Origin, pos int64) *Block {
+	return c.AcquireFor(0, lb, origin, pos)
 }
 
 // AcquireFor allocates a buffer for lb in the InTransit state on behalf of
 // the given hint-stream owner, evicting a less-valuable block if the pool is
-// full. hintDist is the requesting stream's distance to the block (NoHint for
-// demand fetches and readahead, which use LRU value only). It returns nil if
-// no buffer could be freed — every cached block is either in transit or more
-// valuable than the request.
+// full. pos is the block's position in the requesting stream (NoHint for
+// demand fetches and readahead, which use LRU value only), and its distance
+// is pos less the stream's current base. It returns nil if no buffer could
+// be freed — every cached block is either in transit or more valuable than
+// the request.
 //
 // AcquireFor panics if lb is already present (callers must check Get first)
 // or negative.
-func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *Block {
+func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, pos int64) *Block {
 	if lb < 0 {
 		panic(fmt.Sprintf("cache: Acquire of negative block number %d", lb))
 	}
 	if c.blocks.get(lb) != nil {
 		panic(fmt.Sprintf("cache: Acquire of present block %d", lb))
+	}
+	hintDist := pos
+	if pos != NoHint && owner < len(c.bases) {
+		hintDist -= c.bases[owner].cur
 	}
 	if hintDist != NoHint && c.partitionOf != nil {
 		if max := c.partitionOf(owner); max > 0 && len(c.own[owner]) >= max {
@@ -284,12 +386,12 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) *
 	} else {
 		b = new(Block)
 	}
-	*b = Block{LB: lb, Origin: origin, HintDist: hintDist, Owner: owner, state: InTransit}
+	*b = Block{LB: lb, Origin: origin, HintPos: pos, Owner: owner, heldBase: -1, state: InTransit}
 	c.blocks.set(lb, b)
-	if hintDist != NoHint {
+	if pos != NoHint {
 		c.list(b)
 	}
-	c.changed(lb)
+	c.changed(lb, owner, WasAbsent)
 	if c.obs.Enabled() {
 		c.emit("admit", "lb=%d origin=%s owner=%d used=%d/%d", lb, origin, owner, c.blocks.n, c.capacity)
 	}
@@ -351,16 +453,17 @@ func (c *Cache) releaseWaiters(ws []Waiter) {
 // the front would meet first.
 func (c *Cache) evictOwnFurthest(owner int, incoming int64) bool {
 	var victim *Block
+	var far int64
+	o := c.baseOf(owner)
 	for _, b := range c.own[owner] {
 		if b.state != Valid || b.pinned {
 			continue
 		}
-		if victim == nil || b.HintDist > victim.HintDist ||
-			b.HintDist == victim.HintDist && b.stamp < victim.stamp {
-			victim = b
+		if d := b.dist(o); victim == nil || d > far || d == far && b.stamp < victim.stamp {
+			victim, far = b, d
 		}
 	}
-	if victim == nil || victim.HintDist <= incoming {
+	if victim == nil || far <= incoming {
 		return false
 	}
 	if victim.Owner != owner {
@@ -402,7 +505,7 @@ func (c *Cache) evictFor(owner int, origin Origin, hintDist int64) bool {
 	// none, and says so without being walked.
 	if c.unhinted > 0 {
 		for b := c.lruHead; b != nil; b = b.next {
-			if b.HintDist == NoHint && !b.pinned {
+			if b.HintPos == NoHint && !b.pinned {
 				c.evict(b)
 				return true
 			}
@@ -416,18 +519,24 @@ func (c *Cache) evictFor(owner int, origin Origin, hintDist int64) bool {
 		}
 		return c.evictOwnFurthest(owner, incoming)
 	}
-	// Case 3: hinted fetch — cross-process marginal-benefit comparison.
+	// Case 3: hinted fetch — cross-process marginal-benefit comparison. A
+	// block's benefit is its owner's accuracy over (its distance + 1); the
+	// comparisons are cross-multiplied to avoid division.
 	var victim *Block
+	var vd int64
+	var va float64
 	for b := c.lruHead; b != nil; b = b.next {
-		if !b.pinned && (victim == nil || c.lessBeneficial(b, victim)) {
-			victim = b
+		if b.pinned {
+			continue
+		}
+		if d, a := c.Dist(b), c.accuracy(b.Owner); victim == nil || a*float64(vd+1) < va*float64(d+1) {
+			victim, vd, va = b, d, a
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	// benefit(victim) < benefit(incoming), cross-multiplied to avoid division.
-	if c.accuracy(victim.Owner)*float64(hintDist+1) < c.accuracy(owner)*float64(victim.HintDist+1) {
+	if va*float64(hintDist+1) < c.accuracy(owner)*float64(vd+1) {
 		if victim.Owner != owner {
 			c.stats.CrossHintEvicts++
 		}
@@ -435,12 +544,6 @@ func (c *Cache) evictFor(owner int, origin Origin, hintDist int64) bool {
 		return true
 	}
 	return false
-}
-
-// lessBeneficial reports whether holding a is worth strictly less than
-// holding b: benefit = owner accuracy / (hint distance + 1).
-func (c *Cache) lessBeneficial(a, b *Block) bool {
-	return c.accuracy(a.Owner)*float64(b.HintDist+1) < c.accuracy(b.Owner)*float64(a.HintDist+1)
 }
 
 // evict takes the valid, unpinned block b out of the cache and releases it:
@@ -452,14 +555,14 @@ func (c *Cache) evict(b *Block) {
 	}
 	c.noteUnusedIfPrefetched(b)
 	c.dropHintAccounting(b)
-	if b.HintDist == NoHint {
+	if b.HintPos == NoHint {
 		c.unhinted--
 	}
 	c.unlinkLRU(b)
-	lb := b.LB
+	lb, owner, pos := b.LB, b.Owner, b.HintPos
 	c.blocks.del(lb)
 	c.release(b)
-	c.changed(lb)
+	c.changed(lb, owner, pos)
 }
 
 // pushLRU enters b at the MRU end of the LRU list.
@@ -490,7 +593,7 @@ func (c *Cache) unlinkLRU(b *Block) {
 
 // dropHintAccounting releases b's slot in its owner's hinted partition.
 func (c *Cache) dropHintAccounting(b *Block) {
-	if b.HintDist != NoHint {
+	if b.HintPos != NoHint {
 		c.unlist(b)
 	}
 }
@@ -524,7 +627,7 @@ func (c *Cache) Complete(lb int64) {
 	}
 	b.state = Valid
 	c.pushLRU(b)
-	if b.HintDist == NoHint {
+	if b.HintPos == NoHint {
 		c.unhinted++
 	}
 	ws := b.waiters
@@ -554,7 +657,7 @@ func (c *Cache) Fail(lb int64) {
 	}
 	c.dropHintAccounting(b)
 	c.blocks.del(lb)
-	c.changed(lb)
+	c.changed(lb, b.Owner, b.HintPos)
 	ws := b.waiters
 	b.waiters = nil
 	for _, w := range ws {
@@ -622,24 +725,27 @@ func (c *Cache) Drop(lb int64) {
 	}
 	c.dropHintAccounting(b)
 	c.blocks.del(lb)
+	owner, pos := b.Owner, b.HintPos
 	c.release(b)
-	c.changed(lb)
+	c.changed(lb, owner, pos)
 }
 
 // NoteMiss records a demand fetch for an absent block.
 func (c *Cache) NoteMiss() { c.stats.Misses++ }
 
-// SetHintFor updates a block's hint distance and owner (e.g. after a
-// CANCEL_ALL the block becomes unhinted; after a new hint it gains a distance
+// SetHintFor updates a block's hint position and owner (e.g. after a
+// CANCEL_ALL the block becomes unhinted; after a new hint it gains a position
 // and the hinting stream takes ownership), keeping the per-owner hinted
-// partition counts consistent.
-func (c *Cache) SetHintFor(lb int64, owner int, dist int64) {
+// partition counts consistent. The block's distance follows its new owner's
+// base.
+func (c *Cache) SetHintFor(lb int64, owner int, pos int64) {
 	b := c.blocks.get(lb)
 	if b == nil {
 		return
 	}
-	wasHinted := b.HintDist != NoHint
-	nowHinted := dist != NoHint
+	prevOwner, prevPos := b.Owner, b.HintPos
+	wasHinted := prevPos != NoHint
+	nowHinted := pos != NoHint
 	switch {
 	case wasHinted && !nowHinted:
 		c.unlist(b)
@@ -657,8 +763,8 @@ func (c *Cache) SetHintFor(lb int64, owner int, dist int64) {
 		b.Owner = owner
 		c.list(b)
 	}
-	b.HintDist = dist
-	c.changed(lb)
+	b.HintPos, b.heldBase = pos, -1
+	c.changed(lb, prevOwner, prevPos)
 }
 
 // ForEach visits every cached block (any state), in ascending block order.

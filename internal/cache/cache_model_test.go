@@ -318,7 +318,7 @@ func blockRow(lb int64, st State, origin Origin, dist int64, owner, uses int, de
 func describeReal(c *Cache, owners int) string {
 	var rows []string
 	c.ForEach(func(b *Block) {
-		rows = append(rows, blockRow(b.LB, b.state, b.Origin, b.HintDist, b.Owner, int(b.uses), b.Demanded(), len(b.waiters)))
+		rows = append(rows, blockRow(b.LB, b.state, b.Origin, c.Dist(b), b.Owner, int(b.uses), b.Demanded(), len(b.waiters)))
 	})
 	sort.Strings(rows)
 	var lru []int64
@@ -529,7 +529,7 @@ func TestCacheMatchesModel(t *testing.T) {
 		}
 		for b := fast.free; fast.poison && b != nil; b = b.next {
 			if got := *b; got.LB != -1 || got.state != Absent || !got.pinned || got.waiters != nil ||
-				got.HintDist != 0 || got.Owner != 0 || got.Origin != 0 || got.uses != 0 || got.demanded || got.prev != nil {
+				got.HintPos != 0 || got.Owner != 0 || got.Origin != 0 || got.uses != 0 || got.demanded || got.prev != nil {
 				t.Fatalf("seed %d: a released block was written after its release: %+v", seed, got)
 			}
 		}

@@ -281,7 +281,6 @@ func (c *Cluster) PumpWork() tip.PumpWork {
 		w := s.tm.PumpWork()
 		sum.Walks += w.Walks
 		sum.Steps += w.Steps
-		sum.Probes += w.Probes
 		sum.Visits += w.Visits
 		sum.PartitionSums += w.PartitionSums
 	}

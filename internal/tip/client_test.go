@@ -30,10 +30,10 @@ func TestCancelAllScopedPerClient(t *testing.T) {
 		t.Error("B's hint was cancelled by A's CancelAll")
 	}
 	// A's prefetched blocks lost hint protection; B's kept it.
-	if b := r.m.Cache().Get(fa.LogicalBlock(0)); b != nil && b.HintDist != cache.NoHint {
+	if b := r.m.Cache().Get(fa.LogicalBlock(0)); b != nil && b.HintPos != cache.NoHint {
 		t.Error("A's block still hint-protected after CancelAll")
 	}
-	if b := r.m.Cache().Get(fb.LogicalBlock(0)); b == nil || b.HintDist == cache.NoHint {
+	if b := r.m.Cache().Get(fb.LogicalBlock(0)); b == nil || b.HintPos == cache.NoHint {
 		t.Error("B's block lost hint protection to A's CancelAll")
 	}
 	// The cancel penalty lands on A's accuracy only.
@@ -121,12 +121,12 @@ func TestHintAfterCancelAllRedisclosure(t *testing.T) {
 	c.HintSeg(f, 0, 1024)
 	r.clk.Drain()
 	lb := f.LogicalBlock(0)
-	if b := r.m.Cache().Get(lb); b == nil || b.HintDist == cache.NoHint {
+	if b := r.m.Cache().Get(lb); b == nil || b.HintPos == cache.NoHint {
 		t.Fatal("hinted block not prefetched/protected")
 	}
 
 	c.CancelAll()
-	if b := r.m.Cache().Get(lb); b == nil || b.HintDist != cache.NoHint {
+	if b := r.m.Cache().Get(lb); b == nil || b.HintPos != cache.NoHint {
 		t.Fatal("CancelAll did not strip hint protection")
 	}
 	if c.Covered(f, 0, 1024) {
@@ -140,7 +140,7 @@ func TestHintAfterCancelAllRedisclosure(t *testing.T) {
 	if !c.Covered(f, 0, 1024) {
 		t.Fatal("re-disclosed hint not covered")
 	}
-	if b := r.m.Cache().Get(lb); b == nil || b.HintDist == cache.NoHint {
+	if b := r.m.Cache().Get(lb); b == nil || b.HintPos == cache.NoHint {
 		t.Fatal("re-disclosed hint did not re-protect the cached block")
 	}
 	if got := c.Stats().HintPrefetches; got != prefBefore {
@@ -177,7 +177,7 @@ func TestClientCloseReleasesProtection(t *testing.T) {
 
 	ca.Close()
 	for b := int64(0); b < f.NBlocks(); b++ {
-		if blk := r.m.Cache().Get(f.LogicalBlock(b)); blk != nil && blk.HintDist != cache.NoHint {
+		if blk := r.m.Cache().Get(f.LogicalBlock(b)); blk != nil && blk.HintPos != cache.NoHint {
 			t.Errorf("block %d still protected after Close", b)
 		}
 	}

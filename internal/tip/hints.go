@@ -18,12 +18,16 @@ import (
 // hinted blocks are the range [firstLB, firstLB+nBlocks) and are never
 // materialised.
 type segment struct {
-	file       *fsim.File
-	off, n     int64
-	firstBlock int64 // file block index of the first hinted block
-	firstLB    int64 // its logical block number
-	nBlocks    int64 // 0 for a hint that lies wholly outside the file
-	consumed   int64 // high-water mark of consumed bytes from off
+	file     *fsim.File
+	off, n   int64
+	firstLB  int64 // the logical block number of the first hinted block, the one holding off
+	nBlocks  int64 // 0 for a hint that lies wholly outside the file
+	consumed int64 // high-water mark of consumed bytes from off
+
+	// pos is the stream position of the first hinted block: every block the
+	// client has disclosed has one, counted from its first hint, and a
+	// block's hint distance is its position less the client's base.
+	pos int64
 
 	// conf is the static confidence behind this hint, in (0, 1]; zero means
 	// "no static evidence" (dynamically discovered hints) and leaves the
@@ -62,7 +66,7 @@ func (s *segment) consumedBlocks(blockSize int64) int64 {
 	if s.consumed <= 0 {
 		return 0
 	}
-	return max(0, min((s.off+s.consumed)/blockSize-s.firstBlock, s.nBlocks))
+	return max(0, min((s.off+s.consumed)/blockSize-s.off/blockSize, s.nBlocks))
 }
 
 // HintSeg discloses a future read of [off, off+n) in f (TIPIO_SEG /
@@ -84,7 +88,6 @@ func (c *Client) hintSeg(f *fsim.File, off, n int64, conf float64) {
 	m := c.m
 	seg := segment{file: f, off: off, n: n, conf: conf}
 	if first, last, end, ok := blockRange(f, off, n, int64(m.fs.BlockSize())); ok {
-		seg.firstBlock = first
 		seg.firstLB = f.LogicalBlock(first)
 		seg.nBlocks = last - first + 1
 		c.stats.HintBlocks += seg.nBlocks
@@ -101,6 +104,9 @@ func (c *Client) hintSeg(f *fsim.File, off, n int64, conf float64) {
 		}
 		return
 	}
+	seg.pos = c.tail
+	c.tail += seg.nBlocks
+	c.conf = c.conf || conf > 0
 	c.hints = append(c.hints, seg)
 	c.watch(&seg)
 	c.stale()
@@ -120,7 +126,7 @@ type Seg struct {
 // unprotect releases the hint protection c holds on lb, if any. A block
 // re-protected by a different client keeps that client's protection.
 func (c *Client) unprotect(lb int64) {
-	if b := c.m.cache.Get(lb); b != nil && b.HintDist != cache.NoHint && b.Owner == c.id {
+	if b := c.m.cache.Get(lb); b != nil && b.HintPos != cache.NoHint && b.Owner == c.id {
 		c.m.cache.SetHintFor(lb, c.id, cache.NoHint)
 	}
 }
@@ -150,8 +156,7 @@ func (c *Client) CancelAll() {
 	if c.m.obs.Enabled() {
 		c.m.emit("cancel-all", "client=%d segs=%d", c.id, len(live))
 	}
-	c.hints = c.hints[:0]
-	c.head = 0
+	c.empty()
 }
 
 // findCover returns the queue index of the first segment whose range covers
@@ -192,6 +197,11 @@ func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 		return false
 	}
 	c.stale()
+	if c.compare {
+		// The window holds a block another stream owns, or one whose distance
+		// is held: moving the base may make this client want it.
+		c.front, c.reach = 0, 0
+	}
 	for k := c.head; k < i; k++ {
 		c.stats.BypassedSegs++
 		c.accObserve(false, 1)
@@ -202,13 +212,21 @@ func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 	}
 	c.head = i
 	seg := &c.hints[i]
+	bs := int64(c.m.fs.BlockSize())
+	from := seg.consumedBlocks(bs)
 	if hw := end - seg.off; hw > seg.consumed {
 		seg.consumed = hw
 	}
 	c.accObserve(true, 1)
 	segEnd := seg.dataEnd()
 	staticTail = seg.conf > 0 && end >= segEnd
-	if seg.off+seg.consumed >= segEnd {
+	done := seg.off+seg.consumed >= segEnd
+	to := seg.consumedBlocks(bs)
+	if done {
+		to = seg.nBlocks // its last, partly hinted block is behind the base too
+	}
+	first, pos := seg.firstLB, seg.pos // seg moves if the queue compacts
+	if done {
 		c.stats.MatchedCalls++
 		c.stats.MatchedBlocks += seg.nBlocks
 		if bytes := segEnd - seg.off; bytes > 0 {
@@ -217,7 +235,38 @@ func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 		c.head++ // fully read: pop it
 		c.compact()
 	}
+	c.at = c.base(bs)
+	// A block consumed while in transit keeps its protection until its
+	// waiting read touches it, at the distance the last pass gave it: no pass
+	// reaches a position behind the base again. Where it is hinted again
+	// further on, the next pass compares that distance with its own.
+	for k := from; k < to; k++ {
+		if b := c.m.cache.Get(first + k); b != nil && b.Owner == c.id && b.HintPos == pos+k {
+			c.m.cache.Hold(b)
+			c.unclaimed(first + k)
+		}
+	}
 	return staticTail
+}
+
+// base is the stream position of the first unconsumed hinted block: where the
+// client's window starts.
+func (c *Client) base(bs int64) int64 {
+	if c.head == len(c.hints) {
+		return c.tail
+	}
+	seg := &c.hints[c.head]
+	return seg.pos + seg.consumedBlocks(bs)
+}
+
+// empty leaves the client with no hint queued: every position it has given
+// out is behind its base.
+func (c *Client) empty() {
+	c.hints = c.hints[:0]
+	c.head = 0
+	c.at = c.tail
+	c.front, c.reach, c.due, c.disks = 0, 0, c.due[:0], 0
+	c.conf, c.compare = false, false
 }
 
 // compact reclaims consumed queue prefix space, in place.

@@ -57,9 +57,9 @@ func (m *Manager) releaseFetch(f *fetch) {
 
 // pump issues hint-driven prefetches on every hint, disk-idle transition and
 // completion. It visits the woken clients, each once and in ascending id order
-// for determinism: every client a sweep over all slots would find unsettled.
-// A client woken behind the cursor waits for the next pump, as it would behind
-// that sweep. One client running out of buffers does not stop the others
+// for determinism: every client whose window something has changed since its
+// last pass, or that a disk now able to take a prefetch turned away. A client
+// woken behind the cursor waits for the next pump. One client running out of buffers does not stop the others
 // (their partitions may still have room).
 func (m *Manager) pump() {
 	if m.cfg.IgnoreHints {
@@ -67,7 +67,7 @@ func (m *Manager) pump() {
 	}
 	for id := 0; ; id++ {
 		if d := m.arr.DeadCount(); d != m.dead {
-			// A disk died (a Submit can find one mid-pump): every memo is out of date.
+			// A disk died (a Submit can find one mid-pump): every client walks.
 			m.dead = d
 			for _, c := range m.clients {
 				if !c.closed {
@@ -123,68 +123,139 @@ func (s clientSet) next(from int) int {
 	return -1
 }
 
-// pumpMemo is what a client keeps of its last pass over its window when that
-// pass was pure: it changed nothing, and every block it wanted was turned away
-// by the per-disk depth bound before a buffer was asked for. A pure pass over
-// unchanged inputs is pure again, so the pump skips the client until an input
-// moves. Each input has one invalidation:
-//
-//   - the client's own queue, horizon and accuracy: stale, from hintSeg,
-//     consume and SetPrior (accuracy is otherwise observed only inside
-//     consume and CancelAll; CancelAll and Close leave an empty window, and
-//     a pass over that does nothing whatever it remembers);
-//   - the residency, (HintDist, Owner) or demotion of a block of a live
-//     segment: Manager.blockChanged, told by the cache's change hook (a
-//     demotion is set just before the Fail that reports the block) and by
-//     the one place a demotion is cleared;
-//   - a prefetch slot on a disk that refused, and a disk's death: compared
-//     when the client is next visited (settled), because either can happen
-//     while an earlier client of the same pump is being served.
-//
-// Only a woken client is visited, so each of these also wakes it: stale sets
-// its bit, a freed slot on dk wakes Manager.refusers[dk] (and the clients
-// every disk refused), a change in the dead-disk count wakes every open
-// client, and NewClient wakes the new one. A wake that finds the client
-// settled after all costs one visit.
-//
-// A pass is marked clean before it starts and spoils itself: whatever it does
-// to a block of its window (SetHintFor, a buffer acquired, a buffer dropped
-// again) comes back through blockChanged, the client watching every granule
-// its segments touch, and a refused buffer says so itself. A pass that
-// reached AcquireFor is therefore never kept, and what only AcquireFor reads
-// — partitions, cache occupancy, other clients' accuracy — is not tracked.
-// (A dead-disk skip is counted once per block, so the pass that counts it
-// leaves nothing for its repeat to do and may be kept.)
-type pumpMemo struct {
-	clean   bool
-	all     bool  // every disk turned the pass away: it found the array saturated
-	dead    int   // the array's dead-disk count the pass saw
-	refused []int // disks at MaxDepthPerDisk that turned a block of the pass away
-}
-
 // granuleShift sizes the granules of Manager.interest: 64 blocks. The index
 // is conservative — a client is woken by any change in a granule it has ever
 // hinted into, until it closes; a spurious wake costs one walk.
 const granuleShift = 6
 
-// stale discards the memo and wakes the client: it walks at its next visit.
-func (c *Client) stale() {
-	c.memo.clean = false
-	c.m.woken.add(c.id)
-}
+// stale wakes the client: it walks at its next visit.
+func (c *Client) stale() { c.m.woken.add(c.id) }
 
-// unrefuse takes c out of every refusers set: its memo lists no disk.
+// unrefuse takes c out of every refusers set.
 func (c *Client) unrefuse() {
 	for _, s := range c.m.refusers {
 		s.del(c.id)
 	}
 }
 
-// blockChanged wakes the clients whose window may hold lb.
-func (m *Manager) blockChanged(lb int64) {
+// blockChanged is the cache's change hook: lb's residency or protection
+// changed, and before it the block was at position pos of owner's stream
+// (cache.SetOnChange). It wakes the clients whose window may hold lb, and
+// moves back the frontier of each whose examined window the change gave work
+// (Client.front): a block there missing now, or resident and unprotected, or
+// given a distance the client may beat.
+func (m *Manager) blockChanged(lb int64, owner int, pos int64) {
+	own := m.acting >= 0 && lb == m.actLB // the running pass's own admit or protect
+	hinted := pos != cache.NoHint && pos != cache.WasAbsent
 	for _, c := range m.interest[lb>>granuleShift] {
 		c.stale()
+		if own && c.id == m.acting {
+			continue
+		}
+		// Only c's own blocks, or another stream's when c left one in its
+		// window, can have been at a position c examined; any block admitted
+		// can be at one.
+		watched := hinted && (owner == c.id || c.compare)
+		switch b := m.cache.Get(lb); {
+		case b == nil:
+			if watched {
+				c.missing(lb)
+			}
+		case b.HintPos == cache.NoHint:
+			if watched || pos == cache.WasAbsent {
+				c.unclaimed(lb)
+			}
+		case pos == cache.WasAbsent:
+			c.unclaimed(lb)
+		case hinted && owner == c.id && b.Owner != c.id:
+			c.compare = true // taken by a nearer stream
+		}
 	}
+}
+
+// missing records that lb, which has left the cache, may be at a position c
+// examined: a pass may fetch it again. Its disk joins those a pass must find
+// full to skip, and below the front it becomes the front.
+func (c *Client) missing(lb int64) {
+	if q := c.find(lb, c.at, c.reach); q >= 0 {
+		c.disks |= diskBit(c.m.arr.DiskOf(lb))
+		c.front = min(c.front, q)
+	}
+}
+
+// diskBit is disk dk's bit in a disk set (Client.disks): disks 64 apart share
+// one, which only makes the set larger.
+func diskBit(dk int) uint64 { return 1 << (dk & 63) }
+
+// roomless reports that every disk of ds is at the depth bound: no missing
+// block on them can start.
+func (c *Client) roomless(ds uint64) bool {
+	m := c.m
+	if m.cfg.MaxDepthPerDisk == 0 {
+		return false
+	}
+	for dk, depth := range m.prefDepth {
+		if ds&diskBit(dk) != 0 && depth < m.cfg.MaxDepthPerDisk {
+			return false
+		}
+	}
+	return true
+}
+
+// roomy returns the first position in [p, limit), from segment i on, whose
+// block is on a disk with a free prefetch slot, or limit: the stripe layout
+// names a block's disk without a lookup.
+func (c *Client) roomy(i int, p, limit int64) int64 {
+	m := c.m
+	if m.cfg.MaxDepthPerDisk == 0 {
+		return p
+	}
+	for ; i < len(c.hints) && p < limit; i++ {
+		s := &c.hints[i]
+		for lb, last := s.firstLB+max(p-s.pos, 0), s.firstLB+s.nBlocks; lb < last; {
+			if m.prefDepth[m.arr.DiskOf(lb)] < m.cfg.MaxDepthPerDisk {
+				return min(s.pos+lb-s.firstLB, limit)
+			}
+			lb = (lb/m.stripe + 1) * m.stripe // the next stripe unit
+		}
+		p = s.pos + s.nBlocks
+	}
+	return limit
+}
+
+// refuse enters c in the refusers set of every disk of ds.
+func (c *Client) refuse(ds uint64) {
+	for dk := range c.m.prefDepth {
+		if ds&diskBit(dk) != 0 {
+			c.m.refusers[dk].add(c.id)
+		}
+	}
+}
+
+// unclaimed makes the next pass visit every position c examined that holds
+// lb, which is resident now and not c's, even with every disk full.
+func (c *Client) unclaimed(lb int64) {
+	for q := c.find(lb, c.at, c.reach); q >= 0; q = c.find(lb, q+1, c.reach) {
+		c.front = min(c.front, q)
+		c.due = append(c.due, q)
+	}
+}
+
+// find returns the first position in [from, limit) at which lb is queued, or
+// -1.
+func (c *Client) find(lb, from, limit int64) int64 {
+	for i := c.segAt(from); i < len(c.hints); i++ {
+		s := &c.hints[i]
+		if s.pos >= limit {
+			break
+		}
+		if k := lb - s.firstLB; k >= 0 && k < s.nBlocks {
+			if q := s.pos + k; q >= from && q < limit {
+				return q
+			}
+		}
+	}
+	return -1
 }
 
 // watch enters c in the interest index for every granule seg touches.
@@ -214,30 +285,12 @@ func (c *Client) unwatch() {
 	c.granules = c.granules[:0]
 }
 
-// settled reports that c's last pass was pure and nothing it read has moved.
-func (c *Client) settled() bool {
-	m := c.m
-	if !c.memo.clean || c.memo.dead != m.arr.DeadCount() {
-		return false
-	}
-	if c.memo.all && slices.ContainsFunc(m.prefDepth, func(depth int) bool { return depth < m.cfg.MaxDepthPerDisk }) {
-		return false
-	}
-	for _, dk := range c.memo.refused {
-		if m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
-			return false
-		}
-	}
-	return true
-}
-
 // PumpWork is the pump's effort so far; every count is deterministic for a
 // run.
 type PumpWork struct {
-	Walks  int64 // passes a client made over its window (a visit to a settled client is not one)
-	Steps  int64 // hinted blocks those passes examined
-	Probes int64 // steps that went on to ask the disk side about the block (demoted? which disk? dead? a free slot?)
-	Visits int64 // clients the pump looked at, walking or not (Client.pump entries)
+	Walks  int64 // passes a client made over its window: one per visit to an open client
+	Steps  int64 // window positions those passes visited, from the front on (what they skipped is not a step)
+	Visits int64 // clients the pump looked at (Client.pump entries)
 
 	// PartitionSums counts the passes over every client slot that recomputed
 	// the partition shares.
@@ -247,121 +300,201 @@ type PumpWork struct {
 // PumpWork returns the pump's effort so far.
 func (m *Manager) PumpWork() PumpWork { return m.work }
 
-// saturated reports that the disk side has one answer for every block a pass
-// could ask about — "no slot" — so the pass need not ask: every disk is at
-// MaxDepthPerDisk (a missing block cannot start), no block is demoted and no
-// disk is dead (a step has neither to skip nor to count). Inside a pass only a
-// started fetch can change any of the three.
-func (m *Manager) saturated() bool {
-	bound := m.cfg.MaxDepthPerDisk
-	if bound == 0 || m.probeAlways || len(m.demoted) > 0 || m.arr.DeadCount() > 0 {
-		return false
-	}
-	for _, depth := range m.prefDepth {
-		if depth < bound {
-			return false
-		}
-	}
-	return true
-}
-
-// saturate is saturated, and when it holds the rest of the pass is refused by
-// every disk without being asked: the memo says so, and settled wakes the
-// client on the first slot freed anywhere (more disks than a probing pass
-// would have listed; a spurious wake costs one walk).
-func (c *Client) saturate() bool {
-	if !c.m.saturated() {
-		return false
-	}
-	c.memo.all = true
-	c.m.refusers[len(c.m.prefDepth)].add(c.id)
-	return true
-}
-
 // pump issues this client's hint-driven prefetches up to its effective
-// horizon, unless its last pass settled it.
+// horizon. The pass starts at the client's front and skips what it has
+// examined while the disks it would need are full (Client.front). It stores
+// no distance — the cache computes one from a block's position (cache.Dist) —
+// and holds the distances of the blocks it passes by without reaching.
 func (c *Client) pump() {
 	m := c.m
 	m.work.Visits++
-	if c.closed || c.settled() {
+	if c.closed {
 		return
 	}
 	m.work.Walks++
 	c.unrefuse()
-	c.memo = pumpMemo{clean: true, dead: m.arr.DeadCount(), refused: c.memo.refused[:0]}
 	horizon := c.effHorizon()
 	bs := int64(m.fs.BlockSize())
-	sat := c.saturate()
-	dist := 0
-	for i := c.head; i < len(c.hints) && dist < horizon; i++ {
+	base := c.base(bs)
+	end := base + int64(horizon)
+	// A depth bound, a demotion or a dead disk makes what a position needs
+	// depend on more than its block: such a pass visits every position, and
+	// leaves nothing examined for the next.
+	full := c.conf || len(m.demoted) > 0 || m.arr.DeadCount() > 0
+	if full {
+		c.front, c.reach = 0, 0
+	}
+	p := min(max(c.front, base), end)
+	reach := max(c.reach, p)
+	open, whole, compare := min(end, c.tail), p == base, false
+	// What this pass causes moves these back; endPass folds in its own.
+	c.front, c.reach = open, open
+	slices.Sort(c.due)
+	due, n0 := c.due, len(c.due)
+	m.acting = c.id
+	m.cache.BeginPass(c.id, base)
+	m.cache.Reach(c.id, p)
+	// kept is what the disk set says of the examined window this pass may
+	// skip; c.disks collects what changes during the pass.
+	kept := c.disks
+	c.disks = 0
+	skip := c.roomless(kept)
+	var seen uint64 // the disks of the missing blocks this pass found
+walk:
+	for i := c.segAt(p); p < end && i < len(c.hints); {
 		seg := &c.hints[i]
+		k := p - seg.pos
+		if k >= seg.nBlocks {
+			i++
+			continue
+		}
+		for len(due) > 0 && due[0] < p {
+			due = due[1:]
+		}
+		if p < reach && (len(due) == 0 || due[0] != p) {
+			// Before reach only a due position, or a missing block on a disk
+			// with a free slot, needs a visit: the disks of the others are
+			// full and turn the pass away.
+			to := reach
+			if !skip {
+				to = c.roomy(i, p, reach)
+			}
+			if to > p {
+				open = min(open, p)
+				p, whole = min(to, end), false
+				c.refuse(kept)
+				if len(due) > 0 && due[0] < p {
+					p = due[0]
+				}
+				m.cache.Reach(c.id, p)
+				i = c.segAt(p)
+				continue
+			}
+		}
+		m.work.Steps++
+		lb, q, d := seg.firstLB+k, p, p-base
+		p++
 		// A statically synthesized hint prefetches only within its
 		// confidence-scaled share of the horizon: proved segments (conf 1)
-		// run to the full depth, speculative ones stop shallow. Blocks past
-		// the bound still advance dist, so later segments see their true
-		// queue distance. conf == 0 (dynamic hints) leaves lim == horizon.
-		lim := int64(horizon)
-		if seg.conf > 0 {
-			lim = min(lim, max(int64(seg.conf*float64(horizon)), int64(m.cfg.MinHorizon)))
+		// run to the full depth, speculative ones stop shallow. conf == 0
+		// (dynamic hints) leaves the bound at the horizon.
+		if seg.conf > 0 && d >= min(int64(horizon), max(int64(seg.conf*float64(horizon)), int64(m.cfg.MinHorizon))) {
+			c.hold(lb, q)
+			continue
 		}
-		for k := seg.consumedBlocks(bs); k < seg.nBlocks; k++ {
-			if dist >= horizon {
-				return
-			}
-			m.work.Steps++
-			lb := seg.firstLB + k
-			d := int64(dist)
-			dist++
-			if d >= lim {
-				continue
-			}
-			if sat {
-				// Nothing can start: only a resident block's distance is left
-				// to refresh.
-				if b := m.cache.Get(lb); b != nil && b.HintDist > d {
-					m.cache.SetHintFor(lb, c.id, d)
-				}
-				continue
-			}
-			m.work.Probes++
-			if len(m.demoted) > 0 && m.demoted[lb] {
-				// Repeatedly failing block: left to the demand read, so the
-				// rest of the hinted sequence keeps prefetching.
-				continue
-			}
-			dk := m.arr.DiskOf(lb)
-			if m.arr.Dead(dk) {
-				// Degraded mode: no prefetching onto a dead disk.
-				if !m.deadSkipped[lb] {
-					m.deadSkipped[lb] = true
-					m.faults.DeadSkips++
-				}
-				continue
-			}
-			if b := m.cache.Get(lb); b != nil {
-				if b.HintDist > d {
-					m.cache.SetHintFor(lb, c.id, d)
-				}
-				continue
-			}
-			switch m.startFetch(c.id, lb, cache.OriginHint, d) {
-			case fetchStarted:
-				c.stats.HintPrefetches++
-				if m.obs.Enabled() {
-					m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
-				}
-				sat = c.saturate()
-			case fetchDiskBusy:
-				// This disk is at depth; later blocks may differ.
-				if !slices.Contains(c.memo.refused, dk) {
-					c.memo.refused = append(c.memo.refused, dk)
-					m.refusers[dk].add(c.id)
-				}
-			case fetchNoBuffer:
-				c.stale()
-				return // cache pressure: stop pumping this client
-			}
+		if len(m.demoted) > 0 && m.demoted[lb] {
+			// Repeatedly failing block: left to the demand read, so the
+			// rest of the hinted sequence keeps prefetching.
+			continue
 		}
+		dk := m.arr.DiskOf(lb)
+		if m.arr.Dead(dk) {
+			// Degraded mode: no prefetching onto a dead disk.
+			if !m.deadSkipped[lb] {
+				m.deadSkipped[lb] = true
+				m.faults.DeadSkips++
+			}
+			c.hold(lb, q)
+			continue
+		}
+		m.cache.Reach(c.id, p)
+		if b := m.cache.Get(lb); b != nil {
+			compare = c.protect(b, lb, q, d) || compare
+			c.compare = c.compare || compare
+			continue
+		}
+		m.actLB = lb
+		switch m.startFetch(c.id, lb, cache.OriginHint, q) {
+		case fetchStarted:
+			c.maxPos = max(c.maxPos, q)
+			c.stats.HintPrefetches++
+			if m.obs.Enabled() {
+				m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
+			}
+			skip = c.roomless(kept)
+		case fetchDiskBusy:
+			// This disk is at depth; later blocks may differ.
+			open = min(open, q)
+			seen |= diskBit(dk)
+			m.refusers[dk].add(c.id)
+		case fetchNoBuffer:
+			open = min(open, q)
+			seen |= diskBit(dk)
+			c.stale()
+			break walk // cache pressure: stop pumping this client
+		}
+	}
+	m.acting = -1
+	// Positions made due by this pass's own changes were appended after the
+	// ones it visited.
+	c.due = c.due[:copy(c.due, c.due[n0:])]
+	if !whole {
+		seen |= kept
+	}
+	c.endPass(p, open, seen, whole, compare)
+	if full {
+		c.front, c.reach = 0, 0
+	}
+}
+
+// segAt returns the index of the queued segment holding position p, or
+// len(c.hints) if none does.
+func (c *Client) segAt(p int64) int {
+	lo, hi := c.head, len(c.hints)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s := &c.hints[mid]; s.pos+s.nBlocks <= p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// protect makes c the owner of the resident block b, at position p and
+// distance d, if c is nearer to it than its distance says. It reports a block
+// left to a nearer owner, or at a held distance: one a later base may make c
+// want.
+func (c *Client) protect(b *cache.Block, lb, p, d int64) bool {
+	m := c.m
+	if m.cache.Dist(b) > d {
+		m.actLB = lb
+		m.cache.SetHintFor(lb, c.id, p)
+		c.maxPos = max(c.maxPos, p)
+		return false
+	}
+	return b.Owner != c.id || b.Held()
+}
+
+// hold keeps the distance of c's block at position p, which the pass passes
+// by without refreshing it.
+func (c *Client) hold(lb, p int64) {
+	if b := c.m.cache.Get(lb); b != nil && b.Owner == c.id && b.HintPos == p {
+		c.m.cache.Hold(b)
+	}
+}
+
+// endPass ends a pass that stopped at position stop, leaving open as the
+// first position a later pass may have to visit and seen as the disks of the
+// missing blocks in what it examined. whole says the pass visited every
+// position from its base, and compare that it left a block whose comparison
+// moves with the base (which it has told c.compare as it went, so that a
+// change to that block during the pass is not missed).
+func (c *Client) endPass(stop, open int64, seen uint64, whole, compare bool) {
+	m := c.m
+	if stop <= c.maxPos {
+		// Not reached: these keep the distance the last pass to reach them
+		// gave them.
+		m.cache.HoldFrom(c.id, stop)
+		c.maxPos = stop - 1
+	}
+	m.cache.EndPass(c.id)
+	c.front = min(c.front, open, stop)
+	c.reach = min(c.reach, stop)
+	c.disks |= seen
+	if whole {
+		c.compare = compare
 	}
 }
 
@@ -442,7 +575,6 @@ func (m *Manager) onFetchDone(f *fetch, err error) {
 		if m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
 			// A slot is free on dk: wake the clients a full dk turned away.
 			m.woken.addAll(m.refusers[dk])
-			m.woken.addAll(m.refusers[len(m.prefDepth)])
 		}
 	}
 	if err != nil {
@@ -452,7 +584,7 @@ func (m *Manager) onFetchDone(f *fetch, err error) {
 		m.releaseFetch(f)
 		if m.demoted[lb] {
 			delete(m.demoted, lb)
-			m.blockChanged(lb)
+			m.blockChanged(lb, 0, cache.NoHint)
 		}
 		m.cache.Complete(lb)
 	}

@@ -222,16 +222,15 @@ type Manager struct {
 	pendingSpare  []pendingFetch
 
 	prefDepth []int // outstanding prefetches per disk
+	stripe    int64 // blocks per stripe unit of the array
 
 	// interest maps a granule of the logical block space to the clients that
-	// have disclosed a hint touching it: whom blockChanged must wake. See
-	// pumpMemo.
+	// have disclosed a hint touching it: whom blockChanged must wake.
 	interest map[int64][]*Client
 
 	// The woken set: the clients the next pump visits. refusers[dk] holds the
-	// clients whose memo lists disk dk as refusing, refusers[NumDisks] those
-	// whose memo says every disk refused; a freed slot on dk wakes both. dead
-	// is the array's dead-disk count when the pump last looked.
+	// clients whose last pass disk dk turned away; a freed slot on dk wakes
+	// them. dead is the array's dead-disk count when the pump last looked.
 	woken    clientSet
 	refusers []clientSet
 	dead     int
@@ -248,9 +247,11 @@ type Manager struct {
 
 	work PumpWork // for PumpWork
 
-	// probeAlways is set by tests only: the pump then never takes the
-	// saturated short step, and is the reference the stepping pump is held to.
-	probeAlways bool
+	// acting is the client whose pass is running (-1: none) and actLB the
+	// block it is admitting or protecting: the change that block reports is
+	// the pass's own, and the pass accounts for it.
+	acting int
+	actLB  int64
 
 	// poison is set by tests only: released readOps and fetch records are
 	// poisoned (releaseReadOp, releaseFetch) and never handed out again, so a
@@ -286,6 +287,30 @@ type Client struct {
 	hints []segment
 	head  int // first unconsumed hint
 
+	// Stream positions (segment.pos): tail is the next one to give out, at
+	// the base as of the last consume, cancel or close.
+	tail, at int64
+
+	// The pass's frontier. Every position in [base, front) holds a cached
+	// block that needs nothing from a pass; in [front, reach), which the last
+	// passes examined, only a missing block on a disk with a free slot does,
+	// and the due positions. Every change that may falsify this moves front
+	// or reach back (Manager.blockChanged, consume); a pass starts at front
+	// and skips what needs nothing.
+	front, reach int64
+	due          []int64 // positions in [front, reach) holding a cached block not this client's
+	disks        uint64  // the disks of the missing blocks in [front, reach) (diskBit)
+
+	// compare: the window holds a block whose comparison with this client's
+	// distance moves with its base — another stream's, or one whose distance
+	// is held. conf: a queued hint carries a static confidence, whose depth
+	// bound the pass checks at every position.
+	compare, conf bool
+
+	// maxPos bounds the positions of this client's blocks whose distance
+	// follows its base (cache.Block.Held is false).
+	maxPos int64
+
 	ra map[int64]raState // by inode
 
 	// Windowed hint-accuracy estimate (right ≈ matched, wrong ≈ bypassed +
@@ -303,7 +328,6 @@ type Client struct {
 	prior   float64
 	priorWt float64
 
-	memo     pumpMemo
 	granules []int64 // the granules of m.interest this client is entered in
 
 	stats Stats
@@ -321,7 +345,8 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		cache:       cache.New(cfg.CacheBlocks),
 		cfg:         cfg,
 		prefDepth:   make([]int, arr.Config().NumDisks),
-		refusers:    make([]clientSet, arr.Config().NumDisks+1),
+		stripe:      int64(arr.Config().StripeUnit / arr.Config().BlockSize),
+		refusers:    make([]clientSet, arr.Config().NumDisks),
 		interest:    make(map[int64][]*Client),
 		fetches:     make(map[int64]*fetch),
 		demoted:     make(map[int64]bool),
@@ -335,6 +360,7 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 	})
 	m.cache.SetPartitionFn(m.partition)
 	m.cache.SetOnChange(m.blockChanged)
+	m.acting = -1
 	arr.OnIdle = func(int) { m.pump() }
 	return m, nil
 }
@@ -353,10 +379,9 @@ func (m *Manager) NewClient() *Client {
 		m.free = m.free[:n-1]
 		m.retired.add(c.stats)
 		clear(c.ra)
-		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0],
-			memo: pumpMemo{refused: c.memo.refused[:0]}}
+		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0], due: c.due[:0], tail: c.tail, at: c.tail, maxPos: -1}
 	} else {
-		c = &Client{m: m, id: len(m.clients), ra: make(map[int64]raState)}
+		c = &Client{m: m, id: len(m.clients), ra: make(map[int64]raState), maxPos: -1}
 		m.clients = append(m.clients, c)
 	}
 	m.shares.valid = false
@@ -431,8 +456,7 @@ func (c *Client) Close() {
 	for i := c.head; i < len(c.hints); i++ {
 		c.release(&c.hints[i])
 	}
-	c.hints = c.hints[:0]
-	c.head = 0
+	c.empty()
 	c.closed = true
 	c.unwatch()
 	c.unrefuse()

@@ -225,7 +225,7 @@ func TestCancelAllStopsPrefetchingAndUnprotectsBlocks(t *testing.T) {
 	}
 	// Cached blocks lost hint protection.
 	r.m.Cache().ForEach(func(b *cache.Block) {
-		if b.HintDist != cache.NoHint {
+		if b.HintPos != cache.NoHint {
 			t.Fatalf("block %d still hint-protected after CancelAll", b.LB)
 		}
 	})
