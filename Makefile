@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint unused speclint synth fuzz smoke perf-test examples pairs profile benchcheck ci
+.PHONY: all build test race vet fmt lint unused speclint synth fuzz smoke specrun-smoke perf-test examples pairs profile benchcheck ci
 
 all: build
 
@@ -36,9 +36,11 @@ lint: vet
 
 # unused fails on every exported function or method of an internal package
 # that nothing outside that package refers to (production code, another
-# package's tests, bench/perf, cmd or examples); a method that implements an
-# interface is exempt. It is the root package's TestNoUnusedExports, a
-# go/parser + go/types scan of the whole tree, so it needs no download.
+# package's tests, bench/perf, cmd or examples), and on every unexported
+# declaration or struct field of one that nothing reads; a method that
+# implements an interface is exempt. It is the root package's
+# TestNoUnusedExports, a go/parser + go/types scan of the whole tree, so it
+# needs no download.
 unused:
 	$(GO) test -count=1 -run '^TestNoUnusedExports$$' .
 
@@ -79,6 +81,38 @@ smoke-%:
 	[ $* = speed ] || diff -u BENCH_$*_test.json BENCH_$*_test.p4.json
 	jq -e -f bench/smoke/$*.jq BENCH_$*_test.json
 
+# specrun-smoke drives a built specrun (exit codes need a real process: `go
+# run` collapses every nonzero child status to 1) over examples/progs/seqsum.s,
+# whose ten inputs it generates once. A captured trace replays to exit 0 or 4
+# (a replay program exits with its read digest), never a tool error; a
+# malformed trace is exit 1 naming its line; with its inputs missing the
+# program ends on the failed open (exit 4) well within a deadline. The traced
+# run and the multi sweep export well-formed trace JSON with no dropped event,
+# and the stall buckets sum to the elapsed cycles exactly. The inputs and the
+# binary stay in .bench_build/; cap.trace, trace.json, metrics.json, run.json
+# and multi-trace.json are written here for CI to upload.
+specrun-smoke:
+	@mkdir -p .bench_build/seqsum/data .bench_build/seqsum/empty
+	$(GO) build -o .bench_build/specrun ./cmd/specrun
+	for i in 0 1 2 3 4 5 6 7 8 9; do \
+		head -c $$((20000 + i * 1000)) /dev/zero | tr '\0' x > .bench_build/seqsum/data/part$$i; done
+	.bench_build/specrun -file examples/progs/seqsum.s -dir .bench_build/seqsum -q -capture cap.trace
+	rc=0; .bench_build/specrun -trace-file cap.trace -mode spec -q || rc=$$?; test $$rc -eq 0 -o $$rc -eq 4
+	printf 'open a\nread 0\nclose\n' > .bench_build/seqsum/bad.trace
+	rc=0; .bench_build/specrun -trace-file .bench_build/seqsum/bad.trace 2> .bench_build/seqsum/bad.err || rc=$$?; \
+		test $$rc -eq 1 && grep -q 'trace: line 2:' .bench_build/seqsum/bad.err
+	rc=0; .bench_build/specrun -file examples/progs/seqsum.s -dir .bench_build/seqsum/empty -q -deadline 100000000 || rc=$$?; \
+		test $$rc -eq 4
+	.bench_build/specrun -file examples/progs/seqsum.s -dir .bench_build/seqsum -mode spec -q -json \
+		-trace-json trace.json -metrics-json metrics.json > run.json
+	jq -e '.traceEvents | length > 0' trace.json
+	jq -e '[.traceEvents[] | select(.ph == "X")] | length > 0' trace.json
+	jq -e '.otherData.dropped_events == 0' trace.json
+	jq -e '.points | length > 0' metrics.json
+	jq -e '(.stats.Buckets | .Compute + .SpecOverhead + .HintedStall + .UnhintedStall + .FaultStall + .SchedWait) == (.stats.Elapsed | tonumber)' run.json
+	$(GO) run ./cmd/tipbench -exp multi -scale test -trace-json multi-trace.json
+	jq -e '.traceEvents | length > 0' multi-trace.json
+
 # perf-test builds and tests the nested benchmark module (bench/perf imports
 # internal/bench but `go build ./...` does not descend into it), so a change
 # that breaks the frozen benchmark fails here, not in the next bench run.
@@ -116,4 +150,4 @@ examples:
 	@set -e; for p in $$($(GO) list ./examples/...); do \
 		echo "== $$p"; $(GO) run $$p > /dev/null; done
 
-ci: lint fmt unused build test race speclint synth smoke perf-test benchcheck examples fuzz
+ci: lint fmt unused build test race speclint synth smoke specrun-smoke perf-test benchcheck examples fuzz

@@ -148,6 +148,9 @@ func TestExitCodes(t *testing.T) {
 		{"3: deadline under I/O", []string{"-file", ok, "-dir", dir, "-deadline", "100000"}, 3, "deadline exceeded: the program did not finish within 100000 virtual cycles"},
 		{"3: deadline under pure compute", []string{"-file", file("spin.s", spinSrc), "-deadline", "5000000"}, 3, "deadline exceeded"},
 		{"4: program exits nonzero", []string{"-file", file("seven.s", sumSrc(7)), "-dir", dir}, 4, "exit 7 in "},
+		// seqsum.s with none of its inputs: it must end on the failed open,
+		// not spin until the deadline.
+		{"4: seqsum.s with its inputs missing", []string{"-file", "../../examples/progs/seqsum.s", "-dir", t.TempDir(), "-deadline", "100000000"}, 4, "exit 1 in "},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -12,6 +12,7 @@
 ; The reads are argv-determined (the file list is static data), so the
 ; speculating build hints essentially all of them — the best case from the
 ; paper, visible immediately in the -trace timeline or a -trace-json export.
+; A file that cannot be opened or read ends the program with exit status 1.
 .data
 buf:    .space 8192
 nfiles: .word 10
@@ -34,6 +35,7 @@ next:
     beq  r20, r0, done
     ldw  r1, (r21)
     syscall open
+    blt  r1, r0, fail
     mov  r10, r1
 loop:
     mov  r1, r10
@@ -41,6 +43,7 @@ loop:
     movi r3, 8192
     syscall read
     beq  r1, r0, eof
+    blt  r1, r0, fail
     movi r4, buf
     add  r5, r4, r1
 sum:
@@ -59,4 +62,7 @@ done:
     andi r1, r22, 0xffff
     syscall printint
     movi r1, 0
+    syscall exit
+fail:
+    movi r1, 1
     syscall exit

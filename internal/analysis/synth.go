@@ -119,11 +119,9 @@ func Synthesize(p *vm.Program, cfg Config) (*SynthReport, error) {
 	li := findLoops(g)
 	ev := &evaluator{p: p, g: g, li: li, rd: solveReachingDefs(g), ta: ta}
 	sy := &synthesizer{
-		p:      p,
 		g:      g,
 		li:     li,
 		ev:     ev,
-		ta:     ta,
 		ranges: solveRanges(g, ev.rangeOracle()),
 		pos:    solvePos(g, ev),
 		trips:  make(map[int]tripResult),
@@ -202,11 +200,9 @@ func orderHints(emitters []emitter) []SynthHint {
 
 // synthesizer bundles the solved analyses for one program.
 type synthesizer struct {
-	p      *vm.Program
 	g      *CFG
 	li     *LoopInfo
 	ev     *evaluator
-	ta     *taintAnalysis
 	ranges *Ranges
 	pos    map[int64]fposVal
 	trips  map[int]tripResult

@@ -370,7 +370,7 @@ func figure5(scale apps.Scale) (Report, error) {
 var Figure6Ratios = []int{1, 2, 3, 5, 7, 9}
 
 // figure6 reproduces the widening processor/disk gap simulation: completion
-// notification is delayed by the ratio (and at most one prefetch is kept
+// notification is delayed by the ratio (and TIP keeps at most one prefetch
 // outstanding per disk, as the paper configured), then measured elapsed
 // times are scaled back down by the ratio.
 func figure6(scale apps.Scale) (Report, error) {
@@ -385,7 +385,7 @@ func figure6(scale apps.Scale) (Report, error) {
 		r := Figure6Ratios[i%nr]
 		return Apps[i/nr], scale, func(c *core.Config) {
 			c.Disk.DelayFactor = r
-			c.Disk.MaxPrefetchPerDisk = 1
+			c.TIP.MaxDepthPerDisk, c.TIP.RADepthPerDisk = 1, 1
 			c.MaxCycles *= int64(r)
 		}
 	})

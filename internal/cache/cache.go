@@ -59,10 +59,10 @@ func (o Origin) String() string {
 	return "origin"
 }
 
-// Block is one cache buffer. A Block is recycled: once evicted, failed or
-// dropped it goes back to the cache's free list and a later admit hands it out
-// again, so a *Block is only good until the block it describes leaves the
-// cache (see release).
+// Block is one cache buffer. A Block is recycled: once evicted or failed it
+// goes back to the cache's free list and a later admit hands it out again, so
+// a *Block is only good until the block it describes leaves the cache (see
+// release).
 type Block struct {
 	LB      int64 // global logical block number
 	HintPos int64 // position in the owner's hint stream; NoHint if unhinted
@@ -156,8 +156,8 @@ type Cache struct {
 
 	// onChange, when set, is told the block number and what the block was
 	// before (owner and HintPos; NoHint if unhinted, WasAbsent if not cached)
-	// whenever what Get(lb) answers changes: the block is admitted, evicted,
-	// failed or dropped, or its (HintPos, Owner) is rewritten.
+	// whenever what Get(lb) answers changes: the block is admitted, evicted or
+	// failed, or its (HintPos, Owner) is rewritten.
 	onChange func(lb int64, owner int, pos int64)
 
 	// bases holds each owner's stream base, from which a hinted block's
@@ -198,7 +198,7 @@ func (c *Cache) SetAccuracyFn(fn func(owner int) float64) { c.accuracyOf = fn }
 func (c *Cache) SetPartitionFn(fn func(owner int) int) { c.partitionOf = fn }
 
 // SetOnChange installs the residency hook: fn(lb, owner, pos) runs after every
-// admit, evict, Fail, Drop and SetHintFor of block lb, before any waiter is
+// admit, evict, Fail and SetHintFor of block lb, before any waiter is
 // woken, with the (Owner, HintPos) the block had before (pos NoHint: it was
 // unhinted; WasAbsent: it was not cached). It must not call back into the
 // cache.
@@ -713,21 +713,6 @@ func (c *Cache) NoteDemandWait(lb int64) {
 		c.stats.PartialWaits++
 	}
 	b.demanded = true
-}
-
-// Drop removes an in-transit block that never got a disk request (the disk
-// rejected it under prefetch back-pressure). Dropping a block with waiters
-// or in any other state panics: it would strand the waiters.
-func (c *Cache) Drop(lb int64) {
-	b := c.blocks.get(lb)
-	if b == nil || b.state != InTransit || len(b.waiters) > 0 {
-		panic(fmt.Sprintf("cache: Drop of block %d in bad state", lb))
-	}
-	c.dropHintAccounting(b)
-	c.blocks.del(lb)
-	owner, pos := b.Owner, b.HintPos
-	c.release(b)
-	c.changed(lb, owner, pos)
 }
 
 // NoteMiss records a demand fetch for an absent block.

@@ -194,7 +194,6 @@ type cacheOps interface {
 	Wait(lb int64, fn func(bool))
 	Touch(lb int64)
 	NoteDemandWait(lb int64)
-	Drop(lb int64)
 	SetHintFor(lb int64, owner int, dist int64)
 }
 
@@ -275,14 +274,6 @@ func (r *refCache) NoteDemandWait(lb int64) {
 		r.stats.PartialWaits++
 	}
 	b.demanded = true
-}
-
-func (r *refCache) Drop(lb int64) {
-	b := r.mustBe(lb, InTransit)
-	if len(b.waiters) > 0 {
-		panic("ref: drop with waiters")
-	}
-	r.remove(b)
 }
 
 func (r *refCache) SetHintFor(lb int64, owner int, dist int64) {
@@ -371,7 +362,6 @@ const (
 	opWait
 	opTouch
 	opDemandWait
-	opDrop
 	opSetHint
 	opPartitionCap
 	numOps
@@ -403,15 +393,13 @@ func (op *modelOp) run(c cacheOps, log *[]string) {
 		c.Touch(op.lb)
 	case opDemandWait:
 		c.NoteDemandWait(op.lb)
-	case opDrop:
-		c.Drop(op.lb)
 	case opSetHint:
 		c.SetHintFor(op.lb, op.owner, op.dist)
 	}
 }
 
 // gone lists the blocks of before that are no longer resident: the victims of
-// the operation in between (and its own block, if it failed or dropped it).
+// the operation in between (and its own block, if it failed it).
 func gone(before []int64, resident func(lb int64) bool) []int64 {
 	var out []int64
 	for _, lb := range before {
@@ -469,7 +457,7 @@ func TestCacheMatchesModel(t *testing.T) {
 		// pick returns a block in the state the operation needs three times in
 		// four, and any block at all otherwise (the precondition-panic paths).
 		needs := map[int]State{opAcquire: Absent, opTouch: Valid, opComplete: InTransit, opFail: InTransit,
-			opWait: InTransit, opDemandWait: InTransit, opDrop: InTransit}
+			opWait: InTransit, opDemandWait: InTransit}
 		pick := func(kind int) int64 {
 			var fit []int64
 			for lb := int64(0); lb < universe; lb++ {
@@ -498,12 +486,12 @@ func TestCacheMatchesModel(t *testing.T) {
 		for i := 0; i < opsEach; i++ {
 			// Acquire, complete and touch dominate, as they do in a run.
 			kind := []int{opAcquire, opAcquire, opAcquire, opComplete, opComplete, opTouch, opTouch,
-				opFail, opWait, opWait, opDemandWait, opDrop, opSetHint, opSetHint, opPartitionCap}[rng.Intn(15)]
+				opFail, opWait, opWait, opDemandWait, opSetHint, opSetHint, opPartitionCap}[rng.Intn(14)]
 			op := randomOp(kind)
 			if kind == opWait {
 				// The waiter touches its own block (TIP's consume), touches or
-				// acquires another (the cluster's next queued part), or drops.
-				op.then = randomOp([]int{opTouch, opTouch, opAcquire, opDrop}[rng.Intn(4)])
+				// acquires another (the cluster's next queued part), or fails one.
+				op.then = randomOp([]int{opTouch, opTouch, opAcquire, opFail}[rng.Intn(4)])
 				if rng.Intn(2) == 0 {
 					op.then.lb = op.lb
 				}

@@ -215,21 +215,6 @@ func TestFullyPrefetchedAccounting(t *testing.T) {
 	}
 }
 
-func TestDropInTransit(t *testing.T) {
-	c := New(4)
-	c.Acquire(1, OriginHint, 0)
-	c.Drop(1)
-	if c.Get(1) != nil || c.Len() != 0 {
-		t.Fatal("Drop did not remove block")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Drop of absent block did not panic")
-		}
-	}()
-	c.Drop(1)
-}
-
 func TestCapacityRespected(t *testing.T) {
 	c := New(8)
 	for lb := int64(0); lb < 100; lb++ {

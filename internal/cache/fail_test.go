@@ -78,10 +78,6 @@ func TestPanicPreconditionsCoverEveryTransition(t *testing.T) {
 	mustPanic(t, "Touch of in-transit block", func() { c.Touch(1) })
 	mustPanic(t, "NoteDemandWait on absent block", func() { c.NoteDemandWait(99) })
 	mustPanic(t, "NoteDemandWait on valid block", func() { c.NoteDemandWait(2) })
-	mustPanic(t, "Drop of absent block", func() { c.Drop(99) })
-	mustPanic(t, "Drop of valid block", func() { c.Drop(2) })
-	c.Wait(1, func(int64, bool) {})
-	mustPanic(t, "Drop of block with waiters", func() { c.Drop(1) })
 	mustPanic(t, "Acquire of present block", func() { c.Acquire(1, OriginDemand, NoHint) })
 	mustPanic(t, "zero-capacity cache", func() { New(0) })
 }

@@ -136,7 +136,6 @@ func (s BreakerState) String() string {
 type Breaker struct {
 	cfg      BreakerConfig
 	fails    int   // consecutive failures while closed
-	openAt   int64 // when the breaker last opened
 	reopenAt int64 // when it may half-open
 	open     bool
 	probing  bool // half-open probe in flight
@@ -195,7 +194,6 @@ func (b *Breaker) OnFailure(now int64) {
 		// Probe failed (or a straggler reply landed while open): back to a
 		// full cooldown from now.
 		b.probing = false
-		b.openAt = now
 		b.reopenAt = now + b.cfg.Cooldown
 		return
 	}
@@ -204,7 +202,6 @@ func (b *Breaker) OnFailure(now int64) {
 		b.open = true
 		b.probing = false
 		b.fails = 0
-		b.openAt = now
 		b.reopenAt = now + b.cfg.Cooldown
 		b.trips++
 	}

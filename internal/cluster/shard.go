@@ -116,7 +116,6 @@ type shard struct {
 	clk *sim.Queue
 	cfg *Config
 
-	fs    *fsim.FS
 	arr   *disk.Array
 	tm    *tip.Manager
 	files []*fsim.File // full corpus replica; the ring decides which blocks this shard actually serves
@@ -163,7 +162,7 @@ func newShard(id int, clk *sim.Queue, cfg *Config, corpus []byte) (*shard, error
 	}
 	s := &shard{
 		id: id, clk: clk, cfg: cfg,
-		fs: fs, arr: arr, tm: tm,
+		arr: arr, tm: tm,
 		files:  make([]*fsim.File, cfg.Clients.Files),
 		sess:   make(map[SessionKey]*tip.Client),
 		served: make(map[SessionKey]bool),

@@ -229,7 +229,7 @@ func TestThrottleReenablesAfterWindow(t *testing.T) {
 func TestFigure6DelayFactorRuns(t *testing.T) {
 	cfg := DefaultConfig(ModeSpeculating)
 	cfg.Disk.DelayFactor = 3
-	cfg.Disk.MaxPrefetchPerDisk = 1
+	cfg.TIP.MaxDepthPerDisk, cfg.TIP.RADepthPerDisk = 1, 1
 	fs, names := buildFS(t, 8, 6000)
 	st := runMode(t, cfg, seqReaderSrc(names, false), fs)
 	cfgBase := DefaultConfig(ModeSpeculating)

@@ -11,8 +11,9 @@
 // The model includes the disks' track-buffer read-ahead (physically
 // sequential accesses bypass positioning) and the paper's Figure 6 apparatus:
 // a completion-notification delay factor used to simulate a widening gap
-// between processor and disk speeds, combined with a limit on outstanding
-// prefetch requests per disk.
+// between processor and disk speeds. The array takes every request it is
+// given; how many prefetches a disk holds is TIP's to bound
+// (tip.Config.MaxDepthPerDisk).
 package disk
 
 import (
@@ -80,11 +81,6 @@ type Config struct {
 	// time. 1 means no delay. The benchmark harness divides measured elapsed
 	// times by this factor, as the paper did.
 	DelayFactor int
-
-	// MaxPrefetchPerDisk bounds outstanding (queued + in-service) prefetch
-	// requests per disk; Submit rejects prefetches over the bound. Zero means
-	// unlimited. The paper set this to 1 for the Figure 6 experiments.
-	MaxPrefetchPerDisk int
 }
 
 // Validate reports a configuration error, if any.
@@ -123,7 +119,6 @@ type Request struct {
 type Stats struct {
 	DemandReqs    int64
 	PrefetchReqs  int64
-	RejectedReqs  int64 // prefetches rejected by MaxPrefetchPerDisk
 	TrackBufHits  int64
 	BusyCycles    sim.Time // summed over disks
 	DemandWait    sim.Time // queueing delay experienced by demand requests
@@ -145,11 +140,6 @@ type Array struct {
 	stats Stats
 	inj   Injector   // nil = perfect hardware
 	obs   *obs.Trace // nil = tracing off; all methods are nil-safe
-
-	// OnIdle, if non-nil, is invoked whenever a disk finishes a request and
-	// has no further queued work. TIP uses it to re-try prefetches rejected
-	// by the outstanding-prefetch bound.
-	OnIdle func(disk int)
 }
 
 type diskState struct {
@@ -158,7 +148,6 @@ type diskState struct {
 	demandTail  *Request
 	prefHead    *Request
 	prefTail    *Request
-	prefCount   int   // queued + in-service prefetches
 	nextSeqPhys int64 // first physical block covered by the track buffer
 	seqLimit    int64 // one past the last block covered by the track buffer
 
@@ -229,9 +218,6 @@ func (a *Array) checkDeath(i int) {
 		if r == nil {
 			break
 		}
-		if r.Pri == Prefetch {
-			d.prefCount--
-		}
 		a.failDead(r)
 	}
 }
@@ -272,10 +258,9 @@ func (a *Array) DiskOf(logical int64) int {
 	return int(logical / a.unit % int64(a.cfg.NumDisks))
 }
 
-// Submit enqueues a request. It returns false if the request is a prefetch
-// and the per-disk outstanding-prefetch bound is reached; the caller may
-// retry later (see OnIdle).
-func (a *Array) Submit(r *Request) bool {
+// Submit enqueues a request. The array takes every request: one for a dead
+// disk completes with ErrDead.
+func (a *Array) Submit(r *Request) {
 	if r.Disk < 0 || r.Disk >= len(a.disks) {
 		panic(fmt.Sprintf("disk: request for disk %d of %d", r.Disk, len(a.disks)))
 	}
@@ -285,15 +270,10 @@ func (a *Array) Submit(r *Request) bool {
 		// The disk is gone: the request completes with ErrDead after the
 		// driver timeout, never entering a queue.
 		a.failDead(r)
-		return true
+		return
 	}
 	if r.Pri == Prefetch {
-		if a.cfg.MaxPrefetchPerDisk > 0 && d.prefCount >= a.cfg.MaxPrefetchPerDisk {
-			a.stats.RejectedReqs++
-			return false
-		}
 		a.stats.PrefetchReqs++
-		d.prefCount++
 		if d.prefTail == nil {
 			d.prefHead, d.prefTail = r, r
 		} else {
@@ -311,7 +291,6 @@ func (a *Array) Submit(r *Request) bool {
 	}
 	r.arrival = a.clk.Now()
 	a.startIfIdle(r.Disk)
-	return true
 }
 
 func (a *Array) startIfIdle(disk int) {
@@ -383,9 +362,6 @@ func (a *Array) finish(disk int) {
 	d := &a.disks[disk]
 	r := d.cur
 	d.cur = nil
-	if r.Pri == Prefetch {
-		d.prefCount--
-	}
 	if r.Done != nil {
 		var err error
 		if d.curFail {
@@ -394,9 +370,6 @@ func (a *Array) finish(disk int) {
 		r.Done(err)
 	}
 	a.startIfIdle(disk)
-	if a.OnIdle != nil && d.cur == nil {
-		a.OnIdle(disk)
-	}
 }
 
 // serviceTime computes the media service time for r on d, consulting the

@@ -174,31 +174,6 @@ func TestInServicePrefetchNotPreempted(t *testing.T) {
 	}
 }
 
-func TestMaxPrefetchPerDisk(t *testing.T) {
-	clk := sim.NewQueue()
-	cfg := testConfig(1)
-	cfg.MaxPrefetchPerDisk = 1
-	a := mustNew(t, clk, cfg)
-	if !a.Submit(&Request{Disk: 0, PhysBlock: 0, Pri: Prefetch}) {
-		t.Fatal("first prefetch rejected")
-	}
-	if a.Submit(&Request{Disk: 0, PhysBlock: 8, Pri: Prefetch}) {
-		t.Fatal("second outstanding prefetch accepted, want rejected")
-	}
-	if a.Stats().RejectedReqs != 1 {
-		t.Fatalf("RejectedReqs = %d, want 1", a.Stats().RejectedReqs)
-	}
-	// Demand is unaffected by the bound.
-	if !a.Submit(&Request{Disk: 0, PhysBlock: 16, Pri: Demand}) {
-		t.Fatal("demand rejected by prefetch bound")
-	}
-	clk.Drain()
-	// After completion the bound frees up.
-	if !a.Submit(&Request{Disk: 0, PhysBlock: 24, Pri: Prefetch}) {
-		t.Fatal("prefetch rejected after previous completed")
-	}
-}
-
 func TestDelayFactorDelaysNotification(t *testing.T) {
 	clk := sim.NewQueue()
 	cfg := testConfig(1)
@@ -209,18 +184,6 @@ func TestDelayFactorDelaysNotification(t *testing.T) {
 	clk.Drain()
 	if done != 3300 {
 		t.Fatalf("notification at %d, want 3300", done)
-	}
-}
-
-func TestOnIdleCallback(t *testing.T) {
-	clk := sim.NewQueue()
-	a := mustNew(t, clk, testConfig(2))
-	var idled []int
-	a.OnIdle = func(d int) { idled = append(idled, d) }
-	a.Submit(&Request{Disk: 1, PhysBlock: 0, Pri: Demand})
-	clk.Drain()
-	if len(idled) != 1 || idled[0] != 1 {
-		t.Fatalf("OnIdle calls = %v, want [1]", idled)
 	}
 }
 

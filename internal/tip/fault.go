@@ -123,10 +123,10 @@ func (m *Manager) refetch(lb int64, dk int) {
 	if m.cache.Get(lb).Demanded() {
 		pri = disk.Demand
 	}
-	_, phys := m.arr.Map(lb)
-	// A dead disk or prefetch back-pressure on the retry path: demote rather
-	// than wedge.
-	if pri == disk.Prefetch && m.arr.Dead(dk) || !m.submit(lb, dk, phys, pri) {
-		m.demote(lb)
+	if pri == disk.Prefetch && m.arr.Dead(dk) {
+		m.demote(lb) // a prefetch retry onto a dead disk: demote rather than wedge
+		return
 	}
+	_, phys := m.arr.Map(lb)
+	m.submit(lb, dk, phys, pri)
 }

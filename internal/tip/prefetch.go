@@ -55,12 +55,12 @@ func (m *Manager) releaseFetch(f *fetch) {
 	m.freeFetches = append(m.freeFetches, f)
 }
 
-// pump issues hint-driven prefetches on every hint, disk-idle transition and
-// completion. It visits the woken clients, each once and in ascending id order
-// for determinism: every client whose window something has changed since its
-// last pass, or that a disk now able to take a prefetch turned away. A client
-// woken behind the cursor waits for the next pump. One client running out of buffers does not stop the others
-// (their partitions may still have room).
+// pump issues hint-driven prefetches on every hint, read and completion. It
+// visits the woken clients, each once and in ascending id order for
+// determinism: every client whose window something has changed since its last
+// pass, or that a disk now able to take a prefetch turned away. A client woken
+// behind the cursor waits for the next pump. One client running out of buffers
+// does not stop the others (their partitions may still have room).
 func (m *Manager) pump() {
 	if m.cfg.IgnoreHints {
 		return
@@ -509,10 +509,10 @@ const (
 )
 
 // startFetch acquires a buffer for lb on the owner's behalf and submits the
-// disk request, leaving no residue on failure. Prefetch-priority fetches are
-// refused outright when the target disk is dead (degraded mode); demand
-// fetches are always submitted — the dead disk answers them with ErrDead,
-// which surfaces to the reader as a read error.
+// disk request. A prefetch is refused before any buffer is taken, so a refusal
+// leaves no trace: when its disk is at the depth bound or dead (degraded
+// mode). Demand fetches are always submitted — a dead disk answers them with
+// ErrDead, which surfaces to the reader as a read error.
 func (m *Manager) startFetch(owner int, lb int64, origin cache.Origin, hintDist int64) fetchResult {
 	dk, phys := m.arr.Map(lb)
 	pri := disk.Prefetch
@@ -531,38 +531,24 @@ func (m *Manager) startFetch(owner int, lb int64, origin cache.Origin, hintDist 
 	if m.cache.AcquireFor(owner, lb, origin, hintDist) == nil {
 		return fetchNoBuffer
 	}
-	if !m.submit(lb, dk, phys, pri) {
-		m.cache.Drop(lb)
-		return fetchDiskBusy
-	}
+	m.submit(lb, dk, phys, pri)
 	return fetchStarted
 }
 
-// submit sends the disk request for the in-transit block lb and records it;
-// false means the disk refused it (prefetch back-pressure) and nothing new
-// was recorded. A retry reuses the block's record, failed-attempt count
-// included.
-func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority) bool {
+// submit sends the disk request for the in-transit block lb and records it. A
+// retry reuses the block's record, failed-attempt count included.
+func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority) {
 	f := m.fetches[lb]
-	fresh := f == nil
-	if fresh {
+	if f == nil {
 		f = m.newFetch(lb)
-	}
-	f.Disk, f.PhysBlock, f.Pri = dk, phys, pri
-	if !m.arr.Submit(&f.Request) {
-		if fresh {
-			m.releaseFetch(f)
-		}
-		return false
-	}
-	if fresh {
 		m.fetches[lb] = f
 	}
+	f.Disk, f.PhysBlock, f.Pri = dk, phys, pri
+	m.arr.Submit(&f.Request)
 	f.queued = true
 	if pri == disk.Prefetch {
 		m.prefDepth[dk]++
 	}
-	return true
 }
 
 // onFetchDone is the completion of f's request. f is released once it is out

@@ -71,10 +71,10 @@ func (r *recInjector) Outcome(dk int, phys int64, now sim.Time) (int, bool) {
 }
 
 // pumpRig is one side of the comparison. Every pump in it is reached through
-// one of four doors — a client call the script makes, a clock event the
-// script runs, a read completion it is called back for, the array's OnIdle —
-// and before() stands at each of them, so on the forgetful side no pump ever
-// finds a frontier left by an earlier one.
+// one of three doors — a client call the script makes, a clock event the
+// script runs, a read completion it is called back for — and before() stands
+// at each of them, so on the forgetful side no pump ever finds a frontier left
+// by an earlier one.
 type pumpRig struct {
 	clk    *sim.Queue
 	arr    *disk.Array
@@ -95,7 +95,6 @@ type pumpRig struct {
 	// Where the woken set can go wrong (first rig only).
 	sawDeferred bool // a pass woke a client behind the cursor: it waits for the next pump
 	sawDeadWake bool // a disk's death woke a client that was not woken
-	sawIdlePump bool // a pump from the array's OnIdle visited a client
 
 	// Where a pass with every disk full can go wrong. A step that runs no
 	// clock event can neither free a prefetch slot nor change a demotion, and
@@ -141,8 +140,7 @@ func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
 	t.Helper()
 	dcfg := disk.Config{
 		NumDisks: 3, BlockSize: 1024, StripeUnit: 2048,
-		PositionCycles: 1000, TransferCycles: 100, TrackBufCycles: 10, TrackBufBlocks: 4,
-		DelayFactor: 1, MaxPrefetchPerDisk: 10, // TIP unbounded (depth 0): the array itself refuses
+		PositionCycles: 1000, TransferCycles: 100, TrackBufCycles: 10, TrackBufBlocks: 4, DelayFactor: 1,
 	}
 	cfg := Config{
 		CacheBlocks: 32, Horizon: 16, MinHorizon: 2, ReadaheadMax: 4,
@@ -165,13 +163,6 @@ func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
 	r := &pumpRig{clk: clk, arr: arr, m: m, inj: &recInjector{plan: plan}, forget: forget}
 	m.poison = forget
 	arr.SetInjector(r.inj)
-	idle := arr.OnIdle
-	arr.OnIdle = func(dk int) {
-		r.before()
-		visits := m.work.Visits
-		idle(dk)
-		r.sawIdlePump = r.sawIdlePump || m.work.Visits > visits
-	}
 	// Five files of 40 blocks: 200 logical blocks, four granules of the
 	// interest index, every client hinting into every file.
 	for i := 0; i < 5; i++ {
@@ -323,14 +314,25 @@ func (r *pumpRig) apply(s *pumpStep) {
 	})
 }
 
-// invariants checks what the first rig keeps instead of recomputing: every
-// position of an open client's window below its front holds a cached block
-// (unless its next pass visits every position anyway),
-// the cached partition inputs are the id-order sums, and every slot's share
-// is the eager formula's. Asking for the shares leaves the sums cached, so a
-// step that moves an input without invalidating them fails the next check.
+// invariants checks what the first rig keeps instead of recomputing: each
+// disk's prefetch depth is the number of prefetch records queued on it (the
+// one depth count there is; the script kills a disk mid-run), every position
+// of an open client's window below its front holds a cached block (unless its
+// next pass visits every position anyway), the cached partition inputs are the
+// id-order sums, and every slot's share is the eager formula's. Asking for the
+// shares leaves the sums cached, so a step that moves an input without
+// invalidating them fails the next check.
 func (r *pumpRig) invariants() error {
 	m := r.m
+	queued := make([]int, len(m.prefDepth))
+	for _, f := range m.fetches {
+		if f.Pri == disk.Prefetch && f.queued {
+			queued[f.Disk]++
+		}
+	}
+	if !slices.Equal(queued, m.prefDepth) {
+		return fmt.Errorf("prefetch depth per disk %v, but %v prefetches queued", m.prefDepth, queued)
+	}
 	bs := int64(m.fs.BlockSize())
 	for _, c := range m.clients {
 		if c.closed || c.conf || len(m.demoted) > 0 || m.arr.DeadCount() > 0 {
@@ -497,9 +499,9 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			t.Parallel()
 			var lazySteps, eagerSteps int64
 			var faults FaultCounters
-			var sawPending, sawCleared, sawRejected, sawReentrant, sawHeldRecur bool
+			var sawPending, sawCleared, sawReentrant, sawHeldRecur bool
 			var sawFullRewrite, sawFullNewOwner, sawBoundDead, sawBoundDemoted, sawSlotRegained bool
-			var sawDeferred, sawDeadWake, sawIdlePump bool
+			var sawDeferred, sawDeadWake bool
 			for seed := int64(0); seed < seeds; seed++ {
 				lazy, eager := newPumpRig(t, depth, false), newPumpRig(t, depth, true)
 				script := &pumpScript{rng: rand.New(rand.NewSource(seed)), open: make([]bool, 5),
@@ -541,7 +543,6 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 				faults.FailedDemand += f.FailedDemand
 				sawPending = sawPending || lazy.sawPending
 				sawCleared = sawCleared || lazy.sawDemotionCleared
-				sawRejected = sawRejected || lazy.arr.Stats().RejectedReqs > 0
 				sawReentrant = sawReentrant || lazy.sawReentrant
 				sawHeldRecur = sawHeldRecur || lazy.sawHeldRecur
 				sawFullRewrite = sawFullRewrite || lazy.sawFullRewrite
@@ -551,7 +552,6 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 				sawSlotRegained = sawSlotRegained || lazy.sawSlotRegained
 				sawDeferred = sawDeferred || lazy.sawDeferred
 				sawDeadWake = sawDeadWake || lazy.sawDeadWake
-				sawIdlePump = sawIdlePump || lazy.sawIdlePump
 				if lazy.arr.DeadCount() != 1 {
 					t.Errorf("seed %d: the script ended before the disk died", seed)
 				}
@@ -574,9 +574,6 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			if !sawReentrant {
 				t.Error("no completion callback ever issued the next read itself")
 			}
-			if !sawIdlePump {
-				t.Error("no pump from the array's OnIdle ever visited a client")
-			}
 			if !sawDeferred {
 				t.Error("no pass ever woke a client behind the pump's cursor")
 			}
@@ -585,9 +582,6 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			}
 			if !sawPending {
 				t.Error("no demand miss ever found the cache full (pendingDemand)")
-			}
-			if depth == 0 && !sawRejected {
-				t.Error("the array never refused a prefetch (the Drop path)")
 			}
 			if !sawHeldRecur {
 				t.Error("no block consumed in transit was ever hinted again in its owner's window")

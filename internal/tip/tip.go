@@ -361,7 +361,6 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 	m.cache.SetPartitionFn(m.partition)
 	m.cache.SetOnChange(m.blockChanged)
 	m.acting = -1
-	arr.OnIdle = func(int) { m.pump() }
 	return m, nil
 }
 

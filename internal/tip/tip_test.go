@@ -2,6 +2,7 @@ package tip
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"spechint/internal/cache"
@@ -447,6 +448,49 @@ func TestPrefetchDepthBound(t *testing.T) {
 	// Completions refill the pipeline up to the horizon.
 	if got := r.m.Stats().HintPrefetches; got != 8 {
 		t.Fatalf("HintPrefetches after drain = %d, want horizon 8", got)
+	}
+}
+
+// TestRefusedPrefetchLeavesNoTrace: a prefetch TIP refuses because its disk is
+// at the depth bound takes no buffer, so it evicts nothing. The cache is full
+// of unhinted Valid blocks — any buffer taken would evict one of them — and
+// every disk holds its one prefetch when the new hint arrives.
+func TestRefusedPrefetchLeavesNoTrace(t *testing.T) {
+	cfg := smallTIP()
+	cfg.MaxDepthPerDisk = 1
+	cfg.ReadaheadMax = 0
+	r := newRig(t, cfg, smallDisk())
+	bs := int64(r.fs.BlockSize())
+	filler := r.fs.MustCreate("filler", make([]byte, cfg.CacheBlocks*int(bs)))
+	r.readSync(t, filler, 0, int64(cfg.CacheBlocks)*bs, false)
+	if got := r.m.Cache().Len(); got != cfg.CacheBlocks {
+		t.Fatalf("%d blocks cached, want the cache full (%d)", got, cfg.CacheBlocks)
+	}
+	// Two blocks a stripe unit apart, one on each disk: each disk takes one
+	// prefetch and is at its bound while they are in transit.
+	busy := r.fs.MustCreate("busy", make([]byte, 4*1024))
+	r.cli().HintSeg(busy, 0, 1024)
+	r.cli().HintSeg(busy, 2*1024, 1024)
+	if got := r.m.PrefetchDepth(); got != 2 {
+		t.Fatalf("prefetch depth %d, want one per disk", got)
+	}
+	cached := func() map[int64]cache.State {
+		set := map[int64]cache.State{}
+		r.m.Cache().ForEach(func(b *cache.Block) { set[b.LB] = b.State() })
+		return set
+	}
+	before, stats, prefetches := cached(), r.m.Cache().Stats(), r.m.Stats().HintPrefetches
+
+	f := r.fs.MustCreate("f", make([]byte, 8*1024))
+	r.cli().HintSeg(f, 0, 8*1024)
+	if got := r.m.Stats().HintPrefetches; got != prefetches {
+		t.Fatalf("%d prefetches issued past the depth bound", got-prefetches)
+	}
+	if got := r.m.Cache().Stats(); got.EvictedClean != stats.EvictedClean {
+		t.Fatalf("EvictedClean %d -> %d: a refused prefetch evicted a block", stats.EvictedClean, got.EvictedClean)
+	}
+	if after := cached(); !maps.Equal(after, before) {
+		t.Fatalf("the refused pass changed the cached set:\nbefore %v\nafter  %v", before, after)
 	}
 }
 

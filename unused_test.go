@@ -19,10 +19,19 @@ import (
 // TestNoUnusedExports fails on every exported function or method of an
 // internal package that nothing outside that package refers to: not
 // production code, not another package's tests, not bench/perf, cmd or
-// examples. A method through which its type implements an interface is not a
-// finding, since it may be called through the interface. The scan parses and
-// type-checks the whole tree from source with go/parser and go/types, so it
-// needs nothing beyond the toolchain; `make unused` runs it on its own.
+// examples. It fails too on every unexported package-level function, method,
+// type, constant or variable, and every unexported struct field, of an
+// internal package's production code that nothing reads, the package's own
+// tests included: assigning a variable or field, incrementing it or naming it
+// in a keyed literal does not read it. A method through which its type
+// implements an interface is not a finding, since it may be called through
+// the interface. Two rules exempt what is read without being named: the first
+// constant of an iota group (the zero value it names is what an unset
+// variable holds), and every field of a struct type whose values are compared
+// with == or !=, used as map keys or passed as a comparable type argument (the
+// comparison reads them all). The scan parses and type-checks the whole tree
+// from source with go/parser and go/types, so it needs nothing beyond the
+// toolchain; `make unused` runs it on its own.
 func TestNoUnusedExports(t *testing.T) {
 	findings, err := unusedExports(".")
 	if err != nil {
@@ -32,7 +41,7 @@ func TestNoUnusedExports(t *testing.T) {
 		t.Error(f)
 	}
 	if len(findings) > 0 {
-		t.Logf("%d exported functions or methods have no caller outside their package: lower-case them, move them into the package's _test.go, or delete them", len(findings))
+		t.Logf("%d findings: lower-case an export with no caller outside its package or move it into the package's _test.go; delete what nothing reads", len(findings))
 	}
 }
 
@@ -50,6 +59,8 @@ type exportScan struct {
 	defs    map[string]*types.Info    // its Defs, by import path
 	std     types.Importer
 	used    map[token.Pos]bool // declaration positions of funcs used from another package
+	read    map[token.Pos]bool // declaration positions of objects some code reads
+	writes  map[token.Pos]bool // identifiers assigned or incremented (false) or a keyed literal's key (true)
 	ifaces  map[*types.Interface]bool
 }
 
@@ -62,7 +73,8 @@ func (s *exportScan) Import(path string) (*types.Package, error) {
 	if p := s.checked[path]; p != nil {
 		return p, nil
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}}
+	info := newInfo()
+	info.Defs = map[*ast.Ident]types.Object{}
 	p, err := s.check(path, path, s.pkgs[path].files, s, info)
 	if err != nil {
 		return nil, err
@@ -89,7 +101,7 @@ func (s *exportScan) xtestImporter(path string, self *types.Package) types.Impor
 		if s.pkgs[q] == nil || !imports(s.checked[q], path) {
 			return s.Import(q)
 		}
-		p, err := s.check(q, q, s.pkgs[q].files, imp, &types.Info{})
+		p, err := s.check(q, q, s.pkgs[q].files, imp, newInfo())
 		built[q] = p
 		return p, err
 	}
@@ -106,8 +118,14 @@ func imports(p *types.Package, path string) bool {
 	return false
 }
 
+// newInfo asks for what check reads besides Uses.
+func newInfo() *types.Info {
+	return &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Instances: map[*ast.Ident]types.Instance{}}
+}
+
 // check type-checks files as package path and records every use of a
-// function declared outside home, the package whose code the files are.
+// function declared outside home, the package whose code the files are, and
+// every object the files read. info comes from newInfo.
 func (s *exportScan) check(path, home string, files []*ast.File, imp types.Importer, info *types.Info) (*types.Package, error) {
 	info.Uses = map[*ast.Ident]types.Object{}
 	var firstErr error
@@ -120,12 +138,92 @@ func (s *exportScan) check(path, home string, files []*ast.File, imp types.Impor
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	for _, obj := range info.Uses {
-		if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() != home {
-			s.used[fn.Origin().Pos()] = true
+	for id, obj := range info.Uses {
+		switch obj := obj.(type) {
+		case *types.Func:
+			if obj.Pkg() != nil && obj.Pkg().Path() != home {
+				s.used[obj.Origin().Pos()] = true
+			}
+			s.read[obj.Origin().Pos()] = true
+		case *types.Var:
+			// A map or array literal's key reads the variable it names; only
+			// a struct literal's, which names a field, writes.
+			if key, w := s.writes[id.Pos()]; !w || key && !obj.IsField() {
+				s.read[obj.Origin().Pos()] = true
+			}
+		default:
+			s.read[obj.Pos()] = true
+		}
+	}
+	for e, tv := range info.Types {
+		if m, ok := tv.Type.(*types.Map); ok {
+			s.readFields(m.Key())
+		}
+		if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+			s.readFields(info.TypeOf(b.X))
+		}
+	}
+	// A type argument for a comparable type parameter may be compared or
+	// hashed by the generic code (par.Cache's keys).
+	for id, inst := range info.Instances {
+		var tps *types.TypeParamList
+		switch t := info.Uses[id].Type().(type) {
+		case *types.Signature:
+			tps = t.TypeParams()
+		case *types.Named:
+			tps = t.TypeParams()
+		}
+		for i := 0; i < tps.Len() && i < inst.TypeArgs.Len(); i++ {
+			if tps.At(i).Constraint().Underlying().(*types.Interface).IsComparable() {
+				s.readFields(inst.TypeArgs.At(i))
+			}
 		}
 	}
 	return p, nil
+}
+
+// readFields marks every field of t read, nested ones included, when t is a
+// struct or an array of them: comparing or hashing a value reads them all.
+func (s *exportScan) readFields(t types.Type) {
+	switch u := types.Unalias(t).Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			s.read[u.Field(i).Origin().Pos()] = true
+			s.readFields(u.Field(i).Type())
+		}
+	case *types.Array:
+		s.readFields(u.Elem())
+	}
+}
+
+// noteWrites records the identifiers of f that only write what they name: an
+// assignment's or increment's operand, and a keyed composite literal's key.
+func (s *exportScan) noteWrites(f *ast.File) {
+	write := func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			s.writes[e.Pos()] = false
+		case *ast.SelectorExpr:
+			s.writes[e.Sel.Pos()] = false
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, l := range n.Lhs {
+					write(l)
+				}
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.KeyValueExpr:
+			if k, ok := n.Key.(*ast.Ident); ok {
+				s.writes[k.Pos()] = true
+			}
+		}
+		return true
+	})
 }
 
 // collectInterfaces records every non-empty interface a package and its
@@ -189,6 +287,8 @@ func unusedExports(root string) ([]string, error) {
 		checked: map[string]*types.Package{},
 		defs:    map[string]*types.Info{},
 		used:    map[token.Pos]bool{},
+		read:    map[token.Pos]bool{},
+		writes:  map[token.Pos]bool{},
 		ifaces:  map[*types.Interface]bool{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
@@ -217,13 +317,13 @@ func unusedExports(root string) ([]string, error) {
 		if len(p.tests) > 0 {
 			var err error
 			files := append(append([]*ast.File(nil), p.files...), p.tests...)
-			self, err = s.check(path, path, files, s, &types.Info{})
+			self, err = s.check(path, path, files, s, newInfo())
 			if err != nil {
 				return nil, err
 			}
 		}
 		if len(p.xtests) > 0 {
-			if _, err := s.check(path+"_test", path, p.xtests, s.xtestImporter(path, self), &types.Info{}); err != nil {
+			if _, err := s.check(path+"_test", path, p.xtests, s.xtestImporter(path, self), newInfo()); err != nil {
 				return nil, err
 			}
 		}
@@ -235,27 +335,89 @@ func unusedExports(root string) ([]string, error) {
 			continue // main packages and the benchmark module export nothing
 		}
 		for _, f := range s.pkgs[path].files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				fn := s.defs[path].Defs[fd.Name].(*types.Func)
-				if s.used[fn.Pos()] || (fd.Recv != nil && s.implements(fn)) {
-					continue
-				}
-				name := fd.Name.Name
-				if fd.Recv != nil {
-					name = receiver(fn).Obj().Name() + "." + name
-				}
-				pos := s.fset.Position(fd.Pos())
-				findings = append(findings, fmt.Sprintf("%s:%d: %s.%s has no caller outside its package",
-					pos.Filename, pos.Line, fn.Pkg().Name(), name))
-			}
+			findings = append(findings, s.unusedIn(f, s.defs[path].Defs)...)
 		}
 	}
 	sort.Strings(findings)
 	return findings, nil
+}
+
+// unusedIn returns the findings among the declarations of f, a production
+// file of an internal package whose definitions are defs.
+func (s *exportScan) unusedIn(f *ast.File, defs map[*ast.Ident]types.Object) []string {
+	var findings []string
+	report := func(id *ast.Ident, what, why string) {
+		pos := s.fset.Position(id.Pos())
+		findings = append(findings, fmt.Sprintf("%s:%d: %s.%s %s", pos.Filename, pos.Line, f.Name.Name, what, why))
+	}
+	// unread reports an unexported object that nothing reads.
+	unread := func(id *ast.Ident) bool {
+		return !id.IsExported() && id.Name != "_" && !s.read[defs[id].Pos()]
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			fn := defs[d.Name].(*types.Func)
+			name := d.Name.Name
+			if d.Recv != nil {
+				if s.implements(fn) {
+					continue
+				}
+				name = receiver(fn).Obj().Name() + "." + name
+			}
+			switch {
+			case d.Name.IsExported() && !s.used[fn.Pos()]:
+				report(d.Name, name, "has no caller outside its package")
+			case d.Name.Name != "init" && unread(d.Name):
+				report(d.Name, name, "is never read")
+			}
+		case *ast.GenDecl:
+			for i, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					if unread(spec.Name) {
+						report(spec.Name, spec.Name.Name, "is never read")
+					}
+				case *ast.ValueSpec:
+					for j, id := range spec.Names {
+						if d.Tok == token.CONST && i == 0 && j == 0 && usesIota(spec) {
+							continue // a zero sentinel
+						}
+						if unread(id) {
+							report(id, id.Name, "is never read")
+						}
+					}
+				}
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if st, ok := n.(*ast.StructType); ok {
+			for _, field := range st.Fields.List {
+				for _, id := range field.Names {
+					if unread(id) {
+						report(id, "field "+id.Name, "is never read")
+					}
+				}
+			}
+		}
+		return true
+	})
+	return findings
+}
+
+// usesIota reports whether a constant spec's values mention iota.
+func usesIota(spec *ast.ValueSpec) bool {
+	found := false
+	for _, v := range spec.Values {
+		ast.Inspect(v, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // parseTree parses every buildable .go file under root into s.pkgs. A
@@ -297,6 +459,7 @@ func (s *exportScan) parseTree(root string) error {
 			if err != nil {
 				return err
 			}
+			s.noteWrites(f)
 			switch {
 			case !strings.HasSuffix(name, "_test.go"):
 				p.files = append(p.files, f)
