@@ -58,12 +58,14 @@ synth:
 # fuzz runs the native fuzz targets for a short budget each: fault
 # containment (core), counted-loop summarisation against the stepping
 # interpreter (vm), generated file content against its materialised model
-# (workload), then scan-loop kernels against the stepping interpreter (vm).
+# (workload), scan-loop kernels against the stepping interpreter (vm), then a
+# disk's service order against its naive model (disk).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzCountedLoop -fuzztime=10s -run '^$$' ./internal/vm
 	$(GO) test -fuzz=FuzzFileContent -fuzztime=10s -run '^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzScanLoop -fuzztime=10s -run '^$$' ./internal/vm
+	$(GO) test -fuzz=FuzzDiskOrder -fuzztime=10s -run '^$$' ./internal/disk
 
 # smoke-F runs sweep family F (any tipbench experiment with a -json report)
 # at test scale at -parallel 1 and 4, demands byte-identical JSON at both

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"spechint/internal/apps"
@@ -85,6 +86,48 @@ func TestGoldenReplay(t *testing.T) {
 	for _, rt := range canon.RoundTrip {
 		if !rt.Exact {
 			t.Errorf("%s: canonical round trip not exact", rt.App)
+		}
+	}
+}
+
+// TestReplayNeverSlower is the never-slower wall on the modern apps: the LSM
+// mix and the ML shard loader at the two batch sizes bench/perf's
+// replay_modern runs (16 KB over one epoch, 128 KB over two), hinted by
+// speculation and by hand, on 2, 4 and 10 disks, each finish within 2% of the
+// original run. The 128 KB loader on two disks read 1.16 here while a disk
+// served a queued stripe unit from its last block backwards. One disk is
+// outside the wall: EXPERIMENTS.md's Known deviations lists those cells with
+// their ratios.
+func TestReplayNeverSlower(t *testing.T) {
+	const wall = 1.02
+	ml16, ml128 := apps.TestScale(), apps.TestScale()
+	ml16.MLShard.ReadSize, ml16.MLShard.Epochs = 16<<10, 1
+	ml128.MLShard.ReadSize, ml128.MLShard.Epochs = 128<<10, 2
+	for _, g := range []struct {
+		name  string
+		app   apps.App
+		scale apps.Scale
+	}{{"LSM", apps.LSM, apps.TestScale()}, {"MLShard16KB", apps.MLShard, ml16}, {"MLShard128KB", apps.MLShard, ml128}} {
+		for _, disks := range []int{2, 4, 10} {
+			t.Run(fmt.Sprintf("%s/disks=%d", g.name, disks), func(t *testing.T) {
+				t.Parallel()
+				onDisks := func(c *core.Config) { c.Disk = core.TestbedDisk(disks) }
+				orig, _, err := Run(g.app, core.ModeNoHint, g.scale, onDisks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []core.Mode{core.ModeSpeculating, core.ModeManual} {
+					st, _, err := Run(g.app, mode, g.scale, onDisks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ratio := float64(st.Elapsed) / float64(orig.Elapsed)
+					t.Logf("%v: %.3f of the original", mode, ratio)
+					if ratio > wall {
+						t.Errorf("%v took %.3f of the original's %d cycles, want <= %.2f", mode, ratio, orig.Elapsed, wall)
+					}
+				}
+			})
 		}
 	}
 }

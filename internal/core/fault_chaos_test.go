@@ -92,13 +92,15 @@ func TestChaosRecoverableFaultsPreserveOutput(t *testing.T) {
 						t.Errorf("plan %q: run reports degraded mode with no disk death", spec)
 					}
 					// Faults never speed up the paper trio. The replay-generated
-					// apps are exempt: their hint streams saturate the prefetch
-					// pipeline, and a fault's retry backoff acts as an accidental
-					// pacing pause that lets in-flight prefetches drain across the
-					// other disks — a deterministic scheduling effect, observed as
-					// HintedStall converting to a smaller FaultStall, not a
-					// containment failure.
-					if st.Elapsed < base.Elapsed && app != apps.LSM && app != apps.MLShard {
+					// apps may finish up to 1% earlier: a failed read loses the
+					// drive's track-buffer window, so the disk's next pick from
+					// its prefetch queue starts from a cold head and can order
+					// the queued runs a little better than the warm pick would.
+					if floor := base.Elapsed; app == apps.LSM || app == apps.MLShard {
+						if st.Elapsed*100 < floor*99 {
+							t.Errorf("plan %q: faulted run finished more than 1%% earlier (%d < 0.99 × %d cycles)", spec, st.Elapsed, base.Elapsed)
+						}
+					} else if st.Elapsed < floor {
 						t.Errorf("plan %q: faulted run finished earlier (%d < %d cycles)", spec, st.Elapsed, base.Elapsed)
 					}
 				}

@@ -390,7 +390,8 @@ func (a *Array) serviceTime(d *diskState, r *Request) (sim.Time, bool) {
 }
 
 // pop removes the next request to serve: demand requests first (FIFO), then
-// the cheapest queued prefetch. Real drivers sort their queues (C-SCAN /
+// the cheapest queued prefetch, the nearest of equals, moved back to the first
+// block of the queued run it is in. Real drivers sort their queues (C-SCAN /
 // shortest positioning time first); without this, prefetches interleaved
 // with a sequential demand stream destroy the drive's track-buffer locality.
 func (a *Array) pop(d *diskState) *Request {
@@ -420,6 +421,17 @@ func (a *Array) pop(d *diskState) *Request {
 		}
 		if cost < bestCost || (cost == bestCost && dist < bestDist) {
 			best, bestPrev, bestCost, bestDist = r, prev, cost, dist
+		}
+	}
+	// A pick that needs positioning steps back to the first block of its
+	// queued run, which then streams from the track buffer (not backwards).
+	for _, done := a.serviceTime(d, best); !done; {
+		done = true // unless the block before best is queued too
+		for prev, r := (*Request)(nil), d.prefHead; r != nil; prev, r = r, r.next {
+			if r.PhysBlock == best.PhysBlock-1 {
+				best, bestPrev, done = r, prev, false
+				break
+			}
 		}
 	}
 	if bestPrev == nil {

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -290,6 +291,33 @@ func TestElevatorPicksCheapestPrefetch(t *testing.T) {
 	clk.Drain()
 	if len(order) != 3 || order[1] != 11 {
 		t.Fatalf("service order %v, want the sequential block 11 second", order)
+	}
+}
+
+// TestQueuedRunServedFromItsFirstBlock: with the head just past a stripe unit
+// whose blocks are all queued as prefetches, no queued block is in the track
+// buffer and the nearest is the unit's last. Read from there, the unit goes
+// backwards at one positioning a block; read from its first block, it costs
+// one positioning and streams the other seven from the track buffer.
+func TestQueuedRunServedFromItsFirstBlock(t *testing.T) {
+	clk := sim.NewQueue()
+	cfg := testConfig(1)
+	a := mustNew(t, clk, cfg)
+	var order []int64
+	rec := func(b int64) func(error) { return func(error) { order = append(order, b) } }
+	a.Submit(&Request{Disk: 0, PhysBlock: 112, Pri: Demand, Done: rec(112)})
+	for b := int64(104); b < 112; b++ {
+		a.Submit(&Request{Disk: 0, PhysBlock: b, Pri: Prefetch, Done: rec(b)})
+	}
+	clk.Drain()
+	want := []int64{112, 104, 105, 106, 107, 108, 109, 110, 111}
+	if !slices.Equal(order, want) {
+		t.Fatalf("service order %v, want %v", order, want)
+	}
+	seek := cfg.PositionCycles + cfg.TransferCycles
+	if st := a.Stats(); st.TrackBufHits != 7 || st.BusyCycles != 2*seek+7*cfg.TrackBufCycles {
+		t.Fatalf("%d track-buffer hits in %d busy cycles, want 7 in %d: one positioning for the run",
+			st.TrackBufHits, st.BusyCycles, 2*seek+7*cfg.TrackBufCycles)
 	}
 }
 

@@ -200,7 +200,7 @@ func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 	if c.compare {
 		// The window holds a block another stream owns, or one whose distance
 		// is held: moving the base may make this client want it.
-		c.front, c.reach = 0, 0
+		c.forget()
 	}
 	for k := c.head; k < i; k++ {
 		c.stats.BypassedSegs++
@@ -265,8 +265,14 @@ func (c *Client) empty() {
 	c.hints = c.hints[:0]
 	c.head = 0
 	c.at = c.tail
-	c.front, c.reach, c.due, c.disks = 0, 0, c.due[:0], 0
+	c.forget()
+	c.due = c.due[:0]
 	c.conf, c.compare = false, false
+}
+
+// forget leaves nothing examined: the next pass visits every position.
+func (c *Client) forget() {
+	c.reach, c.gaps = 0, c.gaps[:0]
 }
 
 // compact reclaims consumed queue prefix space, in place.

@@ -65,6 +65,15 @@ func (m *Manager) pump() {
 	if m.cfg.IgnoreHints {
 		return
 	}
+	if !m.shares.valid || m.shares.seen != m.work.PartitionSums {
+		// The shares moved since the last look: a starved client may have room.
+		for id := m.starved.next(0); id >= 0; id = m.starved.next(id + 1) {
+			if p := m.partition(id); p == 0 || m.cache.HintedCount(id) < p {
+				m.woken.add(id)
+			}
+		}
+		m.shares.seen = m.work.PartitionSums
+	}
 	for id := 0; ; id++ {
 		if d := m.arr.DeadCount(); d != m.dead {
 			// A disk died (a Submit can find one mid-pump): every client walks.
@@ -131,6 +140,11 @@ const granuleShift = 6
 // stale wakes the client: it walks at its next visit.
 func (c *Client) stale() { c.m.woken.add(c.id) }
 
+// has reports whether id is in s.
+func (s clientSet) has(id int) bool {
+	return id>>6 < len(s) && s[id>>6]&(1<<(id&63)) != 0
+}
+
 // unrefuse takes c out of every refusers set.
 func (c *Client) unrefuse() {
 	for _, s := range c.m.refusers {
@@ -141,9 +155,9 @@ func (c *Client) unrefuse() {
 // blockChanged is the cache's change hook: lb's residency or protection
 // changed, and before it the block was at position pos of owner's stream
 // (cache.SetOnChange). It wakes the clients whose window may hold lb, and
-// moves back the frontier of each whose examined window the change gave work
-// (Client.front): a block there missing now, or resident and unprotected, or
-// given a distance the client may beat.
+// records the work the change gave each whose examined window holds it
+// (Client.reach): a block there missing now (a gap), or resident and
+// unprotected (due), or given a distance the client may beat.
 func (m *Manager) blockChanged(lb int64, owner int, pos int64) {
 	own := m.acting >= 0 && lb == m.actLB // the running pass's own admit or protect
 	hinted := pos != cache.NoHint && pos != cache.WasAbsent
@@ -173,70 +187,69 @@ func (m *Manager) blockChanged(lb int64, owner int, pos int64) {
 	}
 }
 
-// missing records that lb, which has left the cache, may be at a position c
-// examined: a pass may fetch it again. Its disk joins those a pass must find
-// full to skip, and below the front it becomes the front.
+// missing records that lb, which has left the cache, may be at positions c
+// examined: a pass may fetch it again. Each becomes a gap.
 func (c *Client) missing(lb int64) {
-	if q := c.find(lb, c.at, c.reach); q >= 0 {
-		c.disks |= diskBit(c.m.arr.DiskOf(lb))
-		c.front = min(c.front, q)
+	for q := c.find(lb, c.at, c.reach); q >= 0; q = c.find(lb, q+1, c.reach) {
+		c.mark(q, c.m.arr.DiskOf(lb), true)
 	}
 }
 
-// diskBit is disk dk's bit in a disk set (Client.disks): disks 64 apart share
-// one, which only makes the set larger.
-func diskBit(dk int) uint64 { return 1 << (dk & 63) }
-
-// roomless reports that every disk of ds is at the depth bound: no missing
-// block on them can start.
-func (c *Client) roomless(ds uint64) bool {
-	m := c.m
-	if m.cfg.MaxDepthPerDisk == 0 {
-		return false
-	}
-	for dk, depth := range m.prefDepth {
-		if ds&diskBit(dk) != 0 && depth < m.cfg.MaxDepthPerDisk {
-			return false
+// gapAt returns the index of the first gap at or after position p.
+func (c *Client) gapAt(p int64) int {
+	lo, hi, key := 0, len(c.gaps), p*int64(len(c.m.prefDepth))
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); c.gaps[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return true
+	return lo
 }
 
-// roomy returns the first position in [p, limit), from segment i on, whose
-// block is on a disk with a free prefetch slot, or limit: the stripe layout
-// names a block's disk without a lookup.
-func (c *Client) roomy(i int, p, limit int64) int64 {
-	m := c.m
-	if m.cfg.MaxDepthPerDisk == 0 {
-		return p
-	}
-	for ; i < len(c.hints) && p < limit; i++ {
-		s := &c.hints[i]
-		for lb, last := s.firstLB+max(p-s.pos, 0), s.firstLB+s.nBlocks; lb < last; {
-			if m.prefDepth[m.arr.DiskOf(lb)] < m.cfg.MaxDepthPerDisk {
-				return min(s.pos+lb-s.firstLB, limit)
-			}
-			lb = (lb/m.stripe + 1) * m.stripe // the next stripe unit
+// mark enters position p, whose block is on disk dk, in the index if the
+// block is missing, and takes it out if not.
+func (c *Client) mark(p int64, dk int, missing bool) {
+	i, v := c.gapAt(p), p*int64(len(c.m.prefDepth))+int64(dk)
+	if at := i < len(c.gaps) && c.gaps[i] == v; missing && !at {
+		if cap(c.gaps) == 0 {
+			c.gaps = make([]int64, 0, 16) // most windows that have one reach a few
 		}
-		p = s.pos + s.nBlocks
+		c.gaps = slices.Insert(c.gaps, i, v)
+	} else if !missing && at {
+		c.gaps = slices.Delete(c.gaps, i, i+1)
+	}
+}
+
+// roomy returns the first gap in [p, limit) on a disk with a free prefetch
+// slot, or limit. The full disks of the gaps it passes turn c away; once
+// every disk has, no later gap can start.
+func (c *Client) roomy(p, limit int64) int64 {
+	m := c.m
+	var full uint64 // the disks found full, while there are at most 64
+	all := uint64(1)<<len(m.prefDepth) - 1
+	nd := int64(len(m.prefDepth))
+	for _, v := range c.gaps[c.gapAt(p):] {
+		q, dk := v/nd, int(v%nd)
+		if q >= limit || full == all && nd <= 64 {
+			break
+		}
+		if m.cfg.MaxDepthPerDisk == 0 || m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
+			return q
+		}
+		if bit := uint64(1) << dk; full&bit == 0 {
+			full |= bit
+			m.refusers[dk].add(c.id)
+		}
 	}
 	return limit
-}
-
-// refuse enters c in the refusers set of every disk of ds.
-func (c *Client) refuse(ds uint64) {
-	for dk := range c.m.prefDepth {
-		if ds&diskBit(dk) != 0 {
-			c.m.refusers[dk].add(c.id)
-		}
-	}
 }
 
 // unclaimed makes the next pass visit every position c examined that holds
 // lb, which is resident now and not c's, even with every disk full.
 func (c *Client) unclaimed(lb int64) {
 	for q := c.find(lb, c.at, c.reach); q >= 0; q = c.find(lb, q+1, c.reach) {
-		c.front = min(c.front, q)
 		c.due = append(c.due, q)
 	}
 }
@@ -289,7 +302,7 @@ func (c *Client) unwatch() {
 // run.
 type PumpWork struct {
 	Walks  int64 // passes a client made over its window: one per visit to an open client
-	Steps  int64 // window positions those passes visited, from the front on (what they skipped is not a step)
+	Steps  int64 // window positions those passes visited (what they skipped is not a step)
 	Visits int64 // clients the pump looked at (Client.pump entries)
 
 	// PartitionSums counts the passes over every client slot that recomputed
@@ -301,10 +314,10 @@ type PumpWork struct {
 func (m *Manager) PumpWork() PumpWork { return m.work }
 
 // pump issues this client's hint-driven prefetches up to its effective
-// horizon. The pass starts at the client's front and skips what it has
-// examined while the disks it would need are full (Client.front). It stores
-// no distance — the cache computes one from a block's position (cache.Dist) —
-// and holds the distances of the blocks it passes by without reaching.
+// horizon. Before its reach the pass visits only the due positions and the
+// gaps on a disk with a free slot (Client.gaps). It stores no distance — the
+// cache computes one from a block's position (cache.Dist) — and holds the
+// distances of the blocks it passes by without reaching.
 func (c *Client) pump() {
 	m := c.m
 	m.work.Visits++
@@ -313,6 +326,7 @@ func (c *Client) pump() {
 	}
 	m.work.Walks++
 	c.unrefuse()
+	m.starved.del(c.id)
 	horizon := c.effHorizon()
 	bs := int64(m.fs.BlockSize())
 	base := c.base(bs)
@@ -322,24 +336,19 @@ func (c *Client) pump() {
 	// leaves nothing examined for the next.
 	full := c.conf || len(m.demoted) > 0 || m.arr.DeadCount() > 0
 	if full {
-		c.front, c.reach = 0, 0
+		c.forget()
 	}
-	p := min(max(c.front, base), end)
-	reach := max(c.reach, p)
-	open, whole, compare := min(end, c.tail), p == base, false
-	// What this pass causes moves these back; endPass folds in its own.
-	c.front, c.reach = open, open
+	p, reach := base, max(c.reach, base)
+	c.gaps = slices.Delete(c.gaps, 0, c.gapAt(p)) // consumed
+	whole, compare := true, false
+	// While the pass runs, a block leaving the cache anywhere in the window
+	// becomes a gap; endPass keeps those before where the pass stopped.
+	c.reach = min(end, c.tail)
 	slices.Sort(c.due)
 	due, n0 := c.due, len(c.due)
 	m.acting = c.id
 	m.cache.BeginPass(c.id, base)
 	m.cache.Reach(c.id, p)
-	// kept is what the disk set says of the examined window this pass may
-	// skip; c.disks collects what changes during the pass.
-	kept := c.disks
-	c.disks = 0
-	skip := c.roomless(kept)
-	var seen uint64 // the disks of the missing blocks this pass found
 walk:
 	for i := c.segAt(p); p < end && i < len(c.hints); {
 		seg := &c.hints[i]
@@ -352,17 +361,11 @@ walk:
 			due = due[1:]
 		}
 		if p < reach && (len(due) == 0 || due[0] != p) {
-			// Before reach only a due position, or a missing block on a disk
-			// with a free slot, needs a visit: the disks of the others are
-			// full and turn the pass away.
-			to := reach
-			if !skip {
-				to = c.roomy(i, p, reach)
-			}
-			if to > p {
-				open = min(open, p)
+			// Before reach only a due position, or a gap on a disk with a
+			// free slot, needs a visit: the disks of the other gaps are full
+			// and turn the pass away.
+			if to := c.roomy(p, reach); to > p {
 				p, whole = min(to, end), false
-				c.refuse(kept)
 				if len(due) > 0 && due[0] < p {
 					p = due[0]
 				}
@@ -399,28 +402,31 @@ walk:
 		}
 		m.cache.Reach(c.id, p)
 		if b := m.cache.Get(lb); b != nil {
+			c.mark(q, dk, false)
 			compare = c.protect(b, lb, q, d) || compare
 			c.compare = c.compare || compare
 			continue
 		}
 		m.actLB = lb
-		switch m.startFetch(c.id, lb, cache.OriginHint, q) {
+		res := m.startFetch(c.id, lb, cache.OriginHint, q)
+		c.mark(q, dk, res != fetchStarted)
+		switch res {
 		case fetchStarted:
 			c.maxPos = max(c.maxPos, q)
 			c.stats.HintPrefetches++
 			if m.obs.Enabled() {
 				m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
 			}
-			skip = c.roomless(kept)
 		case fetchDiskBusy:
 			// This disk is at depth; later blocks may differ.
-			open = min(open, q)
-			seen |= diskBit(dk)
 			m.refusers[dk].add(c.id)
 		case fetchNoBuffer:
-			open = min(open, q)
-			seen |= diskBit(dk)
-			c.stale()
+			if p := m.partition(c.id); p > 0 && m.cache.HintedCount(c.id) >= p {
+				c.hungry = dk
+				m.starved.add(c.id)
+			} else {
+				c.stale()
+			}
 			break walk // cache pressure: stop pumping this client
 		}
 	}
@@ -428,12 +434,9 @@ walk:
 	// Positions made due by this pass's own changes were appended after the
 	// ones it visited.
 	c.due = c.due[:copy(c.due, c.due[n0:])]
-	if !whole {
-		seen |= kept
-	}
-	c.endPass(p, open, seen, whole, compare)
+	c.endPass(p, whole, compare)
 	if full {
-		c.front, c.reach = 0, 0
+		c.forget()
 	}
 }
 
@@ -475,13 +478,12 @@ func (c *Client) hold(lb, p int64) {
 	}
 }
 
-// endPass ends a pass that stopped at position stop, leaving open as the
-// first position a later pass may have to visit and seen as the disks of the
-// missing blocks in what it examined. whole says the pass visited every
+// endPass ends a pass that stopped at position stop: the gaps from stop on
+// are not examined any more. whole says the pass visited every
 // position from its base, and compare that it left a block whose comparison
 // moves with the base (which it has told c.compare as it went, so that a
 // change to that block during the pass is not missed).
-func (c *Client) endPass(stop, open int64, seen uint64, whole, compare bool) {
+func (c *Client) endPass(stop int64, whole, compare bool) {
 	m := c.m
 	if stop <= c.maxPos {
 		// Not reached: these keep the distance the last pass to reach them
@@ -490,9 +492,8 @@ func (c *Client) endPass(stop, open int64, seen uint64, whole, compare bool) {
 		c.maxPos = stop - 1
 	}
 	m.cache.EndPass(c.id)
-	c.front = min(c.front, open, stop)
 	c.reach = min(c.reach, stop)
-	c.disks |= seen
+	c.gaps = c.gaps[:c.gapAt(c.reach)]
 	if whole {
 		c.compare = compare
 	}
@@ -547,7 +548,14 @@ func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority) {
 	m.arr.Submit(&f.Request)
 	f.queued = true
 	if pri == disk.Prefetch {
-		m.prefDepth[dk]++
+		if m.prefDepth[dk]++; m.prefDepth[dk] == m.cfg.MaxDepthPerDisk {
+			// dk is full: the starved refused at a gap on it now skip that gap.
+			for id := m.starved.next(0); id >= 0; id = m.starved.next(id + 1) {
+				if m.clients[id].hungry == dk {
+					m.woken.add(id)
+				}
+			}
+		}
 	}
 }
 
@@ -566,6 +574,10 @@ func (m *Manager) onFetchDone(f *fetch, err error) {
 	if err != nil {
 		m.handleFetchError(f, err)
 	} else {
+		// Once valid the block can be evicted for a nearer one of its owner's.
+		if b := m.cache.Get(lb); b != nil && b.HintPos != cache.NoHint && m.starved.has(b.Owner) {
+			m.woken.add(b.Owner)
+		}
 		delete(m.fetches, lb)
 		m.releaseFetch(f)
 		if m.demoted[lb] {

@@ -21,7 +21,7 @@ func TestPumpProbesPerRead(t *testing.T) {
 		maxSteps     float64 // per read: twice what this pump measures
 	}{
 		{disks: 1, depth: 8, maxSteps: 2 * 2.0},
-		{disks: 4, depth: 8, maxSteps: 2 * 2.4},
+		{disks: 4, depth: 8, maxSteps: 2 * 2.0},
 		{disks: 1, depth: 0, maxSteps: 2 * 1.0},
 		{disks: 4, depth: 0, maxSteps: 2 * 1.0},
 	} {

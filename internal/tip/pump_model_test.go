@@ -16,8 +16,8 @@ import (
 	"spechint/internal/sim"
 )
 
-// A pass starts at its client's front and, with every disk full, skips to its
-// reach (Client.front); the cache computes a hinted block's distance from its
+// Before its client's reach a pass visits only the due positions and the gaps
+// on a disk with a free slot (Client.gaps); the cache computes a hinted block's distance from its
 // position and its owner's base instead of the pass storing it. The claim is
 // that both are invisible: the same fetches, evictions and hint distances at
 // the same virtual instants as a pump that visits every position of every
@@ -26,12 +26,13 @@ import (
 // and every open client woken before every pump — and compares everything
 // observable after every step.
 //
-// The same comparison holds the skips — over the examined window when every
-// disk a missing block there is on is full (Client.roomless), and to the next
-// block on a disk with a free slot (Client.roomy) — to the pass that visits
-// every position: a skipped position that needed a visit, or a wake-up missing
-// from the refusers a skip leaves, shows as a divergence — provided the script
-// has been where each matters, which the saw* flags below assert.
+// The same comparison holds the missing-position index — before its reach a
+// pass skips every position that is neither due nor a gap on a disk with a
+// free slot (Client.gaps, Client.roomy) — to the pass that visits every
+// position: a missing block the index lost, a skipped position that needed a
+// visit, or a wake-up missing from the refusers the skipped gaps leave, shows
+// as a divergence — provided the script has been where each matters, which
+// the saw* flags below assert.
 //
 // It also holds the woken set to the sweep over every slot it replaced: the
 // second rig wakes every client at every door, so its pumps visit them all. A
@@ -49,7 +50,7 @@ import (
 func forgetFrontiers(m *Manager) {
 	for _, c := range m.clients {
 		if !c.closed {
-			c.front, c.reach = 0, 0
+			c.forget()
 			c.stale()
 		}
 	}
@@ -95,6 +96,7 @@ type pumpRig struct {
 	// Where the woken set can go wrong (first rig only).
 	sawDeferred bool // a pass woke a client behind the cursor: it waits for the next pump
 	sawDeadWake bool // a disk's death woke a client that was not woken
+	sawStarved  bool // a client waited for room in its full partition (Manager.starved)
 
 	// Where a pass with every disk full can go wrong. A step that runs no
 	// clock event can neither free a prefetch slot nor change a demotion, and
@@ -222,10 +224,6 @@ func (r *pumpRig) read(s *pumpStep) {
 	}
 }
 
-func (s clientSet) has(id int) bool {
-	return id>>6 < len(s) && s[id>>6]&(1<<(id&63)) != 0
-}
-
 // unwoken reports an open client that the pump would not visit.
 func (r *pumpRig) unwoken() bool {
 	return slices.ContainsFunc(r.m.clients, func(c *Client) bool { return !c.closed && !r.m.woken.has(c.id) })
@@ -305,6 +303,7 @@ func (r *pumpRig) apply(s *pumpStep) {
 			}
 		}
 	}
+	r.sawStarved = r.sawStarved || r.m.starved.next(0) >= 0
 	r.m.cache.ForEach(func(b *cache.Block) {
 		if b.Held() && b.Owner < len(r.m.clients) {
 			if c := r.m.clients[b.Owner]; !c.closed && c.find(b.LB, c.at, c.tail) >= 0 {
@@ -317,8 +316,9 @@ func (r *pumpRig) apply(s *pumpStep) {
 // invariants checks what the first rig keeps instead of recomputing: each
 // disk's prefetch depth is the number of prefetch records queued on it (the
 // one depth count there is; the script kills a disk mid-run), every position
-// of an open client's window below its front holds a cached block (unless its
-// next pass visits every position anyway), the cached partition inputs are the
+// of an open client's window in [base, reach) that holds no cached block is a
+// gap, and the gaps are in order (unless its next pass visits every position
+// anyway), the cached partition inputs are the
 // id-order sums, and every slot's share is the eager formula's. Asking for the
 // shares leaves the sums cached, so a step that moves an input without
 // invalidating them fails the next check.
@@ -338,13 +338,19 @@ func (r *pumpRig) invariants() error {
 		if c.closed || c.conf || len(m.demoted) > 0 || m.arr.DeadCount() > 0 {
 			continue
 		}
-		for i, p := c.segAt(c.base(bs)), c.base(bs); i < len(c.hints) && p < c.front; i++ {
+		for i, p := c.segAt(c.base(bs)), c.base(bs); i < len(c.hints) && p < c.reach; i++ {
 			s := &c.hints[i]
-			for ; p < min(c.front, s.pos+s.nBlocks); p++ {
-				if m.cache.Get(s.firstLB+p-s.pos) == nil {
-					return fmt.Errorf("client %d: position %d, below its front %d, holds no block", c.id, p, c.front)
+			for ; p < min(c.reach, s.pos+s.nBlocks); p++ {
+				if m.cache.Get(s.firstLB+p-s.pos) != nil {
+					continue
+				}
+				if i := c.gapAt(p); i == len(c.gaps) || c.gaps[i]/int64(len(m.prefDepth)) != p {
+					return fmt.Errorf("client %d: position %d, examined (reach %d), holds no block and is not a gap", c.id, p, c.reach)
 				}
 			}
+		}
+		if !slices.IsSorted(c.gaps) || len(c.gaps) > 0 && c.gaps[len(c.gaps)-1]/int64(len(m.prefDepth)) >= c.reach {
+			return fmt.Errorf("client %d: gaps %v out of order or past reach %d", c.id, c.gaps, c.reach)
 		}
 	}
 	open, sumW := 0, 0.0
@@ -501,7 +507,7 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			var faults FaultCounters
 			var sawPending, sawCleared, sawReentrant, sawHeldRecur bool
 			var sawFullRewrite, sawFullNewOwner, sawBoundDead, sawBoundDemoted, sawSlotRegained bool
-			var sawDeferred, sawDeadWake bool
+			var sawDeferred, sawDeadWake, sawStarved bool
 			for seed := int64(0); seed < seeds; seed++ {
 				lazy, eager := newPumpRig(t, depth, false), newPumpRig(t, depth, true)
 				script := &pumpScript{rng: rand.New(rand.NewSource(seed)), open: make([]bool, 5),
@@ -552,6 +558,7 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 				sawSlotRegained = sawSlotRegained || lazy.sawSlotRegained
 				sawDeferred = sawDeferred || lazy.sawDeferred
 				sawDeadWake = sawDeadWake || lazy.sawDeadWake
+				sawStarved = sawStarved || lazy.sawStarved
 				if lazy.arr.DeadCount() != 1 {
 					t.Errorf("seed %d: the script ended before the disk died", seed)
 				}
@@ -579,6 +586,9 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			}
 			if !sawDeadWake {
 				t.Error("the disk's death never woke a client")
+			}
+			if !sawStarved {
+				t.Error("no client ever waited for room in its full partition")
 			}
 			if !sawPending {
 				t.Error("no demand miss ever found the cache full (pendingDemand)")

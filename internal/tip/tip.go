@@ -222,7 +222,6 @@ type Manager struct {
 	pendingSpare  []pendingFetch
 
 	prefDepth []int // outstanding prefetches per disk
-	stripe    int64 // blocks per stripe unit of the array
 
 	// interest maps a granule of the logical block space to the clients that
 	// have disclosed a hint touching it: whom blockChanged must wake.
@@ -235,6 +234,10 @@ type Manager struct {
 	refusers []clientSet
 	dead     int
 
+	// starved: clients whose partition is full of their own blocks, woken
+	// when it has room or one of those blocks completes (Manager.pump).
+	starved clientSet
+
 	// shares caches what every partition share is computed from: the open
 	// clients and the sum of their weights, in id order. Each input of a share
 	// clears valid — NewClient, Close, accObserve, SetPrior — and partition
@@ -243,6 +246,7 @@ type Manager struct {
 		valid bool
 		open  int
 		sumW  float64
+		seen  int64 // PartitionSums when the pump last looked at the starved
 	}
 
 	work PumpWork // for PumpWork
@@ -291,15 +295,18 @@ type Client struct {
 	// the base as of the last consume, cancel or close.
 	tail, at int64
 
-	// The pass's frontier. Every position in [base, front) holds a cached
-	// block that needs nothing from a pass; in [front, reach), which the last
-	// passes examined, only a missing block on a disk with a free slot does,
-	// and the due positions. Every change that may falsify this moves front
-	// or reach back (Manager.blockChanged, consume); a pass starts at front
-	// and skips what needs nothing.
-	front, reach int64
-	due          []int64 // positions in [front, reach) holding a cached block not this client's
-	disks        uint64  // the disks of the missing blocks in [front, reach) (diskBit)
+	// The pass's frontier. In [base, reach), which the last passes examined,
+	// only the due positions and the missing blocks on a disk with a free
+	// slot need a visit; gaps, the missing-position index, holds every
+	// position there whose block is missing, in order, as the position times
+	// the number of disks plus the block's disk. A change that may
+	// falsify this adds a gap or a due position or moves reach back
+	// (Manager.blockChanged, consume).
+	reach int64
+	gaps  []int64
+	// hungry is the disk of the gap a buffer was refused at (Manager.starved).
+	hungry int
+	due    []int64 // positions in [base, reach) holding a cached block not this client's
 
 	// compare: the window holds a block whose comparison with this client's
 	// distance moves with its base — another stream's, or one whose distance
@@ -345,7 +352,6 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		cache:       cache.New(cfg.CacheBlocks),
 		cfg:         cfg,
 		prefDepth:   make([]int, arr.Config().NumDisks),
-		stripe:      int64(arr.Config().StripeUnit / arr.Config().BlockSize),
 		refusers:    make([]clientSet, arr.Config().NumDisks),
 		interest:    make(map[int64][]*Client),
 		fetches:     make(map[int64]*fetch),
@@ -378,7 +384,7 @@ func (m *Manager) NewClient() *Client {
 		m.free = m.free[:n-1]
 		m.retired.add(c.stats)
 		clear(c.ra)
-		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0], due: c.due[:0], tail: c.tail, at: c.tail, maxPos: -1}
+		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0], gaps: c.gaps[:0], due: c.due[:0], tail: c.tail, at: c.tail, maxPos: -1}
 	} else {
 		c = &Client{m: m, id: len(m.clients), ra: make(map[int64]raState), maxPos: -1}
 		m.clients = append(m.clients, c)
@@ -460,6 +466,7 @@ func (c *Client) Close() {
 	c.unwatch()
 	c.unrefuse()
 	c.m.woken.del(c.id)
+	c.m.starved.del(c.id)
 	c.m.free = append(c.m.free, c.id)
 	c.m.shares.valid = false
 }
