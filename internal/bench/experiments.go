@@ -221,7 +221,7 @@ func f(v int64) float64 {
 // table5 reproduces the prefetching and caching statistics.
 func table5(scale apps.Scale) (Report, error) {
 	t := newTable("Table 5: prefetching and caching statistics")
-	t.row("Benchmark", "", "Cache block reads", "Prefetched", "Fully", "%", "Partially", "%", "Unused", "%", "Reuses")
+	t.row("Benchmark", "", "Cache block reads", "Prefetched", "Ride-along", "Fully", "%", "Partially", "%", "Unused", "%", "Reuses")
 	triples, err := suiteTriples(scale)
 	if err != nil {
 		return nil, err
@@ -237,6 +237,7 @@ func table5(scale apps.Scale) (Report, error) {
 			t.row(tr.App.String(), v.name,
 				fmt.Sprint(c.Hits+c.Misses),
 				fmt.Sprint(pref),
+				fmt.Sprint(v.st.Tip.RideAlongs),
 				fmt.Sprint(c.FullyPref), pct(100*float64(c.FullyPref)/f(pref)),
 				fmt.Sprint(c.PartialWaits), pct(100*float64(c.PartialWaits)/f(pref)),
 				fmt.Sprint(unused), pct(100*float64(unused)/f(pref)),

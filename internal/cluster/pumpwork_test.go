@@ -133,7 +133,7 @@ func TestPumpWorkPerRead(t *testing.T) {
 // walks resident blocks again moves these counts here instead of showing up
 // as host time later. The pump that skipped by stripe geometry alone, and
 // visited every resident block on a disk with a free slot, took 98.9, 37.7
-// and 122.1 steps per read where this one takes 15.2, 3.1 and 32.0.
+// and 122.1 steps per read where this one takes 15.2, 3.0 and 32.0.
 func TestSoloPumpWork(t *testing.T) {
 	full := apps.FullScale()
 	ml16, ml128 := full, full
@@ -146,7 +146,7 @@ func TestSoloPumpWork(t *testing.T) {
 		walks, steps int64
 	}{
 		{"LSM", apps.LSM, full, 5814, 10863},
-		{"MLShard16KB", apps.MLShard, ml16, 6946, 6274},
+		{"MLShard16KB", apps.MLShard, ml16, 6859, 6112},
 		{"MLShard128KB", apps.MLShard, ml128, 18420, 32736},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -4,7 +4,8 @@
 //
 // Each disk services one request at a time, non-preemptively, from a
 // two-priority queue: demand reads (the application is stalled on them) are
-// served before prefetch reads, but an in-service prefetch is never aborted —
+// served before prefetch reads, save a ride-along that continues the block
+// just served (Request.RideAlong); an in-service prefetch is never aborted —
 // this is what lets erroneous prefetches delay demand requests, the effect
 // behind Gnuld's single-disk degradation in the paper.
 //
@@ -110,6 +111,11 @@ type Request struct {
 	PhysBlock int64           // physical block number on that disk
 	Pri       Priority        // demand or prefetch
 	Done      func(err error) // completion notification with result status
+
+	// RideAlong marks a prefetch fetched as the tail of the read of the
+	// block physically before it: while that block is the one just served,
+	// it is served before any demand (pop).
+	RideAlong bool
 
 	next    *Request // intrusive FIFO link
 	arrival sim.Time // when Submit queued it
@@ -389,12 +395,19 @@ func (a *Array) serviceTime(d *diskState, r *Request) (sim.Time, bool) {
 	return a.cfg.PositionCycles + a.cfg.TransferCycles, false
 }
 
-// pop removes the next request to serve: demand requests first (FIFO), then
-// the cheapest queued prefetch, the nearest of equals, moved back to the first
+// pop removes the next request to serve: a ride-along that continues the
+// block just served (the tail of that read, which costs a waiting demand one
+// track-buffer transfer a block), then demand requests (FIFO), then the
+// cheapest queued prefetch, the nearest of equals, moved back to the first
 // block of the queued run it is in. Real drivers sort their queues (C-SCAN /
 // shortest positioning time first); without this, prefetches interleaved
 // with a sequential demand stream destroy the drive's track-buffer locality.
 func (a *Array) pop(d *diskState) *Request {
+	for prev, r := (*Request)(nil), d.prefHead; r != nil && d.nextSeqPhys >= 0; prev, r = r, r.next {
+		if r.RideAlong && r.PhysBlock == d.nextSeqPhys {
+			return d.unlinkPref(prev, r)
+		}
+	}
 	if d.demandHead != nil {
 		r := d.demandHead
 		d.demandHead = r.next
@@ -434,16 +447,22 @@ func (a *Array) pop(d *diskState) *Request {
 			}
 		}
 	}
-	if bestPrev == nil {
-		d.prefHead = best.next
+	return d.unlinkPref(bestPrev, best)
+}
+
+// unlinkPref takes r, which follows prev (nil: r is the head), out of the
+// prefetch queue and returns it.
+func (d *diskState) unlinkPref(prev, r *Request) *Request {
+	if prev == nil {
+		d.prefHead = r.next
 	} else {
-		bestPrev.next = best.next
+		prev.next = r.next
 	}
-	if d.prefTail == best {
-		d.prefTail = bestPrev
+	if d.prefTail == r {
+		d.prefTail = prev
 	}
-	best.next = nil
-	return best
+	r.next = nil
+	return r
 }
 
 // Promote moves a queued prefetch request to the demand queue: a demand
@@ -460,15 +479,7 @@ func (a *Array) Promote(r *Request) {
 		if q != r {
 			continue
 		}
-		if prev == nil {
-			d.prefHead = r.next
-		} else {
-			prev.next = r.next
-		}
-		if d.prefTail == r {
-			d.prefTail = prev
-		}
-		r.next = nil
+		d.unlinkPref(prev, r)
 		if d.demandTail == nil {
 			d.demandHead, d.demandTail = r, r
 		} else {

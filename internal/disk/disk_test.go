@@ -321,6 +321,41 @@ func TestQueuedRunServedFromItsFirstBlock(t *testing.T) {
 	}
 }
 
+// TestRideAlongServedAsTheTailOfItsRead: a ride-along whose block is the one
+// right after the block just served goes ahead of a queued demand, which
+// waits one track-buffer transfer for it. One that is not (here 14, after
+// 12) waits behind the demands like any prefetch, and so does a plain
+// prefetch of the next block.
+func TestRideAlongServedAsTheTailOfItsRead(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ride bool
+		want []int64
+	}{
+		{"ride-along", true, []int64{10, 11, 12, 500, 600, 14}},
+		{"plain prefetch", false, []int64{10, 500, 600, 14, 11, 12}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clk := sim.NewQueue()
+			a := mustNew(t, clk, testConfig(1))
+			var order []int64
+			submit := func(b int64, pri Priority, ride bool) {
+				a.Submit(&Request{Disk: 0, PhysBlock: b, Pri: pri, RideAlong: ride, Done: func(error) { order = append(order, b) }})
+			}
+			submit(10, Prefetch, false) // the hinted block, in service at once
+			submit(11, Prefetch, c.ride)
+			submit(12, Prefetch, c.ride)
+			submit(500, Demand, false)
+			submit(14, Prefetch, c.ride)
+			submit(600, Demand, false)
+			clk.Drain()
+			if !slices.Equal(order, c.want) {
+				t.Fatalf("service order %v, want %v", order, c.want)
+			}
+		})
+	}
+}
+
 func TestPromoteMovesQueuedPrefetchAheadOfOthers(t *testing.T) {
 	clk := sim.NewQueue()
 	a := mustNew(t, clk, testConfig(1))

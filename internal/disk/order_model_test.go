@@ -9,10 +9,11 @@ import (
 )
 
 // orderModel is the documented service order of one disk, written the naive
-// way: demand requests first, in arrival order; then the queued prefetch with
-// the lowest service time from the head; on a tie the nearest to the head,
-// the first queued of equals; and a pick that needs positioning rewound to
-// the first block of the queued run it belongs to.
+// way: a ride-along whose block is the one after the block just served, the
+// first queued of such; then demand requests, in arrival order; then the
+// queued prefetch with the lowest service time from the head; on a tie the
+// nearest to the head, the first queued of equals; and a pick that needs
+// positioning rewound to the first block of the queued run it belongs to.
 type orderModel struct {
 	cfg          Config
 	demand, pref []modelReq
@@ -24,6 +25,7 @@ type orderModel struct {
 type modelReq struct {
 	id   int
 	phys int64
+	ride bool
 }
 
 // start serves the next request if the disk is idle.
@@ -32,7 +34,9 @@ func (m *orderModel) start() {
 		return
 	}
 	q, best := &m.demand, 0
-	if len(m.demand) == 0 {
+	if i := slices.IndexFunc(m.pref, func(r modelReq) bool { return r.ride && m.next >= 0 && r.phys == m.next }); i >= 0 {
+		q, best = &m.pref, i
+	} else if len(m.demand) == 0 {
 		q = &m.pref
 		hit := func(i int) bool { p := m.pref[i].phys; return m.next >= 0 && p >= m.next-1 && p < m.limit }
 		cost := func(i int) sim.Time {
@@ -62,10 +66,11 @@ func (m *orderModel) start() {
 
 // driveOrder runs ops against one disk of a real array and the model, and
 // fails at the first request the two serve differently. Each op is two bytes:
-// a kind and an argument. Kinds: submit a demand (0) or a prefetch (1) for a
-// physical block in [0, 32) (few enough that runs, duplicates and track-buffer hits
-// all occur), promote the argument-th request ever submitted (a no-op unless
-// it is a queued prefetch), or complete the request in service.
+// a kind and an argument. Kinds: submit a demand (0), a prefetch (1) or a
+// ride-along prefetch (4) for a physical block in [0, 32) (few enough that
+// runs, duplicates and track-buffer hits all occur), promote the argument-th
+// request ever submitted (2; a no-op unless it is a queued prefetch), or
+// complete the request in service (3).
 func driveOrder(t *testing.T, ops []byte) {
 	cfg := testConfig(1)
 	clk := sim.NewQueue()
@@ -74,15 +79,16 @@ func driveOrder(t *testing.T, ops []byte) {
 	var reqs []*Request
 	var served []int
 	for i := 0; i+1 < len(ops); i += 2 {
-		switch kind, arg := ops[i]%4, ops[i+1]; kind {
-		case 0, 1:
+		switch kind, arg := ops[i]%5, ops[i+1]; kind {
+		case 0, 1, 4:
 			id := len(reqs)
-			r := &Request{Disk: 0, PhysBlock: int64(arg % 32), Pri: Priority(kind), Done: func(error) { served = append(served, id) }}
+			r := &Request{Disk: 0, PhysBlock: int64(arg % 32), Pri: Priority(min(kind, 1)), RideAlong: kind == 4,
+				Done: func(error) { served = append(served, id) }}
 			reqs = append(reqs, r)
 			if r.Pri == Demand {
-				m.demand = append(m.demand, modelReq{id, r.PhysBlock})
+				m.demand = append(m.demand, modelReq{id, r.PhysBlock, false})
 			} else {
-				m.pref = append(m.pref, modelReq{id, r.PhysBlock})
+				m.pref = append(m.pref, modelReq{id, r.PhysBlock, r.RideAlong})
 			}
 			a.Submit(r)
 			m.start()

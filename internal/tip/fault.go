@@ -128,5 +128,5 @@ func (m *Manager) refetch(lb int64, dk int) {
 		return
 	}
 	_, phys := m.arr.Map(lb)
-	m.submit(lb, dk, phys, pri)
+	m.submit(lb, dk, phys, pri, m.fetches[lb].RideAlong)
 }

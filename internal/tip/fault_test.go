@@ -87,7 +87,7 @@ func TestDemandReadClearsDemotion(t *testing.T) {
 	r := newRig(t, cfg, smallDisk())
 	plan := failNPlan(5)
 	r.arr.SetInjector(plan)
-	f := r.fs.MustCreate("a", make([]byte, 4096))
+	f := r.fs.MustCreate("a", make([]byte, 1024)) // one block: no ride-along follows it
 
 	r.cli().HintSeg(f, 0, 1024)
 	r.clk.Drain() // prefetch fails twice, block demoted
@@ -161,7 +161,7 @@ func TestCancelAllWithErroredInflightPrefetch(t *testing.T) {
 	cfg.MaxFetchRetries = 0 // first failure demotes immediately
 	r := newRig(t, cfg, smallDisk())
 	r.arr.SetInjector(failNPlan(1))
-	f := r.fs.MustCreate("a", make([]byte, 4096))
+	f := r.fs.MustCreate("a", make([]byte, 1024)) // one block: no ride-along follows it
 
 	c := r.m.NewClient()
 	c.HintSeg(f, 0, 1024) // prefetch in flight, will error

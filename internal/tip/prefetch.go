@@ -417,6 +417,9 @@ walk:
 			if m.obs.Enabled() {
 				m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
 			}
+			if k == seg.nBlocks-1 {
+				c.rideAlong(seg.file, lb, seg.nBlocks)
+			}
 		case fetchDiskBusy:
 			// This disk is at depth; later blocks may differ.
 			m.refusers[dk].add(c.id)
@@ -532,22 +535,52 @@ func (m *Manager) startFetch(owner int, lb int64, origin cache.Origin, hintDist 
 	if m.cache.AcquireFor(owner, lb, origin, hintDist) == nil {
 		return fetchNoBuffer
 	}
-	m.submit(lb, dk, phys, pri)
+	m.submit(lb, dk, phys, pri, false)
 	return fetchStarted
 }
 
-// submit sends the disk request for the in-transit block lb and records it. A
-// retry reuses the block's record, failed-attempt count included.
-func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority) {
+// rideAlong fetches the blocks that physically follow lb, whose hinted
+// prefetch has just started and which is the last block of a hinted segment
+// of n blocks in f. Sequential read-ahead would give an unhinted read of the
+// segment these blocks, and a hinted read never triggers it; the disk streams
+// each from its track buffer, where a later read would pay a positioning.
+// The run is at most n blocks and ReadaheadMax, stays in f and on lb's disk,
+// and stops at a block cached or in flight. It is fetched only while the
+// cache has a free buffer for every block of f from lb on, so it evicts
+// nothing, and it takes no depth slot: the disk serves it as the tail of lb's
+// read (disk.Request.RideAlong).
+func (c *Client) rideAlong(f *fsim.File, lb, n int64) {
+	m := c.m
+	start, dk := f.LogicalBlock(0), m.arr.DiskOf(lb)
+	if m.arr.Dead(dk) || int64(m.cache.Capacity()-m.cache.Len()) < f.NBlocks()-(lb-start) {
+		return
+	}
+	for next := lb + 1; next <= lb+min(n, int64(m.cfg.ReadaheadMax)) && next-start < f.NBlocks(); next++ {
+		d, phys := m.arr.Map(next)
+		if d != dk || m.cache.Get(next) != nil || m.cache.AcquireFor(c.id, next, cache.OriginReadahead, cache.NoHint) == nil {
+			return
+		}
+		m.submit(next, dk, phys, disk.Prefetch, true)
+		c.stats.RideAlongs++
+		if m.obs.Enabled() {
+			m.emit("ride-along", "client=%d lb=%d after=%d", c.id, next, lb)
+		}
+	}
+}
+
+// submit sends the disk request for the in-transit block lb and records it;
+// ride marks a ride-along, which takes no depth slot. A retry reuses the
+// block's record, failed-attempt count included.
+func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority, ride bool) {
 	f := m.fetches[lb]
 	if f == nil {
 		f = m.newFetch(lb)
 		m.fetches[lb] = f
 	}
-	f.Disk, f.PhysBlock, f.Pri = dk, phys, pri
+	f.Disk, f.PhysBlock, f.Pri, f.RideAlong = dk, phys, pri, ride
 	m.arr.Submit(&f.Request)
 	f.queued = true
-	if pri == disk.Prefetch {
+	if pri == disk.Prefetch && !ride {
 		if m.prefDepth[dk]++; m.prefDepth[dk] == m.cfg.MaxDepthPerDisk {
 			// dk is full: the starved refused at a gap on it now skip that gap.
 			for id := m.starved.next(0); id >= 0; id = m.starved.next(id + 1) {
@@ -564,7 +597,7 @@ func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority) {
 func (m *Manager) onFetchDone(f *fetch, err error) {
 	lb, dk := f.lb, f.Disk
 	f.queued = false
-	if f.Pri == disk.Prefetch {
+	if f.Pri == disk.Prefetch && !f.RideAlong {
 		m.prefDepth[dk]--
 		if m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
 			// A slot is free on dk: wake the clients a full dk turned away.

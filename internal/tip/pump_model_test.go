@@ -326,7 +326,7 @@ func (r *pumpRig) invariants() error {
 	m := r.m
 	queued := make([]int, len(m.prefDepth))
 	for _, f := range m.fetches {
-		if f.Pri == disk.Prefetch && f.queued {
+		if f.Pri == disk.Prefetch && f.queued && !f.RideAlong {
 			queued[f.Disk]++
 		}
 	}

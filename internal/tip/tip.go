@@ -149,6 +149,7 @@ type Stats struct {
 	// Prefetch activity.
 	HintPrefetches int64 // blocks fetched because of hints
 	RAPrefetches   int64 // blocks fetched by sequential read-ahead
+	RideAlongs     int64 // blocks fetched behind a hinted segment's last block (Client.rideAlong)
 }
 
 // add accumulates o into s (for cross-client aggregation).
@@ -171,6 +172,7 @@ func (s *Stats) add(o Stats) {
 	s.BypassedSegs += o.BypassedSegs
 	s.HintPrefetches += o.HintPrefetches
 	s.RAPrefetches += o.RAPrefetches
+	s.RideAlongs += o.RideAlongs
 }
 
 // InaccurateCalls returns the number of hint calls that never matched a
@@ -184,7 +186,7 @@ func (s Stats) InaccurateBlocks() int64 { return s.HintBlocks - s.MatchedBlocks 
 func (s Stats) InaccurateBytes() int64 { return s.HintBytes - s.MatchedBytes }
 
 // PrefetchedBlocks returns the total blocks fetched speculatively.
-func (s Stats) PrefetchedBlocks() int64 { return s.HintPrefetches + s.RAPrefetches }
+func (s Stats) PrefetchedBlocks() int64 { return s.HintPrefetches + s.RAPrefetches + s.RideAlongs }
 
 // Manager is the informed prefetching and caching manager: the shared cache,
 // the shared disk queues, and the per-client arbitration between them.

@@ -376,7 +376,7 @@ func TestMultiBlockRead(t *testing.T) {
 
 func TestDemandSharesInTransitPrefetch(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
-	f := r.fs.MustCreate("f", make([]byte, 4096))
+	f := r.fs.MustCreate("f", make([]byte, 1024)) // one block: no ride-along follows it
 	r.cli().HintSeg(f, 0, 1024)
 	// Demand read arrives while prefetch in transit; must not double-fetch.
 	r.readSync(t, f, 0, 1024, true)
