@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint unused speclint synth fuzz smoke specrun-smoke perf-test examples pairs profile benchcheck ci
+.PHONY: all build test race vet fmt lint unused speclint synth fuzz determinism quick smoke specrun-smoke perf-test examples pairs profile benchcheck ci
 
 all: build
 
@@ -66,6 +66,22 @@ fuzz:
 	$(GO) test -fuzz=FuzzFileContent -fuzztime=10s -run '^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzScanLoop -fuzztime=10s -run '^$$' ./internal/vm
 	$(GO) test -fuzz=FuzzDiskOrder -fuzztime=10s -run '^$$' ./internal/disk
+
+# determinism runs fig3 and faults at test scale serially and on four workers
+# and demands the same simulated bytes: only the wall-clock footer lines, which
+# start with "(", may differ. Its outputs stay in .bench_build/.
+determinism:
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/tipbench -exp fig3,faults -scale test -parallel 1 > .bench_build/serial.out
+	$(GO) run ./cmd/tipbench -exp fig3,faults -scale test -parallel 4 > .bench_build/parallel.out
+	grep -v '^(' .bench_build/serial.out > .bench_build/serial.cmp
+	grep -v '^(' .bench_build/parallel.out > .bench_build/parallel.cmp
+	diff -u .bench_build/serial.cmp .bench_build/parallel.cmp
+
+# quick runs every experiment but the heavy sweeps at test scale to a zero
+# exit.
+quick:
+	$(GO) run ./cmd/tipbench -exp quick -scale test
 
 # smoke-F runs sweep family F (any tipbench experiment with a -json report)
 # at test scale at -parallel 1 and 4, demands byte-identical JSON at both
@@ -152,4 +168,4 @@ examples:
 	@set -e; for p in $$($(GO) list ./examples/...); do \
 		echo "== $$p"; $(GO) run $$p > /dev/null; done
 
-ci: lint fmt unused build test race speclint synth smoke specrun-smoke perf-test benchcheck examples fuzz
+ci: lint fmt unused build test race determinism speclint synth quick smoke specrun-smoke perf-test benchcheck examples fuzz

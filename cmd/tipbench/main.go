@@ -56,7 +56,7 @@ func main() {
 			"(-exp must name exactly one of the sweep families: "+strings.Join(jsonFamilies, ", ")+")")
 		traceJSON = flag.String("trace-json", "", "write a cross-layer Chrome trace_event JSON to this file "+
 			"(a speculating group when -exp includes multi, else a solo speculating run of -trace-app)")
-		traceApp = flag.String("trace-app", "gnuld", "application for the solo -trace-json run: agrep, gnuld, xds, postgres")
+		traceApp = flag.String("trace-app", "gnuld", "application for the solo -trace-json run: agrep, gnuld, xds, postgres, lsm, mlshard")
 		parallel = flag.Int("parallel", runtime.NumCPU(),
 			"simulation cells run concurrently (1 = serial; output is byte-identical at any width)")
 		cpuProfile = flag.String("cpuprofile", "", "write a host CPU profile of the experiments to this file")
@@ -77,8 +77,8 @@ func main() {
 		return
 	}
 
-	// Everything on the command line is resolved before the first cell
-	// runs, so a typo costs nothing.
+	// Everything on the command line is resolved, and every output file
+	// created, before the first cell runs, so a typo costs nothing.
 	if *parallel < 1 {
 		die(exitUsage, "-parallel must be >= 1, got %d", *parallel)
 	}
@@ -97,22 +97,32 @@ func main() {
 	}
 
 	var exps []bench.Experiment
+	named := map[string]bool{}
 	for _, name := range expNames(*expFlag) {
 		e, ok := bench.Registry[name]
 		if !ok {
 			die(exitUsage, "unknown experiment %q (have %s)", name, strings.Join(bench.Names(), ", "))
 		}
+		if named[name] {
+			die(exitUsage, "experiment %q named twice in -exp", name)
+		}
+		named[name] = true
 		exps = append(exps, e)
 	}
 	if *jsonFlag != "" && (len(exps) != 1 || !exps[0].JSON) {
 		die(exitUsage, "-json needs -exp to name exactly one of %s, got %q",
 			strings.Join(jsonFamilies, ", "), *expFlag)
 	}
+	app, err := parseApp(*traceApp)
+	if err != nil {
+		die(exitUsage, "-trace-app: %v", err)
+	}
 
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		die(exitFailed, "%v", err)
 	}
+	jsonOut, traceOut := create(*jsonFlag), create(*traceJSON)
 
 	forMulti := false
 	for _, e := range exps {
@@ -126,12 +136,12 @@ func main() {
 		os.Stdout.WriteString(rep.Text())
 		fmt.Printf("(%s in %.1fs)\n\n", e.Name, time.Since(start).Seconds())
 
-		if *jsonFlag != "" {
+		if jsonOut != nil {
 			out, err := bench.Encode(rep)
 			if err != nil {
 				die(exitFailed, "%s json: %v", e.Name, err)
 			}
-			if err := os.WriteFile(*jsonFlag, out, 0o644); err != nil {
+			if err := writeClose(jsonOut, out); err != nil {
 				die(exitFailed, "%v", err)
 			}
 			fmt.Printf("wrote %s\n", *jsonFlag)
@@ -142,12 +152,33 @@ func main() {
 		die(exitFailed, "%v", err)
 	}
 
-	if *traceJSON != "" {
-		if err := writeTrace(*traceJSON, *traceApp, forMulti, scale); err != nil {
+	if traceOut != nil {
+		if err := writeTrace(traceOut, app, forMulti, scale); err != nil {
 			die(exitFailed, "trace: %v", err)
 		}
 		fmt.Printf("wrote %s\n", *traceJSON)
 	}
+}
+
+// create creates the output file path, or dies; no path is no file.
+func create(path string) *os.File {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		die(exitFailed, "%v", err)
+	}
+	return f
+}
+
+// writeClose writes data to f and closes it.
+func writeClose(f *os.File, data []byte) error {
+	_, err := f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // namesWhere lists, in stable order, the experiments keep accepts.
@@ -180,31 +211,26 @@ func expNames(exp string) []string {
 	return names
 }
 
-// writeTrace records one traced run and writes its Chrome trace_event JSON:
-// a speculating multi group when the experiment list names multi, otherwise a
-// solo speculating run of the requested application.
-func writeTrace(path, appName string, forMulti bool, scale apps.Scale) error {
+// writeTrace records one traced run and writes its Chrome trace_event JSON to
+// f: a speculating multi group when the experiment list names multi,
+// otherwise a solo speculating run of app.
+func writeTrace(f *os.File, app apps.App, forMulti bool, scale apps.Scale) error {
 	var tr *obs.Trace
+	var err error
 	if forMulti {
-		var err error
 		// Four processes: a readable trace, not the full sweep.
-		if tr, _, err = bench.TraceMulti(scale, 4); err != nil {
-			return err
-		}
+		tr, _, err = bench.TraceMulti(scale, 4)
 	} else {
-		app, err := parseApp(appName)
-		if err != nil {
-			return err
-		}
-		if tr, _, err = bench.TraceRun(app, core.ModeSpeculating, scale); err != nil {
-			return err
-		}
+		tr, _, err = bench.TraceRun(app, core.ModeSpeculating, scale)
+	}
+	if err != nil {
+		return err
 	}
 	out, err := tr.ChromeTraceJSON()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	return writeClose(f, append(out, '\n'))
 }
 
 func parseApp(name string) (apps.App, error) {

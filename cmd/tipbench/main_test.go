@@ -51,6 +51,7 @@ func run(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // -json file written) — including every flag this CLI used to have.
 func TestUsageErrors(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "out.json")
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	cases := []struct {
 		name string
 		args []string
@@ -61,6 +62,9 @@ func TestUsageErrors(t *testing.T) {
 		{"parallel 0", []string{"-exp", "fig3", "-scale", "test", "-parallel", "0"}, "tipbench: -parallel must be >= 1, got 0"},
 		{"json with a text-only experiment", []string{"-exp", "fig3", "-scale", "test", "-json", jsonPath}, "tipbench: -json needs -exp to name exactly one of cluster, faults, multi, overload, replay, speed"},
 		{"json with two experiments", []string{"-exp", "multi,faults", "-scale", "test", "-json", jsonPath}, "tipbench: -json needs -exp to name exactly one of"},
+		{"experiment named twice", []string{"-exp", "fig3,fig3", "-scale", "test"}, `tipbench: experiment "fig3" named twice in -exp`},
+		{"unknown trace app", []string{"-exp", "fig3", "-scale", "test", "-trace-json", tracePath, "-trace-app", "bogus"},
+			`tipbench: -trace-app: unknown app "bogus" (want agrep, gnuld, xds, postgres, lsm or mlshard)`},
 		{"deleted -cluster", []string{"-cluster", "-scale", "test"}, "flag provided but not defined: -cluster"},
 		{"deleted -speed", []string{"-speed", "-scale", "test"}, "flag provided but not defined: -speed"},
 		{"deleted -replay", []string{"-replay", "-scale", "test"}, "flag provided but not defined: -replay"},
@@ -84,16 +88,18 @@ func TestUsageErrors(t *testing.T) {
 			if stdout != "" {
 				t.Errorf("usage error still ran something:\n%s", stdout)
 			}
-			if _, err := os.Stat(jsonPath); err == nil {
-				t.Errorf("usage error still wrote %s", jsonPath)
+			for _, path := range []string{jsonPath, tracePath} {
+				if _, err := os.Stat(path); err == nil {
+					t.Errorf("usage error still wrote %s", path)
+				}
 			}
 		})
 	}
 }
 
 // TestProfileFlags: -cpuprofile and -memprofile write host pprof files beside
-// an unchanged table; a path that cannot be created is exit 1 before any
-// simulation starts.
+// an unchanged table; a path that cannot be created, for a profile or for
+// -json or -trace-json, is exit 1 before any simulation starts.
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
@@ -110,8 +116,8 @@ func TestProfileFlags(t *testing.T) {
 		t.Errorf("profiling changed the table:\n%s\nvs\n%s", simulated(profiled), simulated(plain))
 	}
 
-	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
-		code, stdout, stderr := run(t, "-exp", "fig3", "-scale", "test", flag, filepath.Join(dir, "missing", "x.prof"))
+	for _, flag := range []string{"-cpuprofile", "-memprofile", "-json", "-trace-json"} {
+		code, stdout, stderr := run(t, "-exp", "multi", "-scale", "test", flag, filepath.Join(dir, "missing", "x.out"))
 		if code != 1 || stdout != "" || !strings.HasPrefix(stderr, "tipbench: open ") {
 			t.Errorf("%s to an uncreatable path: exit %d, stdout %q, stderr %q; want exit 1 before any run", flag, code, stdout, stderr)
 		}

@@ -160,10 +160,10 @@ type Cache struct {
 	// failed, or its (HintPos, Owner) is rewritten.
 	onChange func(lb int64, owner int, pos int64)
 
-	// bases holds each owner's stream base, from which a hinted block's
-	// distance is computed when it is read (Dist). Indexed by owner; an owner
-	// beyond it measures from 0.
-	bases []base
+	// bases holds each owner's stream base, set when its pass starts
+	// (SetBase), from which a hinted block's distance is computed when it is
+	// read (Dist). Indexed by owner; an owner beyond it measures from 0.
+	bases []int64
 
 	// accuracyOf, when set, supplies each owner's recent hint accuracy so
 	// that cross-owner evictions can compare marginal benefit
@@ -211,84 +211,45 @@ func (c *Cache) changed(lb int64, owner int, pos int64) {
 	}
 }
 
-// base is one owner's hint-stream base: a block at position p of the stream
-// is p - base blocks down it. Between passes every followed distance is
-// measured from cur. During a pass (BeginPass to EndPass) the positions the
-// pass has reached, those below split, are measured from the pass's base cur
-// and the rest still from old, the base of the pass before: a distance is the
-// one the last pass to reach its position gave it.
-type base struct{ old, cur, split int64 }
-
 // Dist returns b's hint distance: NoHint if unhinted, else its position less
-// its owner's base as of the last pass that reached that position, or less
-// the base it was held at (Hold).
-func (c *Cache) Dist(b *Block) int64 { return b.dist(c.baseOf(b.Owner)) }
-
-// baseOf returns owner's base; an owner without one measures from 0.
-func (c *Cache) baseOf(owner int) *base {
-	if owner < len(c.bases) {
-		return &c.bases[owner]
-	}
-	return &noBase
-}
-
-// noBase is the base of an owner that has never begun a pass.
-var noBase = base{split: math.MaxInt64}
-
-// dist is Dist for a block whose owner's base is o.
-func (b *Block) dist(o *base) int64 {
+// its owner's base, or less the base it was held at (Hold).
+func (c *Cache) Dist(b *Block) int64 {
 	switch {
 	case b.HintPos == NoHint:
 		return NoHint
 	case b.heldBase >= 0:
 		return b.HintPos - b.heldBase
-	case b.HintPos < o.split:
-		return b.HintPos - o.cur
 	}
-	return b.HintPos - o.old
+	return b.HintPos - c.base(b.Owner)
+}
+
+// base returns owner's base; an owner without one measures from 0.
+func (c *Cache) base(owner int) int64 {
+	if owner < len(c.bases) {
+		return c.bases[owner]
+	}
+	return 0
+}
+
+// SetBase moves owner's stream base to at: every distance of owner's that is
+// not held is measured from it.
+func (c *Cache) SetBase(owner int, at int64) {
+	for len(c.bases) <= owner {
+		c.bases = append(c.bases, 0)
+	}
+	c.bases[owner] = at
 }
 
 // Held reports whether b's distance is held rather than following its
 // owner's base.
 func (b *Block) Held() bool { return b.heldBase >= 0 }
 
-// HoldFrom holds the distance of every hinted block of owner at a position
-// at or beyond pos: a pass that stopped at pos did not reach them.
-func (c *Cache) HoldFrom(owner int, pos int64) {
-	for _, b := range c.own[owner] {
-		if b.HintPos >= pos {
-			c.Hold(b)
-		}
-	}
-}
-
-// BeginPass starts a pass of owner's stream at base: no position is reached
-// yet, so every distance stays what the last pass made it.
-func (c *Cache) BeginPass(owner int, at int64) {
-	for len(c.bases) <= owner {
-		c.bases = append(c.bases, base{})
-	}
-	o := &c.bases[owner]
-	*o = base{old: o.cur, cur: at, split: at}
-}
-
-// Reach records that the pass of owner's stream has reached every position
-// below pos: their distances are measured from the pass's base.
-func (c *Cache) Reach(owner int, pos int64) { c.bases[owner].split = pos }
-
-// EndPass ends the pass of owner's stream: every followed distance is
-// measured from its base until the next pass.
-func (c *Cache) EndPass(owner int) {
-	o := &c.bases[owner]
-	o.old, o.split = o.cur, math.MaxInt64
-}
-
 // Hold fixes the hinted block b's distance at its current value: a later
 // change of its owner's base no longer moves it. SetHintFor lets it follow
 // again.
 func (c *Cache) Hold(b *Block) {
 	if b.HintPos != NoHint && b.heldBase < 0 {
-		b.heldBase = b.HintPos - c.Dist(b)
+		b.heldBase = c.base(b.Owner)
 	}
 }
 
@@ -362,8 +323,8 @@ func (c *Cache) AcquireFor(owner int, lb int64, origin Origin, pos int64) *Block
 		panic(fmt.Sprintf("cache: Acquire of present block %d", lb))
 	}
 	hintDist := pos
-	if pos != NoHint && owner < len(c.bases) {
-		hintDist -= c.bases[owner].cur
+	if pos != NoHint {
+		hintDist -= c.base(owner)
 	}
 	if hintDist != NoHint && c.partitionOf != nil {
 		if max := c.partitionOf(owner); max > 0 && len(c.own[owner]) >= max {
@@ -454,12 +415,11 @@ func (c *Cache) releaseWaiters(ws []Waiter) {
 func (c *Cache) evictOwnFurthest(owner int, incoming int64) bool {
 	var victim *Block
 	var far int64
-	o := c.baseOf(owner)
 	for _, b := range c.own[owner] {
 		if b.state != Valid || b.pinned {
 			continue
 		}
-		if d := b.dist(o); victim == nil || d > far || d == far && b.stamp < victim.stamp {
+		if d := c.Dist(b); victim == nil || d > far || d == far && b.stamp < victim.stamp {
 			victim, far = b, d
 		}
 	}

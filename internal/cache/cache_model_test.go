@@ -16,12 +16,18 @@ import (
 // that re-enter the cache from inside Complete and Fail. While Complete wakes
 // a block's waiters, the block is pinned until the last one runs: no
 // eviction may take it from under a waiter still to come.
+//
+// The model keeps each block's hint position and each owner's base, and
+// derives a distance by the cache's one rule: the position less its owner's
+// base, unless the block is held, when it is the distance it had when Hold
+// was called, until SetHintFor gives it a new position.
 type refCache struct {
 	capacity   int
 	blocks     []*refBlock
 	lru        []int64     // valid blocks, front = LRU
 	partitions map[int]int // shared with the real cache's partition function
 	acc        func(owner int) float64
+	bases      map[int]int64 // each owner's base; 0 until SetBase
 	stats      Stats
 
 	// What the generator has exercised, for the coverage check at the end of
@@ -33,12 +39,15 @@ type refCache struct {
 	arrivals                int
 	ownTies, ownTiesTouched int
 	pinSkips                int // eviction scans that passed over a pinned block
+	heldApart               int // operations after which a held block's distance was not its followed one
 }
 
 type refBlock struct {
 	lb       int64
 	origin   Origin
-	hintDist int64
+	pos      int64 // position in owner's hint stream; NoHint if unhinted
+	held     bool  // the distance is heldDist, not pos less owner's base
+	heldDist int64
 	owner    int
 	state    State
 	uses     int
@@ -46,6 +55,17 @@ type refBlock struct {
 	waiters  []func(bool)
 	arrived  int  // order of Complete
 	pinned   bool // Complete is waking its waiters and one is still to run
+}
+
+// dist is b's hint distance.
+func (r *refCache) dist(b *refBlock) int64 {
+	switch {
+	case b.pos == NoHint:
+		return NoHint
+	case b.held:
+		return b.heldDist
+	}
+	return b.pos - r.bases[b.owner]
 }
 
 func (r *refCache) get(lb int64) *refBlock {
@@ -70,7 +90,7 @@ func (r *refCache) mustBe(lb int64, st State) *refBlock {
 func (r *refCache) hinted(owner int) int {
 	n := 0
 	for _, b := range r.blocks {
-		if b.hintDist != NoHint && b.owner == owner {
+		if b.pos != NoHint && b.owner == owner {
 			n++
 		}
 	}
@@ -124,16 +144,16 @@ func (r *refCache) evictOwnFurthest(owner int, incoming int64) bool {
 	var victim *refBlock
 	for _, lb := range r.lru {
 		b := r.get(lb)
-		if b.hintDist != NoHint && b.owner == owner && r.evictable(b) && (victim == nil || b.hintDist > victim.hintDist) {
+		if b.pos != NoHint && b.owner == owner && r.evictable(b) && (victim == nil || r.dist(b) > r.dist(victim)) {
 			victim = b
 		}
 	}
-	if victim == nil || victim.hintDist <= incoming {
+	if victim == nil || r.dist(victim) <= incoming {
 		return false
 	}
 	tied, first := 0, victim
 	for _, b := range r.blocks {
-		if b.state == Valid && !b.pinned && b.owner == owner && b.hintDist == victim.hintDist {
+		if b.state == Valid && !b.pinned && b.pos != NoHint && b.owner == owner && r.dist(b) == r.dist(victim) {
 			tied++
 			if b.arrived < first.arrived {
 				first = b
@@ -152,7 +172,7 @@ func (r *refCache) evictOwnFurthest(owner int, incoming int64) bool {
 
 func (r *refCache) evictFor(owner int, origin Origin, hintDist int64) bool {
 	for _, lb := range r.lru {
-		if b := r.get(lb); b.hintDist == NoHint && r.evictable(b) {
+		if b := r.get(lb); b.pos == NoHint && r.evictable(b) {
 			r.evict(b)
 			return true
 		}
@@ -171,11 +191,11 @@ func (r *refCache) evictFor(owner int, origin Origin, hintDist int64) bool {
 		if !r.evictable(b) {
 			continue
 		}
-		if victim == nil || r.acc(b.owner)*float64(victim.hintDist+1) < r.acc(victim.owner)*float64(b.hintDist+1) {
+		if victim == nil || r.acc(b.owner)*float64(r.dist(victim)+1) < r.acc(victim.owner)*float64(r.dist(b)+1) {
 			victim = b
 		}
 	}
-	if victim == nil || !(r.acc(victim.owner)*float64(hintDist+1) < r.acc(owner)*float64(victim.hintDist+1)) {
+	if victim == nil || !(r.acc(victim.owner)*float64(hintDist+1) < r.acc(owner)*float64(r.dist(victim)+1)) {
 		return false
 	}
 	if victim.owner != owner {
@@ -188,28 +208,40 @@ func (r *refCache) evictFor(owner int, origin Origin, hintDist int64) bool {
 // cacheOps is the surface the driver exercises, implemented by the model
 // directly and by realCache over *Cache.
 type cacheOps interface {
-	AcquireFor(owner int, lb int64, origin Origin, hintDist int64) bool
+	AcquireFor(owner int, lb int64, origin Origin, pos int64) bool
 	Complete(lb int64)
 	Fail(lb int64)
 	Wait(lb int64, fn func(bool))
 	Touch(lb int64)
 	NoteDemandWait(lb int64)
-	SetHintFor(lb int64, owner int, dist int64)
+	SetHintFor(lb int64, owner int, pos int64)
+	SetBase(owner int, at int64)
+	Hold(lb int64)
 }
 
 type realCache struct{ *Cache }
 
-func (c realCache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) bool {
-	return c.Cache.AcquireFor(owner, lb, origin, hintDist) != nil
+func (c realCache) AcquireFor(owner int, lb int64, origin Origin, pos int64) bool {
+	return c.Cache.AcquireFor(owner, lb, origin, pos) != nil
+}
+
+func (c realCache) Hold(lb int64) {
+	if b := c.Get(lb); b != nil {
+		c.Cache.Hold(b)
+	}
 }
 
 func (c realCache) Wait(lb int64, fn func(bool)) {
 	c.Cache.Wait(lb, func(_ int64, valid bool) { fn(valid) })
 }
 
-func (r *refCache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64) bool {
+func (r *refCache) AcquireFor(owner int, lb int64, origin Origin, pos int64) bool {
 	if r.get(lb) != nil {
 		panic("ref: acquire of present block")
+	}
+	hintDist := int64(NoHint)
+	if pos != NoHint {
+		hintDist = pos - r.bases[owner]
 	}
 	if max := r.partitions[owner]; hintDist != NoHint && max > 0 && r.hinted(owner) >= max {
 		if !r.evictOwnFurthest(owner, hintDist) {
@@ -219,7 +251,7 @@ func (r *refCache) AcquireFor(owner int, lb int64, origin Origin, hintDist int64
 	if len(r.blocks) >= r.capacity && !r.evictFor(owner, origin, hintDist) {
 		return false
 	}
-	r.blocks = append(r.blocks, &refBlock{lb: lb, origin: origin, hintDist: hintDist, owner: owner, state: InTransit})
+	r.blocks = append(r.blocks, &refBlock{lb: lb, origin: origin, pos: pos, owner: owner, state: InTransit})
 	return true
 }
 
@@ -276,32 +308,43 @@ func (r *refCache) NoteDemandWait(lb int64) {
 	b.demanded = true
 }
 
-func (r *refCache) SetHintFor(lb int64, owner int, dist int64) {
+func (r *refCache) SetHintFor(lb int64, owner int, pos int64) {
 	b := r.get(lb)
 	if b == nil {
 		return
 	}
 	move := "rehint"
 	switch {
-	case b.hintDist == NoHint && dist == NoHint:
+	case b.pos == NoHint && pos == NoHint:
 		move = "none"
-	case b.hintDist == NoHint:
+	case b.pos == NoHint:
 		move = "hint"
-	case dist == NoHint:
+	case pos == NoHint:
 		move = "unhint"
 	case b.owner != owner:
 		move = "to-other-owner"
 	}
 	r.seen[fmt.Sprint(move, "/", b.state)]++
+	if b.held {
+		r.seen[fmt.Sprint("release/", b.state)]++
+	}
 	// Ownership moves with a hint; losing the hint leaves the last owner.
-	if dist != NoHint {
+	if pos != NoHint {
 		b.owner = owner
 	}
-	b.hintDist = dist
+	b.pos, b.held = pos, false
 }
 
-func blockRow(lb int64, st State, origin Origin, dist int64, owner, uses int, demanded bool, waiters int) string {
-	return fmt.Sprintf("%d:%v/%v/d%d/o%d/u%d/%v/w%d", lb, st, origin, dist, owner, uses, demanded, waiters)
+func (r *refCache) SetBase(owner int, at int64) { r.bases[owner] = at }
+
+func (r *refCache) Hold(lb int64) {
+	if b := r.get(lb); b != nil && b.pos != NoHint && !b.held {
+		b.held, b.heldDist = true, r.dist(b)
+	}
+}
+
+func blockRow(lb int64, st State, origin Origin, dist int64, held bool, owner, uses int, demanded bool, waiters int) string {
+	return fmt.Sprintf("%d:%v/%v/d%d/h%v/o%d/u%d/%v/w%d", lb, st, origin, dist, held, owner, uses, demanded, waiters)
 }
 
 // describeReal and describeRef render everything observable about a cache: resident blocks with
@@ -309,7 +352,7 @@ func blockRow(lb int64, st State, origin Origin, dist int64, owner, uses int, de
 func describeReal(c *Cache, owners int) string {
 	var rows []string
 	c.ForEach(func(b *Block) {
-		rows = append(rows, blockRow(b.LB, b.state, b.Origin, c.Dist(b), b.Owner, int(b.uses), b.Demanded(), len(b.waiters)))
+		rows = append(rows, blockRow(b.LB, b.state, b.Origin, c.Dist(b), b.Held(), b.Owner, int(b.uses), b.Demanded(), len(b.waiters)))
 	})
 	sort.Strings(rows)
 	var lru []int64
@@ -326,7 +369,7 @@ func describeReal(c *Cache, owners int) string {
 func describeRef(r *refCache, owners int) string {
 	var rows []string
 	for _, b := range r.blocks {
-		rows = append(rows, blockRow(b.lb, b.state, b.origin, b.hintDist, b.owner, b.uses, b.demanded || b.origin == OriginDemand, len(b.waiters)))
+		rows = append(rows, blockRow(b.lb, b.state, b.origin, r.dist(b), b.held, b.owner, b.uses, b.demanded || b.origin == OriginDemand, len(b.waiters)))
 	}
 	sort.Strings(rows)
 	var hinted []int
@@ -335,7 +378,7 @@ func describeRef(r *refCache, owners int) string {
 	}
 	unhinted := 0
 	for _, b := range r.blocks {
-		if b.state == Valid && b.hintDist == NoHint {
+		if b.state == Valid && b.pos == NoHint {
 			unhinted++
 		}
 	}
@@ -350,7 +393,7 @@ type modelOp struct {
 	lb     int64
 	owner  int
 	origin Origin
-	dist   int64
+	pos    int64 // a hint position, or the base of opSetBase
 	max    int
 	then   *modelOp
 }
@@ -364,6 +407,8 @@ const (
 	opDemandWait
 	opSetHint
 	opPartitionCap
+	opSetBase
+	opHold
 	numOps
 )
 
@@ -379,7 +424,7 @@ func (op *modelOp) run(c cacheOps, log *[]string) {
 	}()
 	switch op.kind {
 	case opAcquire:
-		note("acquire(%d)=%v", op.lb, c.AcquireFor(op.owner, op.lb, op.origin, op.dist))
+		note("acquire(%d)=%v", op.lb, c.AcquireFor(op.owner, op.lb, op.origin, op.pos))
 	case opComplete:
 		c.Complete(op.lb)
 	case opFail:
@@ -394,7 +439,11 @@ func (op *modelOp) run(c cacheOps, log *[]string) {
 	case opDemandWait:
 		c.NoteDemandWait(op.lb)
 	case opSetHint:
-		c.SetHintFor(op.lb, op.owner, op.dist)
+		c.SetHintFor(op.lb, op.owner, op.pos)
+	case opSetBase:
+		c.SetBase(op.owner, op.pos)
+	case opHold:
+		c.Hold(op.lb)
 	}
 }
 
@@ -422,6 +471,12 @@ func gone(before []int64, resident func(lb int64) bool) []int64 {
 // unhinted, handed to another owner) on Valid and on InTransit blocks, and
 // eviction scans that had to pass over a block pinned by Complete.
 //
+// The programs also move each owner's base (SetBase) and hold blocks (Hold),
+// so a distance follows its owner's base until held and follows it again
+// after SetHintFor; the run must have SetHintFor release held blocks, and have
+// held blocks whose distance is not the one their owner's base would give.
+// SetHintFor's releases are counted as the "release" move.
+//
 // Half the seeds run the cache with its test-only poison on (Cache.poison):
 // a released block or waiter slice is poisoned instead of reused, so a use
 // after release panics (a divergence from the model), and at the end every
@@ -436,7 +491,7 @@ func TestCacheMatchesModel(t *testing.T) {
 		opsEach  = 3000 // 40 x 3000 = 1.2e5 operations
 	)
 	seen := map[string]int{}
-	ownTies, ownTiesTouched, pinSkips := 0, 0, 0
+	ownTies, ownTiesTouched, pinSkips, heldApart := 0, 0, 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		acc := []float64{1, 1, 1}
@@ -448,7 +503,7 @@ func TestCacheMatchesModel(t *testing.T) {
 		fast.poison = seed%4 >= 2
 		fast.SetAccuracyFn(accOf)
 		fast.SetPartitionFn(func(owner int) int { return parts[owner] })
-		ref := &refCache{capacity: capacity, partitions: parts, acc: accOf, seen: seen}
+		ref := &refCache{capacity: capacity, partitions: parts, acc: accOf, bases: map[int]int64{}, seen: seen}
 		dists := int64(12)
 		if seed%2 == 1 {
 			dists = 3 // equal distances within one owner are the rule, not the exception
@@ -465,7 +520,7 @@ func TestCacheMatchesModel(t *testing.T) {
 				if b := ref.get(lb); b != nil {
 					st = b.state
 				}
-				if want, ok := needs[kind]; ok && st == want || kind == opSetHint && st != Absent {
+				if want, ok := needs[kind]; ok && st == want || (kind == opSetHint || kind == opHold) && st != Absent {
 					fit = append(fit, lb)
 				}
 			}
@@ -475,10 +530,14 @@ func TestCacheMatchesModel(t *testing.T) {
 			return fit[rng.Intn(len(fit))]
 		}
 		randomOp := func(kind int) *modelOp {
-			op := &modelOp{kind: kind, lb: pick(kind), owner: rng.Intn(owners), dist: NoHint}
+			op := &modelOp{kind: kind, lb: pick(kind), owner: rng.Intn(owners), pos: NoHint}
 			op.origin = Origin(rng.Intn(3))
-			if op.origin == OriginHint || kind == opSetHint && rng.Intn(3) > 0 {
-				op.dist = rng.Int63n(dists)
+			// A stream's positions run ahead of its base, which only advances.
+			switch base := ref.bases[op.owner]; {
+			case kind == opSetBase:
+				op.pos = base + rng.Int63n(3)
+			case op.origin == OriginHint || kind == opSetHint && rng.Intn(3) > 0:
+				op.pos = base + rng.Int63n(dists)
 			}
 			op.max = rng.Intn(capacity) - 1
 			return op
@@ -486,7 +545,7 @@ func TestCacheMatchesModel(t *testing.T) {
 		for i := 0; i < opsEach; i++ {
 			// Acquire, complete and touch dominate, as they do in a run.
 			kind := []int{opAcquire, opAcquire, opAcquire, opComplete, opComplete, opTouch, opTouch,
-				opFail, opWait, opWait, opDemandWait, opSetHint, opSetHint, opPartitionCap}[rng.Intn(14)]
+				opFail, opWait, opWait, opDemandWait, opSetHint, opSetHint, opPartitionCap, opSetBase, opHold}[rng.Intn(16)]
 			op := randomOp(kind)
 			if kind == opWait {
 				// The waiter touches its own block (TIP's consume), touches or
@@ -514,6 +573,12 @@ func TestCacheMatchesModel(t *testing.T) {
 			if got != want {
 				t.Fatalf("seed %d op %d (%+v) diverged:\n real %s\nmodel %s", seed, i, *op, got, want)
 			}
+			for _, b := range ref.blocks {
+				if b.held && b.heldDist != b.pos-ref.bases[b.owner] {
+					heldApart++
+					break
+				}
+			}
 		}
 		for b := fast.free; fast.poison && b != nil; b = b.next {
 			if got := *b; got.LB != -1 || got.state != Absent || !got.pinned || got.waiters != nil ||
@@ -531,14 +596,18 @@ func TestCacheMatchesModel(t *testing.T) {
 		ownTies, ownTiesTouched = ownTies+ref.ownTies, ownTiesTouched+ref.ownTiesTouched
 		pinSkips += ref.pinSkips
 	}
-	t.Logf("own-furthest ties %d (%d reordered by a touch), pinned blocks passed over %d, SetHintFor moves %v", ownTies, ownTiesTouched, pinSkips, seen)
+	t.Logf("own-furthest ties %d (%d reordered by a touch), pinned blocks passed over %d, held apart from the base after %d ops, SetHintFor moves %v",
+		ownTies, ownTiesTouched, pinSkips, heldApart, seen)
 	if pinSkips < 20 {
 		t.Errorf("eviction scans passed over a pinned block %d times, want >= 20", pinSkips)
 	}
 	if ownTies < 100 || ownTiesTouched < 20 {
 		t.Errorf("evictOwnFurthest chose among equally distant blocks %d times, %d with a touch between them: too few to pin the tie-break", ownTies, ownTiesTouched)
 	}
-	for _, move := range []string{"hint", "unhint", "rehint", "to-other-owner"} {
+	if heldApart < 1000 {
+		t.Errorf("a held block's distance differed from its owner's base after %d operations, want >= 1000", heldApart)
+	}
+	for _, move := range []string{"hint", "unhint", "rehint", "to-other-owner", "release"} {
 		for _, st := range []State{Valid, InTransit} {
 			if key := fmt.Sprint(move, "/", st); seen[key] < 100 {
 				t.Errorf("SetHintFor move %s made %d times, want >= 100", key, seen[key])

@@ -17,19 +17,20 @@ import (
 
 var updateLedger = flag.Bool("update-ledger", false, "rewrite testdata/pump_ledger.txt")
 
-// ledgerPath holds one SHA-256 per (depth, seed) of the pump model script's
-// observable stream. The hashes were taken from a pump that stored every
-// block's hint distance and rewrote it on each pass; a pump that computes the
-// distance when it is read, or starts its pass anywhere else, must produce
-// the same stream byte for byte.
+// ledgerPath holds two SHA-256 hashes per (depth, seed) of the pump model
+// script's observable stream. The first covers the pump's decisions: the disk
+// requests in the order they enter service, the read completions and every
+// eviction victim. The second covers the (owner, hint distance) of every Valid
+// block after every step. A change that keeps the pump's policy must keep the
+// first; the second moves with the distance rule (cache.Dist) as well, so a
+// change to the rule alone retakes only that column and says why.
 const ledgerPath = "testdata/pump_ledger.txt"
 
 // ledgerStream runs the model script of pump_model_test.go for one seed on a
 // single rig and hashes what the rest of the system can see of the pump, step
-// by step: the disk requests in the order they enter service, the read
-// completions, every eviction victim, and after every step the (owner, hint
-// distance) of every Valid block.
-func ledgerStream(t *testing.T, depth int, seed int64) string {
+// by step: the decisions and the Valid blocks' distances, each into its own
+// hash (see ledgerPath).
+func ledgerStream(t *testing.T, depth int, seed int64) (decisions, distances string) {
 	r := newPumpRig(t, depth, false)
 	tr := obs.New(obs.Config{MaxEvents: 1 << 24})
 	r.m.SetObs(tr)
@@ -38,7 +39,7 @@ func ledgerStream(t *testing.T, depth int, seed int64) string {
 	for i := range script.open {
 		script.open[i] = true
 	}
-	h := sha256.New()
+	hd, hv := sha256.New(), sha256.New()
 	reqs, dones, events := 0, 0, 0
 	for i := 0; i < pumpLedgerSteps; i++ {
 		s := script.next()
@@ -46,26 +47,27 @@ func ledgerStream(t *testing.T, depth int, seed int64) string {
 			s = &pumpStep{kind: "run", events: 1 << 20} // drain
 		}
 		r.apply(s)
-		fmt.Fprintf(h, "step %d\n", i)
+		fmt.Fprintf(hd, "step %d\n", i)
 		for _, l := range r.inj.log[reqs:] {
-			fmt.Fprintln(h, l)
+			fmt.Fprintln(hd, l)
 		}
 		for _, l := range r.dones[dones:] {
-			fmt.Fprintln(h, l)
+			fmt.Fprintln(hd, l)
 		}
 		evs := tr.Events()
 		for _, e := range evs[events:] {
 			if e.Name == "evict" {
-				fmt.Fprintf(h, "t=%d evict %s\n", e.At, e.Detail)
+				fmt.Fprintf(hd, "t=%d evict %s\n", e.At, e.Detail)
 			}
 		}
 		reqs, dones, events = len(r.inj.log), len(r.dones), len(evs)
-		hashValid(h, r.m)
+		fmt.Fprintf(hv, "step %d\n", i)
+		hashValid(hv, r.m)
 	}
 	if tr.Dropped() > 0 {
 		t.Fatalf("depth %d seed %d: the trace dropped %d events", depth, seed, tr.Dropped())
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return fmt.Sprintf("%x", hd.Sum(nil)), fmt.Sprintf("%x", hv.Sum(nil))
 }
 
 // hashValid writes the owner and hint distance of every Valid block.
@@ -83,19 +85,19 @@ const (
 	pumpLedgerSeeds = 20
 )
 
-// TestPumpLedger replays the pump model script's seeds and holds each stream
-// to the hash recorded in testdata (go test ./internal/tip -run PumpLedger
-// -update-ledger rewrites it, which no change to the pump should need).
+// TestPumpLedger replays the pump model script's seeds and holds each stream's
+// two hashes to the ones recorded in testdata (go test ./internal/tip -run
+// PumpLedger -update-ledger rewrites them).
 func TestPumpLedger(t *testing.T) {
-	want := map[string]string{}
+	want := map[string][]string{}
 	if !*updateLedger {
 		data, err := os.ReadFile(ledgerPath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			if k, v, ok := strings.Cut(line, " "); ok {
-				want[k] = v
+			if f := strings.Fields(line); len(f) == 3 {
+				want[f[0]] = f[1:]
 			}
 		}
 	}
@@ -107,10 +109,20 @@ func TestPumpLedger(t *testing.T) {
 	for _, depth := range []int{0, 1, 8} {
 		for seed := int64(0); seed < seeds; seed++ {
 			key := fmt.Sprintf("depth=%d/seed=%d", depth, seed)
-			got := ledgerStream(t, depth, seed)
-			fmt.Fprintf(&out, "%s %s\n", key, got)
-			if !*updateLedger && got != want[key] {
-				t.Errorf("%s: stream hash %s, want %s", key, got, want[key])
+			dec, dist := ledgerStream(t, depth, seed)
+			fmt.Fprintf(&out, "%s %s %s\n", key, dec, dist)
+			if *updateLedger {
+				continue
+			}
+			if w := want[key]; len(w) != 2 {
+				t.Errorf("%s: no ledger entry", key)
+			} else {
+				if dec != w[0] {
+					t.Errorf("%s: decisions hash %s, want %s", key, dec, w[0])
+				}
+				if dist != w[1] {
+					t.Errorf("%s: distances hash %s, want %s", key, dist, w[1])
+				}
 			}
 		}
 	}

@@ -315,9 +315,9 @@ func (m *Manager) PumpWork() PumpWork { return m.work }
 
 // pump issues this client's hint-driven prefetches up to its effective
 // horizon. Before its reach the pass visits only the due positions and the
-// gaps on a disk with a free slot (Client.gaps). It stores no distance — the
-// cache computes one from a block's position (cache.Dist) — and holds the
-// distances of the blocks it passes by without reaching.
+// gaps on a disk with a free slot (Client.gaps). It stores no distance: it
+// moves its stream's base in the cache to where it starts (cache.SetBase), and
+// the cache computes a block's distance from its position (cache.Dist).
 func (c *Client) pump() {
 	m := c.m
 	m.work.Visits++
@@ -347,8 +347,7 @@ func (c *Client) pump() {
 	slices.Sort(c.due)
 	due, n0 := c.due, len(c.due)
 	m.acting = c.id
-	m.cache.BeginPass(c.id, base)
-	m.cache.Reach(c.id, p)
+	m.cache.SetBase(c.id, base)
 walk:
 	for i := c.segAt(p); p < end && i < len(c.hints); {
 		seg := &c.hints[i]
@@ -369,7 +368,6 @@ walk:
 				if len(due) > 0 && due[0] < p {
 					p = due[0]
 				}
-				m.cache.Reach(c.id, p)
 				i = c.segAt(p)
 				continue
 			}
@@ -382,7 +380,6 @@ walk:
 		// run to the full depth, speculative ones stop shallow. conf == 0
 		// (dynamic hints) leaves the bound at the horizon.
 		if seg.conf > 0 && d >= min(int64(horizon), max(int64(seg.conf*float64(horizon)), int64(m.cfg.MinHorizon))) {
-			c.hold(lb, q)
 			continue
 		}
 		if len(m.demoted) > 0 && m.demoted[lb] {
@@ -397,10 +394,8 @@ walk:
 				m.deadSkipped[lb] = true
 				m.faults.DeadSkips++
 			}
-			c.hold(lb, q)
 			continue
 		}
-		m.cache.Reach(c.id, p)
 		if b := m.cache.Get(lb); b != nil {
 			c.mark(q, dk, false)
 			compare = c.protect(b, lb, q, d) || compare
@@ -412,7 +407,6 @@ walk:
 		c.mark(q, dk, res != fetchStarted)
 		switch res {
 		case fetchStarted:
-			c.maxPos = max(c.maxPos, q)
 			c.stats.HintPrefetches++
 			if m.obs.Enabled() {
 				m.emit("prefetch", "client=%d lb=%d dist=%d", c.id, lb, d)
@@ -467,18 +461,9 @@ func (c *Client) protect(b *cache.Block, lb, p, d int64) bool {
 	if m.cache.Dist(b) > d {
 		m.actLB = lb
 		m.cache.SetHintFor(lb, c.id, p)
-		c.maxPos = max(c.maxPos, p)
 		return false
 	}
 	return b.Owner != c.id || b.Held()
-}
-
-// hold keeps the distance of c's block at position p, which the pass passes
-// by without refreshing it.
-func (c *Client) hold(lb, p int64) {
-	if b := c.m.cache.Get(lb); b != nil && b.Owner == c.id && b.HintPos == p {
-		c.m.cache.Hold(b)
-	}
 }
 
 // endPass ends a pass that stopped at position stop: the gaps from stop on
@@ -487,14 +472,6 @@ func (c *Client) hold(lb, p int64) {
 // moves with the base (which it has told c.compare as it went, so that a
 // change to that block during the pass is not missed).
 func (c *Client) endPass(stop int64, whole, compare bool) {
-	m := c.m
-	if stop <= c.maxPos {
-		// Not reached: these keep the distance the last pass to reach them
-		// gave them.
-		m.cache.HoldFrom(c.id, stop)
-		c.maxPos = stop - 1
-	}
-	m.cache.EndPass(c.id)
 	c.reach = min(c.reach, stop)
 	c.gaps = c.gaps[:c.gapAt(c.reach)]
 	if whole {

@@ -42,8 +42,8 @@ import (
 // And it holds recycling to allocation: the first rig reuses released readOps
 // and fetch records, the second poisons them (Manager.poison) and allocates
 // afresh, so an object used after its release panics there or shows as a
-// divergence here. TestPumpLedger holds the first rig to the pump that stored
-// every distance.
+// divergence here. TestPumpLedger holds the first rig's decisions and
+// distances to recorded hashes.
 
 // forgetFrontiers makes every open client of m visit its whole window at its
 // next pass, and wakes it.

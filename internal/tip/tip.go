@@ -316,10 +316,6 @@ type Client struct {
 	// bound the pass checks at every position.
 	compare, conf bool
 
-	// maxPos bounds the positions of this client's blocks whose distance
-	// follows its base (cache.Block.Held is false).
-	maxPos int64
-
 	ra map[int64]raState // by inode
 
 	// Windowed hint-accuracy estimate (right ≈ matched, wrong ≈ bypassed +
@@ -386,9 +382,9 @@ func (m *Manager) NewClient() *Client {
 		m.free = m.free[:n-1]
 		m.retired.add(c.stats)
 		clear(c.ra)
-		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0], gaps: c.gaps[:0], due: c.due[:0], tail: c.tail, at: c.tail, maxPos: -1}
+		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0], gaps: c.gaps[:0], due: c.due[:0], tail: c.tail, at: c.tail}
 	} else {
-		c = &Client{m: m, id: len(m.clients), ra: make(map[int64]raState), maxPos: -1}
+		c = &Client{m: m, id: len(m.clients), ra: make(map[int64]raState)}
 		m.clients = append(m.clients, c)
 	}
 	m.shares.valid = false
