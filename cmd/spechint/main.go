@@ -124,7 +124,7 @@ func runSynthesize(file, app string) bool {
 		if err != nil {
 			fail(err)
 		}
-		report, err := analysis.Synthesize(prog, analysis.Config{})
+		report, err := analysis.Synthesize(prog)
 		if err != nil {
 			fail(err)
 		}

@@ -60,7 +60,7 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "fig3,nosuch", "-scale", "test"}, `tipbench: unknown experiment "nosuch" (have adaptive, cluster,`},
 		{"unknown scale", []string{"-exp", "fig3", "-scale", "huge"}, `tipbench: unknown scale "huge"`},
 		{"parallel 0", []string{"-exp", "fig3", "-scale", "test", "-parallel", "0"}, "tipbench: -parallel must be >= 1, got 0"},
-		{"json with a text-only experiment", []string{"-exp", "fig3", "-scale", "test", "-json", jsonPath}, "tipbench: -json needs -exp to name exactly one of cluster, faults, multi, overload, replay, speed"},
+		{"json with a text-only experiment", []string{"-exp", "fig3", "-scale", "test", "-json", jsonPath}, "tipbench: -json needs -exp to name exactly one of cluster, faults, multi, overload, replay, got"},
 		{"json with two experiments", []string{"-exp", "multi,faults", "-scale", "test", "-json", jsonPath}, "tipbench: -json needs -exp to name exactly one of"},
 		{"experiment named twice", []string{"-exp", "fig3,fig3", "-scale", "test"}, `tipbench: experiment "fig3" named twice in -exp`},
 		{"unknown trace app", []string{"-exp", "fig3", "-scale", "test", "-trace-json", tracePath, "-trace-app", "bogus"},

@@ -25,14 +25,3 @@
 //     against the transform invariants and reports violations with
 //     disassembly context.
 package analysis
-
-// Config parameterizes the analyses.
-type Config struct {
-	// JumpTableLookback is how many instructions before an indirect jump
-	// the recognizer scans for the table-load idiom, mirroring
-	// spechint.Options.JumpTableLookback.
-	JumpTableLookback int
-}
-
-// DefaultConfig matches spechint.DefaultOptions.
-func DefaultConfig() Config { return Config{JumpTableLookback: 4} }

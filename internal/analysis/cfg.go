@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"spechint/internal/spechint"
 	"spechint/internal/vm"
 )
 
@@ -47,13 +48,11 @@ type CallSite struct {
 // buildCFG partitions the text into basic blocks and wires the edges.
 // Jump-table edges come from tables registered in the program: a rewritten
 // jtr names its table directly; an original-text jr is matched against the
-// same load idiom SpecHint recognizes (cfg.JumpTableLookback). Programs with
-// out-of-range targets (e.g. deliberately corrupted ones under test) still
-// build; the bad edges are simply dropped.
-func buildCFG(p *vm.Program, cfg Config) *CFG {
-	if cfg.JumpTableLookback <= 0 {
-		cfg.JumpTableLookback = 1
-	}
+// same load idiom SpecHint recognizes, within spechint.DefaultOptions'
+// JumpTableLookback. Programs with out-of-range targets (e.g. deliberately
+// corrupted ones under test) still build; the bad edges are simply dropped.
+func buildCFG(p *vm.Program) *CFG {
+	lookback := spechint.DefaultOptions().JumpTableLookback
 	n := int64(len(p.Text))
 	inText := func(pc int64) bool { return pc >= 0 && pc < n }
 
@@ -118,7 +117,7 @@ func buildCFG(p *vm.Program, cfg Config) *CFG {
 			}
 			mark(pc + 1)
 		case ins.Op == vm.JR:
-			if ti, ok := recognizeJumpTable(p, pc, ins.Rs1, cfg.JumpTableLookback); ok {
+			if ti, ok := recognizeJumpTable(p, pc, ins.Rs1, lookback); ok {
 				for _, t := range tableTargets(ti) {
 					mark(t)
 				}
@@ -161,7 +160,7 @@ func buildCFG(p *vm.Program, cfg Config) *CFG {
 		case last.Op == vm.JTR:
 			succs = append(succs, tableTargets(int(last.Imm))...)
 		case last.Op == vm.JR:
-			if ti, ok := recognizeJumpTable(p, b.End-1, last.Rs1, cfg.JumpTableLookback); ok {
+			if ti, ok := recognizeJumpTable(p, b.End-1, last.Rs1, lookback); ok {
 				succs = append(succs, tableTargets(ti)...)
 			} else {
 				b.IndirectExit = true

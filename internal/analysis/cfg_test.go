@@ -32,7 +32,7 @@ join:   add  r3, r1, r2
 
 func TestBuildCFGDiamond(t *testing.T) {
 	p := mustAssemble(t, diamondSrc)
-	g := buildCFG(p, DefaultConfig())
+	g := buildCFG(p)
 
 	// Blocks: [main..beq] [movi r2,2; jmp] [left] [join..exit]
 	if len(g.Blocks) != 4 {
@@ -58,7 +58,7 @@ func TestBuildCFGDiamond(t *testing.T) {
 
 func TestDominatorsDiamond(t *testing.T) {
 	p := mustAssemble(t, diamondSrc)
-	g := buildCFG(p, DefaultConfig())
+	g := buildCFG(p)
 	idom := g.dominators()
 
 	entry := g.blockOf(0)
@@ -90,7 +90,7 @@ main:   call fn
 fn:     movi r1, 1
         ret
 `)
-	g := buildCFG(p, DefaultConfig())
+	g := buildCFG(p)
 	calls := g.calls()
 	if len(calls) != 2 {
 		t.Fatalf("got %d call sites, want 2", len(calls))
@@ -130,7 +130,7 @@ case0:  syscall exit
 case1:  syscall exit
 case2:  syscall exit
 `)
-	g := buildCFG(p, DefaultConfig())
+	g := buildCFG(p)
 	jb := g.Blocks[g.blockOf(2)] // the jr
 	if len(jb.Succs) != 3 {
 		t.Fatalf("jump-table block succs = %v, want 3 cases", jb.Succs)
@@ -155,7 +155,7 @@ main:   movi r1, 3
         syscall exit
         syscall exit
 `)
-	g := buildCFG(p, DefaultConfig())
+	g := buildCFG(p)
 	jb := g.Blocks[g.blockOf(1)]
 	if !jb.IndirectExit {
 		t.Error("jr through a non-table value should be an unresolved indirect exit")
@@ -175,7 +175,7 @@ main:   movi r1, 1
         syscall exit
 `)
 	p.Text[1].Imm = 9999 // out of range
-	g := buildCFG(p, DefaultConfig())
+	g := buildCFG(p)
 	bb := g.Blocks[g.blockOf(1)]
 	if len(bb.Succs) != 1 { // only the fall-through survives
 		t.Errorf("corrupt branch succs = %v, want fall-through only", bb.Succs)
@@ -184,13 +184,13 @@ main:   movi r1, 1
 
 func TestCFGOnTransformedApps(t *testing.T) {
 	for _, b := range buildAllBundles(t) {
-		g := buildCFG(b.Transformed, DefaultConfig())
+		g := buildCFG(b.Transformed)
 		if err := checkCFGWellFormed(g); err != nil {
 			t.Errorf("%v transformed: %v", b.App, err)
 		}
 		// Every original-text block index must be mirrored in range: the
 		// shadow doubles the text, so there are at least as many blocks.
-		og := buildCFG(b.Original, DefaultConfig())
+		og := buildCFG(b.Original)
 		if len(g.Blocks) < len(og.Blocks) {
 			t.Errorf("%v: transformed CFG has fewer blocks (%d) than original (%d)",
 				b.App, len(g.Blocks), len(og.Blocks))

@@ -19,7 +19,7 @@ func classifyApp(t *testing.T, a apps.App) *SynthReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Synthesize(b.Original, DefaultConfig())
+	r, err := Synthesize(b.Original)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestClassifyRejectsTransformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Synthesize(b.Transformed, DefaultConfig()); err == nil {
+	if _, err := Synthesize(b.Transformed); err == nil {
 		t.Fatal("classification accepted a transformed program")
 	}
 }
@@ -148,7 +148,7 @@ func TestAnalyzeReportDeterministic(t *testing.T) {
 	for _, b := range buildAllBundles(t) {
 		var prev string
 		for trial := 0; trial < 5; trial++ {
-			r, err := Synthesize(b.Original, DefaultConfig())
+			r, err := Synthesize(b.Original)
 			if err != nil {
 				t.Fatalf("%v: %v", b.App, err)
 			}
@@ -169,7 +169,7 @@ func TestAnalyzeReportDeterministic(t *testing.T) {
 // depend on iteration order.
 func TestPredictedCoverageDeterministic(t *testing.T) {
 	b := buildAllBundles(t)[0]
-	r, err := Synthesize(b.Original, DefaultConfig())
+	r, err := Synthesize(b.Original)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ main:   movi r1, 1
         add  r2, r1, r1
         syscall exit
 `)
-	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
+	rd := solveReachingDefs(buildCFG(p))
 
 	// At the add (pc 2), only the second movi reaches r1.
 	defs := rd.defsOf(2, vm.R1)
@@ -31,7 +31,7 @@ main:   movi r1, 1
 
 func TestReachingDefsMergeAtJoin(t *testing.T) {
 	p := mustAssemble(t, diamondSrc)
-	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
+	rd := solveReachingDefs(buildCFG(p))
 
 	// Both arms define r2 (pc 2 and pc 4); both reach the join's add (pc 5).
 	defs := rd.defsOf(p.Symbols["join"], vm.R2)
@@ -50,7 +50,7 @@ main:   movi r1, 7
 fn:     add  r2, r1, r1
         ret
 `)
-	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
+	rd := solveReachingDefs(buildCFG(p))
 	fn := p.Symbols["fn"]
 	defs := rd.defsOf(fn, vm.R1)
 	if len(defs) != 1 || defs[0] != 0 {
@@ -65,7 +65,7 @@ func TestReachingDefsZeroRegister(t *testing.T) {
 main:   add  r0, r1, r2
         syscall exit
 `)
-	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
+	rd := solveReachingDefs(buildCFG(p))
 	if defs := rd.defsOf(1, vm.R0); defs != nil {
 		t.Fatalf("r0 has definitions %v; the zero register must have none", defs)
 	}
@@ -86,7 +86,7 @@ main:   movi r1, 0
         add  r2, r1, r1
         syscall exit
 `)
-	rd := solveReachingDefs(buildCFG(p, DefaultConfig()))
+	rd := solveReachingDefs(buildCFG(p))
 	defs := rd.defsOf(2, vm.R1)
 	if len(defs) != 1 || defs[0] != 1 {
 		t.Fatalf("DefsOf(2, r1) = %v, want the syscall at 1 (result clobbers r1)", defs)

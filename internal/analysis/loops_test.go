@@ -12,7 +12,7 @@ func mustCFG(t *testing.T, src string) *CFG {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buildCFG(p, Config{})
+	return buildCFG(p)
 }
 
 const countedLoopSrc = `

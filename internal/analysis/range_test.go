@@ -95,7 +95,7 @@ done:
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := buildCFG(p, Config{})
+	g := buildCFG(p)
 	ra := solveRanges(g, nil)
 	var seekPC int64 = -1
 	for pc, ins := range p.Text {
@@ -142,7 +142,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := buildCFG(p, Config{})
+	g := buildCFG(p)
 	ra := solveRanges(g, nil)
 	seekPC := int64(len(p.Text) - 2)
 	got := ra.At(seekPC, 20)
@@ -184,7 +184,7 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := buildCFG(p, Config{})
+	g := buildCFG(p)
 	ra := solveRanges(g, nil)
 	var reads []int64
 	for pc, ins := range p.Text {

@@ -107,14 +107,14 @@ const evalDepthMax = 24
 
 // Synthesize runs the static hint-synthesis pipeline over an untransformed
 // program.
-func Synthesize(p *vm.Program, cfg Config) (*SynthReport, error) {
+func Synthesize(p *vm.Program) (*SynthReport, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if p.ShadowBase != 0 || p.OrigTextLen != 0 {
 		return nil, fmt.Errorf("analysis: synthesize wants an untransformed program (got shadow at %d)", p.ShadowBase)
 	}
-	g := buildCFG(p, cfg)
+	g := buildCFG(p)
 	ta, _ := runTaint(g)
 	li := findLoops(g)
 	ev := &evaluator{p: p, g: g, li: li, rd: solveReachingDefs(g), ta: ta}

@@ -15,7 +15,7 @@ func synthApp(t *testing.T, app apps.App) (*apps.Bundle, *analysis.SynthReport) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := analysis.Synthesize(b.Original, analysis.Config{})
+	r, err := analysis.Synthesize(b.Original)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSynthReportDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := analysis.Synthesize(b.Original, analysis.Config{})
+			r, err := analysis.Synthesize(b.Original)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestSynthRejectsTransformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := analysis.Synthesize(b.Transformed, analysis.Config{}); err == nil {
+	if _, err := analysis.Synthesize(b.Transformed); err == nil {
 		t.Fatal("Synthesize accepted a transformed program")
 	}
 }

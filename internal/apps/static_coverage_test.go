@@ -54,7 +54,7 @@ func measureCoverage(t *testing.T, app App) (predicted, dynamic float64) {
 		t.Fatalf("%v made no reads", app)
 	}
 
-	rep, err := analysis.Synthesize(b.Original, analysis.DefaultConfig())
+	rep, err := analysis.Synthesize(b.Original)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestEveryDynamicSiteClassified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := analysis.Synthesize(b.Original, analysis.DefaultConfig())
+		rep, err := analysis.Synthesize(b.Original)
 		if err != nil {
 			t.Fatal(err)
 		}

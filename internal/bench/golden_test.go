@@ -19,7 +19,7 @@ import (
 	"spechint/internal/obs"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the bench/golden canonical RunStats files")
+var updateGolden = flag.Bool("update", false, "rewrite the bench/golden canonical files, and EXPERIMENTS.md's canon fences from bench/paper")
 
 // goldenDir is the committed canon, relative to this package's directory.
 const goldenDir = "../../bench/golden"

@@ -24,8 +24,7 @@ func withParallelism(w int, fn func()) {
 // encoded JSON the committed baselines are built from — with -parallel 1 and
 // a multi-worker pool, from one run per width. Cells are simulated in
 // whatever order the workers reach them; the assembled report must not care.
-// Run under -race this also checks the cells share no mutable state. The
-// speed family's JSON is wall-clock and is the one exemption.
+// Run under -race this also checks the cells share no mutable state.
 func TestSerialParallelIdentical(t *testing.T) {
 	scale := apps.TestScale()
 	render := func(t *testing.T, e Experiment, width int) (text string, enc []byte) {
@@ -35,7 +34,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 				t.Fatalf("-parallel %d: %v", width, err)
 			}
 			text = rep.Text()
-			if e.JSON && e.Name != "speed" {
+			if e.JSON {
 				if enc, err = Encode(rep); err != nil {
 					t.Fatalf("-parallel %d: %v", width, err)
 				}

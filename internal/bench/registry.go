@@ -56,7 +56,6 @@ var Registry = map[string]Experiment{
 	"join":       {Name: "join", Desc: "Postgres join improvement vs selectivity (Table 1 extension)", Run: joinSelectivity, Heavy: true},
 	"multi":      {Name: "multi", Desc: "N-process shared-TIP multiprogramming: makespan, throughput, fairness", Run: multiprogramming, Heavy: true, JSON: true},
 	"faults":     {Name: "faults", Desc: "graceful degradation under injected disk faults (robustness extension)", Run: faults, Heavy: true, JSON: true},
-	"speed":      {Name: "speed", Desc: "simulator fast-path self-check: free-listed events, tick batching, pre-decoded dispatch", Run: speed, JSON: true},
 	"static":     {Name: "static", Desc: "statically synthesized hints vs original and manual (static-analysis extension)", Run: static},
 	"cluster":    {Name: "cluster", Desc: "sharded TIP service: throughput, latency tails, fairness vs shard count", Run: shardedService, Heavy: true, JSON: true},
 	"overload":   {Name: "overload", Desc: "overload-safe cluster: admission control, load shedding, shard failover", Run: overload, Heavy: true, JSON: true},

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,21 +10,13 @@ import (
 	"spechint/internal/vm"
 )
 
-// The speed experiment tracks the raw throughput of the simulator's two
+// The speed measurements track the raw throughput of the simulator's two
 // hottest loops — the event queue and the VM interpreter — plus the
-// end-to-end benchmark sweep they gate (ROADMAP item 3).
-//
-// Its two faces are different measurements (`tipbench -exp speed`):
-//
-//   - the text (speedSelfCheck) is fully deterministic: it drives the fast
-//     paths — free-listed scheduling, RunTick batching, pre-decoded
-//     dispatch — over fixed op counts and prints only counts and
-//     virtual-clock results, so the serial-vs-parallel differential test
-//     can byte-compare it like any experiment.
-//   - the JSON (SpeedJSON) measures wall-clock ns/op for the same shapes
-//     plus the end-to-end suite grid, for the CI smoke. Wall numbers are
-//     machine-dependent by nature: this is the one report exempt from
-//     byte-identity checks.
+// end-to-end suite grid they gate, in wall-clock ns/op. Wall numbers are
+// machine-dependent by nature, so they are no registry experiment: bench/perf
+// records them, and the fast paths' behaviour is asserted by the sim and vm
+// packages' own tests (RunTick batching, stale-handle cancels, zero-allocation
+// loops).
 
 // SpeedCell is one wall-clock microbenchmark result.
 type SpeedCell struct {
@@ -99,116 +90,6 @@ func speedMachine() (*vm.Machine, *vm.Thread, error) {
 		return nil, nil, err
 	}
 	return m, m.NewThread("speed", vm.Normal), nil
-}
-
-// speedFaces is the speed family's report: the deterministic self-check as
-// text, the wall-clock SpeedReport (promoted through the embedding) as JSON.
-type speedFaces struct {
-	text string
-	*SpeedReport
-}
-
-func (r speedFaces) Text() string { return r.text }
-
-// speed is the registry entry: both measurements, taken once.
-func speed(scale apps.Scale) (Report, error) {
-	text, err := speedSelfCheck()
-	if err != nil {
-		return nil, err
-	}
-	rep, err := SpeedJSON(scale, scale.Name)
-	if err != nil {
-		return nil, err
-	}
-	return speedFaces{text, rep}, nil
-}
-
-// speedSelfCheck exercises every fast path with fixed op counts and reports
-// only counts and virtual-time results (no wall clock, no allocation
-// averages), so its output is byte-identical at any parallelism on any
-// machine.
-func speedSelfCheck() (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "simulator speed self-check (deterministic; wall-clock numbers: tipbench -exp speed -json FILE)\n\n")
-
-	// Steady state: standing heap, one schedule + one pop per cycle.
-	{
-		q := sim.NewQueue()
-		ran := 0
-		fn := func() { ran++ }
-		for i := 0; i < speedStandingHeap; i++ {
-			q.Schedule(sim.Time(i*13%509), fn)
-		}
-		const ops = 200_000
-		for i := 0; i < ops; i++ {
-			q.Schedule(q.Now()+sim.Time(i%61+1), fn)
-			q.RunNext()
-		}
-		drained := q.Drain()
-		fmt.Fprintf(&b, "event-loop steady-state: ops=%d standing=%d ran=%d drained=%d clock=%d len=%d\n",
-			ops, speedStandingHeap, ran, drained, q.Now(), q.Len())
-	}
-
-	// Burst ticks: 64 simultaneous events per instant, drained by RunTick.
-	{
-		q := sim.NewQueue()
-		ran := 0
-		fn := func() { ran++ }
-		const ticks = 2_000
-		for t := 0; t < ticks; t++ {
-			at := q.Now() + 10
-			for j := 0; j < speedBurst; j++ {
-				q.Schedule(at, fn)
-			}
-			tickCalls := 0
-			for q.RunTick() {
-				tickCalls++
-			}
-			if tickCalls != 1 {
-				return "", fmt.Errorf("bench: burst of %d events took %d RunTick calls, want 1", speedBurst, tickCalls)
-			}
-		}
-		fmt.Fprintf(&b, "event-loop burst ticks:  ticks=%d burst=%d ran=%d clock=%d\n",
-			ticks, speedBurst, ran, q.Now())
-	}
-
-	// Cancel/free-list churn: schedule, cancel half through stale-safe
-	// handles, drain the rest.
-	{
-		q := sim.NewQueue()
-		ran := 0
-		fn := func() { ran++ }
-		const ops = 50_000
-		handles := make([]sim.Handle, 0, ops)
-		for i := 0; i < ops; i++ {
-			handles = append(handles, q.Schedule(sim.Time(i*7%4093), fn))
-		}
-		for i := 0; i < ops; i += 2 {
-			q.Cancel(handles[i])
-		}
-		drained := q.Drain()
-		for _, h := range handles { // every handle is stale now; all inert
-			q.Cancel(h)
-		}
-		fmt.Fprintf(&b, "event-loop cancel churn: ops=%d ran=%d drained=%d clock=%d\n",
-			ops, ran, drained, q.Now())
-	}
-
-	// VM: pre-decoded dispatch over the ALU/memory loop.
-	{
-		m, th, err := speedMachine()
-		if err != nil {
-			return "", err
-		}
-		const budget = 1_000_000
-		used, stop := m.Run(th, budget)
-		if stop != vm.StopBudget {
-			return "", fmt.Errorf("bench: speed VM stopped %v (err %v)", stop, th.Err)
-		}
-		fmt.Fprintf(&b, "vm dispatch:             cycles=%d instrs=%d loads=%d stores=%d r12=%d\n",
-			used, th.Instrs, th.Loads, th.Stores, th.Regs[12])
-	}
-	return b.String(), nil
 }
 
 // timeCell runs f once for wall time and derives per-op figures from the

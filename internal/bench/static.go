@@ -20,7 +20,7 @@ func Synth(b *apps.Bundle) (*analysis.SynthReport, error) {
 	if r, ok := synthCache.Load(b.Original); ok {
 		return r.(*analysis.SynthReport), nil
 	}
-	r, err := analysis.Synthesize(b.Original, analysis.Config{})
+	r, err := analysis.Synthesize(b.Original)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %v synthesize: %w", b.App, err)
 	}

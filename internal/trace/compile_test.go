@@ -67,7 +67,7 @@ func TestCompileClassifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analysis.Synthesize(orig, analysis.DefaultConfig())
+	rep, err := analysis.Synthesize(orig)
 	if err != nil {
 		t.Fatalf("replay program does not classify cleanly: %v", err)
 	}
