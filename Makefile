@@ -90,8 +90,10 @@ quick:
 # "(NAME in Xs)" footer dropped). Every measured table in EXPERIMENTS.md is a
 # fenced quote of one of these files, held byte-equal by TestPaperCanon; `go
 # test ./internal/bench -run PaperCanon -update` rewrites the fences from the
-# files. CI runs this target and fails if the committed canon differs. About a
-# minute on two cores; the raw output stays in .bench_build/.
+# files. CI runs this target and fails if the committed canon differs. 37 s
+# median wall (six runs, 32-50 s) and ~1 GB peak RSS on a 2-CPU box, each
+# configuration simulated once (DESIGN.md); the raw output stays in
+# .bench_build/.
 paper:
 	@mkdir -p .bench_build
 	$(GO) run ./cmd/tipbench -exp all -scale full > .bench_build/paper.out

@@ -166,7 +166,7 @@ func runSynthesize(file, app string) bool {
 		}
 		fmt.Print(report.String())
 
-		st, _, err := bench.Run(a, core.ModeStatic, scale, nil)
+		st, err := bench.Cell{App: a, Mode: core.ModeStatic, Scale: scale}.Run()
 		if err != nil {
 			fail(err)
 		}

@@ -158,6 +158,8 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *traceJSON)
 	}
+	simulated, reused := bench.CellCounts()
+	fmt.Printf("(cells: %d simulated, %d reused)\n", simulated, reused)
 }
 
 // create creates the output file path, or dies; no path is no file.

@@ -24,12 +24,11 @@ func main() {
 
 	scale := apps.FullScale()
 	scale.Agrep.NumFiles = *files
-	mut := func(c *core.Config) { c.Disk = core.TestbedDisk(*disks) }
 
 	fmt.Printf("Agrep: searching %d files for %q on %d disks\n\n",
 		*files, scale.Agrep.Pattern, *disks)
 
-	tr, err := bench.RunTriple(apps.Agrep, scale, mut)
+	tr, err := bench.RunTriple(bench.Cell{App: apps.Agrep, Scale: scale, Disks: *disks})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,18 +25,15 @@ func main() {
 
 	scale := apps.FullScale()
 	scale.Gnuld.NumFiles = *objects
-	mut := func(c *core.Config) {
-		c.Disk = core.TestbedDisk(*disks)
-		if *throttle {
-			c.CancelThrottle = 2
-			c.CancelThrottleCycles = 500_000_000
-		}
+	c := bench.Cell{App: apps.Gnuld, Scale: scale, Disks: *disks}
+	if *throttle {
+		c.Limiter = bench.FixedLimiter
 	}
 
 	fmt.Printf("Gnuld: linking %d object files on %d disks (throttle: %v)\n\n",
 		*objects, *disks, *throttle)
 
-	tr, err := bench.RunTriple(apps.Gnuld, scale, mut)
+	tr, err := bench.RunTriple(c)
 	if err != nil {
 		log.Fatal(err)
 	}

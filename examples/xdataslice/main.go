@@ -27,12 +27,11 @@ func main() {
 	scale := apps.FullScale()
 	scale.XDS.N = *n
 	scale.XDS.NumSlices = *slices
-	mut := func(c *core.Config) { c.Disk = core.TestbedDisk(*disks) }
 
 	fmt.Printf("XDataSlice: %d slices through a %d^3 volume (%d MB) on %d disks\n\n",
 		*slices, *n, int64(*n)*int64(*n)*int64(*n)*4>>20, *disks)
 
-	tr, err := bench.RunTriple(apps.XDataSlice, scale, mut)
+	tr, err := bench.RunTriple(bench.Cell{App: apps.XDataSlice, Scale: scale, Disks: *disks})
 	if err != nil {
 		log.Fatal(err)
 	}

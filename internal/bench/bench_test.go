@@ -10,11 +10,11 @@ import (
 )
 
 func TestRunTripleCorrectness(t *testing.T) {
-	tr, err := RunTriple(apps.Agrep, apps.TestScale(), nil)
+	tr, err := RunTriple(Cell{App: apps.Agrep, Scale: apps.TestScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Orig == nil || tr.Spec == nil || tr.Manual == nil || tr.Bundle == nil {
+	if tr.Orig == nil || tr.Spec == nil || tr.Manual == nil {
 		t.Fatal("incomplete triple")
 	}
 	if tr.Spec.Mode != core.ModeSpeculating {

@@ -156,9 +156,6 @@ func clusterCell(scale apps.Scale, shards int, load clusterLoad) (ClusterPoint, 
 // clusterSweep runs every (shards, load) cell as a flat fan-out, load-major
 // so the table groups by load.
 func clusterSweep(scale apps.Scale, shardCounts []int) ([]ClusterPoint, error) {
-	if len(shardCounts) == 0 {
-		return nil, fmt.Errorf("bench: cluster sweep needs at least one shard count")
-	}
 	n := len(clusterLoads) * len(shardCounts)
 	return parMap(n, func(i int) (ClusterPoint, error) {
 		load := clusterLoads[i/len(shardCounts)]

@@ -33,18 +33,86 @@ func (t *table) Text() string {
 	return t.b.String()
 }
 
-// suiteTriples runs every benchmark app's three variants under the default
-// (4-disk, 12 MB cache) configuration as one flat app-by-mode fan-out; the
-// tables that share that configuration format from the result.
-func suiteTriples(scale apps.Scale) ([]*Triple, error) {
-	return runTripleGrid(len(Apps), func(i int) (apps.App, apps.Scale, Mutator) {
-		return Apps[i], scale, nil
-	})
+// grid is one cell per (app, value) pair, apps outermost, so experiments
+// index it as a*len(vals)+i: each cell is base with the app set, and set
+// applies the value.
+func grid[V any](base Cell, as []apps.App, vals []V, set func(*Cell, V)) []Cell {
+	var cs []Cell
+	for _, a := range as {
+		for _, v := range vals {
+			c := base
+			c.App = a
+			set(&c, v)
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+func setDisks(c *Cell, d int)      { c.Disks = d }
+func setMode(c *Cell, m core.Mode) { c.Mode = m }
+
+// suite is base for every benchmark app. suite(Cell{Scale: scale}) is the
+// default (4-disk, 12 MB cache) configuration: the one triple per app that
+// every table on that configuration formats.
+func suite(base Cell) []Cell {
+	cs := make([]Cell, len(Apps))
+	for i, a := range Apps {
+		cs[i] = base
+		cs[i].App = a
+	}
+	return cs
+}
+
+// joinCells is the Postgres join at each selectivity; Table 1 reads two of
+// join's cells.
+func joinCells(scale apps.Scale, sels ...int) []Cell {
+	return grid(Cell{Scale: scale}, []apps.App{apps.Postgres}, sels,
+		func(c *Cell, sel int) { c.Scale.Postgres.Selectivity = sel })
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
 func secs(s *core.RunStats) string {
 	return fmt.Sprintf("%.2f", s.Seconds())
+}
+
+// header is first followed by each value printed with format.
+func header[V any](first, format string, vals []V) []string {
+	h := []string{first}
+	for _, v := range vals {
+		h = append(h, fmt.Sprintf(format, v))
+	}
+	return h
+}
+
+// appLabels prefixes each app's series rows with its name.
+var appLabels = header("", "%v ", Apps)[1:]
+
+// curves adds a speculating and a manual improvement row per label, each
+// over its label's share of triples (consecutive, in label order).
+func curves(t *table, labels []string, triples []*Triple) {
+	n := len(triples) / len(labels)
+	for a, label := range labels {
+		spec, man := []string{label + "speculating"}, []string{label + "manual"}
+		for _, tr := range triples[a*n : (a+1)*n] {
+			spec = append(spec, pct(Improvement(tr.Orig, tr.Spec)))
+			man = append(man, pct(Improvement(tr.Orig, tr.Manual)))
+		}
+		t.row(spec...)
+		t.row(man...)
+	}
+}
+
+// secsRows adds one row per app of its share of stats' elapsed seconds.
+func secsRows(t *table, stats []*core.RunStats) {
+	n := len(stats) / len(Apps)
+	for a, app := range Apps {
+		row := []string{app.String()}
+		for _, st := range stats[a*n : (a+1)*n] {
+			row = append(row, secs(st))
+		}
+		t.row(row...)
+	}
 }
 
 // table1 reproduces the paper's Table 1 for our suite: the reduction in
@@ -59,26 +127,19 @@ func table1(scale apps.Scale) (Report, error) {
 		apps.Gnuld:      "object code linker",
 		apps.XDataSlice: "scientific visualization",
 	}
-	triples, err := suiteTriples(scale)
-	if err != nil {
-		return nil, err
-	}
-	for _, tr := range triples {
-		t.row(tr.App.String(), pct(Improvement(tr.Orig, tr.Manual)), desc[tr.App])
-	}
 	// The paper's Table 1 also lists Patterson's Postgres join at two
 	// selectivities; reproduce those rows too.
 	sels := []int{20, 80}
-	joins, err := runTripleGrid(len(sels), func(i int) (apps.App, apps.Scale, Mutator) {
-		sc := scale
-		sc.Postgres.Selectivity = sels[i]
-		return apps.Postgres, sc, nil
-	})
+	triples, err := runTriples(append(suite(Cell{Scale: scale}), joinCells(scale, sels...)...))
 	if err != nil {
 		return nil, err
 	}
+	for _, tr := range triples[:len(Apps)] {
+		t.row(tr.App.String(), pct(Improvement(tr.Orig, tr.Manual)), desc[tr.App])
+	}
 	for i, sel := range sels {
-		t.row(fmt.Sprintf("Postgres, %d%%", sel), pct(Improvement(joins[i].Orig, joins[i].Manual)),
+		tr := triples[len(Apps)+i]
+		t.row(fmt.Sprintf("Postgres, %d%%", sel), pct(Improvement(tr.Orig, tr.Manual)),
 			"database join, % tuples resulting")
 	}
 	return t, nil
@@ -89,27 +150,12 @@ func table1(scale apps.Scale) (Report, error) {
 func joinSelectivity(scale apps.Scale) (Report, error) {
 	t := newTable("Postgres join: % improvement vs selectivity")
 	sels := []int{10, 20, 40, 80}
-	header := []string{"Series"}
-	for _, sel := range sels {
-		header = append(header, fmt.Sprintf("%d%%", sel))
-	}
-	t.row(header...)
-	triples, err := runTripleGrid(len(sels), func(i int) (apps.App, apps.Scale, Mutator) {
-		sc := scale
-		sc.Postgres.Selectivity = sels[i]
-		return apps.Postgres, sc, nil
-	})
+	t.row(header("Series", "%d%%", sels)...)
+	triples, err := runTriples(joinCells(scale, sels...))
 	if err != nil {
 		return nil, err
 	}
-	spec := []string{"speculating"}
-	man := []string{"manual"}
-	for _, tr := range triples {
-		spec = append(spec, pct(Improvement(tr.Orig, tr.Spec)))
-		man = append(man, pct(Improvement(tr.Orig, tr.Manual)))
-	}
-	t.row(spec...)
-	t.row(man...)
+	curves(t, []string{""}, triples)
 	return t, nil
 }
 
@@ -145,7 +191,7 @@ func table3(scale apps.Scale) (Report, error) {
 func figure3(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 3: elapsed time (seconds), 4 disks, 12 MB cache")
 	t.row("Benchmark", "Original", "Speculating", "Manual", "Spec improv.", "Manual improv.")
-	triples, err := suiteTriples(scale)
+	triples, err := runTriples(suite(Cell{Scale: scale}))
 	if err != nil {
 		return nil, err
 	}
@@ -161,23 +207,17 @@ func figure3(scale apps.Scale) (Report, error) {
 func figure4(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 4: runtime overhead with TIP ignoring hints")
 	t.row("Benchmark", "Original (s)", "Speculating, hints ignored (s)", "Overhead")
-	ignored, err := parMap(len(Apps), func(i int) (*core.RunStats, error) {
-		ig, _, err := Run(Apps[i], core.ModeSpeculating, scale, func(c *core.Config) {
-			c.TIP.IgnoreHints = true
-		})
-		return ig, err
-	})
+	ignored, err := runCells(suite(Cell{Mode: core.ModeSpeculating, Scale: scale, IgnoreHints: true}))
 	if err != nil {
 		return nil, err
 	}
-	triples, err := suiteTriples(scale)
+	triples, err := runTriples(suite(Cell{Scale: scale}))
 	if err != nil {
 		return nil, err
 	}
-	for i, app := range Apps {
-		tr, ig := triples[i], ignored[i]
-		over := 100 * (float64(ig.Elapsed)/float64(tr.Orig.Elapsed) - 1)
-		t.row(app.String(), secs(tr.Orig), secs(ig), pct(over))
+	for i, tr := range triples {
+		over := 100 * (float64(ignored[i].Elapsed)/float64(tr.Orig.Elapsed) - 1)
+		t.row(tr.App.String(), secs(tr.Orig), secs(ignored[i]), pct(over))
 	}
 	return t, nil
 }
@@ -186,7 +226,7 @@ func figure4(scale apps.Scale) (Report, error) {
 func table4(scale apps.Scale) (Report, error) {
 	t := newTable("Table 4: hinting statistics")
 	t.row("Benchmark", "", "Read calls", "Read blocks", "Read bytes", "Write calls", "Write bytes")
-	triples, err := suiteTriples(scale)
+	triples, err := runTriples(suite(Cell{Scale: scale}))
 	if err != nil {
 		return nil, err
 	}
@@ -218,26 +258,26 @@ func f(v int64) float64 {
 	return float64(v)
 }
 
+// variantNames labels a triple's runs in Tables 5 and 6.
+var variantNames = [3]string{"Original", "SpecHint", "Manual"}
+
 // table5 reproduces the prefetching and caching statistics.
 func table5(scale apps.Scale) (Report, error) {
 	t := newTable("Table 5: prefetching and caching statistics")
 	t.row("Benchmark", "", "Cache block reads", "Prefetched", "Ride-along", "Fully", "%", "Partially", "%", "Unused", "%", "Reuses")
-	triples, err := suiteTriples(scale)
+	triples, err := runTriples(suite(Cell{Scale: scale}))
 	if err != nil {
 		return nil, err
 	}
 	for _, tr := range triples {
-		for _, v := range []struct {
-			name string
-			st   *core.RunStats
-		}{{"Original", tr.Orig}, {"SpecHint", tr.Spec}, {"Manual", tr.Manual}} {
-			c := v.st.Cache
-			pref := v.st.Tip.PrefetchedBlocks()
+		for i, st := range tr.runs() {
+			c := st.Cache
+			pref := st.Tip.PrefetchedBlocks()
 			unused := c.UnusedHint + c.UnusedRA
-			t.row(tr.App.String(), v.name,
+			t.row(tr.App.String(), variantNames[i],
 				fmt.Sprint(c.Hits+c.Misses),
 				fmt.Sprint(pref),
-				fmt.Sprint(v.st.Tip.RideAlongs),
+				fmt.Sprint(st.Tip.RideAlongs),
 				fmt.Sprint(c.FullyPref), pct(100*float64(c.FullyPref)/f(pref)),
 				fmt.Sprint(c.PartialWaits), pct(100*float64(c.PartialWaits)/f(pref)),
 				fmt.Sprint(unused), pct(100*float64(unused)/f(pref)),
@@ -251,21 +291,18 @@ func table5(scale apps.Scale) (Report, error) {
 func table6(scale apps.Scale) (Report, error) {
 	t := newTable("Table 6: performance side-effects of speculative execution")
 	t.row("Benchmark", "", "Footprint", "Reclaims", "Faults", "Sigs", "Restarts")
-	triples, err := suiteTriples(scale)
+	triples, err := runTriples(suite(Cell{Scale: scale}))
 	if err != nil {
 		return nil, err
 	}
 	for _, tr := range triples {
-		for _, v := range []struct {
-			name string
-			st   *core.RunStats
-		}{{"Original", tr.Orig}, {"SpecHint", tr.Spec}, {"Manual", tr.Manual}} {
-			t.row(tr.App.String(), v.name,
-				fmt.Sprintf("%d KB", v.st.FootprintBytes/1024),
-				fmt.Sprint(v.st.Pages.Reclaims),
-				fmt.Sprint(v.st.Pages.Faults),
-				fmt.Sprint(v.st.SpecSignals),
-				fmt.Sprint(v.st.Restarts))
+		for i, st := range tr.runs() {
+			t.row(tr.App.String(), variantNames[i],
+				fmt.Sprintf("%d KB", st.FootprintBytes/1024),
+				fmt.Sprint(st.Pages.Reclaims),
+				fmt.Sprint(st.Pages.Faults),
+				fmt.Sprint(st.SpecSignals),
+				fmt.Sprint(st.Restarts))
 		}
 	}
 	return t, nil
@@ -276,28 +313,23 @@ func table7(scale apps.Scale) (Report, error) {
 	t := newTable("Table 7: elapsed time (s) as the file cache size is varied")
 	sizes := []int{6, 12, 64}
 	t.row("Benchmark", "", "6 MB", "12 MB", "64 MB")
-	triples, err := runTripleGrid(len(Apps)*len(sizes), func(i int) (apps.App, apps.Scale, Mutator) {
-		mb := sizes[i%len(sizes)]
-		return Apps[i/len(sizes)], scale, func(c *core.Config) {
-			c.TIP.CacheBlocks = mb << 20 / c.Disk.BlockSize
-		}
-	})
+	triples, err := runTriples(grid(Cell{Scale: scale}, Apps, sizes, func(c *Cell, mb int) { c.CacheMB = mb }))
 	if err != nil {
 		return nil, err
 	}
+	with := func(st, orig *core.RunStats) string {
+		return fmt.Sprintf("%s (%s)", secs(st), pct(Improvement(orig, st)))
+	}
 	for a, app := range Apps {
-		rows := map[core.Mode][]string{}
-		for i := range sizes {
-			tr := triples[a*len(sizes)+i]
-			rows[core.ModeNoHint] = append(rows[core.ModeNoHint], secs(tr.Orig))
-			rows[core.ModeSpeculating] = append(rows[core.ModeSpeculating],
-				fmt.Sprintf("%s (%s)", secs(tr.Spec), pct(Improvement(tr.Orig, tr.Spec))))
-			rows[core.ModeManual] = append(rows[core.ModeManual],
-				fmt.Sprintf("%s (%s)", secs(tr.Manual), pct(Improvement(tr.Orig, tr.Manual))))
+		rows := [3][]string{{app.String(), variantNames[0]}, {"", variantNames[1]}, {"", variantNames[2]}}
+		for _, tr := range triples[a*len(sizes) : (a+1)*len(sizes)] {
+			rows[0] = append(rows[0], secs(tr.Orig))
+			rows[1] = append(rows[1], with(tr.Spec, tr.Orig))
+			rows[2] = append(rows[2], with(tr.Manual, tr.Orig))
 		}
-		t.row(append([]string{app.String(), "Original"}, rows[core.ModeNoHint]...)...)
-		t.row(append([]string{"", "SpecHint"}, rows[core.ModeSpeculating]...)...)
-		t.row(append([]string{"", "Manual"}, rows[core.ModeManual]...)...)
+		for _, row := range rows {
+			t.row(row...)
+		}
 	}
 	return t, nil
 }
@@ -307,28 +339,12 @@ func table7(scale apps.Scale) (Report, error) {
 func table8(scale apps.Scale) (Report, error) {
 	t := newTable("Table 8: elapsed time (s) of original applications vs number of disks")
 	disks := []int{1, 2, 4, 10}
-	header := []string{"Benchmark"}
-	for _, d := range disks {
-		header = append(header, fmt.Sprint(d))
-	}
-	t.row(header...)
-	stats, err := parMap(len(Apps)*len(disks), func(i int) (*core.RunStats, error) {
-		d := disks[i%len(disks)]
-		st, _, err := Run(Apps[i/len(disks)], core.ModeNoHint, scale, func(c *core.Config) {
-			c.Disk = core.TestbedDisk(d)
-		})
-		return st, err
-	})
+	t.row(header("Benchmark", "%d", disks)...)
+	stats, err := runCells(grid(Cell{Scale: scale}, Apps, disks, setDisks))
 	if err != nil {
 		return nil, err
 	}
-	for a, app := range Apps {
-		cells := []string{app.String()}
-		for i := range disks {
-			cells = append(cells, secs(stats[a*len(disks)+i]))
-		}
-		t.row(cells...)
-	}
+	secsRows(t, stats)
 	return t, nil
 }
 
@@ -338,75 +354,31 @@ var Figure5Disks = []int{1, 2, 3, 4, 6, 8, 10}
 // figure5 reproduces the performance-improvement-vs-parallelism curves.
 func figure5(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 5: % improvement vs number of disks")
-	header := []string{"Series"}
-	for _, d := range Figure5Disks {
-		header = append(header, fmt.Sprintf("%dd", d))
-	}
-	t.row(header...)
-	nd := len(Figure5Disks)
-	triples, err := runTripleGrid(len(Apps)*nd, func(i int) (apps.App, apps.Scale, Mutator) {
-		d := Figure5Disks[i%nd]
-		return Apps[i/nd], scale, func(c *core.Config) {
-			c.Disk = core.TestbedDisk(d)
-		}
-	})
+	t.row(header("Series", "%dd", Figure5Disks)...)
+	triples, err := runTriples(grid(Cell{Scale: scale}, Apps, Figure5Disks, setDisks))
 	if err != nil {
 		return nil, err
 	}
-	for a, app := range Apps {
-		spec := []string{app.String() + " speculating"}
-		man := []string{app.String() + " manual"}
-		for i := range Figure5Disks {
-			tr := triples[a*nd+i]
-			spec = append(spec, pct(Improvement(tr.Orig, tr.Spec)))
-			man = append(man, pct(Improvement(tr.Orig, tr.Manual)))
-		}
-		t.row(spec...)
-		t.row(man...)
-	}
+	curves(t, appLabels, triples)
 	return t, nil
 }
 
 // Figure6Ratios is the processor/disk speed-ratio sweep used by figure6.
 var Figure6Ratios = []int{1, 2, 3, 5, 7, 9}
 
-// figure6 reproduces the widening processor/disk gap simulation: completion
-// notification is delayed by the ratio (and TIP keeps at most one prefetch
-// outstanding per disk, as the paper configured), then measured elapsed
-// times are scaled back down by the ratio.
+// figure6 reproduces the widening processor/disk gap simulation: each cell's
+// SpeedRatio delays completion notification by the ratio (and keeps one
+// prefetch per disk). The paper scaled measurements by 1/ratio; Improvement
+// is a ratio of elapsed times, so the scaling cancels: it is the delayed
+// *notification* that changes behaviour.
 func figure6(scale apps.Scale) (Report, error) {
 	t := newTable("Figure 6: % improvement vs processor/disk speed ratio (4 disks)")
-	header := []string{"Series"}
-	for _, r := range Figure6Ratios {
-		header = append(header, fmt.Sprintf("x%d", r))
-	}
-	t.row(header...)
-	nr := len(Figure6Ratios)
-	triples, err := runTripleGrid(len(Apps)*nr, func(i int) (apps.App, apps.Scale, Mutator) {
-		r := Figure6Ratios[i%nr]
-		return Apps[i/nr], scale, func(c *core.Config) {
-			c.Disk.DelayFactor = r
-			c.TIP.MaxDepthPerDisk, c.TIP.RADepthPerDisk = 1, 1
-			c.MaxCycles *= int64(r)
-		}
-	})
+	t.row(header("Series", "x%d", Figure6Ratios)...)
+	triples, err := runTriples(grid(Cell{Scale: scale}, Apps, Figure6Ratios, func(c *Cell, r int) { c.SpeedRatio = r }))
 	if err != nil {
 		return nil, err
 	}
-	for a, app := range Apps {
-		spec := []string{app.String() + " speculating"}
-		man := []string{app.String() + " manual"}
-		for i := range Figure6Ratios {
-			tr := triples[a*nr+i]
-			// Scale measurements by 1/ratio, as the paper did. Improvement
-			// is a ratio of elapsed times, so the scaling cancels; it is
-			// the delayed *notification* that changes behaviour.
-			spec = append(spec, pct(Improvement(tr.Orig, tr.Spec)))
-			man = append(man, pct(Improvement(tr.Orig, tr.Manual)))
-		}
-		t.row(spec...)
-		t.row(man...)
-	}
+	curves(t, appLabels, triples)
 	return t, nil
 }
 
@@ -417,60 +389,43 @@ var RegionSizes = []int{128, 512, 1024, 4096, 8192}
 // region size generally makes little difference.
 func regionSize(scale apps.Scale) (Report, error) {
 	t := newTable("§3.2.1 ablation: speculating elapsed time (s) vs COW region size")
-	header := []string{"Benchmark"}
-	for _, rs := range RegionSizes {
-		header = append(header, fmt.Sprintf("%dB", rs))
-	}
-	t.row(header...)
-	stats, err := parMap(len(Apps)*len(RegionSizes), func(i int) (*core.RunStats, error) {
-		rs := RegionSizes[i%len(RegionSizes)]
-		st, _, err := Run(Apps[i/len(RegionSizes)], core.ModeSpeculating, scale, func(c *core.Config) {
-			c.Machine.COWRegion = rs
-		})
-		return st, err
-	})
+	t.row(header("Benchmark", "%dB", RegionSizes)...)
+	stats, err := runCells(grid(Cell{Mode: core.ModeSpeculating, Scale: scale}, Apps, RegionSizes,
+		func(c *Cell, rs int) { c.COWRegion = rs }))
 	if err != nil {
 		return nil, err
 	}
-	for a, app := range Apps {
-		cells := []string{app.String()}
-		for i := range RegionSizes {
-			cells = append(cells, secs(stats[a*len(RegionSizes)+i]))
-		}
-		t.row(cells...)
+	secsRows(t, stats)
+	return t, nil
+}
+
+// limiters runs Gnuld on one disk, original and then speculating under each
+// of the first len(names) limiters, and tabulates the runs under names.
+func limiters(scale apps.Scale, title string, names ...string) (Report, error) {
+	cs := []Cell{{App: apps.Gnuld, Scale: scale, Disks: 1}}
+	for l := range names {
+		cs = append(cs, Cell{App: apps.Gnuld, Mode: core.ModeSpeculating, Scale: scale, Disks: 1, Limiter: Limiter(l)})
+	}
+	stats, err := runCells(cs)
+	if err != nil {
+		return nil, err
+	}
+	t := newTable(title)
+	t.row("Configuration", "Elapsed (s)", "Restarts", "vs original")
+	orig := stats[0]
+	t.row("original", secs(orig), "0", "-")
+	for i, st := range stats[1:] {
+		t.row(names[i], secs(st), fmt.Sprint(st.Restarts), pct(Improvement(orig, st)))
 	}
 	return t, nil
 }
 
 // throttle reproduces the §5 result: the ad-hoc cancel throttle eliminates
-// Gnuld's speculation penalty when the I/O system offers no parallelism.
+// Gnuld's speculation penalty when the I/O system offers no parallelism. Its
+// cells are the first three of adaptive's.
 func throttle(scale apps.Scale) (Report, error) {
-	t := newTable("§5: Gnuld on one disk, with and without the cancel throttle")
-	t.row("Configuration", "Elapsed (s)", "Restarts", "vs original")
-	orig, _, err := Run(apps.Gnuld, core.ModeNoHint, scale, func(c *core.Config) {
-		c.Disk = core.TestbedDisk(1)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.row("original", secs(orig), "0", "-")
-	off, _, err := Run(apps.Gnuld, core.ModeSpeculating, scale, func(c *core.Config) {
-		c.Disk = core.TestbedDisk(1)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.row("speculating, no throttle", secs(off), fmt.Sprint(off.Restarts), pct(Improvement(orig, off)))
-	on, _, err := Run(apps.Gnuld, core.ModeSpeculating, scale, func(c *core.Config) {
-		c.Disk = core.TestbedDisk(1)
-		c.CancelThrottle = 2
-		c.CancelThrottleCycles = 500_000_000
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.row("speculating, throttle", secs(on), fmt.Sprint(on.Restarts), pct(Improvement(orig, on)))
-	return t, nil
+	return limiters(scale, "§5: Gnuld on one disk, with and without the cancel throttle",
+		"speculating, no throttle", "speculating, throttle")
 }
 
 // multiProcessor explores the paper's §5 multiprocessor scenario: the
@@ -482,25 +437,13 @@ func multiProcessor(scale apps.Scale) (Report, error) {
 	t := newTable("§5 extension: speculation on a second processor (% improvement over original)")
 	t.row("Benchmark", "disks", "1 CPU spec", "2 CPU spec", "manual")
 	disks := []int{4, 10}
-	mut := func(d int, mp bool) Mutator {
-		return func(c *core.Config) {
-			c.Disk = core.TestbedDisk(d)
-			c.DualProcessor = mp
-		}
-	}
 	// Four runs per (app, disks) point: the triple plus the dual-processor
-	// speculating run, all as one flat fan-out.
-	n := len(Apps) * len(disks)
-	triples, err := runTripleGrid(n, func(i int) (apps.App, apps.Scale, Mutator) {
-		return Apps[i/len(disks)], scale, mut(disks[i%len(disks)], false)
-	})
+	// speculating run.
+	triples, err := runTriples(grid(Cell{Scale: scale}, Apps, disks, setDisks))
 	if err != nil {
 		return nil, err
 	}
-	mps, err := parMap(n, func(i int) (*core.RunStats, error) {
-		mp, _, err := Run(Apps[i/len(disks)], core.ModeSpeculating, scale, mut(disks[i%len(disks)], true))
-		return mp, err
-	})
+	mps, err := runCells(grid(Cell{Mode: core.ModeSpeculating, Scale: scale, DualCPU: true}, Apps, disks, setDisks))
 	if err != nil {
 		return nil, err
 	}
@@ -520,35 +463,6 @@ func multiProcessor(scale apps.Scale) (Report, error) {
 // configuration (Gnuld, one disk): no limiter, the fixed cancel throttle,
 // and the accuracy-gated adaptive limiter.
 func adaptiveLimiter(scale apps.Scale) (Report, error) {
-	t := newTable("§5 extension: erroneous-hint limiters (Gnuld, 1 disk)")
-	t.row("Configuration", "Elapsed (s)", "Restarts", "vs original")
-	oneDisk := func(c *core.Config) { c.Disk = core.TestbedDisk(1) }
-	orig, _, err := Run(apps.Gnuld, core.ModeNoHint, scale, oneDisk)
-	if err != nil {
-		return nil, err
-	}
-	t.row("original", secs(orig), "0", "-")
-	cases := []struct {
-		name string
-		mut  Mutator
-	}{
-		{"no limiter", oneDisk},
-		{"fixed cancel throttle", func(c *core.Config) {
-			oneDisk(c)
-			c.CancelThrottle = 2
-			c.CancelThrottleCycles = 500_000_000
-		}},
-		{"adaptive (accuracy-gated)", func(c *core.Config) {
-			oneDisk(c)
-			c.AdaptiveThrottle = true
-		}},
-	}
-	for _, cse := range cases {
-		st, _, err := Run(apps.Gnuld, core.ModeSpeculating, scale, cse.mut)
-		if err != nil {
-			return nil, err
-		}
-		t.row(cse.name, secs(st), fmt.Sprint(st.Restarts), pct(Improvement(orig, st)))
-	}
-	return t, nil
+	return limiters(scale, "§5 extension: erroneous-hint limiters (Gnuld, 1 disk)",
+		"no limiter", "fixed cancel throttle", "adaptive (accuracy-gated)")
 }

@@ -35,7 +35,7 @@ type FaultPoint struct {
 	elapsed sim.Time
 }
 
-// faultPlan builds the plan for one sweep cell: transient errors at the given
+// faultPlan builds the plan for one run of a faulted cell: transient errors at the given
 // rate with small bursts, plus a fixed low spike rate so the latency path is
 // exercised too. No disk death — the sweep measures graceful degradation, so
 // every run must still produce the fault-free output.
@@ -48,34 +48,33 @@ func faultPlan(rate float64) *fault.Plan {
 	return p
 }
 
-// faultsSweep runs the full (app, mode, rate) grid as one flat fan-out.
-// Each cell builds its own seeded fault plan (plans are stateful — their
-// RNG stream and burst maps advance per decision — so a plan must never be
-// shared across cells). The rate-0 baseline each SlowdownPct needs is
-// itself a cell; slowdowns are computed after the grid is assembled.
+// faultsSweep runs the full (app, mode, rate) grid as one flat fan-out of
+// cells. Each run gets its own seeded fault plan (Cell.apply: plans are
+// stateful, so one is never shared), and the rate-0 cells are the default
+// configuration's. Slowdowns are computed after the grid is assembled.
 func faultsSweep(scale apps.Scale) ([]FaultPoint, error) {
-	modes := []core.Mode{core.ModeNoHint, core.ModeSpeculating, core.ModeManual}
 	nr := len(FaultRates)
-	points, err := parMap(len(Apps)*len(modes)*nr, func(i int) (FaultPoint, error) {
-		app := Apps[i/(len(modes)*nr)]
-		mode := modes[i/nr%len(modes)]
-		rate := FaultRates[i%nr]
-		st, _, err := Run(app, mode, scale, func(c *core.Config) {
-			if rate > 0 {
-				c.Faults = faultPlan(rate)
+	var cs []Cell
+	for _, app := range Apps {
+		for _, mode := range tripleModes {
+			for _, rate := range FaultRates {
+				cs = append(cs, Cell{App: app, Mode: mode, Scale: scale, FaultRate: rate})
 			}
-		})
-		if err != nil {
-			return FaultPoint{}, fmt.Errorf("bench: faults %v %v rate %g: %w", app, mode, rate, err)
 		}
-		if st.ReadErrors != 0 {
-			return FaultPoint{}, fmt.Errorf("bench: faults %v %v rate %g: %d demand reads surfaced EIO without disk death",
-				app, mode, rate, st.ReadErrors)
+	}
+	points, err := parMap(len(cs), func(i int) (FaultPoint, error) {
+		c := cs[i]
+		st, err := c.Run()
+		if err == nil && st.ReadErrors != 0 {
+			err = fmt.Errorf("%d demand reads surfaced EIO without disk death", st.ReadErrors)
+		}
+		if err != nil {
+			return FaultPoint{}, fmt.Errorf("bench: faults %v %v rate %g: %w", c.App, c.Mode, c.FaultRate, err)
 		}
 		return FaultPoint{
-			App:          app.String(),
-			Mode:         mode.String(),
-			Rate:         rate,
+			App:          c.App.String(),
+			Mode:         c.Mode.String(),
+			Rate:         c.FaultRate,
 			ElapsedSec:   st.Seconds(),
 			StallSec:     float64(st.StallCycles()) / core.CPUHz,
 			FaultedReqs:  st.Disk.FaultedReqs,
@@ -123,11 +122,7 @@ func faults(scale apps.Scale) (Report, error) {
 
 func (r *FaultsReport) Text() string {
 	t := newTable("Faults: elapsed time (s) vs transient-error rate (4 disks, seeded injection)")
-	header := []string{"Series"}
-	for _, rate := range r.Rates {
-		header = append(header, fmt.Sprintf("%g", rate))
-	}
-	t.row(header...)
+	t.row(header("Series", "%g", r.Rates)...)
 	// points are grouped (app, mode) in sweep order, one per rate per group.
 	for i := 0; i < len(r.Points); i += len(r.Rates) {
 		group := r.Points[i : i+len(r.Rates)]

@@ -103,7 +103,11 @@ func TestQuantumIsSlicingNotBehaviour(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys, _, err := newSystem(app, mode, apps.TestScale(), nil)
+				p, err := prepare(Cell{App: app, Mode: mode, Scale: apps.TestScale()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys, err := core.New(p.cfg, p.prog, p.b.FS)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -54,47 +54,33 @@ type MultiPoint struct {
 // Every simulation of the sweep — maxN solo baselines plus an original and
 // a speculating group per size — is an independent cell, dispatched as one
 // flat fan-out over the worker pool and reassembled in size order.
-func multiSweep(scale apps.Scale, maxN int) ([]MultiPoint, error) {
-	if maxN < 1 {
-		return nil, fmt.Errorf("bench: multi sweep needs maxN >= 1, got %d", maxN)
-	}
+func multiSweep(scale apps.Scale) ([]MultiPoint, error) {
+	const maxN = multiMaxN
 	cfg := multi.DefaultConfig()
 
 	// Cells 0..maxN-1: solo baselines. Cells maxN+2k, maxN+2k+1: the
 	// original and speculating groups of size k+1.
-	type cell struct {
-		solo float64
-		res  *multi.Result
-	}
-	cells, err := parMap(3*maxN, func(i int) (cell, error) {
+	cells, err := parMap(3*maxN, func(i int) (*multi.Result, error) {
+		c, specs := cfg, []multi.ProcSpec{{App: multiMix[i%len(multiMix)], Mode: core.ModeSpeculating}}
+		what := fmt.Sprintf("solo baseline p%d", i)
 		if i < maxN {
-			c := cfg
 			c.FirstProcIndex = i
-			g, err := multi.NewGroup(c, scale, []multi.ProcSpec{
-				{App: multiMix[i%len(multiMix)], Mode: core.ModeSpeculating},
-			})
-			if err != nil {
-				return cell{}, fmt.Errorf("bench: multi solo baseline p%d: %w", i, err)
+		} else {
+			n, mode := (i-maxN)/2+1, core.ModeNoHint
+			if (i-maxN)%2 == 1 {
+				mode = core.ModeSpeculating
 			}
-			res, err := g.Run()
-			if err != nil {
-				return cell{}, fmt.Errorf("bench: multi solo baseline p%d: %w", i, err)
-			}
-			return cell{solo: res.Procs[0].Stats.Seconds()}, nil
+			specs, what = multiSpecs(n, mode), fmt.Sprintf("N=%d %v", n, mode)
 		}
-		n, mode := (i-maxN)/2+1, core.ModeNoHint
-		if (i-maxN)%2 == 1 {
-			mode = core.ModeSpeculating
-		}
-		g, err := multi.NewGroup(cfg, scale, multiSpecs(n, mode))
+		g, err := multi.NewGroup(c, scale, specs)
 		if err != nil {
-			return cell{}, fmt.Errorf("bench: multi N=%d %v: %w", n, mode, err)
+			return nil, fmt.Errorf("bench: multi %s: %w", what, err)
 		}
 		res, err := g.Run()
 		if err != nil {
-			return cell{}, fmt.Errorf("bench: multi N=%d %v: %w", n, mode, err)
+			return nil, fmt.Errorf("bench: multi %s: %w", what, err)
 		}
-		return cell{res: res}, nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -102,8 +88,7 @@ func multiSweep(scale apps.Scale, maxN int) ([]MultiPoint, error) {
 
 	var points []MultiPoint
 	for n := 1; n <= maxN; n++ {
-		orig := cells[maxN+2*(n-1)].res
-		spec := cells[maxN+2*(n-1)+1].res
+		orig, spec := cells[maxN+2*(n-1)], cells[maxN+2*(n-1)+1]
 		pt := MultiPoint{
 			N:          n,
 			OrigSec:    orig.Seconds(),
@@ -115,7 +100,7 @@ func multiSweep(scale apps.Scale, maxN int) ([]MultiPoint, error) {
 		}
 		var slowdowns []float64
 		for i, p := range spec.Procs {
-			base := cells[i].solo
+			base := cells[i].Procs[0].Stats.Seconds()
 			mp := MultiProc{
 				Name:       p.Name,
 				App:        p.App.String(),
@@ -150,15 +135,11 @@ type MultiReport struct {
 // processes per second, and Jain's fairness index over per-process slowdowns
 // (turnaround in the group / turnaround running alone).
 func multiprogramming(scale apps.Scale) (Report, error) {
-	return multiReport(scale, multiMaxN)
-}
-
-func multiReport(scale apps.Scale, maxN int) (*MultiReport, error) {
-	points, err := multiSweep(scale, maxN)
+	points, err := multiSweep(scale)
 	if err != nil {
 		return nil, err
 	}
-	return &MultiReport{"multi", maxN, points}, nil
+	return &MultiReport{"multi", multiMaxN, points}, nil
 }
 
 func (r *MultiReport) Text() string {

@@ -228,9 +228,9 @@ func failoverCell(scale apps.Scale, mult float64) (OverloadPoint, error) {
 // fan-out: shed-off cells first, then shed-on, then failover — the order the
 // table reads in.
 func overloadSweep(scale apps.Scale) ([]OverloadPoint, error) {
-	grid := 2 * len(OverloadMults)
-	return parMap(grid+1, func(i int) (OverloadPoint, error) {
-		if i == grid {
+	n := 2 * len(OverloadMults)
+	return parMap(n+1, func(i int) (OverloadPoint, error) {
+		if i == n {
 			return failoverCell(scale, 2)
 		}
 		return overloadCell(scale, OverloadMults[i%len(OverloadMults)], i >= len(OverloadMults), nil)

@@ -24,10 +24,13 @@ func withParallelism(w int, fn func()) {
 // encoded JSON the committed baselines are built from — with -parallel 1 and
 // a multi-worker pool, from one run per width. Cells are simulated in
 // whatever order the workers reach them; the assembled report must not care.
-// Run under -race this also checks the cells share no mutable state.
+// The cell table is emptied before each width, so the wide arm simulates
+// rather than reading the serial arm's cells. Run under -race this also
+// checks the cells share no mutable state.
 func TestSerialParallelIdentical(t *testing.T) {
 	scale := apps.TestScale()
 	render := func(t *testing.T, e Experiment, width int) (text string, enc []byte) {
+		resetCells()
 		withParallelism(width, func() {
 			rep, err := e.Run(scale)
 			if err != nil {

@@ -65,8 +65,13 @@ type ReplayReport struct {
 // equal (path, offset, length) streams are equal logical-block sequences —
 // the fidelity currency: they cost the disk arm exactly the same.
 func roundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
+	p, err := prepare(Cell{App: app, Scale: scale})
+	if err != nil {
+		return nil, err
+	}
 	capture := &trace.Capture{}
-	st1, b, err := Run(app, core.ModeNoHint, scale, func(c *core.Config) { c.Capture = capture })
+	p.cfg.Capture = capture
+	st1, err := p.run()
 	if err != nil {
 		return nil, err
 	}
@@ -77,13 +82,8 @@ func roundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
 		return nil, fmt.Errorf("bench: %v captured trace failed to compile: %w", app, err)
 	}
 	recap := &trace.Capture{}
-	cfg := core.DefaultConfig(core.ModeNoHint)
-	cfg.Capture = recap
-	sys, err := core.New(cfg, prog, b.FS)
-	if err != nil {
-		return nil, err
-	}
-	st2, err := sys.Run()
+	p.prog, p.cfg.Capture = prog, recap
+	st2, err := p.run()
 	if err != nil {
 		return nil, fmt.Errorf("bench: %v replay run: %w", app, err)
 	}
@@ -108,26 +108,18 @@ func roundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
 	}, nil
 }
 
-// replayGrid runs every modern app in every mode across the worker pool.
-func replayGrid(scale apps.Scale) ([]*core.RunStats, error) {
-	return parMap(len(ModernApps)*len(replayModes), func(j int) (*core.RunStats, error) {
-		st, _, err := Run(ModernApps[j/len(replayModes)], replayModes[j%len(replayModes)], scale, nil)
-		return st, err
-	})
-}
-
 // replay is the registry entry: the who-wins grid over the modern apps
 // plus the capture→replay differential for the paper trio.
 func replay(scale apps.Scale) (Report, error) {
-	grid, err := replayGrid(scale)
+	runs, err := runCells(grid(Cell{Scale: scale}, ModernApps, replayModes[:], setMode))
 	if err != nil {
 		return nil, err
 	}
 	rep := &ReplayReport{Schema: "tipbench-replay/v1", Scale: scale.Name}
 	for i, app := range ModernApps {
-		base := grid[i*len(replayModes)]
+		base := runs[i*len(replayModes)]
 		for j, mode := range replayModes {
-			st := grid[i*len(replayModes)+j]
+			st := runs[i*len(replayModes)+j]
 			if st.ExitCode != base.ExitCode {
 				return nil, fmt.Errorf("bench: %v %v exit %d != original %d",
 					app, mode, st.ExitCode, base.ExitCode)

@@ -111,13 +111,14 @@ func TestReplayNeverSlower(t *testing.T) {
 		for _, disks := range []int{1, 2, 4, 10} {
 			t.Run(fmt.Sprintf("%s/disks=%d", g.name, disks), func(t *testing.T) {
 				t.Parallel()
-				onDisks := func(c *core.Config) { c.Disk = core.TestbedDisk(disks) }
-				orig, _, err := Run(g.app, core.ModeNoHint, g.scale, onDisks)
+				c := Cell{App: g.app, Scale: g.scale, Disks: disks}
+				orig, err := c.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, mode := range []core.Mode{core.ModeSpeculating, core.ModeManual} {
-					st, _, err := Run(g.app, mode, g.scale, onDisks)
+					c.Mode = mode
+					st, err := c.Run()
 					if err != nil {
 						t.Fatal(err)
 					}

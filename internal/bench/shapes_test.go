@@ -18,7 +18,7 @@ func TestPaperShapes(t *testing.T) {
 	scale := apps.SweepScale()
 	triples := map[apps.App]*Triple{}
 	for _, app := range Apps {
-		tr, err := RunTriple(app, scale, nil)
+		tr, err := RunTriple(Cell{App: app, Scale: scale})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +103,7 @@ func TestPaperShapes(t *testing.T) {
 
 	// Shape 7 (Fig. 5 seed): hinting exploits parallelism — one disk gives
 	// far less benefit than four for Agrep.
-	oneDisk, err := RunTriple(apps.Agrep, scale, func(c *core.Config) {
-		c.Disk = core.TestbedDisk(1)
-	})
+	oneDisk, err := RunTriple(Cell{App: apps.Agrep, Scale: scale, Disks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,24 +69,13 @@ func static(scale apps.Scale) (Report, error) {
 		"Static impr.", "Manual impr.", "SpecOverhead")
 
 	modes := []core.Mode{core.ModeNoHint, core.ModeStatic, core.ModeManual}
-	type cell struct {
-		st *core.RunStats
-		b  *apps.Bundle
-	}
-	cells, err := parMap(len(Apps)*len(modes), func(j int) (cell, error) {
-		st, b, err := Run(Apps[j/len(modes)], modes[j%len(modes)], scale, nil)
-		return cell{st, b}, err
-	})
+	stats, err := runCells(grid(Cell{Scale: scale}, Apps, modes, setMode))
 	if err != nil {
 		return nil, err
 	}
 
 	for i, app := range Apps {
-		orig := cells[i*len(modes)].st
-		static := cells[i*len(modes)+1].st
-		manual := cells[i*len(modes)+2].st
-		b := cells[i*len(modes)+1].b
-
+		orig, static, manual := stats[3*i], stats[3*i+1], stats[3*i+2]
 		if static.ExitCode != orig.ExitCode {
 			return nil, fmt.Errorf("bench: %v static exit %d != original %d",
 				app, static.ExitCode, orig.ExitCode)
@@ -94,6 +83,10 @@ func static(scale apps.Scale) (Report, error) {
 		if static.Buckets.SpecOverhead != 0 {
 			return nil, fmt.Errorf("bench: %v static charged %d overhead cycles, want 0",
 				app, static.Buckets.SpecOverhead)
+		}
+		b, err := apps.Build(app, scale)
+		if err != nil {
+			return nil, err
 		}
 		synth, err := Synth(b)
 		if err != nil {

@@ -13,8 +13,13 @@ import (
 // and returns the trace alongside the run statistics. It is the backend of
 // tipbench -trace-json for solo runs.
 func TraceRun(app apps.App, mode core.Mode, scale apps.Scale) (*obs.Trace, *core.RunStats, error) {
+	p, err := prepare(Cell{App: app, Mode: mode, Scale: scale})
+	if err != nil {
+		return nil, nil, err
+	}
 	tr := obs.New(obs.Config{})
-	st, _, err := Run(app, mode, scale, func(c *core.Config) { c.Obs = tr })
+	p.cfg.Obs = tr
+	st, err := p.run()
 	if err != nil {
 		return nil, nil, err
 	}
