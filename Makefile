@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint unused speclint synth fuzz determinism quick paper smoke specrun-smoke perf-test examples pairs profile benchcheck ci
+.PHONY: all build test race vet fmt lint unused speclint synth fuzz paper specrun-smoke perf-test examples pairs profile benchcheck ci
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# test is tier-1. It includes TestPaperClaims, every shape EXPERIMENTS.md
+# claims as a predicate over full-scale cells (~20 s on two CPUs), the goldens
+# in bench/golden, and TestSerialParallelIdentical, which holds every
+# experiment's text and JSON byte-identical at -parallel 1 and 4.
 test:
 	$(GO) test ./...
 
@@ -67,23 +71,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzScanLoop -fuzztime=10s -run '^$$' ./internal/vm
 	$(GO) test -fuzz=FuzzDiskOrder -fuzztime=10s -run '^$$' ./internal/disk
 
-# determinism runs every experiment but the heavy sweeps at test scale serially
-# and on four workers and demands the same simulated bytes: only the
-# wall-clock footer lines, which start with "(", may differ. Its outputs stay
-# in .bench_build/.
-determinism:
-	@mkdir -p .bench_build
-	$(GO) run ./cmd/tipbench -exp quick -scale test -parallel 1 > .bench_build/serial.out
-	$(GO) run ./cmd/tipbench -exp quick -scale test -parallel 4 > .bench_build/parallel.out
-	grep -v '^(' .bench_build/serial.out > .bench_build/serial.cmp
-	grep -v '^(' .bench_build/parallel.out > .bench_build/parallel.cmp
-	diff -u .bench_build/serial.cmp .bench_build/parallel.cmp
-
-# quick runs every experiment but the heavy sweeps at test scale to a zero
-# exit.
-quick:
-	$(GO) run ./cmd/tipbench -exp quick -scale test
-
 # paper regenerates the paper canon: every registry experiment at full scale,
 # one file per experiment, bench/paper/NAME.txt, holding exactly the report
 # text tipbench prints under its "==== NAME ====" header (the wall-clock
@@ -101,22 +88,6 @@ paper:
 	awk '/^==== .* ====$$/ { f = "bench/paper/" $$2 ".txt"; next } \
 		/^\(/ { if (f) close(f); f = ""; next } \
 		f { print > f }' .bench_build/paper.out
-
-# smoke-F runs sweep family F (any tipbench experiment with a -json report)
-# at test scale at -parallel 1 and 4, demands byte-identical JSON at both
-# widths, then checks the family's invariants — conservation, bucket sums, arm
-# and round-trip checks — from bench/smoke/F.jq. CI calls these targets: there
-# is one copy of each smoke. Scratch output stays out of git (BENCH_*.json is
-# ignored).
-SMOKES = smoke-multi smoke-faults smoke-cluster smoke-overload smoke-replay
-
-smoke: $(SMOKES)
-
-smoke-%:
-	$(GO) run ./cmd/tipbench -exp $* -scale test -parallel 1 -json BENCH_$*_test.json
-	$(GO) run ./cmd/tipbench -exp $* -scale test -parallel 4 -json BENCH_$*_test.p4.json
-	diff -u BENCH_$*_test.json BENCH_$*_test.p4.json
-	jq -e -f bench/smoke/$*.jq BENCH_$*_test.json
 
 # specrun-smoke drives a built specrun (exit codes need a real process: `go
 # run` collapses every nonzero child status to 1) over examples/progs/seqsum.s,
@@ -187,4 +158,6 @@ examples:
 	@set -e; for p in $$($(GO) list ./examples/...); do \
 		echo "== $$p"; $(GO) run $$p > /dev/null; done
 
-ci: lint fmt unused build test race determinism speclint synth quick paper smoke specrun-smoke perf-test benchcheck examples fuzz
+# ci runs what the three jobs of .github/workflows/ci.yml run: the ci job's
+# steps, lint (go vet and staticcheck) and race.
+ci: lint fmt unused build test race speclint synth paper specrun-smoke perf-test benchcheck examples fuzz

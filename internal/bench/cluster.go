@@ -58,7 +58,8 @@ func clusterPopulation(scale apps.Scale, arrivalMean int64) clients.Config {
 }
 
 // ClusterShardDetail is one shard's accounting inside a point. The three
-// stall buckets sum exactly to the point's elapsed_cycles — CI asserts it.
+// stall buckets sum exactly to the point's elapsed_cycles: clusterCell fails
+// the sweep otherwise (Result.Check).
 type ClusterShardDetail struct {
 	ID             int   `json:"id"`
 	HintedCycles   int64 `json:"hinted_cycles"`
@@ -107,6 +108,9 @@ func clusterCell(scale apps.Scale, shards int, load clusterLoad) (ClusterPoint, 
 		return ClusterPoint{}, fmt.Errorf("bench: cluster %d shards: %w", shards, err)
 	}
 	res, err := cl.Run()
+	if err == nil {
+		err = res.Check()
+	}
 	if err != nil {
 		return ClusterPoint{}, fmt.Errorf("bench: cluster %d shards (%s): %w", shards, load.name, err)
 	}
@@ -163,8 +167,7 @@ func clusterSweep(scale apps.Scale, shardCounts []int) ([]ClusterPoint, error) {
 	})
 }
 
-// ClusterReport is the cluster family's report; the smoke job jq-validates
-// its shape and the bucket-sum invariant.
+// ClusterReport is the cluster family's report.
 type ClusterReport struct {
 	Experiment string         `json:"experiment"`
 	Shards     []int          `json:"shard_counts"`

@@ -50,6 +50,7 @@ func grid[V any](base Cell, as []apps.App, vals []V, set func(*Cell, V)) []Cell 
 }
 
 func setDisks(c *Cell, d int)      { c.Disks = d }
+func setCacheMB(c *Cell, mb int)   { c.CacheMB = mb }
 func setMode(c *Cell, m core.Mode) { c.Mode = m }
 
 // suite is base for every benchmark app. suite(Cell{Scale: scale}) is the
@@ -145,13 +146,16 @@ func table1(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
+// joinSelectivities is the Postgres join's selectivity sweep, in percent of
+// tuples resulting.
+var joinSelectivities = []int{10, 20, 40, 80}
+
 // joinSelectivity sweeps the Postgres join's selectivity, extending the
 // paper's two Table 1 points into a curve for all three builds.
 func joinSelectivity(scale apps.Scale) (Report, error) {
 	t := newTable("Postgres join: % improvement vs selectivity")
-	sels := []int{10, 20, 40, 80}
-	t.row(header("Series", "%d%%", sels)...)
-	triples, err := runTriples(joinCells(scale, sels...))
+	t.row(header("Series", "%d%%", joinSelectivities)...)
+	triples, err := runTriples(joinCells(scale, joinSelectivities...))
 	if err != nil {
 		return nil, err
 	}
@@ -308,12 +312,15 @@ func table6(scale apps.Scale) (Report, error) {
 	return t, nil
 }
 
+// cacheSizesMB is Table 7's file-cache-size sweep.
+var cacheSizesMB = []int{6, 12, 64}
+
 // table7 reproduces the file-cache-size sensitivity study.
 func table7(scale apps.Scale) (Report, error) {
 	t := newTable("Table 7: elapsed time (s) as the file cache size is varied")
-	sizes := []int{6, 12, 64}
+	sizes := cacheSizesMB
 	t.row("Benchmark", "", "6 MB", "12 MB", "64 MB")
-	triples, err := runTriples(grid(Cell{Scale: scale}, Apps, sizes, func(c *Cell, mb int) { c.CacheMB = mb }))
+	triples, err := runTriples(grid(Cell{Scale: scale}, Apps, sizes, setCacheMB))
 	if err != nil {
 		return nil, err
 	}
@@ -428,6 +435,9 @@ func throttle(scale apps.Scale) (Report, error) {
 		"speculating, no throttle", "speculating, throttle")
 }
 
+// mpDisks are the array sizes of the second-processor experiment.
+var mpDisks = []int{4, 10}
+
 // multiProcessor explores the paper's §5 multiprocessor scenario: the
 // speculating thread runs on a second processor, in parallel with normal
 // execution instead of only during I/O stalls. Data-dependence-free
@@ -436,7 +446,7 @@ func throttle(scale apps.Scale) (Report, error) {
 func multiProcessor(scale apps.Scale) (Report, error) {
 	t := newTable("§5 extension: speculation on a second processor (% improvement over original)")
 	t.row("Benchmark", "disks", "1 CPU spec", "2 CPU spec", "manual")
-	disks := []int{4, 10}
+	disks := mpDisks
 	// Four runs per (app, disks) point: the triple plus the dual-processor
 	// speculating run.
 	triples, err := runTriples(grid(Cell{Scale: scale}, Apps, disks, setDisks))

@@ -90,20 +90,26 @@ func TestGoldenFaults(t *testing.T) {
 // (*System).Run — a group of one whose quantum never slices — and through the
 // scheduler as a group of one preempted every 100 000 cycles produce
 // identical RunStats: elapsed, all six buckets, every Tip/Cache/Disk counter,
-// the output. For a lone process the quantum only cuts slices; it decides
-// nothing.
+// the output, page reclaims included. For a lone process the quantum only
+// cuts slices; it decides nothing. It runs at sweep scale, where runs are
+// long enough for pages to go idle past the VM's ReclaimGap (test scale
+// under -short).
 func TestQuantumIsSlicingNotBehaviour(t *testing.T) {
+	scale := apps.SweepScale()
+	if testing.Short() {
+		scale = apps.TestScale()
+	}
 	suite := append(append([]apps.App{apps.Postgres}, Apps...), ModernApps...)
 	for _, app := range suite {
 		for _, mode := range goldenModes() {
 			app, mode := app, mode
 			t.Run(fmt.Sprintf("%v/%v", app, mode), func(t *testing.T) {
 				t.Parallel()
-				solo, _, err := Run(app, mode, apps.TestScale(), nil)
+				solo, _, err := Run(app, mode, scale, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := prepare(Cell{App: app, Mode: mode, Scale: apps.TestScale()})
+				p, err := prepare(Cell{App: app, Mode: mode, Scale: scale})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -53,7 +53,8 @@ type MultiPoint struct {
 //
 // Every simulation of the sweep — maxN solo baselines plus an original and
 // a speculating group per size — is an independent cell, dispatched as one
-// flat fan-out over the worker pool and reassembled in size order.
+// flat fan-out over the worker pool and reassembled in size order. The
+// speculating group of one is solo baseline p0, so it is read, not rerun.
 func multiSweep(scale apps.Scale) ([]MultiPoint, error) {
 	const maxN = multiMaxN
 	cfg := multi.DefaultConfig()
@@ -61,6 +62,9 @@ func multiSweep(scale apps.Scale) ([]MultiPoint, error) {
 	// Cells 0..maxN-1: solo baselines. Cells maxN+2k, maxN+2k+1: the
 	// original and speculating groups of size k+1.
 	cells, err := parMap(3*maxN, func(i int) (*multi.Result, error) {
+		if i == maxN+1 {
+			return nil, nil
+		}
 		c, specs := cfg, []multi.ProcSpec{{App: multiMix[i%len(multiMix)], Mode: core.ModeSpeculating}}
 		what := fmt.Sprintf("solo baseline p%d", i)
 		if i < maxN {
@@ -89,6 +93,9 @@ func multiSweep(scale apps.Scale) ([]MultiPoint, error) {
 	var points []MultiPoint
 	for n := 1; n <= maxN; n++ {
 		orig, spec := cells[maxN+2*(n-1)], cells[maxN+2*(n-1)+1]
+		if n == 1 {
+			spec = cells[0]
+		}
 		pt := MultiPoint{
 			N:          n,
 			OrigSec:    orig.Seconds(),

@@ -13,12 +13,14 @@ package bench
 //
 // Every cell is one independent simulation — its own clock, ring, shards and
 // freshly generated population — so the sweep fans out over the worker pool
-// and stays byte-identical at any -parallel width. Each cell also re-checks
-// the cluster's conservation invariants (Result.Check): CI runs this sweep
-// and jq-asserts admitted + shed + failed == offered from the JSON.
+// and stays byte-identical at any -parallel width. Each cell also checks the
+// cluster's conservation invariants (Result.Check: admitted + shed + failed
+// == offered per shard, stall buckets summing to elapsed) and fails the sweep
+// if one breaks.
 
 import (
 	"fmt"
+	"slices"
 
 	"spechint/internal/apps"
 	"spechint/internal/clients"
@@ -89,9 +91,9 @@ func overloadConfig(shed bool) cluster.Config {
 	return cfg
 }
 
-// OverloadShardDetail is one shard's admission accounting inside a point.
-// CI asserts offered == admitted + shed + failed per shard, and that the
-// three stall buckets sum to the point's elapsed_cycles.
+// OverloadShardDetail is one shard's admission accounting inside a point:
+// offered == admitted + shed + failed, and the three stall buckets sum to the
+// point's elapsed_cycles (overloadCell checks both).
 type OverloadShardDetail struct {
 	ID             int   `json:"id"`
 	Offered        int64 `json:"offered"`
@@ -155,10 +157,10 @@ func overloadCell(scale apps.Scale, mult float64, shed bool, plan *fault.Plan) (
 		return OverloadPoint{}, fmt.Errorf("bench: overload cluster: %w", err)
 	}
 	res, err := cl.Run()
-	if err != nil {
-		return OverloadPoint{}, fmt.Errorf("bench: overload %gx shed=%v: %w", mult, shed, err)
+	if err == nil {
+		err = res.Check()
 	}
-	if err := res.Check(); err != nil {
+	if err != nil {
 		return OverloadPoint{}, fmt.Errorf("bench: overload %gx shed=%v: %w", mult, shed, err)
 	}
 	if got := res.Reads + res.FailedReads; got != pop.TotalReads {
@@ -209,36 +211,34 @@ func overloadCell(scale apps.Scale, mult float64, shed bool, plan *fault.Plan) (
 	return pt, nil
 }
 
-// failoverCell is the shard-death cell: it first runs the same load without
-// a fault plan to learn the healthy run length, then kills overloadKillShard
-// a third of the way through a fresh run. Deterministic by construction —
-// the probe run is itself deterministic, so the death time is too.
-func failoverCell(scale apps.Scale, mult float64) (OverloadPoint, error) {
-	probe, err := overloadCell(scale, mult, true, nil)
+// failoverMult is the load of the failover cell.
+const failoverMult = 2
+
+// overloadSweep runs the (mult, shed) grid as a flat fan-out, shed-off cells
+// first, then shed-on, and then the failover cell, the order the table reads
+// in. The failover cell kills overloadKillShard a third of the way through
+// the healthy run of its load, which is the grid's own shed-on cell, so the
+// death time is as deterministic as that cell.
+func overloadSweep(scale apps.Scale) ([]OverloadPoint, error) {
+	m := len(OverloadMults)
+	points, err := parMap(2*m, func(i int) (OverloadPoint, error) {
+		return overloadCell(scale, OverloadMults[i%m], i >= m, nil)
+	})
 	if err != nil {
-		return OverloadPoint{}, err
+		return nil, err
 	}
+	healthy := points[m+slices.Index(OverloadMults, failoverMult)]
 	plan := fault.NewPlan(1)
 	plan.DieShard = overloadKillShard
-	plan.DieShardAt = sim.Time(probe.ElapsedCycles / 3)
-	return overloadCell(scale, mult, true, plan)
+	plan.DieShardAt = sim.Time(healthy.ElapsedCycles / 3)
+	failover, err := overloadCell(scale, failoverMult, true, plan)
+	if err != nil {
+		return nil, err
+	}
+	return append(points, failover), nil
 }
 
-// overloadSweep runs the (mult, shed) grid plus the failover cell as a flat
-// fan-out: shed-off cells first, then shed-on, then failover — the order the
-// table reads in.
-func overloadSweep(scale apps.Scale) ([]OverloadPoint, error) {
-	n := 2 * len(OverloadMults)
-	return parMap(n+1, func(i int) (OverloadPoint, error) {
-		if i == n {
-			return failoverCell(scale, 2)
-		}
-		return overloadCell(scale, OverloadMults[i%len(OverloadMults)], i >= len(OverloadMults), nil)
-	})
-}
-
-// OverloadReport is the overload family's report; the smoke job jq-validates
-// the conservation invariant from its JSON.
+// OverloadReport is the overload family's report.
 type OverloadReport struct {
 	Experiment string          `json:"experiment"`
 	Mults      []float64       `json:"load_mults"`

@@ -45,14 +45,17 @@ func Workers(w int) int {
 	return w
 }
 
-// PanicError is a panic captured from a worker cell.
+// PanicError is a panic captured from a worker cell or a Cache build.
 type PanicError struct {
-	Index int    // the cell that panicked
+	Index int    // the cell that panicked; -1 for a Cache build
 	Value any    // the value passed to panic
 	Stack []byte // the panicking goroutine's stack
 }
 
 func (e *PanicError) Error() string {
+	if e.Index < 0 {
+		return fmt.Sprintf("par: cache build panicked: %v\n%s", e.Value, e.Stack)
+	}
 	return fmt.Sprintf("par: cell %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
@@ -126,7 +129,8 @@ func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 // Duplicate suppression is per key: two cells racing on the same key run
 // build once and share the result; cells on different keys build
 // concurrently. A build error is cached like a value (deterministic
-// inputs fail deterministically; retrying cannot help).
+// inputs fail deterministically; retrying cannot help), and so is a build
+// that panics.
 type Cache[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*cacheEntry[V]
@@ -153,13 +157,28 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, error) {
 		e = &cacheEntry[V]{ready: make(chan struct{})}
 		c.m[key] = e
 		c.mu.Unlock()
-		e.val, e.err = build()
-		close(e.ready)
+		e.fill(build)
 		return e.val, e.err
 	}
 	c.mu.Unlock()
 	<-e.ready
 	return e.val, e.err
+}
+
+// fill runs build into e and resolves e however build ends. A panic is
+// cached as a *PanicError, like any build error, and then re-raised, so the
+// builder's own caller (par.Map) still captures it and no Get of the key
+// waits forever.
+func (e *cacheEntry[V]) fill(build func() (V, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.err = &PanicError{Index: -1, Value: r, Stack: debug.Stack()}
+			close(e.ready)
+			panic(r)
+		}
+	}()
+	e.val, e.err = build()
+	close(e.ready)
 }
 
 // Len returns the number of cached keys.

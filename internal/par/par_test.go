@@ -208,3 +208,43 @@ func TestCacheDistinctKeysConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", c.Len())
 	}
 }
+
+// TestCachePanicResolves: a build that panics still resolves its entry. The
+// builder's caller sees the panic (par.Map captures it), and a Get racing the
+// build and a Get after it both return the cached *PanicError instead of
+// waiting forever.
+func TestCachePanicResolves(t *testing.T) {
+	c := NewCache[string, int]()
+	started, release := make(chan struct{}), make(chan struct{})
+	build := func() (int, error) {
+		close(started)
+		<-release
+		panic("boom")
+	}
+	var wg sync.WaitGroup
+	var racing error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs := Map(1, 1, func(int) (int, error) { return c.Get("k", build) })
+		var pe *PanicError
+		if !errors.As(errs[0], &pe) || pe.Index != 0 || pe.Value != "boom" {
+			t.Errorf("builder's Map: got %v, want the cell's *PanicError", errs[0])
+		}
+	}()
+	<-started
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, racing = c.Get("k", func() (int, error) { t.Error("second build ran"); return 0, nil })
+	}()
+	close(release)
+	wg.Wait()
+	_, later := c.Get("k", func() (int, error) { t.Error("second build ran"); return 0, nil })
+	for name, err := range map[string]error{"racing Get": racing, "later Get": later} {
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom" {
+			t.Errorf("%s: got %v, want the build's *PanicError", name, err)
+		}
+	}
+}

@@ -215,12 +215,13 @@ type Machine struct {
 	brk     int64 // original thread's heap break
 	specBrk int64 // speculating thread's private break
 
-	pageLast []int64
-	lastPage int64 // the page touchPage saw last in this Run slice; -1 = none yet
+	pageLast []int64 // each page's last touch (cycle); -1 = never
+	lastPage int64   // the page touchPage saw last; -1 = none yet
+	lastAt   int64   // lastPage's last touch, not yet in pageLast
 	pages    PageStats
 	clock    int64 // total cycles executed on this machine (all threads)
 
-	touchEvery bool // tests only: touchPage never skips a repeated page
+	touchEvery bool // tests only: touched never settles an access, touchPage does every one
 
 	sliceUsed int64 // cycles consumed in the current Run slice (for OS clock sync)
 }
@@ -330,36 +331,54 @@ func (m *Machine) Sbrk(t *Thread, incr int64) int64 {
 // ResetSpecBrk rewinds the speculative arena (called at restart).
 func (m *Machine) ResetSpecBrk() { m.specBrk = m.cfg.MemSize + m.cfg.StackSize }
 
-// touchPage records a data access for footprint/fault/reclaim accounting.
-// The clock moves only in finish, so a page touched again before the slice
-// ends was last touched "now": neither a fault nor a reclaim, and nothing to
-// store. The common case of that, the same page twice running, returns early.
-func (m *Machine) touchPage(addr int64) {
+// touchPage records a data access at cycle now of the machine clock for
+// footprint/fault/reclaim accounting. Every access is stamped with its own
+// cycle, so how the scheduler slices a run cannot move a reclaim. pageLast
+// holds each page's last touch except for the page touched last, lastPage,
+// whose time is lastAt until another page is touched.
+func (m *Machine) touchPage(addr, now int64) {
 	p := addr >> m.pageShift
-	if p == m.lastPage && !m.touchEvery {
-		return
+	if m.lastPage >= 0 {
+		m.pageLast[m.lastPage] = m.lastAt
 	}
-	m.lastPage = p
 	last := m.pageLast[p]
 	switch {
 	case last < 0:
 		m.pages.Touched++
 		m.pages.Faults++
-	case m.clock-last > m.cfg.ReclaimGap:
+	case now-last > m.cfg.ReclaimGap:
 		m.pages.Reclaims++
 	}
-	m.pageLast[p] = m.clock
+	m.lastPage, m.lastAt = p, now
 }
 
-// touchRun does for the k accesses at a, a+step, … what k touchPage calls
-// would: it touches each of their pages once, in ascending order. Within a
-// slice a repeated touch changes nothing, so the statistics and lastPage end
-// up the same.
-func (m *Machine) touchRun(a, step, k int64) {
+// touched does touchPage's work for its common case, an access to lastPage
+// within ReclaimGap of the previous one (most accesses of a digest or copy
+// loop), and reports whether the access was that case. Run calls it first;
+// each of the two is small enough to inline, where one function doing both
+// is not.
+func (m *Machine) touched(addr, now int64) bool {
+	if addr>>m.pageShift != m.lastPage || now-m.lastAt > m.cfg.ReclaimGap || m.touchEvery {
+		return false
+	}
+	m.lastAt = now
+	return true
+}
+
+// touchRun does for the k accesses at a, a+step, …, made iter cycles apart
+// from cycle now, what k touchPage calls would: it touches the first access
+// on each page and settles the page's later ones at once, each a reclaim if
+// iter exceeds ReclaimGap, the last of them the page's time.
+func (m *Machine) touchRun(a, step, k, now, iter int64) {
 	for end := a + step*(k-1); a <= end; {
-		m.touchPage(a)
+		m.touchPage(a, now)
 		next := (a>>m.pageShift + 1) << m.pageShift // the first access on a later page
-		a += (next - a + step - 1) / step * step
+		n := min((next-a+step-1)/step, (end-a)/step+1)
+		if iter > m.cfg.ReclaimGap {
+			m.pages.Reclaims += n - 1
+		}
+		m.lastAt = now + (n-1)*iter
+		a, now = a+n*step, now+n*iter
 	}
 }
 
@@ -564,7 +583,6 @@ func (t *Thread) set(rd uint8, v int64) {
 func (m *Machine) finish(t *Thread, used int64, r StopReason) (int64, StopReason) {
 	t.Cycles += used
 	m.clock += used
-	m.lastPage = -1
 	m.sliceUsed = 0
 	return used, r
 }
@@ -577,8 +595,8 @@ func (m *Machine) finish(t *Thread, used int64, r StopReason) (int64, StopReason
 // iff its last instruction starts under budget. The exiting iteration, a
 // partial one, the matching byte and a load that would fault are left to the
 // dispatcher. checked reads through the speculating thread's view, a region
-// at a time.
-func (m *Machine) scan(t *Thread, pc, room int64, checked bool) int64 {
+// at a time. now is the machine clock at the header, when the first load runs.
+func (m *Machine) scan(t *Thread, pc, room, now int64, checked bool) int64 {
 	ld, test := &m.dec[pc], &m.dec[pc+1]
 	word := ld.flags&dfWord != 0
 	at := pc + 2 // the word sum's addi; the byte scan's is bne's target
@@ -611,7 +629,7 @@ func (m *Machine) scan(t *Thread, pc, room int64, checked bool) int64 {
 	}
 	regs[ld.rd] = last
 	regs[ld.rs1] = p + step*k
-	m.touchRun(a, step, k)
+	m.touchRun(a, step, k, now, iter)
 	t.Loads += k
 	t.Instrs += scanLen*k - 1 // this arrival is already counted
 	t.Summarised += scanLen * k
@@ -806,7 +824,7 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 			// Header of a scan loop (markScanLoops): retire the whole
 			// loop-back iterations that fit at once and stay on the header;
 			// when none does, this is the plain load below it.
-			if n := m.scan(t, pc, budget-used, false); n > 0 {
+			if n := m.scan(t, pc, budget-used, m.clock+used, false); n > 0 {
 				used += n
 				continue
 			}
@@ -823,7 +841,9 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 				t.PC = pc
 				return m.finish(t, used, m.fault(t, "vm: load at %d out of range (PC %d)", addr, pc))
 			}
-			m.touchPage(addr)
+			if now := m.clock + used; !m.touched(addr, now) {
+				m.touchPage(addr, now)
+			}
 			if ins.flags&dfWord == 0 {
 				t.set(ins.rd, int64(mem[addr]))
 			} else {
@@ -831,7 +851,7 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 			}
 
 		case dSCANS:
-			if n := m.scan(t, pc, budget-used, true); n > 0 {
+			if n := m.scan(t, pc, budget-used, m.clock+used, true); n > 0 {
 				used += n
 				continue
 			}
@@ -848,7 +868,9 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 				t.PC = pc
 				return m.finish(t, used, m.fault(t, "vm: spec load at %d out of range (PC %d)", addr, pc))
 			}
-			m.touchPage(addr)
+			if now := m.clock + used; !m.touched(addr, now) {
+				m.touchPage(addr, now)
+			}
 			t.set(ins.rd, m.specLoad(t, addr, size))
 
 		case dST:
@@ -871,7 +893,9 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 				t.PC = pc
 				return m.finish(t, used, m.fault(t, "vm: unchecked spec store at %d (PC %d)", addr, pc))
 			}
-			m.touchPage(addr)
+			if now := m.clock + used; !m.touched(addr, now) {
+				m.touchPage(addr, now)
+			}
 			if ins.flags&dfWord == 0 {
 				mem[addr] = byte(regs[ins.rs2])
 			} else {
@@ -890,7 +914,9 @@ func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 				t.PC = pc
 				return m.finish(t, used, m.fault(t, "vm: spec store at %d out of range (PC %d)", addr, pc))
 			}
-			m.touchPage(addr)
+			if now := m.clock + used; !m.touched(addr, now) {
+				m.touchPage(addr, now)
+			}
 			c += int64(m.specStore(t, addr, size, regs[ins.rs2])) * m.cowCopyCost
 
 		case dSPIN:
