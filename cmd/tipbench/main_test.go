@@ -163,10 +163,9 @@ func runJSON(t *testing.T, family string) (stdout string, file []byte) {
 }
 
 // TestJSONMatchesGolden: -exp F -json writes the same bytes the committed
-// canon holds, for every sweep family whose golden is the whole test-scale
-// sweep (the cluster golden is a 2-shard slice of it).
+// canon holds, for every sweep family with a test-scale golden.
 func TestJSONMatchesGolden(t *testing.T) {
-	for _, family := range []string{"multi", "faults", "overload", "replay"} {
+	for _, family := range []string{"multi", "faults", "overload", "replay", "cluster"} {
 		t.Run(family, func(t *testing.T) {
 			_, got := runJSON(t, family)
 			want, err := os.ReadFile(filepath.Join("..", "..", "bench", "golden", family+"_small.json"))

@@ -6,14 +6,14 @@ import (
 	"spechint/internal/apps"
 )
 
-// TestGoldenCluster byte-compares the small fixed cluster scenario — the
-// 2-shard, test-scale sweep at both offered loads — against the committed
-// canon, like TestGoldenRunStats does for the solo cells: any change to ring
-// placement, hint batching, message timing or the population generator shows
-// up as a diff here. Re-canonize deliberately with:
+// TestGoldenCluster byte-compares the test-scale cluster sweep — every shard
+// count at both offered loads — against the committed canon, like
+// TestGoldenRunStats does for the solo cells: any change to ring placement,
+// hint batching, message timing, the service path or the population generator
+// shows up as a diff here. Re-canonize deliberately with:
 //
 //	go test ./internal/bench -run GoldenCluster -update
 func TestGoldenCluster(t *testing.T) {
-	rep, err := clusterReport(apps.TestScale(), []int{2})
+	rep, err := shardedService(apps.TestScale())
 	goldenReport(t, "cluster_small.json", rep, err)
 }

@@ -68,6 +68,39 @@ func TestGoldenRunStats(t *testing.T) {
 	}
 }
 
+// TestGoldenRestartPaths byte-compares, at sweep scale, the three speculating
+// Gnuld runs whose restarts take a path the default cells never do: the
+// second processor's restart windows (DualCPU, 4 disks) and the two §5
+// limiters on the one disk the throttle and adaptive experiments use. Every
+// restart's timing reaches Elapsed, SpecBusy and the buckets, so a change to
+// how restart work is charged shows up here.
+func TestGoldenRestartPaths(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		cell Cell
+	}{
+		{"dualcpu", Cell{DualCPU: true}},
+		{"fixedlimiter", Cell{Disks: 1, Limiter: FixedLimiter}},
+		{"adaptivelimiter", Cell{Disks: 1, Limiter: AdaptiveLimiter}},
+	} {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			c := g.cell
+			c.App, c.Mode, c.Scale = apps.Gnuld, core.ModeSpeculating, apps.SweepScale()
+			st, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := json.MarshalIndent(st, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join(goldenDir, "gnuld_speculating_"+g.name+".json"), append(out, '\n'))
+		})
+	}
+}
+
 // TestGoldenMulti byte-compares the test-scale multiprogramming sweep (groups
 // of 1..8 in both modes, with per-process slowdowns and fairness) against the
 // committed canon: the group scheduler, the shared cache and TIP's
