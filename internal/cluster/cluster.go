@@ -278,7 +278,7 @@ func New(cfg Config, pop *clients.Population) (*Cluster, error) {
 func (c *Cluster) PumpWork() tip.PumpWork {
 	var sum tip.PumpWork
 	for _, s := range c.shards {
-		w := s.tm.PumpWork()
+		w := s.sub.TIP.PumpWork()
 		sum.Walks += w.Walks
 		sum.Steps += w.Steps
 		sum.Visits += w.Visits
@@ -342,7 +342,7 @@ func (c *Cluster) Run() (*Result, error) {
 	c.doneAt = c.clk.Now()
 	for _, s := range c.shards {
 		s.freeze(c.doneAt)
-		s.tm.FinishRun()
+		s.sub.TIP.FinishRun()
 	}
 	return c.result(), nil
 }
@@ -751,14 +751,14 @@ func (c *Cluster) result() *Result {
 		res.Latencies = append(res.Latencies, cr.lats...)
 	}
 	for _, s := range c.shards {
-		res.Blocks += s.tm.Stats().ReadBlocks
+		res.Blocks += s.sub.TIP.Stats().ReadBlocks
 		res.Shards = append(res.Shards, ShardResult{
 			ID:      s.id,
 			Buckets: s.buckets,
 			Stats:   s.stats,
-			Tip:     s.tm.Stats(),
-			Cache:   s.tm.Cache().Stats(),
-			Disk:    s.arr.Stats(),
+			Tip:     s.sub.TIP.Stats(),
+			Cache:   s.sub.TIP.Cache().Stats(),
+			Disk:    s.sub.Arr.Stats(),
 		})
 	}
 	return res

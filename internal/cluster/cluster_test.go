@@ -164,7 +164,7 @@ func TestShardQueueDepthCountsInService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := c.shards[0].arr
+	arr := c.shards[0].sub.Arr
 	arr.Submit(&disk.Request{Disk: 0, PhysBlock: 0, Pri: disk.Demand})
 	if !arr.Busy(0) || arr.QueueDepth(0) != 0 {
 		t.Fatalf("want one request in service and none queued; busy %v, queued %d", arr.Busy(0), arr.QueueDepth(0))

@@ -1,9 +1,9 @@
 package cluster
 
 // This file is the server side of the message boundary: one Shard is a
-// self-contained TIP node — its own disk array, cache partition and TIP
-// manager on the cluster's shared virtual clock — that speaks only the
-// proto.go request types. Hints do not apply immediately: they queue in a
+// self-contained TIP node — a core.Substrate (its own disk array, cache
+// partition and TIP manager) on the cluster's shared virtual clock — that
+// speaks only the proto.go request types. Hints do not apply immediately: they queue in a
 // batched, coalescing ingestion queue and flush either when the batch window
 // expires or when the queue hits its size cap, modelling the server-side
 // amortization a real RPC hint path needs. Every cycle of a shard's life is
@@ -25,7 +25,7 @@ package cluster
 import (
 	"fmt"
 
-	"spechint/internal/disk"
+	"spechint/internal/core"
 	"spechint/internal/fsim"
 	"spechint/internal/obs"
 	"spechint/internal/sim"
@@ -116,8 +116,7 @@ type shard struct {
 	clk *sim.Queue
 	cfg *Config
 
-	arr   *disk.Array
-	tm    *tip.Manager
+	sub   *core.Substrate
 	files []*fsim.File // full corpus replica; the ring decides which blocks this shard actually serves
 
 	sess   map[SessionKey]*tip.Client
@@ -146,23 +145,19 @@ type shard struct {
 	stats   ShardStats
 }
 
-// newShard builds shard id on the cluster's shared clock. Every shard holds a
-// replica of the corpus name space backed by one shared data buffer (fsim
-// files reference, not copy, their data), so per-shard memory stays flat as
-// the corpus grows.
+// newShard builds shard id on the cluster's shared clock: a core.Substrate
+// behind the shard's front door. Every shard holds a replica of the corpus
+// name space backed by one shared data buffer (fsim files reference, not
+// copy, their data), so per-shard memory stays flat as the corpus grows. With
+// a trace, the layers' lanes become "sN:tip", "sN:cache", "sN:diskK".
 func newShard(id int, clk *sim.Queue, cfg *Config, corpus []byte) (*shard, error) {
-	arr, err := disk.New(clk, cfg.Disk)
+	tr := cfg.Obs.Sub(fmt.Sprintf("s%d:", id))
+	sub, err := core.NewSubstrateOn(clk, cfg.Disk, cfg.TIP, fsim.New(int(cfg.Clients.BlockSize)), nil, tr)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d disk: %w", id, err)
-	}
-	fs := fsim.New(int(cfg.Clients.BlockSize))
-	tm, err := tip.New(clk, arr, fs, cfg.TIP)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d tip: %w", id, err)
+		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
 	}
 	s := &shard{
-		id: id, clk: clk, cfg: cfg,
-		arr: arr, tm: tm,
+		id: id, clk: clk, cfg: cfg, sub: sub,
 		files:  make([]*fsim.File, cfg.Clients.Files),
 		sess:   make(map[SessionKey]*tip.Client),
 		served: make(map[SessionKey]bool),
@@ -172,34 +167,29 @@ func newShard(id int, clk *sim.Queue, cfg *Config, corpus []byte) (*shard, error
 		s.flush()
 	}
 	for i := range s.files {
-		f, err := fs.Create(fmt.Sprintf("f%04d", i), corpus)
+		f, err := sub.FS.Create(fmt.Sprintf("f%04d", i), corpus)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d corpus: %w", id, err)
 		}
 		s.files[i] = f
 	}
-	if cfg.Obs != nil {
-		sub := cfg.Obs.Sub(fmt.Sprintf("s%d:", id))
-		s.installObs(sub)
+	if tr.Enabled() {
+		s.addGauges(tr)
 	}
 	return s, nil
 }
 
-// installObs wires the shard's layers onto a prefixed view of the cluster
-// trace: TIP/cache/disk lanes become "sN:tip", "sN:cache", "sN:diskK", and
-// the shard contributes queue-depth, session and overload gauges under the
-// same prefix.
-func (s *shard) installObs(sub *obs.Trace) {
-	s.tm.SetObs(sub)
-	s.arr.SetObs(sub)
-	sub.AddGauge("ingest_queue_depth", func() float64 { return float64(len(s.ingest)) })
-	sub.AddGauge("active_sessions", func() float64 { return float64(len(s.sess)) })
-	sub.AddGauge("admit_queue_depth", func() float64 { return float64(s.hotQ.len() + s.coldQ.len()) })
-	sub.AddGauge("shed_total", func() float64 { return float64(s.stats.Shed) })
-	sub.AddGauge("service_est_cycles", func() float64 { return float64(s.svcEst) })
+// addGauges contributes the shard's queue-depth, session and overload gauges
+// under its "sN:" prefix.
+func (s *shard) addGauges(tr *obs.Trace) {
+	tr.AddGauge("ingest_queue_depth", func() float64 { return float64(len(s.ingest)) })
+	tr.AddGauge("active_sessions", func() float64 { return float64(len(s.sess)) })
+	tr.AddGauge("admit_queue_depth", func() float64 { return float64(s.hotQ.len() + s.coldQ.len()) })
+	tr.AddGauge("shed_total", func() float64 { return float64(s.stats.Shed) })
+	tr.AddGauge("service_est_cycles", func() float64 { return float64(s.svcEst) })
 	for i := 0; i < s.cfg.Disk.NumDisks; i++ {
 		i := i
-		sub.AddGauge(fmt.Sprintf("disk%d_queue_depth", i), func() float64 { return float64(s.arr.Outstanding(i)) })
+		tr.AddGauge(fmt.Sprintf("disk%d_queue_depth", i), func() float64 { return float64(s.sub.Arr.Outstanding(i)) })
 	}
 }
 
@@ -238,7 +228,7 @@ func (s *shard) freeze(at sim.Time) {
 func (s *shard) session(key SessionKey) *tip.Client {
 	cli := s.sess[key]
 	if cli == nil {
-		cli = s.tm.NewClient()
+		cli = s.sub.TIP.NewClient()
 		s.sess[key] = cli
 		s.stats.SessionsOpen++
 		if n := len(s.sess); n > s.stats.PeakSessions {

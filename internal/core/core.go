@@ -373,27 +373,57 @@ func median(xs []int64) int64 {
 }
 
 // Substrate is the shared I/O platform a System runs on: one virtual clock,
-// one file system, one disk array, and one TIP manager. A single-process run
-// owns a private substrate (New builds one); the multiprogramming layer
-// builds one explicitly and runs many Systems on it with NewOn.
+// one file system, one disk array, and one TIP manager. It is every node of
+// the reproduction: a single-process run owns a private one (New builds it),
+// the multiprogramming layer runs many Systems on one with NewOn, and every
+// cluster shard is one behind its front door.
 type Substrate struct {
 	Clk *sim.Queue
 	FS  *fsim.FS
 	Arr *disk.Array
 	TIP *tip.Manager
-	Obs *obs.Trace // nil unless InstallObs was called
+	Obs *obs.Trace // the trace the layers are wired to (nil = untraced)
 }
 
-// InstallObs hooks the cross-layer observability stream into every layer of
-// the substrate — disk service spans, cache admit/evict events, TIP hint
-// lifecycles — and registers the standard metric gauges (cache hit ratio,
-// disk utilization and per-disk queue depth, outstanding prefetch depth,
-// hint accuracy). Install before building Systems on the substrate; Systems
-// created later pick the stream up at NewOn.
-func (sub *Substrate) InstallObs(tr *obs.Trace) {
-	sub.Obs = tr
-	sub.Arr.SetObs(tr)
-	sub.TIP.SetObs(tr)
+// NewSubstrate assembles a substrate over fs on a clock of its own, with
+// perfect disks and no trace.
+func NewSubstrate(diskCfg disk.Config, tipCfg tip.Config, fs *fsim.FS) (*Substrate, error) {
+	return NewSubstrateOn(sim.NewQueue(), diskCfg, tipCfg, fs, nil, nil)
+}
+
+// NewSubstrateOn assembles a substrate over fs on clk: the disk array, with
+// the disk half of faults validated and installed as its injector (nil is
+// perfect hardware), and the TIP manager over it, both wired to tr (nil is
+// untraced). The standard metric gauges are a separate step (AddGauges),
+// because a cluster shard registers its own.
+func NewSubstrateOn(clk *sim.Queue, diskCfg disk.Config, tipCfg tip.Config, fs *fsim.FS, faults *fault.Plan, tr *obs.Trace) (*Substrate, error) {
+	if fs.BlockSize() != diskCfg.BlockSize {
+		return nil, fmt.Errorf("core: fs block size %d != disk block size %d", fs.BlockSize(), diskCfg.BlockSize)
+	}
+	arr, err := disk.New(clk, diskCfg)
+	if err != nil {
+		return nil, err
+	}
+	if faults != nil {
+		if err := faults.ValidateDisk(); err != nil {
+			return nil, err
+		}
+		arr.SetInjector(faults)
+	}
+	tm, err := tip.New(clk, arr, fs, tipCfg)
+	if err != nil {
+		return nil, err
+	}
+	arr.SetObs(tr)
+	tm.SetObs(tr)
+	return &Substrate{Clk: clk, FS: fs, Arr: arr, TIP: tm, Obs: tr}, nil
+}
+
+// AddGauges registers the standard metric gauges on the substrate's trace
+// (cache hit ratio and occupancy, disk utilization and per-disk queue depth,
+// outstanding prefetch depth, hint accuracy); it does nothing untraced.
+func (sub *Substrate) AddGauges() {
+	tr := sub.Obs
 	if tr == nil {
 		return
 	}
@@ -419,33 +449,6 @@ func (sub *Substrate) InstallObs(tr *obs.Trace) {
 	}
 	tr.AddGauge("prefetch_depth", func() float64 { return float64(tm.PrefetchDepth()) })
 	tr.AddGauge("hint_accuracy", func() float64 { return tm.MeanAccuracy() })
-}
-
-// InstallFaults hooks a fault plan into the substrate's disk array (nil
-// restores perfect hardware). Install before the first request is submitted.
-func (sub *Substrate) InstallFaults(p *fault.Plan) {
-	if p == nil {
-		sub.Arr.SetInjector(nil)
-		return
-	}
-	sub.Arr.SetInjector(p)
-}
-
-// NewSubstrate assembles a substrate over fs from disk and TIP configuration.
-func NewSubstrate(diskCfg disk.Config, tipCfg tip.Config, fs *fsim.FS) (*Substrate, error) {
-	if fs.BlockSize() != diskCfg.BlockSize {
-		return nil, fmt.Errorf("core: fs block size %d != disk block size %d", fs.BlockSize(), diskCfg.BlockSize)
-	}
-	clk := sim.NewQueue()
-	arr, err := disk.New(clk, diskCfg)
-	if err != nil {
-		return nil, err
-	}
-	tm, err := tip.New(clk, arr, fs, tipCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Substrate{Clk: clk, FS: fs, Arr: arr, TIP: tm}, nil
 }
 
 // System is one configured run: program + mode + substrate.
@@ -510,16 +513,11 @@ func New(cfg Config, prog *vm.Program, fs *fsim.FS) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sub, err := NewSubstrate(cfg.Disk, cfg.TIP, fs)
+	sub, err := NewSubstrateOn(sim.NewQueue(), cfg.Disk, cfg.TIP, fs, cfg.Faults, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Faults != nil {
-		sub.InstallFaults(cfg.Faults)
-	}
-	if cfg.Obs != nil {
-		sub.InstallObs(cfg.Obs)
-	}
+	sub.AddGauges()
 	return NewOn(sub, cfg, prog, "app")
 }
 

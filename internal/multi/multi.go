@@ -96,19 +96,11 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 	}
 	fs := fsim.New(cfg.Disk.BlockSize)
 	workload.SetBenchLayout(fs)
-	sub, err := core.NewSubstrate(cfg.Disk, cfg.TIP, fs)
+	sub, err := core.NewSubstrateOn(sim.NewQueue(), cfg.Disk, cfg.TIP, fs, cfg.Faults, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.ValidateDisk(); err != nil {
-			return nil, err
-		}
-		sub.InstallFaults(cfg.Faults)
-	}
-	if cfg.Obs != nil {
-		sub.InstallObs(cfg.Obs)
-	}
+	sub.AddGauges()
 	g := &Group{cfg: cfg, sub: sub, specs: specs}
 
 	for i, spec := range specs {
