@@ -95,7 +95,7 @@ type Config struct {
 	// Fault, when non-nil, is the shard-level fault schedule: it can kill a
 	// shard outright mid-run (the ring re-routes its keys to survivors) or
 	// brown one out over a window (its service stretches, so admission
-	// control starts shedding).
+	// control starts shedding; requires MaxInflight > 0).
 	Fault *fault.Plan
 
 	// DetectCycles is the failure-detection latency: after the fault plan
@@ -182,6 +182,11 @@ func (c Config) validate() error {
 		}
 		if c.Fault.BrownShard >= c.Shards {
 			return fmt.Errorf("cluster: fault plan browns out shard %d of %d", c.Fault.BrownShard, c.Shards)
+		}
+		if c.Fault.BrownShard >= 0 && c.MaxInflight < 1 {
+			// The stretch is a share of the service width; with no width
+			// bound it would be zero and the brown-out a silent no-op.
+			return fmt.Errorf("cluster: a brown-out requires MaxInflight >= 1")
 		}
 	}
 	if err := c.Disk.Validate(); err != nil {

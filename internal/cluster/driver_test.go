@@ -130,6 +130,7 @@ func TestFaultPlanHalves(t *testing.T) {
 		}},
 		{"cluster", false, func(p *fault.Plan) error {
 			cfg := DefaultConfig(2)
+			cfg.MaxInflight = 8 // a brown-out needs a service width to stretch
 			cfg.Fault = p
 			_, err := New(cfg, testPop(t))
 			return err

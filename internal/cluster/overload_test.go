@@ -212,6 +212,11 @@ func TestClusterOverloadValidate(t *testing.T) {
 			c.Shards = 1
 			c.Fault = p // cannot kill the only shard
 		},
+		func(c *Config) {
+			p := fault.NewPlan(1)
+			p.BrownShard, p.BrownAt, p.BrownUntil = 0, 1, 1<<40
+			c.Fault = p // a brown-out stretches a width the shard does not have
+		},
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(2)
