@@ -72,8 +72,8 @@ type Config struct {
 	Hints bool
 
 	// MaxInflight bounds how many read parts a shard serves concurrently;
-	// excess parts wait in the shard's admission queue. 0 dispatches every
-	// part immediately (no queueing layer — the original behavior).
+	// excess parts wait in the shard's admission queue. 0 is no bound: every
+	// part leaves the queue the moment it enters.
 	MaxInflight int
 
 	// Admission arms load shedding at the shard boundary (requires

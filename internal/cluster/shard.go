@@ -24,6 +24,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"spechint/internal/core"
 	"spechint/internal/fsim"
@@ -70,7 +71,7 @@ type ShardStats struct {
 	SessionsOpen int64 // sessions ever opened
 	PeakSessions int   // max concurrently open sessions
 	PeakIngest   int   // max ingestion queue depth (<= hintBatchMax)
-	PeakQueue    int   // max admission queue depth (<= queueCap when admission is on)
+	PeakQueue    int   // max admission queue depth, the arriving part included (<= queueCap when admission is on)
 }
 
 // pendingHint is one queued, not-yet-applied hint segment.
@@ -126,9 +127,11 @@ type shard struct {
 	flushEv sim.Handle
 	flushFn func() // the batch-window timer's event, bound once
 
-	// Admission/service state (active when cfg.MaxInflight > 0).
+	// Admission/service state. Every read part enters a queue and is
+	// dispatched by pump; with no width bound it leaves the queue at once.
 	hotQ     partQueue // parts of sessions already in flight here
 	coldQ    partQueue // first parts of newly opened sessions
+	width    int       // parts in service at once: MaxInflight, or no bound
 	inflight int       // parts dispatched into TIP, not yet completed
 	svcEst   int64     // EWMA of per-part service cycles (dispatch -> done)
 	dead     bool      // shard killed by the fault plan
@@ -161,6 +164,10 @@ func newShard(id int, clk *sim.Queue, cfg *Config, corpus []byte) (*shard, error
 		files:  make([]*fsim.File, cfg.Clients.Files),
 		sess:   make(map[SessionKey]*tip.Client),
 		served: make(map[SessionKey]bool),
+		width:  cfg.MaxInflight,
+	}
+	if s.width == 0 {
+		s.width = math.MaxInt
 	}
 	s.flushFn = func() {
 		s.flushEv = sim.Handle{}
@@ -282,12 +289,8 @@ func (s *shard) shouldShed() bool {
 	if depth >= queueCap {
 		return true
 	}
-	width := s.cfg.MaxInflight
-	if width < 1 {
-		width = 1
-	}
 	est := s.svcEstimate() * int64(s.brownFactor())
-	wait := int64(depth+s.inflight) * est / int64(width)
+	wait := int64(depth+s.inflight) * est / int64(s.width)
 	return wait > latencyBudget
 }
 
@@ -299,8 +302,7 @@ func (s *shard) reply(m *msg, st Status) {
 
 // serveRead rules on one arriving read part: reject it if the shard is dead,
 // shed it if admission says the queue already owes too much latency, else
-// queue it (or, with no admission layer configured, dispatch it directly —
-// the original unbounded behavior overload runs measure against).
+// queue it and let pump dispatch it.
 func (s *shard) serveRead(m *msg) {
 	s.account(s.clk.Now())
 	s.stats.Offered++
@@ -310,10 +312,6 @@ func (s *shard) serveRead(m *msg) {
 	if s.dead {
 		s.stats.Failed++
 		s.reply(m, StatusDead)
-		return
-	}
-	if s.cfg.MaxInflight <= 0 {
-		s.startService(m)
 		return
 	}
 	if s.cfg.Admission && s.shouldShed() {
@@ -337,10 +335,11 @@ func (s *shard) serveRead(m *msg) {
 
 // pump dispatches queued parts into TIP while service slots are free, hot
 // queue first. During a brownout window each dispatch is stretched by the
-// fault plan's factor before it reaches TIP — the shard is alive but slow,
-// which is exactly the regime admission control exists for.
+// fault plan's factor, shared across the service width, before it reaches
+// TIP — the shard is alive but slow, which is exactly the regime admission
+// control exists for.
 func (s *shard) pump() {
-	for s.inflight < s.cfg.MaxInflight {
+	for s.inflight < s.width {
 		var m *msg
 		switch {
 		case s.hotQ.len() > 0:
@@ -352,11 +351,7 @@ func (s *shard) pump() {
 		}
 		s.inflight++
 		if f := s.brownFactor(); f > 1 {
-			width := s.cfg.MaxInflight
-			if width < 1 {
-				width = 1
-			}
-			delay := sim.Time(int64(f-1) * s.svcEstimate() / int64(width))
+			delay := sim.Time(int64(f-1) * s.svcEstimate() / int64(s.width))
 			s.clk.After(delay, m.serviceFn)
 			continue
 		}
@@ -372,9 +367,7 @@ func (s *shard) startService(m *msg) {
 	s.account(now)
 	if s.dead {
 		s.stats.Failed++
-		if s.cfg.MaxInflight > 0 {
-			s.inflight--
-		}
+		s.inflight--
 		s.reply(m, StatusDead)
 		return
 	}
@@ -417,10 +410,8 @@ func (s *shard) endService(m *msg, err error) {
 	case err != nil:
 		st = StatusEIO
 	}
-	if s.cfg.MaxInflight > 0 {
-		s.inflight--
-		s.pump()
-	}
+	s.inflight--
+	s.pump()
 	s.reply(m, st)
 }
 
