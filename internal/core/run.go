@@ -40,7 +40,7 @@ func (s *System) stepOrig(budget int64) error {
 // the cycles consumed.
 func (s *System) stepSpec(budget int64) error {
 	start := s.clk.Now()
-	if s.restartWork(start, budget) {
+	if busy, _ := s.restartStep(start, budget, true); busy {
 		return nil
 	}
 	s.sliceStart = start
@@ -62,26 +62,15 @@ func (s *System) stepSpec(budget int64) error {
 
 // runSpecWindow gives the speculating thread a wall window of `window`
 // cycles on the second processor, concurrent with original-thread execution
-// the clock has already accounted. Restart work and execution both charge
-// against the window.
+// the clock has already accounted. Restart work (restartStep) and execution
+// both charge against the window.
 func (s *System) runSpecWindow(window int64) {
 	for window > 0 && s.specRunnable() {
-		if s.restartPending && s.restartRemaining == 0 {
-			if !s.beginRestart(s.clk.Now()) {
+		if busy, work := s.restartStep(s.clk.Now(), window, false); busy {
+			if work == 0 {
 				return // throttled
 			}
-		}
-		if s.restartRemaining > 0 {
-			work := s.restartRemaining
-			if work > window {
-				work = window
-			}
-			s.stats.SpecBusy += work
-			s.restartRemaining -= work
 			window -= work
-			if s.restartRemaining == 0 {
-				s.finishRestart()
-			}
 			continue
 		}
 		if s.spec.State != vm.Ready {
@@ -111,34 +100,38 @@ func (s *System) specRunnable() bool {
 	return s.spec.State == vm.Ready
 }
 
-// restartWork performs (a slice of) the restart protocol: cancel outstanding
-// hints, clear the copy-on-write map, copy the original thread's stack, load
-// its saved registers, and jump to the shadow instruction after the read it
-// blocked on (paper §3.2.2). The work is charged against stall cycles; it
-// returns true if it consumed this scheduling turn. (Dual-processor mode
-// charges the same work to a CPU window instead of wall time; see
-// runSpecWindow.)
-func (s *System) restartWork(start sim.Time, budget int64) bool {
+// restartStep performs (a slice of) the restart protocol for either CPU:
+// cancel outstanding hints, clear the copy-on-write map, copy the original
+// thread's stack, load its saved registers, and jump to the shadow
+// instruction after the read it blocked on (paper §3.2.2). It begins a
+// pending restart at start if none is under way, then charges at most budget
+// cycles of its work to the speculating thread. It reports whether a restart
+// was pending or under way — the step took the speculating thread's turn —
+// and the cycles charged, 0 if a throttle disabled speculation instead.
+//
+// With wall set the work is wall time on the one CPU: the clock advances
+// past it before the restart finishes, so the thread resumes when its work
+// ended. Without it the work is part of a window on the second processor
+// that the clock has already passed (runSpecWindow).
+func (s *System) restartStep(start sim.Time, budget int64, wall bool) (busy bool, work int64) {
 	if s.restartRemaining == 0 {
 		if !s.restartPending {
-			return false
+			return false, 0
 		}
 		if !s.beginRestart(start) {
-			return true // throttled: this turn is consumed
+			return true, 0
 		}
 	}
-
-	work := s.restartRemaining
-	if work > budget {
-		work = budget
+	work = min(s.restartRemaining, budget)
+	if wall {
+		s.clk.AdvanceTo(start + sim.Time(work))
 	}
-	s.clk.AdvanceTo(start + sim.Time(work))
 	s.stats.SpecBusy += work
 	s.restartRemaining -= work
 	if s.restartRemaining == 0 {
 		s.finishRestart()
 	}
-	return true
+	return true, work
 }
 
 // beginRestart cleans up the current speculation (CANCEL_ALL, hint-log
