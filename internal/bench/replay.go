@@ -38,16 +38,15 @@ type ReplayPoint struct {
 	ImprovementPct float64 `json:"improvement_pct"` // vs the app's original-mode run
 	ReadCalls      int64   `json:"read_calls"`
 	HintedReads    int64   `json:"hinted_reads"`
-	BucketsOK      bool    `json:"buckets_sum_ok"`
 }
 
-// RoundTripResult reports one capture→replay differential comparison.
+// RoundTripResult reports one capture→replay differential comparison. It
+// exists only for an exact round trip whose runs' stall buckets both sum to
+// their elapsed time; roundTrip fails on any other.
 type RoundTripResult struct {
-	App       string `json:"app"`
-	Reads     int    `json:"reads"`   // demand reads in the captured stream
-	Records   int    `json:"records"` // trace records after normalization
-	Exact     bool   `json:"exact"`   // replay reproduced the block sequence
-	BucketsOK bool   `json:"buckets_sum_ok"`
+	App     string `json:"app"`
+	Reads   int    `json:"reads"`   // demand reads in the captured stream
+	Records int    `json:"records"` // trace records after normalization
 }
 
 // ReplayReport is the replay family's report.
@@ -62,7 +61,9 @@ type ReplayReport struct {
 // into a replay program, runs it over the same built workload, and compares
 // the two read streams. Both runs lay their reads on one file system, so
 // equal (path, offset, length) streams are equal logical-block sequences —
-// the fidelity currency: they cost the disk arm exactly the same.
+// the fidelity currency: they cost the disk arm exactly the same. A round
+// trip that is not exact, or a run whose stall buckets do not sum to its
+// elapsed time, is an error.
 func roundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
 	p, err := prepare(Cell{App: app, Scale: scale})
 	if err != nil {
@@ -89,22 +90,16 @@ func roundTrip(app apps.App, scale apps.Scale) (*RoundTripResult, error) {
 
 	orig, replay := tr.Reads(), recap.Trace().Reads()
 	exact := len(orig) == len(replay)
-	if exact {
-		for i := range orig {
-			if orig[i].Path != replay[i].Path || orig[i].Off != replay[i].Off || orig[i].Len != replay[i].Len {
-				exact = false
-				break
-			}
-		}
+	for i := 0; exact && i < len(orig); i++ {
+		exact = orig[i].Path == replay[i].Path && orig[i].Off == replay[i].Off && orig[i].Len == replay[i].Len
 	}
-	return &RoundTripResult{
-		App:     app.String(),
-		Reads:   len(orig),
-		Records: len(tr.Recs),
-		Exact:   exact,
-		BucketsOK: st1.Buckets.Total() == int64(st1.Elapsed) &&
-			st2.Buckets.Total() == int64(st2.Elapsed),
-	}, nil
+	if !exact {
+		return nil, fmt.Errorf("bench: %v capture→replay round trip not exact (%d reads)", app, len(orig))
+	}
+	if st1.Buckets.Total() != int64(st1.Elapsed) || st2.Buckets.Total() != int64(st2.Elapsed) {
+		return nil, fmt.Errorf("bench: %v round-trip stall buckets do not sum to elapsed", app)
+	}
+	return &RoundTripResult{App: app.String(), Reads: len(orig), Records: len(tr.Recs)}, nil
 }
 
 // replay is the registry entry: the who-wins grid over the modern apps
@@ -134,7 +129,6 @@ func replay(scale apps.Scale) (Report, error) {
 				ImprovementPct: Improvement(base, st),
 				ReadCalls:      st.ReadCalls,
 				HintedReads:    st.HintedReads,
-				BucketsOK:      true, // checked above
 			})
 		}
 	}
@@ -145,13 +139,6 @@ func replay(scale apps.Scale) (Report, error) {
 		return nil, err
 	}
 	for _, rt := range trips {
-		if !rt.Exact {
-			return nil, fmt.Errorf("bench: %s capture→replay round trip not exact (%d reads)",
-				rt.App, rt.Reads)
-		}
-		if !rt.BucketsOK {
-			return nil, fmt.Errorf("bench: %s round-trip stall buckets do not sum to elapsed", rt.App)
-		}
 		rep.RoundTrip = append(rep.RoundTrip, *rt)
 	}
 	return rep, nil
@@ -166,10 +153,9 @@ func (rep *ReplayReport) Text() string {
 	}
 
 	t2 := newTable("Capture→replay round trip (original mode)")
-	t2.row("Benchmark", "Reads", "Records", "Block-exact", "BucketsSum")
+	t2.row("Benchmark", "Reads", "Records")
 	for _, rt := range rep.RoundTrip {
-		t2.row(rt.App, fmt.Sprint(rt.Reads), fmt.Sprint(rt.Records),
-			fmt.Sprintf("%v", rt.Exact), fmt.Sprintf("%v", rt.BucketsOK))
+		t2.row(rt.App, fmt.Sprint(rt.Reads), fmt.Sprint(rt.Records))
 	}
 	return t.Text() + "\n" + t2.Text()
 }

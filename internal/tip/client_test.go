@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spechint/internal/cache"
+	"spechint/internal/fsim"
 )
 
 func TestCancelAllScopedPerClient(t *testing.T) {
@@ -219,6 +220,13 @@ func TestPartitionsOnlyWithMultipleClients(t *testing.T) {
 	if n := r.m.Cache().HintedCount(cb.ID()); n >= total*3/4 {
 		t.Errorf("client B holds %d/%d hinted blocks despite partitioning", n, total)
 	}
+}
+
+// Seg is one (file, offset, length) disclosure for batch hinting.
+type Seg struct {
+	File *fsim.File
+	Off  int64
+	N    int64
 }
 
 // HintBatch discloses several future reads in one call — Table 2's batched

@@ -116,13 +116,6 @@ func (c *Client) hintSeg(f *fsim.File, off, n int64, conf float64) {
 	m.pump()
 }
 
-// Seg is one (file, offset, length) disclosure for batch hinting.
-type Seg struct {
-	File *fsim.File
-	Off  int64
-	N    int64
-}
-
 // unprotect releases the hint protection c holds on lb, if any. A block
 // re-protected by a different client keeps that client's protection.
 func (c *Client) unprotect(lb int64) {
