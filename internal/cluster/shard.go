@@ -3,10 +3,10 @@ package cluster
 // This file is the server side of the message boundary: one Shard is a
 // self-contained TIP node — a core.Substrate (its own disk array, cache
 // partition and TIP manager) on the cluster's shared virtual clock — that
-// speaks only the proto.go request types. Hints do not apply immediately: they queue in a
-// batched, coalescing ingestion queue and flush either when the batch window
-// expires or when the queue hits its size cap, modelling the server-side
-// amortization a real RPC hint path needs. Every cycle of a shard's life is
+// speaks only the proto.go request types. Hints do not apply immediately:
+// they queue in a batched, coalescing ingestion queue and flush either when
+// the batch window expires or when the queue hits its size cap, modelling the
+// server-side amortization a real RPC hint path needs. Every cycle of a shard's life is
 // charged to exactly one stall bucket, so the per-shard buckets sum to the
 // run's elapsed time by construction.
 //
