@@ -40,7 +40,7 @@ func (s *System) stepOrig(budget int64) error {
 // the cycles consumed.
 func (s *System) stepSpec(budget int64) error {
 	start := s.clk.Now()
-	if busy, _ := s.restartStep(start, budget, true); busy {
+	if busy, _ := s.restartStep(budget, true); busy {
 		return nil
 	}
 	s.sliceStart = start
@@ -66,7 +66,7 @@ func (s *System) stepSpec(budget int64) error {
 // both charge against the window.
 func (s *System) runSpecWindow(window int64) {
 	for window > 0 && s.specRunnable() {
-		if busy, work := s.restartStep(s.clk.Now(), window, false); busy {
+		if busy, work := s.restartStep(window, false); busy {
 			if work == 0 {
 				return // throttled
 			}
@@ -104,7 +104,7 @@ func (s *System) specRunnable() bool {
 // cancel outstanding hints, clear the copy-on-write map, copy the original
 // thread's stack, load its saved registers, and jump to the shadow
 // instruction after the read it blocked on (paper §3.2.2). It begins a
-// pending restart at start if none is under way, then charges at most budget
+// pending restart now if none is under way, then charges at most budget
 // cycles of its work to the speculating thread. It reports whether a restart
 // was pending or under way — the step took the speculating thread's turn —
 // and the cycles charged, 0 if a throttle disabled speculation instead.
@@ -113,7 +113,8 @@ func (s *System) specRunnable() bool {
 // past it before the restart finishes, so the thread resumes when its work
 // ended. Without it the work is part of a window on the second processor
 // that the clock has already passed (runSpecWindow).
-func (s *System) restartStep(start sim.Time, budget int64, wall bool) (busy bool, work int64) {
+func (s *System) restartStep(budget int64, wall bool) (busy bool, work int64) {
+	start := s.clk.Now()
 	if s.restartRemaining == 0 {
 		if !s.restartPending {
 			return false, 0
