@@ -62,14 +62,16 @@ synth:
 # fuzz runs the native fuzz targets for a short budget each: fault
 # containment (core), counted-loop summarisation against the stepping
 # interpreter (vm), generated file content against its materialised model
-# (workload), scan-loop kernels against the stepping interpreter (vm), then a
-# disk's service order against its naive model (disk).
+# (workload), scan-loop kernels against the stepping interpreter (vm), a
+# disk's service order against its naive model (disk), then fault-spec
+# parsing: every accepted spec is valid and round-trips (fault).
 fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzCountedLoop -fuzztime=10s -run '^$$' ./internal/vm
 	$(GO) test -fuzz=FuzzFileContent -fuzztime=10s -run '^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzScanLoop -fuzztime=10s -run '^$$' ./internal/vm
 	$(GO) test -fuzz=FuzzDiskOrder -fuzztime=10s -run '^$$' ./internal/disk
+	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/fault
 
 # paper regenerates the paper canon: every registry experiment at full scale,
 # one file per experiment, bench/paper/NAME.txt, holding exactly the report

@@ -33,7 +33,7 @@
 //
 //	0  run completed and the program exited 0
 //	1  tool error (bad source, malformed trace, I/O error, simulation failure)
-//	2  usage error (an unknown -mode; -file and -trace-file both present or both absent)
+//	2  usage error (an unknown -mode; a negative -deadline; -file and -trace-file both present or both absent)
 //	3  virtual-cycle deadline exceeded
 //	4  run completed but the program exited nonzero
 package main
@@ -84,6 +84,12 @@ func main() {
 	flag.Parse()
 	if (*file == "") == (*traceFile == "") {
 		fmt.Fprintln(os.Stderr, "specrun: exactly one of -file or -trace-file is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	if *ddline < 0 {
+		fmt.Fprintf(os.Stderr, "specrun: -deadline %d, want >= 0\n", *ddline)
 		flag.Usage()
 		os.Exit(2)
 	}

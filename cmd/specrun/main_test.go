@@ -145,6 +145,7 @@ func TestExitCodes(t *testing.T) {
 		{"2: -file and -trace-file", []string{"-file", ok, "-trace-file", ok}, 2, "exactly one of -file or -trace-file"},
 		{"2: neither", nil, 2, "exactly one of -file or -trace-file"},
 		{"2: unknown mode", []string{"-file", ok, "-mode", "bogus"}, 2, `unknown mode "bogus"`},
+		{"2: negative deadline", []string{"-file", ok, "-dir", dir, "-deadline", "-5"}, 2, "-deadline -5, want >= 0"},
 		{"3: deadline under I/O", []string{"-file", ok, "-dir", dir, "-deadline", "100000"}, 3, "deadline exceeded: the program did not finish within 100000 virtual cycles"},
 		{"3: deadline under pure compute", []string{"-file", file("spin.s", spinSrc), "-deadline", "5000000"}, 3, "deadline exceeded"},
 		{"4: program exits nonzero", []string{"-file", file("seven.s", sumSrc(7)), "-dir", dir}, 4, "exit 7 in "},

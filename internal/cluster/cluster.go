@@ -189,12 +189,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("cluster: a brown-out requires MaxInflight >= 1")
 		}
 	}
-	if err := c.Disk.Validate(); err != nil {
-		return err
-	}
-	if err := c.TIP.Validate(); err != nil {
-		return err
-	}
 	if int64(c.Disk.BlockSize) != c.Clients.BlockSize {
 		return fmt.Errorf("cluster: disk block size %d != population block size %d",
 			c.Disk.BlockSize, c.Clients.BlockSize)

@@ -32,7 +32,7 @@ func agrepProcs(t *testing.T, n int, maxCycles int64, orphan bool) []*core.Syste
 	if orphan {
 		sub.Clk = sim.NewQueue()
 	}
-	cfg := core.DefaultConfig(core.ModeNoHint)
+	cfg := core.DefaultConfig(core.ModeNoHint).Proc
 	cfg.MaxCycles = maxCycles
 	var procs []*core.System
 	for i := 0; i < n; i++ {
@@ -110,7 +110,8 @@ func TestOneDriverContract(t *testing.T) {
 // consumer installs one. Every consumer accepts its own half and rejects the
 // other by spec key — before this, a cluster ignored rate/burst/spike/failn/die
 // (no shard installs a disk injector) and a solo or group run ignored
-// dieshard/brown.
+// dieshard/brown. A disk consumer also rejects a death of a disk its array
+// lacks, which would otherwise never fire.
 func TestFaultPlanHalves(t *testing.T) {
 	consumers := []struct {
 		name  string
@@ -118,9 +119,14 @@ func TestFaultPlanHalves(t *testing.T) {
 		build func(p *fault.Plan) error
 	}{
 		{"core", true, func(p *fault.Plan) error {
+			b, err := apps.Build(apps.Agrep, apps.TestScale())
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg := core.DefaultConfig(core.ModeNoHint)
 			cfg.Faults = p
-			return cfg.Validate()
+			_, err = core.New(cfg, b.Original, b.FS)
+			return err
 		}},
 		{"multi", true, func(p *fault.Plan) error {
 			cfg := multi.DefaultConfig()
@@ -139,14 +145,16 @@ func TestFaultPlanHalves(t *testing.T) {
 	specs := []struct {
 		key, spec string
 		disk      bool
+		bad       string // a disk consumer's error, when its array cannot take the plan
 	}{
-		{"rate", "rate=0.1", true},
-		{"burst", "burst=2", true},
-		{"spike", "spike=0.1", true},
-		{"failn", "failn=1", true},
-		{"die", "die=0@1e9", true},
-		{"dieshard", "dieshard=0@1e9", false},
-		{"brown", "brown=1@1e6-2e6", false},
+		{"rate", "rate=0.1", true, ""},
+		{"burst", "burst=2", true, ""},
+		{"spike", "spike=0.1", true, ""},
+		{"failn", "failn=1", true, ""},
+		{"die", "die=0@1e9", true, ""},
+		{"die", "die=4@1e9", true, "core: fault plan kills disk 4 of 4"},
+		{"dieshard", "dieshard=0@1e9", false, ""},
+		{"brown", "brown=1@1e6-2e6", false, ""},
 	}
 	for _, c := range consumers {
 		for _, s := range specs {
@@ -156,6 +164,10 @@ func TestFaultPlanHalves(t *testing.T) {
 			}
 			err = c.build(p)
 			switch {
+			case s.bad != "" && c.disk:
+				if err == nil || !strings.Contains(err.Error(), s.bad) {
+					t.Errorf("%s given %q: err = %v, want one naming %q", c.name, s.spec, err, s.bad)
+				}
 			case c.disk == s.disk && err != nil:
 				t.Errorf("%s rejects its own half %q: %v", c.name, s.spec, err)
 			case c.disk != s.disk && (err == nil || !strings.Contains(err.Error(), "fault: "+s.key+" ")):

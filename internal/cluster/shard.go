@@ -155,7 +155,7 @@ type shard struct {
 // a trace, the layers' lanes become "sN:tip", "sN:cache", "sN:diskK".
 func newShard(id int, clk *sim.Queue, cfg *Config, corpus []byte) (*shard, error) {
 	tr := cfg.Obs.Sub(fmt.Sprintf("s%d:", id))
-	sub, err := core.NewSubstrateOn(clk, cfg.Disk, cfg.TIP, fsim.New(int(cfg.Clients.BlockSize)), nil, tr)
+	sub, err := core.NewSubstrateOn(clk, core.Node{Disk: cfg.Disk, TIP: cfg.TIP, Obs: tr}, fsim.New(int(cfg.Clients.BlockSize)))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", id, err)
 	}

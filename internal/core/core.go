@@ -49,7 +49,7 @@ const (
 	ModeManual
 	// ModeStatic runs the unmodified application with hints synthesized
 	// offline by static analysis (internal/analysis.Synthesize) and issued
-	// in bulk at program start. The hints are in Config.StaticHints; they
+	// in bulk at program start. The hints are in Proc.StaticHints; they
 	// cost the application zero cycles because no code was added to it.
 	ModeStatic
 )
@@ -92,18 +92,34 @@ const (
 	// stack copy adds copyPer8B per 8 bytes of live stack.
 	restartBaseCycles = 1_000
 
-	// adaptiveThreshold and adaptiveBackoff drive Config.AdaptiveThrottle:
+	// adaptiveThreshold and adaptiveBackoff drive Proc.AdaptiveThrottle:
 	// restarts are gated while TIP's accuracy estimate is below the
 	// threshold, backing off from the initial cycles and doubling.
 	adaptiveThreshold = 0.2
 	adaptiveBackoff   = 50_000_000
 )
 
-// Config assembles a full system.
-type Config struct {
+// Node is what a substrate is built from (NewSubstrateOn): the disk array,
+// the TIP manager and cache over it, the disk half of a fault plan and the
+// trace the layers are wired to.
+type Node struct {
+	Disk disk.Config
+	TIP  tip.Config
+
+	// Faults, when non-nil, is installed as the disk array's fault injector;
+	// every process on the substrate meets the same schedule.
+	Faults *fault.Plan
+
+	// Obs, when non-nil, is the cross-layer observability stream the layers
+	// are wired to (disk spans, cache and TIP events, metric gauges); each
+	// process emits its own events under its own lane. Purely observational
+	// — enabling it changes no run's cycle count.
+	Obs *obs.Trace
+}
+
+// Proc is what one process runs with on a substrate (NewOn).
+type Proc struct {
 	Mode    Mode
-	Disk    disk.Config
-	TIP     tip.Config
 	Machine vm.Config
 
 	// CancelThrottle, when > 0, disables speculation for
@@ -125,24 +141,13 @@ type Config struct {
 	// prefetch-priority at the disks).
 	DualProcessor bool
 
-	// Obs, when non-nil, is the cross-layer observability stream: New
-	// installs it on the private substrate (disk spans, cache and TIP
-	// events, metric gauges) and the core emits its own events under this
-	// process's lane. Purely observational — enabling it changes no run's
-	// cycle count.
-	Obs *obs.Trace
-
-	// MaxCycles aborts a runaway simulation. Zero means no limit.
+	// MaxCycles aborts a runaway solo Run. Zero means no limit.
 	MaxCycles int64
-
-	// Faults, when non-nil, is installed as the disk array's fault injector
-	// (private substrates only; multiprogramming installs a shared plan on
-	// its own substrate).
-	Faults *fault.Plan
 
 	// StaticHints is the synthesized hint list for ModeStatic, in the order
 	// the run is expected to consume them (TIP bypasses — and penalizes —
-	// out-of-order segments). Ignored in every other mode.
+	// out-of-order segments). A list in any other mode is a configuration
+	// error.
 	StaticHints []StaticHint
 
 	// Capture, when non-nil, records the original thread's read stream as a
@@ -151,6 +156,24 @@ type Config struct {
 	// observational — capturing changes no run's cycle count — and works in
 	// every mode (only the original thread's demand reads are recorded).
 	Capture *trace.Capture
+}
+
+// validate reports a process configuration error, if any.
+func (p Proc) validate() error {
+	if p.Mode < ModeNoHint || p.Mode > ModeStatic {
+		return fmt.Errorf("core: bad mode %d", p.Mode)
+	}
+	if len(p.StaticHints) > 0 && p.Mode != ModeStatic {
+		return fmt.Errorf("core: StaticHints given in mode %v", p.Mode)
+	}
+	return nil
+}
+
+// Config assembles a full system: a private node and the one process New
+// runs on it.
+type Config struct {
+	Node
+	Proc
 }
 
 // StaticHint is one statically synthesized disclosure: a future read of
@@ -183,34 +206,9 @@ func TestbedDisk(numDisks int) disk.Config {
 // cache.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:      mode,
-		Disk:      TestbedDisk(4),
-		TIP:       tip.DefaultConfig(),
-		Machine:   vm.DefaultConfig(),
-		MaxCycles: 1 << 42,
+		Node: Node{Disk: TestbedDisk(4), TIP: tip.DefaultConfig()},
+		Proc: Proc{Mode: mode, Machine: vm.DefaultConfig(), MaxCycles: 1 << 42},
 	}
-}
-
-// Validate reports a configuration error, if any.
-func (c Config) Validate() error {
-	if err := c.Disk.Validate(); err != nil {
-		return err
-	}
-	if err := c.TIP.Validate(); err != nil {
-		return err
-	}
-	if c.Mode < ModeNoHint || c.Mode > ModeStatic {
-		return fmt.Errorf("core: bad mode %d", c.Mode)
-	}
-	if len(c.StaticHints) > 0 && c.Mode != ModeStatic {
-		return fmt.Errorf("core: StaticHints given in mode %v", c.Mode)
-	}
-	if c.Faults != nil {
-		if err := c.Faults.ValidateDisk(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // logEntry is one hint-log record: the speculating thread's prediction of a
@@ -388,35 +386,39 @@ type Substrate struct {
 // NewSubstrate assembles a substrate over fs on a clock of its own, with
 // perfect disks and no trace.
 func NewSubstrate(diskCfg disk.Config, tipCfg tip.Config, fs *fsim.FS) (*Substrate, error) {
-	return NewSubstrateOn(sim.NewQueue(), diskCfg, tipCfg, fs, nil, nil)
+	return NewSubstrateOn(sim.NewQueue(), Node{Disk: diskCfg, TIP: tipCfg}, fs)
 }
 
-// NewSubstrateOn assembles a substrate over fs on clk: the disk array, with
-// the disk half of faults validated and installed as its injector (nil is
-// perfect hardware), and the TIP manager over it, both wired to tr (nil is
-// untraced). The standard metric gauges are a separate step (AddGauges),
-// because a cluster shard registers its own.
-func NewSubstrateOn(clk *sim.Queue, diskCfg disk.Config, tipCfg tip.Config, fs *fsim.FS, faults *fault.Plan, tr *obs.Trace) (*Substrate, error) {
-	if fs.BlockSize() != diskCfg.BlockSize {
-		return nil, fmt.Errorf("core: fs block size %d != disk block size %d", fs.BlockSize(), diskCfg.BlockSize)
+// NewSubstrateOn assembles node's substrate over fs on clk: the disk array,
+// with the disk half of node.Faults validated and installed as its injector
+// (nil is perfect hardware), and the TIP manager over it, both wired to
+// node.Obs (nil is untraced). It is where a node's settings are validated.
+// The standard metric gauges are a separate step (AddGauges), because a
+// cluster shard registers its own.
+func NewSubstrateOn(clk *sim.Queue, node Node, fs *fsim.FS) (*Substrate, error) {
+	if fs.BlockSize() != node.Disk.BlockSize {
+		return nil, fmt.Errorf("core: fs block size %d != disk block size %d", fs.BlockSize(), node.Disk.BlockSize)
 	}
-	arr, err := disk.New(clk, diskCfg)
+	arr, err := disk.New(clk, node.Disk)
 	if err != nil {
 		return nil, err
 	}
-	if faults != nil {
-		if err := faults.ValidateDisk(); err != nil {
+	if f := node.Faults; f != nil {
+		if err := f.ValidateDisk(); err != nil {
 			return nil, err
 		}
-		arr.SetInjector(faults)
+		if f.DieDisk >= node.Disk.NumDisks {
+			return nil, fmt.Errorf("core: fault plan kills disk %d of %d", f.DieDisk, node.Disk.NumDisks)
+		}
+		arr.SetInjector(f)
 	}
-	tm, err := tip.New(clk, arr, fs, tipCfg)
+	tm, err := tip.New(clk, arr, fs, node.TIP)
 	if err != nil {
 		return nil, err
 	}
-	arr.SetObs(tr)
-	tm.SetObs(tr)
-	return &Substrate{Clk: clk, FS: fs, Arr: arr, TIP: tm, Obs: tr}, nil
+	arr.SetObs(node.Obs)
+	tm.SetObs(node.Obs)
+	return &Substrate{Clk: clk, FS: fs, Arr: arr, TIP: tm, Obs: node.Obs}, nil
 }
 
 // AddGauges registers the standard metric gauges on the substrate's trace
@@ -453,7 +455,7 @@ func (sub *Substrate) AddGauges() {
 
 // System is one configured run: program + mode + substrate.
 type System struct {
-	cfg  Config
+	cfg  Proc
 	clk  *sim.Queue
 	fs   *fsim.FS
 	arr  *disk.Array
@@ -510,23 +512,20 @@ type System struct {
 // ModeSpeculating the program must be SpecHint-transformed; in the other
 // modes it must not be.
 func New(cfg Config, prog *vm.Program, fs *fsim.FS) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sub, err := NewSubstrateOn(sim.NewQueue(), cfg.Disk, cfg.TIP, fs, cfg.Faults, cfg.Obs)
+	sub, err := NewSubstrateOn(sim.NewQueue(), cfg.Node, fs)
 	if err != nil {
 		return nil, err
 	}
 	sub.AddGauges()
-	return NewOn(sub, cfg, prog, "app")
+	return NewOn(sub, cfg.Proc, prog, "app")
 }
 
 // NewOn builds a System for prog over an existing substrate, registering a
-// fresh TIP client for its hint stream. cfg.Disk and cfg.TIP are ignored —
-// the substrate already embodies them; everything else (mode, overheads,
-// throttles) applies per process. name labels the process in diagnostics.
-func NewOn(sub *Substrate, cfg Config, prog *vm.Program, name string) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+// fresh TIP client for its hint stream. Everything node-wide (disks, TIP,
+// faults, trace) is the substrate's; cfg is what applies per process (mode,
+// machine, throttles). name labels the process in diagnostics.
+func NewOn(sub *Substrate, cfg Proc, prog *vm.Program, name string) (*System, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	transformed := prog.ShadowBase > 0

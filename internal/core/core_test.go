@@ -486,14 +486,14 @@ func TestStaticHintsReduceElapsedTime(t *testing.T) {
 // TestStaticModeValidation: StaticHints outside ModeStatic is a config
 // error, as is ModeStatic with a transformed binary.
 func TestStaticModeValidation(t *testing.T) {
+	fs, names := buildFS(t, 2, 1000)
+	prog := asm.MustAssemble(seqReaderSrc(names, false))
 	cfg := DefaultConfig(ModeNoHint)
 	cfg.StaticHints = []StaticHint{{Path: "x", Off: 0, N: 1}}
-	if err := cfg.Validate(); err == nil {
+	if _, err := New(cfg, prog, fs); err == nil {
 		t.Error("StaticHints accepted in original mode")
 	}
 
-	fs, names := buildFS(t, 2, 1000)
-	prog := asm.MustAssemble(seqReaderSrc(names, false))
 	tp, _, err := spechint.Transform(prog, spechint.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

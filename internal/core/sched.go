@@ -88,7 +88,7 @@ type group struct {
 // order. Stats are taken the moment a process exits, so Elapsed is its own
 // completion time; its hint stream is closed then too, handing its cache
 // partition to the survivors. maxCycles bounds the whole run (0 = no bound);
-// a member's own Config.MaxCycles applies only to its solo Run.
+// a member's own Proc.MaxCycles applies only to its solo Run.
 func RunGroup(procs []*System, quantum, maxCycles int64) ([]*RunStats, error) {
 	if len(procs) == 0 {
 		return nil, errors.New("core: empty process group")

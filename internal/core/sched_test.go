@@ -39,7 +39,7 @@ func groupOn(t *testing.T, fs *fsim.FS, srcs ...string) (*Substrate, []*System) 
 	}
 	var procs []*System
 	for i, src := range srcs {
-		p, err := NewOn(sub, DefaultConfig(ModeNoHint), asm.MustAssemble(src), fmt.Sprintf("p%d", i))
+		p, err := NewOn(sub, DefaultConfig(ModeNoHint).Proc, asm.MustAssemble(src), fmt.Sprintf("p%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}

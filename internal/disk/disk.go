@@ -84,8 +84,8 @@ type Config struct {
 	DelayFactor int
 }
 
-// Validate reports a configuration error, if any.
-func (c Config) Validate() error {
+// validate reports a configuration error, if any.
+func (c Config) validate() error {
 	switch {
 	case c.NumDisks <= 0:
 		return fmt.Errorf("disk: NumDisks = %d, want > 0", c.NumDisks)
@@ -167,7 +167,7 @@ type diskState struct {
 
 // New constructs an array on the given clock.
 func New(clk *sim.Queue, cfg Config) (*Array, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	a := &Array{clk: clk, cfg: cfg, unit: int64(cfg.StripeUnit / cfg.BlockSize),

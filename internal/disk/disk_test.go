@@ -46,11 +46,11 @@ func TestConfigValidate(t *testing.T) {
 	for _, tc := range cases {
 		cfg := testConfig(4)
 		tc.mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("%s: Validate() = nil, want error", tc.name)
+		if err := cfg.validate(); err == nil {
+			t.Errorf("%s: validate() = nil, want error", tc.name)
 		}
 	}
-	if err := testConfig(4).Validate(); err != nil {
+	if err := testConfig(4).validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }

@@ -30,6 +30,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -117,12 +118,13 @@ func (p *Plan) init() {
 	p.attempts = make(map[[2]int64]int)
 }
 
-// Validate reports a plan error, if any.
+// Validate reports a plan error, if any. The probability checks are written
+// so that NaN fails them.
 func (p *Plan) Validate() error {
 	switch {
-	case p.Rate < 0 || p.Rate >= 1:
+	case !(p.Rate >= 0 && p.Rate < 1):
 		return fmt.Errorf("fault: rate %g, want [0, 1)", p.Rate)
-	case p.SpikeRate < 0 || p.SpikeRate >= 1:
+	case !(p.SpikeRate >= 0 && p.SpikeRate < 1):
 		return fmt.Errorf("fault: spike rate %g, want [0, 1)", p.SpikeRate)
 	case p.Burst < 1:
 		return fmt.Errorf("fault: burst %d, want >= 1", p.Burst)
@@ -262,7 +264,9 @@ func (p *Plan) String() string {
 	if p.Burst > 1 {
 		add(fmt.Sprintf("burst=%d", p.Burst))
 	}
-	if p.SpikeRate > 0 {
+	// A factor other than init's default is kept even without a rate, so
+	// the spec parses back to this plan.
+	if p.SpikeRate > 0 || p.SpikeFactor != 4 {
 		add(fmt.Sprintf("spike=%gx%d", p.SpikeRate, p.SpikeFactor))
 	}
 	if p.FailN > 0 {
@@ -287,7 +291,9 @@ func (p *Plan) String() string {
 //
 // Keys: seed (int), rate (probability), burst (int), spike (probability, or
 // probability x factor), failn (int), die (disk@cycles; cycles may use
-// scientific notation). Unknown keys are errors.
+// scientific notation), dieshard (shard@cycles), brown
+// (shard@from-until[xfactor]). Unknown keys, a negative disk or shard and a
+// time that is not a finite int64 are errors.
 func Parse(spec string) (*Plan, error) {
 	p := NewPlan(0)
 	for _, kv := range strings.Split(spec, ",") {
@@ -319,20 +325,16 @@ func Parse(spec string) (*Plan, error) {
 			if !found {
 				return nil, fmt.Errorf("fault: die=%q, want die=disk@cycles", v)
 			}
-			if p.DieDisk, err = strconv.Atoi(dk); err == nil {
-				var f float64
-				f, err = strconv.ParseFloat(at, 64)
-				p.DieAt = sim.Time(f)
+			if p.DieDisk, err = index(dk); err == nil {
+				p.DieAt, err = cycles(at)
 			}
 		case "dieshard":
 			sh, at, found := strings.Cut(v, "@")
 			if !found {
 				return nil, fmt.Errorf("fault: dieshard=%q, want dieshard=shard@cycles", v)
 			}
-			if p.DieShard, err = strconv.Atoi(sh); err == nil {
-				var f float64
-				f, err = strconv.ParseFloat(at, 64)
-				p.DieShardAt = sim.Time(f)
+			if p.DieShard, err = index(sh); err == nil {
+				p.DieShardAt, err = cycles(at)
 			}
 		case "brown":
 			// brown=shard@from-untilxfactor; the factor suffix is optional.
@@ -340,7 +342,7 @@ func Parse(spec string) (*Plan, error) {
 			if !found {
 				return nil, fmt.Errorf("fault: brown=%q, want brown=shard@from-until[xfactor]", v)
 			}
-			if p.BrownShard, err = strconv.Atoi(sh); err != nil {
+			if p.BrownShard, err = index(sh); err != nil {
 				return nil, fmt.Errorf("fault: bad brown=%q: %v", v, err)
 			}
 			if rng, factor, hasF := strings.Cut(win, "x"); true {
@@ -348,12 +350,8 @@ func Parse(spec string) (*Plan, error) {
 				if !ok {
 					return nil, fmt.Errorf("fault: brown=%q, want a from-until window", v)
 				}
-				var f float64
-				if f, err = strconv.ParseFloat(from, 64); err == nil {
-					p.BrownAt = sim.Time(f)
-					if f, err = strconv.ParseFloat(until, 64); err == nil {
-						p.BrownUntil = sim.Time(f)
-					}
+				if p.BrownAt, err = cycles(from); err == nil {
+					p.BrownUntil, err = cycles(until)
 				}
 				if err == nil && hasF {
 					p.BrownFactor, err = strconv.Atoi(factor)
@@ -373,6 +371,27 @@ func Parse(spec string) (*Plan, error) {
 	}
 	p.init() // re-seed with the parsed seed
 	return p, nil
+}
+
+// index parses a disk or shard number: a negative one would silently
+// disable the fault it names.
+func index(s string) (int, error) {
+	i, err := strconv.Atoi(s)
+	if err == nil && i < 0 {
+		err = fmt.Errorf("negative index %d", i)
+	}
+	return i, err
+}
+
+// cycles parses a virtual time, which may use scientific notation; one that
+// is not finite or does not fit in an int64 is an error, since Go leaves
+// that conversion to the platform.
+func cycles(s string) (sim.Time, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(f >= math.MinInt64 && f < math.MaxInt64) {
+		err = fmt.Errorf("time %s out of range", s)
+	}
+	return sim.Time(f), err
 }
 
 const knownKeys = "seed, rate, burst, spike, failn, die, dieshard, brown"

@@ -1,9 +1,10 @@
 package fault
 
 import (
-	"spechint/internal/sim"
-
+	"reflect"
 	"testing"
+
+	"spechint/internal/sim"
 )
 
 func TestParseRoundTrip(t *testing.T) {
@@ -32,11 +33,53 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"failn=-1",    // negative
 		"rate=abc",    // unparsable
 		"die=1@-5",    // negative time
+		// Specs that once parsed and then silently injected nothing, or
+		// something the platform chose.
+		"rate=NaN,seed=3",
+		"spike=NaN",
+		"die=-2@1e5",
+		"dieshard=-2@1e5",
+		"brown=-2@1e5-2e5",
+		"die=1@1e300",
+		"die=1@Inf",
+		"dieshard=1@9.3e18",
+		"brown=0@1e5-NaN",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
 		}
 	}
+}
+
+// FuzzParse: every spec Parse accepts is a valid plan, and its String()
+// parses back to an equal plan.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"seed=42,rate=0.01",
+		"seed=7,rate=0.05,burst=3,spike=0.02x8,failn=2,die=1@2e9",
+		"seed=3,dieshard=1@2e9,brown=0@1e6-5e6x16",
+		"spike=0x7",
+		"rate=NaN,seed=3",
+		"die=1@1e300",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Parse(%q) accepted an invalid plan: %v", spec, err)
+		}
+		q, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("Parse(%q) = %+v, but its String() %q parses to %+v", spec, *p, p.String(), *q)
+		}
+	})
 }
 
 func TestParseScientificDieTime(t *testing.T) {

@@ -20,9 +20,7 @@ import (
 	"spechint/internal/cache"
 	"spechint/internal/core"
 	"spechint/internal/disk"
-	"spechint/internal/fault"
 	"spechint/internal/fsim"
-	"spechint/internal/obs"
 	"spechint/internal/sim"
 	"spechint/internal/tip"
 	"spechint/internal/workload"
@@ -48,8 +46,13 @@ const (
 
 // Config assembles a process group.
 type Config struct {
-	Disk disk.Config // the shared array
-	TIP  tip.Config  // the shared manager + cache
+	// Node is the shared substrate: one array, one manager and cache. Its
+	// fault plan hits every process in the group (a disk death degrades the
+	// whole substrate, not one victim); with a trace, each process gets its
+	// own lane (named like "p0:gnuld/speculating") alongside the shared tip,
+	// cache and per-disk lanes, and the substrate gauges are sampled on
+	// virtual-time ticks. Tracing never changes cycle counts.
+	core.Node
 
 	// FirstProcIndex numbers the group's processes starting here (default
 	// 0). Solo baseline runs use it to rebuild process i's exact workload
@@ -58,25 +61,11 @@ type Config struct {
 
 	// MaxCycles aborts a runaway simulation. Zero means no limit.
 	MaxCycles int64
-
-	// Faults, when non-nil, is installed on the shared disk array: one fault
-	// schedule hits every process in the group (a disk death degrades the
-	// whole substrate, not one victim).
-	Faults *fault.Plan
-
-	// Obs, when non-nil, records the group's cross-layer trace: each process
-	// gets its own lane (named like "p0:gnuld/speculating") alongside the
-	// shared tip, cache and per-disk lanes, and the substrate gauges are
-	// sampled on virtual-time ticks. Tracing never changes cycle counts.
-	Obs *obs.Trace
 }
 
 // DefaultConfig mirrors the paper's testbed: four disks, 12 MB shared cache.
 func DefaultConfig() Config {
-	return Config{
-		Disk: core.TestbedDisk(4),
-		TIP:  tip.DefaultConfig(),
-	}
+	return Config{Node: core.Node{Disk: core.TestbedDisk(4), TIP: tip.DefaultConfig()}}
 }
 
 // Group is a configured multiprogramming run.
@@ -96,7 +85,7 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 	}
 	fs := fsim.New(cfg.Disk.BlockSize)
 	workload.SetBenchLayout(fs)
-	sub, err := core.NewSubstrateOn(sim.NewQueue(), cfg.Disk, cfg.TIP, fs, cfg.Faults, cfg.Obs)
+	sub, err := core.NewSubstrateOn(sim.NewQueue(), cfg.Node, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +111,7 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 			// unhinted under a "static" label.
 			return nil, fmt.Errorf("multi: p%d %v: static mode is not supported in a group (no synthesized hints)", idx, spec)
 		}
-		sys, err := core.NewOn(sub, core.DefaultConfig(spec.Mode), prog, fmt.Sprintf("p%d:%v", idx, spec))
+		sys, err := core.NewOn(sub, core.DefaultConfig(spec.Mode).Proc, prog, fmt.Sprintf("p%d:%v", idx, spec))
 		if err != nil {
 			return nil, fmt.Errorf("multi: p%d %v: %w", idx, spec, err)
 		}

@@ -110,39 +110,66 @@ func TestGroupOutputsMatchSolo(t *testing.T) {
 	// run alone (same prefix and seeds via FirstProcIndex) — and a group of
 	// one, time-sliced every quantum cycles, must BE the solo run: the same
 	// inputs through core.New(...).Run(), whose quantum never slices, yield
-	// identical statistics down to the last bucket and counter.
+	// identical statistics down to the last bucket and counter. Both ways of
+	// building a node must install its fault plan: under a fresh
+	// seed=17,rate=0.03 plan each, the group of one and the solo run fault
+	// the same requests (Agrep's 44 draw none at test scale, XDataSlice's do,
+	// so the faulted input is checked for faults over the whole group).
 	cfg := DefaultConfig()
 	group := runGroup(t, cfg, mixedSpecs(2, core.ModeSpeculating))
+	var soloFaulted, groupFaulted int64
 	for i, p := range group.Procs {
-		solo := cfg
-		solo.FirstProcIndex = i
-		sres := runGroup(t, solo, []ProcSpec{{App: p.App, Mode: core.ModeSpeculating}})
-		if sres.Procs[0].Stats.Output != p.Stats.Output {
-			t.Errorf("p%d (%v) output differs between group and solo run", i, p.App)
-		}
-		if sres.Procs[0].Stats.ExitCode != p.Stats.ExitCode {
-			t.Errorf("p%d (%v) exit code differs: solo %d group %d",
-				i, p.App, sres.Procs[0].Stats.ExitCode, p.Stats.ExitCode)
-		}
+		for _, spec := range []string{"", "seed=17,rate=0.03"} {
+			plan := func() *fault.Plan {
+				if spec == "" {
+					return nil
+				}
+				p, err := fault.Parse(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			solo := cfg
+			solo.FirstProcIndex = i
+			solo.Faults = plan()
+			sres := runGroup(t, solo, []ProcSpec{{App: p.App, Mode: core.ModeSpeculating}})
+			if sres.Procs[0].Stats.Output != p.Stats.Output {
+				t.Errorf("p%d (%v) %q: output differs between group and solo run", i, p.App, spec)
+			}
+			if sres.Procs[0].Stats.ExitCode != p.Stats.ExitCode {
+				t.Errorf("p%d (%v) %q: exit code differs: solo %d group %d",
+					i, p.App, spec, sres.Procs[0].Stats.ExitCode, p.Stats.ExitCode)
+			}
 
-		fs := fsim.New(cfg.Disk.BlockSize)
-		workload.SetBenchLayout(fs)
-		b, err := apps.BuildOn(fs, p.App, apps.TestScale().WithProcess(i, seedStep))
-		if err != nil {
-			t.Fatal(err)
+			fs := fsim.New(cfg.Disk.BlockSize)
+			workload.SetBenchLayout(fs)
+			b, err := apps.BuildOn(fs, p.App, apps.TestScale().WithProcess(i, seedStep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ccfg := core.DefaultConfig(core.ModeSpeculating)
+			ccfg.Faults = plan()
+			sys, err := core.New(ccfg, b.Transformed, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(alone, sres.Procs[0].Stats) {
+				t.Errorf("p%d (%v) %q: a group of one is not the solo run:\n solo %+v\ngroup %+v",
+					i, p.App, spec, alone, sres.Procs[0].Stats)
+			}
+			if spec != "" {
+				soloFaulted += alone.Disk.FaultedReqs
+				groupFaulted += sres.Procs[0].Stats.Disk.FaultedReqs
+			}
 		}
-		sys, err := core.New(core.DefaultConfig(core.ModeSpeculating), b.Transformed, fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alone, err := sys.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(alone, sres.Procs[0].Stats) {
-			t.Errorf("p%d (%v): a group of one is not the solo run:\n solo %+v\ngroup %+v",
-				i, p.App, alone, sres.Procs[0].Stats)
-		}
+	}
+	if soloFaulted == 0 || groupFaulted == 0 {
+		t.Errorf("the faulted input faulted %d requests solo and %d in groups of one; want both > 0", soloFaulted, groupFaulted)
 	}
 }
 

@@ -102,8 +102,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports a configuration error, if any.
-func (c Config) Validate() error {
+// validate reports a configuration error, if any.
+func (c Config) validate() error {
 	switch {
 	case c.CacheBlocks <= 0:
 		return fmt.Errorf("tip: CacheBlocks = %d, want > 0", c.CacheBlocks)
@@ -340,7 +340,7 @@ type Client struct {
 
 // New constructs a manager over the given clock, array and file system.
 func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	m := &Manager{

@@ -80,7 +80,7 @@ func (r *rig) readSync(t *testing.T, f *fsim.File, off, n int64, hinted bool) si
 
 func TestConfigValidate(t *testing.T) {
 	good := smallTIP()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Config{
@@ -91,11 +91,11 @@ func TestConfigValidate(t *testing.T) {
 		{CacheBlocks: 4, Horizon: 8, MinHorizon: 2, ReadaheadMax: -1},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if DefaultConfig().Validate() != nil {
+	if DefaultConfig().validate() != nil {
 		t.Error("DefaultConfig invalid")
 	}
 }
