@@ -118,6 +118,24 @@ func TestGoldenFaults(t *testing.T) {
 	goldenReport(t, "faults_small.json", rep, err)
 }
 
+// TestGoldenSynthReports byte-compares the static synthesizer's report for
+// the three apps with a provable read site, at test scale: every site's
+// class and confidence, the closed forms and the first hints. A change to
+// the analysis shows here line by line.
+func TestGoldenSynthReports(t *testing.T) {
+	for _, app := range []apps.App{apps.Agrep, apps.Gnuld, apps.XDataSlice} {
+		b, err := apps.Build(app, apps.TestScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Synth(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, filepath.Join(goldenDir, "synth_"+strings.ToLower(app.String())+".txt"), []byte(r.String()))
+	}
+}
+
 // TestQuantumIsSlicingNotBehaviour is the differential wall under the single
 // scheduler: for every app and mode, the same inputs run through
 // (*System).Run — a group of one whose quantum never slices — and through the
