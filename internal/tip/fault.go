@@ -37,7 +37,6 @@ type FaultCounters struct {
 	FetchErrors   int64 // disk completions that returned an error
 	FetchRetries  int64 // failed fetches re-submitted after backoff
 	DemotedBlocks int64 // prefetched blocks dropped after repeated failures
-	DeadSkips     int64 // hinted blocks never prefetched: their disk is dead
 	FailedDemand  int64 // demand fetches surfaced to the reader as an error
 }
 

@@ -136,16 +136,27 @@ func TestDeadDiskSuppressesPrefetchKeepsDemand(t *testing.T) {
 		t.Fatal("manager not degraded with a dead disk")
 	}
 
-	// Hints whose blocks map to the dead disk are skipped, not fetched.
-	prefBefore := r.arr.Stats().PrefetchReqs
+	// Hints whose blocks map to the dead disk are skipped, not fetched: a
+	// request submitted to a dead disk completes ErrDead and counts in
+	// DeadReqs, so no prefetch reached it if that count stands still.
+	onDead := 0
+	for b := int64(0); b < f.NBlocks(); b++ {
+		if r.arr.DiskOf(f.LogicalBlock(b)) == 0 {
+			onDead++
+		}
+	}
+	if onDead == 0 {
+		t.Fatal("no hinted block maps to the dead disk")
+	}
+	before := r.arr.Stats()
 	r.cli().HintSeg(f, 0, 8192)
 	r.clk.Drain()
-	fc := r.m.Faults()
-	if fc.DeadSkips == 0 {
-		t.Fatalf("no DeadSkips recorded: %+v", fc)
+	if got := r.arr.Stats().DeadReqs; got != before.DeadReqs {
+		t.Fatalf("%d requests reached the dead disk after it died", got-before.DeadReqs)
 	}
+	fc := r.m.Faults()
 	// Blocks on the surviving disk still prefetch.
-	if r.arr.Stats().PrefetchReqs == prefBefore {
+	if r.arr.Stats().PrefetchReqs == before.PrefetchReqs {
 		t.Fatal("degraded mode stopped prefetching the surviving disk too")
 	}
 	if fc.FailedDemand != 1 {

@@ -390,10 +390,6 @@ walk:
 		dk := m.arr.DiskOf(lb)
 		if m.arr.Dead(dk) {
 			// Degraded mode: no prefetching onto a dead disk.
-			if !m.deadSkipped[lb] {
-				m.deadSkipped[lb] = true
-				m.faults.DeadSkips++
-			}
 			continue
 		}
 		if b := m.cache.Get(lb); b != nil {

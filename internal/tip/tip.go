@@ -270,11 +270,9 @@ type Manager struct {
 	fetches map[int64]*fetch
 
 	// Degradation state: blocks demoted from prefetching after repeated
-	// failures, and dead-disk blocks already counted as skipped (so DeadSkips
-	// counts blocks, not pump passes).
-	demoted     map[int64]bool
-	deadSkipped map[int64]bool
-	faults      FaultCounters
+	// failures.
+	demoted map[int64]bool
+	faults  FaultCounters
 
 	obs *obs.Trace // nil = tracing off; all methods are nil-safe
 }
@@ -344,17 +342,16 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		return nil, err
 	}
 	m := &Manager{
-		clk:         clk,
-		arr:         arr,
-		fs:          fs,
-		cache:       cache.New(cfg.CacheBlocks),
-		cfg:         cfg,
-		prefDepth:   make([]int, arr.Config().NumDisks),
-		refusers:    make([]clientSet, arr.Config().NumDisks),
-		interest:    make(map[int64][]*Client),
-		fetches:     make(map[int64]*fetch),
-		demoted:     make(map[int64]bool),
-		deadSkipped: make(map[int64]bool),
+		clk:       clk,
+		arr:       arr,
+		fs:        fs,
+		cache:     cache.New(cfg.CacheBlocks),
+		cfg:       cfg,
+		prefDepth: make([]int, arr.Config().NumDisks),
+		refusers:  make([]clientSet, arr.Config().NumDisks),
+		interest:  make(map[int64][]*Client),
+		fetches:   make(map[int64]*fetch),
+		demoted:   make(map[int64]bool),
 	}
 	m.cache.SetAccuracyFn(func(owner int) float64 {
 		if owner >= 0 && owner < len(m.clients) {
