@@ -581,8 +581,12 @@ func (m *Manager) onFetchDone(f *fetch, err error) {
 		m.handleFetchError(f, err)
 	} else {
 		// Once valid the block can be evicted for a nearer one of its owner's.
-		if b := m.cache.Get(lb); b != nil && b.HintPos != cache.NoHint && m.starved.has(b.Owner) {
-			m.woken.add(b.Owner)
+		owner := -1
+		if b := m.cache.Get(lb); b != nil && b.HintPos != cache.NoHint {
+			owner = b.Owner
+			if m.starved.has(owner) {
+				m.woken.add(owner)
+			}
 		}
 		delete(m.fetches, lb)
 		m.releaseFetch(f)
@@ -591,6 +595,11 @@ func (m *Manager) onFetchDone(f *fetch, err error) {
 			m.blockChanged(lb, 0, cache.NoHint)
 		}
 		m.cache.Complete(lb)
+		// A waiter that ran while the block was still pinned for the next may
+		// have pumped and found it unevictable: the owner starved again.
+		if owner >= 0 && m.starved.has(owner) {
+			m.woken.add(owner)
+		}
 	}
 	m.retryPendingDemand()
 	m.pump()
