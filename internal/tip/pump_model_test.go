@@ -83,6 +83,7 @@ type pumpRig struct {
 	inj    *recInjector
 	files  []*fsim.File
 	slots  []*Client // nil: closed, not yet reopened
+	proved []bool    // the slot's stream carries proved static hints only
 	forget bool
 	dones  []string // read completions, in order
 
@@ -91,6 +92,10 @@ type pumpRig struct {
 	// sawDeadSkip: after a pump, a hinted block within an open client's
 	// horizon lay on the dead disk, uncached: one the pass passes by.
 	sawDeadSkip bool
+
+	// sawStaticTail: a hinted read of a proved stream exhausted its segment
+	// and read ahead past it.
+	sawStaticTail bool
 
 	// sawHeldRecur: a block consumed in transit, its distance held, is hinted
 	// again further down its owner's window, where the next pass compares
@@ -177,6 +182,7 @@ func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
 	for i := 0; i < 5; i++ {
 		r.slots = append(r.slots, m.NewClient())
 	}
+	r.proved = make([]bool, 5)
 	return r
 }
 
@@ -188,13 +194,13 @@ type pumpStep struct {
 	file   int
 	off, n int64
 	hinted bool
-	conf   float64
+	proved bool // an open: the stream is marked proved, as core marks a static one
 	events int
 	then   *pumpStep // a read's completion callback issues this read
 }
 
 func (s *pumpStep) String() string {
-	str := fmt.Sprintf("%s slot=%d f%d off=%d n=%d hinted=%v conf=%.2f events=%d", s.kind, s.slot, s.file, s.off, s.n, s.hinted, s.conf, s.events)
+	str := fmt.Sprintf("%s slot=%d f%d off=%d n=%d hinted=%v proved=%v events=%d", s.kind, s.slot, s.file, s.off, s.n, s.hinted, s.proved, s.events)
 	if s.then != nil {
 		str += " then{" + s.then.String() + "}"
 	}
@@ -207,7 +213,9 @@ func (r *pumpRig) read(s *pumpStep) {
 	}
 	tag := fmt.Sprintf("slot=%d f%d off=%d n=%d", s.slot, s.file, s.off, s.n)
 	r.before()
-	imm := r.slots[s.slot].Read(r.files[s.file], s.off, s.n, s.hinted, func(err error) {
+	c := r.slots[s.slot]
+	ra := c.Stats().RAPrefetches
+	imm := c.Read(r.files[s.file], s.off, s.n, s.hinted, func(err error) {
 		r.before()
 		r.dones = append(r.dones, fmt.Sprintf("t=%d %s err=%v", r.clk.Now(), tag, err))
 		// The cluster dispatches a session's next part from inside the
@@ -222,6 +230,9 @@ func (r *pumpRig) read(s *pumpStep) {
 	})
 	if imm {
 		r.dones = append(r.dones, fmt.Sprintf("t=%d %s immediate", r.clk.Now(), tag))
+	}
+	if s.hinted && r.proved[s.slot] && c.Stats().RAPrefetches > ra {
+		r.sawStaticTail = true
 	}
 	if len(r.m.pendingDemand) > 0 {
 		r.sawPending = true
@@ -270,8 +281,8 @@ func (r *pumpRig) apply(s *pumpStep) {
 	switch s.kind {
 	case "hint":
 		r.before()
-		if s.conf > 0 {
-			r.slots[s.slot].HintSegConf(r.files[s.file], s.off, s.n, s.conf)
+		if r.proved[s.slot] {
+			r.slots[s.slot].HintSegConf(r.files[s.file], s.off, s.n, 1)
 		} else {
 			r.slots[s.slot].HintSeg(r.files[s.file], s.off, s.n)
 		}
@@ -280,9 +291,6 @@ func (r *pumpRig) apply(s *pumpStep) {
 	case "cancel":
 		r.before()
 		r.slots[s.slot].CancelAll()
-	case "prior":
-		r.before()
-		r.slots[s.slot].SetPrior(s.conf)
 	case "close":
 		r.before()
 		r.slots[s.slot].Close()
@@ -290,6 +298,9 @@ func (r *pumpRig) apply(s *pumpStep) {
 	case "open":
 		r.before()
 		r.slots[s.slot] = r.m.NewClient()
+		if r.proved[s.slot] = s.proved; s.proved {
+			r.slots[s.slot].SetPrior(1)
+		}
 	case "run":
 		for i := 0; i < s.events; i++ {
 			r.before()
@@ -474,7 +485,7 @@ func (p *pumpScript) next() *pumpStep {
 	if !p.open[slot] {
 		p.open[slot] = true
 		p.pending[slot], p.seq[slot] = nil, 0
-		return &pumpStep{kind: "open", slot: slot}
+		return &pumpStep{kind: "open", slot: slot, proved: rng.Intn(3) == 0}
 	}
 	switch x := rng.Intn(100); {
 	case x < 30:
@@ -483,9 +494,6 @@ func (p *pumpScript) next() *pumpStep {
 		s.n = 1 + rng.Int63n(6*1024)
 		if rng.Intn(4) > 0 {
 			s.off &^= 1023 // mostly block-aligned, as the apps hint
-		}
-		if rng.Intn(6) == 0 {
-			s.conf = float64(1+rng.Intn(4)) / 4
 		}
 		p.pending[slot] = append(p.pending[slot], *s)
 		return s
@@ -514,9 +522,7 @@ func (p *pumpScript) next() *pumpStep {
 	case x < 71:
 		p.pending[slot] = nil
 		return &pumpStep{kind: "cancel", slot: slot}
-	case x < 73:
-		return &pumpStep{kind: "prior", slot: slot, conf: float64(rng.Intn(5)) / 4}
-	case x < 76:
+	case x < 74:
 		p.open[slot] = false
 		return &pumpStep{kind: "close", slot: slot}
 	default:
@@ -535,7 +541,7 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			t.Parallel()
 			var lazySteps, eagerSteps int64
 			var faults FaultCounters
-			var sawPending, sawCleared, sawReentrant, sawHeldRecur, sawDeadSkip bool
+			var sawPending, sawCleared, sawReentrant, sawHeldRecur, sawDeadSkip, sawStaticTail bool
 			var sawFullRewrite, sawFullNewOwner, sawBoundDead, sawBoundDemoted, sawSlotRegained bool
 			var sawDeferred, sawDeadWake, sawStarved bool
 			for seed := int64(0); seed < seeds; seed++ {
@@ -581,6 +587,7 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 				sawReentrant = sawReentrant || lazy.sawReentrant
 				sawHeldRecur = sawHeldRecur || lazy.sawHeldRecur
 				sawDeadSkip = sawDeadSkip || lazy.sawDeadSkip
+				sawStaticTail = sawStaticTail || lazy.sawStaticTail
 				sawFullRewrite = sawFullRewrite || lazy.sawFullRewrite
 				sawFullNewOwner = sawFullNewOwner || lazy.sawFullNewOwner
 				sawBoundDead = sawBoundDead || lazy.sawBoundDead
@@ -607,6 +614,9 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			}
 			if !sawDeadSkip {
 				t.Error("no pass ever passed by a hinted block on the dead disk")
+			}
+			if !sawStaticTail {
+				t.Error("no proved stream ever read ahead past the segment a read exhausted")
 			}
 			if !sawCleared {
 				t.Error("no demand read ever cleared a demotion")
