@@ -4,7 +4,7 @@
 // and reports the paper's Table 3 statistics. It can also run the static
 // analyses on their own: -lint verifies the transform invariants on the
 // generated shadow text, and -synthesize classifies every read call site and
-// compiles the access pattern into confidence-ranked static hints — for the
+// compiles every proved access pattern into static hints — for the
 // built-in apps it then runs the program in static mode and audits every
 // synthesized hint against the dynamic read-site statistics (a hint the run
 // never consumed is a lint error and a nonzero exit).
@@ -111,7 +111,7 @@ type named struct {
 }
 
 // runSynthesize handles the -synthesize mode. For a -file program it prints
-// the confidence-ranked hint report; for built-in apps it also runs each app
+// the hint report, proved sites first; for built-in apps it also runs each app
 // in static mode and audits the synthesized hints against the dynamic
 // read-site statistics. It returns false if any hint failed verification.
 func runSynthesize(file, app string) bool {

@@ -17,23 +17,6 @@ import (
 // of every block.
 func solveForward[S any](g *CFG, boundary func() S, clone func(S) S,
 	join func(dst S, src S) bool, transfer func(block int, s S) S) []S {
-	return solveForwardE(g, boundary, clone,
-		func(_ int, dst S, src S) bool { return join(dst, src) },
-		nil, transfer)
-}
-
-// solveForwardE is the general form of the forward solver. join receives the
-// destination block index, letting analyses keep per-join-point bookkeeping
-// (the value-range pass counts joins per block to trigger widening). edge,
-// when non-nil, refines the propagated state per successor edge before the
-// join — it receives a private clone it may mutate and return (branch
-// condition refinement lives here). Call edges never refine: the callee sees
-// the caller's exit state unchanged.
-func solveForwardE[S any](g *CFG, boundary func() S, clone func(S) S,
-	join func(block int, dst S, src S) bool,
-	edge func(from, to int, s S) S,
-	transfer func(block int, s S) S) []S {
-
 	in := make([]S, len(g.Blocks))
 	out := make([]S, len(g.Blocks))
 	have := make([]bool, len(g.Blocks))
@@ -51,7 +34,7 @@ func solveForwardE[S any](g *CFG, boundary func() S, clone func(S) S,
 			have[s] = true
 			return true
 		}
-		return join(s, in[s], src)
+		return join(in[s], src)
 	}
 
 	for len(work) > 0 {
@@ -61,11 +44,7 @@ func solveForwardE[S any](g *CFG, boundary func() S, clone func(S) S,
 
 		out[b] = transfer(b, clone(in[b]))
 		for _, s := range g.Blocks[b].Succs {
-			src := out[b]
-			if edge != nil {
-				src = edge(b, s, clone(out[b]))
-			}
-			if flow(s, src) && !queued[s] {
+			if flow(s, out[b]) && !queued[s] {
 				queued[s] = true
 				work = append(work, s)
 			}

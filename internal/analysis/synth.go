@@ -9,18 +9,17 @@ import (
 	"spechint/internal/vm"
 )
 
-// The static hint synthesizer: the pipeline CFG → dominators/loops → value
-// ranges → synthesis. Per read site it tries, in order:
+// The static hint synthesizer: the pipeline CFG → dominators/loops →
+// synthesis. A read site is one of two kinds:
 //
 //  1. proved — a closed-form access pattern: the descriptor traces to one
 //     open whose path is a compile-time constant (or an affine walk over a
 //     clean path table indexed by a counted loop), and the file position at
 //     the read is statically sequential. The synthesizer then *enumerates*
 //     the hint sequence the dynamic run will consume.
-//  2. bounded — no closed form, but the value-range pass bounds the file
-//     position at the site to a finite interval.
-//  3. speculative-only — fall back to the taint-based hintability class
-//     (taint.go): only runtime speculation can discover these accesses.
+//  2. speculative-only — anything else. The site keeps its taint-based
+//     hintability class (taint.go): only runtime speculation can discover
+//     these accesses.
 //
 // Synthesis assumes the program completes normally (opens succeed, reads
 // return their requested length) — the same assumption the emitted hints
@@ -28,12 +27,11 @@ import (
 // the analysis self-auditing: a hint the dynamic run never consumed is a
 // lint finding.
 
-// Confidence ranks how strongly the static analysis stands behind a site.
+// Confidence says whether the static analysis stands behind a site.
 type Confidence uint8
 
 const (
 	ConfSpecOnly Confidence = iota // only speculation can discover the pattern
-	ConfBounded                    // offset interval is finite, no closed form
 	ConfProved                     // closed-form pattern, hints enumerated
 )
 
@@ -41,28 +39,10 @@ func (c Confidence) String() string {
 	switch c {
 	case ConfProved:
 		return "proved"
-	case ConfBounded:
-		return "bounded"
 	case ConfSpecOnly:
 		return "speculative-only"
 	}
 	return "conf?"
-}
-
-// Prior is the static prior probability that a prefetch issued for this site
-// turns out useful, consumed by the TIP cost-benefit depth bound: proved
-// sites earn full-depth prefetching, bounded ones most of it, and
-// speculative-only sites the same discount the dynamic accuracy model starts
-// from.
-func (c Confidence) Prior() float64 {
-	switch c {
-	case ConfProved:
-		return 1.0
-	case ConfBounded:
-		return 0.75
-	default:
-		return 0.5
-	}
 }
 
 // SynthHint is one concrete synthesized disclosure, in the order the dynamic
@@ -72,7 +52,6 @@ type SynthHint struct {
 	Iter   int64  // iteration of the binding loop (0 outside loops)
 	Path   string // file binding
 	Off, N int64
-	Conf   Confidence
 }
 
 // SynthSite is the per-read-site synthesis result.
@@ -85,9 +64,6 @@ type SynthSite struct {
 	Loop     int    // binding loop index into the report's LoopInfo, or -1
 	Trips    int64  // enumerated iterations (1 outside loops)
 	NumHints int
-
-	Bound   Interval // file-position bound, for bounded sites
-	Bounded bool
 }
 
 // SynthReport is the full synthesis output for one program.
@@ -119,12 +95,11 @@ func Synthesize(p *vm.Program) (*SynthReport, error) {
 	li := findLoops(g)
 	ev := &evaluator{p: p, g: g, li: li, rd: solveReachingDefs(g), ta: ta}
 	sy := &synthesizer{
-		g:      g,
-		li:     li,
-		ev:     ev,
-		ranges: solveRanges(g, ev.rangeOracle()),
-		pos:    solvePos(g, ev),
-		trips:  make(map[int]tripResult),
+		g:     g,
+		li:    li,
+		ev:    ev,
+		pos:   solvePos(g, ev),
+		trips: make(map[int]tripResult),
 	}
 
 	r := &SynthReport{Prog: p, CFG: g, Loops: li}
@@ -200,12 +175,11 @@ func orderHints(emitters []emitter) []SynthHint {
 
 // synthesizer bundles the solved analyses for one program.
 type synthesizer struct {
-	g      *CFG
-	li     *LoopInfo
-	ev     *evaluator
-	ranges *Ranges
-	pos    map[int64]fposVal
-	trips  map[int]tripResult
+	g     *CFG
+	li    *LoopInfo
+	ev    *evaluator
+	pos   map[int64]fposVal
+	trips map[int]tripResult
 }
 
 type tripResult struct {
@@ -216,19 +190,11 @@ type tripResult struct {
 // site synthesizes one read site.
 func (sy *synthesizer) site(pc int64, st *siteTaints) (SynthSite, *emitter) {
 	s := SynthSite{PC: pc, Conf: ConfSpecOnly, Class: classOf(st), Loop: -1, Trips: 1}
-	if em := sy.prove(pc, &s); em != nil {
+	em := sy.prove(pc, &s)
+	if em != nil {
 		s.Conf = ConfProved
-		return s, em
 	}
-	if iv, ok := sy.ranges.siteBound(pc); ok && iv.finite() {
-		if iv.Lo < 0 {
-			iv.Lo = 0
-		}
-		s.Conf = ConfBounded
-		s.Bound = iv
-		s.Bounded = true
-	}
-	return s, nil
+	return s, em
 }
 
 // prove attempts the closed-form template for one read site. On success the
@@ -311,7 +277,7 @@ func (sy *synthesizer) prove(pc int64, s *SynthSite) *emitter {
 			return nil
 		}
 		em.hints = append(em.hints, SynthHint{
-			SitePC: pc, Iter: i, Path: path, Off: off, N: length, Conf: ConfProved,
+			SitePC: pc, Iter: i, Path: path, Off: off, N: length,
 		})
 	}
 
@@ -747,66 +713,6 @@ func (e *evaluator) cString(addr int64) (string, bool) {
 	return "", false
 }
 
-// rangeOracle adapts the evaluator into the value-range pass's load oracle:
-// a load at a constant clean address folds to its value; an affine cursor
-// over clean data joins every value the walk can reach before leaving the
-// initialized image (past which the dynamic load would fault).
-func (e *evaluator) rangeOracle() LoadOracle {
-	return func(pc int64, ins vm.Instr) (Interval, bool) {
-		size := int64(8)
-		if ins.Op == vm.LDB || ins.Op == vm.LDBS {
-			size = 1
-		}
-		read := func(addr int64) (int64, bool) {
-			if addr < 0 || addr+size > int64(len(e.p.Data)) {
-				return 0, false
-			}
-			if !e.ta.cleanRegion(e.ta.rg.resolve(e.p, addr)) ||
-				!e.ta.cleanRegion(e.ta.rg.resolve(e.p, addr+size-1)) {
-				return 0, false
-			}
-			if size == 1 {
-				return int64(e.p.Data[addr]), true
-			}
-			return readDataWord(e.p.Data, addr), true
-		}
-		base := e.eval(pc, ins.Rs1, nil, 0)
-		switch base.kind {
-		case exConst:
-			if v, ok := read(base.k + ins.Imm); ok {
-				return point(v), true
-			}
-		case exAffine:
-			if base.coef == 0 {
-				break
-			}
-			const walkCap = 4096
-			var iv Interval
-			got := false
-			addr := base.k + ins.Imm
-			for j := 0; j < walkCap; j++ {
-				v, ok := read(addr)
-				if !ok {
-					break
-				}
-				if !got {
-					iv, got = point(v), true
-				} else {
-					iv = iv.join(point(v))
-				}
-				addr += base.coef
-			}
-			// Sound only when the walk ended by leaving the data image: a
-			// stop at a dirty region (or the cap) means the dynamic load
-			// could observe values we did not enumerate.
-			if got && (addr < 0 || addr+size > int64(len(e.p.Data))) {
-				return iv, true
-			}
-		}
-		return Interval{}, false
-	}
-}
-
 // ---------------------------------------------------------------------------
 // The file-position mini-dataflow. One abstract stream (the paper's apps
 // interleave descriptors only through memory, which drops the descriptor to
@@ -903,7 +809,7 @@ func solvePos(g *CFG, e *evaluator) map[int64]fposVal {
 // ---------------------------------------------------------------------------
 // Report rendering and dynamic verification.
 
-// ConfCounts returns the number of sites per confidence level.
+// ConfCounts returns the number of sites of each kind.
 func (r *SynthReport) ConfCounts() map[Confidence]int {
 	m := make(map[Confidence]int)
 	for _, s := range r.Sites {
@@ -912,7 +818,8 @@ func (r *SynthReport) ConfCounts() map[Confidence]int {
 	return m
 }
 
-// ranked returns the sites ordered by confidence (descending), then PC.
+// ranked returns the proved sites, then the speculative-only ones, each in PC
+// order.
 func (r *SynthReport) ranked() []SynthSite {
 	out := append([]SynthSite(nil), r.Sites...)
 	sort.SliceStable(out, func(i, j int) bool {
@@ -924,27 +831,23 @@ func (r *SynthReport) ranked() []SynthSite {
 	return out
 }
 
-// String renders the deterministic confidence-ranked hint report.
+// String renders the deterministic hint report, proved sites first.
 func (r *SynthReport) String() string {
 	loc := asm.NewLocator(r.Prog)
 	var b strings.Builder
 	fmt.Fprintf(&b, "cfg: %s\n", r.CFG.summary())
 	fmt.Fprintf(&b, "loops: %s\n", r.Loops.summary())
 	counts := r.ConfCounts()
-	fmt.Fprintf(&b, "read sites: %d total — %d proved, %d bounded, %d speculative-only\n",
-		len(r.Sites), counts[ConfProved], counts[ConfBounded], counts[ConfSpecOnly])
+	fmt.Fprintf(&b, "read sites: %d total — %d proved, %d speculative-only\n",
+		len(r.Sites), counts[ConfProved], counts[ConfSpecOnly])
 	fmt.Fprintf(&b, "synthesized hints: %d\n", len(r.Hints))
 	for _, s := range r.ranked() {
-		fmt.Fprintf(&b, "  pc %-5d %-16s %-16s prior=%.2f", s.PC, loc.Locate(s.PC)+":", s.Conf, s.Conf.Prior())
-		switch {
-		case s.Conf == ConfProved:
-			fmt.Fprintf(&b, " %s (%d hints, class %s)", s.Template, s.NumHints, s.Class)
-		case s.Conf == ConfBounded:
-			fmt.Fprintf(&b, " off in %s (class %s)", s.Bound, s.Class)
-		default:
-			fmt.Fprintf(&b, " class %s", s.Class)
+		fmt.Fprintf(&b, "  pc %-5d %-16s %-16s", s.PC, loc.Locate(s.PC)+":", s.Conf)
+		if s.Conf == ConfProved {
+			fmt.Fprintf(&b, " %s (%d hints, class %s)\n", s.Template, s.NumHints, s.Class)
+		} else {
+			fmt.Fprintf(&b, " class %s\n", s.Class)
 		}
-		b.WriteString("\n")
 	}
 	const show = 12
 	for i, h := range r.Hints {

@@ -2,40 +2,28 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"spechint/internal/analysis"
 	"spechint/internal/apps"
 	"spechint/internal/core"
 )
 
-// synthCache memoizes Synthesize per original binary. Bundles built at the
-// same (app, scale) share one cached *vm.Program (apps.progCache), so the
-// pointer is a correct and cheap key; a sweep synthesizes each binary once.
-var synthCache sync.Map // *vm.Program -> *analysis.SynthReport
-
-// Synth returns (synthesizing on first use) the static hint synthesis of
-// the bundle's original binary.
+// Synth returns the static hint synthesis of the bundle's original binary.
 func Synth(b *apps.Bundle) (*analysis.SynthReport, error) {
-	if r, ok := synthCache.Load(b.Original); ok {
-		return r.(*analysis.SynthReport), nil
-	}
 	r, err := analysis.Synthesize(b.Original)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %v synthesize: %w", b.App, err)
 	}
-	actual, _ := synthCache.LoadOrStore(b.Original, r)
-	return actual.(*analysis.SynthReport), nil
+	return r, nil
 }
 
 // StaticHints converts a synthesis report into the form
 // core.Config.StaticHints consumes: one disclosure per synthesized hint, in
-// consumption order, carrying the confidence prior that bounds its prefetch
-// depth.
+// consumption order.
 func StaticHints(r *analysis.SynthReport) []core.StaticHint {
 	out := make([]core.StaticHint, 0, len(r.Hints))
 	for _, h := range r.Hints {
-		out = append(out, core.StaticHint{Path: h.Path, Off: h.Off, N: h.N, Conf: h.Conf.Prior()})
+		out = append(out, core.StaticHint{Path: h.Path, Off: h.Off, N: h.N})
 	}
 	return out
 }
@@ -65,7 +53,7 @@ func DynStats(st *core.RunStats) analysis.DynVerifyStats {
 // run never consumed fails the experiment.
 func static(scale apps.Scale) (Report, error) {
 	t := newTable("Static hint synthesis: original vs static vs manual (4 disks)")
-	t.row("Benchmark", "Proved", "Bounded", "SpecOnly", "Hints", "HintedReads",
+	t.row("Benchmark", "Proved", "SpecOnly", "Hints", "HintedReads",
 		"Static impr.", "Manual impr.", "SpecOverhead")
 
 	modes := []core.Mode{core.ModeNoHint, core.ModeStatic, core.ModeManual}
@@ -101,7 +89,6 @@ func static(scale apps.Scale) (Report, error) {
 		counts := synth.ConfCounts()
 		t.row(app.String(),
 			fmt.Sprint(counts[analysis.ConfProved]),
-			fmt.Sprint(counts[analysis.ConfBounded]),
 			fmt.Sprint(counts[analysis.ConfSpecOnly]),
 			fmt.Sprint(len(synth.Hints)),
 			fmt.Sprintf("%d/%d", static.HintedReads, static.ReadCalls),

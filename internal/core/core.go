@@ -177,13 +177,11 @@ type Config struct {
 }
 
 // StaticHint is one statically synthesized disclosure: a future read of
-// [Off, Off+N) in the file named Path, with the analysis confidence that
-// produced it (tip.Client.HintSegConf bounds prefetch depth by it).
+// [Off, Off+N) in the file named Path that the analysis proved.
 type StaticHint struct {
 	Path string
 	Off  int64
 	N    int64
-	Conf float64
 }
 
 // TestbedDisk returns the paper's array: HP C2247-class disks (15 ms average
@@ -567,26 +565,20 @@ func NewOn(sub *Substrate, cfg Proc, prog *vm.Program, name string) (*System, er
 // issueStaticHints discloses the synthesized hint list at clock zero,
 // before the first instruction runs. The application itself is unmodified,
 // so nothing is charged to its path: static mode's SpecOverhead is zero by
-// construction. The client's accuracy prior is set to the mean confidence
-// of the issued hints, so TIP starts from the analysis's own estimate
-// rather than an optimistic 1.0.
+// construction. Every static hint is a proved one, so the client is marked
+// proved (tip.Client.Proved) before its first hint, unless no hinted file
+// exists and it discloses nothing.
 func (s *System) issueStaticHints() {
-	if len(s.cfg.StaticHints) == 0 {
-		return
-	}
-	var confSum float64
 	n := 0
 	for _, h := range s.cfg.StaticHints {
-		if _, ok := s.fs.Lookup(h.Path); !ok {
-			continue
+		if _, ok := s.fs.Lookup(h.Path); ok {
+			n++
 		}
-		confSum += h.Conf
-		n++
 	}
 	if n == 0 {
 		return
 	}
-	s.tipc.SetPrior(confSum / float64(n))
+	s.tipc.Proved()
 	for _, h := range s.cfg.StaticHints {
 		f, ok := s.fs.Lookup(h.Path)
 		if !ok {
@@ -595,7 +587,7 @@ func (s *System) issueStaticHints() {
 			// such hints against the golden run).
 			continue
 		}
-		s.tipc.HintSegConf(f, h.Off, h.N, h.Conf)
+		s.tipc.HintSeg(f, h.Off, h.N)
 	}
 }
 

@@ -457,7 +457,7 @@ func TestStaticHintsReduceElapsedTime(t *testing.T) {
 	staticCfg := DefaultConfig(ModeStatic)
 	for _, n := range names {
 		staticCfg.StaticHints = append(staticCfg.StaticHints,
-			StaticHint{Path: n, Off: 0, N: 0x40000000, Conf: 1.0})
+			StaticHint{Path: n, Off: 0, N: 0x40000000})
 	}
 	fs2, _ := buildFS(t, 20, 10000)
 	st := runMode(t, staticCfg, seqReaderSrc(names, false), fs2)
@@ -508,10 +508,10 @@ func TestStaticModeValidation(t *testing.T) {
 func TestStaticHintsSkipMissingFiles(t *testing.T) {
 	fs, names := buildFS(t, 4, 1000)
 	cfg := DefaultConfig(ModeStatic)
-	cfg.StaticHints = []StaticHint{{Path: "no/such/file", Off: 0, N: 4096, Conf: 1}}
+	cfg.StaticHints = []StaticHint{{Path: "no/such/file", Off: 0, N: 4096}}
 	for _, n := range names {
 		cfg.StaticHints = append(cfg.StaticHints,
-			StaticHint{Path: n, Off: 0, N: 0x40000000, Conf: 1})
+			StaticHint{Path: n, Off: 0, N: 0x40000000})
 	}
 	st := runMode(t, cfg, seqReaderSrc(names, false), fs)
 	if st.Tip.HintCalls != int64(len(names)) {

@@ -83,6 +83,10 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("multi: empty process list")
 	}
+	if cfg.Disk.BlockSize <= 0 {
+		// fsim.New panics on it before core.NewSubstrateOn could say so.
+		return nil, fmt.Errorf("multi: disk BlockSize = %d, want > 0", cfg.Disk.BlockSize)
+	}
 	fs := fsim.New(cfg.Disk.BlockSize)
 	workload.SetBenchLayout(fs)
 	sub, err := core.NewSubstrateOn(sim.NewQueue(), cfg.Node, fs)

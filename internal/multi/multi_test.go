@@ -262,6 +262,18 @@ func TestNewGroupRejectsEmpty(t *testing.T) {
 	}
 }
 
+// A disk block size the file system cannot take is an error, as it is for
+// core.New and cluster.New, not a panic.
+func TestNewGroupRejectsBadBlockSize(t *testing.T) {
+	for _, bs := range []int{0, -8192} {
+		cfg := DefaultConfig()
+		cfg.Disk.BlockSize = bs
+		if _, err := NewGroup(cfg, apps.TestScale(), mixedSpecs(2, core.ModeNoHint)); err == nil {
+			t.Errorf("BlockSize %d accepted", bs)
+		}
+	}
+}
+
 // A static-mode process would run the original binary with no hint list while
 // every lane and ProcResult.Mode said "static": NewGroup names it and refuses.
 func TestNewGroupRejectsStaticMode(t *testing.T) {

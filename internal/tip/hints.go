@@ -28,14 +28,6 @@ type segment struct {
 	// client has disclosed has one, counted from its first hint, and a
 	// block's hint distance is its position less the client's base.
 	pos int64
-
-	// conf is the static confidence behind this hint, in (0, 1]; zero means
-	// "no static evidence" (dynamically discovered hints) and leaves the
-	// depth bound untouched. Statically synthesized hints carry their
-	// analysis confidence here, and the pump scales this segment's prefetch
-	// depth by it: proved sites earn the full horizon, speculative ones a
-	// shallow bound.
-	conf float64
 }
 
 // clampEnd returns the end of [off, off+n) clamped to the file.
@@ -72,21 +64,9 @@ func (s *segment) consumedBlocks(blockSize int64) int64 {
 // HintSeg discloses a future read of [off, off+n) in f (TIPIO_SEG /
 // TIPIO_FD_SEG; the two differ only in how the caller named the file).
 func (c *Client) HintSeg(f *fsim.File, off, n int64) {
-	c.hintSeg(f, off, n, 0)
-}
-
-// HintSegConf is HintSeg carrying a static confidence in (0, 1]: the hint
-// comes from the static synthesizer rather than from observed execution, and
-// conf bounds how deep the pump will prefetch for this segment (a fraction
-// of the horizon, floored at MinHorizon). conf <= 0 degenerates to HintSeg.
-func (c *Client) HintSegConf(f *fsim.File, off, n int64, conf float64) {
-	c.hintSeg(f, off, n, clamp01(conf))
-}
-
-func (c *Client) hintSeg(f *fsim.File, off, n int64, conf float64) {
 	c.stats.HintCalls++
 	m := c.m
-	seg := segment{file: f, off: off, n: n, conf: conf}
+	seg := segment{file: f, off: off, n: n}
 	if first, last, end, ok := blockRange(f, off, n, int64(m.fs.BlockSize())); ok {
 		seg.firstLB = f.LogicalBlock(first)
 		seg.nBlocks = last - first + 1
@@ -106,7 +86,6 @@ func (c *Client) hintSeg(f *fsim.File, off, n int64, conf float64) {
 	}
 	seg.pos = c.tail
 	c.tail += seg.nBlocks
-	c.conf = c.conf || conf > 0
 	c.hints = append(c.hints, seg)
 	c.watch(&seg)
 	c.stale()
@@ -179,11 +158,10 @@ func (c *Client) Covered(f *fsim.File, off, n int64) bool {
 // over on the way to the covering segment predicted reads that did not occur
 // (in that order) and are bypassed — this is how erroneous speculation shows
 // up in Table 4.
-// The staticTail return reports that the covering segment was a static
-// (conf-tagged) hint whose data this read fully exhausted: the hint stream
-// discloses nothing further in the file here, so sequential readahead is not
-// redundant with it. Always false for dynamic (conf 0) hints, preserving
-// their behavior exactly.
+// The staticTail return reports that the client is proved and this read
+// fully exhausted the covering segment's data: a static hint list discloses
+// nothing further in the file here, so sequential readahead is not redundant
+// with it. Always false for a client that is not proved.
 func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 	i := c.findCover(f, off, end)
 	if i < 0 {
@@ -212,7 +190,7 @@ func (c *Client) consume(f *fsim.File, off, n, end int64) (staticTail bool) {
 	}
 	c.accObserve(true, 1)
 	segEnd := seg.dataEnd()
-	staticTail = seg.conf > 0 && end >= segEnd
+	staticTail = c.proved && end >= segEnd
 	done := seg.off+seg.consumed >= segEnd
 	to := seg.consumedBlocks(bs)
 	if done {
@@ -260,7 +238,7 @@ func (c *Client) empty() {
 	c.at = c.tail
 	c.forget()
 	c.due = c.due[:0]
-	c.conf, c.compare = false, false
+	c.compare = false
 }
 
 // forget leaves nothing examined: the next pass visits every position.
@@ -278,12 +256,9 @@ func (c *Client) compact() {
 	}
 }
 
-// clamp01 clamps a confidence or probability to [0, 1].
-func clamp01(x float64) float64 { return max(0, min(1, x)) }
-
-// priorWeight is how many pseudo-observations a static prior contributes to
-// the windowed accuracy estimate (an eighth of the window: strong enough to
-// anchor the start, weak enough for real evidence to dominate).
+// priorWeight is how many correct pseudo-observations a proved client's
+// accuracy estimate counts (an eighth of the window: strong enough to anchor
+// the start, weak enough for real evidence to dominate).
 const priorWeight = accWindow / 8
 
 // accWindow is the sliding-window size for the accuracy estimate.
@@ -302,14 +277,13 @@ func (c *Client) accObserve(good bool, weight float64) {
 	c.m.shares.valid = false
 }
 
-// SetPrior installs a static accuracy prior for this client's hint stream
-// (clamped to [0, 1]): the confidence the static hint synthesizer assigned
-// to its disclosures. It acts as priorWeight pseudo-observations in the
-// windowed accuracy estimate. Clients without a prior behave exactly as
-// before (optimistic 1.0 until dynamic evidence arrives).
-func (c *Client) SetPrior(p float64) {
-	c.prior = clamp01(p)
-	c.priorWt = priorWeight
+// Proved marks this client's hint stream as proved: every hint it discloses
+// is a compile-time fact from the static synthesizer. Its accuracy estimate
+// counts priorWeight correct pseudo-observations, so early dynamic evidence
+// cannot whipsaw the horizon, and a read that exhausts one of its segments
+// reads ahead past it (consume).
+func (c *Client) Proved() {
+	c.proved = true
 	c.stale()
 	c.m.shares.valid = false
 }
@@ -317,11 +291,10 @@ func (c *Client) SetPrior(p float64) {
 // Accuracy returns TIP's windowed estimate of the fraction of this client's
 // recent hints that proved correct (1.0 before any evidence). TIP discounts
 // the benefit of prefetching by it and the adaptive speculation throttle
-// consults it. A static prior, when set, contributes priorWt
-// pseudo-observations.
+// consults it. A proved client counts priorWeight more correct hints.
 func (c *Client) Accuracy() float64 {
-	if c.priorWt > 0 {
-		return (c.accGood + c.prior*c.priorWt) / (c.accGood + c.accBad + c.priorWt)
+	if c.proved {
+		return (c.accGood + priorWeight) / (c.accGood + c.accBad + priorWeight)
 	}
 	if c.accGood+c.accBad == 0 {
 		return 1.0

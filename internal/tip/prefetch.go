@@ -327,14 +327,13 @@ func (c *Client) pump() {
 	m.work.Walks++
 	c.unrefuse()
 	m.starved.del(c.id)
-	horizon := c.effHorizon()
 	bs := int64(m.fs.BlockSize())
 	base := c.base(bs)
-	end := base + int64(horizon)
-	// A depth bound, a demotion or a dead disk makes what a position needs
-	// depend on more than its block: such a pass visits every position, and
-	// leaves nothing examined for the next.
-	full := c.conf || len(m.demoted) > 0 || m.arr.DeadCount() > 0
+	end := base + int64(c.effHorizon())
+	// A demotion or a dead disk makes what a position needs depend on more
+	// than its block: such a pass visits every position, and leaves nothing
+	// examined for the next.
+	full := len(m.demoted) > 0 || m.arr.DeadCount() > 0
 	if full {
 		c.forget()
 	}
@@ -375,13 +374,6 @@ walk:
 		m.work.Steps++
 		lb, q, d := seg.firstLB+k, p, p-base
 		p++
-		// A statically synthesized hint prefetches only within its
-		// confidence-scaled share of the horizon: proved segments (conf 1)
-		// run to the full depth, speculative ones stop shallow. conf == 0
-		// (dynamic hints) leaves the bound at the horizon.
-		if seg.conf > 0 && d >= min(int64(horizon), max(int64(seg.conf*float64(horizon)), int64(m.cfg.MinHorizon))) {
-			continue
-		}
 		if len(m.demoted) > 0 && m.demoted[lb] {
 			// Repeatedly failing block: left to the demand read, so the
 			// rest of the hinted sequence keeps prefetching.

@@ -83,7 +83,6 @@ type pumpRig struct {
 	inj    *recInjector
 	files  []*fsim.File
 	slots  []*Client // nil: closed, not yet reopened
-	proved []bool    // the slot's stream carries proved static hints only
 	forget bool
 	dones  []string // read completions, in order
 
@@ -182,7 +181,6 @@ func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
 	for i := 0; i < 5; i++ {
 		r.slots = append(r.slots, m.NewClient())
 	}
-	r.proved = make([]bool, 5)
 	return r
 }
 
@@ -231,7 +229,7 @@ func (r *pumpRig) read(s *pumpStep) {
 	if imm {
 		r.dones = append(r.dones, fmt.Sprintf("t=%d %s immediate", r.clk.Now(), tag))
 	}
-	if s.hinted && r.proved[s.slot] && c.Stats().RAPrefetches > ra {
+	if s.hinted && c.proved && c.Stats().RAPrefetches > ra {
 		r.sawStaticTail = true
 	}
 	if len(r.m.pendingDemand) > 0 {
@@ -281,11 +279,7 @@ func (r *pumpRig) apply(s *pumpStep) {
 	switch s.kind {
 	case "hint":
 		r.before()
-		if r.proved[s.slot] {
-			r.slots[s.slot].HintSegConf(r.files[s.file], s.off, s.n, 1)
-		} else {
-			r.slots[s.slot].HintSeg(r.files[s.file], s.off, s.n)
-		}
+		r.slots[s.slot].HintSeg(r.files[s.file], s.off, s.n)
 	case "read":
 		r.read(s)
 	case "cancel":
@@ -298,8 +292,8 @@ func (r *pumpRig) apply(s *pumpStep) {
 	case "open":
 		r.before()
 		r.slots[s.slot] = r.m.NewClient()
-		if r.proved[s.slot] = s.proved; s.proved {
-			r.slots[s.slot].SetPrior(1)
+		if s.proved {
+			r.slots[s.slot].Proved()
 		}
 	case "run":
 		for i := 0; i < s.events; i++ {
@@ -376,7 +370,7 @@ func (r *pumpRig) invariants() error {
 	}
 	bs := int64(m.fs.BlockSize())
 	for _, c := range m.clients {
-		if c.closed || c.conf || len(m.demoted) > 0 || m.arr.DeadCount() > 0 {
+		if c.closed || len(m.demoted) > 0 || m.arr.DeadCount() > 0 {
 			continue
 		}
 		for i, p := c.segAt(c.base(bs)), c.base(bs); i < len(c.hints) && p < c.reach; i++ {
@@ -444,7 +438,9 @@ func (r *pumpRig) observe() string {
 // hinted and not yet read, only to draw plausible reads: a hinted read of the
 // queue head (whole or the first part of it), of a later segment (bypassing
 // the ones before), of something never hinted, and unhinted sequential runs
-// that grow the read-ahead.
+// that grow the read-ahead. A reopened slot is proved one time in three:
+// marked at open, as core marks a static-mode process, so every hint it
+// discloses is a proved one.
 type pumpScript struct {
 	rng     *rand.Rand
 	open    []bool

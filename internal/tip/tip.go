@@ -242,7 +242,7 @@ type Manager struct {
 
 	// shares caches what every partition share is computed from: the open
 	// clients and the sum of their weights, in id order. Each input of a share
-	// clears valid — NewClient, Close, accObserve, SetPrior — and partition
+	// clears valid — NewClient, Close, accObserve, Proved — and partition
 	// recomputes on the next read.
 	shares struct {
 		valid bool
@@ -310,9 +310,11 @@ type Client struct {
 
 	// compare: the window holds a block whose comparison with this client's
 	// distance moves with its base — another stream's, or one whose distance
-	// is held. conf: a queued hint carries a static confidence, whose depth
-	// bound the pass checks at every position.
-	compare, conf bool
+	// is held.
+	compare bool
+
+	// proved: every hint of this stream is a proved static hint (Proved).
+	proved bool
 
 	ra map[int64]raState // by inode
 
@@ -322,14 +324,6 @@ type Client struct {
 	// cancellations must not suppress prefetching forever.
 	accGood float64
 	accBad  float64
-
-	// Static accuracy prior (SetPrior): blended into the windowed estimate
-	// with priorWt pseudo-observations, so a statically analyzed hint stream
-	// starts at its proved confidence instead of an optimistic 1.0 and early
-	// dynamic evidence cannot whipsaw the horizon. priorWt == 0 (the
-	// default) disables blending entirely.
-	prior   float64
-	priorWt float64
 
 	granules []int64 // the granules of m.interest this client is entered in
 

@@ -624,72 +624,77 @@ func TestHintBatch(t *testing.T) {
 	}
 }
 
-// TestSetPriorBlendsAccuracy: a static prior anchors the accuracy estimate
-// before any dynamic evidence, and real observations pull it toward the
-// observed rate.
-func TestSetPriorBlendsAccuracy(t *testing.T) {
+// TestProvedBlendsAccuracy: a proved client's accuracy estimate counts
+// priorWeight correct pseudo-observations: it stays 1.0 before any evidence,
+// and wrong hints pull it down more slowly than an unmarked client's.
+func TestProvedBlendsAccuracy(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
-	c := r.cli()
-	if got := c.Accuracy(); got != 1.0 {
-		t.Fatalf("accuracy before prior = %v, want optimistic 1.0", got)
+	plain, proved := r.m.NewClient(), r.m.NewClient()
+	proved.Proved()
+	if got := proved.Accuracy(); got != 1.0 {
+		t.Fatalf("proved accuracy with no evidence = %v, want 1.0", got)
 	}
-	c.SetPrior(0.5)
-	if got := c.Accuracy(); got != 0.5 {
-		t.Fatalf("accuracy with prior 0.5 and no evidence = %v, want 0.5", got)
+	for _, c := range []*Client{plain, proved} {
+		c.accObserve(true, 16)
+		c.accObserve(false, 16)
 	}
-	c.accObserve(true, 16)
-	got := c.Accuracy()
-	if got <= 0.5 || got >= 1.0 {
-		t.Fatalf("accuracy after good evidence = %v, want pulled above the 0.5 prior but below 1", got)
+	if got, want := proved.Accuracy(), (16.0+priorWeight)/(32.0+priorWeight); got != want {
+		t.Fatalf("proved accuracy = %v, want %v", got, want)
 	}
-	c.SetPrior(7) // clamps
-	if c.prior != 1 {
-		t.Fatalf("prior not clamped: %v", c.prior)
-	}
-	c.SetPrior(-3)
-	if c.prior != 0 {
-		t.Fatalf("prior not clamped to 0: %v", c.prior)
+	if plain.Accuracy() != 0.5 {
+		t.Fatalf("unmarked accuracy = %v, want 0.5", plain.Accuracy())
 	}
 }
 
-// TestHintSegConfBoundsDepth: a confidence-tagged segment prefetches only its
-// confidence-scaled share of the horizon, floored at MinHorizon; conf 0 and
-// conf 1 behave exactly like plain HintSeg.
-func TestHintSegConfBoundsDepth(t *testing.T) {
-	cases := []struct {
-		conf float64
-		want int64 // horizon 8, MinHorizon 2
-	}{
-		{0, 8},
-		{1, 8},
-		{0.5, 4},
-		{0.1, 2}, // floored at MinHorizon
-	}
-	for _, tc := range cases {
+// TestProvedKeepsFullDepth: a proved client's segment prefetches the whole
+// horizon, exactly like an unmarked client's.
+func TestProvedKeepsFullDepth(t *testing.T) {
+	for _, proved := range []bool{false, true} {
 		r := newRig(t, smallTIP(), smallDisk())
 		f := r.fs.MustCreate("f", make([]byte, 20*1024))
-		r.cli().HintSegConf(f, 0, 20*1024, tc.conf)
+		if proved {
+			r.cli().Proved()
+		}
+		r.cli().HintSeg(f, 0, 20*1024)
 		r.clk.Drain()
-		if got := r.m.Stats().HintPrefetches; got != tc.want {
-			t.Errorf("conf %v: HintPrefetches = %d, want %d", tc.conf, got, tc.want)
+		if got := r.m.Stats().HintPrefetches; got != 8 { // horizon 8
+			t.Errorf("proved %v: HintPrefetches = %d, want 8", proved, got)
 		}
 	}
 }
 
-// TestHintSegConfConsumptionAdvances: consuming a low-confidence segment
-// still advances its prefetch window (the bound is a depth, not a cap on
-// total prefetching).
-func TestHintSegConfConsumptionAdvances(t *testing.T) {
+// TestProvedConsumptionAdvances: consuming part of a proved segment moves
+// its prefetch window forward.
+func TestProvedConsumptionAdvances(t *testing.T) {
 	r := newRig(t, smallTIP(), smallDisk())
 	f := r.fs.MustCreate("f", make([]byte, 20*1024))
-	r.cli().HintSegConf(f, 0, 20*1024, 0.5)
+	r.cli().Proved()
+	r.cli().HintSeg(f, 0, 20*1024)
 	r.clk.Drain()
 	before := r.m.Stats().HintPrefetches
 	r.readSync(t, f, 0, 4*1024, true)
 	r.clk.Drain()
 	after := r.m.Stats().HintPrefetches
 	if after <= before {
-		t.Fatalf("consumption did not advance a conf-bounded segment: %d -> %d", before, after)
+		t.Fatalf("consumption did not advance a proved segment: %d -> %d", before, after)
+	}
+}
+
+// TestProvedReadsAheadPastItsSegment: a hinted read that exhausts a proved
+// client's segment reads ahead past it; an unmarked client's does not.
+func TestProvedReadsAheadPastItsSegment(t *testing.T) {
+	for _, proved := range []bool{false, true} {
+		r := newRig(t, smallTIP(), smallDisk())
+		f := r.fs.MustCreate("f", make([]byte, 20*1024))
+		if proved {
+			r.cli().Proved()
+		}
+		r.cli().HintSeg(f, 0, 4*1024)
+		r.clk.Drain()
+		r.readSync(t, f, 0, 4*1024, true)
+		if got := r.m.Stats().RAPrefetches; (got > 0) != proved {
+			t.Errorf("proved %v: RAPrefetches = %d", proved, got)
+		}
 	}
 }
 
