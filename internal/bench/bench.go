@@ -189,7 +189,7 @@ func prepare(c Cell) (*prepared, error) {
 		return nil, err
 	}
 	// Static mode runs the unmodified binary; the hints come from the
-	// offline synthesis cached per binary.
+	// offline synthesis (synthFor).
 	prog := map[core.Mode]*vm.Program{core.ModeNoHint: b.Original, core.ModeSpeculating: b.Transformed,
 		core.ModeManual: b.Manual, core.ModeStatic: b.Original}[c.Mode]
 	if prog == nil {
@@ -197,7 +197,7 @@ func prepare(c Cell) (*prepared, error) {
 	}
 	p := &prepared{b: b, prog: prog, cfg: core.DefaultConfig(c.Mode)}
 	if c.Mode == core.ModeStatic {
-		synth, err := Synth(b)
+		synth, err := synthFor(c.App, c.Scale)
 		if err != nil {
 			return nil, err
 		}

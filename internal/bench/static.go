@@ -6,6 +6,7 @@ import (
 	"spechint/internal/analysis"
 	"spechint/internal/apps"
 	"spechint/internal/core"
+	"spechint/internal/par"
 )
 
 // Synth returns the static hint synthesis of the bundle's original binary.
@@ -15,6 +16,21 @@ func Synth(b *apps.Bundle) (*analysis.SynthReport, error) {
 		return nil, fmt.Errorf("bench: %v synthesize: %w", b.App, err)
 	}
 	return r, nil
+}
+
+// synthTable holds each (app, scale)'s synthesis, made by the first static
+// cell or static table that asks (synthFor): the two share one.
+var synthTable = par.NewCache[Cell, *analysis.SynthReport]()
+
+// synthFor returns the synthesis of app's original binary at scale.
+func synthFor(app apps.App, scale apps.Scale) (*analysis.SynthReport, error) {
+	return synthTable.Get(Cell{App: app, Scale: scale}, func() (*analysis.SynthReport, error) {
+		b, err := apps.Build(app, scale)
+		if err != nil {
+			return nil, err
+		}
+		return Synth(b)
+	})
 }
 
 // StaticHints converts a synthesis report into the form
@@ -72,11 +88,7 @@ func static(scale apps.Scale) (Report, error) {
 			return nil, fmt.Errorf("bench: %v static charged %d overhead cycles, want 0",
 				app, static.Buckets.SpecOverhead)
 		}
-		b, err := apps.Build(app, scale)
-		if err != nil {
-			return nil, err
-		}
-		synth, err := Synth(b)
+		synth, err := synthFor(app, scale)
 		if err != nil {
 			return nil, err
 		}

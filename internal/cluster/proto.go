@@ -181,41 +181,23 @@ func (m *msg) resend() {
 
 // splitRange routes the byte range [off, off+n) of file (size fileSize,
 // blocks of blockSize grouped into placement groups of groupBlocks) across
-// the ring: consecutive blocks with one owner merge into a single part.
-// Parts come back in offset order — the order the client will consume them —
-// so per-shard hint disclosures are already in consumption order. They are
-// appended to dst[:0].
+// the ring: consecutive groups with one owner merge into a single part, so the
+// ring is asked once per group, not per block. Parts come back in offset
+// order — the order the client will consume them — so per-shard hint
+// disclosures are already in consumption order. They are appended to dst[:0].
 func splitRange(dst []ReadPart, r *Ring, groupBlocks, blockSize int64, file int, off, n, fileSize int64) []ReadPart {
 	parts := dst[:0]
-	end := off + n
-	if end > fileSize {
-		end = fileSize
-	}
+	end := min(off+n, fileSize)
 	if off < 0 || off >= end {
 		return parts
 	}
-	first := off / blockSize
-	last := (end - 1) / blockSize
-
-	runStart := first
-	runOwner := r.owner(file, first/groupBlocks)
-	flush := func(b int64) { // run covers [runStart, b)
-		pOff := runStart * blockSize
-		if pOff < off {
-			pOff = off
-		}
-		pEnd := b * blockSize
-		if pEnd > end {
-			pEnd = end
-		}
-		parts = append(parts, ReadPart{Shard: runOwner, Off: pOff, N: pEnd - pOff})
-	}
-	for b := first + 1; b <= last; b++ {
-		if owner := r.owner(file, b/groupBlocks); owner != runOwner {
-			flush(b)
-			runStart, runOwner = b, owner
+	groupBytes := groupBlocks * blockSize
+	pOff, owner := off, r.owner(file, off/groupBytes)
+	for g := off/groupBytes + 1; g*groupBytes < end; g++ {
+		if o := r.owner(file, g); o != owner {
+			parts = append(parts, ReadPart{Shard: owner, Off: pOff, N: g*groupBytes - pOff})
+			pOff, owner = g*groupBytes, o
 		}
 	}
-	flush(last + 1)
-	return parts
+	return append(parts, ReadPart{Shard: owner, Off: pOff, N: end - pOff})
 }

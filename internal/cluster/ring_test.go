@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // sampleKeys enumerates a deterministic key set: every placement group of a
 // small corpus.
@@ -99,7 +102,10 @@ func TestRingValidation(t *testing.T) {
 }
 
 // TestSplitRange: parts tile the requested range in offset order, each part's
-// blocks belong to its shard, and consecutive same-owner groups merge.
+// blocks belong to its shard, consecutive same-owner groups merge, and the
+// parts are exactly those of a split that asks the ring block by block —
+// aligned and unaligned offsets, ranges shorter than a group, a partial last
+// group, and with a shard dead.
 func TestSplitRange(t *testing.T) {
 	r, err := newRing(3, 64)
 	if err != nil {
@@ -109,37 +115,64 @@ func TestSplitRange(t *testing.T) {
 		bs       = int64(8192)
 		gb       = int64(4)
 		file     = 7
-		fileSize = 64 * bs
+		fileSize = 63*bs + 100 // the last group is partial, and so is its last block
 	)
-	for _, rng := range [][2]int64{{0, 64 * bs}, {bs, 10 * bs}, {3 * bs, 5 * bs}, {60 * bs, 100 * bs}} {
-		off, n := rng[0], rng[1]
-		parts := splitRange(nil, r, gb, bs, file, off, n, fileSize)
-		end := off + n
-		if end > fileSize {
-			end = fileSize
-		}
-		next := off
-		for i, p := range parts {
-			if p.Off != next || p.N < 1 {
-				t.Fatalf("range [%d,+%d): part %d = %+v does not continue at %d", off, n, i, p, next)
-			}
-			next = p.Off + p.N
-			for b := p.Off / bs; b <= (p.Off+p.N-1)/bs; b++ {
-				if owner := r.owner(file, b/gb); owner != p.Shard {
-					t.Fatalf("part %+v contains block %d owned by shard %d", p, b, owner)
-				}
-			}
-			if i > 0 && parts[i-1].Shard == p.Shard {
-				t.Fatalf("parts %d and %d share shard %d but were not merged", i-1, i, p.Shard)
-			}
-		}
-		if next != end {
-			t.Fatalf("range [%d,+%d): parts cover to %d, want %d", off, n, next, end)
+	ranges := [][2]int64{{0, 64 * bs}, {bs, 10 * bs}, {3 * bs, 5 * bs}, {60 * bs, 100 * bs},
+		{1, 1}, {bs + 17, 2*bs - 40}, {5*bs - 1, 2}, {4*bs + 9, 4 * bs}, {61*bs + 5, 3 * bs}, {fileSize - 1, 10}}
+	for off := int64(0); off < fileSize; off += 3*bs + 1111 {
+		for _, n := range []int64{1, bs / 2, gb*bs - 1, 3 * gb * bs, fileSize} {
+			ranges = append(ranges, [2]int64{off, n})
 		}
 	}
+	check := func(dead string) {
+		for _, rng := range ranges {
+			off, n := rng[0], rng[1]
+			parts := splitRange(nil, r, gb, bs, file, off, n, fileSize)
+			if want := splitByBlock(r, gb, bs, file, off, n, fileSize); !slices.Equal(parts, want) {
+				t.Fatalf("%srange [%d,+%d): parts %v, block by block %v", dead, off, n, parts, want)
+			}
+			end := min(off+n, fileSize)
+			next := off
+			for i, p := range parts {
+				if p.Off != next || p.N < 1 {
+					t.Fatalf("%srange [%d,+%d): part %d = %+v does not continue at %d", dead, off, n, i, p, next)
+				}
+				next = p.Off + p.N
+				for b := p.Off / bs; b <= (p.Off+p.N-1)/bs; b++ {
+					if owner := r.owner(file, b/gb); owner != p.Shard {
+						t.Fatalf("%spart %+v contains block %d owned by shard %d", dead, p, b, owner)
+					}
+				}
+				if i > 0 && parts[i-1].Shard == p.Shard {
+					t.Fatalf("%sparts %d and %d share shard %d but were not merged", dead, i-1, i, p.Shard)
+				}
+			}
+			if next != end {
+				t.Fatalf("%srange [%d,+%d): parts cover to %d, want %d", dead, off, n, next, end)
+			}
+		}
+	}
+	check("")
+	r.markDead(1)
+	check("shard 1 dead: ")
 	if parts := splitRange(nil, r, gb, bs, file, fileSize, bs, fileSize); parts != nil {
 		t.Errorf("read past EOF produced parts %v", parts)
 	}
+}
+
+// splitByBlock is splitRange asking the ring for every block's owner.
+func splitByBlock(r *Ring, groupBlocks, blockSize int64, file int, off, n, fileSize int64) []ReadPart {
+	end := min(off+n, fileSize)
+	var parts []ReadPart
+	for b := off / blockSize; b*blockSize < end; b++ {
+		lo, hi := max(off, b*blockSize), min(end, (b+1)*blockSize)
+		if owner := r.owner(file, b/groupBlocks); len(parts) > 0 && parts[len(parts)-1].Shard == owner {
+			parts[len(parts)-1].N += hi - lo
+		} else {
+			parts = append(parts, ReadPart{Shard: owner, Off: lo, N: hi - lo})
+		}
+	}
+	return parts
 }
 
 // TestRingFailoverReroute: marking a shard dead moves ONLY its keys, moves

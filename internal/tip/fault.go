@@ -46,14 +46,7 @@ func (m *Manager) Faults() FaultCounters { return m.faults }
 // Degraded reports whether the manager is running in degraded mode: at
 // least one disk of the array has permanently failed, so prefetching for
 // stripes mapped to it is suspended while demand reads keep flowing.
-func (m *Manager) Degraded() bool {
-	for i := 0; i < m.arr.Config().NumDisks; i++ {
-		if m.arr.Dead(i) {
-			return true
-		}
-	}
-	return false
-}
+func (m *Manager) Degraded() bool { return m.arr.DeadCount() > 0 }
 
 // handleFetchError is the degradation policy for a fetch that completed
 // with an error. Demand-critical blocks (a demand read is waiting, or the

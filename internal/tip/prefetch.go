@@ -56,20 +56,21 @@ func (m *Manager) releaseFetch(f *fetch) {
 }
 
 // pump issues hint-driven prefetches on every hint, read and completion. It
-// visits the woken clients, each once and in ascending id order for
-// determinism: every client whose window something has changed since its last
-// pass, or that a disk now able to take a prefetch turned away. A client woken
-// behind the cursor waits for the next pump. One client running out of buffers
-// does not stop the others (their partitions may still have room).
+// visits the clients whose pass can act (nextVisit), each once and in
+// ascending id order for determinism. A client woken behind the cursor waits
+// for the next pump. One client running out of buffers does not stop the
+// others (their partitions may still have room).
 func (m *Manager) pump() {
 	if m.cfg.IgnoreHints {
 		return
 	}
 	if !m.shares.valid || m.shares.seen != m.work.PartitionSums {
 		// The shares moved since the last look: a starved client may have room.
-		for id := m.starved.next(0); id >= 0; id = m.starved.next(id + 1) {
-			if p := m.partition(id); p == 0 || m.cache.HintedCount(id) < p {
-				m.woken.add(id)
+		for dk := 0; dk < len(m.hungry) && m.waits > 0; dk++ {
+			for s, id := m.hungry[dk], m.hungry[dk].next(0); id >= 0; id = s.next(id + 1) {
+				if p := m.partition(id); p == 0 || m.cache.HintedCount(id) < p {
+					m.woken.add(id)
+				}
 			}
 		}
 		m.shares.seen = m.work.PartitionSums
@@ -84,12 +85,29 @@ func (m *Manager) pump() {
 				}
 			}
 		}
-		if id = m.woken.next(id); id < 0 {
+		if id = m.nextVisit(id); id < 0 {
 			return
 		}
 		m.woken.del(id)
 		m.clients[id].pump()
 	}
+}
+
+// nextVisit returns the smallest id at least from that is woken or pulled by a
+// disk (one with a free slot its refusers, a full one its hungry), or -1: any
+// other waiting client's pass would repeat its last.
+func (m *Manager) nextVisit(from int) int {
+	next := m.woken.next(from)
+	for dk := 0; dk < len(m.prefDepth) && m.waits > 0 && m.cfg.MaxDepthPerDisk > 0; dk++ {
+		s := m.refusers[dk]
+		if m.prefDepth[dk] >= m.cfg.MaxDepthPerDisk {
+			s = m.hungry[dk]
+		}
+		if id := s.next(from); id >= 0 && (next < 0 || id < next) {
+			next = id
+		}
+	}
+	return next
 }
 
 // clientSet is a set of client ids, one bit per slot.
@@ -108,16 +126,6 @@ func (s clientSet) del(id int) {
 	}
 }
 
-// addAll adds every id of o to s.
-func (s *clientSet) addAll(o clientSet) {
-	for len(*s) < len(o) {
-		*s = append(*s, 0)
-	}
-	for i, w := range o {
-		(*s)[i] |= w
-	}
-}
-
 // next returns the smallest id in s that is at least from, or -1.
 func (s clientSet) next(from int) int {
 	for i := from >> 6; i < len(s); i++ {
@@ -132,39 +140,47 @@ func (s clientSet) next(from int) int {
 	return -1
 }
 
-// granuleShift sizes the granules of Manager.interest: 64 blocks. The index
-// is conservative — a client is woken by any change in a granule it has ever
-// hinted into, until it closes; a spurious wake costs one walk.
+// granuleShift sizes the granules of Manager.interest: 64 blocks. blockChanged
+// asks every client that has hinted into a granule, until it closes.
 const granuleShift = 6
 
 // stale wakes the client: it walks at its next visit.
 func (c *Client) stale() { c.m.woken.add(c.id) }
 
-// has reports whether id is in s.
-func (s clientSet) has(id int) bool {
-	return id>>6 < len(s) && s[id>>6]&(1<<(id&63)) != 0
+// waitOn enters c in s, one disk's refusers or hungry set.
+func (c *Client) waitOn(s *clientSet) {
+	s.add(c.id)
+	if !c.waiting {
+		c.waiting, c.m.waits = true, c.m.waits+1
+	}
 }
 
-// unrefuse takes c out of every refusers set.
-func (c *Client) unrefuse() {
-	for _, s := range c.m.refusers {
-		s.del(c.id)
+// unwait takes c out of every set it waits in on a disk.
+func (c *Client) unwait() {
+	if !c.waiting {
+		return
 	}
+	for dk := range c.m.refusers {
+		c.m.refusers[dk].del(c.id)
+		c.m.hungry[dk].del(c.id)
+	}
+	c.hungry, c.waiting, c.m.waits = -1, false, c.m.waits-1
 }
 
 // blockChanged is the cache's change hook: lb's residency or protection
 // changed, and before it the block was at position pos of owner's stream
-// (cache.SetOnChange). It wakes the clients whose window may hold lb, and
-// records the work the change gave each whose examined window holds it
-// (Client.reach): a block there missing now (a gap), or resident and
-// unprotected (due), or given a distance the client may beat.
+// (cache.SetOnChange). It wakes a client when the change records a gap or a due
+// position in its examined window (Client.reach), when it examined nothing and
+// queues lb, and when it is lb's starved owner; any other pass stays as it was.
 func (m *Manager) blockChanged(lb int64, owner int, pos int64) {
-	own := m.acting >= 0 && lb == m.actLB // the running pass's own admit or protect
 	hinted := pos != cache.NoHint && pos != cache.WasAbsent
 	for _, c := range m.interest[lb>>granuleShift] {
-		c.stale()
-		if own && c.id == m.acting {
-			continue
+		if c.id == m.acting && lb == m.actLB {
+			continue // the running pass's own admit or protect
+		}
+		if c.reach <= c.at && c.find(lb, c.at, min(c.at+int64(c.effHorizon()), c.tail)) >= 0 ||
+			hinted && owner == c.id && c.hungry >= 0 {
+			c.stale()
 		}
 		// Only c's own blocks, or another stream's when c left one in its
 		// window, can have been at a position c examined; any block admitted
@@ -192,6 +208,7 @@ func (m *Manager) blockChanged(lb int64, owner int, pos int64) {
 func (c *Client) missing(lb int64) {
 	for q := c.find(lb, c.at, c.reach); q >= 0; q = c.find(lb, q+1, c.reach) {
 		c.mark(q, c.m.arr.DiskOf(lb), true)
+		c.stale()
 	}
 }
 
@@ -240,7 +257,7 @@ func (c *Client) roomy(p, limit int64) int64 {
 		}
 		if bit := uint64(1) << dk; full&bit == 0 {
 			full |= bit
-			m.refusers[dk].add(c.id)
+			c.waitOn(&m.refusers[dk])
 		}
 	}
 	return limit
@@ -251,6 +268,7 @@ func (c *Client) roomy(p, limit int64) int64 {
 func (c *Client) unclaimed(lb int64) {
 	for q := c.find(lb, c.at, c.reach); q >= 0; q = c.find(lb, q+1, c.reach) {
 		c.due = append(c.due, q)
+		c.stale()
 	}
 }
 
@@ -325,8 +343,7 @@ func (c *Client) pump() {
 		return
 	}
 	m.work.Walks++
-	c.unrefuse()
-	m.starved.del(c.id)
+	c.unwait()
 	bs := int64(m.fs.BlockSize())
 	base := c.base(bs)
 	end := base + int64(c.effHorizon())
@@ -404,11 +421,11 @@ walk:
 			}
 		case fetchDiskBusy:
 			// This disk is at depth; later blocks may differ.
-			m.refusers[dk].add(c.id)
+			c.waitOn(&m.refusers[dk])
 		case fetchNoBuffer:
 			if p := m.partition(c.id); p > 0 && m.cache.HintedCount(c.id) >= p {
 				c.hungry = dk
-				m.starved.add(c.id)
+				c.waitOn(&m.hungry[dk])
 			} else {
 				c.stale()
 			}
@@ -546,14 +563,7 @@ func (m *Manager) submit(lb int64, dk int, phys int64, pri disk.Priority, ride b
 	m.arr.Submit(&f.Request)
 	f.queued = true
 	if pri == disk.Prefetch && !ride {
-		if m.prefDepth[dk]++; m.prefDepth[dk] == m.cfg.MaxDepthPerDisk {
-			// dk is full: the starved refused at a gap on it now skip that gap.
-			for id := m.starved.next(0); id >= 0; id = m.starved.next(id + 1) {
-				if m.clients[id].hungry == dk {
-					m.woken.add(id)
-				}
-			}
-		}
+		m.prefDepth[dk]++
 	}
 }
 
@@ -563,11 +573,7 @@ func (m *Manager) onFetchDone(f *fetch, err error) {
 	lb, dk := f.lb, f.Disk
 	f.queued = false
 	if f.Pri == disk.Prefetch && !f.RideAlong {
-		m.prefDepth[dk]--
-		if m.prefDepth[dk] < m.cfg.MaxDepthPerDisk {
-			// A slot is free on dk: wake the clients a full dk turned away.
-			m.woken.addAll(m.refusers[dk])
-		}
+		m.prefDepth[dk]-- // a free slot on dk pulls the clients it turned away (nextVisit)
 	}
 	if err != nil {
 		m.handleFetchError(f, err)
@@ -576,7 +582,7 @@ func (m *Manager) onFetchDone(f *fetch, err error) {
 		owner := -1
 		if b := m.cache.Get(lb); b != nil && b.HintPos != cache.NoHint {
 			owner = b.Owner
-			if m.starved.has(owner) {
+			if m.clients[owner].hungry >= 0 {
 				m.woken.add(owner)
 			}
 		}
@@ -589,7 +595,7 @@ func (m *Manager) onFetchDone(f *fetch, err error) {
 		m.cache.Complete(lb)
 		// A waiter that ran while the block was still pinned for the next may
 		// have pumped and found it unevictable: the owner starved again.
-		if owner >= 0 && m.starved.has(owner) {
+		if owner >= 0 && m.clients[owner].hungry >= 0 {
 			m.woken.add(owner)
 		}
 	}

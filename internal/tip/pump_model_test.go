@@ -104,7 +104,9 @@ type pumpRig struct {
 	// Where the woken set can go wrong (first rig only).
 	sawDeferred bool // a pass woke a client behind the cursor: it waits for the next pump
 	sawDeadWake bool // a disk's death woke a client that was not woken
-	sawStarved  bool // a client waited for room in its full partition (Manager.starved)
+	sawStarved  bool // a client waited for room in its full partition (Manager.hungry)
+	sawRefilled bool // a disk freed a slot and filled again with a client it turned away left waiting
+	sawQuiet    bool // a cache change in a granule a sleeping client hinted into left it asleep
 
 	// Where a pass with every disk full can go wrong. A step that runs no
 	// clock event can neither free a prefetch slot nor change a demotion, and
@@ -172,6 +174,18 @@ func newPumpRig(t *testing.T, depth int, forget bool) *pumpRig {
 	plan.DieDisk, plan.DieAt = 2, 400_000 // a script runs some 650,000 cycles
 	r := &pumpRig{clk: clk, arr: arr, m: m, inj: &recInjector{plan: plan}, forget: forget}
 	m.poison = forget
+	if !forget {
+		m.cache.SetOnChange(func(lb int64, owner int, pos int64) {
+			var asleep []*Client
+			for _, c := range m.interest[lb>>granuleShift] {
+				if !m.woken.has(c.id) && (c.id != m.acting || lb != m.actLB) {
+					asleep = append(asleep, c)
+				}
+			}
+			m.blockChanged(lb, owner, pos)
+			r.sawQuiet = r.sawQuiet || slices.ContainsFunc(asleep, func(c *Client) bool { return !m.woken.has(c.id) })
+		})
+	}
 	arr.SetInjector(r.inj)
 	// Five files of 40 blocks: 200 logical blocks, four granules of the
 	// interest index, every client hinting into every file.
@@ -235,6 +249,11 @@ func (r *pumpRig) read(s *pumpStep) {
 	if len(r.m.pendingDemand) > 0 {
 		r.sawPending = true
 	}
+}
+
+// has reports whether id is in s.
+func (s clientSet) has(id int) bool {
+	return id>>6 < len(s) && s[id>>6]&(1<<(id&63)) != 0
 }
 
 // unwoken reports an open client that the pump would not visit.
@@ -301,9 +320,11 @@ func (r *pumpRig) apply(s *pumpStep) {
 			demoted := len(r.m.demoted)
 			full := r.full()
 			prefetches := r.m.Stats().HintPrefetches
+			waiting := r.waitingRefusers()
 			if !r.clk.RunNext() {
 				break
 			}
+			r.sawRefilled = r.sawRefilled || r.refilled(waiting)
 			if len(r.m.demoted) < demoted {
 				r.sawDemotionCleared = true
 			}
@@ -312,7 +333,7 @@ func (r *pumpRig) apply(s *pumpStep) {
 			}
 		}
 	}
-	r.sawStarved = r.sawStarved || r.m.starved.next(0) >= 0
+	r.sawStarved = r.sawStarved || slices.ContainsFunc(r.m.clients, func(c *Client) bool { return c.hungry >= 0 })
 	r.sawDeadSkip = r.sawDeadSkip || r.deadSkip()
 	r.m.cache.ForEach(func(b *cache.Block) {
 		if b.Held() && b.Owner < len(r.m.clients) {
@@ -321,6 +342,56 @@ func (r *pumpRig) apply(s *pumpStep) {
 			}
 		}
 	})
+}
+
+// waitingRefuser is a client that disk dk turned away, asleep while dk is full,
+// with the prefetch records queued on dk then and the client's prefetch count.
+type waitingRefuser struct {
+	c          *Client
+	dk         int
+	queued     map[*fetch]int64
+	prefetches int64
+}
+
+// waitingRefusers lists, before a clock event, the sleeping clients that a
+// full disk turned away (first rig only).
+func (r *pumpRig) waitingRefusers() []waitingRefuser {
+	var out []waitingRefuser
+	for dk, s := range r.m.refusers {
+		if r.forget || r.m.cfg.MaxDepthPerDisk == 0 || r.m.prefDepth[dk] < r.m.cfg.MaxDepthPerDisk {
+			continue
+		}
+		queued := map[*fetch]int64{}
+		for _, f := range r.m.fetches {
+			if f.Disk == dk && f.queued && f.Pri == disk.Prefetch && !f.RideAlong {
+				queued[f] = f.lb
+			}
+		}
+		for id := s.next(0); id >= 0; id = s.next(id + 1) {
+			if c := r.m.clients[id]; !c.closed && !r.m.woken.has(id) {
+				out = append(out, waitingRefuser{c, dk, queued, c.stats.HintPrefetches})
+			}
+		}
+	}
+	return out
+}
+
+// refilled reports that, in the clock event since waitingRefusers, a prefetch
+// on a full disk completed and the disk filled again while a client it had
+// turned away was passed over: still turned away, asleep, not starved, and
+// with no prefetch started.
+func (r *pumpRig) refilled(waiting []waitingRefuser) bool {
+	for _, w := range waiting {
+		done := false
+		for f, lb := range w.queued {
+			done = done || f.lb != lb || !f.queued || f.Disk != w.dk
+		}
+		if done && r.m.prefDepth[w.dk] >= r.m.cfg.MaxDepthPerDisk && r.m.refusers[w.dk].has(w.c.id) &&
+			!r.m.woken.has(w.c.id) && w.c.hungry < 0 && w.c.stats.HintPrefetches == w.prefetches {
+			return true
+		}
+	}
+	return false
 }
 
 // deadSkip reports a hinted block within an open client's horizon that lies
@@ -539,7 +610,7 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			var faults FaultCounters
 			var sawPending, sawCleared, sawReentrant, sawHeldRecur, sawDeadSkip, sawStaticTail bool
 			var sawFullRewrite, sawFullNewOwner, sawBoundDead, sawBoundDemoted, sawSlotRegained bool
-			var sawDeferred, sawDeadWake, sawStarved bool
+			var sawDeferred, sawDeadWake, sawStarved, sawRefilled, sawQuiet bool
 			for seed := int64(0); seed < seeds; seed++ {
 				lazy, eager := newPumpRig(t, depth, false), newPumpRig(t, depth, true)
 				script := &pumpScript{rng: rand.New(rand.NewSource(seed)), open: make([]bool, 5),
@@ -592,6 +663,8 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 				sawDeferred = sawDeferred || lazy.sawDeferred
 				sawDeadWake = sawDeadWake || lazy.sawDeadWake
 				sawStarved = sawStarved || lazy.sawStarved
+				sawRefilled = sawRefilled || lazy.sawRefilled
+				sawQuiet = sawQuiet || lazy.sawQuiet
 				if lazy.arr.DeadCount() != 1 {
 					t.Errorf("seed %d: the script ended before the disk died", seed)
 				}
@@ -629,6 +702,9 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			if !sawStarved {
 				t.Error("no client ever waited for room in its full partition")
 			}
+			if !sawQuiet {
+				t.Error("no cache change ever left asleep a client that hinted into its granule")
+			}
 			if !sawPending {
 				t.Error("no demand miss ever found the cache full (pendingDemand)")
 			}
@@ -648,6 +724,9 @@ func TestPumpMemoIsInvisible(t *testing.T) {
 			}
 			if depth == 1 && !sawBoundDemoted {
 				t.Error("no pass ever ran with every disk at its depth bound and a block demoted")
+			}
+			if !sawRefilled {
+				t.Error("no disk ever freed a slot and filled again while a client it turned away was passed over")
 			}
 			if !sawSlotRegained {
 				t.Error("no freed slot ever woke a client a pass with every disk full left into starting a fetch")

@@ -226,19 +226,20 @@ type Manager struct {
 	prefDepth []int // outstanding prefetches per disk
 
 	// interest maps a granule of the logical block space to the clients that
-	// have disclosed a hint touching it: whom blockChanged must wake.
+	// have disclosed a hint touching it: whom blockChanged asks.
 	interest map[int64][]*Client
 
-	// The woken set: the clients the next pump visits. refusers[dk] holds the
-	// clients whose last pass disk dk turned away; a freed slot on dk wakes
-	// them. dead is the array's dead-disk count when the pump last looked.
+	// The woken set: the clients the next pump visits. Waiting on disk dk
+	// (nextVisit): refusers[dk], the clients dk turned away, pulled while it
+	// has a free slot; hungry[dk], the starved (partition full of their own
+	// blocks) refused a buffer at a gap on dk, pulled while it is full. waits
+	// counts the clients waiting on any disk; dead is the array's dead-disk
+	// count when the pump last looked.
 	woken    clientSet
 	refusers []clientSet
+	hungry   []clientSet
+	waits    int
 	dead     int
-
-	// starved: clients whose partition is full of their own blocks, woken
-	// when it has room or one of those blocks completes (Manager.pump).
-	starved clientSet
 
 	// shares caches what every partition share is computed from: the open
 	// clients and the sum of their weights, in id order. Each input of a share
@@ -304,9 +305,11 @@ type Client struct {
 	// (Manager.blockChanged, consume).
 	reach int64
 	gaps  []int64
-	// hungry is the disk of the gap a buffer was refused at (Manager.starved).
-	hungry int
-	due    []int64 // positions in [base, reach) holding a cached block not this client's
+	// hungry is the disk of the gap a buffer was refused at while starved
+	// (Manager.hungry), or -1; waiting says c waits on some disk.
+	hungry  int
+	waiting bool
+	due     []int64 // positions in [base, reach) holding a cached block not this client's
 
 	// compare: the window holds a block whose comparison with this client's
 	// distance moves with its base — another stream's, or one whose distance
@@ -343,6 +346,7 @@ func New(clk *sim.Queue, arr *disk.Array, fs *fsim.FS, cfg Config) (*Manager, er
 		cfg:       cfg,
 		prefDepth: make([]int, arr.Config().NumDisks),
 		refusers:  make([]clientSet, arr.Config().NumDisks),
+		hungry:    make([]clientSet, arr.Config().NumDisks),
 		interest:  make(map[int64][]*Client),
 		fetches:   make(map[int64]*fetch),
 		demoted:   make(map[int64]bool),
@@ -373,13 +377,12 @@ func (m *Manager) NewClient() *Client {
 		m.free = m.free[:n-1]
 		m.retired.add(c.stats)
 		clear(c.ra)
-		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0], gaps: c.gaps[:0], due: c.due[:0], tail: c.tail, at: c.tail}
+		*c = Client{m: m, id: c.id, hints: c.hints[:0], ra: c.ra, granules: c.granules[:0], gaps: c.gaps[:0], due: c.due[:0], tail: c.tail, at: c.tail, hungry: -1}
 	} else {
-		c = &Client{m: m, id: len(m.clients), ra: make(map[int64]raState)}
+		c = &Client{m: m, id: len(m.clients), ra: make(map[int64]raState), hungry: -1}
 		m.clients = append(m.clients, c)
 	}
 	m.shares.valid = false
-	m.woken.add(c.id) // its first visit walks (an empty window)
 	return c
 }
 
@@ -413,8 +416,7 @@ func (m *Manager) emit(name, format string, args ...any) {
 
 // PrefetchDepth returns the prefetch requests currently outstanding (queued
 // or in service) across the array — the depth the cost-benefit rule bounds.
-func (m *Manager) PrefetchDepth() int {
-	depth := 0
+func (m *Manager) PrefetchDepth() (depth int) {
 	for _, d := range m.prefDepth {
 		depth += d
 	}
@@ -453,9 +455,8 @@ func (c *Client) Close() {
 	c.empty()
 	c.closed = true
 	c.unwatch()
-	c.unrefuse()
+	c.unwait()
 	c.m.woken.del(c.id)
-	c.m.starved.del(c.id)
 	c.m.free = append(c.m.free, c.id)
 	c.m.shares.valid = false
 }
