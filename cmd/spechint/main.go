@@ -149,7 +149,7 @@ func runSynthesize(file, app string) bool {
 		fail(fmt.Errorf("-synthesize needs -file or -app agrep|gnuld|xds|postgres|all, got app %q", app))
 	}
 
-	// Sweep scale matches the golden dynamic runs in bench/golden.
+	// Sweep scale matches the sweep-scale rows of bench/golden/cells.txt.
 	scale := apps.SweepScale()
 	ok := true
 	for _, a := range list {

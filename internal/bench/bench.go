@@ -13,6 +13,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"spechint/internal/apps"
@@ -141,10 +142,13 @@ func (c Cell) key() Cell {
 }
 
 // cellTable is the process-wide memo of simulated cells, and cellAsks counts
-// every Run on a Cell, so asks minus entries is the reuse.
+// every Run on a Cell, so asks minus entries is the reuse. cellKeys holds
+// every key the table simulated: the rows of the cell ledger
+// (bench/golden/cells.txt).
 var (
 	cellTable = par.NewCache[Cell, *core.RunStats]()
 	cellAsks  atomic.Int64
+	cellKeys  sync.Map
 )
 
 // Run returns c's statistics, simulating c on the first ask in this process.
@@ -153,6 +157,7 @@ func (c Cell) Run() (*core.RunStats, error) {
 	cellAsks.Add(1)
 	k := c.key()
 	return cellTable.Get(k, func() (*core.RunStats, error) {
+		cellKeys.Store(k, true)
 		p, err := prepare(k)
 		if err != nil {
 			return nil, err

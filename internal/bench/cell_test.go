@@ -13,6 +13,10 @@ import (
 func resetCells() {
 	cellTable.Reset()
 	cellAsks.Store(0)
+	cellKeys.Range(func(k, _ any) bool {
+		cellKeys.Delete(k)
+		return true
+	})
 }
 
 // render runs one experiment and returns its text and, for a sweep family,

@@ -8,7 +8,7 @@ import (
 
 // TestGoldenCluster byte-compares the test-scale cluster sweep — every shard
 // count at both offered loads — against the committed canon, like
-// TestGoldenRunStats does for the solo cells: any change to ring placement,
+// TestCellLedger does for the solo cells: any change to ring placement,
 // hint batching, message timing, the service path or the population generator
 // shows up as a diff here. Re-canonize deliberately with:
 //

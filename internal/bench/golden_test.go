@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,77 +29,100 @@ func goldenModes() []core.Mode {
 	return []core.Mode{core.ModeNoHint, core.ModeSpeculating, core.ModeManual, core.ModeStatic}
 }
 
-func goldenPath(app apps.App, mode core.Mode) string {
-	name := fmt.Sprintf("%s_%s.json", strings.ToLower(app.String()), mode.String())
-	return filepath.Join(goldenDir, name)
-}
-
-// goldenStats renders one cell's full RunStats as indented JSON — every
-// counter, stall bucket, read-site map and the program output itself.
-// Elapsed wall time is virtual (cycles), so the bytes are reproducible on
-// any host.
-func goldenStats(t *testing.T, app apps.App, mode core.Mode) []byte {
-	t.Helper()
-	st, _, err := Run(app, mode, apps.SweepScale(), nil)
-	if err != nil {
-		t.Fatalf("%v %v: %v", app, mode, err)
-	}
-	out, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(out, '\n')
-}
-
-// TestGoldenRunStats byte-compares every (app, mode) cell at sweep scale
-// against the committed canon in bench/golden. Any behavioral change to the
-// simulator — event ordering, cost model, cache policy, prefetch depth —
-// shows up here as a diff; run `go test ./internal/bench -run Golden
-// -update` to re-canonize on purpose and let review see the delta.
-func TestGoldenRunStats(t *testing.T) {
-	suite := append(append([]apps.App{}, Apps...), ModernApps...)
-	for _, app := range suite {
-		for _, mode := range goldenModes() {
-			app, mode := app, mode
-			t.Run(fmt.Sprintf("%v/%v", app, mode), func(t *testing.T) {
-				got := goldenStats(t, app, mode)
-				checkGolden(t, goldenPath(app, mode), got)
-			})
+// TestCellLedger holds every configuration the harness simulates to one
+// sorted text file, bench/golden/cells.txt: one row per distinct cell key,
+// with its elapsed cycles, the six stall buckets, its read, hint, restart and
+// speculation counts, its exit code, and the SHA-256 of its full RunStats as
+// indented JSON (every counter, read-site map and the program output). The
+// rows are every cell the registry runs at test scale, every (app, mode) cell
+// at sweep scale, and the three speculating sweep-scale Gnuld runs whose
+// restarts take a path the default cells never do: the second processor's
+// restart windows and the two §5 limiters on one disk. A change to the
+// simulator shows up as the rows it moves; run `go test ./internal/bench -run
+// CellLedger -update` to re-canonize on purpose and let review see them.
+func TestCellLedger(t *testing.T) {
+	resetCells()
+	t.Cleanup(resetCells)
+	for _, name := range Names() {
+		if _, err := RunByName(name, apps.TestScale()); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	var sweep []Cell
+	for _, app := range append(append([]apps.App{}, Apps...), ModernApps...) {
+		for _, mode := range goldenModes() {
+			sweep = append(sweep, Cell{App: app, Mode: mode})
+		}
+	}
+	sweep = append(sweep,
+		Cell{App: apps.Gnuld, Mode: core.ModeSpeculating, DualCPU: true},
+		Cell{App: apps.Gnuld, Mode: core.ModeSpeculating, Disks: 1, Limiter: FixedLimiter},
+		Cell{App: apps.Gnuld, Mode: core.ModeSpeculating, Disks: 1, Limiter: AdaptiveLimiter})
+	for i := range sweep {
+		sweep[i].Scale = apps.SweepScale()
+	}
+	if _, err := runCells(sweep); err != nil {
+		t.Fatal(err)
+	}
+
+	keys := map[string]Cell{}
+	var rows []string
+	cellKeys.Range(func(k, _ any) bool {
+		c := k.(Cell)
+		key := ledgerKey(c)
+		if prev, dup := keys[key]; dup {
+			t.Errorf("cells %+v and %+v both render as %q", prev, c, key)
+		}
+		keys[key] = c
+		st, err := c.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		out, err := json.MarshalIndent(st, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := st.Buckets
+		rows = append(rows, fmt.Sprintf("%s: elapsed=%d compute=%d spec=%d hinted=%d unhinted=%d fault=%d sched=%d"+
+			" reads=%d hinted_reads=%d hint_calls=%d restarts=%d spec_instrs=%d exit=%d sha256=%x\n",
+			key, st.Elapsed, b.Compute, b.SpecOverhead, b.HintedStall, b.UnhintedStall, b.FaultStall, b.SchedWait,
+			st.ReadCalls, st.HintedReads, st.Tip.HintCalls, st.Restarts, st.SpecInstrs, st.ExitCode,
+			sha256.Sum256(append(out, '\n'))))
+		return true
+	})
+	sort.Strings(rows)
+	checkGolden(t, filepath.Join(goldenDir, "cells.txt"), []byte(strings.Join(rows, "")))
 }
 
-// TestGoldenRestartPaths byte-compares, at sweep scale, the three speculating
-// Gnuld runs whose restarts take a path the default cells never do: the
-// second processor's restart windows (DualCPU, 4 disks) and the two §5
-// limiters on the one disk the throttle and adaptive experiments use. Every
-// restart's timing reaches Elapsed, SpecBusy and the buckets, so a change to
-// how restart work is charged shows up here.
-func TestGoldenRestartPaths(t *testing.T) {
-	for _, g := range []struct {
-		name string
-		cell Cell
-	}{
-		{"dualcpu", Cell{DualCPU: true}},
-		{"fixedlimiter", Cell{Disks: 1, Limiter: FixedLimiter}},
-		{"adaptivelimiter", Cell{Disks: 1, Limiter: AdaptiveLimiter}},
-	} {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			t.Parallel()
-			c := g.cell
-			c.App, c.Mode, c.Scale = apps.Gnuld, core.ModeSpeculating, apps.SweepScale()
-			st, err := c.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := json.MarshalIndent(st, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, filepath.Join(goldenDir, "gnuld_speculating_"+g.name+".json"), append(out, '\n'))
-		})
+// ledgerKey renders a cell key as stable text: app, mode and scale, the
+// Postgres selectivity, then each knob the key does not leave at its default.
+func ledgerKey(c Cell) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %s %s", strings.ToLower(c.App.String()), c.Mode, c.Scale.Name)
+	if c.App == apps.Postgres {
+		fmt.Fprintf(&b, " selectivity=%d", c.Scale.Postgres.Selectivity)
 	}
+	for _, knob := range []struct {
+		name string
+		v    int
+	}{{"disks", c.Disks}, {"cache_mb", c.CacheMB}, {"speed_ratio", c.SpeedRatio}, {"cow_region", c.COWRegion}} {
+		if knob.v != 0 {
+			fmt.Fprintf(&b, " %s=%d", knob.name, knob.v)
+		}
+	}
+	if c.IgnoreHints {
+		b.WriteString(" ignore_hints")
+	}
+	if c.Limiter != NoLimiter {
+		b.WriteString(map[Limiter]string{FixedLimiter: " fixed_limiter", AdaptiveLimiter: " adaptive_limiter"}[c.Limiter])
+	}
+	if c.DualCPU {
+		b.WriteString(" dual_cpu")
+	}
+	if c.FaultRate != 0 {
+		fmt.Fprintf(&b, " fault_rate=%g", c.FaultRate)
+	}
+	return b.String()
 }
 
 // TestGoldenMulti byte-compares the test-scale multiprogramming sweep (groups
@@ -233,7 +257,7 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// TestGoldenTraces pins event *order*, which the RunStats canon (counts) does
+// TestGoldenTraces pins event *order*, which the cell ledger (counts) does
 // not: the SHA-256 of the cross-layer Chrome trace of five test-scale runs —
 // the bytes `tipbench -trace-json` writes for speculating Gnuld, Agrep and
 // XDataSlice and for the four-process multi group, plus one hinted two-shard
