@@ -22,7 +22,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spechint/internal/cache"
 	"spechint/internal/disk"
@@ -266,8 +266,8 @@ type RunStats struct {
 	FootprintBytes int64
 	HintLogPeak    int
 
-	ReadGaps []int64 // original-thread cycles between successive reads
-	HintGaps []int64 // speculating-thread cycles between successive hints
+	MedianReadGap int64 // median original-thread cycles between successive reads
+	MedianHintGap int64 // median speculating-thread cycles between successive hints
 
 	// ReadSites breaks the read counters down by call-site PC (the address
 	// of the read syscall instruction in the original text), letting the
@@ -340,32 +340,23 @@ func (s *RunStats) Seconds() float64 { return float64(s.Elapsed) / CPUHz }
 // StallCycles is the time the original thread spent blocked.
 func (s *RunStats) StallCycles() int64 { return int64(s.Elapsed) - s.OrigBusy }
 
-// medianReadGap returns the median number of original-thread cycles between
-// read calls (paper §4.4).
-func (s *RunStats) medianReadGap() int64 { return median(s.ReadGaps) }
-
-// medianHintGap returns the median number of speculating-thread cycles
-// between hint calls.
-func (s *RunStats) medianHintGap() int64 { return median(s.HintGaps) }
-
 // DilationFactor is the ratio of the median inter-hint interval to the
-// median inter-read interval (>1 mainly due to copy-on-write checks).
+// median inter-read interval (paper §4.4; >1 mainly due to copy-on-write
+// checks).
 func (s *RunStats) DilationFactor() float64 {
-	r := s.medianReadGap()
-	h := s.medianHintGap()
-	if r <= 0 || h <= 0 {
+	if s.MedianReadGap <= 0 || s.MedianHintGap <= 0 {
 		return 0
 	}
-	return float64(h) / float64(r)
+	return float64(s.MedianHintGap) / float64(s.MedianReadGap)
 }
 
+// median sorts xs in place and returns its middle element, 0 if it is empty.
 func median(xs []int64) int64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	c := append([]int64(nil), xs...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	return c[len(c)/2]
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // Substrate is the shared I/O platform a System runs on: one virtual clock,
@@ -501,6 +492,8 @@ type System struct {
 	final           *RunStats // detached snapshot taken at exit (see finalize)
 	lastOrigReadAt  int64
 	lastSpecHintAt  int64
+	readGaps        []int64 // cycles between the original thread's reads, for finalize's median
+	hintGaps        []int64 // cycles between the speculating thread's hints, likewise
 	sawSpecHint     bool
 	sawOrigRead     bool
 	lastCaptureBusy int64 // original-thread busy cycles at the last captured read

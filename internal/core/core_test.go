@@ -361,7 +361,7 @@ func TestStatsPopulated(t *testing.T) {
 	if st.Pages.Touched == 0 || st.FootprintBytes == 0 {
 		t.Fatal("memory stats empty")
 	}
-	if st.medianReadGap() == 0 || st.medianHintGap() == 0 {
+	if st.MedianReadGap == 0 || st.MedianHintGap == 0 {
 		t.Fatal("gap medians empty")
 	}
 	if st.DilationFactor() <= 1.0 {

@@ -197,7 +197,7 @@ func (s *System) origRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 	}
 	now := s.busyNow(t)
 	if s.sawOrigRead {
-		s.stats.ReadGaps = append(s.stats.ReadGaps, now-s.lastOrigReadAt)
+		s.readGaps = append(s.readGaps, now-s.lastOrigReadAt)
 	}
 	s.sawOrigRead = true
 	s.lastOrigReadAt = now
@@ -430,7 +430,7 @@ func (s *System) specRead(m *vm.Machine, t *vm.Thread) vm.SysControl {
 		}
 		now := s.busyNow(t)
 		if s.sawSpecHint {
-			s.stats.HintGaps = append(s.stats.HintGaps, now-s.lastSpecHintAt)
+			s.hintGaps = append(s.hintGaps, now-s.lastSpecHintAt)
 		}
 		s.sawSpecHint = true
 		s.lastSpecHintAt = now

@@ -247,6 +247,8 @@ func (s *System) finalize() *RunStats {
 	st.Degraded = s.tip.Degraded()
 	st.Pages = s.mach.Pages()
 	st.Output = s.out.String()
+	st.MedianReadGap, st.MedianHintGap = median(s.readGaps), median(s.hintGaps)
+	s.readGaps, s.hintGaps = nil, nil
 
 	st.FootprintBytes = st.Pages.Touched*s.cfg.Machine.PageBytes + s.prog.TextBytes()
 	if s.spec != nil {
