@@ -37,7 +37,8 @@ func goldenModes() []core.Mode {
 // rows are every cell the registry runs at test scale, every (app, mode) cell
 // at sweep scale, and the three speculating sweep-scale Gnuld runs whose
 // restarts take a path the default cells never do: the second processor's
-// restart windows and the two §5 limiters on one disk. A change to the
+// restart windows and the two §5 limiters on one disk. Every row also holds
+// the stall-attribution invariant (checkBuckets). A change to the
 // simulator shows up as the rows it moves; run `go test ./internal/bench -run
 // CellLedger -update` to re-canonize on purpose and let review see them.
 func TestCellLedger(t *testing.T) {
@@ -82,6 +83,7 @@ func TestCellLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkBuckets(t, key, st)
 		b := st.Buckets
 		rows = append(rows, fmt.Sprintf("%s: elapsed=%d compute=%d spec=%d hinted=%d unhinted=%d fault=%d sched=%d"+
 			" reads=%d hinted_reads=%d hint_calls=%d restarts=%d spec_instrs=%d exit=%d sha256=%x\n",
@@ -92,6 +94,31 @@ func TestCellLedger(t *testing.T) {
 	})
 	sort.Strings(rows)
 	checkGolden(t, filepath.Join(goldenDir, "cells.txt"), []byte(strings.Join(rows, "")))
+}
+
+// checkBuckets holds one cell to the stall-attribution invariant: the six
+// buckets account for every elapsed cycle exactly, none is negative, and
+// Compute is positive. Without a speculating thread SchedWait and
+// SpecOverhead are exactly zero. With one, SpecOverhead is positive and
+// SchedWait is a tiny residual: a speculative slice can overshoot the
+// wake-up event by at most the cost of its final instruction.
+func checkBuckets(t *testing.T, key string, st *core.RunStats) {
+	t.Helper()
+	b := st.Buckets
+	if b.Total() != int64(st.Elapsed) {
+		t.Errorf("%s: buckets sum to %d, elapsed %d: %+v", key, b.Total(), st.Elapsed, b)
+	}
+	if min(b.Compute, b.SpecOverhead, b.HintedStall, b.UnhintedStall, b.FaultStall) < 0 || b.Compute == 0 {
+		t.Errorf("%s: a negative bucket or no compute: %+v", key, b)
+	}
+	if st.Mode != core.ModeSpeculating {
+		if b.SchedWait != 0 || b.SpecOverhead != 0 {
+			t.Errorf("%s: SchedWait %d and SpecOverhead %d without speculation, want 0", key, b.SchedWait, b.SpecOverhead)
+		}
+	} else if b.SpecOverhead == 0 || b.SchedWait < 0 || b.SchedWait*1000 > int64(st.Elapsed) {
+		t.Errorf("%s: SpecOverhead %d, SchedWait %d of %d elapsed; want overhead and a tiny SchedWait residual",
+			key, b.SpecOverhead, b.SchedWait, st.Elapsed)
+	}
 }
 
 // ledgerKey renders a cell key as stable text: app, mode and scale, the

@@ -11,56 +11,6 @@ import (
 
 var allModes = []core.Mode{core.ModeNoHint, core.ModeSpeculating, core.ModeManual}
 
-// TestStallBucketsSumExactly is the attribution invariant: for every app in
-// every mode, the five stall buckets plus compute account for every elapsed
-// cycle — exactly, not approximately. SchedWait is exactly zero in a solo run
-// without a speculating thread; with one it must stay non-negative and tiny
-// (a speculative slice can overshoot the wake-up event by at most the cost of
-// its final instruction, and those cycles are real runnable-but-waiting
-// time).
-func TestStallBucketsSumExactly(t *testing.T) {
-	for _, app := range Apps {
-		for _, mode := range allModes {
-			st, _, err := Run(app, mode, apps.TestScale(), nil)
-			if err != nil {
-				t.Fatalf("%v %v: %v", app, mode, err)
-			}
-			b := st.Buckets
-			if got := b.Total(); got != int64(st.Elapsed) {
-				t.Errorf("%v %v: buckets sum to %d, elapsed %d (diff %d): %+v",
-					app, mode, got, st.Elapsed, int64(st.Elapsed)-got, b)
-			}
-			if mode == core.ModeSpeculating {
-				if b.SchedWait < 0 || b.SchedWait*1000 > int64(st.Elapsed) {
-					t.Errorf("%v %v: SchedWait = %d of %d elapsed, want a tiny overshoot residual",
-						app, mode, b.SchedWait, st.Elapsed)
-				}
-			} else if b.SchedWait != 0 {
-				t.Errorf("%v %v: SchedWait = %d in a solo run without speculation, want exactly 0",
-					app, mode, b.SchedWait)
-			}
-			for name, v := range map[string]int64{
-				"Compute": b.Compute, "SpecOverhead": b.SpecOverhead,
-				"HintedStall": b.HintedStall, "UnhintedStall": b.UnhintedStall,
-				"FaultStall": b.FaultStall,
-			} {
-				if v < 0 {
-					t.Errorf("%v %v: bucket %s = %d < 0", app, mode, name, v)
-				}
-			}
-			if b.Compute == 0 {
-				t.Errorf("%v %v: zero compute cycles", app, mode)
-			}
-			if mode == core.ModeSpeculating && b.SpecOverhead == 0 {
-				t.Errorf("%v speculating: zero speculation overhead", app)
-			}
-			if mode != core.ModeSpeculating && b.SpecOverhead != 0 {
-				t.Errorf("%v %v: speculation overhead %d without speculation", app, mode, b.SpecOverhead)
-			}
-		}
-	}
-}
-
 // TestHintedBucketTracksHintedReads: in speculating mode the hinted-stall
 // bucket must be populated exactly when hinted blocking reads occurred.
 func TestHintedBucketTracksHintedReads(t *testing.T) {

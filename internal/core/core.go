@@ -288,7 +288,7 @@ type RunStats struct {
 
 // StallBuckets decomposes a run's elapsed virtual time, in cycles. The
 // buckets are mutually exclusive and exhaustive: their sum equals Elapsed
-// exactly (internal/bench asserts this for every app and mode).
+// exactly (internal/bench asserts this for every cell of its ledger).
 //
 //   - Compute: the original thread executing application work.
 //   - SpecOverhead: cycles the speculation machinery added to the original
@@ -485,6 +485,7 @@ type System struct {
 	strBuf      []byte // scratch a string argument (a path, a message to print) is read into
 	out         bytes.Buffer
 	sliceStart  sim.Time
+	inWindow    bool       // runSpecWindow is running the speculating thread; see Syscall
 	obs         *obs.Trace // cross-layer stream (nil = untraced)
 	watchdogErr error      // fatal inconsistency caught by the deadlock watchdog
 

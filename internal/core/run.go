@@ -76,8 +76,9 @@ func (s *System) runSpecWindow(window int64) {
 		if s.spec.State != vm.Ready {
 			return
 		}
-		s.sliceStart = s.clk.Now() // syscalls happen "now"; see os.go
+		s.inWindow = true
 		used, _ := s.mach.Run(s.spec, window)
+		s.inWindow = false
 		s.stats.SpecBusy += used
 		window -= used
 		if used == 0 {
