@@ -5,7 +5,8 @@
 #   bash scripts/pairs.sh W PARENT [SEED] [N] [SECONDS]
 #   make pairs W=replay_modern PARENT=HEAD~1 [SEED=1] [N=10]
 #
-# The parent is PARENT's committed tree, unpacked under .bench_build/pairs/;
+# The parent is PARENT's committed tree, unpacked under .bench_build/pairs/
+# (the trees of other parents there are removed first);
 # the change is this checkout as it stands, uncommitted edits included. Each
 # side is built once by its own bench/perf/run.sh, which is then called as is
 # (--workload W --seed SEED --seconds S --trace 0), once per side per pair,
@@ -17,7 +18,7 @@
 set -euo pipefail
 
 if [[ $# -lt 2 || -z "$1" || -z "$2" ]]; then
-	sed -n '2,16p' "${BASH_SOURCE[0]}" >&2
+	sed -n '2,17p' "${BASH_SOURCE[0]}" >&2
 	exit 2
 fi
 w="$1" parent="$2" seed="${3:-1}" n="${4:-10}"
@@ -29,6 +30,12 @@ rev="$(git rev-parse --verify "$parent^{commit}")"
 
 work="$root/.bench_build/pairs"
 pdir="$work/parent-$rev"
+# Keep one parent tree: drop those of other revisions (the *.jsonl results stay).
+for d in "$work"/parent-*; do
+	if [[ -d "$d" && "$d" != "$pdir" ]]; then
+		rm -rf "$d"
+	fi
+done
 if [[ ! -d "$pdir" ]]; then
 	mkdir -p "$pdir"
 	git archive "$rev" | tar -x -C "$pdir"
