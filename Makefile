@@ -9,7 +9,8 @@ build:
 
 # test is tier-1. It includes TestPaperClaims, every shape EXPERIMENTS.md
 # claims as a predicate over full-scale cells (~20 s on two CPUs), the goldens
-# in bench/golden, and TestSerialParallelIdentical, which holds every
+# in bench/golden (among them the cell ledger, cells.txt: one row per
+# simulated configuration), and TestSerialParallelIdentical, which holds every
 # experiment's text and JSON byte-identical at -parallel 1 and 4.
 test:
 	$(GO) test ./...

@@ -143,8 +143,7 @@ func (c Cell) key() Cell {
 
 // cellTable is the process-wide memo of simulated cells, and cellAsks counts
 // every Run on a Cell, so asks minus entries is the reuse. cellKeys holds
-// every key the table simulated: the rows of the cell ledger
-// (bench/golden/cells.txt).
+// every key simulated: the rows of the cell ledger, bench/golden/cells.txt.
 var (
 	cellTable = par.NewCache[Cell, *core.RunStats]()
 	cellAsks  atomic.Int64

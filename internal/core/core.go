@@ -341,8 +341,7 @@ func (s *RunStats) Seconds() float64 { return float64(s.Elapsed) / CPUHz }
 func (s *RunStats) StallCycles() int64 { return int64(s.Elapsed) - s.OrigBusy }
 
 // DilationFactor is the ratio of the median inter-hint interval to the
-// median inter-read interval (paper §4.4; >1 mainly due to copy-on-write
-// checks).
+// median inter-read interval (§4.4; >1 mainly due to copy-on-write checks).
 func (s *RunStats) DilationFactor() float64 {
 	if s.MedianReadGap <= 0 || s.MedianHintGap <= 0 {
 		return 0
@@ -493,8 +492,8 @@ type System struct {
 	final           *RunStats // detached snapshot taken at exit (see finalize)
 	lastOrigReadAt  int64
 	lastSpecHintAt  int64
-	readGaps        []int64 // cycles between the original thread's reads, for finalize's median
-	hintGaps        []int64 // cycles between the speculating thread's hints, likewise
+	readGaps        []int64 // busy cycles between successive reads, and between hints;
+	hintGaps        []int64 // finalize keeps only their medians
 	sawSpecHint     bool
 	sawOrigRead     bool
 	lastCaptureBusy int64 // original-thread busy cycles at the last captured read

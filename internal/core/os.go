@@ -16,9 +16,8 @@ func (s *System) Syscall(m *vm.Machine, t *vm.Thread, code int64) vm.SysControl 
 	// cache interactions happen at the right virtual time. Events due in the
 	// interim (prefetch completions, wakeups) fire first. In dual-processor
 	// mode the speculating thread executes inside a wall window the clock
-	// has already passed; its syscalls then happen "now" and leave the
-	// clock where the original thread put it (skew is bounded by the
-	// scheduling quantum).
+	// has already passed; its syscalls happen "now" and leave the clock
+	// alone (skew is bounded by the scheduling quantum).
 	if target := s.sliceStart + sim.Time(m.SliceUsed()); target > s.clk.Now() && !s.inWindow {
 		s.clk.AdvanceTo(target)
 	}
