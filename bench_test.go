@@ -14,6 +14,7 @@ import (
 	"spechint/internal/bench"
 	"spechint/internal/cluster"
 	"spechint/internal/core"
+	"spechint/internal/multi"
 	"spechint/internal/spechint"
 	"spechint/internal/tip"
 )
@@ -124,6 +125,39 @@ func BenchmarkSoloHinted(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkGroup builds and runs bench/perf's multi_mix group — Agrep,
+// XDataSlice, Gnuld and Agrep at full scale, one group unhinted and then one
+// speculating — from an empty program cache each iteration, as a repetition
+// of that workload does, and reports what the pair costs the host: us/op, and
+// MB/op allocated. `make profile B=Group` profiles group construction
+// (workload content, assembly, transform, machine memory) with the runs.
+func BenchmarkGroup(b *testing.B) {
+	members := []apps.App{apps.Agrep, apps.XDataSlice, apps.Gnuld, apps.Agrep}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apps.ResetProgramCache()
+		for _, mode := range []core.Mode{core.ModeNoHint, core.ModeSpeculating} {
+			specs := make([]multi.ProcSpec, len(members))
+			for j, app := range members {
+				specs[j] = multi.ProcSpec{App: app, Mode: mode}
+			}
+			g, err := multi.NewGroup(multi.DefaultConfig(), apps.FullScale(), specs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := g.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/op")
+	b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N)/(1<<20), "MB/op")
 }
 
 // BenchmarkTransform measures SpecHint tool throughput on the largest app.

@@ -78,31 +78,44 @@ type Bundle struct {
 // built workload is immutable — no syscall writes a file, and the file system
 // is sealed before the bundle is published — so the whole bundle is a
 // deterministic function of (app, scale) and is built once: every cell of a
-// sweep at that key, on any worker, runs against the same *Bundle.
+// sweep at that key, on any worker, runs against the same *Bundle, and every
+// BuildOn at that key copies its files.
 func Build(app App, scale Scale) (*Bundle, error) {
-	return bundleCache.Get(progKey{app, scale}, func() (*Bundle, error) {
-		fs := fsim.New(8192)
-		workload.SetBenchLayout(fs)
-		b, err := BuildOn(fs, app, scale)
-		fs.Seal()
-		return b, err
-	})
+	return bundleCache.Get(progKey{app, scale}, func() (*Bundle, error) { return build(app, scale) })
 }
 
-// BuildOn assembles and transforms both variants of app over an existing
-// file system, populating it at the given scale. The multiprogramming layer
-// uses it to lay several processes' workloads onto one shared file system;
-// scale prefixes (see Scale.WithProcess) keep their file sets disjoint.
+// BuildOn lays app's workload at the given scale onto an existing file
+// system and returns the bundle over it. The multiprogramming layer uses it to
+// lay several processes' workloads onto one shared file system; scale
+// prefixes (see Scale.WithProcess) keep their file sets disjoint.
 //
-// The caller's file system is populated on every call, but the expensive
-// artifacts — both assembly texts, the assembled original and manual
-// binaries and the SpecHint transform — are deterministic functions of
-// (app, scale) and come from a shared immutable cache, so only the first
-// call at a key generates and assembles them. The cache is safe for
-// concurrent builders (see internal/par).
+// Nothing is generated on the caller's file system: the files of Build's
+// bundle at the same key are created there in their creation order, sharing
+// its stored bytes and content functions (fsim.CopyTo), so the caller's
+// layout places them exactly as the generator would have, and the content,
+// both assembly texts, the assembled binaries and the SpecHint transform are
+// made once per key. The shared bundle is safe for concurrent builders (see
+// internal/par).
 func BuildOn(fs *fsim.FS, app App, scale Scale) (*Bundle, error) {
+	b, err := Build(app, scale)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.FS.CopyTo(fs); err != nil {
+		return nil, fmt.Errorf("apps: %v: %w", app, err)
+	}
+	on := *b
+	on.FS = fs
+	return &on, nil
+}
+
+// build generates app's workload at scale on a fresh sealed file system with
+// the benchmark layout, and assembles and transforms its programs.
+func build(app App, scale Scale) (*Bundle, error) {
+	fs := fsim.New(8192)
+	workload.SetBenchLayout(fs)
 	// source renders the original (manual=false) or hand-hinted assembly
-	// text over the files just created; it runs only on a cache miss.
+	// text over the files just created.
 	var source func(manual bool) string
 	switch app {
 	case Agrep:
@@ -129,64 +142,42 @@ func BuildOn(fs *fsim.FS, app App, scale Scale) (*Bundle, error) {
 	default:
 		return nil, fmt.Errorf("apps: unknown app %d", app)
 	}
-
-	pr, err := progCache.Get(progKey{app, scale}, func() (*cachedProgs, error) {
-		return assembleAndTransform(app, source(false), source(true))
-	})
+	fs.Seal()
+	b, err := assembleAndTransform(app, source(false), source(true))
 	if err != nil {
 		return nil, err
 	}
-	return &Bundle{
-		App: app, FS: fs,
-		Original: pr.orig, Transformed: pr.transformed, Manual: pr.man,
-		Transform: pr.tstats,
-	}, nil
+	b.FS = fs
+	return b, nil
 }
 
-// progKey identifies one set of built program artifacts. Scale is a value
-// type of plain ints and strings, so it is a usable (and exact) map key:
-// any scale change — selectivity, prefix, seed — is a different key.
+// progKey identifies one built workload. Scale is a value type of plain ints
+// and strings, so it is a usable (and exact) map key: any scale change —
+// selectivity, prefix, seed — is a different key.
 type progKey struct {
 	app   App
 	scale Scale
 }
 
-// cachedProgs are the immutable artifacts shared across cells. vm.Program
-// values are never mutated after assembly (machines copy Data into their
-// own memory and only read Text), so handing one instance to many
-// concurrently-running systems is safe.
-type cachedProgs struct {
-	orig        *vm.Program
-	man         *vm.Program
-	transformed *vm.Program
-	tstats      spechint.Stats
-}
+// bundleCache memoizes build per (app, scale) for the life of the process.
+// vm.Program values are never mutated after assembly (machines copy Data into
+// their own memory and only read Text) and files are immutable, so one bundle
+// serves every concurrently running system at its key. Sweeps touch a handful
+// of scales, so it stays small; ResetProgramCache drops it (tests and the
+// benchmark that measure the build use it).
+var bundleCache = par.NewCache[progKey, *Bundle]()
 
-// progCache memoizes assembleAndTransform, and bundleCache whole solo
-// bundles, per (app, scale) for the life of the process. They are two
-// instances because the same key means two things: BuildOn's programs are
-// valid on any file system holding the key's workload, Build's bundle owns
-// one. Sweeps touch a handful of scales, so both stay small;
-// ResetProgramCache drops them (tests that measure the build use it).
-var (
-	progCache   = par.NewCache[progKey, *cachedProgs]()
-	bundleCache = par.NewCache[progKey, *Bundle]()
-)
+// ResetProgramCache empties the shared cache: the next Build or BuildOn at
+// any key generates, assembles and transforms afresh.
+func ResetProgramCache() { bundleCache.Reset() }
 
-// ResetProgramCache empties the shared caches: the next Build at any key
-// makes a fresh bundle and file system.
-func ResetProgramCache() {
-	progCache.Reset()
-	bundleCache.Reset()
-}
-
-// ProgramCacheLen reports how many (app, scale) artifact sets are cached.
-func ProgramCacheLen() int { return progCache.Len() }
+// ProgramCacheLen reports how many (app, scale) bundles are cached.
+func ProgramCacheLen() int { return bundleCache.Len() }
 
 // assembleAndTransform builds the three program variants from their
 // sources. Note the transform's Stats.Elapsed is the wall-clock time of
 // the one cached transform, not of the current caller.
-func assembleAndTransform(app App, origSrc, manSrc string) (*cachedProgs, error) {
+func assembleAndTransform(app App, origSrc, manSrc string) (*Bundle, error) {
 	orig, err := asm.Assemble(origSrc)
 	if err != nil {
 		return nil, fmt.Errorf("apps: %v original: %w", app, err)
@@ -199,7 +190,7 @@ func assembleAndTransform(app App, origSrc, manSrc string) (*cachedProgs, error)
 	if err != nil {
 		return nil, fmt.Errorf("apps: %v transform: %w", app, err)
 	}
-	return &cachedProgs{orig: orig, man: man, transformed: tp, tstats: tstats}, nil
+	return &Bundle{App: app, Original: orig, Transformed: tp, Manual: man, Transform: tstats}, nil
 }
 
 // Scale bundles the three workload specs so experiments can run at full

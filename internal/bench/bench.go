@@ -217,6 +217,7 @@ func (p *prepared) run() (*core.RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	st, err := sys.Run()
 	if err != nil {
 		return nil, fmt.Errorf("bench: %v %v: %w", p.b.App, p.cfg.Mode, err)

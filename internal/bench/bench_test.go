@@ -7,6 +7,7 @@ import (
 
 	"spechint/internal/apps"
 	"spechint/internal/core"
+	"spechint/internal/multi"
 )
 
 func TestRunTripleCorrectness(t *testing.T) {
@@ -57,6 +58,56 @@ func TestRunAllocationFollowsReads(t *testing.T) {
 		if mb >= c.limit {
 			t.Errorf("one %v %v cell allocated %d MB, want < %d (%s)", c.app, c.mode, mb, c.limit, c.inputs)
 		}
+	}
+}
+
+// TestRerunAllocatesNoMachine: what a run's key fixes is built once, and a
+// finished run's machine memory goes to the next. A sweep-scale cell run right
+// after another at its key allocates less than one machine's memory
+// (MemSize+StackSize+SpecHeapSize, 4.5 MB at the default geometry); and a
+// second group at the multi_mix benchmark's key, built after the first has
+// run, allocates at most a quarter of what the first did: its workload
+// content, programs and machine memory are all reused, not remade.
+// (Top-level and not parallel, like TestRunAllocationFollowsReads.)
+func TestRerunAllocatesNoMachine(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	mc := core.DefaultConfig(core.ModeSpeculating).Machine
+	machine := uint64(mc.MemSize + mc.StackSize + mc.SpecHeapSize)
+	for _, mode := range []core.Mode{core.ModeNoHint, core.ModeSpeculating} {
+		run := func() {
+			if _, _, err := Run(apps.XDataSlice, mode, apps.SweepScale(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if n := allocated(run); n >= machine {
+			t.Errorf("a sweep-scale XDataSlice %v cell run after another allocated %d bytes, want < %d (one machine's memory)", mode, n, machine)
+		}
+	}
+
+	apps.ResetProgramCache()
+	specs := []multi.ProcSpec{{App: apps.Agrep}, {App: apps.XDataSlice}, {App: apps.Gnuld}, {App: apps.Agrep}}
+	var g *multi.Group
+	group := func() {
+		var err error
+		if g, err = multi.NewGroup(multi.DefaultConfig(), apps.FullScale(), specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := allocated(group)
+	if _, err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	second := allocated(group)
+	t.Logf("multi_mix group: first NewGroup %d MB, second %d MB", first>>20, second>>20)
+	if second > first/4 {
+		t.Errorf("a second NewGroup at one key allocated %d bytes, the first %d; want at most a quarter", second, first)
 	}
 }
 

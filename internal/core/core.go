@@ -555,6 +555,11 @@ func NewOn(sub *Substrate, cfg Proc, prog *vm.Program, name string) (*System, er
 	return s, nil
 }
 
+// Release hands the machine's memory back for the next System to reuse, once
+// the run is over: the System must not run again, and its RunStats stay
+// valid.
+func (s *System) Release() { s.mach.Release() }
+
 // issueStaticHints discloses the synthesized hint list at clock zero,
 // before the first instruction runs. The application itself is unmodified,
 // so nothing is charged to its path: static mode's SpecOverhead is zero by

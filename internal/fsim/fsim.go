@@ -3,6 +3,11 @@
 // global logical-block space (the paper created a fresh file system for its
 // experiments, so files are unfragmented), plus open-file descriptor tables.
 //
+// A file's content is shared, not owned: files are immutable, so a workload
+// generated once can be copied onto any number of file systems (CopyTo), each
+// laying the files out afresh under its own policy while every copy reads the
+// same stored bytes or content function.
+//
 // fsim holds file *content*; timing lives in the disk and cache layers. The
 // striping pseudodevice (internal/disk) maps fsim's logical block numbers to
 // physical (disk, block) pairs.
@@ -116,6 +121,10 @@ type FS struct {
 	gapJitter   int64
 }
 
+// firstIno is the first inode number: numbering traditionally starts past the
+// root.
+const firstIno = 2
+
 // New returns an empty file system with the given block size.
 func New(blockSize int) *FS {
 	if blockSize <= 0 {
@@ -125,7 +134,7 @@ func New(blockSize int) *FS {
 		blockSize:   blockSize,
 		byName:      make(map[string]*File),
 		byIno:       make(map[int64]*File),
-		nextIno:     2, // inode numbering traditionally starts past the root
+		nextIno:     firstIno,
 		alignBlocks: 1,
 	}
 }
@@ -219,6 +228,21 @@ func (fs *FS) create(f *File) (*File, error) {
 	fs.byName[name] = f
 	fs.byIno[f.ino] = f
 	return f, nil
+}
+
+// CopyTo creates every file of fs on dst, in the order fs created them,
+// sharing each file's stored bytes or content function: files are immutable,
+// so one generated file set can back any number of file systems. dst's own
+// layout places the copies, exactly as if the generator had created them
+// there.
+func (fs *FS) CopyTo(dst *FS) error {
+	for ino := int64(firstIno); ino < fs.nextIno; ino++ {
+		f := fs.byIno[ino]
+		if _, err := dst.create(&File{Name: f.Name, size: f.size, data: f.data, fill: f.fill}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MustCreate is Create for test and generator code with known-good names.

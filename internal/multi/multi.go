@@ -125,8 +125,14 @@ func NewGroup(cfg Config, scale apps.Scale, specs []ProcSpec) (*Group, error) {
 }
 
 // Run executes the group to completion under core's strict-priority
-// scheduler (see core.RunGroup) and assembles the group outcome.
+// scheduler (see core.RunGroup) and assembles the group outcome. A group runs
+// once: Run releases every process's machine memory when it returns.
 func (g *Group) Run() (*Result, error) {
+	defer func() {
+		for _, p := range g.procs {
+			p.Release()
+		}
+	}()
 	stats, err := core.RunGroup(g.procs, quantum, g.cfg.MaxCycles)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"spechint/internal/cow"
 )
@@ -247,7 +248,7 @@ func NewMachine(prog *Program, os OS, cfg Config) (*Machine, error) {
 	m := &Machine{
 		text:     prog.Text,
 		dec:      decodeProgram(prog.Text, cfg.Cost),
-		mem:      make([]byte, total),
+		mem:      takeMem(total),
 		prog:     prog,
 		cfg:      cfg,
 		os:       os,
@@ -264,6 +265,53 @@ func NewMachine(prog *Program, os OS, cfg Config) (*Machine, error) {
 		m.pageLast[i] = -1
 	}
 	return m, nil
+}
+
+// freeMem holds the memory of released machines for the next NewMachine of
+// the same size: a sweep runs thousands of machines of one geometry, and a
+// fresh 4.5 MB buffer per run is garbage the collector must pace around. It
+// is a plain list, not a sync.Pool, so that a runtime.GC between two runs
+// does not empty it; maxFreeMem bounds what idle buffers can hold.
+var freeMem struct {
+	sync.Mutex
+	bufs [][]byte
+}
+
+// maxFreeMem bounds the list: two four-process groups finishing at once, 36
+// MB at the default geometry.
+const maxFreeMem = 8
+
+// takeMem returns n bytes of zeroed machine memory, recycled if a released
+// buffer of that size is free. The whole buffer is cleared, not only the
+// pages touchPage saw: WriteMem, WriteFrom, CopyStackForSpec and the load of
+// prog.Data write memory without touching a page.
+func takeMem(n int64) []byte {
+	freeMem.Lock()
+	for i := len(freeMem.bufs) - 1; i >= 0; i-- {
+		if b := freeMem.bufs[i]; int64(len(b)) == n {
+			freeMem.bufs = append(freeMem.bufs[:i], freeMem.bufs[i+1:]...)
+			freeMem.Unlock()
+			clear(b)
+			return b
+		}
+	}
+	freeMem.Unlock()
+	return make([]byte, n)
+}
+
+// Release hands the machine's memory to the next NewMachine. The machine is
+// dead afterwards: Run panics, and every other access fails or panics.
+// Releasing twice is a no-op.
+func (m *Machine) Release() {
+	if m.mem == nil {
+		return
+	}
+	freeMem.Lock()
+	if len(freeMem.bufs) < maxFreeMem {
+		freeMem.bufs = append(freeMem.bufs, m.mem)
+	}
+	freeMem.Unlock()
+	m.mem = nil
 }
 
 // Pages returns the paging statistics accumulated so far.
@@ -705,6 +753,9 @@ func (m *Machine) scanBytes(t *Thread, a, k, key int64, checked bool) (n, last i
 func (m *Machine) Run(t *Thread, budget int64) (int64, StopReason) {
 	if t.State != Ready {
 		panic(fmt.Sprintf("vm: Run of %s thread in state %v", t.Name, t.State))
+	}
+	if m.mem == nil {
+		panic("vm: Run on a released machine")
 	}
 	var used int64
 
